@@ -2,7 +2,7 @@
 # wrapper over the go tool; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: lint test build bench e2e
+.PHONY: lint test build bench e2e loc
 
 # lint runs the determinism-linter suite through both of its entry
 # points: the standalone multichecker and the cmd/go unitchecker
@@ -27,3 +27,11 @@ e2e:
 
 bench:
 	go test . -run='^$$' -bench='BenchmarkLazyConvergence5k|BenchmarkEagerBurst5k' -benchmem
+
+# loc prints the non-test Go line count of every package, one line each,
+# and the total: ROADMAP's "line count is a tracked metric" (CI puts it in
+# the job summary next to the bench history).
+loc:
+	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
+	awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

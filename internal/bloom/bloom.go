@@ -80,19 +80,25 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashes derives the double-hashing pair for a key.
-func hashes(key uint64) (h1, h2 uint64) {
-	h1 = mix64(key)
-	h2 = mix64(key ^ 0x9e3779b97f4a7c15)
-	h2 |= 1 // odd, so the probe sequence covers the table
-	return
+// KeyHash is the double-hashing pair of one key. It depends on the key
+// alone, not on any filter's geometry, so a caller that tests the same keys
+// against many filters (a profile's items against every offered digest)
+// hashes each key once with HashKey and probes with TestHash.
+type KeyHash struct{ h1, h2 uint64 }
+
+// HashKey derives the double-hashing pair for a key.
+func HashKey(key uint64) KeyHash {
+	return KeyHash{
+		h1: mix64(key),
+		h2: mix64(key^0x9e3779b97f4a7c15) | 1, // odd, so the probe sequence covers the table
+	}
 }
 
 // Add inserts the key into the filter.
 func (f *Filter) Add(key uint64) {
-	h1, h2 := hashes(key)
+	h := HashKey(key)
 	for i := 0; i < f.k; i++ {
-		idx := (h1 + uint64(i)*h2) % f.m
+		idx := (h.h1 + uint64(i)*h.h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
 	f.count++
@@ -100,10 +106,15 @@ func (f *Filter) Add(key uint64) {
 
 // Test reports whether the key may be in the filter. False positives are
 // possible; false negatives are not.
-func (f *Filter) Test(key uint64) bool {
-	h1, h2 := hashes(key)
+func (f *Filter) Test(key uint64) bool { return f.TestHash(HashKey(key)) }
+
+// TestHash is Test for a pre-hashed key, probing the bits Add set: h1 + i*h2
+// wraps mod 2^64 before the reduction mod m, so it is valid for any m.
+//
+//p3q:hotpath
+func (f *Filter) TestHash(h KeyHash) bool {
 	for i := 0; i < f.k; i++ {
-		idx := (h1 + uint64(i)*h2) % f.m
+		idx := (h.h1 + uint64(i)*h.h2) % f.m
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}

@@ -327,3 +327,61 @@ func BenchmarkTest(b *testing.B) {
 		f.Test(uint64(i))
 	}
 }
+
+// TestTestHashMatchesTest pins the pre-hashed probe to Test and to Add: same
+// answers for present and absent keys, at the bench geometry and at the
+// paper's non-power-of-two one (where h1 + i*h2 must wrap mod 2^64 before
+// the reduction mod m).
+func TestTestHashMatchesTest(t *testing.T) {
+	for _, m := range []int{2048, 20480} {
+		for _, k := range []int{1, 6, 10} {
+			f := New(m, k)
+			rng := rand.New(rand.NewSource(int64(m + k)))
+			added := make([]uint64, 300)
+			for i := range added {
+				added[i] = rng.Uint64()
+				f.Add(added[i])
+			}
+			for _, key := range added {
+				if !f.TestHash(HashKey(key)) {
+					t.Fatalf("m=%d k=%d: TestHash misses added key %#x", m, k, key)
+				}
+			}
+			for i := 0; i < 20000; i++ {
+				// Small and huge keys: item IDs are small, the wrap needs big hashes.
+				key := rng.Uint64() >> uint(rng.Intn(64))
+				if got, want := f.TestHash(HashKey(key)), f.Test(key); got != want {
+					t.Fatalf("m=%d k=%d: TestHash(%#x) = %v, Test = %v", m, k, key, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestTestHashDoesNotAllocate(t *testing.T) {
+	f := New(DefaultBits, DefaultHashes)
+	f.Add(1)
+	h := HashKey(1)
+	if n := testing.AllocsPerRun(100, func() { f.TestHash(h) }); n != 0 {
+		t.Fatalf("TestHash allocates %v times per call", n)
+	}
+}
+
+func BenchmarkBloomTestHash(b *testing.B) {
+	f := New(DefaultBits, DefaultHashes)
+	hashes := make([]KeyHash, 1024)
+	for i := range hashes {
+		f.Add(uint64(i))
+		hashes[i] = HashKey(uint64(2 * i)) // half present, half absent
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f.TestHash(hashes[i%len(hashes)]) {
+			hits++
+		}
+	}
+	benchSink = hits
+}
+
+var benchSink int

@@ -357,6 +357,9 @@ func (rs *restorer) readProfiles(ds *trace.Dataset, users int) {
 				return
 			}
 		}
+		// The count is known up front: reserve the log and its key column
+		// once (bounded, like every count-driven allocation here).
+		p.Grow(ckpt.CapHint(n - have))
 		log := p.Actions()
 		for j := 0; j < n && rs.r.Err() == nil; {
 			batch := n - j
@@ -443,16 +446,11 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 	cw.U64(n.rng.State())
 
 	cw.U32(uint32(n.evalVersion))
-	evalIDs := make([]tagging.UserID, 0, len(n.evaluated))
-	//p3q:orderinvariant collects keys into evalIDs, which is sorted before use
-	for id := range n.evaluated {
-		evalIDs = append(evalIDs, id)
-	}
-	sort.Slice(evalIDs, func(i, j int) bool { return evalIDs[i] < evalIDs[j] })
-	cw.Count(len(evalIDs))
-	for _, id := range evalIDs {
-		cw.U32(uint32(id))
-		cw.U32(uint32(n.evaluated[id]))
+	e.evalBuf = n.evaluated.appendSorted(e.evalBuf[:0])
+	cw.Count(len(e.evalBuf))
+	for _, s := range e.evalBuf {
+		cw.U32(s.key - 1)
+		cw.U32(uint32(s.version))
 	}
 
 	entries := n.view.Entries()
@@ -501,7 +499,9 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 
 	n.evalVersion = int(rs.r.U32())
 	nEval := rs.r.Count(rs.users)
-	n.evaluated = make(map[tagging.UserID]int, ckpt.CapHint(nEval))
+	if nEval > 0 {
+		n.evaluated.grow(ckpt.CapHint(nEval))
+	}
 	prev := -1
 	for i := 0; i < nEval && rs.r.Err() == nil; i++ {
 		owner := rs.readUserID()
@@ -509,7 +509,11 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 			rs.r.Fail("node %d: evaluated memo not in ascending owner order", id)
 		}
 		prev = int(owner)
-		n.evaluated[owner] = int(rs.r.U32())
+		version := int(rs.r.U32())
+		if rs.r.Err() == nil && version > rs.ds.Profiles[owner].Len() {
+			rs.r.Fail("node %d: evaluated memo holds version %d of user %d, but the profile has %d actions", id, version, owner, rs.ds.Profiles[owner].Len())
+		}
+		n.evaluated.set(owner, version)
 	}
 
 	nView := rs.r.Count(rs.cfg.R)

@@ -120,6 +120,8 @@ type Engine struct {
 	permBuf []int
 	//p3q:transient per-commit-phase shard scratch, re-initialized by commitSharded
 	shards []commitShard
+	//p3q:transient Snapshot's sorted-export scratch for the evaluated memos, refilled per node
+	evalBuf []evalSlot
 }
 
 // New builds an engine over the dataset. Nodes start with empty personal
@@ -667,7 +669,7 @@ func (e *Engine) SeedExplicitNetworks(contacts [][]tagging.UserID) {
 				score = 1
 			}
 			node.pnet.Upsert(friend, score, digests[friend])
-			node.evaluated[friend] = digests[friend].Version
+			node.evaluated.set(friend, digests[friend].Version)
 		}
 		for _, entry := range node.pnet.Rebalance() {
 			entry.Stored = e.nodes[entry.ID].profile.Snapshot()
@@ -698,7 +700,7 @@ func (e *Engine) SeedIdealNetworks(nets [][]similarity.Neighbour) {
 		}
 		for _, nb := range nets[u][:limit] {
 			node.pnet.Upsert(nb.ID, nb.Score, digests[nb.ID])
-			node.evaluated[nb.ID] = digests[nb.ID].Version
+			node.evaluated.set(nb.ID, digests[nb.ID].Version)
 		}
 		for _, entry := range node.pnet.Rebalance() {
 			entry.Stored = e.nodes[entry.ID].profile.Snapshot()

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
@@ -148,14 +149,6 @@ func (e *Engine) commitViewShard(a *Node, p *viewPlan, sh *commitShard) {
 // requestBytes is the size charged for a bare "send me X" request message.
 const requestBytes = 8
 
-// sortEntriesByAge stable-sorts entries by decreasing gossip age,
-// preserving the incoming order among ties.
-func sortEntriesByAge(entries []Entry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Age() > entries[j].Age()
-	})
-}
-
 // descriptorsWireSize is the wire size of a peer-sampling buffer: one
 // digest per descriptor.
 func descriptorsWireSize(ds []gossip.Descriptor) int {
@@ -196,7 +189,7 @@ type topPlan struct {
 	rv []rvContact
 
 	// Plan-phase scratch.
-	partners []Entry                // PartnersByAge buffer
+	partners []uint32               // ranking positions in probe order
 	seen     map[tagging.UserID]int // evaluated-cache overlay, cleared per cycle
 	oneOffer [1]offer               // backing array for single-offer integrations
 }
@@ -230,15 +223,18 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 	e.net.InitLedger(&p.ledger)
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
-	p.partners = a.pnet.AppendPartnersByAge(p.partners)
-	partners := p.partners
-	// Equal timestamps (common right after bootstrap) are tried in random
-	// order so the first cycles do not all hit the lowest IDs.
+	// Probe order: decreasing gossip age. Equal timestamps (common right
+	// after bootstrap) are tried in random order so the first cycles do not
+	// all hit the lowest IDs: shuffle the memoized age ordering (Prepare has
+	// pre-built it, so concurrent planners only read), then stable-sort.
+	p.partners = append(p.partners[:0], a.pnet.orderedByAge()...)
+	partners, ranking := p.partners, a.pnet.ranking
 	rng.Shuffle(len(partners), func(i, j int) { partners[i], partners[j] = partners[j], partners[i] })
-	sortEntriesByAge(partners)
+	slices.SortStableFunc(partners, func(i, j uint32) int { return cmp.Compare(ranking[j].Age(), ranking[i].Age()) })
 	var b *Node
 	probes := 0
-	for _, pe := range partners {
+	for _, pi := range partners {
+		pe := &ranking[pi]
 		if probes >= e.cfg.MaxProbes {
 			break
 		}
@@ -278,7 +274,7 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 		if d.Node == a.id {
 			continue
 		}
-		v, known := a.evaluated[d.Node]
+		v, known := a.evaluated.get(d.Node)
 		if sv, ok := seen[d.Node]; ok && (!known || sv > v) {
 			v, known = sv, true
 		}
@@ -347,7 +343,7 @@ func (e *Engine) commitTopShard(a *Node, p *topPlan, sh *commitShard) {
 			c := &p.rv[i]
 			if c.evalOnly {
 				a.checkEvalCache()
-				a.evaluated[c.owner] = c.version
+				a.evaluated.set(c.owner, c.version)
 				continue
 			}
 			a.commitIntegration(&c.intent, &sh.ledger)
@@ -440,8 +436,8 @@ func naiveOffersBytes(offers []offer) uint64 {
 // sizes of steps 1-2 of Algorithm 1. Step 3 (profile storage) depends on
 // the personal network as committed, so it is resolved at commit time.
 // Integrations are embedded by value in their owning plan slots and
-// re-initialized in place by planIntegrateInto; the common/actions scratch
-// buffers persist across cycles.
+// re-initialized in place by planIntegrateInto; the common-item scratch
+// buffer persists across cycles.
 type integration struct {
 	ok        bool // false: every offer was filtered out, nothing to commit
 	provider  tagging.UserID
@@ -450,8 +446,7 @@ type integration struct {
 	respBytes int
 
 	// Step-2 scratch, reused per offer.
-	common  []tagging.ItemID
-	actions []tagging.Action
+	common []tagging.ItemID
 }
 
 // intResult is one scored offer inside an integration. applied is written
@@ -492,7 +487,7 @@ func planIntegrateInto(it *integration, n *Node, offers []offer, provider taggin
 		if owner == n.id {
 			continue
 		}
-		v, known := n.evaluated[owner]
+		v, known := n.evaluated.get(owner)
 		if sv, ok := seen[owner]; ok && (!known || sv > v) {
 			v, known = sv, true
 		}
@@ -510,20 +505,14 @@ func planIntegrateInto(it *integration, n *Node, offers []offer, provider taggin
 		}
 		// Step 2: request the actions on common items and compute the
 		// exact score.
-		it.common = appendCommonItems(it.common, n.profile, o.digest)
+		it.common = o.digest.AppendCommonItems(it.common, n.profile)
 		it.reqBytes += tagging.ItemsWireSize(len(it.common))
-		it.actions = o.snap.AppendActionsOnItems(it.actions, it.common)
-		it.respBytes += tagging.ActionsWireSize(len(it.actions))
-		score := 0
-		for _, a := range it.actions {
-			if n.profile.Has(a.Item, a.Tag) {
-				score++
-			}
-		}
+		received, score := o.snap.ScoreOnItems(n.profile, it.common)
+		it.respBytes += tagging.ActionsWireSize(received)
 		if seen != nil {
 			seen[owner] = o.digest.Version
 		}
-		it.results = append(it.results, intResult{o: o, score: score, received: len(it.actions), version: o.digest.Version})
+		it.results = append(it.results, intResult{o: o, score: score, received: received, version: o.digest.Version})
 	}
 	it.ok = len(it.results) > 0
 }
@@ -550,8 +539,8 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 	// integration already applied, or the evaluated memo's "highest
 	// version scored" contract (and score monotonicity) breaks.
 	for _, r := range it.results {
-		if v, ok := n.evaluated[r.o.digest.Owner]; !ok || r.version > v {
-			n.evaluated[r.o.digest.Owner] = r.version
+		if v, ok := n.evaluated.get(r.o.digest.Owner); !ok || r.version > v {
+			n.evaluated.set(r.o.digest.Owner, r.version)
 		}
 	}
 	l.Send(n.id, it.provider, sim.MsgCommonItems, it.reqBytes)
@@ -625,20 +614,4 @@ func (n *Node) fetchFromOwner(entry *Entry, l *sim.Ledger) {
 	l.Send(entry.ID, n.id, sim.MsgProfile, tagging.ActionsWireSize(snap.Len()))
 	entry.Stored = snap
 	entry.Digest = owner.digest()
-}
-
-// appendCommonItems appends the items of p that the digest may contain —
-// the common-item estimate of Algorithm 1 (false positives possible at the
-// Bloom filter's rate, false negatives never) — into dst (reusing its
-// capacity) and returns it.
-//
-//p3q:hotpath
-func appendCommonItems(dst []tagging.ItemID, p *tagging.Profile, d *tagging.Digest) []tagging.ItemID {
-	dst = dst[:0]
-	for _, it := range p.Items() {
-		if d.MightContainItem(it) {
-			dst = append(dst, it)
-		}
-	}
-	return dst
 }

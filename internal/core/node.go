@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
 	"p3q/internal/tagging"
@@ -28,7 +31,7 @@ type Node struct {
 	// candidate is skipped without a Bloom scan. The cache is only valid
 	// for the own profile version it was built against: scores grow when
 	// the *own* profile grows, so the cache resets on own-profile change.
-	evaluated   map[tagging.UserID]int
+	evaluated   evalMemo
 	evalVersion int
 
 	// branches holds this node's remaining list per active query. The map
@@ -89,10 +92,102 @@ func (n *Node) descriptor() gossip.Descriptor {
 //p3q:phase plan
 //p3q:hotpath
 func (n *Node) checkEvalCache() {
-	if n.evaluated == nil || n.evalVersion != n.profile.Version() {
-		n.evaluated = make(map[tagging.UserID]int) //p3q:alloc once per own-profile version bump, not per call
+	if n.evalVersion != n.profile.Version() {
+		n.evaluated.reset()
 		n.evalVersion = n.profile.Version()
 	}
+}
+
+// evalSlot is one slot of an evalMemo: the owner ID biased by one (0 marks
+// an empty slot) and the highest version scored.
+type evalSlot struct {
+	key     uint32 // owner ID + 1; 0 = empty
+	version int32
+}
+
+// evalMemo maps owner to version in a flat open-addressed table, in the
+// style of the personal network's by-owner index (pnet.go): Fibonacci
+// hashing, linear probing, load factor at most 3/4, no deletion — the memo
+// only grows until reset empties it, keeping the table. The zero value is an
+// empty memo.
+type evalMemo struct {
+	slots []evalSlot // power-of-two length, or nil
+	n     int        // occupied slots
+}
+
+// find returns the slot holding key, or the empty slot where it belongs. The
+// table must be non-empty.
+//
+//p3q:hotpath
+func (m *evalMemo) find(key uint32) *evalSlot {
+	mask := len(m.slots) - 1
+	for i := fibHash(key) & mask; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// get returns the version recorded for the owner.
+//
+//p3q:hotpath
+func (m *evalMemo) get(id tagging.UserID) (version int, ok bool) {
+	if m.n == 0 {
+		return 0, false
+	}
+	s := m.find(idKey(id))
+	return int(s.version), s.key != 0
+}
+
+// set records (or overwrites) the owner's version.
+//
+//p3q:hotpath
+func (m *evalMemo) set(id tagging.UserID, version int) {
+	if (m.n+1)*4 > len(m.slots)*3 {
+		m.grow(m.n + 1)
+	}
+	s := m.find(idKey(id))
+	if s.key == 0 {
+		s.key = idKey(id)
+		m.n++
+	}
+	s.version = int32(version)
+}
+
+// grow rebuilds the table at the smallest power-of-two size that holds n
+// entries at or below half load. Deliberately not a hot path: the table
+// grows O(log n) times and survives every reset.
+func (m *evalMemo) grow(n int) {
+	size := 8
+	for size < n*2 {
+		size *= 2
+	}
+	old := m.slots
+	m.slots = make([]evalSlot, size)
+	for _, s := range old {
+		if s.key != 0 {
+			*m.find(s.key) = s
+		}
+	}
+}
+
+// reset empties the memo, keeping the table.
+func (m *evalMemo) reset() {
+	clear(m.slots)
+	m.n = 0
+}
+
+// appendSorted appends the memo's entries to dst in ascending owner order —
+// the canonical order of the checkpoint — and returns it.
+func (m *evalMemo) appendSorted(dst []evalSlot) []evalSlot {
+	from := len(dst)
+	for _, s := range m.slots {
+		if s.key != 0 {
+			dst = append(dst, s)
+		}
+	}
+	slices.SortFunc(dst[from:], func(a, b evalSlot) int { return cmp.Compare(a.key, b.key) })
+	return dst
 }
 
 // offer is a profile advertisement inside a gossip message: the digest that

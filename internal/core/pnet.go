@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"p3q/internal/tagging"
@@ -121,11 +123,12 @@ func (pn *PersonalNetwork) C() int { return pn.c }
 // empty slots).
 func idKey(id tagging.UserID) uint32 { return uint32(id) + 1 }
 
-// idxHome returns the preferred slot of a key: Fibonacci hashing on the
-// high product bits, masked to the table size.
-func (pn *PersonalNetwork) idxHome(key uint32) int {
-	return int(uint64(key)*0x9e3779b97f4a7c15>>33) & pn.idxMask
-}
+// fibHash spreads a biased ID over a power-of-two table: Fibonacci hashing
+// on the high product bits; callers mask it to their table size.
+func fibHash(key uint32) int { return int(uint64(key) * 0x9e3779b97f4a7c15 >> 33) }
+
+// idxHome returns the preferred slot of a key.
+func (pn *PersonalNetwork) idxHome(key uint32) int { return fibHash(key) & pn.idxMask }
 
 // idxFind returns the slot index holding key, or -1. Linear probing; the
 // table keeps its load factor at or below 3/4.
@@ -315,8 +318,8 @@ func (pn *PersonalNetwork) appendEntry(e Entry) {
 
 // Prepare pre-builds the memoized age ordering if it is stale. The engine
 // calls it for every node before a lazy planning phase so that
-// AppendPartnersByAge is free of lazy rebuilds and therefore safe to call
-// from concurrent planners. The ranking itself needs no preparation: it is
+// orderedByAge is free of lazy rebuilds and therefore safe to call from
+// concurrent planners. The ranking itself needs no preparation: it is
 // maintained sorted on every Upsert.
 //
 //p3q:phase plan
@@ -409,12 +412,12 @@ func (pn *PersonalNetwork) orderedByAge() []uint32 {
 		for i := range pn.byAge {
 			pn.byAge[i] = uint32(i)
 		}
-		sort.Slice(pn.byAge, func(i, j int) bool {
-			a, b := &pn.ranking[pn.byAge[i]], &pn.ranking[pn.byAge[j]]
-			if a.last != b.last {
-				return a.last < b.last
+		slices.SortFunc(pn.byAge, func(i, j uint32) int {
+			a, b := &pn.ranking[i], &pn.ranking[j]
+			if c := cmp.Compare(a.last, b.last); c != 0 {
+				return c
 			}
-			return a.ID < b.ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 	}
 	return pn.byAge
@@ -424,21 +427,11 @@ func (pn *PersonalNetwork) orderedByAge() []uint32 {
 // gossip first; ties: ascending ID) — the lazy-mode partner preference of
 // §2.2.1. The returned slice is a fresh copy the caller may reorder freely.
 func (pn *PersonalNetwork) PartnersByAge() []Entry {
-	return pn.AppendPartnersByAge(nil)
-}
-
-// AppendPartnersByAge is PartnersByAge appending entry copies into a
-// caller-owned buffer (reusing its capacity) and returning it. The planners
-// call it with plan-slot buffers; Prepare has pre-built the age memo, so
-// concurrent planners only read.
-//
-//p3q:hotpath
-func (pn *PersonalNetwork) AppendPartnersByAge(dst []Entry) []Entry {
-	dst = dst[:0]
+	out := make([]Entry, 0, len(pn.ranking))
 	for _, i := range pn.orderedByAge() {
-		dst = append(dst, pn.ranking[i])
+		out = append(out, pn.ranking[i])
 	}
-	return dst
+	return out
 }
 
 // Touch records a gossip with the given partner: its age resets to 0 and

@@ -70,13 +70,15 @@ var DeterministicScopes = []string{
 // HotpathScopes lists the packages where //p3q:hotpath and //p3q:alloc
 // are recognized and hotalloc reports: the deterministic engine scopes
 // plus the leaf packages whose helpers the engine's plan/commit inner
-// loops call directly (randx samplers, tagging digests and item scans).
-// Those leaves are not under the full determinism lint set — randx
-// legitimately wraps math/rand, tagging sorts its own memos — but their
-// hot helpers carry the same allocation budget as their callers.
+// loops call directly (randx samplers, tagging digests and profile
+// columns, the bloom probe). Those leaves are not under the full
+// determinism lint set — randx legitimately wraps math/rand, tagging sorts
+// its own memos — but their hot helpers carry the same allocation budget as
+// their callers.
 var HotpathScopes = append([]string{
 	"p3q/internal/randx",
 	"p3q/internal/tagging",
+	"p3q/internal/bloom",
 }, DeterministicScopes...)
 
 // CodecScopes lists the packages under the sticky-error codec discipline

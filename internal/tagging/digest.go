@@ -20,11 +20,11 @@ func NewDigest(s Snapshot, mBits, kHashes int) *Digest {
 	return b.Build(s, mBits, kHashes)
 }
 
-// DigestBuilder builds digests with reusable dedupe scratch. The zero value
-// is ready to use. A builder is not safe for concurrent use; own one per
+// DigestBuilder builds digests with reusable scratch. The zero value is
+// ready to use. A builder is not safe for concurrent use; own one per
 // goroutine (the engine keeps one per restore/rebuild site).
 type DigestBuilder struct {
-	seen map[ItemID]struct{}
+	items []ItemID // visible items of a stale snapshot
 }
 
 // Build returns a fresh digest of the snapshot, reusing the builder's
@@ -51,28 +51,18 @@ func (b *DigestBuilder) Rebuild(d *Digest, s Snapshot) {
 	d.Version = s.Version()
 }
 
-// fill adds the snapshot's distinct items to the filter. A full snapshot
-// walks the profile's sorted item memo directly; a partial one dedupes the
-// log prefix through the reusable seen set. The filter bits and add count
-// are identical either way (Bloom adds commute and both paths add each
-// distinct item exactly once).
+// fill adds the snapshot's distinct items to the filter: the profile's item
+// column for a fresh snapshot, the visible item runs of the action-key
+// column (collected into the reusable scratch) for a stale one. Either way
+// each distinct item is added exactly once.
 func (b *DigestBuilder) fill(f *bloom.Filter, s Snapshot) {
-	if s.n == len(s.p.log) {
-		for _, it := range s.p.itemsSorted {
-			f.Add(itemKey(it))
-		}
-		return
+	items := s.p.itemsSorted
+	if !s.fresh() {
+		b.items = s.appendItems(b.items[:0])
+		items = b.items
 	}
-	if b.seen == nil {
-		b.seen = make(map[ItemID]struct{}, 64)
-	}
-	clear(b.seen)
-	for _, a := range s.p.log[:s.n] {
-		if _, dup := b.seen[a.Item]; dup {
-			continue
-		}
-		b.seen[a.Item] = struct{}{}
-		f.Add(itemKey(a.Item))
+	for _, it := range items {
+		f.Add(itemKey(it))
 	}
 }
 
@@ -93,12 +83,28 @@ func (d *Digest) MightContainItem(it ItemID) bool {
 //
 //p3q:hotpath
 func (d *Digest) SharesItemWith(p *Profile) bool {
-	for _, it := range p.itemsSorted {
-		if d.Items.Test(itemKey(it)) {
+	for _, h := range p.itemHashes {
+		if d.Items.TestHash(h) {
 			return true
 		}
 	}
 	return false
+}
+
+// AppendCommonItems appends the items of p that the digest may contain —
+// the common-item estimate of Algorithm 1 (false positives possible at the
+// Bloom filter's rate, false negatives never) — into dst (reusing its
+// capacity), in ascending order, and returns it.
+//
+//p3q:hotpath
+func (d *Digest) AppendCommonItems(dst []ItemID, p *Profile) []ItemID {
+	dst = dst[:0]
+	for i, h := range p.itemHashes {
+		if d.Items.TestHash(h) {
+			dst = append(dst, p.itemsSorted[i])
+		}
+	}
+	return dst
 }
 
 // SameAs reports whether two digests describe the same version of the same

@@ -14,7 +14,9 @@ package tagging
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"p3q/internal/bloom"
 )
 
 // UserID identifies a user (and, in the simulated network, the node run by
@@ -45,30 +47,34 @@ func ActionFromKey(k uint64) Action {
 
 // Profile is the append-only tagging history of one user.
 //
+// Beside the log the profile keeps two sorted columns, maintained by Add,
+// that every membership test and similarity score runs on:
+//
+//   - the action-key column: Action.Key() of every logged action in
+//     ascending order, with the log position of each key beside it. Keys
+//     order by (item, tag), so one item's actions are one contiguous run,
+//     and a Snapshot of the first n actions is the column filtered by
+//     pos < n;
+//   - the item column: the distinct items in ascending order, each with its
+//     Bloom double-hash pair, so testing the own items against an offered
+//     digest never re-hashes them.
+//
 // The zero value is not usable; create profiles with NewProfile. Profile is
 // not safe for concurrent mutation; concurrent readers are safe as long as
 // no writer is active.
 type Profile struct {
 	owner UserID
-	log   []Action       // append-only action log
-	index map[uint64]int // action key -> position in log
-	items map[ItemID]int // item -> number of actions on it (distinct tags)
+	log   []Action // append-only action log
 
-	// itemsSorted mirrors the keys of items in ascending order, maintained
-	// incrementally by Add. It makes Items a zero-allocation accessor, which
-	// matters because the engine's integration planner walks the item list
-	// once per offer.
-	itemsSorted []ItemID
+	keys []uint64 // action keys, ascending
+	pos  []int32  // pos[i] is the log position of keys[i]
+
+	itemsSorted []ItemID        // distinct items, ascending
+	itemHashes  []bloom.KeyHash // itemHashes[i] is the Bloom pair of itemsSorted[i]
 }
 
 // NewProfile returns an empty profile owned by the given user.
-func NewProfile(owner UserID) *Profile {
-	return &Profile{
-		owner: owner,
-		index: make(map[uint64]int),
-		items: make(map[ItemID]int),
-	}
-}
+func NewProfile(owner UserID) *Profile { return &Profile{owner: owner} }
 
 // Owner returns the user owning this profile.
 func (p *Profile) Owner() UserID { return p.owner }
@@ -83,7 +89,17 @@ func (p *Profile) Len() int { return len(p.log) }
 func (p *Profile) Version() int { return len(p.log) }
 
 // NumItems returns the number of distinct items tagged in the profile.
-func (p *Profile) NumItems() int { return len(p.items) }
+func (p *Profile) NumItems() int { return len(p.itemsSorted) }
+
+// Grow reserves room for n more actions in the log and the action-key
+// column, so a caller that knows how many actions it is about to Add (the
+// checkpoint reader) pays one allocation per column instead of a doubling
+// series.
+func (p *Profile) Grow(n int) {
+	p.log = slices.Grow(p.log, n)
+	p.keys = slices.Grow(p.keys, n)
+	p.pos = slices.Grow(p.pos, n)
+}
 
 // Add records the action (item, tag). It returns false if the exact action
 // was already present (a user tagging the same item with the same tag twice
@@ -91,20 +107,26 @@ func (p *Profile) NumItems() int { return len(p.items) }
 func (p *Profile) Add(item ItemID, tag TagID) bool {
 	a := Action{Item: item, Tag: tag}
 	k := a.Key()
-	if _, dup := p.index[k]; dup {
+	i, dup := slices.BinarySearch(p.keys, k)
+	if dup {
 		return false
 	}
-	p.index[k] = len(p.log)
+	// The item is new iff neither neighbour of the insertion point belongs
+	// to its run.
+	newItem := (i == 0 || keyItem(p.keys[i-1]) != item) && (i == len(p.keys) || keyItem(p.keys[i]) != item)
+	p.keys = slices.Insert(p.keys, i, k)
+	p.pos = slices.Insert(p.pos, i, int32(len(p.log)))
 	p.log = append(p.log, a)
-	if p.items[item] == 0 {
-		i := sort.Search(len(p.itemsSorted), func(i int) bool { return p.itemsSorted[i] >= item })
-		p.itemsSorted = append(p.itemsSorted, 0)
-		copy(p.itemsSorted[i+1:], p.itemsSorted[i:])
-		p.itemsSorted[i] = item
+	if newItem {
+		j, _ := slices.BinarySearch(p.itemsSorted, item)
+		p.itemsSorted = slices.Insert(p.itemsSorted, j, item)
+		p.itemHashes = slices.Insert(p.itemHashes, j, bloom.HashKey(itemKey(item)))
 	}
-	p.items[item]++
 	return true
 }
+
+// keyItem is the item half of an action key.
+func keyItem(k uint64) ItemID { return ItemID(k >> 32) }
 
 // AddAll records every action in the list, skipping duplicates, and returns
 // the number actually added.
@@ -119,14 +141,18 @@ func (p *Profile) AddAll(actions []Action) int {
 }
 
 // Has reports whether the profile contains the exact action (item, tag).
+//
+//p3q:hotpath
 func (p *Profile) Has(item ItemID, tag TagID) bool {
-	_, ok := p.index[Action{Item: item, Tag: tag}.Key()]
+	_, ok := slices.BinarySearch(p.keys, Action{Item: item, Tag: tag}.Key())
 	return ok
 }
 
 // HasItem reports whether the profile contains any action on the item.
+//
+//p3q:hotpath
 func (p *Profile) HasItem(item ItemID) bool {
-	_, ok := p.items[item]
+	_, ok := slices.BinarySearch(p.itemsSorted, item)
 	return ok
 }
 
@@ -169,28 +195,64 @@ func (p *Profile) SnapshotAt(n int) Snapshot {
 	return Snapshot{p: p, n: n}
 }
 
+// gallop returns the first index i >= from with keys[i] >= target (len(keys)
+// when there is none): an exponential probe forward from the cursor, then a
+// binary search inside the bracket. A merge that only ever moves its cursors
+// forward pays O(log distance) per step instead of O(log len).
+//
+//p3q:hotpath
+func gallop(keys []uint64, from int, target uint64) int {
+	if from >= len(keys) || keys[from] >= target {
+		return from
+	}
+	// Invariant: keys[lo] < target.
+	lo, step := from, 1
+	for lo+step < len(keys) && keys[lo+step] < target {
+		lo += step
+		step *= 2
+	}
+	hi := lo + step
+	if hi > len(keys) {
+		hi = len(keys)
+	}
+	// keys[lo] < target, and hi == len(keys) or keys[hi] >= target.
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
 // CommonScore returns the P3Q similarity score between this profile and the
 // snapshot: the number of tagging actions present in both,
 //
 //	Score(ui, uj) = |Profile(ui) ∩ Profile(uj)|.
 //
+// It is a merge of the two action-key columns in which each side gallops
+// over the other's gaps, O(min·log(max/min)) for columns of unequal length.
 // The score is symmetric: p.CommonScore(q.Snapshot()) equals
 // q.CommonScore(p.Snapshot()).
+//
+//p3q:hotpath
 func (p *Profile) CommonScore(other Snapshot) int {
-	// Iterate over the smaller side.
-	if other.Len() < len(p.log) {
-		score := 0
-		for _, a := range other.Actions() {
-			if p.Has(a.Item, a.Tag) {
+	a, b, bpos := p.keys, other.p.keys, other.p.pos
+	score := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i = gallop(a, i+1, b[j])
+		case a[i] > b[j]:
+			j = gallop(b, j+1, a[i])
+		default:
+			if int(bpos[j]) < other.n {
 				score++
 			}
-		}
-		return score
-	}
-	score := 0
-	for _, a := range p.log {
-		if other.Has(a.Item, a.Tag) {
-			score++
+			i++
+			j++
 		}
 	}
 	return score
@@ -210,7 +272,7 @@ func (p *Profile) CommonItems(other Snapshot) []ItemID {
 
 // String implements fmt.Stringer for debugging.
 func (p *Profile) String() string {
-	return fmt.Sprintf("profile(user=%d actions=%d items=%d)", p.owner, len(p.log), len(p.items))
+	return fmt.Sprintf("profile(user=%d actions=%d items=%d)", p.owner, len(p.log), len(p.itemsSorted))
 }
 
 // Snapshot is an immutable point-in-time view of a profile: its first n
@@ -237,75 +299,89 @@ func (s Snapshot) Version() int { return s.n }
 // Snapshot is not valid).
 func (s Snapshot) Valid() bool { return s.p != nil }
 
+// fresh reports whether the snapshot sees the whole profile, in which case
+// the pos < n filter passes everything.
+func (s Snapshot) fresh() bool { return s.n == len(s.p.log) }
+
 // Actions returns the visible prefix of the action log. The returned slice
 // must not be modified.
 func (s Snapshot) Actions() []Action { return s.p.log[:s.n] }
 
 // Has reports whether the snapshot contains the exact action.
 func (s Snapshot) Has(item ItemID, tag TagID) bool {
-	pos, ok := s.p.index[Action{Item: item, Tag: tag}.Key()]
-	return ok && pos < s.n
+	i, ok := slices.BinarySearch(s.p.keys, Action{Item: item, Tag: tag}.Key())
+	return ok && int(s.p.pos[i]) < s.n
 }
 
-// HasItem reports whether the snapshot contains any action on the item.
-// Note: because the item count map is not versioned, this scans the log
-// prefix only when the snapshot is stale; the common case (fresh snapshot)
-// is a map lookup.
+// HasItem reports whether the snapshot contains any action on the item: a
+// search of the item column when the snapshot is fresh, of the item's run in
+// the action-key column (for a visible position) when it is stale.
 func (s Snapshot) HasItem(item ItemID) bool {
-	if !s.p.HasItem(item) {
-		return false
+	if s.fresh() {
+		return s.p.HasItem(item)
 	}
-	if s.n == len(s.p.log) {
-		return true
-	}
-	for _, a := range s.p.log[:s.n] {
-		if a.Item == item {
+	keys := s.p.keys
+	for i, _ := slices.BinarySearch(keys, uint64(item)<<32); i < len(keys) && keyItem(keys[i]) == item; i++ {
+		if int(s.p.pos[i]) < s.n {
 			return true
 		}
 	}
 	return false
 }
 
-// Items returns the distinct items visible in the snapshot, ascending.
+// Items returns the distinct items visible in the snapshot, ascending. A
+// fresh snapshot returns the profile's item column (aliased, do not modify);
+// a stale one a new slice.
 func (s Snapshot) Items() []ItemID {
-	if s.n == len(s.p.log) {
-		return s.p.Items()
+	if s.fresh() {
+		return s.p.itemsSorted
 	}
-	seen := make(map[ItemID]struct{})
-	for _, a := range s.p.log[:s.n] {
-		seen[a.Item] = struct{}{}
-	}
-	out := make([]ItemID, 0, len(seen))
-	for it := range seen {
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.appendItems(nil)
 }
 
-// ActionsOnItems returns the snapshot's actions restricted to the given
-// items. This is the payload of the second step of the 3-step profile
-// exchange ("require her tagging actions for the common items").
-func (s Snapshot) ActionsOnItems(items []ItemID) []Action {
-	return s.AppendActionsOnItems(nil, items)
-}
-
-// AppendActionsOnItems is ActionsOnItems appending into a caller-owned
-// buffer (reusing its capacity) and returning it. Membership is a linear
-// scan over items — the common-item lists this is called with are short, so
-// the scan beats building a per-call set and allocates nothing once the
-// buffer is warm.
-//
-//p3q:hotpath
-func (s Snapshot) AppendActionsOnItems(dst []Action, items []ItemID) []Action {
-	dst = dst[:0]
-	for _, a := range s.p.log[:s.n] {
-		for _, it := range items {
-			if a.Item == it {
-				dst = append(dst, a)
-				break
-			}
+// appendItems appends the items visible in the snapshot to dst, ascending:
+// one pass over the action-key column, keeping each item run that holds a
+// visible position.
+func (s Snapshot) appendItems(dst []ItemID) []ItemID {
+	keys, pos := s.p.keys, s.p.pos
+	for i := 0; i < len(keys); {
+		it, visible := keyItem(keys[i]), false
+		for ; i < len(keys) && keyItem(keys[i]) == it; i++ {
+			visible = visible || int(pos[i]) < s.n
+		}
+		if visible {
+			dst = append(dst, it)
 		}
 	}
 	return dst
+}
+
+// ScoreOnItems is step 2 of Algorithm 1 in one pass: "require her tagging
+// actions for the common items" and count the common actions. For the
+// ascending item list it returns received, the number of the snapshot's
+// actions on those items (the step-2 payload), and score, how many of them q
+// contains too. Items absent from the snapshot (Bloom false positives of the
+// common-item estimate) contribute nothing.
+//
+// Both action-key columns are walked with forward-only galloping cursors —
+// the items ascend, and so do the keys inside an item's run — which makes
+// the cost O(len(items)·log(profile length) + matches) rather than a scan of
+// the whole snapshot per item.
+//
+//p3q:hotpath
+func (s Snapshot) ScoreOnItems(q *Profile, items []ItemID) (received, score int) {
+	keys, pos, qkeys := s.p.keys, s.p.pos, q.keys
+	i, j := 0, 0
+	for _, it := range items {
+		for i = gallop(keys, i, uint64(it)<<32); i < len(keys) && keyItem(keys[i]) == it; i++ {
+			if int(pos[i]) >= s.n {
+				continue
+			}
+			received++
+			if j = gallop(qkeys, j, keys[i]); j < len(qkeys) && qkeys[j] == keys[i] {
+				score++
+			}
+		}
+	}
+	return received, score
 }
