@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"p3q"
 	"p3q/internal/analysis"
@@ -284,23 +283,20 @@ func attachObs(e *p3q.Engine) *obs.Registry {
 	return reg
 }
 
-// reportPhaseMetrics converts a PhaseDurations window into per-op plan and
-// commit metrics, so the bench artifacts track the two phases separately —
-// the commit phase was the Amdahl limit of both cycle kinds before it was
-// sharded, and these metrics pin how much of each cycle it still costs.
-// With a registry attached it also reports the mean and max max-min commit
-// skew across the registry's samples: the imbalance between the fastest
-// and slowest commit shard of a cycle, the number the locality-aware
-// scheduling work (ROADMAP) wants to shrink.
-func reportPhaseMetrics(b *testing.B, e *p3q.Engine, reg *obs.Registry, plan0, commit0 time.Duration) {
-	plan1, commit1 := e.PhaseDurations()
-	b.ReportMetric(float64(plan1-plan0)/float64(b.N), "plan-ns/op")
-	b.ReportMetric(float64(commit1-commit0)/float64(b.N), "commit-ns/op")
-	if reg != nil {
-		if _, max, mean, samples := reg.CommitSkew(); samples > 0 {
-			b.ReportMetric(float64(mean), "commit-skew-ns")
-			b.ReportMetric(float64(max), "commit-skew-max-ns")
-		}
+// reportPhaseMetrics converts the phase totals of a registry attached right
+// before the measured loop into per-op plan and commit metrics, so the
+// bench artifacts track the two phases separately — the commit phase was
+// the Amdahl limit of both cycle kinds before it was sharded, and these
+// metrics pin how much of each cycle it still costs. It also reports the
+// mean and max max-min commit skew across the registry's samples: the
+// imbalance between the fastest and slowest commit shard of a cycle, the
+// number the locality-aware scheduling work (ROADMAP) wants to shrink.
+func reportPhaseMetrics(b *testing.B, reg *obs.Registry) {
+	b.ReportMetric(float64(reg.PhaseTotal(obs.PhasePlan))/float64(b.N), "plan-ns/op")
+	b.ReportMetric(float64(reg.PhaseTotal(obs.PhaseCommit))/float64(b.N), "commit-ns/op")
+	if _, max, mean, samples := reg.CommitSkew(); samples > 0 {
+		b.ReportMetric(float64(mean), "commit-skew-ns")
+		b.ReportMetric(float64(max), "commit-skew-max-ns")
 	}
 }
 
@@ -342,7 +338,6 @@ func BenchmarkLazyConvergence5k(b *testing.B) {
 			e.Bootstrap()
 			e.RunLazy(2) // past the empty-network cold start
 			reg := attachObs(e)
-			plan0, commit0 := e.PhaseDurations()
 			alloc0 := allocBaseline()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -350,7 +345,7 @@ func BenchmarkLazyConvergence5k(b *testing.B) {
 			}
 			b.StopTimer()
 			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, e, reg, plan0, commit0)
+			reportPhaseMetrics(b, reg)
 		})
 	}
 }
@@ -385,7 +380,6 @@ func BenchmarkEagerBurst5k(b *testing.B) {
 			}
 			issueBurst()
 			reg := attachObs(e)
-			plan0, commit0 := e.PhaseDurations()
 			alloc0 := allocBaseline()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -402,7 +396,7 @@ func BenchmarkEagerBurst5k(b *testing.B) {
 			}
 			b.StopTimer()
 			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, e, reg, plan0, commit0)
+			reportPhaseMetrics(b, reg)
 		})
 	}
 }
@@ -475,7 +469,6 @@ func BenchmarkLazyConvergence100k(b *testing.B) {
 			e.Bootstrap()
 			e.RunLazy(1) // one warm-up cycle: enough to leave the cold start
 			reg := attachObs(e)
-			plan0, commit0 := e.PhaseDurations()
 			alloc0 := allocBaseline()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -483,7 +476,7 @@ func BenchmarkLazyConvergence100k(b *testing.B) {
 			}
 			b.StopTimer()
 			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, e, reg, plan0, commit0)
+			reportPhaseMetrics(b, reg)
 		})
 	}
 }

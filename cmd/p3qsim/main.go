@@ -196,12 +196,12 @@ func runConverge(cfg experiments.Config, every int, dir, resume, obsOut string) 
 			return
 		}
 		lastProgress = time.Now()
-		plan, commit := e.PhaseDurations()
 		fmt.Fprintf(os.Stderr, "[%s lazy=%d eager=%d issued=%d settled=%d frozen=%d commit_bytes=%d plan=%s commit=%s]\n",
 			mode, e.LazyCycles(), e.EagerCycles(),
 			reg.Counter(obs.CQueriesIssued), reg.Counter(obs.CQueriesSettled),
 			reg.EventCount(obs.EvFrozen), reg.Counter(obs.CCommitBytes),
-			plan.Round(time.Millisecond), commit.Round(time.Millisecond))
+			reg.PhaseTotal(obs.PhasePlan).Round(time.Millisecond),
+			reg.PhaseTotal(obs.PhaseCommit).Round(time.Millisecond))
 	}
 
 	cycles := func() int { return e.LazyCycles() + e.EagerCycles() }

@@ -1,0 +1,308 @@
+// Package binio is the one sticky-error carrier under every binary format
+// of this repository: the trace file ("P3Q0", internal/trace), the engine
+// checkpoint ("P3QC", internal/checkpoint) and the peer wire frames
+// ("P3QW", internal/wire). It decides how a fixed-width little-endian
+// field reaches a stream and how the first failure sticks; the formats on
+// top own only their framing (magic, version, message type, end marker)
+// and their limits.
+//
+// Errors are sticky on both sides: the first failure is retained, every
+// later call is a no-op returning zero values, and the caller checks Err
+// (or Flush) once. A stream that ends inside a field reports
+// io.ErrUnexpectedEOF, never a bare io.EOF, and the reader never allocates
+// proportionally to an unvalidated length: every count is bounded with
+// Count(max) before the caller sizes anything from it, and pre-allocations
+// go through CapHint.
+//
+// The stickyerr analyzer (internal/lint) holds the other codec packages to
+// this: raw bufio/io stream access is legal only in here.
+package binio
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+)
+
+// Writer serializes fixed-width fields onto a buffered stream. Formats
+// embed it by value and add their framing.
+type Writer struct {
+	bw      *bufio.Writer
+	prefix  string
+	scratch [8]byte
+	err     error
+}
+
+// MakeWriter returns a Writer over w; prefix names the format in the
+// errors the Writer itself raises ("checkpoint", "wire", "trace").
+func MakeWriter(w io.Writer, prefix string) Writer {
+	return Writer{bw: bufio.NewWriter(w), prefix: prefix}
+}
+
+// Err returns the first error encountered, if any.
+func (w *Writer) Err() error { return w.err }
+
+func (w *Writer) write(b []byte) {
+	if w.err != nil {
+		return
+	}
+	_, w.err = w.bw.Write(b)
+}
+
+// U8 writes one byte.
+func (w *Writer) U8(v uint8) {
+	w.scratch[0] = v
+	w.write(w.scratch[:1])
+}
+
+// U16 writes a little-endian uint16.
+func (w *Writer) U16(v uint16) {
+	binary.LittleEndian.PutUint16(w.scratch[:2], v)
+	w.write(w.scratch[:2])
+}
+
+// U32 writes a little-endian uint32.
+func (w *Writer) U32(v uint32) {
+	binary.LittleEndian.PutUint32(w.scratch[:4], v)
+	w.write(w.scratch[:4])
+}
+
+// U32Pair writes two little-endian uint32s in one call (the per-action hot
+// path of the trace format).
+func (w *Writer) U32Pair(a, b uint32) {
+	binary.LittleEndian.PutUint32(w.scratch[:4], a)
+	binary.LittleEndian.PutUint32(w.scratch[4:], b)
+	w.write(w.scratch[:])
+}
+
+// U64 writes a little-endian uint64.
+func (w *Writer) U64(v uint64) {
+	binary.LittleEndian.PutUint64(w.scratch[:8], v)
+	w.write(w.scratch[:8])
+}
+
+// I64 writes a little-endian int64 (two's complement).
+func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+
+// U64s writes a batch of little-endian uint64s. Hot bulk sections (profile
+// action logs) use it to amortize per-field call overhead.
+func (w *Writer) U64s(vs []uint64) {
+	if w.err != nil {
+		return
+	}
+	var chunk [512]byte
+	for len(vs) > 0 {
+		n := min(len(vs), len(chunk)/8)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(chunk[i*8:], vs[i])
+		}
+		w.write(chunk[:n*8])
+		vs = vs[n:]
+	}
+}
+
+// Bool writes a boolean as one byte.
+func (w *Writer) Bool(v bool) {
+	if v {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
+
+// Count writes a list length. Negative lengths are a programming error on
+// the writing side and are reported through the sticky error.
+func (w *Writer) Count(n int) {
+	if n < 0 {
+		w.Fail("negative count %d", n)
+		return
+	}
+	w.U32(uint32(n))
+}
+
+// String writes a length-prefixed string, rejecting one longer than max on
+// the writing side so the reader's bound never truncates silently.
+func (w *Writer) String(s string, max int) {
+	if len(s) > max {
+		w.Fail("string of %d bytes exceeds the %d-byte limit", len(s), max)
+		return
+	}
+	w.Count(len(s))
+	if w.err == nil {
+		_, w.err = w.bw.WriteString(s)
+	}
+}
+
+// Fail records a writer-side error; later writes become no-ops.
+func (w *Writer) Fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf(w.prefix+": "+format, args...)
+	}
+}
+
+// Flush pushes the buffered bytes onto the stream and returns the first
+// error of everything written so far, a failed flush included.
+func (w *Writer) Flush() error {
+	if w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	return w.err
+}
+
+// Reader deserializes what Writer produced, with the same discipline:
+// after the first failure every read returns zero values and Err reports
+// what went wrong.
+type Reader struct {
+	br      *bufio.Reader
+	prefix  string
+	scratch [8]byte
+	err     error
+}
+
+// MakeReader returns a Reader over r; prefix names the format in errors.
+func MakeReader(r io.Reader, prefix string) Reader {
+	return Reader{br: bufio.NewReader(r), prefix: prefix}
+}
+
+// Err returns the first error encountered, if any.
+func (r *Reader) Err() error { return r.err }
+
+// fill reads exactly len(b) bytes; a stream that ends first is truncated,
+// whether it ends on a field boundary or inside one.
+func (r *Reader) fill(b []byte) bool {
+	if r.err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(r.br, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		r.err = fmt.Errorf("%s: truncated input: %w", r.prefix, err)
+		return false
+	}
+	return true
+}
+
+// U8 reads one byte.
+func (r *Reader) U8() uint8 {
+	if !r.fill(r.scratch[:1]) {
+		return 0
+	}
+	return r.scratch[0]
+}
+
+// U16 reads a little-endian uint16.
+func (r *Reader) U16() uint16 {
+	if !r.fill(r.scratch[:2]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(r.scratch[:2])
+}
+
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 {
+	if !r.fill(r.scratch[:4]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(r.scratch[:4])
+}
+
+// U32Pair reads two little-endian uint32s, the counterpart of
+// Writer.U32Pair.
+func (r *Reader) U32Pair() (uint32, uint32) {
+	if !r.fill(r.scratch[:]) {
+		return 0, 0
+	}
+	return binary.LittleEndian.Uint32(r.scratch[:4]), binary.LittleEndian.Uint32(r.scratch[4:])
+}
+
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 {
+	if !r.fill(r.scratch[:8]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(r.scratch[:8])
+}
+
+// I64 reads a little-endian int64.
+func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// U64s fills out with little-endian uint64s, the batch counterpart of U64.
+func (r *Reader) U64s(out []uint64) {
+	var chunk [512]byte
+	for len(out) > 0 {
+		n := min(len(out), len(chunk)/8)
+		if !r.fill(chunk[:n*8]) {
+			return
+		}
+		for i := 0; i < n; i++ {
+			out[i] = binary.LittleEndian.Uint64(chunk[i*8:])
+		}
+		out = out[n:]
+	}
+}
+
+// Bool reads a boolean byte, rejecting values other than 0 and 1 (a strict
+// read catches desynchronized streams early).
+func (r *Reader) Bool() bool {
+	switch r.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.Fail("invalid boolean byte")
+		return false
+	}
+}
+
+// Count reads a list length and validates it against max. Always bound
+// counts with the tightest limit the context offers — the caller allocates
+// based on the result.
+func (r *Reader) Count(max int) int {
+	n := r.U32()
+	if int64(n) > int64(max) {
+		r.Fail("count %d exceeds limit %d", n, max)
+		return 0
+	}
+	return int(n)
+}
+
+// String reads a length-prefixed string of at most max bytes.
+func (r *Reader) String(max int) string {
+	n := r.Count(max)
+	if n == 0 {
+		return ""
+	}
+	buf := make([]byte, n)
+	if !r.fill(buf) {
+		return ""
+	}
+	return string(buf)
+}
+
+// Fail records a validation failure beyond the structural ones the
+// primitives detect (out-of-range values, inconsistent sections); later
+// reads become no-ops.
+func (r *Reader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(r.prefix+": "+format, args...)
+	}
+}
+
+// FailWith records a sentinel the caller matches with errors.Is (a
+// format's ErrBadMagic), unless an earlier error already stuck.
+func (r *Reader) FailWith(sentinel error) {
+	if r.err == nil {
+		r.err = sentinel
+	}
+}
+
+// CapHint bounds a slice pre-allocation for a validated count: hostile
+// input can still claim large counts within a limit, so the caller
+// reserves at most limit elements up front and grows by append as data
+// actually arrives.
+func CapHint(n, limit int) int {
+	return min(n, limit)
+}

@@ -1,7 +1,7 @@
 // Package checkpoint provides the binary codec of the engine
-// checkpoint/restore subsystem: a versioned, length-prefixed format in the
-// validation discipline of internal/trace/io.go, hardened for untrusted
-// input (every count is bounded before anything is allocated, truncation
+// checkpoint/restore subsystem: a versioned, length-prefixed format on the
+// sticky-error carrier of internal/binio, hardened for untrusted input
+// (every count is bounded before anything is allocated, truncation
 // surfaces as io.ErrUnexpectedEOF, and a version mismatch is reported as
 // such instead of being misparsed).
 //
@@ -30,11 +30,10 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+
+	"p3q/internal/binio"
 )
 
 // Magic identifies a P3Q checkpoint file ("P3QC").
@@ -57,266 +56,54 @@ var ErrBadMagic = errors.New("checkpoint: bad magic (not a P3Q checkpoint)")
 // of per-user state are bounded by it.
 const MaxUsers = 1 << 24
 
-// Writer serializes checkpoint payloads. Errors are sticky: the first write
-// failure is retained and every later call is a no-op, so call sites stay
-// linear and check Flush (or Err) once at the end.
-type Writer struct {
-	w       *bufio.Writer
-	scratch [8]byte
-	err     error
-}
+// Writer serializes checkpoint payloads: the binio carrier (sticky errors,
+// so call sites stay linear and check Close once at the end) framed by the
+// checkpoint header and end marker.
+type Writer struct{ binio.Writer }
 
 // NewWriter returns a Writer emitting the checkpoint header (magic and
 // current version) ahead of the payload.
 func NewWriter(w io.Writer) *Writer {
-	cw := &Writer{w: bufio.NewWriter(w)}
+	cw := &Writer{binio.MakeWriter(w, "checkpoint")}
 	cw.U32(Magic)
 	cw.U16(Version)
 	return cw
-}
-
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.scratch[0] = v
-	w.write(w.scratch[:1])
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.scratch[:2], v)
-	w.write(w.scratch[:2])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	w.write(w.scratch[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.write(w.scratch[:8])
-}
-
-// I64 writes a little-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// U64s writes a batch of little-endian uint64s. Hot bulk sections (profile
-// action logs) use it to amortize per-field call overhead.
-func (w *Writer) U64s(vs []uint64) {
-	if w.err != nil {
-		return
-	}
-	var chunk [512]byte
-	for len(vs) > 0 {
-		n := len(vs)
-		if n > len(chunk)/8 {
-			n = len(chunk) / 8
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], vs[i])
-		}
-		w.write(chunk[:n*8])
-		vs = vs[n:]
-	}
-}
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Count writes a list length. Negative lengths are a programming error on
-// the writing side and are reported through the sticky error.
-func (w *Writer) Count(n int) {
-	if n < 0 {
-		w.fail("negative count %d", n)
-		return
-	}
-	w.U32(uint32(n))
-}
-
-// fail records a writer-side error.
-func (w *Writer) fail(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("checkpoint: "+format, args...)
-	}
 }
 
 // Close writes the end marker and flushes. It returns the first error of
 // the whole write, so a single Close check validates the entire snapshot.
 func (w *Writer) Close() error {
 	w.U32(endMarker)
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
+	return w.Flush()
 }
 
 // Reader deserializes checkpoint payloads with the same sticky-error
 // discipline as Writer: after the first failure every read returns zero
 // values, and Err reports what went wrong.
-type Reader struct {
-	r       *bufio.Reader
-	scratch [8]byte
-	err     error
-}
+type Reader struct{ binio.Reader }
 
 // NewReader returns a Reader over the stream and validates the header. Call
 // Err before trusting any value: a bad magic or a version mismatch is
 // already recorded at construction.
 func NewReader(r io.Reader) *Reader {
-	cr := &Reader{r: bufio.NewReader(r)}
-	if magic := cr.U32(); cr.err == nil && magic != Magic {
-		cr.err = ErrBadMagic
+	cr := &Reader{binio.MakeReader(r, "checkpoint")}
+	if magic := cr.U32(); magic != Magic {
+		cr.FailWith(ErrBadMagic)
 	}
-	if v := cr.U16(); cr.err == nil && v != Version {
-		cr.err = fmt.Errorf("checkpoint: unsupported format version %d (this build reads version %d)", v, Version)
+	if v := cr.U16(); v != Version {
+		cr.Fail("unsupported format version %d (this build reads version %d)", v, Version)
 	}
 	return cr
-}
-
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) read(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if _, err := io.ReadFull(r.r, r.scratch[:n]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("checkpoint: truncated input: %w", err)
-		return nil
-	}
-	return r.scratch[:n]
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if b := r.read(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if b := r.read(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if b := r.read(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if b := r.read(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// U64s fills out with little-endian uint64s, the batch counterpart of U64.
-func (r *Reader) U64s(out []uint64) {
-	if r.err != nil {
-		return
-	}
-	var chunk [512]byte
-	for len(out) > 0 {
-		n := len(out)
-		if n > len(chunk)/8 {
-			n = len(chunk) / 8
-		}
-		if _, err := io.ReadFull(r.r, chunk[:n*8]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			r.err = fmt.Errorf("checkpoint: truncated input: %w", err)
-			return
-		}
-		for i := 0; i < n; i++ {
-			out[i] = binary.LittleEndian.Uint64(chunk[i*8:])
-		}
-		out = out[n:]
-	}
-}
-
-// Bool reads a boolean byte, rejecting values other than 0 and 1 (a strict
-// read catches desynchronized streams early).
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.Fail("invalid boolean byte")
-		return false
-	}
-}
-
-// Count reads a list length and validates it against max. Always bound
-// counts with the tightest limit the context offers — the caller allocates
-// based on the result.
-func (r *Reader) Count(max int) int {
-	n := r.U32()
-	if r.err == nil && int64(n) > int64(max) {
-		r.Fail("count %d exceeds limit %d", n, max)
-		return 0
-	}
-	return int(n)
 }
 
 // End consumes and validates the end marker, proving writer and reader
 // agreed on the full payload layout.
 func (r *Reader) End() {
-	if m := r.U32(); r.err == nil && m != endMarker {
+	if m := r.U32(); m != endMarker {
 		r.Fail("missing end marker (corrupt or desynchronized stream)")
 	}
 }
 
-// Fail records a validation failure with context; subsequent reads become
-// no-ops.
-func (r *Reader) Fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("checkpoint: "+format, args...)
-	}
-}
-
-// CapHint bounds a slice pre-allocation for a validated count: garbage
-// input can still claim large counts within the limit, so allocations grow
-// by append beyond the hint rather than trusting the count outright.
-func CapHint(n int) int {
-	const maxPrealloc = 1 << 16
-	if n > maxPrealloc {
-		return maxPrealloc
-	}
-	return n
-}
+// CapHint bounds a slice pre-allocation for a validated count (see
+// binio.CapHint) at the checkpoint format's 64Ki elements.
+func CapHint(n int) int { return binio.CapHint(n, 1<<16) }

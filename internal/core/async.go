@@ -107,7 +107,7 @@ func (e *Engine) eagerCycleAsync() {
 		e.forEachIndex(len(pairs), func(i int) {
 			e.planEagerGossipInto(pairs[i], seq, &plans[i])
 		})
-		e.samplePhase(obs.PhasePlan, sw.Elapsed())
+		e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
 		sw = hostclock.Start()
 		e.commitSharded(func(sh *commitShard) {
 			for i := range plans {
@@ -115,7 +115,7 @@ func (e *Engine) eagerCycleAsync() {
 			}
 		})
 		e.scheduleEagerGossips(plans, seq, t0)
-		e.samplePhase(obs.PhaseCommit, sw.Elapsed())
+		e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
 	}
 	e.pumpEvents(t1)
 	e.endCycleAsync(seq)

@@ -24,34 +24,21 @@ import (
 // stepping replicas with capture on N daemons is indistinguishable from
 // running the reference engine.
 
-// DigestRef identifies a profile digest on the wire without shipping its
-// bits: the owner and the profile version it was built from. Profiles are
-// append-only (tagging.Profile), so (owner, version) reconstructs the
-// digest bit-exactly on any daemon holding the dataset — the same
-// collapse internal/checkpoint uses for stored snapshots. Bytes carries
-// the §3.3 wire cost of the digest, which is what the traffic accounting
-// charges.
-type DigestRef struct {
-	Owner   tagging.UserID
-	Version int
-	Bytes   int
-}
-
 // ViewExchangeCap is one bottom-layer peer-sampling exchange of a lazy
 // cycle: the initiator's buffer travels to the partner and the partner's
 // buffer comes back (§2.2.1).
 type ViewExchangeCap struct {
 	Initiator tagging.UserID
 	Partner   tagging.UserID
-	BufA      []DigestRef // initiator -> partner
-	BufB      []DigestRef // partner -> initiator
+	BufA      []tagging.DigestRef // initiator -> partner
+	BufB      []tagging.DigestRef // partner -> initiator
 }
 
 // DirectFetchCap is one random-view direct contact (§2.2.1): the
 // initiator requests the owner's fresh profile offer.
 type DirectFetchCap struct {
 	Owner tagging.UserID
-	Offer DigestRef
+	Offer tagging.DigestRef
 }
 
 // TopExchangeCap is one initiator's top-layer round of a lazy cycle: the
@@ -62,8 +49,8 @@ type TopExchangeCap struct {
 	Initiator  tagging.UserID
 	HasPartner bool
 	Partner    tagging.UserID
-	OffersA    []DigestRef // initiator -> partner (step 1)
-	OffersB    []DigestRef // partner -> initiator (step 1)
+	OffersA    []tagging.DigestRef // initiator -> partner (step 1)
+	OffersB    []tagging.DigestRef // partner -> initiator (step 1)
 	Fetches    []DirectFetchCap
 }
 
@@ -96,8 +83,8 @@ type EagerPairCap struct {
 	Keep        []tagging.UserID // unresolved members the destination keeps
 	Returned    []tagging.UserID // unresolved members sent back
 
-	OffersA []DigestRef // piggybacked maintenance, initiator -> destination
-	OffersB []DigestRef // piggybacked maintenance, destination -> initiator
+	OffersA []tagging.DigestRef // piggybacked maintenance, initiator -> destination
+	OffersB []tagging.DigestRef // piggybacked maintenance, destination -> initiator
 
 	BranchEmptied bool // commit-resolved: the initiator's branch drained
 	Bytes         QueryBytes
@@ -160,25 +147,25 @@ func (e *Engine) IssueQueryCaptured(q trace.Query) (*QueryRun, *IssueCapture) {
 }
 
 // digestRefs converts an offer batch to its wire references.
-func digestRefs(offers []offer) []DigestRef {
+func digestRefs(offers []offer) []tagging.DigestRef {
 	if len(offers) == 0 {
 		return nil
 	}
-	out := make([]DigestRef, len(offers))
+	out := make([]tagging.DigestRef, len(offers))
 	for i, o := range offers {
-		out[i] = DigestRef{Owner: o.digest.Owner, Version: o.digest.Version, Bytes: o.digest.SizeBytes()}
+		out[i] = o.digest.Ref()
 	}
 	return out
 }
 
 // descriptorRefs converts a peer-sampling buffer to its wire references.
-func descriptorRefs(buf []gossip.Descriptor) []DigestRef {
+func descriptorRefs(buf []gossip.Descriptor) []tagging.DigestRef {
 	if len(buf) == 0 {
 		return nil
 	}
-	out := make([]DigestRef, len(buf))
+	out := make([]tagging.DigestRef, len(buf))
 	for i, d := range buf {
-		out[i] = DigestRef{Owner: d.Node, Version: d.Digest.Version, Bytes: d.Digest.SizeBytes()}
+		out[i] = d.Digest.Ref()
 	}
 	return out
 }
@@ -215,10 +202,9 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 			if c.evalOnly {
 				continue
 			}
-			d := e.nodes[c.owner].digest()
 			tc.Fetches = append(tc.Fetches, DirectFetchCap{
 				Owner: c.owner,
-				Offer: DigestRef{Owner: c.owner, Version: d.Version, Bytes: d.SizeBytes()},
+				Offer: e.nodes[c.owner].digest().Ref(),
 			})
 		}
 		if !tc.HasPartner && len(tc.Fetches) == 0 {

@@ -60,8 +60,8 @@ import (
 //   - Every RNG stream state (engine, latency, per node) and the cycle,
 //     kill and query-ID sequence counters that label split streams.
 //
-// Phase-duration telemetry (PhaseDurations) is deliberately not captured:
-// it measures host wall-clock, not protocol state, and restarts at zero.
+// The attached obs registry is deliberately not captured: its host plane
+// measures wall-clock, not protocol state, and restarts at zero.
 
 // maxListEntries bounds any single serialized result list; partial lists
 // are bounded by the item space, which shares the uint32 ID space.

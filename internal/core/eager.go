@@ -429,7 +429,7 @@ func (e *Engine) eagerCycle(cp *EagerCapture) {
 		e.forEachIndex(len(pairs), func(i int) {
 			e.planEagerGossipInto(pairs[i], seq, &plans[i])
 		})
-		e.samplePhase(obs.PhasePlan, sw.Elapsed())
+		e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
 		if cp != nil {
 			e.captureEagerContent(cp, seq, plans)
 		}
@@ -440,7 +440,7 @@ func (e *Engine) eagerCycle(cp *EagerCapture) {
 			}
 		})
 		e.finalizeEagerGossips(plans)
-		e.samplePhase(obs.PhaseCommit, sw.Elapsed())
+		e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
 		if cp != nil {
 			e.captureEagerOutcome(cp, plans)
 		}

@@ -83,16 +83,6 @@ type Engine struct {
 	// digest/common-items/delta protocol of Algorithm 1 (ablation ledger).
 	naiveExchangeBytes uint64
 
-	// planDur and commitDur accumulate the wall-clock time spent in the
-	// parallel planning phases and in the sharded commit phases (including
-	// the canonical ledger merge and the eager querier-side finalize) — the
-	// compatibility view behind PhaseDurations; the attached obs registry
-	// additionally keeps per-phase histograms of the same windows.
-	//
-	//p3q:transient host-side telemetry, deliberately outside the checkpoint (see Snapshot)
-	//p3q:hostplane cumulative hostclock phase windows, observability only
-	planDur, commitDur time.Duration
-
 	// obs is the optional telemetry registry (see internal/obs and SetObs).
 	// It strictly observes: sim-plane counters/events are derived from
 	// engine state, host-plane timings from hostclock windows, and nothing
@@ -232,20 +222,6 @@ func (e *Engine) emitQueryEvent(kind obs.EventKind, qid uint64, at time.Duration
 	})
 }
 
-// samplePhase routes one hostclock phase window into the compatibility
-// accumulators behind PhaseDurations and, when a registry is attached,
-// into its host-plane phase histograms.
-//
-//p3q:hostplane
-func (e *Engine) samplePhase(p obs.Phase, d time.Duration) {
-	if p == obs.PhasePlan {
-		e.planDur += d
-	} else {
-		e.commitDur += d
-	}
-	e.obs.SamplePhase(p, d)
-}
-
 // Queries returns every issued query in issue order.
 func (e *Engine) Queries() []*QueryRun {
 	out := make([]*QueryRun, 0, len(e.queryOrder))
@@ -354,7 +330,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 			e.planViewInto(n, seq, p)
 		}
 	})
-	e.samplePhase(obs.PhasePlan, sw.Elapsed())
+	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
 	sw = hostclock.Start()
 	e.commitSharded(func(sh *commitShard) {
 		for _, i := range order {
@@ -363,7 +339,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 			}
 		}
 	})
-	e.samplePhase(obs.PhaseCommit, sw.Elapsed())
+	e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
 
 	// Round 2: top-layer personal network gossip plus random-view
 	// evaluation, planned against the round-1-committed views.
@@ -378,7 +354,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 			e.planTopInto(n, seq, p)
 		}
 	})
-	e.samplePhase(obs.PhasePlan, sw.Elapsed())
+	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
 	sw = hostclock.Start()
 	e.commitSharded(func(sh *commitShard) {
 		for _, i := range order {
@@ -387,7 +363,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 			}
 		}
 	})
-	e.samplePhase(obs.PhaseCommit, sw.Elapsed())
+	e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
 	if cp != nil {
 		e.captureLazy(cp, seq, order)
 	}
@@ -515,19 +491,6 @@ func (e *Engine) sampleShards(shards []commitShard) {
 		}
 	}
 	e.obs.SampleCommitSkew(maxDur - minDur)
-}
-
-// PhaseDurations returns the cumulative wall-clock time the engine has
-// spent in the parallel planning phases and in the sharded commit phases
-// (the commit figure includes the canonical ledger merge and the eager
-// querier-side finalize). Benchmarks report the two separately to track
-// how far the commit phase — the historical Amdahl limit of both cycle
-// kinds — has been pushed. This is the compatibility view of the same
-// windows the attached obs registry histograms per phase (samplePhase).
-//
-//p3q:hostplane
-func (e *Engine) PhaseDurations() (plan, commit time.Duration) {
-	return e.planDur, e.commitDur
 }
 
 // planChunk is the number of nodes a worker claims per scheduling step:

@@ -20,9 +20,9 @@
 //     and internal/randx split streams.
 //   - rngdiscipline: a randx.Source that crosses into a spawned goroutine
 //     must pass through .Split(label) first.
-//   - stickyerr: the codec packages (internal/checkpoint, internal/trace,
-//     internal/wire) discard no error results and perform raw stream I/O
-//     only inside sticky-error carrier methods.
+//   - stickyerr: the codec packages (internal/binio and the checkpoint,
+//     trace and wire formats on it) discard no error results, and raw
+//     stream I/O happens only inside internal/binio.
 //   - phasepurity: functions annotated `//p3q:phase plan` (run
 //     concurrently against cycle-start state) may not write through an
 //     Engine-typed value; `//p3q:phase commit` functions may not draw
@@ -65,6 +65,7 @@ var DeterministicScopes = []string{
 	"p3q/internal/sim",
 	"p3q/internal/experiments",
 	"p3q/internal/checkpoint",
+	"p3q/internal/binio",
 }
 
 // HotpathScopes lists the packages where //p3q:hotpath and //p3q:alloc
@@ -81,9 +82,14 @@ var HotpathScopes = append([]string{
 	"p3q/internal/bloom",
 }, DeterministicScopes...)
 
+// CarrierScope is the one package allowed raw stream I/O: the sticky-error
+// carrier every binary format runs on.
+const CarrierScope = "p3q/internal/binio"
+
 // CodecScopes lists the packages under the sticky-error codec discipline
 // enforced by stickyerr.
 var CodecScopes = []string{
+	CarrierScope,
 	"p3q/internal/checkpoint",
 	"p3q/internal/trace",
 	"p3q/internal/wire",

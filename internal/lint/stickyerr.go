@@ -7,18 +7,19 @@ import (
 	"p3q/internal/lint/analysis"
 )
 
-// StickyErr enforces the codec discipline of internal/checkpoint and
-// internal/trace. The formats are validated streams: a single unobserved
-// short write or read desynchronizes every later field, so (1) no call
-// whose results include an error may have that error discarded — not as a
-// bare statement, not deferred, not assigned to blank — and (2) raw stream
-// primitives (bufio/os/io reads and writes) may only be touched inside
-// methods of a sticky-error carrier, a type with an `err error` field that
-// records the first failure and turns every later operation into a no-op.
-// Everything else must go through the carrier's typed accessors.
+// StickyErr enforces the codec discipline of the binary formats (trace,
+// checkpoint, wire) and of the carrier under them. The formats are
+// validated streams: a single unobserved short write or read
+// desynchronizes every later field, so (1) no call whose results include
+// an error may have that error discarded — not as a bare statement, not
+// deferred, not assigned to blank — and (2) raw stream primitives
+// (bufio/os/io reads and writes) may only be touched inside
+// internal/binio, whose Writer/Reader record the first failure and turn
+// every later operation into a no-op. The formats go through its typed
+// accessors.
 var StickyErr = &analysis.Analyzer{
 	Name: "stickyerr",
-	Doc:  "forbid discarded errors and raw stream I/O outside sticky-error carriers in the codec packages",
+	Doc:  "forbid discarded errors in the codec packages and raw stream I/O outside internal/binio",
 	Run:  runStickyErr,
 }
 
@@ -45,13 +46,13 @@ func runStickyErr(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path(), CodecScopes) {
 		return nil
 	}
+	carrier := inScope(pass.Pkg.Path(), []string{CarrierScope})
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			carrier := isStickyCarrierMethod(pass, fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
@@ -66,7 +67,7 @@ func runStickyErr(pass *analysis.Pass) error {
 					checkBlankErrorAssign(pass, n)
 				case *ast.CallExpr:
 					if !carrier && isRawIOCall(pass, n) {
-						pass.Reportf(n.Pos(), "raw stream I/O outside a sticky-error carrier: move this read/write into a method of the codec's Writer/Reader (a type with an `err error` field) so failures stay sticky")
+						pass.Reportf(n.Pos(), "raw stream I/O outside internal/binio: read and write through a binio.Reader/Writer so failures stay sticky")
 					}
 				}
 				return true
@@ -74,38 +75,6 @@ func runStickyErr(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isStickyCarrierMethod reports whether fd is a method whose receiver's
-// base struct declares an `err error` field — the codec's sticky carrier,
-// the only place raw stream access is legitimate.
-func isStickyCarrierMethod(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil {
-		return false
-	}
-	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == "err" && isErrorType(f.Type()) {
-			return true
-		}
-	}
-	return false
 }
 
 // reportDroppedError flags call when its result tuple contains an error.

@@ -9,5 +9,6 @@ import (
 func TestStickyErr(t *testing.T) {
 	analysistest.Run(t, "testdata", StickyErr,
 		"p3q/internal/checkpoint/sefixture",
+		"p3q/internal/binio/carrierfixture",
 		"example.com/outside")
 }

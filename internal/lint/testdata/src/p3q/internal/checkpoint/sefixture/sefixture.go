@@ -1,5 +1,5 @@
 // Package sefixture exercises the stickyerr analyzer inside a codec-scope
-// package path.
+// package path that is not the carrier's (see binio/carrierfixture).
 package sefixture
 
 import (
@@ -17,13 +17,13 @@ func (w *sticky) put(b []byte) {
 	if w.err != nil {
 		return
 	}
-	_, w.err = w.bw.Write(b) // carrier method: raw I/O allowed here
+	_, w.err = w.bw.Write(b) // want "raw stream I/O outside internal/binio"
 }
 
 type loose struct{ bw *bufio.Writer }
 
 func (l *loose) put(b []byte) error {
-	_, err := l.bw.Write(b) // want "raw stream I/O outside a sticky-error carrier"
+	_, err := l.bw.Write(b) // want "raw stream I/O outside internal/binio"
 	return err
 }
 

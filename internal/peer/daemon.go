@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +90,7 @@ type cycleState struct {
 
 	views   map[pairKey]*core.ViewExchangeCap
 	tops    map[pairKey]*core.TopExchangeCap
-	fetches map[pairKey][]core.DigestRef // expected offer queue, send order
+	fetches map[pairKey][]tagging.DigestRef // expected offer queue, send order
 	pairs   map[eagerKey]*core.EagerPairCap
 
 	// Partial-result collection for hosted queriers: the exchange phase
@@ -626,7 +627,7 @@ func (d *Daemon) stepLocal(kind uint8) uint64 {
 			cs.views[pairKey{v.Initiator, v.Partner}] = v
 		}
 		cs.tops = make(map[pairKey]*core.TopExchangeCap, len(cp.Tops))
-		cs.fetches = make(map[pairKey][]core.DigestRef)
+		cs.fetches = make(map[pairKey][]tagging.DigestRef)
 		for i := range cp.Tops {
 			t := &cp.Tops[i]
 			if t.HasPartner {
@@ -707,7 +708,7 @@ func (d *Daemon) issueLocal(q trace.Query) (uint64, bool) {
 	if cp.Done {
 		st.done = true
 		st.results = st.nra.Drain()
-		if !entriesEqual(st.results, cp.Results) {
+		if !slices.Equal(st.results, cp.Results) {
 			d.divergence.Add(1)
 		}
 	} else {
@@ -761,13 +762,13 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 			continue
 		}
 		resp, err := d.peer(d.daemonOf(v.Partner)).Call(&wire.ViewExchangeReq{
-			Seq: cs.seq, Initiator: v.Initiator, Partner: v.Partner, Buf: refsToWire(v.BufA),
+			Seq: cs.seq, Initiator: v.Initiator, Partner: v.Partner, Buf: v.BufA,
 		})
 		if err != nil {
 			return err
 		}
 		vr, ok := resp.(*wire.ViewExchangeResp)
-		if !ok || !refsMatch(vr.Buf, v.BufB) {
+		if !ok || !slices.Equal(vr.Buf, v.BufB) {
 			d.divergence.Add(1)
 		}
 	}
@@ -778,13 +779,13 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 		}
 		if t.HasPartner && !d.hosts(t.Partner) {
 			resp, err := d.peer(d.daemonOf(t.Partner)).Call(&wire.TopExchangeReq{
-				Seq: cs.seq, Initiator: t.Initiator, Partner: t.Partner, Offers: refsToWire(t.OffersA),
+				Seq: cs.seq, Initiator: t.Initiator, Partner: t.Partner, Offers: t.OffersA,
 			})
 			if err != nil {
 				return err
 			}
 			tr, ok := resp.(*wire.TopExchangeResp)
-			if !ok || !refsMatch(tr.Offers, t.OffersB) {
+			if !ok || !slices.Equal(tr.Offers, t.OffersB) {
 				d.divergence.Add(1)
 			}
 		}
@@ -799,7 +800,7 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 				return err
 			}
 			fr, ok := resp.(*wire.DirectFetchResp)
-			if !ok || fr.Offer != refToWire(f.Offer) {
+			if !ok || fr.Offer != f.Offer {
 				d.divergence.Add(1)
 			}
 		}
@@ -827,13 +828,13 @@ func (d *Daemon) runEagerExchanges(cs *cycleState) error {
 				Querier:   pc.Querier,
 				Tags:      pc.Tags,
 				Branch:    pc.Branch,
-				Offers:    refsToWire(pc.OffersA),
+				Offers:    pc.OffersA,
 			})
 			if err != nil {
 				return err
 			}
 			fr, ok := resp.(*wire.EagerForwardResp)
-			if !ok || !usersEqual(fr.Returned, pc.Returned) || !refsMatch(fr.Offers, pc.OffersB) {
+			if !ok || !slices.Equal(fr.Returned, pc.Returned) || !slices.Equal(fr.Offers, pc.OffersB) {
 				d.divergence.Add(1)
 			}
 			continue
@@ -888,7 +889,7 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 	pc := cs.pairs[key]
 	if pc == nil || !pc.Delivered || !d.hosts(pc.Querier) ||
 		pc.Dest != msg.From || pc.Querier != msg.Querier ||
-		!usersEqual(msg.FoundOwners, pc.FoundOwners) || !entriesEqual(msg.Entries, pc.Plist) {
+		!slices.Equal(msg.FoundOwners, pc.FoundOwners) || !slices.Equal(msg.Entries, pc.Plist) {
 		d.divergence.Add(1)
 	}
 	if _, dup := cs.received[key]; dup {
@@ -963,7 +964,7 @@ func (d *Daemon) reconcileLocked() {
 			st.results = st.nra.Drain()
 			// Simulator-as-oracle on the final answer: the wire-fed NRA
 			// must land exactly where the replica's own query run did.
-			if qr := d.runs[qid]; qr == nil || !qr.Done() || !entriesEqual(st.results, qr.Results()) {
+			if qr := d.runs[qid]; qr == nil || !qr.Done() || !slices.Equal(st.results, qr.Results()) {
 				d.divergence.Add(1)
 			}
 		} else {

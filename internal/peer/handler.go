@@ -2,8 +2,9 @@ package peer
 
 import (
 	"fmt"
+	"slices"
 
-	"p3q/internal/core"
+	"p3q/internal/obs"
 	"p3q/internal/tagging"
 	"p3q/internal/topk"
 	"p3q/internal/trace"
@@ -120,11 +121,11 @@ func (d *Daemon) serveView(m *wire.ViewExchangeReq) wire.Msg {
 		return &wire.ViewExchangeResp{}
 	}
 	v := cs.views[pairKey{m.Initiator, m.Partner}]
-	if v == nil || !refsMatch(m.Buf, v.BufA) {
+	if v == nil || !slices.Equal(m.Buf, v.BufA) {
 		d.divergence.Add(1)
 		return &wire.ViewExchangeResp{}
 	}
-	return &wire.ViewExchangeResp{Buf: refsToWire(v.BufB)}
+	return &wire.ViewExchangeResp{Buf: v.BufB}
 }
 
 func (d *Daemon) serveTop(m *wire.TopExchangeReq) wire.Msg {
@@ -134,11 +135,11 @@ func (d *Daemon) serveTop(m *wire.TopExchangeReq) wire.Msg {
 		return &wire.TopExchangeResp{}
 	}
 	t := cs.tops[pairKey{m.Initiator, m.Partner}]
-	if t == nil || !refsMatch(m.Offers, t.OffersA) {
+	if t == nil || !slices.Equal(m.Offers, t.OffersA) {
 		d.divergence.Add(1)
 		return &wire.TopExchangeResp{}
 	}
-	return &wire.TopExchangeResp{Offers: refsToWire(t.OffersB)}
+	return &wire.TopExchangeResp{Offers: t.OffersB}
 }
 
 func (d *Daemon) serveFetch(m *wire.DirectFetchReq) wire.Msg {
@@ -152,7 +153,7 @@ func (d *Daemon) serveFetch(m *wire.DirectFetchReq) wire.Msg {
 	d.mu.Lock()
 	key := pairKey{m.Requester, m.Owner}
 	queue := cs.fetches[key]
-	var offer core.DigestRef
+	var offer tagging.DigestRef
 	found := len(queue) > 0
 	if found {
 		offer = queue[0]
@@ -163,7 +164,7 @@ func (d *Daemon) serveFetch(m *wire.DirectFetchReq) wire.Msg {
 		d.divergence.Add(1)
 		return &wire.DirectFetchResp{}
 	}
-	return &wire.DirectFetchResp{Offer: refToWire(offer)}
+	return &wire.DirectFetchResp{Offer: offer}
 }
 
 func (d *Daemon) serveEagerForward(m *wire.EagerForwardReq) wire.Msg {
@@ -174,8 +175,8 @@ func (d *Daemon) serveEagerForward(m *wire.EagerForwardReq) wire.Msg {
 	}
 	pc := cs.pairs[eagerKey{m.Qid, m.Initiator}]
 	if pc == nil || !pc.Ok || pc.Dest != m.Dest || pc.Querier != m.Querier ||
-		!tagsEqual(m.Tags, pc.Tags) || !usersEqual(m.Branch, pc.Branch) ||
-		!refsMatch(m.Offers, pc.OffersA) {
+		!slices.Equal(m.Tags, pc.Tags) || !slices.Equal(m.Branch, pc.Branch) ||
+		!slices.Equal(m.Offers, pc.OffersA) {
 		d.divergence.Add(1)
 		return &wire.EagerForwardResp{}
 	}
@@ -188,7 +189,7 @@ func (d *Daemon) serveEagerForward(m *wire.EagerForwardReq) wire.Msg {
 			d.divergence.Add(1)
 		}
 	}
-	return &wire.EagerForwardResp{Returned: pc.Returned, Offers: refsToWire(pc.OffersB)}
+	return &wire.EagerForwardResp{Returned: pc.Returned, Offers: pc.OffersB}
 }
 
 func (d *Daemon) serveSubmit(m *wire.QuerySubmit) wire.Msg {
@@ -299,7 +300,6 @@ func (d *Daemon) clusterQueryBytes(qid uint64) wire.QueryStat {
 func (d *Daemon) serveStats() wire.Msg {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	plan, commit := d.eng.PhaseDurations()
 	_, skewMax, _, _ := d.obs.CommitSkew()
 	resp := &wire.StatsResp{
 		Index:         uint32(d.cfg.Index),
@@ -308,8 +308,8 @@ func (d *Daemon) serveStats() wire.Msg {
 		Divergence:    d.divergence.Load(),
 		FrozenEvents:  uint32(d.eng.FrozenEvents()),
 		PendingEvents: uint32(d.eng.PendingEvents()),
-		PlanNanos:     uint64(plan.Nanoseconds()),
-		CommitNanos:   uint64(commit.Nanoseconds()),
+		PlanNanos:     uint64(d.obs.PhaseTotal(obs.PhasePlan).Nanoseconds()),
+		CommitNanos:   uint64(d.obs.PhaseTotal(obs.PhaseCommit).Nanoseconds()),
 		SkewMaxNanos:  uint64(skewMax.Nanoseconds()),
 	}
 	planes := []*wire.PlaneStat{&resp.Data, &resp.Ctrl, &resp.Gateway, &resp.Served}
@@ -327,71 +327,4 @@ func (d *Daemon) serveStats() wire.Msg {
 		resp.Queries = append(resp.Queries, row)
 	}
 	return resp
-}
-
-// ---------------------------------------------------------------------
-// Capture/wire conversions and comparisons.
-
-func refToWire(r core.DigestRef) wire.DigestRef {
-	return wire.DigestRef{Owner: r.Owner, Version: uint32(r.Version), Bytes: uint32(r.Bytes)}
-}
-
-func refsToWire(refs []core.DigestRef) []wire.DigestRef {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]wire.DigestRef, len(refs))
-	for i, r := range refs {
-		out[i] = refToWire(r)
-	}
-	return out
-}
-
-// refsMatch compares a wire batch against the captured one.
-func refsMatch(got []wire.DigestRef, want []core.DigestRef) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != refToWire(want[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func usersEqual(a, b []tagging.UserID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func tagsEqual(a, b []tagging.TagID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func entriesEqual(a, b []topk.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

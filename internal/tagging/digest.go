@@ -121,3 +121,21 @@ func (d *Digest) SameAs(other *Digest) bool {
 func (d *Digest) SizeBytes() int {
 	return d.Items.SizeBytes() + UserIDBytes + 4
 }
+
+// DigestRef identifies a digest without shipping its bits: the owner and
+// the profile version it was built from. Profiles are append-only, so
+// (owner, version) reconstructs the digest bit-exactly wherever the
+// dataset is held — the collapse the checkpoint uses for stored snapshots
+// and the wire protocol for every digest it exchanges. Bytes is the §3.3
+// wire cost of the digest the reference stands for, which is what the
+// traffic accounting charges. The field widths are the wire's.
+type DigestRef struct {
+	Owner   UserID
+	Version uint32
+	Bytes   uint32
+}
+
+// Ref returns the digest's reference.
+func (d *Digest) Ref() DigestRef {
+	return DigestRef{Owner: d.Owner, Version: uint32(d.Version), Bytes: uint32(d.SizeBytes())}
+}

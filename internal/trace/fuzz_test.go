@@ -9,7 +9,8 @@ import (
 // panic or hang, and every dataset that round-trips through Save must load
 // back identically.
 func FuzzLoad(f *testing.F) {
-	// Seed corpus: a valid trace, a truncated one, garbage, and empties.
+	// Seed corpus: a valid trace, a truncated one, garbage, empties, a
+	// trace cut on a field boundary, and a header claiming 2^24 users.
 	p := DefaultGenParams(20)
 	p.MeanItems = 8
 	p.Seed = 1
@@ -22,6 +23,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(valid.Bytes()[:16+8])
+	f.Add(hugeHeader())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := Load(bytes.NewReader(data))

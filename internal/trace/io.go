@@ -1,12 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
+	"p3q/internal/binio"
 	"p3q/internal/tagging"
 )
 
@@ -22,144 +21,72 @@ import (
 //	  actions uint32
 //	  actions x { item uint32, tag uint32 }
 //
-// All integers are little-endian.
-//
-// Like internal/checkpoint, the codec runs on sticky-error carriers: the
-// first failed read or write is retained and every later operation is a
-// no-op, so the call sites stay linear and check the error once. The
-// stickyerr analyzer (internal/lint) enforces that raw stream access
-// happens only inside the carrier methods below.
+// All integers are little-endian, written and read through the
+// sticky-error carrier of internal/binio: the first failed read or write
+// is retained and every later operation is a no-op, so the call sites
+// stay linear and check the error once.
 const traceMagic = 0x50335130
 
 var errBadMagic = errors.New("trace: bad magic (not a P3Q trace file)")
 
-// traceWriter is the sticky-error carrier for Save.
-type traceWriter struct {
-	bw      *bufio.Writer
-	scratch [8]byte
-	err     error
-}
-
-// u32 writes one little-endian uint32.
-func (w *traceWriter) u32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	_, w.err = w.bw.Write(w.scratch[:4])
-}
-
-// pair writes two little-endian uint32s in one call (the per-action hot
-// path).
-func (w *traceWriter) pair(a, b uint32) {
-	if w.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(w.scratch[:4], a)
-	binary.LittleEndian.PutUint32(w.scratch[4:], b)
-	_, w.err = w.bw.Write(w.scratch[:])
-}
-
-// flush returns the first error of the whole write, flushing on success.
-func (w *traceWriter) flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
-}
+// maxUsers is the population sanity limit of a trace header.
+const maxUsers = 1 << 24
 
 // Save writes the dataset in the binary trace format.
 func Save(w io.Writer, d *Dataset) error {
-	tw := &traceWriter{bw: bufio.NewWriter(w)}
-	tw.u32(traceMagic)
-	tw.u32(uint32(d.Users()))
-	tw.u32(uint32(d.NumItems))
-	tw.u32(uint32(d.NumTags))
+	tw := binio.MakeWriter(w, "trace")
+	tw.U32(traceMagic)
+	tw.U32(uint32(d.Users()))
+	tw.U32(uint32(d.NumItems))
+	tw.U32(uint32(d.NumTags))
 	for _, p := range d.Profiles {
-		tw.u32(uint32(p.Owner()))
-		tw.u32(uint32(p.Len()))
+		tw.U32(uint32(p.Owner()))
+		tw.U32(uint32(p.Len()))
 		for _, a := range p.Actions() {
-			tw.pair(uint32(a.Item), uint32(a.Tag))
+			tw.U32Pair(uint32(a.Item), uint32(a.Tag))
 		}
 	}
-	return tw.flush()
-}
-
-// traceReader is the sticky-error carrier for Load.
-type traceReader struct {
-	br      *bufio.Reader
-	scratch [8]byte
-	err     error
-}
-
-// u32 reads one little-endian uint32, returning zero after a failure.
-func (r *traceReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(r.br, r.scratch[:4]); err != nil {
-		r.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.scratch[:4])
-}
-
-// pair reads two little-endian uint32s.
-func (r *traceReader) pair() (uint32, uint32) {
-	if r.err != nil {
-		return 0, 0
-	}
-	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
-		r.err = err
-		return 0, 0
-	}
-	return binary.LittleEndian.Uint32(r.scratch[:4]), binary.LittleEndian.Uint32(r.scratch[4:])
+	return tw.Flush()
 }
 
 // Load reads a dataset written by Save. Loaded datasets have no generator
 // metadata: change-sets drawn from them use the global item space.
 func Load(r io.Reader) (*Dataset, error) {
-	tr := &traceReader{br: bufio.NewReader(r)}
-	magic := tr.u32()
-	if tr.err != nil {
-		return nil, tr.err
+	tr := binio.MakeReader(r, "trace")
+	if magic := tr.U32(); magic != traceMagic {
+		tr.FailWith(errBadMagic)
 	}
-	if magic != traceMagic {
-		return nil, errBadMagic
+	users := tr.Count(maxUsers)
+	items := tr.U32()
+	tags := tr.U32()
+	if tr.Err() != nil {
+		return nil, tr.Err()
 	}
-	users := tr.u32()
-	items := tr.u32()
-	tags := tr.u32()
-	if tr.err != nil {
-		return nil, tr.err
-	}
-	const maxUsers = 1 << 24
-	if users > maxUsers {
-		return nil, fmt.Errorf("trace: user count %d exceeds sanity limit", users)
-	}
+	// The header's user count is only a claim until that many profiles
+	// have arrived: reserve a bounded prefix and grow by append.
 	d := &Dataset{
-		Profiles: make([]*tagging.Profile, users),
+		Profiles: make([]*tagging.Profile, 0, binio.CapHint(users, 1<<16)),
 		NumItems: int(items),
 		NumTags:  int(tags),
 	}
-	for i := uint32(0); i < users; i++ {
-		owner := tr.u32()
-		n := tr.u32()
-		if tr.err != nil {
-			return nil, fmt.Errorf("trace: reading user %d header: %w", i, tr.err)
-		}
-		if owner != i {
-			return nil, fmt.Errorf("trace: user %d has owner field %d (profiles must be dense)", i, owner)
+	for i := 0; i < users; i++ {
+		owner := tr.U32()
+		n := tr.U32()
+		if tr.Err() == nil && owner != uint32(i) {
+			tr.Fail("user %d has owner field %d (profiles must be dense)", i, owner)
 		}
 		p := tagging.NewProfile(tagging.UserID(owner))
 		for j := uint32(0); j < n; j++ {
-			it, tg := tr.pair()
-			if tr.err != nil {
-				return nil, fmt.Errorf("trace: reading action %d of user %d: %w", j, i, tr.err)
+			it, tg := tr.U32Pair()
+			if tr.Err() != nil {
+				break // n is unvalidated: a failed reader must not spin through it
 			}
 			p.Add(tagging.ItemID(it), tagging.TagID(tg))
 		}
-		d.Profiles[i] = p
+		if tr.Err() != nil {
+			return nil, fmt.Errorf("%w (user %d of %d)", tr.Err(), i, users)
+		}
+		d.Profiles = append(d.Profiles, p)
 	}
 	return d, nil
 }

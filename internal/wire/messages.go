@@ -56,17 +56,7 @@ type Msg interface {
 	decode(r *Reader)
 }
 
-// DigestRef references a profile digest by (owner, version) instead of
-// shipping its bits — profiles are append-only, so the reference
-// reconstructs the digest bit-exactly on any daemon holding the dataset.
-// Bytes is the §3.3 wire cost of the digest the reference stands for.
-type DigestRef struct {
-	Owner   tagging.UserID
-	Version uint32
-	Bytes   uint32
-}
-
-func encodeRefs(w *Writer, refs []DigestRef) {
+func encodeRefs(w *Writer, refs []tagging.DigestRef) {
 	w.Count(len(refs))
 	for _, d := range refs {
 		w.U32(uint32(d.Owner))
@@ -75,14 +65,14 @@ func encodeRefs(w *Writer, refs []DigestRef) {
 	}
 }
 
-func decodeRefs(r *Reader) []DigestRef {
+func decodeRefs(r *Reader) []tagging.DigestRef {
 	n := r.Count(MaxListLen)
 	if n == 0 {
 		return nil
 	}
-	out := make([]DigestRef, 0, CapHint(n))
+	out := make([]tagging.DigestRef, 0, CapHint(n))
 	for i := 0; i < n; i++ {
-		out = append(out, DigestRef{
+		out = append(out, tagging.DigestRef{
 			Owner:   tagging.UserID(r.U32()),
 			Version: r.U32(),
 			Bytes:   r.U32(),
@@ -94,43 +84,23 @@ func decodeRefs(r *Reader) []DigestRef {
 	return out
 }
 
-func encodeUsers(w *Writer, users []tagging.UserID) {
-	w.Count(len(users))
-	for _, u := range users {
-		w.U32(uint32(u))
+// encodeIDs and decodeIDs carry the lists of 4-byte interned identifiers
+// (users of a remaining list, tags of a query).
+func encodeIDs[T ~uint32](w *Writer, ids []T) {
+	w.Count(len(ids))
+	for _, id := range ids {
+		w.U32(uint32(id))
 	}
 }
 
-func decodeUsers(r *Reader) []tagging.UserID {
+func decodeIDs[T ~uint32](r *Reader) []T {
 	n := r.Count(MaxListLen)
 	if n == 0 {
 		return nil
 	}
-	out := make([]tagging.UserID, 0, CapHint(n))
+	out := make([]T, 0, CapHint(n))
 	for i := 0; i < n; i++ {
-		out = append(out, tagging.UserID(r.U32()))
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-func encodeTags(w *Writer, tags []tagging.TagID) {
-	w.Count(len(tags))
-	for _, t := range tags {
-		w.U32(uint32(t))
-	}
-}
-
-func decodeTags(r *Reader) []tagging.TagID {
-	n := r.Count(MaxListLen)
-	if n == 0 {
-		return nil
-	}
-	out := make([]tagging.TagID, 0, CapHint(n))
-	for i := 0; i < n; i++ {
-		out = append(out, tagging.TagID(r.U32()))
+		out = append(out, T(r.U32()))
 		if r.Err() != nil {
 			return nil
 		}
@@ -318,7 +288,7 @@ type ViewExchangeReq struct {
 	Seq       uint64
 	Initiator tagging.UserID
 	Partner   tagging.UserID
-	Buf       []DigestRef
+	Buf       []tagging.DigestRef
 }
 
 func (*ViewExchangeReq) WireType() Type { return TypeViewExchangeReq }
@@ -339,7 +309,7 @@ func (m *ViewExchangeReq) decode(r *Reader) {
 
 // ViewExchangeResp returns the partner's descriptor buffer.
 type ViewExchangeResp struct {
-	Buf []DigestRef
+	Buf []tagging.DigestRef
 }
 
 func (*ViewExchangeResp) WireType() Type { return TypeViewExchangeResp }
@@ -358,7 +328,7 @@ type TopExchangeReq struct {
 	Seq       uint64
 	Initiator tagging.UserID
 	Partner   tagging.UserID
-	Offers    []DigestRef
+	Offers    []tagging.DigestRef
 }
 
 func (*TopExchangeReq) WireType() Type { return TypeTopExchangeReq }
@@ -379,7 +349,7 @@ func (m *TopExchangeReq) decode(r *Reader) {
 
 // TopExchangeResp returns the partner's offer batch.
 type TopExchangeResp struct {
-	Offers []DigestRef
+	Offers []tagging.DigestRef
 }
 
 func (*TopExchangeResp) WireType() Type { return TypeTopExchangeResp }
@@ -414,7 +384,7 @@ func (m *DirectFetchReq) decode(r *Reader) {
 
 // DirectFetchResp returns the owner's offer.
 type DirectFetchResp struct {
-	Offer DigestRef
+	Offer tagging.DigestRef
 }
 
 func (*DirectFetchResp) WireType() Type { return TypeDirectFetchResp }
@@ -442,7 +412,7 @@ type EagerForwardReq struct {
 	Querier   tagging.UserID
 	Tags      []tagging.TagID
 	Branch    []tagging.UserID
-	Offers    []DigestRef // piggybacked maintenance, initiator -> destination
+	Offers    []tagging.DigestRef // piggybacked maintenance, initiator -> destination
 }
 
 func (*EagerForwardReq) WireType() Type { return TypeEagerForwardReq }
@@ -453,8 +423,8 @@ func (m *EagerForwardReq) encode(w *Writer) {
 	w.U32(uint32(m.Initiator))
 	w.U32(uint32(m.Dest))
 	w.U32(uint32(m.Querier))
-	encodeTags(w, m.Tags)
-	encodeUsers(w, m.Branch)
+	encodeIDs(w, m.Tags)
+	encodeIDs(w, m.Branch)
 	encodeRefs(w, m.Offers)
 }
 
@@ -464,8 +434,8 @@ func (m *EagerForwardReq) decode(r *Reader) {
 	m.Initiator = tagging.UserID(r.U32())
 	m.Dest = tagging.UserID(r.U32())
 	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeTags(r)
-	m.Branch = decodeUsers(r)
+	m.Tags = decodeIDs[tagging.TagID](r)
+	m.Branch = decodeIDs[tagging.UserID](r)
 	m.Offers = decodeRefs(r)
 }
 
@@ -474,18 +444,18 @@ func (m *EagerForwardReq) decode(r *Reader) {
 // destination's piggybacked maintenance offers.
 type EagerForwardResp struct {
 	Returned []tagging.UserID
-	Offers   []DigestRef // piggybacked maintenance, destination -> initiator
+	Offers   []tagging.DigestRef // piggybacked maintenance, destination -> initiator
 }
 
 func (*EagerForwardResp) WireType() Type { return TypeEagerForwardResp }
 
 func (m *EagerForwardResp) encode(w *Writer) {
-	encodeUsers(w, m.Returned)
+	encodeIDs(w, m.Returned)
 	encodeRefs(w, m.Offers)
 }
 
 func (m *EagerForwardResp) decode(r *Reader) {
-	m.Returned = decodeUsers(r)
+	m.Returned = decodeIDs[tagging.UserID](r)
 	m.Offers = decodeRefs(r)
 }
 
@@ -509,7 +479,7 @@ func (m *PartialResult) encode(w *Writer) {
 	w.U32(uint32(m.Initiator))
 	w.U32(uint32(m.From))
 	w.U32(uint32(m.Querier))
-	encodeUsers(w, m.FoundOwners)
+	encodeIDs(w, m.FoundOwners)
 	encodeEntries(w, m.Entries)
 }
 
@@ -519,7 +489,7 @@ func (m *PartialResult) decode(r *Reader) {
 	m.Initiator = tagging.UserID(r.U32())
 	m.From = tagging.UserID(r.U32())
 	m.Querier = tagging.UserID(r.U32())
-	m.FoundOwners = decodeUsers(r)
+	m.FoundOwners = decodeIDs[tagging.UserID](r)
 	m.Entries = decodeEntries(r)
 }
 
@@ -542,12 +512,12 @@ func (*QuerySubmit) WireType() Type { return TypeQuerySubmit }
 
 func (m *QuerySubmit) encode(w *Writer) {
 	w.U32(uint32(m.Querier))
-	encodeTags(w, m.Tags)
+	encodeIDs(w, m.Tags)
 }
 
 func (m *QuerySubmit) decode(r *Reader) {
 	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeTags(r)
+	m.Tags = decodeIDs[tagging.TagID](r)
 }
 
 // QuerySubmitAck returns the query ID the cluster assigned, identical on
@@ -583,12 +553,12 @@ func (*QueryIssue) WireType() Type { return TypeQueryIssue }
 
 func (m *QueryIssue) encode(w *Writer) {
 	w.U32(uint32(m.Querier))
-	encodeTags(w, m.Tags)
+	encodeIDs(w, m.Tags)
 }
 
 func (m *QueryIssue) decode(r *Reader) {
 	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeTags(r)
+	m.Tags = decodeIDs[tagging.TagID](r)
 }
 
 // QueryIssueAck confirms the member issued the query, echoing the ID its

@@ -6,13 +6,13 @@
 // returns, partial result delivery), the query plane, and the
 // cluster-control handshake.
 //
-// The codec follows the sticky-error discipline of internal/checkpoint:
+// The codec runs on the sticky-error carrier of internal/binio:
 // fixed-width little-endian integers, explicit counts bounded before
-// anything is allocated, truncation surfacing as io.ErrUnexpectedEOF, and
-// an end marker per frame proving reader and writer agreed on the layout.
-// The stickyerr analyzer (internal/lint) enforces that raw stream access
-// stays inside the Writer/Reader carriers and that no error result is
-// dropped.
+// anything is allocated, truncation surfacing as io.ErrUnexpectedEOF; this
+// package adds the frame envelope, with an end marker per frame proving
+// reader and writer agreed on the layout. The stickyerr analyzer
+// (internal/lint) enforces that raw stream access stays inside binio and
+// that no error result is dropped.
 //
 // Frame layout (one frame per message, self-delimiting on a stream):
 //
@@ -31,11 +31,10 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+
+	"p3q/internal/binio"
 )
 
 // Magic identifies a P3Q wire frame ("P3QW").
@@ -67,94 +66,18 @@ const MaxStringLen = 1 << 10
 // MaxQueryEntries bounds the per-query stats table of a StatsResp.
 const MaxQueryEntries = 1 << 20
 
-// Writer serializes wire frames. Errors are sticky: the first write
-// failure is retained and every later call is a no-op, so call sites stay
-// linear and check the error once per frame.
-type Writer struct {
-	w       *bufio.Writer
-	scratch [8]byte
-	err     error
-}
+// Writer serializes wire frames: the binio carrier (sticky errors, checked
+// once per frame) plus the frame envelope.
+type Writer struct{ binio.Writer }
 
 // NewWriter returns a Writer over the stream. One Writer per connection:
 // frames are emitted back to back and flushed per frame.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
+	return &Writer{binio.MakeWriter(w, "wire")}
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.scratch[0] = v
-	w.write(w.scratch[:1])
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.scratch[:2], v)
-	w.write(w.scratch[:2])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	w.write(w.scratch[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.write(w.scratch[:8])
-}
-
-// I64 writes a little-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Count writes a list length. Negative lengths are a programming error on
-// the writing side and are reported through the sticky error.
-func (w *Writer) Count(n int) {
-	if n < 0 {
-		w.fail("negative count %d", n)
-		return
-	}
-	w.U32(uint32(n))
-}
-
-// String writes a length-prefixed string, rejecting oversized ones on the
-// writing side so the reader's bound never truncates silently.
-func (w *Writer) String(s string) {
-	if len(s) > MaxStringLen {
-		w.fail("string of %d bytes exceeds the %d-byte limit", len(s), MaxStringLen)
-		return
-	}
-	w.Count(len(s))
-	w.write([]byte(s))
-}
-
-// fail records a writer-side error.
-func (w *Writer) fail(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("wire: "+format, args...)
-	}
-}
+// String writes a length-prefixed string of at most MaxStringLen bytes.
+func (w *Writer) String(s string) { w.Writer.String(s, MaxStringLen) }
 
 // begin emits a frame header.
 func (w *Writer) begin(t Type) {
@@ -167,159 +90,41 @@ func (w *Writer) begin(t Type) {
 // returning the first error of the whole frame.
 func (w *Writer) finish() error {
 	w.U32(endMarker)
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.w.Flush()
-	return w.err
+	return w.Flush()
 }
 
 // Reader deserializes wire frames with the same sticky-error discipline
-// as Writer: after the first failure every read returns zero values. One
-// Reader per connection.
-type Reader struct {
-	r       *bufio.Reader
-	scratch [8]byte
-	err     error
-}
+// as Writer. One Reader per connection.
+type Reader struct{ binio.Reader }
 
 // NewReader returns a Reader over the stream.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) read(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if _, err := io.ReadFull(r.r, r.scratch[:n]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("wire: truncated frame: %w", err)
-		return nil
-	}
-	return r.scratch[:n]
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if b := r.read(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if b := r.read(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if b := r.read(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if b := r.read(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Bool reads a boolean byte, rejecting values other than 0 and 1.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.Fail("invalid boolean byte")
-		return false
-	}
-}
-
-// Count reads a list length and validates it against max; nothing may be
-// allocated from an unvalidated length.
-func (r *Reader) Count(max int) int {
-	n := r.U32()
-	if r.err != nil {
-		return 0
-	}
-	if int64(n) > int64(max) {
-		r.Fail(fmt.Sprintf("count %d exceeds limit %d", n, max))
-		return 0
-	}
-	return int(n)
+	return &Reader{binio.MakeReader(r, "wire")}
 }
 
 // String reads a length-prefixed string of at most MaxStringLen bytes.
-func (r *Reader) String() string {
-	n := r.Count(MaxStringLen)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("wire: truncated frame: %w", err)
-		return ""
-	}
-	return string(buf)
-}
+func (r *Reader) String() string { return r.Reader.String(MaxStringLen) }
 
-// Fail records a reader-side validation error (beyond the structural ones
-// the primitives detect): out-of-range enum values, inconsistent section
-// sizes.
-func (r *Reader) Fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New("wire: " + msg)
-	}
-}
-
-// CapHint caps a validated count for preallocation: a frame may
-// legitimately announce a large list, but the reader never trusts it with
-// more than a bounded allocation up front — append grows the rest only as
-// data actually arrives.
-func CapHint(n int) int {
-	const max = 1 << 12
-	if n > max {
-		return max
-	}
-	return n
-}
+// CapHint caps a validated count for preallocation (see binio.CapHint) at
+// the wire format's 4Ki elements: a frame may legitimately announce a
+// large list, but append grows the rest only as data actually arrives.
+func CapHint(n int) int { return binio.CapHint(n, 1<<12) }
 
 // header reads and validates a frame header, returning the message type.
 func (r *Reader) header() Type {
-	if magic := r.U32(); r.err == nil && magic != Magic {
-		r.err = ErrBadMagic
+	if magic := r.U32(); magic != Magic {
+		r.FailWith(ErrBadMagic)
 	}
-	if v := r.U16(); r.err == nil && v != Version {
-		r.err = fmt.Errorf("wire: unsupported protocol version %d (this build speaks version %d)", v, Version)
+	if v := r.U16(); v != Version {
+		r.Fail("unsupported protocol version %d (this build speaks version %d)", v, Version)
 	}
 	return Type(r.U16())
 }
 
 // end validates the frame's end marker.
 func (r *Reader) end() {
-	if m := r.U32(); r.err == nil && m != endMarker {
-		r.err = errors.New("wire: missing end marker (frame layout disagreement)")
+	if m := r.U32(); m != endMarker {
+		r.Fail("missing end marker (frame layout disagreement)")
 	}
 }
 
@@ -335,17 +140,18 @@ func WriteMsg(w *Writer, m Msg) error {
 // connection torn down.
 func ReadMsg(r *Reader) (Msg, error) {
 	t := r.header()
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	m, ok := newMsg(t)
 	if !ok {
-		return nil, fmt.Errorf("wire: unknown message type %d", t)
+		r.Fail("unknown message type %d", t)
+		return nil, r.Err()
 	}
 	m.decode(r)
 	r.end()
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return m, nil
 }
