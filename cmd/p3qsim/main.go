@@ -59,7 +59,7 @@ func main() {
 		cycles    = flag.Int("cycles", 0, "base cycle budget (0 = default)")
 		meanItems = flag.Float64("mean-items", 0, "mean items per user in the trace (0 = default)")
 		workers   = flag.Int("workers", 0, "planning workers and commit shards for both lazy and eager cycles (0 = all cores; output is identical for every value)")
-		latency   = flag.String("latency", "", "per-message latency model for eager delivery: none (synchronous cycles, the default), fixed:<d>, uniform:<min>,<max>, lognormal:<median>,<sigma>, or geo:<zones>,<intra>,<inter> — e.g. fixed:50ms, uniform:10ms,200ms, lognormal:1s,0.8, geo:3,25ms,120ms; with a model set, partial results arrive mid-cycle and queries report time-to-first-result / time-to-full-recall (see the 'latency' experiment)")
+		latency   = flag.String("latency", "", "per-message latency model for eager delivery: none (zero delay, the default — same as fixed:0), fixed:<d>, uniform:<min>,<max>, lognormal:<median>,<sigma>, or geo:<zones>,<intra>,<inter> — e.g. fixed:50ms, uniform:10ms,200ms, lognormal:1s,0.8, geo:3,25ms,120ms; with a model set, partial results arrive mid-cycle and queries report time-to-first-result / time-to-full-recall (see the 'latency' experiment)")
 		seed      = flag.Uint64("seed", 0, "random seed (0 = default)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		outDir    = flag.String("out", "", "also write one CSV file per table into this directory")

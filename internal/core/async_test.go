@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -11,18 +12,15 @@ import (
 	"p3q/internal/trace"
 )
 
-// Tests for asynchronous eager delivery (Config.Latency): the zero-delay
-// equivalence with the synchronous engine, worker-count determinism of the
-// event-driven path, mid-cycle settling, and the freeze/replay lifecycle
-// of events targeting departed nodes.
+// Tests for eager delivery under Config.Latency: nil and a zero-delay model
+// are one configuration, worker-count determinism of the event path,
+// mid-cycle settling, and the freeze/replay lifecycle of events targeting
+// departed nodes.
 
-// runAsyncEquivWorkload drives a churn-heavy workload to full completion
-// (every query done, none stalled at the end) so fingerprints depend only
-// on final protocol state, never on in-progress NRA estimates — the
-// synchronous engine merges a cycle's partial lists in one batch while the
-// asynchronous engine merges per arrival, so interim (not final) top-k
-// bounds may legitimately differ.
-func runAsyncEquivWorkload(t *testing.T, workers int, lat sim.LatencyModel) string {
+// runZeroDelayWorkload drives a churn-heavy workload to full completion
+// (every query done, none stalled at the end) and returns the sha256 of the
+// engine's checkpoint after every cycle, eager or lazy.
+func runZeroDelayWorkload(t *testing.T, workers int, lat sim.LatencyModel) []string {
 	t.Helper()
 	cfg := smallCfg()
 	cfg.S = 15
@@ -33,39 +31,54 @@ func runAsyncEquivWorkload(t *testing.T, workers int, lat sim.LatencyModel) stri
 	e := New(w.ds, cfg)
 	e.SeedIdealNetworks(w.ideal)
 
+	var sums []string
+	cycles := func(n int, cycle func()) {
+		for i := 0; i < n; i++ {
+			cycle()
+			var buf bytes.Buffer
+			if err := e.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sums = append(sums, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
+		}
+	}
 	for _, q := range trace.GenerateQueries(w.ds, 6)[:25] {
 		e.IssueQuery(q)
 	}
-	e.RunEager(2)
+	cycles(2, e.EagerCycle)
 	killed := e.Kill(0.2)
 	if len(killed) == 0 {
 		t.Fatal("Kill removed nobody")
 	}
-	for i := 0; i < 2; i++ {
-		e.EagerCycle() // forced: survivors gossip around the holes
-	}
-	e.RunLazy(2)
+	cycles(2, e.EagerCycle) // forced: survivors gossip around the holes
+	cycles(2, e.LazyCycle)
 	e.Revive(killed)
-	if ran := e.RunEager(400); ran >= 400 {
-		t.Fatal("workload did not settle within the cycle budget")
+	for ran := 0; !e.AllQueriesDone(); ran++ {
+		if ran >= 400 {
+			t.Fatal("workload did not settle within the cycle budget")
+		}
+		cycles(1, e.EagerCycle)
 	}
 	for _, qr := range e.Queries() {
 		if !qr.Done() {
-			t.Fatalf("query %d not done at the end (state %v); the equivalence workload must complete every query", qr.ID, qr.State())
+			t.Fatalf("query %d not done at the end (state %v); the workload must complete every query", qr.ID, qr.State())
 		}
 		if qr.ProfilesUsed() != qr.ProfilesNeeded() {
 			t.Fatalf("query %d used %d profiles, needed %d", qr.ID, qr.ProfilesUsed(), qr.ProfilesNeeded())
 		}
 	}
-	return engineFingerprint(e)
+	if e.PendingEvents() != 0 || e.FrozenEvents() != 0 {
+		t.Fatalf("zero-delay run left %d pending and %d frozen events", e.PendingEvents(), e.FrozenEvents())
+	}
+	return sums
 }
 
-// syncGoldenFingerprint pins the synchronous engine's mixed-workload
-// output as of the introduction of the event scheduler: the Latency=nil
-// path must keep reproducing it byte for byte, so the asynchronous
-// machinery provably cannot leak into the default configuration. If a
-// deliberate protocol or fingerprint-format change breaks this, regenerate
-// the constant from sha256(runMixedWorkload(t, 1)).
+// syncGoldenFingerprint pins the Latency=nil engine's mixed-workload
+// output as of the introduction of the event scheduler, when nil still had
+// a delivery path of its own: the one event-driven path must keep
+// reproducing that path's output byte for byte. If a deliberate protocol or
+// fingerprint-format change breaks this, regenerate the constant from
+// sha256(runMixedWorkload(t, 1)).
 const syncGoldenFingerprint = "513db530a44d00e06605983b1c43303edbba43d27950b403126010e04588c259"
 
 func TestSyncOutputPinned(t *testing.T) {
@@ -76,16 +89,26 @@ func TestSyncOutputPinned(t *testing.T) {
 	}
 }
 
+// TestAsyncZeroLatencyMatchesSync pins that Latency = nil means zero-delay
+// events and nothing else: nil and sim.FixedLatency(0) write byte-identical
+// checkpoints after every cycle — in-progress NRA state, the event queue's
+// scheduling counter and the per-query settle stamps included — for any
+// worker count.
 func TestAsyncZeroLatencyMatchesSync(t *testing.T) {
-	// The event-driven engine under a zero-delay model must reproduce the
-	// synchronous engine byte for byte: every event of a cycle fires at the
-	// cycle-start time in the canonical pair order, before the next cycle
-	// plans — so personal networks, branches, query results, traffic
-	// counters and the new time metrics all coincide.
-	sync := runAsyncEquivWorkload(t, 3, nil)
-	async := runAsyncEquivWorkload(t, 3, sim.FixedLatency(0))
-	if sync != async {
-		t.Fatalf("zero-latency async diverged from synchronous engine:\n%s", firstDiff(sync, async))
+	want := runZeroDelayWorkload(t, 1, nil)
+	for _, run := range []struct {
+		workers int
+		lat     sim.LatencyModel
+	}{{1, sim.FixedLatency(0)}, {4, nil}, {4, sim.FixedLatency(0)}} {
+		got := runZeroDelayWorkload(t, run.workers, run.lat)
+		if len(got) != len(want) {
+			t.Fatalf("Workers=%d Latency=%v ran %d cycles, Workers=1 Latency=nil ran %d", run.workers, run.lat, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Workers=%d Latency=%v: checkpoint after cycle %d differs from Workers=1 Latency=nil", run.workers, run.lat, i+1)
+			}
+		}
 	}
 }
 
@@ -138,7 +161,7 @@ func runMixedWorkloadLatency(t *testing.T, workers int) string {
 }
 
 func TestAsyncParallelDeterminism(t *testing.T) {
-	// The asynchronous path must stay byte-for-byte identical for every
+	// A latency-modelled run must stay byte-for-byte identical for every
 	// worker count — including the latency draws, the event schedule, the
 	// freeze/replay bookkeeping and the per-query time metrics the
 	// fingerprint now carries. 7 does not divide 120, so shards of unequal
@@ -155,7 +178,7 @@ func TestAsyncParallelDeterminism(t *testing.T) {
 func TestAsyncQueriesSettleMidCycle(t *testing.T) {
 	// With a 1s fixed delay against the 5s period, a gossip planned at t0
 	// resolves its partial result at t0+2s: queries settle strictly inside
-	// a cycle window, which the synchronous engine cannot express.
+	// a cycle window.
 	cfg := smallCfg()
 	cfg.Latency = sim.FixedLatency(time.Second)
 	w := newWorld(t, 120, cfg, 58)
@@ -314,7 +337,7 @@ func TestAsyncFrozenBranchEventsReplay(t *testing.T) {
 }
 
 func TestAsyncStalledQueryFrozenCounters(t *testing.T) {
-	// The synchronous stall contract carries over: while the querier is
+	// The stall contract holds under a latency model too: while the querier is
 	// away the query burns no traffic of its own and its cycle counter
 	// freezes, and RunEager does not spin on a stalled-only engine.
 	cfg := smallCfg()

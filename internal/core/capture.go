@@ -23,6 +23,10 @@ import (
 // uncaptured one — capture_test.go pins byte-for-byte equality — so
 // stepping replicas with capture on N daemons is indistinguishable from
 // running the reference engine.
+//
+// A capture describes a cycle completely only when every message of the
+// cycle also arrives inside it, so the captured entry points require
+// Config.Latency == nil.
 
 // ViewExchangeCap is one bottom-layer peer-sampling exchange of a lazy
 // cycle: the initiator's buffer travels to the partner and the partner's
@@ -66,8 +70,13 @@ type LazyCapture struct {
 // (Algorithm 3): the forwarded branch, the destination's resolution into
 // a partial result, the α-split of the unresolved rest, and the
 // piggybacked maintenance exchange. Bytes is this pair's contribution to
-// the query's traffic, exactly as the engine's finalize pass attributes
+// the query's traffic, exactly as the engine's scheduling pass attributes
 // it.
+//
+// To replay the querier's active-branch set from a cycle's pairs, follow
+// the engine's order: first every Ok pair's Initiator leaves the set (her
+// branch is forwarded in full at send time), then Dest enters it where Keep
+// is non-empty and Initiator re-enters it where Returned is.
 type EagerPairCap struct {
 	Initiator tagging.UserID
 	Qid       uint64
@@ -86,8 +95,7 @@ type EagerPairCap struct {
 	OffersA []tagging.DigestRef // piggybacked maintenance, initiator -> destination
 	OffersB []tagging.DigestRef // piggybacked maintenance, destination -> initiator
 
-	BranchEmptied bool // commit-resolved: the initiator's branch drained
-	Bytes         QueryBytes
+	Bytes QueryBytes // commit-resolved
 }
 
 // EagerCapture describes every gossip of one eager cycle, in the
@@ -112,11 +120,11 @@ type IssueCapture struct {
 }
 
 // LazyCycleCaptured runs one lazy cycle exactly like LazyCycle and
-// returns the capture describing its exchanges. It requires synchronous
-// delivery: the daemon's wire protocol is cycle-aligned.
+// returns the capture describing its exchanges. It requires
+// Config.Latency == nil: the daemon's wire protocol is cycle-aligned.
 func (e *Engine) LazyCycleCaptured() *LazyCapture {
 	if e.cfg.Latency != nil {
-		panic("core: capture requires synchronous delivery (Config.Latency == nil)")
+		panic("core: capture requires Config.Latency == nil")
 	}
 	cp := &LazyCapture{}
 	e.lazyCycle(cp)
@@ -124,11 +132,11 @@ func (e *Engine) LazyCycleCaptured() *LazyCapture {
 }
 
 // EagerCycleCaptured runs one eager cycle exactly like EagerCycle and
-// returns the capture describing its gossips. It requires synchronous
-// delivery.
+// returns the capture describing its gossips. It requires
+// Config.Latency == nil.
 func (e *Engine) EagerCycleCaptured() *EagerCapture {
 	if e.cfg.Latency != nil {
-		panic("core: capture requires synchronous delivery (Config.Latency == nil)")
+		panic("core: capture requires Config.Latency == nil")
 	}
 	cp := &EagerCapture{}
 	e.eagerCycle(cp)
@@ -175,7 +183,7 @@ func descriptorRefs(buf []gossip.Descriptor) []tagging.DigestRef {
 func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 	cp.Seq = seq
 	for _, i := range order {
-		p := &e.vplans[i]
+		p := &e.scratch.vplans[i]
 		if !p.used || p.dead {
 			continue
 		}
@@ -187,7 +195,7 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 		})
 	}
 	for _, i := range order {
-		p := &e.tplans[i]
+		p := &e.scratch.tplans[i]
 		if !p.used {
 			continue
 		}
@@ -219,8 +227,7 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 // (foundOwners, plist, keep, returned) are freshly allocated per plan and
 // never mutated after the cycle, so the capture aliases them; the branch
 // aliases the initiator's live list, so it is copied.
-func (e *Engine) captureEagerContent(cp *EagerCapture, seq uint64, plans []eagerPlan) {
-	cp.Seq = seq
+func (e *Engine) captureEagerContent(cp *EagerCapture, plans []eagerPlan) {
 	cp.Pairs = make([]EagerPairCap, len(plans))
 	for i := range plans {
 		p := &plans[i]
@@ -246,10 +253,9 @@ func (e *Engine) captureEagerContent(cp *EagerCapture, seq uint64, plans []eager
 	}
 }
 
-// captureEagerOutcome fills in the commit-resolved fields after the shard
-// committers and the finalize pass have run: the per-pair traffic
-// attribution (the same arithmetic finalizeEagerGossip applies to the
-// query totals) and the branch-drained flag.
+// captureEagerOutcome fills in the commit-resolved per-pair traffic
+// attribution after the shard committers have run (the same arithmetic
+// scheduleEagerGossips applies to the query totals).
 func (e *Engine) captureEagerOutcome(cp *EagerCapture, plans []eagerPlan) {
 	for i := range plans {
 		p := &plans[i]
@@ -258,11 +264,9 @@ func (e *Engine) captureEagerOutcome(cp *EagerCapture, plans []eagerPlan) {
 		pc.Bytes.Forwarded = t.Bytes[sim.MsgQueryForward]
 		pc.Bytes.Returned = t.Bytes[sim.MsgQueryReturn]
 		pc.Bytes.PartialResults = t.Bytes[sim.MsgPartialResult]
-		if !p.ok {
-			continue
+		if p.ok {
+			pc.Bytes.Maintenance = p.exch.ledger.Total().TotalBytes() + p.peerBytes + p.selfBytes
 		}
-		pc.BranchEmptied = p.branchEmptied
-		pc.Bytes.Maintenance = p.exch.ledger.Total().TotalBytes() + p.peerBytes + p.selfBytes
 	}
 }
 

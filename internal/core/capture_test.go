@@ -118,6 +118,13 @@ func TestEagerCaptureReplaysQuerierBookkeeping(t *testing.T) {
 	}
 	for i := 0; i < 40 && !e.AllQueriesDone(); i++ {
 		cp := e.EagerCycleCaptured()
+		// The engine's order: every initiator's branch leaves at send time,
+		// then the hand-offs arrive.
+		for pi := range cp.Pairs {
+			if p := &cp.Pairs[pi]; p.Ok {
+				delete(states[p.Qid].active, p.Initiator)
+			}
+		}
 		for pi := range cp.Pairs {
 			p := &cp.Pairs[pi]
 			st := states[p.Qid]
@@ -132,10 +139,16 @@ func TestEagerCaptureReplaysQuerierBookkeeping(t *testing.T) {
 			if len(p.Keep) > 0 {
 				st.active[p.Dest] = struct{}{}
 			}
-			if p.BranchEmptied {
-				delete(st.active, p.Initiator)
-			} else {
+			if len(p.Returned) > 0 {
 				st.active[p.Initiator] = struct{}{}
+			}
+		}
+		// Done-detection must agree with the engine after every cycle, not
+		// only at the end.
+		for _, qr := range e.Queries() {
+			if st := states[qr.ID]; (len(st.active) == 0) != qr.Done() {
+				t.Fatalf("cycle %d query %d: replayed active set has %d nodes, engine done=%v",
+					i, qr.ID, len(st.active), qr.Done())
 			}
 		}
 	}

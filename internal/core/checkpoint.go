@@ -24,9 +24,9 @@ import (
 // The correctness bar is the repository's determinism contract extended
 // across process boundaries: snapshot at cycle N, restore, run M more
 // cycles, and the fingerprint equals an uninterrupted N+M run byte for byte
-// — for every Config.Workers value, in synchronous and asynchronous
-// (latency-modelled) delivery, including snapshots taken while events are
-// frozen at departed nodes (TestCheckpointResumeEquivalence).
+// — for every Config.Workers value, with and without a latency model,
+// including snapshots taken while events are in flight or frozen at
+// departed nodes (TestCheckpointResumeEquivalence).
 //
 // What a snapshot contains, and why it is sufficient:
 //
@@ -50,8 +50,8 @@ import (
 //     remaining-list branches in list order (order is protocol state: it
 //     drives destination selection).
 //   - Query runs: tags, NRA scan state (lists with cursors, candidate
-//     accumulations; the ranking is rebuilt), pending unmerged lists,
-//     reached/used/active sets, traffic attribution, cycle counters and
+//     accumulations; the ranking is rebuilt), unmerged lists (none between
+//     cycles: every cycle ends with a merge), reached/used/active sets, traffic attribution, cycle counters and
 //     the virtual-clock instants (issue, first result, full recall).
 //   - The network substrate: liveness, global and per-node traffic.
 //   - The event machinery: the pending delivery queue with its (At, Seq)
@@ -113,11 +113,12 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // seed, mode flags); Restore validates them and fails on a mismatch.
 // Config.Workers and Config.Latency are free: a snapshot taken at any
 // worker count restores at any other, and a fork may run under a different
-// latency model (or none), which is what lets one converged overlay serve
-// whole scenario families.
+// latency model (or none) — deliveries already in flight keep their drawn
+// arrival times, later ones follow the new model — which is what lets one
+// converged overlay serve whole scenario families.
 func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	cr := ckpt.NewReader(r)
-	rs := &restorer{r: cr, digests: make(map[digestKey]*tagging.Digest)}
+	rs := &restorer{r: cr, digests: make(map[digestKey]*tagging.Digest), inflight: make(map[uint64]int)}
 
 	users := rs.readParams(cfg)
 	if cr.Err() != nil {
@@ -176,6 +177,9 @@ type restorer struct {
 	ds      *trace.Dataset
 	users   int
 	digests map[digestKey]*tagging.Digest
+	// inflight counts the delivery events read per query, pending and
+	// frozen, for crossCheck to hold against QueryRun.inflight.
+	inflight map[uint64]int
 
 	// snapshot-side parameters read from the stream, validated against cfg.
 	params snapParams
@@ -446,9 +450,9 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 	cw.U64(n.rng.State())
 
 	cw.U32(uint32(n.evalVersion))
-	e.evalBuf = n.evaluated.appendSorted(e.evalBuf[:0])
-	cw.Count(len(e.evalBuf))
-	for _, s := range e.evalBuf {
+	e.scratch.eval = n.evaluated.appendSorted(e.scratch.eval[:0])
+	cw.Count(len(e.scratch.eval))
+	for _, s := range e.scratch.eval {
 		cw.U32(s.key - 1)
 		cw.U32(uint32(s.version))
 	}
@@ -824,6 +828,7 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 		rs.r.Fail("delivery event references unknown query %d", ev.qid)
 		return ev
 	}
+	rs.inflight[ev.qid]++
 	ev.node = rs.readUserID()
 	ev.members = rs.readUserList(rs.users)
 	ev.plist = rs.readEntryList()
@@ -831,11 +836,13 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 	return ev
 }
 
-// crossCheck validates the references that span sections read in the
-// other order: branch query IDs (nodes precede queries in the stream) must
-// name registered queries, and the ID allocator must sit past every issued
-// ID so future queries cannot collide. Event query IDs are validated at
-// read time — the queries section precedes the events.
+// crossCheck validates what spans sections: branch query IDs (nodes precede
+// queries in the stream) must name registered queries, the ID allocator
+// must sit past every issued ID so future queries cannot collide, and each
+// query's in-flight counter must equal its delivery events in the stream —
+// too high and the query can never settle, too low and it settles with
+// deliveries outstanding. Event query IDs are validated at read time — the
+// queries section precedes the events.
 func (rs *restorer) crossCheck() error {
 	e := rs.e
 	for _, n := range e.nodes {
@@ -853,6 +860,11 @@ func (rs *restorer) crossCheck() error {
 	if n := len(e.queryOrder); n > 0 && e.queryOrder[n-1] >= e.nextQueryID {
 		return fmt.Errorf("checkpoint: query ID allocator (%d) not past the last issued ID (%d)",
 			e.nextQueryID, e.queryOrder[n-1])
+	}
+	for _, qid := range e.queryOrder {
+		if got, want := e.queries[qid].inflight, rs.inflight[qid]; got != want {
+			return fmt.Errorf("checkpoint: query %d counts %d deliveries in flight, the snapshot holds %d", qid, got, want)
+		}
 	}
 	return nil
 }

@@ -5,11 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_checkpoint.bin from the current engine")
+	"rewrite testdata/golden_checkpoint.bin and the FuzzRestore seed from the current engine")
 
 // TestCheckpointGoldenRoundTrip pins the checkpoint byte format against a
 // golden file committed to the repository. TestCheckpointSnapshotRoundTripBytes
@@ -22,16 +23,19 @@ var updateGolden = flag.Bool("update-golden", false,
 //
 //	go test ./internal/core/ -run TestCheckpointGoldenRoundTrip -update-golden
 //
-// (TestFuzzSeedCorpusRestores will demand its seed regenerated at the same
-// time.)
+// which rewrites FuzzRestore's valid-snapshot seed (the same bytes) too.
 func TestCheckpointGoldenRoundTrip(t *testing.T) {
 	raw, cfg := smallSnapshot(t)
 	path := filepath.Join("testdata", "golden_checkpoint.bin")
 	if *updateGolden {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
+		seed := "go test fuzz v1\n[]byte(" + strconv.Quote(string(raw)) + ")\n"
+		seedPath := filepath.Join("testdata", "fuzz", "FuzzRestore", "valid-v1-snapshot")
+		for p, data := range map[string][]byte{path: raw, seedPath: []byte(seed)} {
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d bytes)", p, len(data))
 		}
-		t.Logf("rewrote %s (%d bytes)", path, len(raw))
 	}
 	golden, err := os.ReadFile(path)
 	if err != nil {

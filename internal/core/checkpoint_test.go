@@ -19,9 +19,9 @@ import (
 // Tests for the checkpoint/restore subsystem. The correctness bar is the
 // repository's determinism contract extended across a snapshot boundary:
 // snapshot at cycle N, restore, run M more cycles, and the fingerprint must
-// equal an uninterrupted N+M run byte for byte — in synchronous and
-// asynchronous delivery, for Workers 1/2/7, including snapshots taken while
-// events are frozen at departed nodes.
+// equal an uninterrupted N+M run byte for byte — with and without a latency
+// model, for Workers 1/2/7, including snapshots taken while events are
+// frozen at departed nodes.
 
 // checkpointCfg is the shared configuration of the split workload.
 func checkpointCfg(workers int, lat sim.LatencyModel) Config {
@@ -179,6 +179,93 @@ func TestCheckpointSnapshotRoundTripBytes(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("snapshot round trip changed the byte stream (%d vs %d bytes)", first.Len(), second.Len())
+	}
+}
+
+// midFlightEngine issues a query burst over converged networks and runs two
+// eager cycles under the given model.
+func midFlightEngine(t *testing.T, lat sim.LatencyModel) (*Engine, *testWorld, Config) {
+	t.Helper()
+	cfg := checkpointCfg(2, lat)
+	w := newWorld(t, 120, cfg, 91)
+	e := New(w.ds, cfg)
+	e.SeedIdealNetworks(w.ideal)
+	for _, q := range trace.GenerateQueries(w.ds, 6)[:25] {
+		e.IssueQuery(q)
+	}
+	e.RunEager(2)
+	return e, w, cfg
+}
+
+func TestCheckpointResumeUnderOtherLatencyModel(t *testing.T) {
+	// Config.Latency is free at Restore: deliveries already in flight keep
+	// their arrival times, and the run must still complete every query —
+	// with no model (nothing may strand in the queue) as well as with one.
+	lognormal := sim.LogNormalLatency{Median: 4 * time.Second, Sigma: 1.0}
+	for _, tc := range []struct {
+		name         string
+		snap, resume sim.LatencyModel
+	}{
+		{"lognormal-to-nil", lognormal, nil},
+		{"nil-to-lognormal", nil, lognormal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, w, cfg := midFlightEngine(t, tc.snap)
+			if tc.snap != nil && e.PendingEvents() == 0 {
+				t.Fatal("nothing in flight at the snapshot point; scenario too weak")
+			}
+			var buf bytes.Buffer
+			if err := e.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Latency = tc.resume
+			restored, err := Restore(&buf, w.ds, cfg)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if ran := restored.RunEager(400); ran >= 400 {
+				t.Fatal("restored run did not settle within the cycle budget")
+			}
+			for _, qr := range restored.Queries() {
+				if !qr.Done() || qr.ProfilesUsed() != qr.ProfilesNeeded() {
+					t.Fatalf("query %d: done=%v with %d of %d profiles", qr.ID, qr.Done(), qr.ProfilesUsed(), qr.ProfilesNeeded())
+				}
+			}
+			if n := restored.PendingEvents(); n != 0 {
+				t.Fatalf("%d events stranded in the queue", n)
+			}
+		})
+	}
+}
+
+func TestRestoreRejectsInflightMismatch(t *testing.T) {
+	// A query's in-flight counter gates its settling, so a snapshot whose
+	// counter disagrees with the events it carries must not restore.
+	e, _, cfg := midFlightEngine(t, sim.FixedLatency(7*time.Second))
+	var qr *QueryRun
+	for _, q := range e.Queries() {
+		if q.InFlight() > 0 {
+			qr = q
+			break
+		}
+	}
+	if qr == nil {
+		t.Fatal("no query with deliveries in flight; scenario too weak")
+	}
+	for _, delta := range []int{0, 1, -1} {
+		qr.inflight += delta
+		var buf bytes.Buffer
+		if err := e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		qr.inflight -= delta
+		_, err := Restore(&buf, nil, cfg)
+		switch {
+		case delta == 0 && err != nil:
+			t.Fatalf("the unaltered snapshot does not restore: %v", err)
+		case delta != 0 && (err == nil || !strings.Contains(err.Error(), "in flight")):
+			t.Fatalf("in-flight counter off by %+d surfaced as %v, want an in-flight mismatch", delta, err)
+		}
 	}
 }
 

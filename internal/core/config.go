@@ -86,24 +86,24 @@ type Config struct {
 	// counters.
 	Workers int
 	// Latency models the one-way delivery delay of every eager-mode query
-	// message (forwarded lists, returned portions, partial results). When
-	// nil (the default), delivery is synchronous: every effect of a cycle
-	// is visible at the cycle boundary, the paper's PeerSim-style round
-	// model, and the engine behaves exactly as before the event scheduler
-	// existed. When set, EagerCycle runs event-driven: each planned
-	// (initiator, query) gossip becomes timestamped delivery events whose
-	// arrival times are drawn from the model, queriers merge partial
-	// results the moment they arrive (Algorithm 4, incrementally,
-	// mid-cycle), branch hand-offs activate at arrival, and queries can
-	// settle between cycle boundaries. Messages arriving at a departed
-	// node freeze and are redelivered when it revives. Determinism is
-	// preserved: all latency randomness comes from per-event split streams
-	// drawn in canonical order, so output is byte-for-byte identical for
-	// every Workers value, and a zero-delay model reproduces the
-	// synchronous engine's protocol state exactly (in-progress top-k
-	// bounds of unfinished queries excepted: partial lists merge per
-	// arrival instead of per cycle batch). See sim.ParseLatency
-	// for the CLI spec syntax.
+	// message (forwarded lists, returned portions, partial results). Each
+	// planned (initiator, query) gossip becomes timestamped delivery events
+	// on the engine's virtual clock: branch hand-offs activate and partial
+	// results count at their arrival time, a query settles the moment its
+	// last delivery lands, and messages arriving at a departed node freeze
+	// and are redelivered when it revives. nil (the default) means no
+	// delay: every message arrives at the start of the cycle that sent it,
+	// the paper's PeerSim-style round model, and no latency stream is
+	// drawn — indistinguishable from sim.FixedLatency(0), checkpoints
+	// included. With a positive delay, arrivals spread over the cycle
+	// windows, queries can settle between cycle boundaries, and the
+	// in-progress top-k estimate of an unfinished query reflects the
+	// arrivals merged at the end of the last window (final results, time
+	// stamps and traffic do not depend on when lists are merged).
+	// Determinism is preserved: all latency randomness comes from
+	// per-event split streams drawn in canonical order, so output is
+	// byte-for-byte identical for every Workers value. See
+	// sim.ParseLatency for the CLI spec syntax.
 	Latency sim.LatencyModel
 	// EagerPeriod is the virtual time one eager cycle occupies (the
 	// paper's deployment assumption in §3.5: 5 seconds). It paces the

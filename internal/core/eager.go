@@ -14,9 +14,9 @@ import (
 )
 
 // This file implements the eager mode of §2.2.2: on-demand query gossip
-// along personal networks with remaining-list splitting (Algorithms 2-3)
-// and the querier-side incremental top-k merging (Algorithm 4 via
-// topk.NRA).
+// along personal networks with remaining-list splitting (Algorithms 2-3).
+// The querier-side merging of Algorithm 4 and everything else that happens
+// when a message arrives is in async.go.
 //
 // Like the lazy mode (lazy.go), an eager cycle runs in a plan/commit
 // design so heavy query bursts use every core — in both phases — while
@@ -30,24 +30,19 @@ import (
 //     all randomness drawn from per-(cycle, query, initiator) split
 //     streams and all messages recorded in sim.Ledgers.
 //   - commit: one committer per contiguous node index shard walks every
-//     plan in the canonical pair order and applies only the effects that
-//     target its own nodes (commitEagerGossipShard). A pair's effects
-//     decompose into initiator-side intents (plan ledger, branch
-//     consume-and-merge, own-side maintenance integration, gossip touch)
-//     and destination-side intents (branch merge, peer-side integration,
-//     timestamp reset). Because several initiators may select the same
-//     destination in one cycle, destination-side effects are expressed as
-//     commit-order intents (branch merges, guarded personal-network
-//     integrations) rather than planned-in-place writes, and the
-//     initiator's own branch update subtracts the consumed members instead
-//     of overwriting the branch, so members merged in by other pairs'
-//     commits survive — the canonical per-node order makes both identical
-//     for every worker count. Querier-side bookkeeping (delivery,
-//     reached-sets, per-query traffic including the commit-resolved
-//     maintenance bytes, active-branch tracking) depends on outcomes from
-//     several shards, so a short sequential finalize pass applies it in
-//     the same canonical pair order after the shards join
-//     (finalizeEagerGossips).
+//     plan in the canonical pair order and applies the send-time effects
+//     that target its own nodes (commitEagerGossipShard): the plan ledger,
+//     the initiator's branch leaving her node, both sides of the
+//     maintenance exchange, the gossip timestamps. Several initiators may
+//     select the same destination in one cycle, so the maintenance
+//     integrations are guarded commit-order intents rather than
+//     planned-in-place writes; the canonical per-node order makes them
+//     identical for every worker count.
+//   - deliver: what a gossip hands to other nodes — the partial result for
+//     the querier, the remaining-list portion the destination keeps, the
+//     portion returned to the initiator — travels as delivery events,
+//     scheduled by a short sequential pass in the same canonical pair order
+//     (scheduleEagerGossips) and applied when they arrive (async.go).
 
 // QueryBytes breaks down the traffic generated by one query into the three
 // categories of §3.3.2 / Figure 6, plus the personal-network maintenance
@@ -116,7 +111,7 @@ type QueryRun struct {
 	reached     map[tagging.UserID]struct{} // nodes that processed the query
 	activeNodes map[tagging.UserID]struct{} // nodes holding non-empty branches
 
-	pending     [][]topk.Entry // partial lists delivered this cycle
+	pending     [][]topk.Entry // partial lists arrived since the last merge (mergePending)
 	results     []topk.Entry
 	cycles      int
 	done        bool
@@ -125,9 +120,9 @@ type QueryRun struct {
 
 	// Virtual-clock metrics (Engine.Now). issuedAt is stamped at
 	// IssueQuery; firstAt at the first gossip-delivered partial result;
-	// doneAt when the query completes. Under synchronous delivery the
-	// stamps land on cycle boundaries; under a latency model they land at
-	// the model-drawn arrival times.
+	// doneAt when the query completes — both at the arrival time of the
+	// delivery that caused them, so with no delay they land on cycle
+	// boundaries and under a latency model wherever the model puts them.
 	issuedAt time.Duration
 	firstAt  time.Duration
 	hasFirst bool
@@ -135,12 +130,11 @@ type QueryRun struct {
 
 	// inflight counts this query's scheduled delivery events (including
 	// ones frozen at departed nodes): the query cannot settle while any
-	// remain. Always 0 under synchronous delivery.
+	// remain.
 	inflight int
 	// settledSeq records the cycleSeq during which the query settled, so
-	// the cycle in which an async query completes mid-window still counts
-	// in Cycles. noCycleSeq when settled outside any eager cycle (at
-	// issue time).
+	// the cycle in whose window a query completes still counts in Cycles.
+	// noCycleSeq when settled outside any eager cycle (at issue time).
 	settledSeq uint64
 }
 
@@ -167,7 +161,8 @@ func (qr *QueryRun) State() QueryState {
 	return QueryActive
 }
 
-// Results returns the current top-k estimate, refined each cycle.
+// Results returns the current top-k estimate, refined at the end of every
+// cycle window in which partial results arrived and exact once Done.
 func (qr *QueryRun) Results() []topk.Entry { return qr.results }
 
 // Cycles returns the number of eager cycles the query has been processed
@@ -208,8 +203,9 @@ func (qr *QueryRun) Bytes() QueryBytes { return qr.bytes }
 func (qr *QueryRun) IssuedAt() time.Duration { return qr.issuedAt }
 
 // InFlight returns the number of this query's pending delivery events —
-// messages sent but not yet arrived (frozen ones included). Always 0 under
-// synchronous delivery.
+// messages sent but not yet arrived (frozen ones included). With no delay
+// every message arrives inside the cycle that sent it, so between cycles
+// it reads 0.
 func (qr *QueryRun) InFlight() int { return qr.inflight }
 
 // TimeToFirstResult returns the virtual time from issue to the arrival of
@@ -228,56 +224,14 @@ func (qr *QueryRun) TimeToFirstResult() (time.Duration, bool) {
 
 // TimeToFullRecall returns the virtual time from issue to completion (the
 // recall-1 moment of §2.2.2); ok is false while the query is still being
-// processed. Under synchronous delivery completion lands on a cycle
-// boundary; under a latency model a query settles the moment its last
-// outstanding delivery arrives — possibly mid-cycle.
+// processed. A query settles the moment its last outstanding delivery
+// arrives: on a cycle boundary with no delay, possibly mid-cycle under a
+// latency model.
 func (qr *QueryRun) TimeToFullRecall() (time.Duration, bool) {
 	if !qr.done {
 		return 0, false
 	}
 	return qr.doneAt - qr.issuedAt, true
-}
-
-// deliver records an arriving partial result list (synchronous path: the
-// list is merged at endCycle). The first-result stamp uses the current
-// clock — the start of the cycle the gossip ran in, matching where a
-// zero-delay latency model would deliver it.
-func (qr *QueryRun) deliver(list []topk.Entry, owners []tagging.UserID) {
-	qr.pending = append(qr.pending, list)
-	for _, o := range owners {
-		qr.used[o] = struct{}{}
-	}
-	qr.partialMsgs++
-	qr.e.obs.Inc(obs.CPartialsDelivered)
-	if !qr.hasFirst {
-		qr.hasFirst = true
-		qr.firstAt = qr.e.now
-		qr.e.emitQueryEvent(obs.EvFirstPartial, qr.ID, qr.firstAt, qr.Query.Querier, 0, 0)
-	}
-}
-
-// endCycle merges the cycle's arrivals per Algorithm 4 and refreshes the
-// displayed results. A stalled query is frozen: no merges, no cycle count.
-func (qr *QueryRun) endCycle() {
-	if qr.done || qr.Stalled() {
-		return
-	}
-	if len(qr.pending) > 0 {
-		qr.nra.Run(qr.pending)
-		qr.pending = nil
-	}
-	qr.cycles++
-	if len(qr.activeNodes) == 0 {
-		// No remaining list anywhere: the protocol guarantees the accurate
-		// results now; resolve any bounds NRA's early stop left open.
-		qr.done = true
-		qr.doneAt = qr.e.now
-		qr.results = qr.nra.Drain()
-		qr.e.obs.Inc(obs.CQueriesSettled)
-		qr.e.emitQueryEvent(obs.EvSettled, qr.ID, qr.doneAt, qr.Query.Querier, 0, 0)
-		return
-	}
-	qr.results = qr.nra.TopK()
 }
 
 // IssueQuery starts processing a query (Algorithm 2). The querier first
@@ -356,10 +310,10 @@ type eagerPair struct {
 // frozen, and stalled queries (departed querier) are skipped entirely —
 // forwarding their branches would burn bandwidth on results nobody reads.
 func (e *Engine) eagerPairs() []eagerPair {
-	pairs := e.pairsBuf[:0]
-	e.permBuf = e.rng.PermInto(e.permBuf, len(e.nodes))
+	pairs := e.scratch.pairs[:0]
+	e.scratch.perm = e.rng.PermInto(e.scratch.perm, len(e.nodes))
 	var qids []uint64
-	for _, i := range e.permBuf {
+	for _, i := range e.scratch.perm {
 		n := e.nodes[i]
 		if !e.net.Online(n.id) || len(n.branches) == 0 {
 			continue
@@ -376,83 +330,84 @@ func (e *Engine) eagerPairs() []eagerPair {
 			pairs = append(pairs, eagerPair{u: n.id, qid: qid})
 		}
 	}
-	e.pairsBuf = pairs
+	e.scratch.pairs = pairs
 	return pairs
 }
 
 // EagerCycle advances every active query by one gossip cycle: each node
 // holding a non-empty remaining list initiates one query gossip per query
-// (Algorithm 3), and every querier merges newly arrived partial results
-// (Algorithm 4).
+// (Algorithm 3), and every querier merges the partial results that reach
+// her during the cycle (Algorithm 4).
 //
-// The cycle runs as one plan/commit round: Config.Workers goroutines plan
+// The gossips run as one plan/commit round: Config.Workers goroutines plan
 // every (initiator, query) gossip against the cycle-start state, then the
-// same number of shard committers apply the plans — each to its own
-// contiguous range of nodes, in the canonical pair order — and a short
-// sequential finalize pass applies the querier-side bookkeeping. The
-// output is byte-for-byte identical for every worker count.
-//
-// With Config.Latency unset, delivery is synchronous: every effect lands
-// at the cycle boundary and queriers merge the cycle's arrivals in one
-// batch at its end. With a latency model set, the same plans are committed
-// but their forwarded lists, returned portions and partial results arrive
-// as timestamped events inside the cycle's virtual-time window, merged the
-// moment they arrive (see eagerCycleAsync). Both paths advance the engine
-// clock by Config.EagerPeriod.
+// same number of shard committers apply the send-time effects — each to its
+// own contiguous range of nodes, in the canonical pair order — and a short
+// sequential pass schedules what each gossip delivers to other nodes as
+// events, Config.Latency after they were sent. The cycle then occupies one
+// Config.EagerPeriod of virtual time: every event due inside that window —
+// this cycle's and earlier cycles' stragglers — is applied in deterministic
+// (time, scheduling order), so with no delay the whole cycle lands at its
+// start. The output is byte-for-byte identical for every worker count.
 func (e *Engine) EagerCycle() { e.eagerCycle(nil) }
 
-// eagerCycle is EagerCycle with an optional capture: when cp is non-nil
-// (synchronous delivery only) the cycle's gossips are described into it —
-// content after the plan phase, commit-resolved outcomes after the
-// finalize pass — with no effect on the cycle itself.
+// eagerCycle is EagerCycle with an optional capture of the cycle's gossips
+// (see capture.go), which has no effect on the cycle itself.
 func (e *Engine) eagerCycle(cp *EagerCapture) {
-	if e.cfg.Latency != nil {
-		e.eagerCycleAsync()
-		return
-	}
+	t1 := e.now + e.cfg.EagerPeriod
 	e.net.SetNow(e.now)
+	e.replayFrozen()
 	seq := e.cycleSeq
 	e.cycleSeq++
-	pairs := e.eagerPairs()
-	e.obs.Add(obs.CGossipsPlanned, uint64(len(pairs)))
-	if len(pairs) > 0 {
-		sw := hostclock.Start()
-		// Normalize per-node caches (own digests, evaluated memos) so the
-		// planners below only hit read-only paths. The eager planners never
-		// consult the gossip-age ordering, so no pnet preparation is needed:
-		// the ranking is maintained sorted at all times.
-		e.forEachNode(func(n *Node) {
-			n.digest()
-			n.checkEvalCache()
-		})
-		plans := e.eagerPlanSlots(len(pairs))
-		e.forEachIndex(len(pairs), func(i int) {
-			e.planEagerGossipInto(pairs[i], seq, &plans[i])
-		})
-		e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
-		if cp != nil {
-			e.captureEagerContent(cp, seq, plans)
-		}
-		sw = hostclock.Start()
-		e.commitSharded(func(sh *commitShard) {
-			for i := range plans {
-				e.commitEagerGossipShard(&plans[i], sh)
-			}
-		})
-		e.finalizeEagerGossips(plans)
-		e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
-		if cp != nil {
-			e.captureEagerOutcome(cp, plans)
-		}
-	} else if cp != nil {
-		cp.Seq = seq
-	}
-	for _, qid := range e.queryOrder {
-		e.queries[qid].endCycle()
-	}
-	e.now += e.cfg.EagerPeriod
+	e.gossipEagerPairs(e.eagerPairs(), seq, cp)
+	e.pumpEvents(t1)
+	e.endEagerCycle(seq)
+	e.now = t1
 	e.eagerCycles++
 	e.obs.Inc(obs.CEagerCycles)
+}
+
+// gossipEagerPairs runs the given gossips of cycle seq: plan, sharded
+// commit of the send-time effects, and the scheduling of their deliveries
+// from the current clock. When cp is non-nil the gossips are described into
+// it — content after the plan phase, commit-resolved traffic after the
+// scheduling pass.
+func (e *Engine) gossipEagerPairs(pairs []eagerPair, seq uint64, cp *EagerCapture) {
+	e.obs.Add(obs.CGossipsPlanned, uint64(len(pairs)))
+	if cp != nil {
+		cp.Seq = seq
+	}
+	if len(pairs) == 0 {
+		return
+	}
+	sw := hostclock.Start()
+	// Normalize per-node caches (own digests, evaluated memos) so the
+	// planners below only hit read-only paths. The eager planners never
+	// consult the gossip-age ordering, so no pnet preparation is needed:
+	// the ranking is maintained sorted at all times.
+	e.forEachNode(func(n *Node) {
+		n.digest()
+		n.checkEvalCache()
+	})
+	plans := e.eagerPlanSlots(len(pairs))
+	e.forEachIndex(len(pairs), func(i int) {
+		e.planEagerGossip(pairs[i], seq, &plans[i])
+	})
+	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
+	if cp != nil {
+		e.captureEagerContent(cp, plans)
+	}
+	sw = hostclock.Start()
+	e.commitSharded(func(sh *commitShard) {
+		for i := range plans {
+			e.commitEagerGossipShard(&plans[i], sh)
+		}
+	})
+	e.scheduleEagerGossips(plans, seq)
+	e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
+	if cp != nil {
+		e.captureEagerOutcome(cp, plans)
+	}
 }
 
 // eagerStream derives the randomness stream for one role of a planned
@@ -476,9 +431,9 @@ func eagerStream(src *randx.Source, seq, purpose uint64, peer tagging.UserID, qi
 // eplans slots. The pooling rule is strict: only buffers that never escape
 // the plan are reused (the ledger, the embedded maintenance exchange, the
 // resolution and destination-selection scratch). The hand-off slices —
-// foundOwners, plist, keep, returned — escape into query state and, under
-// asynchronous delivery, into events that can outlive the cycle by freezing
-// at departed nodes, so they are freshly allocated per plan and only their
+// foundOwners, plist, keep, returned — escape into query state and into
+// delivery events that can outlive the cycle (in flight, or frozen at a
+// departed node), so they are freshly allocated per plan and only their
 // headers are reset; branch aliases the initiator's live branch list.
 type eagerPlan struct {
 	u   tagging.UserID
@@ -491,7 +446,7 @@ type eagerPlan struct {
 	ok   bool // an online destination was found
 	dest tagging.UserID
 
-	branch      []tagging.UserID // the initiator's cycle-start branch (consumed at commit)
+	branch      []tagging.UserID // the initiator's cycle-start branch (forwarded in full)
 	foundOwners []tagging.UserID // members resolved against the destination's storage
 	plist       []topk.Entry     // partial result over the resolved profiles
 	delivered   bool             // the partial result reached the querier
@@ -501,10 +456,9 @@ type eagerPlan struct {
 	exch exchangePlan // piggybacked top-layer maintenance exchange
 
 	// Commit-resolved outcomes, written by the owning shard committer and
-	// read by the sequential finalize pass after the shards join.
-	branchEmptied bool   // the initiator's branch drained at commit
-	peerBytes     uint64 // commit-resolved traffic of the destination-side integration
-	selfBytes     uint64 // commit-resolved traffic of the initiator-side integration
+	// read by the sequential scheduling pass after the shards join.
+	peerBytes uint64 // commit-resolved traffic of the destination-side integration
+	selfBytes uint64 // commit-resolved traffic of the initiator-side integration
 
 	// Plan-phase scratch (never escapes the plan).
 	found  []tagging.Snapshot // resolved snapshots for the partial list
@@ -514,29 +468,21 @@ type eagerPlan struct {
 
 // eagerPlanSlots returns n pooled plan slots, growing the pool as needed.
 func (e *Engine) eagerPlanSlots(n int) []eagerPlan {
-	if len(e.eplans) < n {
-		e.eplans = append(e.eplans, make([]eagerPlan, n-len(e.eplans))...)
+	if len(e.scratch.eplans) < n {
+		e.scratch.eplans = append(e.scratch.eplans, make([]eagerPlan, n-len(e.scratch.eplans))...)
 	}
-	return e.eplans[:n]
+	return e.scratch.eplans[:n]
 }
 
-// planEagerGossip is planEagerGossipInto with a fresh plan — the
-// sequential convenience used by tests that drive plan/commit directly.
-func (e *Engine) planEagerGossip(pr eagerPair, seq uint64) *eagerPlan {
-	p := &eagerPlan{}
-	e.planEagerGossipInto(pr, seq, p)
-	return p
-}
-
-// planEagerGossipInto plans one initiator step of Algorithm 3 into the
-// pooled plan slot p: destination selection, remaining-list resolution and
+// planEagerGossip plans one initiator step of Algorithm 3 into the pooled
+// plan slot p: destination selection, remaining-list resolution and
 // split, and the piggybacked maintenance exchange. It reads only
 // cycle-start state and records every message in the plan's ledger, so any
 // number of pairs — including pairs sharing an initiator or a destination —
 // plan concurrently.
 //
 //p3q:phase plan
-func (e *Engine) planEagerGossipInto(pr eagerPair, seq uint64, p *eagerPlan) {
+func (e *Engine) planEagerGossip(pr eagerPair, seq uint64, p *eagerPlan) {
 	u := e.nodes[pr.u]
 	qr := e.queries[pr.qid]
 	p.u, p.qid = pr.u, pr.qid
@@ -545,7 +491,6 @@ func (e *Engine) planEagerGossipInto(pr eagerPair, seq uint64, p *eagerPlan) {
 	p.foundOwners, p.plist = nil, nil
 	p.delivered = false
 	p.keep, p.returned = nil, nil
-	p.branchEmptied = false
 	p.peerBytes, p.selfBytes = 0, 0
 	e.net.InitLedger(&p.ledger)
 
@@ -592,9 +537,9 @@ func (e *Engine) planEagerGossipInto(pr eagerPair, seq uint64, p *eagerPlan) {
 			// the recall-1 guarantee (§2.2.2): ProfilesUsed could never
 			// reach ProfilesNeeded again. EagerCycle's stall gate
 			// (eagerPairs) already keeps stalled queries out of this path;
-			// the branch is deliberate defense-in-depth for any caller that
-			// drives plan/commit directly, and the retention regression
-			// test exercises it that way.
+			// the branch is deliberate defense-in-depth for any caller of
+			// gossipEagerPairs that bypasses the gate, and the retention
+			// regression test exercises it that way.
 			p.ledger.Send(dest.id, qr.Query.Querier, sim.MsgPartialResult, 0)
 			rest = append(rest, p.foundOwners...)
 		}
@@ -614,20 +559,15 @@ func (e *Engine) planEagerGossipInto(pr eagerPair, seq uint64, p *eagerPlan) {
 	e.planTopExchangeInto(&p.exch, u, dest, &arng, &brng, nil)
 }
 
-// commitEagerGossipShard applies the shard-owned effects of one planned
-// gossip, in the canonical role order: the plan ledger (initiator), the
-// branch intents, the maintenance exchange, and the gossip timestamps. The
-// initiator ages her other neighbours exactly as in lazy mode, so
-// consecutive eager gossips rotate over different destinations (Algorithm 3
-// line 6).
-//
-// The destination merge is straightforward; the initiator's planned branch
-// was consumed in full (resolved, kept at the destination, or returned),
-// but members merged into her branch by other pairs' commits this cycle
-// must survive, so the consumed set is subtracted rather than the branch
-// overwritten. Both branches are owned by exactly one shard, so the
-// canonical pair order each committer walks keeps the merges identical for
-// every worker count.
+// commitEagerGossipShard applies the shard-owned send-time effects of one
+// planned gossip, in the canonical role order: the plan ledger (initiator),
+// the initiator's branch leaving her node — it was forwarded in full, and
+// nothing can have merged into it since the plan, because deliveries are
+// applied only after the commit phase — the maintenance exchange, and the
+// gossip timestamps. The initiator ages her other neighbours exactly as in
+// lazy mode, so consecutive eager gossips rotate over different
+// destinations (Algorithm 3 line 6). What the gossip hands to other nodes
+// is left to the delivery events (scheduleEagerGossips).
 //
 //p3q:phase commit
 func (e *Engine) commitEagerGossipShard(p *eagerPlan, sh *commitShard) {
@@ -638,80 +578,23 @@ func (e *Engine) commitEagerGossipShard(p *eagerPlan, sh *commitShard) {
 		return
 	}
 	u, dest := e.nodes[p.u], e.nodes[p.dest]
-	if sh.owns(dest.id) && len(p.keep) > 0 {
-		dest.setBranch(p.qid, mergeUnique(dest.branches[p.qid], p.keep))
-	}
-	if sh.owns(u.id) {
-		next := mergeUnique(subtractMembers(u.branches[p.qid], p.branch), p.returned)
-		if len(next) > 0 {
-			u.setBranch(p.qid, next)
-		} else {
-			delete(u.branches, p.qid)
-			p.branchEmptied = true
-		}
-	}
-
 	peerBytes, selfBytes := e.commitTopExchangeShard(u, dest, &p.exch, sh)
-	if sh.owns(dest.id) {
-		p.peerBytes = peerBytes
-	}
 	if sh.owns(u.id) {
+		delete(u.branches, p.qid)
 		p.selfBytes = selfBytes
 		u.pnet.Touch(dest.id)
 	}
 	if sh.owns(dest.id) {
+		p.peerBytes = peerBytes
 		dest.pnet.ResetTimestamp(u.id)
 	}
-}
-
-// finalizeEagerGossips applies the querier-side bookkeeping of the cycle's
-// plans sequentially in the canonical pair order, after the shard
-// committers have joined: per-query traffic (including the commit-resolved
-// maintenance bytes recorded by the shards), delivery of partial results,
-// reached-sets and active-branch tracking. The work is a handful of map
-// updates per pair — the heavy per-node effects all ran sharded.
-//
-//p3q:phase commit
-func (e *Engine) finalizeEagerGossips(plans []eagerPlan) {
-	for i := range plans {
-		e.finalizeEagerGossip(&plans[i])
-	}
-}
-
-// finalizeEagerGossip applies one plan's querier-side bookkeeping.
-//
-//p3q:phase commit
-func (e *Engine) finalizeEagerGossip(p *eagerPlan) {
-	qr := e.queries[p.qid]
-	t := p.ledger.Total()
-	qr.bytes.Forwarded += t.Bytes[sim.MsgQueryForward]
-	qr.bytes.Returned += t.Bytes[sim.MsgQueryReturn]
-	qr.bytes.PartialResults += t.Bytes[sim.MsgPartialResult]
-	if !p.ok {
-		return
-	}
-	e.emitEagerHops(p, &t)
-	qr.reached[p.dest] = struct{}{}
-	if p.delivered {
-		qr.deliver(p.plist, p.foundOwners)
-	}
-	if len(p.keep) > 0 {
-		qr.activeNodes[p.dest] = struct{}{}
-	}
-	if p.branchEmptied {
-		delete(qr.activeNodes, p.u)
-	} else {
-		qr.activeNodes[p.u] = struct{}{}
-	}
-	qr.bytes.Maintenance += p.exch.ledger.Total().TotalBytes() + p.peerBytes + p.selfBytes
 }
 
 // emitEagerHops emits the per-hop sim-plane events of one committed
 // gossip — forward, partial result, returned portion — with the ledger's
 // per-kind byte deltas, timestamped at send time (the cycle's clock),
 // matching how the traffic counters account them. Called only from the
-// sequential finalize (sync) and schedule (async) passes, after the plan
-// found an online destination.
+// sequential scheduling pass, after the plan found an online destination.
 func (e *Engine) emitEagerHops(p *eagerPlan, t *sim.Traffic) {
 	if e.obs == nil {
 		return
@@ -725,16 +608,6 @@ func (e *Engine) emitEagerHops(p *eagerPlan, t *sim.Traffic) {
 	if len(p.returned) > 0 {
 		e.emitQueryEvent(obs.EvReturn, p.qid, e.now, p.dest, p.u, t.Bytes[sim.MsgQueryReturn])
 	}
-}
-
-// commitEagerGossip commits one plan through the sharded path and
-// finalizes its querier-side effects — the single-plan sequential
-// convenience used by tests that drive plan/commit directly.
-//
-//p3q:phase commit
-func (e *Engine) commitEagerGossip(p *eagerPlan) {
-	e.commitSharded(func(sh *commitShard) { e.commitEagerGossipShard(p, sh) })
-	e.finalizeEagerGossip(p)
 }
 
 // selectEagerDest picks the gossip destination per Algorithm 3 lines 4-9:
@@ -861,23 +734,4 @@ func mergeUnique(branch, add []tagging.UserID) []tagging.UserID {
 		}
 	}
 	return branch
-}
-
-// subtractMembers returns branch minus the consumed members, preserving
-// order. It returns nil when everything is consumed (the common case: no
-// other pair merged into the branch between plan and commit).
-//
-//p3q:phase commit
-//p3q:hotpath
-func subtractMembers(branch, consumed []tagging.UserID) []tagging.UserID {
-	if len(branch) == 0 {
-		return nil
-	}
-	var out []tagging.UserID
-	for _, ul := range branch {
-		if !containsID(consumed, ul) {
-			out = append(out, ul)
-		}
-	}
-	return out
 }

@@ -64,9 +64,9 @@ type Engine struct {
 	// stamps deliveries against it and the per-query time metrics
 	// (time-to-first-result, time-to-full-recall) are measured on it.
 	now time.Duration
-	// events is the pending delivery queue of the asynchronous eager mode
-	// (Config.Latency != nil): timestamped message events popped in
-	// deterministic (time, scheduling order) between cycle boundaries.
+	// events is the pending delivery queue of the eager mode: timestamped
+	// message events, popped in deterministic (time, scheduling order) by
+	// the cycle whose virtual-time window they fall in (see async.go).
 	events *sim.EventQueue
 	// frozen parks events that fired while their target node was departed,
 	// per target, in freeze order; they are redelivered (re-scheduled at
@@ -93,25 +93,22 @@ type Engine struct {
 	//p3q:transient observes the run, never part of engine state; reattach after restore
 	obs *obs.Registry
 
-	// Pooled per-cycle scratch. Every cycle re-initializes the slots it
-	// uses (a slot's used flag gates the committers), so the only state
-	// that survives a cycle is buffer capacity — a steady-state cycle plans
-	// and commits without allocating.
-	//
-	//p3q:transient per-cycle plan pool, fully re-initialized by each lazy cycle
-	vplans []viewPlan
-	//p3q:transient per-cycle plan pool, fully re-initialized by each lazy cycle
-	tplans []topPlan
-	//p3q:transient per-cycle plan pool, fully re-initialized by each eager cycle
-	eplans []eagerPlan
-	//p3q:transient per-cycle gossip-pair scratch, rebuilt by each eager cycle
-	pairsBuf []eagerPair
-	//p3q:transient per-cycle permutation scratch, overwritten by each cycle
-	permBuf []int
-	//p3q:transient per-commit-phase shard scratch, re-initialized by commitSharded
-	shards []commitShard
-	//p3q:transient Snapshot's sorted-export scratch for the evaluated memos, refilled per node
-	evalBuf []evalSlot
+	//p3q:transient pooled working memory; every use re-initializes what it reads, only capacity survives
+	scratch scratch
+}
+
+// scratch is the engine's pooled working memory. Every cycle re-initializes
+// the slots it uses (a plan slot's used flag gates the committers), so the
+// only state that survives a cycle is buffer capacity — a steady-state
+// cycle plans and commits without allocating.
+type scratch struct {
+	vplans []viewPlan    // lazy round-1 plan pool, one slot per node
+	tplans []topPlan     // lazy round-2 plan pool, one slot per node
+	eplans []eagerPlan   // eager plan pool, one slot per gossip
+	pairs  []eagerPair   // the eager cycle's gossip pairs
+	perm   []int         // the cycle's node permutation
+	shards []commitShard // commit-phase shards, re-initialized by commitSharded
+	eval   []evalSlot    // Snapshot's sorted export of one node's evaluated memo
 }
 
 // New builds an engine over the dataset. Nodes start with empty personal
@@ -170,18 +167,18 @@ func (e *Engine) EagerCycles() int { return e.eagerCycles }
 
 // Now returns the engine's virtual clock: time zero at construction,
 // advanced by Config.EagerPeriod per eager cycle and Config.LazyPeriod per
-// lazy cycle. Asynchronous deliveries (Config.Latency) are scheduled
-// against it and the per-query time metrics are measured on it.
+// lazy cycle. Deliveries are scheduled against it and the per-query time
+// metrics are measured on it.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// PendingEvents returns the number of in-flight delivery events (always 0
-// with synchronous delivery). Frozen events parked at departed nodes do
-// not count until redelivery is scheduled.
+// PendingEvents returns the number of in-flight delivery events (0 between
+// cycles when messages take no time). Frozen events parked at departed
+// nodes do not count until redelivery is scheduled.
 func (e *Engine) PendingEvents() int { return e.events.Len() }
 
 // FrozenEvents returns the number of delivery events parked at departed
-// nodes awaiting redelivery (always 0 with synchronous delivery) — the
-// store-and-forward backlog churn leaves behind.
+// nodes awaiting redelivery — the store-and-forward backlog that churn
+// leaves behind when messages take time to arrive.
 func (e *Engine) FrozenEvents() int {
 	n := 0
 	//p3q:orderinvariant sums per-node queue lengths, a commutative reduction
@@ -204,8 +201,8 @@ func (e *Engine) Obs() *obs.Registry { return e.obs }
 // emitQueryEvent emits one sim-plane query lifecycle event to the attached
 // registry. Every argument derives from engine state (the virtual clock,
 // node IDs, ledger byte deltas), and every call site is sequential engine
-// code — issue, the finalize/schedule passes, event application, churn
-// entry points — never a parallel planner or shard committer, so emission
+// code — issue, the scheduling pass, event application, churn entry
+// points — never a parallel planner or shard committer, so emission
 // order is deterministic.
 func (e *Engine) emitQueryEvent(kind obs.EventKind, qid uint64, at time.Duration, node, peer tagging.UserID, bytes uint64) {
 	if e.obs == nil {
@@ -244,10 +241,10 @@ func (e *Engine) NaiveExchangeBytes() uint64 { return e.naiveExchangeBytes }
 // false after a Revive), but while the querier is away it must not keep
 // RunEager burning cycles forwarding branches nobody will read.
 //
-// Under asynchronous delivery (Config.Latency) a query with in-flight or
-// frozen delivery events is not yet done even when no node holds a branch
-// — completion requires every scheduled event applied — so RunEager keeps
-// running (and the clock keeps advancing) until the last delivery lands.
+// A query with in-flight or frozen delivery events is not yet done even
+// when no node holds a branch — completion requires every scheduled event
+// applied — so RunEager keeps running (and the clock keeps advancing) until
+// the last delivery lands.
 func (e *Engine) AllQueriesDone() bool {
 	for _, id := range e.queryOrder {
 		qr := e.queries[id]
@@ -298,11 +295,9 @@ func (e *Engine) LazyCycle() { e.lazyCycle(nil) }
 // commit phases, with no effect on the cycle itself.
 func (e *Engine) lazyCycle(cp *LazyCapture) {
 	e.net.SetNow(e.now)
-	if e.cfg.Latency != nil {
-		e.replayFrozen()
-	}
-	order := e.rng.PermInto(e.permBuf, len(e.nodes))
-	e.permBuf = order
+	e.replayFrozen()
+	order := e.rng.PermInto(e.scratch.perm, len(e.nodes))
+	e.scratch.perm = order
 	seq := e.cycleSeq
 	e.cycleSeq++
 
@@ -320,11 +315,11 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	// Round 1: bottom-layer peer sampling, planned into the pooled slots
 	// (an offline node's slot keeps used=false so a stale plan from a
 	// previous cycle can never leak into the commit).
-	if len(e.vplans) < len(e.nodes) {
-		e.vplans = make([]viewPlan, len(e.nodes))
+	if len(e.scratch.vplans) < len(e.nodes) {
+		e.scratch.vplans = make([]viewPlan, len(e.nodes))
 	}
 	e.forEachNode(func(n *Node) {
-		p := &e.vplans[n.id]
+		p := &e.scratch.vplans[n.id]
 		p.used = false
 		if e.net.Online(n.id) {
 			e.planViewInto(n, seq, p)
@@ -335,7 +330,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	e.commitSharded(func(sh *commitShard) {
 		for _, i := range order {
 			if e.net.Online(e.nodes[i].id) {
-				e.commitViewShard(e.nodes[i], &e.vplans[i], sh)
+				e.commitViewShard(e.nodes[i], &e.scratch.vplans[i], sh)
 			}
 		}
 	})
@@ -344,11 +339,11 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	// Round 2: top-layer personal network gossip plus random-view
 	// evaluation, planned against the round-1-committed views.
 	sw = hostclock.Start()
-	if len(e.tplans) < len(e.nodes) {
-		e.tplans = make([]topPlan, len(e.nodes))
+	if len(e.scratch.tplans) < len(e.nodes) {
+		e.scratch.tplans = make([]topPlan, len(e.nodes))
 	}
 	e.forEachNode(func(n *Node) {
-		p := &e.tplans[n.id]
+		p := &e.scratch.tplans[n.id]
 		p.used = false
 		if e.net.Online(n.id) {
 			e.planTopInto(n, seq, p)
@@ -359,7 +354,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	e.commitSharded(func(sh *commitShard) {
 		for _, i := range order {
 			if e.net.Online(e.nodes[i].id) {
-				e.commitTopShard(e.nodes[i], &e.tplans[i], sh)
+				e.commitTopShard(e.nodes[i], &e.scratch.tplans[i], sh)
 			}
 		}
 	})
@@ -370,9 +365,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	// The lazy cycle occupies one LazyPeriod of virtual time; in-flight
 	// eager deliveries falling inside the window arrive during it.
 	t1 := e.now + e.cfg.LazyPeriod
-	if e.cfg.Latency != nil {
-		e.pumpEvents(t1)
-	}
+	e.pumpEvents(t1)
 	e.now = t1
 	e.lazyCycles++
 	e.obs.Inc(obs.CLazyCycles)
@@ -420,10 +413,10 @@ func (e *Engine) commitSharded(apply func(sh *commitShard)) {
 		workers = 1
 	}
 	size := (n + workers - 1) / workers
-	if cap(e.shards) < workers {
-		e.shards = make([]commitShard, workers)
+	if cap(e.scratch.shards) < workers {
+		e.scratch.shards = make([]commitShard, workers)
 	}
-	shards := e.shards[:workers]
+	shards := e.scratch.shards[:workers]
 	for i := range shards {
 		lo := min(i*size, n)
 		hi := min(lo+size, n)
@@ -587,9 +580,8 @@ func (e *Engine) Kill(frac float64) []tagging.UserID {
 // profile and personal network (the paper's model: departures are
 // disconnections, not data loss — "her opinion on the tagged items keeps
 // meaningful", §3.4.2) and re-enters the gossip at the next cycle; her
-// random view heals through peer sampling. Under asynchronous delivery,
-// events frozen while she was away are redelivered at the start of the
-// next cycle (see replayFrozen).
+// random view heals through peer sampling. Deliveries frozen while she was
+// away are redelivered at the start of the next cycle (see replayFrozen).
 func (e *Engine) Revive(ids []tagging.UserID) {
 	for _, id := range ids {
 		e.net.SetOnline(id, true)

@@ -398,7 +398,7 @@ func (e *Engine) planTopExchangeInto(p *exchangePlan, a, b *Node, rngA, rngB *ra
 // shard), b's integration of a's offers (b's shard) and a's integration of
 // b's offers (a's shard). It returns the commit-resolved step-2/step-3
 // traffic of each integration — each value is only meaningful in the shard
-// owning the respective node — so the eager finalize pass can attribute
+// owning the respective node — so the eager scheduling pass can attribute
 // piggybacked maintenance bytes per query.
 //
 //p3q:phase commit
@@ -450,7 +450,7 @@ type integration struct {
 }
 
 // intResult is one scored offer inside an integration. applied is written
-// at commit time (like eagerPlan.branchEmptied): it marks the results whose
+// at commit time (like eagerPlan.peerBytes): it marks the results whose
 // upsert landed, replacing the per-commit membership map the step-3 loop
 // used to allocate.
 type intResult struct {

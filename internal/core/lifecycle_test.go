@@ -12,12 +12,12 @@ import (
 // guarantee of §2.2.2 has to survive §3.4.2-style departures) nor keep the
 // engine burning cycles on branches nobody will read.
 
-// TestOfflineQuerierRetainsResolvedProfiles drives branch gossips directly
-// through the plan/commit path while the querier is offline — bypassing
-// EagerCycle's stall gate — to pin the eagerGossip-level fix: resolved
-// profiles used to be dropped from every remaining list forever when the
-// querier could not receive them, leaving ProfilesUsed short of
-// ProfilesNeeded with no way to recover.
+// TestOfflineQuerierRetainsResolvedProfiles drives branch gossips through
+// gossipEagerPairs while the querier is offline — bypassing EagerCycle's
+// stall gate — to pin the plan-level fix: resolved profiles used to be
+// dropped from every remaining list forever when the querier could not
+// receive them, leaving ProfilesUsed short of ProfilesNeeded with no way to
+// recover.
 func TestOfflineQuerierRetainsResolvedProfiles(t *testing.T) {
 	cfg := smallCfg()
 	w := newWorld(t, 120, cfg, 57)
@@ -47,12 +47,13 @@ func TestOfflineQuerierRetainsResolvedProfiles(t *testing.T) {
 				pairs = append(pairs, eagerPair{u: n.id, qid: qr.ID})
 			}
 		}
-		for _, pr := range pairs {
-			p := e.planEagerGossip(pr, seq)
-			if len(p.foundOwners) > 0 && !p.delivered {
+		var cp EagerCapture
+		e.gossipEagerPairs(pairs, seq, &cp)
+		e.pumpEvents(e.now)
+		for _, pc := range cp.Pairs {
+			if len(pc.FoundOwners) > 0 && !pc.Delivered {
 				retained = true
 			}
-			e.commitEagerGossip(p)
 		}
 	}
 	if !retained {

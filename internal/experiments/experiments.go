@@ -50,9 +50,9 @@ type Config struct {
 	// tables; Workers only changes how fast they are regenerated.
 	Workers int
 	// Latency models per-message delivery delay in the eager mode (nil =
-	// the paper's synchronous rounds). Set through the p3qsim -latency
-	// flag (sim.ParseLatency specs); the dedicated "latency" experiment
-	// sweeps its own models regardless of this field.
+	// zero delay, the paper's synchronous rounds). Set through the p3qsim
+	// -latency flag (sim.ParseLatency specs); the dedicated "latency"
+	// experiment sweeps its own models regardless of this field.
 	Latency sim.LatencyModel
 	// Seed drives all randomness.
 	Seed uint64

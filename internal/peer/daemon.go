@@ -31,7 +31,7 @@ type Config struct {
 	// profile bits, they agree on the generator.
 	Gen trace.GenParams
 	// Engine configures the replica. Latency must be nil: the wire
-	// protocol is cycle-aligned (synchronous delivery).
+	// protocol is cycle-aligned (every message lands in its own cycle).
 	Engine core.Config
 	// ConnectTimeout bounds how long Connect waits for peers to come up.
 	// Zero means 10 seconds.
@@ -906,17 +906,24 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 	}
 }
 
-// reconcileLocked is the daemon-side endCycle (Algorithm 4): it replays
-// the cycle's captured pairs in canonical order against the hosted
-// querier state machines, feeding the wire-received partial lists to each
-// NRA and resolving done-detection. Any delivery still missing at this
-// point is charged as a divergence.
+// reconcileLocked is the daemon-side end of an eager cycle (Algorithm 4):
+// it replays the cycle's captured pairs against the hosted querier state
+// machines in the engine's order — the send-time effects of every pair in
+// canonical order, then the arrivals — feeding the wire-received partial
+// lists to each NRA and resolving done-detection. Any delivery still
+// missing at this point is charged as a divergence.
 func (d *Daemon) reconcileLocked() {
 	cs := d.cycle
 	if cs == nil || cs.kind != wire.StepEager || cs.reconciled {
 		return
 	}
 	cs.reconciled = true
+	for i := range cs.eager.Pairs {
+		pc := &cs.eager.Pairs[i]
+		if st := d.queries[pc.Qid]; pc.Ok && st != nil {
+			delete(st.active, pc.Initiator)
+		}
+	}
 	for i := range cs.eager.Pairs {
 		pc := &cs.eager.Pairs[i]
 		if !pc.Ok {
@@ -943,9 +950,7 @@ func (d *Daemon) reconcileLocked() {
 		if len(pc.Keep) > 0 {
 			st.active[pc.Dest] = struct{}{}
 		}
-		if pc.BranchEmptied {
-			delete(st.active, pc.Initiator)
-		} else {
+		if len(pc.Returned) > 0 {
 			st.active[pc.Initiator] = struct{}{}
 		}
 	}

@@ -30,7 +30,7 @@
 // # Scope
 //
 // The v1 daemon assumes the paper's static deployment: no churn, static
-// profiles, synchronous delivery (core.Config.Latency == nil). Profile
+// profiles, no delivery delay (core.Config.Latency == nil). Profile
 // digests travel as (owner, version) references — the dataset is the
 // shared blob store, as in internal/checkpoint — while the traffic
 // accounting still charges the full §3.3 sizes the references stand for.

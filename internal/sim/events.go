@@ -168,8 +168,8 @@ func (q *EventQueue) down(i int) {
 }
 
 // LatencyModel draws the one-way delivery latency of a message. A nil
-// model means synchronous delivery: every message of a cycle is visible at
-// the cycle boundary, the paper's PeerSim-style round model.
+// model means zero delay: every message of a cycle arrives at the cycle's
+// start, the paper's PeerSim-style round model.
 //
 // Implementations must be pure: the returned delay may depend only on the
 // arguments and on draws from rng (the caller hands every message its own
@@ -295,7 +295,7 @@ func (g GeoLatency) Delay(from, to NodeID, k Kind, rng *randx.Source) time.Durat
 
 // ParseLatency builds a latency model from a CLI spec:
 //
-//	none | sync | ""                 synchronous delivery (nil model)
+//	none | sync | ""                 zero delay (nil model)
 //	fixed:<d>                        constant delay, e.g. fixed:50ms
 //	uniform:<min>,<max>              uniform in [min, max], e.g. uniform:10ms,200ms
 //	lognormal:<median>,<sigma>       log-normal, e.g. lognormal:50ms,0.8

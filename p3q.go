@@ -46,22 +46,20 @@
 // snapshot codec (//p3q:transient), and flags per-call allocations on
 // //p3q:hotpath functions.
 //
-// Delivery is synchronous by default — every message of a cycle lands at
-// the cycle boundary, the paper's PeerSim round model. Setting
-// Config.Latency to a LatencyModel (FixedLatency, UniformLatency,
-// LogNormalLatency, GeoLatency, or a spec via ParseLatency) switches the
-// eager mode to event-driven asynchronous delivery: forwarded lists,
-// returned portions and partial results arrive at model-drawn times on
-// the engine's virtual clock (Engine.Now), queriers merge partial results
-// the moment they arrive, queries can settle between cycle boundaries,
-// and every run reports per-query QueryRun.TimeToFirstResult and
-// QueryRun.TimeToFullRecall. Messages in flight toward a departed node
-// freeze and are redelivered when it revives. Determinism is unaffected:
-// output stays byte-for-byte identical for every Workers value, and a
-// zero-delay model reproduces the synchronous engine's protocol state —
-// networks, traffic, completed-query results — byte for byte (only the
-// in-progress top-k bounds of an unfinished query may differ, because
-// partial lists are merged per arrival rather than per cycle batch).
+// Eager delivery is event-driven: forwarded lists, returned portions and
+// partial results arrive as timestamped events on the engine's virtual
+// clock (Engine.Now), and every run reports per-query
+// QueryRun.TimeToFirstResult and QueryRun.TimeToFullRecall. By default
+// messages take no time — every message of a cycle lands at the cycle's
+// start, the paper's PeerSim round model. Setting Config.Latency to a
+// LatencyModel (FixedLatency, UniformLatency, LogNormalLatency,
+// GeoLatency, or a spec via ParseLatency) draws each arrival time from the
+// model instead: partial results reach the querier mid-cycle (she merges
+// them once per cycle window, Algorithm 4), queries can settle between
+// cycle boundaries, and messages in flight toward a departed node freeze
+// and are redelivered when it revives. Determinism is unaffected: output
+// stays byte-for-byte identical for every Workers value, and a zero-delay
+// model is the default, byte for byte.
 //
 // Queries survive querier churn: if the querier departs mid-query the run
 // stalls (QueryRun.State reports QueryStalled, and the engine stops
@@ -125,10 +123,10 @@ type (
 
 // DefaultConfig returns the laptop-scale protocol configuration (s=100,
 // c=10, r=10, alpha=0.5, k=10, the paper's Bloom geometry, planning and
-// commit on all cores, synchronous delivery).
+// commit on all cores, no delivery delay).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Latency model types (asynchronous eager delivery, Config.Latency).
+// Latency model types (Config.Latency).
 type (
 	// LatencyModel draws per-message one-way delivery delays.
 	LatencyModel = sim.LatencyModel
