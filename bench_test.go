@@ -21,6 +21,8 @@ import (
 	"p3q/internal/core"
 	"p3q/internal/experiments"
 	"p3q/internal/obs"
+	"p3q/internal/similarity"
+	"p3q/internal/tagging"
 	"p3q/internal/topk"
 	"p3q/internal/trace"
 )
@@ -204,6 +206,44 @@ func BenchmarkAblationNRAIncremental(b *testing.B) {
 			b.ReportMetric(float64(scanned), "scanned")
 		}
 	})
+}
+
+// BenchmarkNRARun times the querier's operator alone on what one query of
+// the 5k trace brings home: the partial result lists of a 50-member ideal
+// network (the first generated query every member answers), delivered one
+// list per Run — the round-heavy schedule of positive latencies — and as a
+// single batch. ns/op is one whole query, Drain included.
+func BenchmarkNRARun(b *testing.B) {
+	ds := lazyBenchDataset(b)
+	ix := similarity.Build(ds)
+	var lists [][]topk.Entry
+	for _, q := range p3q.GenerateQueries(ds, 11) {
+		lists = lists[:0]
+		for _, m := range ix.TopNeighbours(ds.Profiles[q.Querier], 50) {
+			snap := []tagging.Snapshot{ds.Profiles[m.ID].Snapshot()}
+			if l := topk.PartialList(snap, topk.NewTagSet(q.Tags)); len(l) > 0 {
+				lists = append(lists, l)
+			}
+		}
+		if len(lists) == 50 {
+			break
+		}
+	}
+	if len(lists) != 50 {
+		b.Fatalf("no query with 50 non-empty partial lists (last had %d)", len(lists))
+	}
+	run := func(b *testing.B, batch int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := topk.NewNRA(10)
+			for at := 0; at < len(lists); at += batch {
+				n.Run(lists[at:min(at+batch, len(lists))])
+			}
+			n.Drain()
+		}
+	}
+	b.Run("list-per-run", func(b *testing.B) { run(b, 1) })
+	b.Run("one-batch", func(b *testing.B) { run(b, len(lists)) })
 }
 
 // BenchmarkAnalysisRAlpha measures the closed-form evaluation itself.

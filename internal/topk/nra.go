@@ -1,8 +1,9 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"p3q/internal/tagging"
 )
@@ -29,22 +30,29 @@ import (
 // worst-case score of the k-th candidate.
 type NRA struct {
 	k     int
-	lists []*scanList
-	cands map[tagging.ItemID]*candidate
-	// ranked is the candidate heap of Algorithm 4, ordered by descending
-	// worst-case score (ties: larger best-case first, then ascending item).
-	ranked []*candidate
-	// bests caches each candidate's best-case score as of the last
-	// rebuildRanking.
-	bests map[tagging.ItemID]int
-	// sumLastSeen caches the sum of lastSeen over all lists as of the last
-	// rebuildRanking (the unseen-item bound).
-	sumLastSeen int
+	lists []scanList
+	// cands is dense, in first-seen order; index maps an item to its slot
+	// and is read only by scanOne (and by RestoreNRA's duplicate check).
+	cands []candidate
+	index map[tagging.ItemID]int
+	// top holds the cands indexes of the first min(k, len(cands)) candidates
+	// of Algorithm 4's heap order — descending worst-case score, ties by
+	// larger best-case score, then ascending item — as of the last rank.
+	top []int
+	// bound is, as of the last rank, the largest best-case score anything
+	// outside top can still reach: the sum of lastSeen over all lists (an
+	// item unseen everywhere) or the best-case of an unselected candidate.
+	bound int
+	// Scratch reused across Run calls: the indexes of the lists being
+	// scanned, and each list's lastSeen for the rank in progress.
+	scanning []int
+	lastSeen []int
 }
 
 type scanList struct {
-	entries []Entry
-	pos     int // number of entries scanned so far
+	entries  []Entry
+	pos      int  // number of entries scanned so far
+	scanning bool // in Run's scanning set (always false between Runs)
 }
 
 // lastSeen is the list's current upper bound for items not yet seen in it:
@@ -65,9 +73,23 @@ func (l *scanList) exhausted() bool { return l.pos >= len(l.entries) }
 type candidate struct {
 	item  tagging.ItemID
 	worst int
-	// seenIn lists the indexes of the lists where the item has been seen,
-	// in ascending order (each list contributes at most once).
+	best  int // best-case score as of the last rank
+	// seenIn lists the indexes of the lists where the item has been seen, in
+	// scan order (each list contributes at most once). Old lists rejoin a
+	// scan after newer ones, so the order is not ascending in general.
 	seenIn []int
+}
+
+// before reports whether a precedes b in Algorithm 4's heap order. Items are
+// unique, so the order is total and the ranking independent of slot order.
+func (a *candidate) before(b *candidate) bool {
+	if a.worst != b.worst {
+		return a.worst > b.worst
+	}
+	if a.best != b.best {
+		return a.best > b.best
+	}
+	return a.item < b.item
 }
 
 // NewNRA returns an incremental NRA operator for top-k queries.
@@ -75,11 +97,7 @@ func NewNRA(k int) *NRA {
 	if k < 1 {
 		k = 1
 	}
-	return &NRA{
-		k:     k,
-		cands: make(map[tagging.ItemID]*candidate),
-		bests: make(map[tagging.ItemID]int),
-	}
+	return &NRA{k: k, index: make(map[tagging.ItemID]int)}
 }
 
 // K returns the operator's k.
@@ -94,8 +112,8 @@ func (n *NRA) Lists() int { return len(n.lists) }
 // stopping condition exists to keep this below the total entry count.
 func (n *NRA) ScannedEntries() int {
 	total := 0
-	for _, l := range n.lists {
-		total += l.pos
+	for i := range n.lists {
+		total += n.lists[i].pos
 	}
 	return total
 }
@@ -103,8 +121,8 @@ func (n *NRA) ScannedEntries() int {
 // TotalEntries returns the total number of entries across absorbed lists.
 func (n *NRA) TotalEntries() int {
 	total := 0
-	for _, l := range n.lists {
-		total += len(l.entries)
+	for i := range n.lists {
+		total += len(n.lists[i].entries)
 	}
 	return total
 }
@@ -113,42 +131,43 @@ func (n *NRA) TotalEntries() int {
 // canonical order, as produced by PartialList) and returns the current
 // top-k estimate. Lists must not be mutated by the caller afterwards.
 func (n *NRA) Run(newLists [][]Entry) []Entry {
-	scanning := make([]int, 0, len(newLists))
+	scanning := n.scanning[:0]
 	for _, l := range newLists {
 		if len(l) == 0 {
 			continue
 		}
-		n.lists = append(n.lists, &scanList{entries: l})
-		scanning = append(scanning, len(n.lists)-1)
+		scanning = append(scanning, len(n.lists))
+		n.lists = append(n.lists, scanList{entries: l, scanning: true})
 	}
 
-	position := 1
-	for {
-		n.rebuildRanking()
+	// One round per scan position: rank, test the stop condition, advance
+	// every scanning list by one entry. A round that consumes nothing ends
+	// the Run with the ranking it started from still current: the estimate
+	// cannot improve until new lists arrive.
+	for position, progressed := 1, true; progressed; position++ {
+		n.rank()
 		if n.stopConditionMet() {
 			break
 		}
-		progressed := false
+		progressed = false
 		for _, li := range scanning {
 			if n.scanOne(li) {
 				progressed = true
 			}
 		}
-		position++
-		// Old lists that had stopped at position-1 rejoin the scan
+		// Old lists that had stopped at this position rejoin the scan
 		// (Algorithm 4, lines 18-22).
-		for li, l := range n.lists {
-			if l.pos == position-1 && !l.exhausted() && !contains(scanning, li) {
+		for li := range n.lists {
+			if l := &n.lists[li]; l.pos == position && !l.exhausted() && !l.scanning {
+				l.scanning = true
 				scanning = append(scanning, li)
 			}
 		}
-		if !progressed {
-			// Nothing left to scan this cycle; the estimate cannot improve
-			// until new lists arrive.
-			n.rebuildRanking()
-			break
-		}
 	}
+	for _, li := range scanning {
+		n.lists[li].scanning = false
+	}
+	n.scanning = scanning
 	return n.TopK()
 }
 
@@ -159,29 +178,32 @@ func (n *NRA) Run(newLists [][]Entry) []Entry {
 // early-stopping condition left open. Each list is still scanned at most
 // once overall: Drain merely finishes scans the stop condition cut short.
 func (n *NRA) Drain() []Entry {
-	for li, l := range n.lists {
-		for !l.exhausted() {
-			n.scanOne(li)
+	for li := range n.lists {
+		for n.scanOne(li) {
 		}
 	}
-	n.rebuildRanking()
+	n.rank()
 	return n.TopK()
 }
 
 // scanOne advances list li by one entry, updating its candidate. It reports
 // whether an entry was consumed.
+//
+//p3q:hotpath
 func (n *NRA) scanOne(li int) bool {
-	l := n.lists[li]
+	l := &n.lists[li]
 	if l.exhausted() {
 		return false
 	}
 	e := l.entries[l.pos]
 	l.pos++
-	c := n.cands[e.Item]
-	if c == nil {
-		c = &candidate{item: e.Item}
-		n.cands[e.Item] = c
+	ci, ok := n.index[e.Item]
+	if !ok {
+		ci = len(n.cands)
+		n.index[e.Item] = ci
+		n.cands = append(n.cands, candidate{item: e.Item})
 	}
+	c := &n.cands[ci]
 	c.worst += e.Score
 	c.seenIn = append(c.seenIn, li)
 	return true
@@ -190,51 +212,69 @@ func (n *NRA) scanOne(li int) bool {
 // TopK returns the current top-k estimate (ranked by worst-case score) with
 // each entry carrying its worst-case score.
 func (n *NRA) TopK() []Entry {
-	k := n.k
-	if k > len(n.ranked) {
-		k = len(n.ranked)
-	}
-	out := make([]Entry, k)
-	for i := 0; i < k; i++ {
-		out[i] = Entry{Item: n.ranked[i].item, Score: n.ranked[i].worst}
+	out := make([]Entry, len(n.top))
+	for i, ci := range n.top {
+		out[i] = Entry{Item: n.cands[ci].item, Score: n.cands[ci].worst}
 	}
 	return out
 }
 
-// rebuildRanking recomputes best-case scores and re-sorts the candidate
-// heap per Algorithm 4: descending worst-case, then descending best-case,
-// then ascending item ID.
-func (n *NRA) rebuildRanking() {
-	n.sumLastSeen = 0
-	for _, l := range n.lists {
-		n.sumLastSeen += l.lastSeen()
+// rank recomputes every best-case score and selects the top-k in one pass
+// over the candidates, with no sort: each candidate is inserted into the at
+// most k slots of top if it precedes the last of them, and whatever is not
+// selected — evicted from a slot or never admitted — raises bound instead.
+// The stop test and TopK read nothing else, so the rest of Algorithm 4's
+// heap is never ordered.
+//
+//p3q:hotpath
+func (n *NRA) rank() {
+	lastSeen, sum := n.lastSeen[:0], 0
+	for i := range n.lists {
+		ls := n.lists[i].lastSeen()
+		lastSeen = append(lastSeen, ls)
+		sum += ls
 	}
-	n.ranked = n.ranked[:0]
-	for _, c := range n.cands {
-		n.ranked = append(n.ranked, c)
-		b := c.worst + n.sumLastSeen
+	n.lastSeen = lastSeen
+	top, bound := n.top[:0], sum
+	for ci := range n.cands {
+		c := &n.cands[ci]
+		best := c.worst + sum
 		for _, li := range c.seenIn {
-			b -= n.lists[li].lastSeen()
+			best -= lastSeen[li]
 		}
-		n.bests[c.item] = b
+		c.best = best
+		j := len(top)
+		switch {
+		case j < n.k:
+			top = append(top, ci)
+		case c.before(&n.cands[top[j-1]]):
+			j--
+			bound = max(bound, n.cands[top[j]].best)
+		default:
+			bound = max(bound, best)
+			continue
+		}
+		for ; j > 0 && c.before(&n.cands[top[j-1]]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = ci
 	}
-	sort.Slice(n.ranked, func(i, j int) bool {
-		a, b := n.ranked[i], n.ranked[j]
-		if a.worst != b.worst {
-			return a.worst > b.worst
-		}
-		if n.bests[a.item] != n.bests[b.item] {
-			return n.bests[a.item] > n.bests[b.item]
-		}
-		return a.item < b.item
-	})
+	n.top, n.bound = top, bound
+}
+
+// stopConditionMet implements the loop guard of Algorithm 4 (negated): stop
+// when the worst-case score of the k-th candidate is at least the largest
+// best-case score among candidates outside the top-k — including the bound
+// for items not seen anywhere yet.
+func (n *NRA) stopConditionMet() bool {
+	return len(n.top) == n.k && n.cands[n.top[n.k-1]].worst >= n.bound
 }
 
 // NRAState is the serializable scan state of an incremental NRA operator:
 // every absorbed list with its cursor and every candidate with its
-// worst-case accumulation. The derived ranking (best-case bounds, sorted
-// candidate order) is a pure function of this state and is rebuilt by
-// RestoreNRA, so it is deliberately not part of the snapshot.
+// worst-case accumulation. The derived ranking (best-case bounds, the top-k
+// selection) is a pure function of this state and is rebuilt by RestoreNRA,
+// so it is deliberately not part of the snapshot.
 type NRAState struct {
 	K     int
 	Lists []NRAListState
@@ -256,22 +296,21 @@ type NRACandidateState struct {
 }
 
 // State captures the operator for checkpointing. Candidates are emitted in
-// ascending item order so the snapshot is deterministic; list entry slices
-// are shared with the operator, not cloned.
+// ascending item order so the snapshot is deterministic; list entry and
+// SeenIn slices are shared with the operator, not cloned. (slices.Grow
+// reserves in one allocation and leaves an empty Lists or Cands nil.)
 func (n *NRA) State() NRAState {
 	st := NRAState{K: n.k}
-	for _, l := range n.lists {
-		st.Lists = append(st.Lists, NRAListState{Entries: l.entries, Pos: l.pos})
+	st.Lists = slices.Grow(st.Lists, len(n.lists))
+	for i := range n.lists {
+		st.Lists = append(st.Lists, NRAListState{Entries: n.lists[i].entries, Pos: n.lists[i].pos})
 	}
-	items := make([]tagging.ItemID, 0, len(n.cands))
-	for it := range n.cands {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, it := range items {
-		c := n.cands[it]
+	st.Cands = slices.Grow(st.Cands, len(n.cands))
+	for i := range n.cands {
+		c := &n.cands[i]
 		st.Cands = append(st.Cands, NRACandidateState{Item: c.item, Worst: c.worst, SeenIn: c.seenIn})
 	}
+	slices.SortFunc(st.Cands, func(a, b NRACandidateState) int { return cmp.Compare(a.Item, b.Item) })
 	return st
 }
 
@@ -285,10 +324,10 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 		if l.Pos < 0 || l.Pos > len(l.Entries) {
 			return nil, fmt.Errorf("topk: restored list %d has cursor %d outside [0, %d]", i, l.Pos, len(l.Entries))
 		}
-		n.lists = append(n.lists, &scanList{entries: l.Entries, pos: l.Pos})
+		n.lists = append(n.lists, scanList{entries: l.Entries, pos: l.Pos})
 	}
 	for _, c := range st.Cands {
-		if _, dup := n.cands[c.Item]; dup {
+		if _, dup := n.index[c.Item]; dup {
 			return nil, fmt.Errorf("topk: restored candidate %d duplicated", c.Item)
 		}
 		for _, li := range c.SeenIn {
@@ -296,35 +335,9 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 				return nil, fmt.Errorf("topk: restored candidate %d seen in out-of-range list %d", c.Item, li)
 			}
 		}
-		n.cands[c.Item] = &candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn}
+		n.index[c.Item] = len(n.cands)
+		n.cands = append(n.cands, candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn})
 	}
-	n.rebuildRanking()
+	n.rank()
 	return n, nil
-}
-
-// stopConditionMet implements the loop guard of Algorithm 4 (negated): stop
-// when the worst-case score of the k-th candidate is at least the largest
-// best-case score among candidates outside the top-k — including the bound
-// for items not seen anywhere yet.
-func (n *NRA) stopConditionMet() bool {
-	if len(n.ranked) < n.k {
-		return false
-	}
-	kthWorst := n.ranked[n.k-1].worst
-	maxBest := n.sumLastSeen // an item unseen everywhere could reach this
-	for _, c := range n.ranked[n.k:] {
-		if b := n.bests[c.item]; b > maxBest {
-			maxBest = b
-		}
-	}
-	return kthWorst >= maxBest
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,9 @@
 package topk
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // stateLists builds a stream of partial result lists with overlapping
 // items, so the NRA keeps candidates with unresolved bounds mid-stream.
@@ -42,6 +45,35 @@ func TestNRAStateRestoreContinuesIdentically(t *testing.T) {
 	}
 	if got, want := restored.Drain(), full.Drain(); !equalEntries(got, want) {
 		t.Fatalf("restored Drain = %v, want %v", got, want)
+	}
+}
+
+// TestNRAStateSeenInIsScanOrder pins that SeenIn is scan order, not ascending
+// list order: list 0 stops after its head (item 1 alone settles k = 1), list
+// 1 then shows item 2 at its head, and only after that does list 0 rejoin at
+// the position where it stopped and show item 2 as well.
+func TestNRAStateSeenInIsScanOrder(t *testing.T) {
+	n := NewNRA(1)
+	n.Run([][]Entry{{{Item: 1, Score: 10}, {Item: 2, Score: 1}}})
+	if got := n.ScannedEntries(); got != 1 {
+		t.Fatalf("scanned %d entries of list 0, want 1", got)
+	}
+	n.Run([][]Entry{{{Item: 2, Score: 3}, {Item: 3, Score: 1}}})
+	st := n.State()
+	want := []NRACandidateState{
+		{Item: 1, Worst: 10, SeenIn: []int{0}},
+		{Item: 2, Worst: 4, SeenIn: []int{1, 0}},
+		{Item: 3, Worst: 1, SeenIn: []int{1}},
+	}
+	if !reflect.DeepEqual(st.Cands, want) {
+		t.Fatalf("candidates = %+v, want %+v", st.Cands, want)
+	}
+	restored, err := RestoreNRA(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.State(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("State -> RestoreNRA -> State = %+v, want %+v", got, st)
 	}
 }
 

@@ -12,7 +12,7 @@
 package topk
 
 import (
-	"sort"
+	"slices"
 
 	"p3q/internal/tagging"
 )
@@ -23,19 +23,24 @@ type Entry struct {
 	Score int
 }
 
-// Less orders entries by descending score with ascending item ID as the
-// deterministic tie-break used throughout the reproduction.
-func Less(a, b Entry) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// compare is the canonical order of result lists: descending score with
+// ascending item ID as the deterministic tie-break used throughout the
+// reproduction.
+func compare(a, b Entry) int {
+	switch {
+	case a.Score > b.Score || a.Score == b.Score && a.Item < b.Item:
+		return -1
+	case a == b:
+		return 0
 	}
-	return a.Item < b.Item
+	return 1
 }
 
+// Less reports whether a precedes b in the canonical order.
+func Less(a, b Entry) bool { return compare(a, b) < 0 }
+
 // SortEntries sorts a result list in the canonical order.
-func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return Less(es[i], es[j]) })
-}
+func SortEntries(es []Entry) { slices.SortFunc(es, compare) }
 
 // TagSet is a deduplicated query tag set.
 type TagSet map[tagging.TagID]struct{}
