@@ -2,15 +2,12 @@
 # wrapper over the go tool; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: lint test build bench e2e loc
+.PHONY: lint test build e2e loc
 
-# lint runs the determinism-linter suite through both of its entry
-# points: the standalone multichecker and the cmd/go unitchecker
-# protocol behind go vet (which also exercises the export-data path).
+# lint runs the determinism-linter suite over every package of the module
+# (the same analyzers and loader as TestRepoLintClean).
 lint:
 	go run ./cmd/p3qlint ./...
-	go build -o /tmp/p3qlint ./cmd/p3qlint
-	go vet -vettool=/tmp/p3qlint ./...
 
 build:
 	go build ./...
@@ -25,12 +22,9 @@ test:
 e2e:
 	go test -tags e2e -run TestProcess -count 1 -v ./internal/e2e
 
-bench:
-	go test . -run='^$$' -bench='BenchmarkLazyConvergence5k|BenchmarkEagerBurst5k' -benchmem
-
 # loc prints the non-test Go line count of every package, one line each,
 # and the total: ROADMAP's "line count is a tracked metric" (CI puts it in
-# the job summary next to the bench history).
+# the job summary).
 loc:
 	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read pkg files; do printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \

@@ -1,13 +1,17 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at a reduced scale (one per artifact; see DESIGN.md §3 for the index),
-// plus ablation benches for the design choices called out in DESIGN.md §5.
+// (§3) at a reduced scale (one per artifact; `p3qsim -exp list` is the
+// index), ablation benches for the design choices of Algorithms 1, 3 and 4,
+// and a few engine benches at 5k and 100k users.
 //
 // Run them all with:
 //
 //	go test -bench=. -benchmem
 //
-// Bench output measures the cost of regenerating each artifact; the
-// artifact values themselves are printed by cmd/p3qsim.
+// These are ride-along benches with no tooling of their own: CI runs each
+// once so they keep compiling, and speed or allocation claims are made on
+// bench/ + BENCHMARK.json (see bench/README.md), which owns the 5k lazy and
+// eager cycle measurements. Bench output measures the cost of regenerating
+// each artifact; the artifact values themselves are printed by cmd/p3qsim.
 package p3q_test
 
 import (
@@ -20,7 +24,6 @@ import (
 	"p3q/internal/analysis"
 	"p3q/internal/core"
 	"p3q/internal/experiments"
-	"p3q/internal/obs"
 	"p3q/internal/similarity"
 	"p3q/internal/tagging"
 	"p3q/internal/topk"
@@ -73,7 +76,7 @@ func BenchmarkFig11cIncompleteQueries(b *testing.B)   { benchExperiment(b, "fig1
 func BenchmarkTheoryRAlpha(b *testing.B)              { benchExperiment(b, "theory") }
 func BenchmarkBandwidthSummary(b *testing.B)          { benchExperiment(b, "bandwidth") }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches (Algorithms 1, 3 and 4 of the paper) ---
 
 // benchWorld builds a seeded engine world for the ablations.
 func benchWorld(b *testing.B, mutate func(*core.Config)) (*p3q.Dataset, *p3q.Engine) {
@@ -311,139 +314,11 @@ func lazyWorkerCounts() []int {
 	return counts
 }
 
-// attachObs attaches a telemetry registry to a bench engine. The registry
-// is fingerprint-neutral by contract (pinned by TestObsFingerprintInvariance)
-// but turns on per-shard commit timing, so the tracked benches measure the
-// engine exactly as the instrumented daemons and cmd/p3qsim run it — the
-// benchjson alloc gate then also holds the instrumentation itself to the
-// allocation budget.
-func attachObs(e *p3q.Engine) *obs.Registry {
-	reg := obs.New()
-	e.SetObs(reg)
-	return reg
-}
-
-// reportPhaseMetrics converts the phase totals of a registry attached right
-// before the measured loop into per-op plan and commit metrics, so the
-// bench artifacts track the two phases separately — the commit phase was
-// the Amdahl limit of both cycle kinds before it was sharded, and these
-// metrics pin how much of each cycle it still costs. It also reports the
-// mean and max max-min commit skew across the registry's samples: the
-// imbalance between the fastest and slowest commit shard of a cycle, the
-// number the locality-aware scheduling work (ROADMAP) wants to shrink.
-func reportPhaseMetrics(b *testing.B, reg *obs.Registry) {
-	b.ReportMetric(float64(reg.PhaseTotal(obs.PhasePlan))/float64(b.N), "plan-ns/op")
-	b.ReportMetric(float64(reg.PhaseTotal(obs.PhaseCommit))/float64(b.N), "commit-ns/op")
-	if _, max, mean, samples := reg.CommitSkew(); samples > 0 {
-		b.ReportMetric(float64(mean), "commit-skew-ns")
-		b.ReportMetric(float64(max), "commit-skew-max-ns")
-	}
-}
-
-// allocBaseline snapshots the cumulative heap-allocation counter so the
-// engine benches can report the alloc-bytes/node budget the pooled plan
-// slots are held to. TotalAlloc is process-wide and keeps counting while
-// the timer is stopped, so callers snapshot right before the measured loop
-// and keep out-of-timer work inside it to a minimum.
-func allocBaseline() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.TotalAlloc
-}
-
-// reportAllocPerNode reports the heap bytes allocated per cycle per node
-// since the alloc0 baseline: the steady-state allocation budget the pooled
-// engine is measured against (see ARCHITECTURE.md, "Memory layout").
-func reportAllocPerNode(b *testing.B, users int, alloc0 uint64) {
-	b.ReportMetric(float64(allocBaseline()-alloc0)/float64(b.N)/float64(users), "alloc-B/node")
-}
-
-// BenchmarkLazyConvergence5k times one lazy-mode cycle over a 5000-user
-// population converging from Bootstrap, per worker count. The engine is
-// byte-for-byte deterministic in Workers, so every sub-bench performs the
-// exact same protocol work and the per-op times compare wall clock
-// directly: the speedup at workers=GOMAXPROCS over workers=1 is the
-// multicore yield of the parallel planning phase plus the sharded commit
-// phase (reported separately via plan-ns/op and commit-ns/op).
-func BenchmarkLazyConvergence5k(b *testing.B) {
-	for _, workers := range lazyWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ds := lazyBenchDataset(b)
-			cfg := p3q.DefaultConfig()
-			cfg.S, cfg.C = 50, 10
-			cfg.BloomBits, cfg.BloomHashes = 2048, 6
-			cfg.Workers = workers
-			cfg.Seed = 7
-			e := p3q.NewEngine(ds, cfg)
-			e.Bootstrap()
-			e.RunLazy(2) // past the empty-network cold start
-			reg := attachObs(e)
-			alloc0 := allocBaseline()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.LazyCycle()
-			}
-			b.StopTimer()
-			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, reg)
-		})
-	}
-}
-
-// BenchmarkEagerBurst5k times one eager cycle over the same 5000-user
-// population while it serves a burst of in-flight queries, per worker
-// count — the eager counterpart of BenchmarkLazyConvergence5k. The engine
-// is byte-for-byte deterministic in Workers, so every sub-bench performs
-// the same protocol work and the per-op times compare wall clock directly.
-// When the in-flight burst drains, a fresh one is issued outside the
-// timer, so every measured cycle carries live query load.
-func BenchmarkEagerBurst5k(b *testing.B) {
-	for _, workers := range lazyWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ds := lazyBenchDataset(b)
-			cfg := p3q.DefaultConfig()
-			cfg.S, cfg.C = 50, 10
-			cfg.BloomBits, cfg.BloomHashes = 2048, 6
-			cfg.Workers = workers
-			cfg.Seed = 7
-			e := p3q.NewEngine(ds, cfg)
-			e.Bootstrap()
-			e.RunLazy(4) // grow personal networks so queries have branches to gossip
-			queries := p3q.GenerateQueries(ds, 11)
-			next := 0
-			issueBurst := func() {
-				for issued := 0; issued < 512 && next < len(queries); next++ {
-					if e.IssueQuery(queries[next]) != nil {
-						issued++
-					}
-				}
-			}
-			issueBurst()
-			reg := attachObs(e)
-			alloc0 := allocBaseline()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if e.AllQueriesDone() {
-					b.StopTimer()
-					if next >= len(queries) {
-						next = 0
-						queries = p3q.GenerateQueries(ds, uint64(13+i))
-					}
-					issueBurst()
-					b.StartTimer()
-				}
-				e.EagerCycle()
-			}
-			b.StopTimer()
-			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, reg)
-		})
-	}
-}
-
-// BenchmarkLazyChurn5k times lazy cycles over the same population under
+// BenchmarkLazyChurn5k times lazy cycles over the 5000-user population under
 // 30% departures, the regime where probe retries and view healing shift
-// work between the planning and commit phases.
+// work between the planning and commit phases. The engine is byte-for-byte
+// deterministic in Workers, so every sub-bench performs the same protocol
+// work and the per-op times compare wall clock directly.
 func BenchmarkLazyChurn5k(b *testing.B) {
 	for _, workers := range lazyWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -485,14 +360,14 @@ func lazyBench100kDataset(b *testing.B) *p3q.Dataset {
 }
 
 // BenchmarkLazyConvergence100k is the million-node scaling probe: one lazy
-// cycle over a 100,000-user population, 20x the tracked 5k bench. The
-// pooled plan slots and dense hot-state layouts are sized to keep the
-// alloc-B/node metric flat between the two scales — a superlinear rise
-// here means a per-node cost snuck back into the cycle path.
+// cycle over a 100,000-user population, 20x the engine-lazy-5k workload of
+// bench/. The pooled plan slots and dense hot-state layouts are sized to
+// keep allocation per node flat between the two scales — B/op ÷ 100000
+// here against core.alloc_bytes_per_node_cycle there; a superlinear rise
+// means a per-node cost snuck back into the cycle path.
 //
-// It is skipped under -short so the quick per-commit CI pass (which runs
-// every bench once) stays fast; the scheduled bench workflow runs it at
-// full length and tracks it alongside the 5k benches.
+// It is skipped under -short so the per-commit CI pass (which runs every
+// bench once) stays fast.
 func BenchmarkLazyConvergence100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k population bench skipped in -short mode")
@@ -508,15 +383,11 @@ func BenchmarkLazyConvergence100k(b *testing.B) {
 			e := p3q.NewEngine(ds, cfg)
 			e.Bootstrap()
 			e.RunLazy(1) // one warm-up cycle: enough to leave the cold start
-			reg := attachObs(e)
-			alloc0 := allocBaseline()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.LazyCycle()
 			}
-			b.StopTimer()
-			reportAllocPerNode(b, e.Users(), alloc0)
-			reportPhaseMetrics(b, reg)
 		})
 	}
 }

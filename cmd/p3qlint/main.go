@@ -1,26 +1,15 @@
 // Command p3qlint runs the determinism-linter suite (internal/lint) over
-// packages of this module. It is usable two ways:
-//
-// Standalone, from anywhere in the repository:
+// packages of this module, from anywhere in the repository:
 //
 //	go run ./cmd/p3qlint ./...
 //	go run ./cmd/p3qlint ./internal/core p3q/internal/sim
-//
-// As a vet tool, speaking the cmd/go unitchecker protocol (the go command
-// hands the tool a *.cfg file per package and export data for its
-// imports):
-//
-//	go build -o /tmp/p3qlint ./cmd/p3qlint
-//	go vet -vettool=/tmp/p3qlint ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,64 +32,23 @@ type jsonFinding struct {
 
 func main() {
 	args := os.Args[1:]
-
-	// The go command interrogates a vet tool before use: -V=full must
-	// print an identity line, -flags the JSON list of tool flags.
 	jsonOut := false
-	rest := args[:0:0]
-	rest = append(rest, args...)
-	for len(rest) > 0 && strings.HasPrefix(rest[0], "-") {
-		switch {
-		case strings.HasPrefix(rest[0], "-V"):
-			// The go command keys its vet-result cache on this line, so it
-			// must change whenever the tool's behaviour does: stamp it with
-			// a content hash of the running binary, like the x/tools
-			// unitchecker.
-			fmt.Printf("%s version p3q-%s\n", filepath.Base(os.Args[0]), selfHash())
-			return
-		case rest[0] == "-flags":
-			fmt.Println("[]")
-			return
-		case rest[0] == "-json":
-			jsonOut = true
-			rest = rest[1:]
-		default:
-			fmt.Fprintf(os.Stderr, "p3qlint: unknown flag %s\n", rest[0])
+	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
+		if args[0] != "-json" {
+			fmt.Fprintf(os.Stderr, "p3qlint: unknown flag %s\n", args[0])
 			os.Exit(2)
 		}
+		jsonOut = true
+		args = args[1:]
 	}
-
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(unitcheck(rest[0]))
-	}
-	os.Exit(standalone(rest, jsonOut))
+	os.Exit(run(args, jsonOut))
 }
 
-// selfHash fingerprints the running executable for the -V=full identity
-// line. A stable fallback keeps `go run`-style invocations working even if
-// the binary cannot be re-read.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "devel"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "devel"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "devel"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
-}
-
-// standalone expands the package patterns against the enclosing module,
+// run expands the package patterns against the enclosing module,
 // loads and type-checks them with the offline loader, and prints findings —
 // one `file:line:col: message [analyzer]` line each, or with jsonOut one
 // JSON object per line (machine-readable, for editors and CI annotators).
-func standalone(patterns []string, jsonOut bool) int {
+func run(patterns []string, jsonOut bool) int {
 	if len(patterns) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: p3qlint [-json] <packages>   (e.g. p3qlint ./...)")
 		return 2

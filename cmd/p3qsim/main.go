@@ -21,8 +21,8 @@
 // resuming reproduces the uninterrupted run byte for byte, for any
 // -workers value.
 //
-// Each experiment prints one table per paper artifact; EXPERIMENTS.md in
-// the repository root records paper-reported vs measured values.
+// Each experiment prints one table per paper artifact (§3 of the paper),
+// to be compared with the paper's figures by shape and ordering.
 package main
 
 import (

@@ -1,11 +1,37 @@
 package e2e
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"p3q/internal/peer"
+	"p3q/internal/tagging"
 	"p3q/internal/trace"
 )
+
+// runToDone drives eager cycles from the lead until the gateway reports
+// the query done, failing the test after 60.
+func runToDone(t *testing.T, c *Cluster, cl *peer.Client, qid uint64) {
+	t.Helper()
+	for i := 0; i < 60; i++ {
+		if err := c.Lead().RunEagerCycle(); err != nil {
+			t.Fatalf("eager cycle %d: %v", i, err)
+		}
+		st, err := cl.Status(qid)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if !st.Known {
+			t.Fatal("cluster lost the query")
+		}
+		if st.Done {
+			return
+		}
+	}
+	t.Fatal("query did not complete within 60 eager cycles")
+}
 
 // TestSmokeThreeDaemonQuery is the always-on smoke tier: a three-daemon
 // cluster over the in-memory transport answers one query to full recall,
@@ -34,23 +60,7 @@ func TestSmokeThreeDaemonQuery(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	done := false
-	for i := 0; i < 60 && !done; i++ {
-		if err := c.Lead().RunEagerCycle(); err != nil {
-			t.Fatalf("eager cycle %d: %v", i, err)
-		}
-		st, err := cl.Status(qid)
-		if err != nil {
-			t.Fatalf("status: %v", err)
-		}
-		if !st.Known {
-			t.Fatal("cluster lost the query")
-		}
-		done = st.Done
-	}
-	if !done {
-		t.Fatal("query did not complete within 60 eager cycles")
-	}
+	runToDone(t, c, cl, qid)
 
 	st, err := cl.Status(qid)
 	if err != nil {
@@ -81,4 +91,30 @@ func TestSmokeThreeDaemonQuery(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("smoke tier took %v, budget is 5s", elapsed)
 	}
+}
+
+// TestSmokeSubmitOutsidePopulation pins the gateway's answer to a querier
+// no daemon hosts: a rejection naming the population, not an index panic in
+// the lead's serving goroutine — and a cluster that still serves afterwards.
+func TestSmokeSubmitOutsidePopulation(t *testing.T) {
+	c := StartCluster(t, 3, 60, 11)
+	if err := c.Lead().RunLazyCycles(8); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	cl := c.Client(t, 1)
+	users := c.Gen.Users
+	for _, querier := range []tagging.UserID{tagging.UserID(users), 1 << 20} {
+		want := fmt.Sprintf("querier %d outside population of %d", querier, users)
+		if _, err := cl.Submit(querier, []tagging.TagID{1}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("submit with querier %d: got %v, want a rejection saying %q", querier, err, want)
+		}
+	}
+
+	q := trace.GenerateQueries(trace.Generate(c.Gen), 3)[0]
+	qid, err := cl.Submit(q.Querier, q.Tags)
+	if err != nil {
+		t.Fatalf("valid submit after the rejected ones: %v", err)
+	}
+	runToDone(t, c, cl, qid)
+	c.RequireNoDivergence(t)
 }

@@ -282,7 +282,7 @@ func Registry() []Runner {
 		{"latency", "Extension: asynchronous eager delivery — time-to-first-result and time-to-full-recall under per-message latency models", Latency},
 		{"localonly", "Extension: local-only recall vs stored profiles (the §1 argument)", LocalOnly},
 		{"expansion", "Extension: personalized query expansion (§4)", Expansion},
-		{"ablations", "Extension: design-choice ablations (DESIGN.md §5)", Ablations},
+		{"ablations", "Extension: design-choice ablations (Alg. 1, 3, 4)", Ablations},
 	}
 }
 

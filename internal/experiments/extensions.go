@@ -117,11 +117,11 @@ func Expansion(cfg Config) []*metrics.Table {
 	return []*metrics.Table{t}
 }
 
-// Ablations prints the design-choice ablations of DESIGN.md §5 as a table
-// (the bench targets report the same numbers under go test -bench).
+// Ablations prints the ablations of the paper's Algorithms 1, 3 and 4 as a
+// table (the bench targets report the same numbers under go test -bench).
 func Ablations(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	t := metrics.NewTable("Extension — design ablations (DESIGN.md §5)",
+	t := metrics.NewTable("Extension — design ablations (Alg. 1, 3, 4)",
 		"design choice", "with (paper)", "without (naive)", "unit")
 
 	// 3-step exchange vs shipping advertised profiles in full.

@@ -1,5 +1,5 @@
 // Package lint is the p3qlint determinism-linter suite: eight static
-// analyzers that enforce, at go-vet time, the ordering, clock, RNG,
+// analyzers that enforce, at lint time, the ordering, clock, RNG,
 // phase, telemetry, and checkpoint contracts ARCHITECTURE.md otherwise
 // states only in prose. The dynamic half of the safety net — the Workers=1-vs-N
 // fingerprint tests and the resume-equals-uninterrupted checkpoint tests
@@ -43,8 +43,7 @@
 //     control flow, escape as unannotated returns, or enter the sim
 //     plane of the obs registry (Inc/Add/Event/AddShardIntent).
 //
-// Run the suite with `go run ./cmd/p3qlint ./...` (or `make lint`), or as
-// `go vet -vettool=$(which p3qlint) ./...`.
+// Run the suite with `go run ./cmd/p3qlint ./...` (or `make lint`).
 package lint
 
 import (

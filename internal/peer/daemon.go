@@ -541,9 +541,9 @@ func (d *Daemon) SubmitQuery(q trace.Query) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	qid, ok := d.issueLocal(q)
-	if !ok {
-		return 0, fmt.Errorf("peer: querier %d is offline", q.Querier)
+	qid, err := d.issueLocal(q)
+	if err != nil {
+		return 0, err
 	}
 	for i, p := range ctrl {
 		if p == nil {
@@ -681,17 +681,23 @@ func (d *Daemon) qstatRowLocked(qid uint64) *wire.QueryStat {
 }
 
 // issueLocal issues a query on the replica and, when this daemon hosts
-// the querier, seeds the querier-side state machine from the capture.
-func (d *Daemon) issueLocal(q trace.Query) (uint64, bool) {
+// the querier, seeds the querier-side state machine from the capture. The
+// querier comes off the wire (gateway submits on the lead, QueryIssue on
+// members), so it is checked against the population before the engine
+// indexes by it.
+func (d *Daemon) issueLocal(q trace.Query) (uint64, error) {
+	if int(q.Querier) >= d.cfg.Gen.Users {
+		return 0, fmt.Errorf("peer: querier %d outside population of %d", q.Querier, d.cfg.Gen.Users)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	qr, cp := d.eng.IssueQueryCaptured(q)
 	if qr == nil {
-		return 0, false
+		return 0, fmt.Errorf("peer: querier %d is offline", q.Querier)
 	}
 	d.runs[qr.ID] = qr
 	if !d.hosts(q.Querier) {
-		return qr.ID, true
+		return qr.ID, nil
 	}
 	st := &queryState{
 		qid:     cp.Qid,
@@ -717,7 +723,7 @@ func (d *Daemon) issueLocal(q trace.Query) (uint64, bool) {
 	}
 	d.queries[cp.Qid] = st
 	d.qorder = append(d.qorder, cp.Qid)
-	return qr.ID, true
+	return qr.ID, nil
 }
 
 // ---------------------------------------------------------------------

@@ -59,8 +59,8 @@ func (d *Daemon) handle(req wire.Msg) wire.Msg {
 		if !d.waitReady() {
 			return nil
 		}
-		qid, ok := d.issueLocal(trace.Query{Querier: m.Querier, Tags: m.Tags})
-		return &wire.QueryIssueAck{OK: ok, Qid: qid}
+		qid, err := d.issueLocal(trace.Query{Querier: m.Querier, Tags: m.Tags})
+		return &wire.QueryIssueAck{OK: err == nil, Qid: qid}
 	case *wire.QueryStatus:
 		return d.serveStatus(m)
 	case *wire.Stats:

@@ -6,7 +6,7 @@ import (
 )
 
 // Calibration tests: the generator must hit the marginals it is asked for,
-// since the substitution argument (DESIGN.md §1) rests on them.
+// since the substitution argument (package doc of trace.go) rests on them.
 
 func TestGeneratorHitsMeanItemsTarget(t *testing.T) {
 	for _, target := range []float64{20, 60, 120} {
@@ -91,7 +91,7 @@ func TestGeneratorCommunityOverlapScalesWithMix(t *testing.T) {
 
 func TestGeneratorStableUnderUserCount(t *testing.T) {
 	// Normalized marginals should be roughly invariant as the population
-	// grows (the scaling argument of DESIGN.md depends on it).
+	// grows (reduced-scale runs stand in for the paper's 10,000 users, §3.1.1).
 	small := ComputeStats(Generate(GenParams{
 		Users: 200, Items: 2000, Tags: 600, Communities: 4,
 		MeanItems: 30, SigmaItems: 0.9, MaxItems: 2000,

@@ -38,8 +38,8 @@
 // results, reached-sets and traffic counters — for every worker count
 // (and across repeated runs with the same seed). The contract is enforced
 // statically as well as by tests: the determinism linter (internal/lint,
-// run as `make lint` — which drives both `go run ./cmd/p3qlint ./...` and
-// the `go vet -vettool` path) bans order-sensitive map iteration,
+// run as `make lint`, i.e. `go run ./cmd/p3qlint ./...`) bans
+// order-sensitive map iteration,
 // host-clock and ambient-randomness use, and undisciplined RNG sharing in
 // the engine packages, enforces the plan/commit phase contract
 // (//p3q:phase), requires checkpointed structs to be fully covered by the
