@@ -45,10 +45,9 @@ import (
 //     checkpoints small and — because every consumer only reads digest
 //     content and versions — behaviourally identical.
 //   - Personal networks in ranking order with their logical clocks and
-//     per-entry last-gossip stamps (ages and the memoized age ordering are
-//     derived state), random views, evaluated-version memos, and per-query
-//     remaining-list branches in list order (order is protocol state: it
-//     drives destination selection).
+//     per-entry last-gossip stamps (ages are derived state), random views,
+//     evaluated-version memos, and per-query remaining-list branches in
+//     list order (order is protocol state: it drives destination selection).
 //   - Query runs: tags, NRA scan state (lists with cursors, candidate
 //     accumulations; the ranking is rebuilt), unmerged lists (none between
 //     cycles: every cycle ends with a merge), reached/used/active sets, traffic attribution, cycle counters and

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"p3q/internal/hostclock"
@@ -181,7 +182,7 @@ func (qr *QueryRun) Reached() []tagging.UserID {
 	for u := range qr.reached {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -325,7 +326,7 @@ func (e *Engine) eagerPairs() []eagerPair {
 				qids = append(qids, qid)
 			}
 		}
-		sort.Slice(qids, func(a, b int) bool { return qids[a] < qids[b] })
+		slices.Sort(qids)
 		for _, qid := range qids {
 			pairs = append(pairs, eagerPair{u: n.id, qid: qid})
 		}
@@ -382,9 +383,8 @@ func (e *Engine) gossipEagerPairs(pairs []eagerPair, seq uint64, cp *EagerCaptur
 	}
 	sw := hostclock.Start()
 	// Normalize per-node caches (own digests, evaluated memos) so the
-	// planners below only hit read-only paths. The eager planners never
-	// consult the gossip-age ordering, so no pnet preparation is needed:
-	// the ranking is maintained sorted at all times.
+	// planners below only hit read-only paths. The personal networks need no
+	// preparation: the ranking is maintained sorted at all times.
 	e.forEachNode(func(n *Node) {
 		n.digest()
 		n.checkEvalCache()
@@ -638,9 +638,7 @@ func (e *Engine) selectEagerDest(u *Node, p *eagerPlan, rng *randx.Source) *Node
 	// Oldest timestamps first; equal timestamps in random order so repeated
 	// queries do not always walk the same destination sequence.
 	rng.Shuffle(len(inPnet), func(i, j int) { inPnet[i], inPnet[j] = inPnet[j], inPnet[i] })
-	sort.SliceStable(inPnet, func(i, j int) bool {
-		return inPnet[i].Age() > inPnet[j].Age()
-	})
+	slices.SortStableFunc(inPnet, func(a, b *Entry) int { return cmp.Compare(b.Age(), a.Age()) })
 	p.inPnet = inPnet
 	// Assemble the canonical order — personal-network members first, then
 	// the shuffled others, which were collected at the head of the buffer —
@@ -696,7 +694,7 @@ func splitRemaining(rest []tagging.UserID, alpha float64, rng *randx.Source) (ke
 	// single forward walk, replacing the membership map this function used
 	// to allocate per call (hotalloc).
 	chosen := rng.Sample(len(rest), nKeep)
-	sort.Ints(chosen)
+	slices.Sort(chosen)
 	keep = make([]tagging.UserID, 0, nKeep)               //p3q:alloc result escapes to the caller (the destination's branch list)
 	returned = make([]tagging.UserID, 0, len(rest)-nKeep) //p3q:alloc result escapes to the caller (the initiator's branch list)
 	next := 0

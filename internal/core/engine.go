@@ -302,14 +302,13 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	e.cycleSeq++
 
 	sw := hostclock.Start()
-	// Normalize per-node caches (own digests, evaluated memos, memoized
-	// gossip-age orderings) so the planners below only hit read-only paths.
+	// Normalize per-node caches (own digests, evaluated memos) so the
+	// planners below only hit read-only paths.
 	// Each unit of work touches one node's state exclusively, so this
 	// pre-pass parallelizes too.
 	e.forEachNode(func(n *Node) {
 		n.digest()
 		n.checkEvalCache()
-		n.pnet.Prepare()
 	})
 
 	// Round 1: bottom-layer peer sampling, planned into the pooled slots

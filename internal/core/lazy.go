@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
 	"p3q/internal/sim"
@@ -189,7 +186,7 @@ type topPlan struct {
 	rv []rvContact
 
 	// Plan-phase scratch.
-	partners []uint32               // ranking positions in probe order
+	partners []uint32               // selectTopPartner: shuffled (last, ID) ranks, then the current age group
 	seen     map[tagging.UserID]int // evaluated-cache overlay, cleared per cycle
 	oneOffer [1]offer               // backing array for single-offer integrations
 }
@@ -208,6 +205,63 @@ func (p *topPlan) nextRV() *rvContact {
 	return &p.rv[len(p.rv)-1]
 }
 
+// selectTopPartner picks a's gossip partner of the cycle — the personal
+// network neighbour with the oldest timestamp, retrying past departed ones
+// up to MaxProbes (§2.2.1; nil when none answers) — and records the failed
+// probes in the plan's ledger and resets. Equal timestamps (common right
+// after bootstrap) are tried in random order so the first cycles do not all
+// hit the lowest IDs.
+//
+// The probe order is "the (last, ID) ordering, shuffled, then stable-sorted
+// by age", but only its head is ever built: an age group occupies the
+// contiguous ranks [offset, offset+len(group)) of the (last, ID) ordering,
+// so in the shuffled identity permutation (the same draws as shuffling the
+// ordering itself) its members come up wherever a rank of that range
+// stands, in position order. A younger group is built only when every
+// member of the older one was offline.
+//
+//p3q:phase plan
+//p3q:hotpath
+func (e *Engine) selectTopPartner(a *Node, rng *randx.Source, p *topPlan) *Node {
+	ranking := a.pnet.ranking
+	n := len(ranking)
+	perm := p.partners[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, uint32(i))
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	p.partners = perm
+	probes, offset, lo := 0, 0, uint64(0)
+	for offset < n && probes < e.cfg.MaxProbes {
+		var last uint64
+		p.partners, last = a.pnet.appendAgeGroup(p.partners[:n], lo)
+		group := p.partners[n:]
+		left := len(group)
+		for _, r := range p.partners[:n] {
+			k := int(r) - offset
+			if k < 0 || k >= len(group) {
+				continue
+			}
+			pe := &ranking[group[k]]
+			if e.net.Online(pe.ID) {
+				return e.nodes[pe.ID]
+			}
+			p.ledger.Send(a.id, pe.ID, sim.MsgProbe, 0)
+			probes++
+			// Keep the entry (her profile stays meaningful, §3.4.2) but
+			// reset the timestamp so other neighbours are tried first in
+			// the following cycles.
+			p.resets = append(p.resets, pe.ID)
+			if left--; left == 0 || probes >= e.cfg.MaxProbes {
+				break
+			}
+		}
+		offset += len(group)
+		lo = last + 1
+	}
+	return nil
+}
+
 // planTopInto plans one top-layer gossip for node a into the pooled plan
 // slot p — select the personal network neighbour with the oldest timestamp
 // (retrying past departed ones up to MaxProbes) and the symmetric 3-step
@@ -223,33 +277,7 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 	e.net.InitLedger(&p.ledger)
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
-	// Probe order: decreasing gossip age. Equal timestamps (common right
-	// after bootstrap) are tried in random order so the first cycles do not
-	// all hit the lowest IDs: shuffle the memoized age ordering (Prepare has
-	// pre-built it, so concurrent planners only read), then stable-sort.
-	p.partners = append(p.partners[:0], a.pnet.orderedByAge()...)
-	partners, ranking := p.partners, a.pnet.ranking
-	rng.Shuffle(len(partners), func(i, j int) { partners[i], partners[j] = partners[j], partners[i] })
-	slices.SortStableFunc(partners, func(i, j uint32) int { return cmp.Compare(ranking[j].Age(), ranking[i].Age()) })
-	var b *Node
-	probes := 0
-	for _, pi := range partners {
-		pe := &ranking[pi]
-		if probes >= e.cfg.MaxProbes {
-			break
-		}
-		if !e.net.Online(pe.ID) {
-			p.ledger.Send(a.id, pe.ID, sim.MsgProbe, 0)
-			probes++
-			// Keep the entry (her profile stays meaningful, §3.4.2) but
-			// reset the timestamp so other neighbours are tried first in
-			// the following cycles.
-			p.resets = append(p.resets, pe.ID)
-			continue
-		}
-		b = e.nodes[pe.ID]
-		break
-	}
+	b := e.selectTopPartner(a, &rng, p)
 
 	// seen overlays the evaluated cache with the versions this plan already
 	// scored, so the random-view pass below does not re-contact an owner

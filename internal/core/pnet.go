@@ -78,9 +78,8 @@ type rankSlot struct {
 //
 // Gossip ages run off a per-network logical clock (clock advances once per
 // Touch; an entry's age is clock - last), so Touch is O(1) instead of an
-// increment-every-neighbour walk, and the age ordering consumed by
-// PartnersByAge is memoized (as positions into the ranking) until a touch or
-// a ranking mutation invalidates it.
+// increment-every-neighbour walk. No age ordering is kept: the lazy planner
+// needs only the oldest neighbours, which appendAgeGroup finds in one scan.
 type PersonalNetwork struct {
 	self tagging.UserID //p3q:transient implicit: the owning node's id, re-derived by the restoring node
 	s, c int
@@ -92,13 +91,6 @@ type PersonalNetwork struct {
 	idxMask int
 	// clock counts Touch calls; entries age implicitly as it advances.
 	clock uint64
-	// byAge memoizes the PartnersByAge ordering (ascending last, ascending
-	// ID) as positions into ranking; nil when stale. Pure aging (clock
-	// advancing) preserves the ordering, so only touches and ranking
-	// mutations invalidate it.
-	//
-	//p3q:transient memo, rebuilt lazily (or by Prepare) from ranking and last
-	byAge []uint32
 }
 
 // NewPersonalNetwork returns an empty personal network with the given
@@ -288,8 +280,7 @@ func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.
 		}
 		// Reposition: lift the entry out, shift the gap closed, re-insert
 		// under the new key. The index needs only its score copy refreshed —
-		// it stores no positions — and the age memo is rebuilt on demand
-		// (its (last, ID) ordering is untouched, only the positions moved).
+		// it stores no positions.
 		ev := *e
 		ev.Score = score
 		copy(pn.ranking[i:], pn.ranking[i+1:])
@@ -297,13 +288,11 @@ func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.
 		j := pn.rankPos(score, id)
 		pn.insertAt(j, ev)
 		pn.idx[si].score = int32(score)
-		pn.byAge = nil
 		return &pn.ranking[j]
 	}
 	j := pn.rankPos(score, id)
 	pn.insertAt(j, Entry{ID: id, Score: score, Digest: digest, pn: pn, last: pn.clock})
 	pn.idxAdd(idKey(id), int32(score))
-	pn.byAge = nil
 	return &pn.ranking[j]
 }
 
@@ -315,15 +304,6 @@ func (pn *PersonalNetwork) appendEntry(e Entry) {
 	pn.ranking = append(pn.ranking, e)
 	pn.idxAdd(idKey(e.ID), int32(e.Score))
 }
-
-// Prepare pre-builds the memoized age ordering if it is stale. The engine
-// calls it for every node before a lazy planning phase so that
-// orderedByAge is free of lazy rebuilds and therefore safe to call from
-// concurrent planners. The ranking itself needs no preparation: it is
-// maintained sorted on every Upsert.
-//
-//p3q:phase plan
-func (pn *PersonalNetwork) Prepare() { pn.orderedByAge() }
 
 // Ranking returns the neighbours ordered by descending score (ties:
 // ascending ID). The slice aliases internal state; do not modify.
@@ -344,7 +324,6 @@ func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
 		pn.idxDelete(idKey(last.ID))
 		*last = Entry{}
 		pn.ranking = pn.ranking[:len(pn.ranking)-1]
-		pn.byAge = nil
 	}
 	for i := range pn.ranking {
 		e := &pn.ranking[i]
@@ -404,34 +383,32 @@ func (pn *PersonalNetwork) Unstored() []tagging.UserID {
 	return out
 }
 
-// orderedByAge returns the memoized age ordering (positions into ranking),
-// rebuilding it if stale.
-func (pn *PersonalNetwork) orderedByAge() []uint32 {
-	if pn.byAge == nil {
-		pn.byAge = make([]uint32, len(pn.ranking))
-		for i := range pn.byAge {
-			pn.byAge[i] = uint32(i)
+// appendAgeGroup appends to dst one age group of the lazy-mode partner
+// preference (§2.2.1: oldest gossip first) — the ranking positions of the
+// neighbours sharing the smallest last-gossip stamp that is at least lo, in
+// ascending ID order — and returns the extended slice with that stamp. It
+// appends nothing when no stamp reaches lo. Calling it again with lo one
+// past the returned stamp yields the next younger group.
+//
+//p3q:phase plan
+//p3q:hotpath
+func (pn *PersonalNetwork) appendAgeGroup(dst []uint32, lo uint64) ([]uint32, uint64) {
+	base := len(dst)
+	var oldest uint64
+	for i := range pn.ranking {
+		last := pn.ranking[i].last
+		switch {
+		case last < lo, len(dst) > base && last > oldest:
+			continue
+		case len(dst) > base && last < oldest:
+			dst = dst[:base]
 		}
-		slices.SortFunc(pn.byAge, func(i, j uint32) int {
-			a, b := &pn.ranking[i], &pn.ranking[j]
-			if c := cmp.Compare(a.last, b.last); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
+		oldest = last
+		dst = append(dst, uint32(i))
 	}
-	return pn.byAge
-}
-
-// PartnersByAge returns the neighbours ordered by decreasing age (oldest
-// gossip first; ties: ascending ID) — the lazy-mode partner preference of
-// §2.2.1. The returned slice is a fresh copy the caller may reorder freely.
-func (pn *PersonalNetwork) PartnersByAge() []Entry {
-	out := make([]Entry, 0, len(pn.ranking))
-	for _, i := range pn.orderedByAge() {
-		out = append(out, pn.ranking[i])
-	}
-	return out
+	ranking := pn.ranking
+	slices.SortFunc(dst[base:], func(i, j uint32) int { return cmp.Compare(ranking[i].ID, ranking[j].ID) })
+	return dst, oldest
 }
 
 // Touch records a gossip with the given partner: its age resets to 0 and
@@ -444,7 +421,6 @@ func (pn *PersonalNetwork) Touch(partner tagging.UserID) {
 	pn.clock++
 	if e := pn.Entry(partner); e != nil {
 		e.last = pn.clock
-		pn.byAge = nil
 	}
 }
 
@@ -455,6 +431,5 @@ func (pn *PersonalNetwork) Touch(partner tagging.UserID) {
 func (pn *PersonalNetwork) ResetTimestamp(partner tagging.UserID) {
 	if e := pn.Entry(partner); e != nil && e.last != pn.clock {
 		e.last = pn.clock
-		pn.byAge = nil
 	}
 }

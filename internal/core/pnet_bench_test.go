@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"p3q/internal/randx"
 	"p3q/internal/tagging"
 )
 
@@ -127,4 +129,39 @@ func BenchmarkPnetUpsertRebalance(b *testing.B) {
 			pn.rebalance()
 		}
 	})
+}
+
+// BenchmarkTopPartnerSelect times the lazy planner's partner selection
+// alone, every neighbour online, through one warm plan slot: "steady" is a
+// network whose neighbours were each gossiped with at a different clock
+// value (one scan, a one-member group, half a walk), "tied" the untouched
+// bootstrap network where every stamp is equal and the single group is the
+// whole network (the s log s worst case, by ID). Both must read 0 allocs/op.
+func BenchmarkTopPartnerSelect(b *testing.B) {
+	for _, s := range []int{50, 100, 1000} {
+		for _, ages := range []string{"steady", "tied"} {
+			b.Run(fmt.Sprintf("%s-s%d", ages, s), func(b *testing.B) {
+				pn := NewPersonalNetwork(0, s, 0)
+				for id := 1; id <= s; id++ {
+					pn.Upsert(tagging.UserID(id), 1+id%17, nil)
+				}
+				if ages == "steady" {
+					for _, i := range rand.New(rand.NewSource(1)).Perm(s) {
+						pn.Touch(tagging.UserID(1 + i))
+					}
+				}
+				e, a := selectionEngine(pn, s, 3)
+				rng := randx.NewSource(1)
+				var p topPlan
+				e.selectTopPartner(a, rng, &p)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if e.selectTopPartner(a, rng, &p) == nil {
+						b.Fatal("no partner selected")
+					}
+				}
+			})
+		}
+	}
 }

@@ -106,7 +106,8 @@ func (r *refPnet) byAge() []*refEntry {
 
 // comparePnets fails the test at the first divergence between the
 // incremental implementation and the reference model: membership, ranking
-// order, scores, ages, stored validity, and the PartnersByAge ordering.
+// order, scores, ages, stored validity, and the age groups (oldest first,
+// each in ID order) that the lazy planner selects its partner from.
 func comparePnets(t *testing.T, step int, pn *PersonalNetwork, ref *refPnet) {
 	t.Helper()
 	if pn.Len() != len(ref.entries) {
@@ -130,11 +131,24 @@ func comparePnets(t *testing.T, step int, pn *PersonalNetwork, ref *refPnet) {
 		}
 	}
 	refAge := ref.byAge()
-	gotAge := pn.PartnersByAge()
-	for i, re := range refAge {
-		if gotAge[i].ID != re.id {
-			t.Fatalf("step %d: byAge[%d] = %d, ref %d (got %v)",
-				step, i, gotAge[i].ID, re.id, entryIDs(gotAge))
+	var group []uint32
+	for i, lo := 0, uint64(0); i < len(refAge); i += len(group) {
+		var last uint64
+		group, last = pn.appendAgeGroup(group[:0], lo)
+		lo = last + 1
+		// The group is exactly the reference's next run of equal timestamps.
+		end := i
+		for end < len(refAge) && refAge[end].ts == refAge[i].ts {
+			end++
+		}
+		if len(group) != end-i {
+			t.Fatalf("step %d: age group at byAge[%d] has %d members, ref %d", step, i, len(group), end-i)
+		}
+		for k, pos := range group {
+			if ge, re := &got[pos], refAge[i+k]; ge.ID != re.id || ge.Age() != re.ts {
+				t.Fatalf("step %d: byAge[%d] = %d (age %d), ref %d (age %d)",
+					step, i+k, ge.ID, ge.Age(), re.id, re.ts)
+			}
 		}
 	}
 }
@@ -143,14 +157,6 @@ func memberIDs(entries []*Entry) []tagging.UserID {
 	out := make([]tagging.UserID, len(entries))
 	for i, e := range entries {
 		out[i] = e.ID
-	}
-	return out
-}
-
-func entryIDs(entries []Entry) []tagging.UserID {
-	out := make([]tagging.UserID, len(entries))
-	for i := range entries {
-		out[i] = entries[i].ID
 	}
 	return out
 }

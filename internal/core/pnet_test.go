@@ -159,9 +159,12 @@ func TestPnetTouchAging(t *testing.T) {
 		t.Fatal("other entries did not age by 1")
 	}
 	pn.Touch(2)
-	oldest := pn.PartnersByAge()[0]
-	if oldest.ID != 3 {
-		t.Fatalf("oldest partner = %d, want 3 (age 2)", oldest.ID)
+	oldest, last := pn.appendAgeGroup(nil, 0)
+	if len(oldest) != 1 || pn.ranking[oldest[0]].ID != 3 || pn.ranking[oldest[0]].Age() != 2 {
+		t.Fatalf("oldest group = %v, want only neighbour 3 (age 2)", oldest)
+	}
+	if next, _ := pn.appendAgeGroup(nil, last+1); len(next) != 1 || pn.ranking[next[0]].ID != 1 {
+		t.Fatalf("second-oldest group = %v, want only neighbour 1 (age 1)", next)
 	}
 }
 
