@@ -14,6 +14,10 @@
 // Count(max) before the caller sizes anything from it, and pre-allocations
 // go through CapHint.
 //
+// Writer and Reader are the two directions; Codec holds either and runs
+// one description of a struct — a walk — as its encoder or its decoder
+// (every wire message). Trace and checkpoint use the pair directly.
+//
 // The stickyerr analyzer (internal/lint) holds the other codec packages to
 // this: raw bufio/io stream access is legal only in here.
 package binio
@@ -305,4 +309,131 @@ func (r *Reader) FailWith(sentinel error) {
 // actually arrives.
 func CapHint(n, limit int) int {
 	return min(n, limit)
+}
+
+// Codec holds either a Writer or a Reader; every method takes a pointer and
+// writes the value behind it or reads into it. A format describes each
+// struct as one walk over a *Codec, so the layout exists once: a field
+// cannot be written and never read, or read in another order than written.
+// Errors stay on the carrier, which the caller checks after the walk. A
+// Codec passed through an interface method escapes, so keep one beside its
+// carrier (wire.Writer, wire.Reader) instead of building one per walk.
+type Codec struct {
+	w *Writer
+	r *Reader
+}
+
+// WriteCodec returns a Codec whose walks write to w.
+func WriteCodec(w *Writer) Codec { return Codec{w: w} }
+
+// ReadCodec returns a Codec whose walks read from r.
+func ReadCodec(r *Reader) Codec { return Codec{r: r} }
+
+// U8 carries one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.r != nil {
+		*v = c.r.U8()
+	} else {
+		c.w.U8(*v)
+	}
+}
+
+// U32 carries a little-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.r != nil {
+		*v = c.r.U32()
+	} else {
+		c.w.U32(*v)
+	}
+}
+
+// U64 carries a little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.r != nil {
+		*v = c.r.U64()
+	} else {
+		c.w.U64(*v)
+	}
+}
+
+// Int64 carries an int as a little-endian int64.
+func (c *Codec) Int64(v *int) {
+	if c.r != nil {
+		*v = int(c.r.I64())
+	} else {
+		c.w.I64(int64(*v))
+	}
+}
+
+// Bool carries a strict boolean byte.
+func (c *Codec) Bool(v *bool) {
+	if c.r != nil {
+		*v = c.r.Bool()
+	} else {
+		c.w.Bool(*v)
+	}
+}
+
+// String carries a length-prefixed string of at most max bytes, bounded on
+// both sides.
+func (c *Codec) String(v *string, max int) {
+	if c.r != nil {
+		*v = c.r.String(max)
+	} else {
+		c.w.String(*v, max)
+	}
+}
+
+// Fail records a validation failure of the value a walk just carried, on
+// whichever side is walking: an out-of-range value is refused by the sender
+// as well as by the receiver.
+func (c *Codec) Fail(format string, args ...any) {
+	if c.r != nil {
+		c.r.Fail(format, args...)
+	} else {
+		c.w.Fail(format, args...)
+	}
+}
+
+// ID carries a 4-byte interned identifier (a user, a tag, an item).
+func ID[T ~uint32](c *Codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.U32())
+	} else {
+		c.w.U32(uint32(*v))
+	}
+}
+
+// List carries a count-prefixed list of at most max elements, each through
+// elem. Writing, a longer list fails at the sender with a named error
+// instead of at the receiver's bound; reading, the count is bounded before
+// anything is sized from it, at most hint elements are reserved up front,
+// each element is decoded in place, and an empty list reads as nil.
+func List[E any](c *Codec, s *[]E, max, hint int, elem func(*Codec, *E)) {
+	if c.r == nil {
+		if len(*s) > max {
+			c.w.Fail("list of %d elements exceeds the limit %d", len(*s), max)
+			return
+		}
+		c.w.Count(len(*s))
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
+		return
+	}
+	*s = nil
+	n := c.r.Count(max)
+	if n == 0 {
+		return
+	}
+	out := make([]E, 0, CapHint(n, hint))
+	for i := 0; i < n; i++ {
+		var zero E
+		out = append(out, zero)
+		elem(c, &out[i])
+		if c.r.err != nil {
+			return
+		}
+	}
+	*s = out
 }

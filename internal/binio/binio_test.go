@@ -56,6 +56,38 @@ var fields = []field{
 			}
 			return out
 		}, []uint64{1, 1 << 63}},
+
+	// The Codec's fields: one walk is both the write and the read, and the
+	// bytes are those of the primitive underneath.
+	codecField("Codec/U8", "07", uint8(7), (*Codec).U8),
+	codecField("Codec/U32", "ef be ad de", uint32(0xDEADBEEF), (*Codec).U32),
+	codecField("Codec/U64", "08 07 06 05 04 03 02 01", uint64(0x0102030405060708), (*Codec).U64),
+	codecField("Codec/Int64", "d6 ff ff ff ff ff ff ff", -42, (*Codec).Int64),
+	codecField("Codec/Bool", "01", true, (*Codec).Bool),
+	codecField("Codec/String", "02 00 00 00 68 69", "hi", func(c *Codec, v *string) { c.String(v, 2) }),
+	codecField("Codec/ID", "2a 00 00 00", testID(42), ID[testID]),
+	codecField("Codec/List/at-limit", "02 00 00 00 01 00 00 00 02 00 00 00", []testID{1, 2}, walkTestIDs),
+	codecField("Codec/List/empty", "00 00 00 00", []testID(nil), walkTestIDs),
+}
+
+type testID uint32
+
+func walkTestIDs(c *Codec, ids *[]testID) { List(c, ids, 2, 1, ID[testID]) }
+
+// codecField builds a field whose write and read are the same walk.
+func codecField[T any](name, hex string, val T, walk func(c *Codec, v *T)) field {
+	return field{name, hex,
+		func(w *Writer) {
+			c, v := WriteCodec(w), val
+			walk(&c, &v)
+		},
+		func(r *Reader) any {
+			c := ReadCodec(r)
+			var v T
+			walk(&c, &v)
+			return v
+		},
+		val}
 }
 
 func encode(t *testing.T, write func(w *Writer)) []byte {
@@ -168,6 +200,17 @@ func TestRejects(t *testing.T) {
 		{"count_over_limit", "e8 03 00 00", func(r *Reader) any { return r.Count(999) }, "test: count 1000 exceeds limit 999"},
 		{"count_beyond_int32", "ff ff ff ff", func(r *Reader) any { return r.Count(1 << 24) }, "exceeds limit"},
 		{"string_over_limit", "03 00 00 00 61 62 63", func(r *Reader) any { return r.String(2) }, "test: count 3 exceeds limit 2"},
+		{"list_over_limit", "03 00 00 00 01 00 00 00", func(r *Reader) any {
+			c := ReadCodec(r)
+			ids := []testID{9}
+			walkTestIDs(&c, &ids)
+			return ids
+		}, "test: count 3 exceeds limit 2"},
+		{"codec_fail", "", func(r *Reader) any {
+			c := ReadCodec(r)
+			c.Fail("bad value")
+			return r.U8()
+		}, "test: bad value"},
 	}
 	for _, c := range reads {
 		t.Run(c.name, func(t *testing.T) {
@@ -193,6 +236,14 @@ func TestRejects(t *testing.T) {
 	}{
 		{"negative_count", func(w *Writer) { w.Count(-1) }, "test: negative count -1"},
 		{"string_over_limit", func(w *Writer) { w.String("abc", 2) }, "test: string of 3 bytes exceeds the 2-byte limit"},
+		{"list_over_limit", func(w *Writer) {
+			c, ids := WriteCodec(w), []testID{1, 2, 3}
+			walkTestIDs(&c, &ids)
+		}, "test: list of 3 elements exceeds the limit 2"},
+		{"codec_fail", func(w *Writer) {
+			c := WriteCodec(w)
+			c.Fail("bad value")
+		}, "test: bad value"},
 	}
 	for _, c := range writes {
 		t.Run("write_"+c.name, func(t *testing.T) {

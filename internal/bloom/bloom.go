@@ -11,10 +11,7 @@
 // directly, then mixed).
 package bloom
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // DefaultBits is the filter size used by the paper's evaluation: 20 Kbit
 // (2.5 KB), which yields roughly 0.1% false positives for profiles of up to
@@ -25,8 +22,7 @@ const DefaultBits = 20 * 1024
 const DefaultHashes = 10
 
 // Filter is a fixed-size Bloom filter. The zero value is not usable; create
-// filters with New or NewWithEstimate. Filter is not safe for concurrent
-// mutation.
+// filters with New. Filter is not safe for concurrent mutation.
 type Filter struct {
 	bits  []uint64
 	m     uint64 // number of bits
@@ -49,25 +45,6 @@ func New(m int, k int) *Filter {
 		m:    uint64(words * 64),
 		k:    k,
 	}
-}
-
-// NewWithEstimate returns a filter sized for n keys at the target
-// false-positive probability p, using the optimal m = -n ln p / (ln 2)^2 and
-// k = (m/n) ln 2.
-func NewWithEstimate(n int, p float64) *Filter {
-	if n < 1 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	ln2 := math.Ln2
-	m := int(math.Ceil(-float64(n) * math.Log(p) / (ln2 * ln2)))
-	k := int(math.Round(float64(m) / float64(n) * ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(m, k)
 }
 
 // mix64 is the splitmix64 finalizer, a high-quality 64-bit mixing function.
@@ -133,8 +110,8 @@ func (f *Filter) Hashes() int { return f.k }
 func (f *Filter) SizeBytes() int { return int(f.m) / 8 }
 
 // AddCount returns the number of Add calls performed (with duplicate keys
-// counted each time). Union adds the other side's count; Reset zeroes it.
-// It is an insertion tally, not a distinct-key cardinality.
+// counted each time); Reset zeroes it. It is an insertion tally, not a
+// distinct-key cardinality.
 func (f *Filter) AddCount() int { return f.count }
 
 // FillRatio returns the fraction of bits set.
@@ -146,15 +123,10 @@ func (f *Filter) FillRatio() float64 {
 	return float64(ones) / float64(f.m)
 }
 
-// EstimateFPR returns the expected false-positive probability given the
-// current fill ratio: fill^k.
-func (f *Filter) EstimateFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
 // Equal reports whether both filters have identical geometry and bit
-// contents. Two digests of the same unchanged profile are Equal; this is how
-// the lazy mode detects "Digest(ul) does not change" (Algorithm 1).
+// contents. Two digests of the same unchanged profile are Equal; the engine
+// compares digests by (owner, version) reference, so Equal is the bitwise
+// oracle the digest-builder tests hold rebuilt filters to.
 func (f *Filter) Equal(g *Filter) bool {
 	if g == nil || f.m != g.m || f.k != g.k || len(f.bits) != len(g.bits) {
 		return false
@@ -165,31 +137,6 @@ func (f *Filter) Equal(g *Filter) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the filter.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{
-		bits:  make([]uint64, len(f.bits)),
-		m:     f.m,
-		k:     f.k,
-		count: f.count,
-	}
-	copy(c.bits, f.bits)
-	return c
-}
-
-// Union ORs the other filter into this one. Both filters must have the same
-// geometry; Union panics otherwise (it is a programming error, not a runtime
-// condition).
-func (f *Filter) Union(g *Filter) {
-	if f.m != g.m || f.k != g.k {
-		panic("bloom: Union of filters with different geometry")
-	}
-	for i := range f.bits {
-		f.bits[i] |= g.bits[i]
-	}
-	f.count += g.count
 }
 
 // Reset clears all bits and zeroes the AddCount tally, returning the

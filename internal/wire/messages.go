@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"p3q/internal/binio"
 	"p3q/internal/tagging"
 	"p3q/internal/topk"
 )
@@ -47,91 +48,38 @@ const (
 	TypeStatsResp       Type = 39
 )
 
-// Msg is one wire message. Encoding and decoding are deliberately
-// unexported: every message crosses the stream through WriteMsg/ReadMsg
-// so the frame envelope is never bypassed.
+// Msg is one wire message. Its layout is described once, by walk, which
+// WriteMsg and ReadMsg run in their own direction; walk is deliberately
+// unexported: every message crosses the stream through WriteMsg/ReadMsg so
+// the frame envelope is never bypassed.
 type Msg interface {
 	WireType() Type
-	encode(w *Writer)
-	decode(r *Reader)
+	walk(c *binio.Codec)
 }
 
-func encodeRefs(w *Writer, refs []tagging.DigestRef) {
-	w.Count(len(refs))
-	for _, d := range refs {
-		w.U32(uint32(d.Owner))
-		w.U32(d.Version)
-		w.U32(d.Bytes)
-	}
+func walkRef(c *binio.Codec, d *tagging.DigestRef) {
+	binio.ID(c, &d.Owner)
+	c.U32(&d.Version)
+	c.U32(&d.Bytes)
 }
 
-func decodeRefs(r *Reader) []tagging.DigestRef {
-	n := r.Count(MaxListLen)
-	if n == 0 {
-		return nil
-	}
-	out := make([]tagging.DigestRef, 0, CapHint(n))
-	for i := 0; i < n; i++ {
-		out = append(out, tagging.DigestRef{
-			Owner:   tagging.UserID(r.U32()),
-			Version: r.U32(),
-			Bytes:   r.U32(),
-		})
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+func walkRefs(c *binio.Codec, refs *[]tagging.DigestRef) {
+	binio.List(c, refs, MaxListLen, listCapHint, walkRef)
 }
 
-// encodeIDs and decodeIDs carry the lists of 4-byte interned identifiers
-// (users of a remaining list, tags of a query).
-func encodeIDs[T ~uint32](w *Writer, ids []T) {
-	w.Count(len(ids))
-	for _, id := range ids {
-		w.U32(uint32(id))
-	}
+// walkIDs carries the lists of 4-byte interned identifiers (users of a
+// remaining list, tags of a query).
+func walkIDs[T ~uint32](c *binio.Codec, ids *[]T) {
+	binio.List(c, ids, MaxListLen, listCapHint, binio.ID[T])
 }
 
-func decodeIDs[T ~uint32](r *Reader) []T {
-	n := r.Count(MaxListLen)
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, CapHint(n))
-	for i := 0; i < n; i++ {
-		out = append(out, T(r.U32()))
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+func walkEntry(c *binio.Codec, e *topk.Entry) {
+	binio.ID(c, &e.Item)
+	c.Int64(&e.Score)
 }
 
-func encodeEntries(w *Writer, entries []topk.Entry) {
-	w.Count(len(entries))
-	for _, e := range entries {
-		w.U32(uint32(e.Item))
-		w.I64(int64(e.Score))
-	}
-}
-
-func decodeEntries(r *Reader) []topk.Entry {
-	n := r.Count(MaxListLen)
-	if n == 0 {
-		return nil
-	}
-	out := make([]topk.Entry, 0, CapHint(n))
-	for i := 0; i < n; i++ {
-		out = append(out, topk.Entry{
-			Item:  tagging.ItemID(r.U32()),
-			Score: int(r.I64()),
-		})
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+func walkEntries(c *binio.Codec, entries *[]topk.Entry) {
+	binio.List(c, entries, MaxListLen, listCapHint, walkEntry)
 }
 
 // Hello opens a daemon-to-daemon connection: the dialer identifies itself
@@ -149,24 +97,14 @@ type Hello struct {
 
 func (*Hello) WireType() Type { return TypeHello }
 
-func (m *Hello) encode(w *Writer) {
-	w.U32(m.Index)
-	w.U32(m.Lo)
-	w.U32(m.Hi)
-	w.U32(m.Users)
-	w.U64(m.Seed)
-	w.U64(m.ConfigSum)
-	w.U64(m.DatasetSum)
-}
-
-func (m *Hello) decode(r *Reader) {
-	m.Index = r.U32()
-	m.Lo = r.U32()
-	m.Hi = r.U32()
-	m.Users = r.U32()
-	m.Seed = r.U64()
-	m.ConfigSum = r.U64()
-	m.DatasetSum = r.U64()
+func (m *Hello) walk(c *binio.Codec) {
+	c.U32(&m.Index)
+	c.U32(&m.Lo)
+	c.U32(&m.Hi)
+	c.U32(&m.Users)
+	c.U64(&m.Seed)
+	c.U64(&m.ConfigSum)
+	c.U64(&m.DatasetSum)
 }
 
 // HelloAck accepts or rejects a Hello.
@@ -178,16 +116,10 @@ type HelloAck struct {
 
 func (*HelloAck) WireType() Type { return TypeHelloAck }
 
-func (m *HelloAck) encode(w *Writer) {
-	w.Bool(m.OK)
-	w.U32(m.Index)
-	w.String(m.Reason)
-}
-
-func (m *HelloAck) decode(r *Reader) {
-	m.OK = r.Bool()
-	m.Index = r.U32()
-	m.Reason = r.String()
+func (m *HelloAck) walk(c *binio.Codec) {
+	c.Bool(&m.OK)
+	c.U32(&m.Index)
+	c.String(&m.Reason, MaxStringLen)
 }
 
 // Cycle kinds carried by Step.
@@ -207,17 +139,12 @@ type Step struct {
 
 func (*Step) WireType() Type { return TypeStep }
 
-func (m *Step) encode(w *Writer) {
-	w.U8(m.Kind)
-	w.U64(m.Seq)
-}
-
-func (m *Step) decode(r *Reader) {
-	m.Kind = r.U8()
-	if m.Kind > StepEager {
-		r.Fail("invalid step kind")
+func (m *Step) walk(c *binio.Codec) {
+	c.U8(&m.Kind)
+	if m.Kind > StepEager { // refused by the sender as well as the receiver
+		c.Fail("invalid step kind")
 	}
-	m.Seq = r.U64()
+	c.U64(&m.Seq)
 }
 
 // StepAck confirms the replica stepped cycle Seq.
@@ -226,11 +153,8 @@ type StepAck struct {
 }
 
 func (*StepAck) WireType() Type { return TypeStepAck }
-func (m *StepAck) encode(w *Writer) {
-	w.U64(m.Seq)
-}
-func (m *StepAck) decode(r *Reader) {
-	m.Seq = r.U64()
+func (m *StepAck) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
 }
 
 // ExchangeGo instructs a member to run cycle Seq's wire exchanges for the
@@ -240,11 +164,8 @@ type ExchangeGo struct {
 }
 
 func (*ExchangeGo) WireType() Type { return TypeExchangeGo }
-func (m *ExchangeGo) encode(w *Writer) {
-	w.U64(m.Seq)
-}
-func (m *ExchangeGo) decode(r *Reader) {
-	m.Seq = r.U64()
+func (m *ExchangeGo) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
 }
 
 // ExchangeAck confirms the member finished cycle Seq's exchanges and
@@ -257,29 +178,22 @@ type ExchangeAck struct {
 
 func (*ExchangeAck) WireType() Type { return TypeExchangeAck }
 
-func (m *ExchangeAck) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U64(m.Divergence)
-}
-
-func (m *ExchangeAck) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Divergence = r.U64()
+func (m *ExchangeAck) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	c.U64(&m.Divergence)
 }
 
 // Shutdown asks a daemon to stop cleanly.
 type Shutdown struct{}
 
-func (*Shutdown) WireType() Type     { return TypeShutdown }
-func (m *Shutdown) encode(w *Writer) {}
-func (m *Shutdown) decode(r *Reader) {}
+func (*Shutdown) WireType() Type    { return TypeShutdown }
+func (*Shutdown) walk(*binio.Codec) {}
 
 // ShutdownAck confirms the daemon is stopping.
 type ShutdownAck struct{}
 
-func (*ShutdownAck) WireType() Type     { return TypeShutdownAck }
-func (m *ShutdownAck) encode(w *Writer) {}
-func (m *ShutdownAck) decode(r *Reader) {}
+func (*ShutdownAck) WireType() Type    { return TypeShutdownAck }
+func (*ShutdownAck) walk(*binio.Codec) {}
 
 // ViewExchangeReq carries one bottom-layer peer-sampling exchange
 // (§2.2.1): the initiator's descriptor buffer travels to the daemon
@@ -293,18 +207,11 @@ type ViewExchangeReq struct {
 
 func (*ViewExchangeReq) WireType() Type { return TypeViewExchangeReq }
 
-func (m *ViewExchangeReq) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U32(uint32(m.Initiator))
-	w.U32(uint32(m.Partner))
-	encodeRefs(w, m.Buf)
-}
-
-func (m *ViewExchangeReq) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Initiator = tagging.UserID(r.U32())
-	m.Partner = tagging.UserID(r.U32())
-	m.Buf = decodeRefs(r)
+func (m *ViewExchangeReq) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	binio.ID(c, &m.Initiator)
+	binio.ID(c, &m.Partner)
+	walkRefs(c, &m.Buf)
 }
 
 // ViewExchangeResp returns the partner's descriptor buffer.
@@ -313,11 +220,8 @@ type ViewExchangeResp struct {
 }
 
 func (*ViewExchangeResp) WireType() Type { return TypeViewExchangeResp }
-func (m *ViewExchangeResp) encode(w *Writer) {
-	encodeRefs(w, m.Buf)
-}
-func (m *ViewExchangeResp) decode(r *Reader) {
-	m.Buf = decodeRefs(r)
+func (m *ViewExchangeResp) walk(c *binio.Codec) {
+	walkRefs(c, &m.Buf)
 }
 
 // TopExchangeReq carries step 1 of one top-layer exchange (§2.2.1): the
@@ -333,18 +237,11 @@ type TopExchangeReq struct {
 
 func (*TopExchangeReq) WireType() Type { return TypeTopExchangeReq }
 
-func (m *TopExchangeReq) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U32(uint32(m.Initiator))
-	w.U32(uint32(m.Partner))
-	encodeRefs(w, m.Offers)
-}
-
-func (m *TopExchangeReq) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Initiator = tagging.UserID(r.U32())
-	m.Partner = tagging.UserID(r.U32())
-	m.Offers = decodeRefs(r)
+func (m *TopExchangeReq) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	binio.ID(c, &m.Initiator)
+	binio.ID(c, &m.Partner)
+	walkRefs(c, &m.Offers)
 }
 
 // TopExchangeResp returns the partner's offer batch.
@@ -353,11 +250,8 @@ type TopExchangeResp struct {
 }
 
 func (*TopExchangeResp) WireType() Type { return TypeTopExchangeResp }
-func (m *TopExchangeResp) encode(w *Writer) {
-	encodeRefs(w, m.Offers)
-}
-func (m *TopExchangeResp) decode(r *Reader) {
-	m.Offers = decodeRefs(r)
+func (m *TopExchangeResp) walk(c *binio.Codec) {
+	walkRefs(c, &m.Offers)
 }
 
 // DirectFetchReq asks the daemon hosting Owner for Owner's fresh profile
@@ -370,16 +264,10 @@ type DirectFetchReq struct {
 
 func (*DirectFetchReq) WireType() Type { return TypeDirectFetchReq }
 
-func (m *DirectFetchReq) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U32(uint32(m.Requester))
-	w.U32(uint32(m.Owner))
-}
-
-func (m *DirectFetchReq) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Requester = tagging.UserID(r.U32())
-	m.Owner = tagging.UserID(r.U32())
+func (m *DirectFetchReq) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	binio.ID(c, &m.Requester)
+	binio.ID(c, &m.Owner)
 }
 
 // DirectFetchResp returns the owner's offer.
@@ -389,16 +277,8 @@ type DirectFetchResp struct {
 
 func (*DirectFetchResp) WireType() Type { return TypeDirectFetchResp }
 
-func (m *DirectFetchResp) encode(w *Writer) {
-	w.U32(uint32(m.Offer.Owner))
-	w.U32(m.Offer.Version)
-	w.U32(m.Offer.Bytes)
-}
-
-func (m *DirectFetchResp) decode(r *Reader) {
-	m.Offer.Owner = tagging.UserID(r.U32())
-	m.Offer.Version = r.U32()
-	m.Offer.Bytes = r.U32()
+func (m *DirectFetchResp) walk(c *binio.Codec) {
+	walkRef(c, &m.Offer)
 }
 
 // EagerForwardReq carries one eager gossip (Algorithm 3) to the daemon
@@ -417,26 +297,15 @@ type EagerForwardReq struct {
 
 func (*EagerForwardReq) WireType() Type { return TypeEagerForwardReq }
 
-func (m *EagerForwardReq) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U64(m.Qid)
-	w.U32(uint32(m.Initiator))
-	w.U32(uint32(m.Dest))
-	w.U32(uint32(m.Querier))
-	encodeIDs(w, m.Tags)
-	encodeIDs(w, m.Branch)
-	encodeRefs(w, m.Offers)
-}
-
-func (m *EagerForwardReq) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Qid = r.U64()
-	m.Initiator = tagging.UserID(r.U32())
-	m.Dest = tagging.UserID(r.U32())
-	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeIDs[tagging.TagID](r)
-	m.Branch = decodeIDs[tagging.UserID](r)
-	m.Offers = decodeRefs(r)
+func (m *EagerForwardReq) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	c.U64(&m.Qid)
+	binio.ID(c, &m.Initiator)
+	binio.ID(c, &m.Dest)
+	binio.ID(c, &m.Querier)
+	walkIDs(c, &m.Tags)
+	walkIDs(c, &m.Branch)
+	walkRefs(c, &m.Offers)
 }
 
 // EagerForwardResp answers an eager gossip: the α-split portion of the
@@ -449,14 +318,9 @@ type EagerForwardResp struct {
 
 func (*EagerForwardResp) WireType() Type { return TypeEagerForwardResp }
 
-func (m *EagerForwardResp) encode(w *Writer) {
-	encodeIDs(w, m.Returned)
-	encodeRefs(w, m.Offers)
-}
-
-func (m *EagerForwardResp) decode(r *Reader) {
-	m.Returned = decodeIDs[tagging.UserID](r)
-	m.Offers = decodeRefs(r)
+func (m *EagerForwardResp) walk(c *binio.Codec) {
+	walkIDs(c, &m.Returned)
+	walkRefs(c, &m.Offers)
 }
 
 // PartialResult delivers a destination's partial result list to the
@@ -473,32 +337,21 @@ type PartialResult struct {
 
 func (*PartialResult) WireType() Type { return TypePartialResult }
 
-func (m *PartialResult) encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U64(m.Qid)
-	w.U32(uint32(m.Initiator))
-	w.U32(uint32(m.From))
-	w.U32(uint32(m.Querier))
-	encodeIDs(w, m.FoundOwners)
-	encodeEntries(w, m.Entries)
-}
-
-func (m *PartialResult) decode(r *Reader) {
-	m.Seq = r.U64()
-	m.Qid = r.U64()
-	m.Initiator = tagging.UserID(r.U32())
-	m.From = tagging.UserID(r.U32())
-	m.Querier = tagging.UserID(r.U32())
-	m.FoundOwners = decodeIDs[tagging.UserID](r)
-	m.Entries = decodeEntries(r)
+func (m *PartialResult) walk(c *binio.Codec) {
+	c.U64(&m.Seq)
+	c.U64(&m.Qid)
+	binio.ID(c, &m.Initiator)
+	binio.ID(c, &m.From)
+	binio.ID(c, &m.Querier)
+	walkIDs(c, &m.FoundOwners)
+	walkEntries(c, &m.Entries)
 }
 
 // PartialResultAck confirms delivery.
 type PartialResultAck struct{}
 
-func (*PartialResultAck) WireType() Type     { return TypePartialResultAck }
-func (m *PartialResultAck) encode(w *Writer) {}
-func (m *PartialResultAck) decode(r *Reader) {}
+func (*PartialResultAck) WireType() Type    { return TypePartialResultAck }
+func (*PartialResultAck) walk(*binio.Codec) {}
 
 // QuerySubmit asks a daemon to run a query on behalf of Querier. Any
 // daemon accepts it; a member forwards it to the lead, which issues it on
@@ -510,14 +363,9 @@ type QuerySubmit struct {
 
 func (*QuerySubmit) WireType() Type { return TypeQuerySubmit }
 
-func (m *QuerySubmit) encode(w *Writer) {
-	w.U32(uint32(m.Querier))
-	encodeIDs(w, m.Tags)
-}
-
-func (m *QuerySubmit) decode(r *Reader) {
-	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeIDs[tagging.TagID](r)
+func (m *QuerySubmit) walk(c *binio.Codec) {
+	binio.ID(c, &m.Querier)
+	walkIDs(c, &m.Tags)
 }
 
 // QuerySubmitAck returns the query ID the cluster assigned, identical on
@@ -530,16 +378,10 @@ type QuerySubmitAck struct {
 
 func (*QuerySubmitAck) WireType() Type { return TypeQuerySubmitAck }
 
-func (m *QuerySubmitAck) encode(w *Writer) {
-	w.Bool(m.OK)
-	w.U64(m.Qid)
-	w.String(m.Reason)
-}
-
-func (m *QuerySubmitAck) decode(r *Reader) {
-	m.OK = r.Bool()
-	m.Qid = r.U64()
-	m.Reason = r.String()
+func (m *QuerySubmitAck) walk(c *binio.Codec) {
+	c.Bool(&m.OK)
+	c.U64(&m.Qid)
+	c.String(&m.Reason, MaxStringLen)
 }
 
 // QueryIssue is the lead's broadcast ordering every member to issue the
@@ -551,14 +393,9 @@ type QueryIssue struct {
 
 func (*QueryIssue) WireType() Type { return TypeQueryIssue }
 
-func (m *QueryIssue) encode(w *Writer) {
-	w.U32(uint32(m.Querier))
-	encodeIDs(w, m.Tags)
-}
-
-func (m *QueryIssue) decode(r *Reader) {
-	m.Querier = tagging.UserID(r.U32())
-	m.Tags = decodeIDs[tagging.TagID](r)
+func (m *QueryIssue) walk(c *binio.Codec) {
+	binio.ID(c, &m.Querier)
+	walkIDs(c, &m.Tags)
 }
 
 // QueryIssueAck confirms the member issued the query, echoing the ID its
@@ -570,14 +407,9 @@ type QueryIssueAck struct {
 
 func (*QueryIssueAck) WireType() Type { return TypeQueryIssueAck }
 
-func (m *QueryIssueAck) encode(w *Writer) {
-	w.Bool(m.OK)
-	w.U64(m.Qid)
-}
-
-func (m *QueryIssueAck) decode(r *Reader) {
-	m.OK = r.Bool()
-	m.Qid = r.U64()
+func (m *QueryIssueAck) walk(c *binio.Codec) {
+	c.Bool(&m.OK)
+	c.U64(&m.Qid)
 }
 
 // QueryStatus asks a daemon for the state of a query.
@@ -586,11 +418,8 @@ type QueryStatus struct {
 }
 
 func (*QueryStatus) WireType() Type { return TypeQueryStatus }
-func (m *QueryStatus) encode(w *Writer) {
-	w.U64(m.Qid)
-}
-func (m *QueryStatus) decode(r *Reader) {
-	m.Qid = r.U64()
+func (m *QueryStatus) walk(c *binio.Codec) {
+	c.U64(&m.Qid)
 }
 
 // QueryStatusResp reports a query's progress as the answering daemon sees
@@ -616,38 +445,24 @@ type QueryStatusResp struct {
 
 func (*QueryStatusResp) WireType() Type { return TypeQueryStatusResp }
 
-func (m *QueryStatusResp) encode(w *Writer) {
-	w.Bool(m.Known)
-	w.Bool(m.Done)
-	w.U32(m.Cycles)
-	w.U32(m.Used)
-	w.U32(m.Needed)
-	w.U64(m.Forwarded)
-	w.U64(m.Returned)
-	w.U64(m.PartialResults)
-	w.U64(m.Maintenance)
-	encodeEntries(w, m.Results)
-}
-
-func (m *QueryStatusResp) decode(r *Reader) {
-	m.Known = r.Bool()
-	m.Done = r.Bool()
-	m.Cycles = r.U32()
-	m.Used = r.U32()
-	m.Needed = r.U32()
-	m.Forwarded = r.U64()
-	m.Returned = r.U64()
-	m.PartialResults = r.U64()
-	m.Maintenance = r.U64()
-	m.Results = decodeEntries(r)
+func (m *QueryStatusResp) walk(c *binio.Codec) {
+	c.Bool(&m.Known)
+	c.Bool(&m.Done)
+	c.U32(&m.Cycles)
+	c.U32(&m.Used)
+	c.U32(&m.Needed)
+	c.U64(&m.Forwarded)
+	c.U64(&m.Returned)
+	c.U64(&m.PartialResults)
+	c.U64(&m.Maintenance)
+	walkEntries(c, &m.Results)
 }
 
 // Stats asks a daemon for its cluster-level counters.
 type Stats struct{}
 
-func (*Stats) WireType() Type     { return TypeStats }
-func (m *Stats) encode(w *Writer) {}
-func (m *Stats) decode(r *Reader) {}
+func (*Stats) WireType() Type    { return TypeStats }
+func (*Stats) walk(*binio.Codec) {}
 
 // QueryStat is one query's row in a StatsResp.
 type QueryStat struct {
@@ -660,10 +475,24 @@ type QueryStat struct {
 	Maintenance    uint64
 }
 
+func walkQueryStat(c *binio.Codec, q *QueryStat) {
+	c.U64(&q.Qid)
+	c.Bool(&q.Done)
+	c.U64(&q.Forwarded)
+	c.U64(&q.Returned)
+	c.U64(&q.PartialResults)
+	c.U64(&q.Maintenance)
+}
+
 // PlaneStat is one connection plane's raw wire tally.
 type PlaneStat struct {
 	Msgs  uint64
 	Bytes uint64
+}
+
+func walkPlane(c *binio.Codec, p *PlaneStat) {
+	c.U64(&p.Msgs)
+	c.U64(&p.Bytes)
 }
 
 // StatsResp reports a daemon's counters: cycles stepped, divergence
@@ -702,77 +531,23 @@ type StatsResp struct {
 
 func (*StatsResp) WireType() Type { return TypeStatsResp }
 
-func encodePlane(w *Writer, p PlaneStat) {
-	w.U64(p.Msgs)
-	w.U64(p.Bytes)
-}
-
-func decodePlane(r *Reader) PlaneStat {
-	return PlaneStat{Msgs: r.U64(), Bytes: r.U64()}
-}
-
-func (m *StatsResp) encode(w *Writer) {
-	w.U32(m.Index)
-	w.U64(m.LazyCycles)
-	w.U64(m.EagerCycles)
-	w.U64(m.Divergence)
-	w.U64(m.WireMsgs)
-	w.U64(m.WireBytes)
-	w.U32(m.FrozenEvents)
-	w.U32(m.PendingEvents)
-	w.U64(m.PlanNanos)
-	w.U64(m.CommitNanos)
-	w.U64(m.SkewMaxNanos)
-	encodePlane(w, m.Data)
-	encodePlane(w, m.Ctrl)
-	encodePlane(w, m.Gateway)
-	encodePlane(w, m.Served)
-	w.Count(len(m.Queries))
-	for _, q := range m.Queries {
-		w.U64(q.Qid)
-		w.Bool(q.Done)
-		w.U64(q.Forwarded)
-		w.U64(q.Returned)
-		w.U64(q.PartialResults)
-		w.U64(q.Maintenance)
-	}
-}
-
-func (m *StatsResp) decode(r *Reader) {
-	m.Index = r.U32()
-	m.LazyCycles = r.U64()
-	m.EagerCycles = r.U64()
-	m.Divergence = r.U64()
-	m.WireMsgs = r.U64()
-	m.WireBytes = r.U64()
-	m.FrozenEvents = r.U32()
-	m.PendingEvents = r.U32()
-	m.PlanNanos = r.U64()
-	m.CommitNanos = r.U64()
-	m.SkewMaxNanos = r.U64()
-	m.Data = decodePlane(r)
-	m.Ctrl = decodePlane(r)
-	m.Gateway = decodePlane(r)
-	m.Served = decodePlane(r)
-	n := r.Count(MaxQueryEntries)
-	if n == 0 {
-		return
-	}
-	m.Queries = make([]QueryStat, 0, CapHint(n))
-	for i := 0; i < n; i++ {
-		var q QueryStat
-		q.Qid = r.U64()
-		q.Done = r.Bool()
-		q.Forwarded = r.U64()
-		q.Returned = r.U64()
-		q.PartialResults = r.U64()
-		q.Maintenance = r.U64()
-		if r.Err() != nil {
-			m.Queries = nil
-			return
-		}
-		m.Queries = append(m.Queries, q)
-	}
+func (m *StatsResp) walk(c *binio.Codec) {
+	c.U32(&m.Index)
+	c.U64(&m.LazyCycles)
+	c.U64(&m.EagerCycles)
+	c.U64(&m.Divergence)
+	c.U64(&m.WireMsgs)
+	c.U64(&m.WireBytes)
+	c.U32(&m.FrozenEvents)
+	c.U32(&m.PendingEvents)
+	c.U64(&m.PlanNanos)
+	c.U64(&m.CommitNanos)
+	c.U64(&m.SkewMaxNanos)
+	walkPlane(c, &m.Data)
+	walkPlane(c, &m.Ctrl)
+	walkPlane(c, &m.Gateway)
+	walkPlane(c, &m.Served)
+	binio.List(c, &m.Queries, MaxQueryEntries, listCapHint, walkQueryStat)
 }
 
 // newMsg returns a zero message of the given type, or false for an

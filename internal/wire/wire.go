@@ -8,11 +8,14 @@
 //
 // The codec runs on the sticky-error carrier of internal/binio:
 // fixed-width little-endian integers, explicit counts bounded before
-// anything is allocated, truncation surfacing as io.ErrUnexpectedEOF; this
-// package adds the frame envelope, with an end marker per frame proving
-// reader and writer agreed on the layout. The stickyerr analyzer
-// (internal/lint) enforces that raw stream access stays inside binio and
-// that no error result is dropped.
+// anything is allocated, truncation surfacing as io.ErrUnexpectedEOF. Each
+// message's layout is one walk over a binio.Codec (messages.go), run by
+// WriteMsg as the encoder and by ReadMsg as the decoder, so the two cannot
+// disagree; every list and string is bounded on both sides — an oversized
+// one fails at the sender, by name. This package adds the frame envelope,
+// with an end marker per frame proving reader and writer agreed on the
+// layout. The stickyerr analyzer (internal/lint) enforces that raw stream
+// access stays inside binio and that no error result is dropped.
 //
 // Frame layout (one frame per message, self-delimiting on a stream):
 //
@@ -66,18 +69,26 @@ const MaxStringLen = 1 << 10
 // MaxQueryEntries bounds the per-query stats table of a StatsResp.
 const MaxQueryEntries = 1 << 20
 
+// listCapHint caps the preallocation for a validated list count (see
+// binio.CapHint): a frame may legitimately announce a large list, but
+// append grows the rest only as data actually arrives.
+const listCapHint = 1 << 12
+
 // Writer serializes wire frames: the binio carrier (sticky errors, checked
-// once per frame) plus the frame envelope.
-type Writer struct{ binio.Writer }
+// once per frame), the frame envelope, and the Codec that walks each
+// message onto the carrier.
+type Writer struct {
+	binio.Writer
+	codec binio.Codec
+}
 
 // NewWriter returns a Writer over the stream. One Writer per connection:
 // frames are emitted back to back and flushed per frame.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{binio.MakeWriter(w, "wire")}
+	ww := &Writer{Writer: binio.MakeWriter(w, "wire")}
+	ww.codec = binio.WriteCodec(&ww.Writer)
+	return ww
 }
-
-// String writes a length-prefixed string of at most MaxStringLen bytes.
-func (w *Writer) String(s string) { w.Writer.String(s, MaxStringLen) }
 
 // begin emits a frame header.
 func (w *Writer) begin(t Type) {
@@ -95,20 +106,17 @@ func (w *Writer) finish() error {
 
 // Reader deserializes wire frames with the same sticky-error discipline
 // as Writer. One Reader per connection.
-type Reader struct{ binio.Reader }
+type Reader struct {
+	binio.Reader
+	codec binio.Codec
+}
 
 // NewReader returns a Reader over the stream.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{binio.MakeReader(r, "wire")}
+	rr := &Reader{Reader: binio.MakeReader(r, "wire")}
+	rr.codec = binio.ReadCodec(&rr.Reader)
+	return rr
 }
-
-// String reads a length-prefixed string of at most MaxStringLen bytes.
-func (r *Reader) String() string { return r.Reader.String(MaxStringLen) }
-
-// CapHint caps a validated count for preallocation (see binio.CapHint) at
-// the wire format's 4Ki elements: a frame may legitimately announce a
-// large list, but append grows the rest only as data actually arrives.
-func CapHint(n int) int { return binio.CapHint(n, 1<<12) }
 
 // header reads and validates a frame header, returning the message type.
 func (r *Reader) header() Type {
@@ -131,7 +139,7 @@ func (r *Reader) end() {
 // WriteMsg encodes one message as a frame onto w and flushes it.
 func WriteMsg(w *Writer, m Msg) error {
 	w.begin(m.WireType())
-	m.encode(w)
+	m.walk(&w.codec)
 	return w.finish()
 }
 
@@ -148,7 +156,7 @@ func ReadMsg(r *Reader) (Msg, error) {
 		r.Fail("unknown message type %d", t)
 		return nil, r.Err()
 	}
-	m.decode(r)
+	m.walk(&r.codec)
 	r.end()
 	if r.Err() != nil {
 		return nil, r.Err()

@@ -51,7 +51,7 @@ func sampleMessages() []Msg {
 		&QueryIssueAck{OK: true, Qid: 2},
 		&QueryStatus{Qid: 2},
 		&QueryStatusResp{
-			Known: true, Done: true, Cycles: 7, Used: 12, Needed: 12,
+			Known: true, Done: true, Cycles: 7, Used: 11, Needed: 12,
 			Forwarded: 640, Returned: 320, PartialResults: 480, Maintenance: 4096,
 			Results: entries,
 		},
@@ -99,8 +99,47 @@ func TestSampleMessagesCoverEveryType(t *testing.T) {
 	}
 }
 
+// edgeMessages are round-trip inputs beyond the one-per-type samples: every
+// list empty (which must decode to nil, as the samples' DeepEqual demands of
+// the zero message), an all-zero StatsResp, and a reason of exactly
+// MaxStringLen bytes.
+func edgeMessages() []Msg {
+	return []Msg{
+		&ViewExchangeReq{},
+		&EagerForwardReq{},
+		&EagerForwardResp{},
+		&PartialResult{},
+		&QueryStatusResp{},
+		&StatsResp{},
+		&HelloAck{Reason: strings.Repeat("x", MaxStringLen)},
+	}
+}
+
+// decodeAllocs is what ReadMsg allocates for a frame, measured on the
+// hand-written decoders the walks replaced and pinned so a walk that
+// escapes a temporary per element or per frame shows up as a count: the
+// message itself (nothing for an empty struct), one backing array per
+// non-empty list, two per non-empty string (the read buffer and its copy).
+func decodeAllocs(m Msg) float64 {
+	v := reflect.ValueOf(m).Elem()
+	if v.NumField() == 0 {
+		return 0
+	}
+	n := 1.0
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); {
+		case f.Kind() == reflect.Slice && f.Len() > 0:
+			n++
+		case f.Kind() == reflect.String && f.Len() > 0:
+			n += 2
+		}
+	}
+	return n
+}
+
 func TestRoundTrip(t *testing.T) {
-	for _, m := range sampleMessages() {
+	w := NewWriter(io.Discard)
+	for _, m := range append(sampleMessages(), edgeMessages()...) {
 		frame := encodeFrame(t, m)
 		got, err := ReadMsg(NewReader(bytes.NewReader(frame)))
 		if err != nil {
@@ -109,6 +148,25 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%T: round trip mismatch:\n got %+v\nwant %+v", m, got, m)
+		}
+
+		// Through per-connection carriers, as the daemon runs them.
+		if n := testing.AllocsPerRun(20, func() {
+			if err := WriteMsg(w, m); err != nil {
+				t.Fatalf("WriteMsg(%T): %v", m, err)
+			}
+		}); n != 0 {
+			t.Errorf("%T: encoding allocates %v times per frame, want 0", m, n)
+		}
+		src := bytes.NewReader(nil)
+		r := NewReader(src)
+		if n, want := testing.AllocsPerRun(20, func() {
+			src.Reset(frame)
+			if _, err := ReadMsg(r); err != nil {
+				t.Fatalf("ReadMsg(%T): %v", m, err)
+			}
+		}), decodeAllocs(m); n != want {
+			t.Errorf("%T: decoding allocates %v times per frame, want %v", m, n, want)
 		}
 	}
 }
@@ -223,15 +281,57 @@ func TestInvalidStepKind(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "step kind") {
 		t.Fatalf("got %v, want a step-kind error", err)
 	}
+	// One walk: the sender refuses the kind the receiver would.
+	err = WriteMsg(NewWriter(io.Discard), &Step{Kind: 9, Seq: 3})
+	if err == nil || !strings.Contains(err.Error(), "step kind") {
+		t.Fatalf("WriteMsg of an invalid kind: got %v, want a step-kind error", err)
+	}
 }
 
-// TestWriterRejectsOversizedString pins the writer-side guard: oversized
-// reject reasons fail loudly at the sender instead of desynchronizing the
-// stream.
+// TestWriterRejectsOversizedString pins the writer-side guards: an
+// oversized reject reason or list fails loudly at the sender, with a named
+// error, instead of tripping the receiver's bound and leaving the sender
+// with a bare EOF. Exactly the limit still crosses.
 func TestWriterRejectsOversizedString(t *testing.T) {
+	for _, c := range []struct {
+		m       Msg
+		wantErr string
+	}{
+		{&HelloAck{Reason: strings.Repeat("x", MaxStringLen+1)}, "wire: string of 1025 bytes exceeds the 1024-byte limit"},
+		{&ViewExchangeResp{Buf: make([]tagging.DigestRef, MaxListLen+1)}, "wire: list of 65537 elements exceeds the limit 65536"},
+	} {
+		var buf bytes.Buffer
+		err := WriteMsg(NewWriter(&buf), c.m)
+		if err == nil || err.Error() != c.wantErr {
+			t.Errorf("%T: WriteMsg = %v, want %q", c.m, err, c.wantErr)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%T: a refused frame still put %d bytes on the stream", c.m, buf.Len())
+		}
+	}
+
+	atLimit := &ViewExchangeResp{Buf: make([]tagging.DigestRef, MaxListLen)}
+	got, err := ReadMsg(NewReader(bytes.NewReader(encodeFrame(t, atLimit))))
+	if err != nil || !reflect.DeepEqual(got, atLimit) {
+		t.Fatalf("a list of exactly MaxListLen refs did not round-trip (err %v)", err)
+	}
+}
+
+// BenchmarkWireRoundTrip is one encode plus one decode of a 10-ref
+// TopExchangeReq — the lazy exchange's dominant frame — through
+// per-connection carriers.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	m := &TopExchangeReq{Seq: 4, Initiator: 5, Partner: 31, Offers: make([]tagging.DigestRef, 10)}
 	var buf bytes.Buffer
-	m := &HelloAck{Reason: strings.Repeat("x", MaxStringLen+1)}
-	if err := WriteMsg(NewWriter(&buf), m); err == nil {
-		t.Fatal("oversized string was accepted")
+	w, r := NewWriter(&buf), NewReader(&buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteMsg(w, m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadMsg(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
