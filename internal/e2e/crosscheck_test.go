@@ -1,10 +1,12 @@
 package e2e
 
 import (
+	"slices"
 	"testing"
 
 	"p3q/internal/core"
 	"p3q/internal/trace"
+	"p3q/internal/wire"
 )
 
 // TestCrossCheckClusterMatchesEngine is the cross-check tier: the same
@@ -76,44 +78,44 @@ func TestCrossCheckClusterMatchesEngine(t *testing.T) {
 
 	cl := c.Client(t, 0)
 	for i, run := range runs {
-		if run.ID != qids[i] {
-			t.Errorf("query %d: engine qid %d, cluster qid %d", i, run.ID, qids[i])
-		}
 		st, err := cl.Status(qids[i])
 		if err != nil {
 			t.Fatalf("status for query %d: %v", i, err)
 		}
-		if !st.Known {
-			t.Fatalf("cluster does not know query %d", i)
-		}
-		if !st.Done {
-			t.Errorf("query %d: engine done, cluster not done", i)
-			continue
-		}
-		if got, want := int(st.Used), run.ProfilesUsed(); got != want {
-			t.Errorf("query %d: cluster used %d profiles, engine used %d", i, got, want)
-		}
-		if got, want := int(st.Needed), run.ProfilesNeeded(); got != want {
-			t.Errorf("query %d: cluster needed %d profiles, engine needed %d", i, got, want)
-		}
+		requireMatchesRun(t, i, qids[i], st, run)
+	}
+}
 
-		want := run.Results()
-		if len(st.Results) != len(want) {
-			t.Errorf("query %d: cluster returned %d results, engine %d", i, len(st.Results), len(want))
-			continue
-		}
-		for j := range want {
-			if st.Results[j] != want[j] {
-				t.Errorf("query %d result %d: cluster %+v, engine %+v", i, j, st.Results[j], want[j])
-			}
-		}
-
-		b := run.Bytes()
-		if st.Forwarded != b.Forwarded || st.Returned != b.Returned ||
-			st.PartialResults != b.PartialResults || st.Maintenance != b.Maintenance {
-			t.Errorf("query %d traffic: cluster {fwd %d ret %d partial %d maint %d}, engine {fwd %d ret %d partial %d maint %d}",
-				i, st.Forwarded, st.Returned, st.PartialResults, st.Maintenance,
-				b.Forwarded, b.Returned, b.PartialResults, b.Maintenance)
-		}
+// requireMatchesRun is the cross-check comparison for one settled query:
+// what the cluster's gateway reports must equal the bare engine's run of
+// the same query under the same schedule — id, completion, recall, the
+// exact result list, and the per-query byte tallies summed across daemons.
+func requireMatchesRun(t *testing.T, i int, qid uint64, st *wire.QueryStatusResp, run *core.QueryRun) {
+	t.Helper()
+	if run.ID != qid {
+		t.Errorf("query %d: engine qid %d, cluster qid %d", i, run.ID, qid)
+	}
+	if !st.Known {
+		t.Fatalf("cluster does not know query %d", i)
+	}
+	if !st.Done {
+		t.Errorf("query %d: engine done, cluster not done", i)
+		return
+	}
+	if got, want := int(st.Used), run.ProfilesUsed(); got != want {
+		t.Errorf("query %d: cluster used %d profiles, engine used %d", i, got, want)
+	}
+	if got, want := int(st.Needed), run.ProfilesNeeded(); got != want {
+		t.Errorf("query %d: cluster needed %d profiles, engine needed %d", i, got, want)
+	}
+	if !slices.Equal(st.Results, run.Results()) {
+		t.Errorf("query %d: cluster returned %+v, engine %+v", i, st.Results, run.Results())
+	}
+	b := run.Bytes()
+	if st.Forwarded != b.Forwarded || st.Returned != b.Returned ||
+		st.PartialResults != b.PartialResults || st.Maintenance != b.Maintenance {
+		t.Errorf("query %d traffic: cluster {fwd %d ret %d partial %d maint %d}, engine {fwd %d ret %d partial %d maint %d}",
+			i, st.Forwarded, st.Returned, st.PartialResults, st.Maintenance,
+			b.Forwarded, b.Returned, b.PartialResults, b.Maintenance)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"p3q/internal/core"
 	"p3q/internal/peer"
 	"p3q/internal/tagging"
 	"p3q/internal/trace"
@@ -117,4 +118,87 @@ func TestSmokeSubmitOutsidePopulation(t *testing.T) {
 	}
 	runToDone(t, c, cl, qid)
 	c.RequireNoDivergence(t)
+}
+
+// TestSmokeTwelveQueriesInFlight is the multi-querier reproducer: twelve
+// queries whose queriers cover all three hosted ranges are in flight at
+// once, so every daemon's exchange loop has a gossip parked on a peer
+// whose handler must call back (the partial result to the querier's
+// daemon) before it can answer. With one connection per peer pair that is
+// a cycle and the first eager cycle never returns; with one connection per
+// conversation it is not. Everything the cluster reports must equal a bare
+// engine given the same schedule.
+func TestSmokeTwelveQueriesInFlight(t *testing.T) {
+	const (
+		users, seed, warmup, inFlight = 600, 5, 8, 12
+		guard                         = 20 * time.Second
+	)
+	c := StartCluster(t, 3, users, seed)
+	if err := c.Lead().RunLazyCycles(warmup); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	ds := trace.Generate(c.Gen)
+	all := trace.GenerateQueries(ds, 3)
+	if len(all) < inFlight {
+		t.Fatalf("dataset generated %d queries, want at least %d", len(all), inFlight)
+	}
+	cl := c.Client(t, 1)
+	var queries []trace.Query
+	var qids []uint64
+	for i := 0; i < inFlight; i++ {
+		q := all[i*len(all)/inFlight] // an even walk over the three ranges
+		qid, err := cl.Submit(q.Querier, q.Tags)
+		if err != nil {
+			t.Fatalf("submitting query %d: %v", i, err)
+		}
+		queries, qids = append(queries, q), append(qids, qid)
+	}
+
+	cycles, finished := 0, make(chan error, 1)
+	go func() {
+		for !c.Lead().AllQueriesDone() {
+			if err := c.Lead().RunEagerCycle(); err != nil {
+				finished <- fmt.Errorf("eager cycle %d: %w", cycles, err)
+				return
+			}
+			cycles++
+		}
+		finished <- nil
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(guard):
+		t.Fatalf("the cluster is still inside its eager cycles after %v with %d queries in flight: deadlocked", guard, inFlight)
+	}
+	c.RequireNoDivergence(t)
+
+	ref := core.New(ds, c.Engine)
+	ref.Bootstrap()
+	for i := 0; i < warmup; i++ {
+		ref.LazyCycle()
+	}
+	var runs []*core.QueryRun
+	for _, q := range queries {
+		runs = append(runs, ref.IssueQuery(q))
+	}
+	refCycles := 0
+	for ; !ref.AllQueriesDone(); refCycles++ {
+		ref.EagerCycle()
+	}
+	if cycles != refCycles {
+		t.Errorf("cluster settled in %d eager cycles, bare engine in %d", cycles, refCycles)
+	}
+	for i, run := range runs {
+		st, err := cl.Status(qids[i])
+		if err != nil {
+			t.Fatalf("status for query %d: %v", i, err)
+		}
+		if st.Used != st.Needed {
+			t.Errorf("query %d: recall incomplete, used %d of %d profiles", i, st.Used, st.Needed)
+		}
+		requireMatchesRun(t, i, qids[i], st, run)
+	}
 }

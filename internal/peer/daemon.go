@@ -111,17 +111,13 @@ type Daemon struct {
 	ds  *trace.Dataset
 	eng *core.Engine
 
-	tr      Transport
-	ln      net.Listener
-	peersMu sync.RWMutex
-	// peers are the data links: exchange-plane traffic (view/top/fetch/
-	// eager conversations, partial results). ctrl are the lead's control
-	// links for Step/ExchangeGo/QueryIssue broadcasts, nil on members.
-	// The planes never share a connection: an ExchangeGo call parks on
-	// its conn until the member's whole exchange phase completes, and the
-	// lead's own exchange traffic to that member must not queue behind it.
-	peers    []*rpcConn // by daemon index; nil at own index and before Connect
-	ctrl     []*rpcConn
+	tr Transport
+	ln net.Listener
+	// links are the one way to reach each peer, whatever the purpose:
+	// every outgoing conversation goes through call and gets a connection
+	// of its own, so an ExchangeGo parked for a member's whole exchange
+	// phase delays nothing else bound for that member.
+	links    []*link // by daemon index; nil at own index
 	counters [numPlanes]wireCounters
 	serving  sync.WaitGroup
 	accepted connSet
@@ -141,10 +137,10 @@ type Daemon struct {
 	leadMu sync.Mutex
 
 	// mu guards the replica and all mutable daemon state. It is never
-	// held across an outgoing Call — handlers and exchange loops read
-	// what they need under mu, release it, then speak on the wire —
-	// which is what keeps the full-duplex conversation mesh
-	// deadlock-free.
+	// held across an outgoing call — handlers and exchange loops read
+	// what they need under mu, release it, then speak on the wire — so
+	// a handler that needs mu waits for a critical section, never for
+	// another daemon.
 	mu      sync.Mutex
 	cycle   *cycleState
 	queries map[uint64]*queryState
@@ -181,13 +177,18 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 		lo:      lo,
 		hi:      hi,
 		tr:      tr,
-		peers:   make([]*rpcConn, len(cfg.Addrs)),
-		ctrl:    make([]*rpcConn, len(cfg.Addrs)),
+		links:   make([]*link, len(cfg.Addrs)),
 		queries: make(map[uint64]*queryState),
 		runs:    make(map[uint64]*core.QueryRun),
 		qstats:  make(map[uint64]*wire.QueryStat),
 		ready:   make(chan struct{}),
 		stopCh:  make(chan struct{}),
+	}
+	for i, addr := range cfg.Addrs {
+		if i != cfg.Index {
+			dial := func() (net.Conn, error) { return tr.Dial(addr) }
+			d.links[i] = &link{from: cfg.Index, to: i, dial: dial, timeout: callTimeout}
+		}
 	}
 	return d, nil
 }
@@ -213,142 +214,14 @@ func (d *Daemon) Start() error {
 	return nil
 }
 
-// Connect dials every other daemon and performs the Hello handshake,
-// retrying until the peer is up or the timeout elapses.
+// Connect performs the Hello handshake with every other daemon, retrying
+// until the peer is up or the timeout elapses. The handshake pins the
+// peer, not the connection: connections a link opens later carry no Hello,
+// so the bytes of a run do not depend on how many the scheduler made it
+// open.
 func (d *Daemon) Connect() error {
-	timeout := d.cfg.ConnectTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	for i, addr := range d.cfg.Addrs {
-		if i == d.cfg.Index {
-			continue
-		}
-		rc, err := d.dialPeer(addr, i, deadline, planeData)
-		if err != nil {
-			return err
-		}
-		d.peersMu.Lock()
-		d.peers[i] = rc
-		d.peersMu.Unlock()
-		if d.cfg.Index == 0 {
-			cc, err := d.dialPeer(addr, i, deadline, planeCtrl)
-			if err != nil {
-				return err
-			}
-			d.peersMu.Lock()
-			d.ctrl[i] = cc
-			d.peersMu.Unlock()
-		}
-	}
-	d.readyOnce.Do(func() { close(d.ready) })
-	return nil
-}
-
-// dialPeer establishes one handshaked link to daemon i on the given
-// connection plane.
-func (d *Daemon) dialPeer(addr string, i int, deadline time.Time, plane int) (*rpcConn, error) {
-	conn, err := d.dialUntil(addr, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("peer: daemon %d dialing daemon %d: %w", d.cfg.Index, i, err)
-	}
-	rc := newRPCConn(conn, &d.counters[plane])
-	if err := d.handshake(rc, i); err != nil {
-		if cerr := rc.Close(); cerr != nil {
-			err = fmt.Errorf("%w (and closing: %v)", err, cerr)
-		}
-		return nil, err
-	}
-	return rc, nil
-}
-
-// waitReady holds an incoming lockstep request until this daemon's own
-// Connect has completed the mesh, bounded by the connect timeout. It
-// reports false if the daemon is shut down or never finishes connecting.
-func (d *Daemon) waitReady() bool {
-	timeout := d.cfg.ConnectTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	select {
-	case <-d.ready:
-		return true
-	case <-d.stopCh:
-		return false
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-// peer returns the link to daemon i, or nil before Connect reaches it.
-func (d *Daemon) peer(i int) *rpcConn {
-	d.peersMu.RLock()
-	defer d.peersMu.RUnlock()
-	return d.peers[i]
-}
-
-// connectedPeers snapshots the mesh, failing while any link is still
-// missing: cluster operations must never silently run on a subset of
-// the replicas, or the replicas stop being replicas.
-func (d *Daemon) connectedPeers() ([]*rpcConn, error) {
-	d.peersMu.RLock()
-	defer d.peersMu.RUnlock()
-	for i, p := range d.peers {
-		if i != d.cfg.Index && p == nil {
-			return nil, fmt.Errorf("peer: daemon %d is not connected to daemon %d yet", d.cfg.Index, i)
-		}
-	}
-	return append([]*rpcConn(nil), d.peers...), nil
-}
-
-// gatewayCall dials a short-lived connection for gateway-plane traffic:
-// submit and status relays, cluster-wide stats aggregation. Gateway
-// calls never share a link with the lockstep or exchange planes — a
-// relay parked behind the lead's cycle mutex must not hold the mutex of
-// a connection the cycle itself needs to complete.
-func (d *Daemon) gatewayCall(target int, req wire.Msg) (wire.Msg, error) {
-	conn, err := d.tr.Dial(d.cfg.Addrs[target])
-	if err != nil {
-		return nil, fmt.Errorf("peer: gateway dial to daemon %d: %w", target, err)
-	}
-	rc := newRPCConn(conn, &d.counters[planeGateway])
-	defer func() {
-		if cerr := rc.Close(); cerr != nil {
-			_ = cerr // short-lived conn; remote may close first
-		}
-	}()
-	return rc.Call(req)
-}
-
-// connectedCtrl snapshots the lead's control links, failing while any is
-// still missing.
-func (d *Daemon) connectedCtrl() ([]*rpcConn, error) {
-	d.peersMu.RLock()
-	defer d.peersMu.RUnlock()
-	for i, p := range d.ctrl {
-		if i != d.cfg.Index && p == nil {
-			return nil, fmt.Errorf("peer: daemon %d has no control link to daemon %d yet", d.cfg.Index, i)
-		}
-	}
-	return append([]*rpcConn(nil), d.ctrl...), nil
-}
-
-func (d *Daemon) dialUntil(addr string, deadline time.Time) (net.Conn, error) {
-	for {
-		conn, err := d.tr.Dial(addr)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func (d *Daemon) handshake(rc *rpcConn, target int) error {
-	resp, err := rc.Call(&wire.Hello{
+	deadline := time.Now().Add(d.connectTimeout())
+	hello := &wire.Hello{
 		Index:      uint32(d.cfg.Index),
 		Lo:         uint32(d.lo),
 		Hi:         uint32(d.hi),
@@ -356,21 +229,72 @@ func (d *Daemon) handshake(rc *rpcConn, target int) error {
 		Seed:       d.cfg.Engine.Seed,
 		ConfigSum:  hashSum(fmt.Sprintf("%+v", d.cfg.Engine)),
 		DatasetSum: hashSum(fmt.Sprintf("%+v", d.cfg.Gen)),
-	})
-	if err != nil {
-		return err
 	}
-	ack, ok := resp.(*wire.HelloAck)
-	if !ok {
-		return fmt.Errorf("peer: handshake with daemon %d: unexpected %T", target, resp)
+	for i, l := range d.links {
+		if l == nil {
+			continue
+		}
+		resp, err := d.call(i, planeData, hello)
+		for err != nil && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Millisecond) // the peer may still be starting
+			resp, err = d.call(i, planeData, hello)
+		}
+		if err != nil {
+			return err
+		}
+		ack, ok := resp.(*wire.HelloAck)
+		if !ok {
+			return fmt.Errorf("peer: handshake with daemon %d: unexpected %T", i, resp)
+		}
+		if !ack.OK {
+			return fmt.Errorf("peer: daemon %d rejected handshake: %s", i, ack.Reason)
+		}
+		if int(ack.Index) != i {
+			return fmt.Errorf("peer: dialed daemon %d but reached daemon %d", i, ack.Index)
+		}
 	}
-	if !ack.OK {
-		return fmt.Errorf("peer: daemon %d rejected handshake: %s", target, ack.Reason)
-	}
-	if int(ack.Index) != target {
-		return fmt.Errorf("peer: dialed daemon %d but reached daemon %d", target, ack.Index)
-	}
+	d.readyOnce.Do(func() { close(d.ready) })
 	return nil
+}
+
+// connectTimeout is Config.ConnectTimeout with its default applied.
+func (d *Daemon) connectTimeout() time.Duration {
+	if d.cfg.ConnectTimeout == 0 {
+		return 10 * time.Second
+	}
+	return d.cfg.ConnectTimeout
+}
+
+// waitReady holds an incoming lockstep request until this daemon's own
+// Connect has completed the mesh, bounded by the connect timeout. It
+// reports false if the daemon is shut down or never finishes connecting.
+func (d *Daemon) waitReady() bool {
+	select {
+	case <-d.ready:
+		return true
+	case <-d.stopCh:
+		return false
+	case <-time.After(d.connectTimeout()):
+		return false
+	}
+}
+
+// connected fails until Connect has pinned every peer: cluster operations
+// must never silently run on a subset of the replicas, or the replicas
+// stop being replicas.
+func (d *Daemon) connected() error {
+	select {
+	case <-d.ready:
+		return nil
+	default:
+		return fmt.Errorf("peer: daemon %d has not connected to its peers yet", d.cfg.Index)
+	}
+}
+
+// call runs one conversation with daemon i on a connection of its own
+// (see link) and tallies the request on plane, the reason it was sent.
+func (d *Daemon) call(i, plane int, req wire.Msg) (wire.Msg, error) {
+	return d.links[i].call(&d.counters[plane], req)
 }
 
 // hashSum is FNV-1a over a canonical rendering — enough to catch two
@@ -394,15 +318,9 @@ func (d *Daemon) Close() {
 			_ = err // telemetry listener already closed
 		}
 	}
-	d.peersMu.RLock()
-	links := append([]*rpcConn(nil), d.peers...)
-	links = append(links, d.ctrl...)
-	d.peersMu.RUnlock()
-	for _, p := range links {
-		if p != nil {
-			if err := p.Close(); err != nil {
-				_ = err // link already closed
-			}
+	for _, l := range d.links {
+		if l != nil {
+			l.open.closeAll()
 		}
 	}
 	d.accepted.closeAll()
@@ -470,24 +388,17 @@ func (d *Daemon) runCycle(kind uint8) error {
 	d.leadMu.Lock()
 	defer d.leadMu.Unlock()
 
-	if _, err := d.connectedPeers(); err != nil {
-		return err
-	}
-	ctrl, err := d.connectedCtrl()
-	if err != nil {
+	if err := d.connected(); err != nil {
 		return err
 	}
 
 	// Phase 1: every replica steps. Sequential is fine — stepping makes
-	// no outgoing calls.
+	// no outgoing calls. The lead is daemon 0; the members are the rest.
 	seq := d.stepLocal(kind)
-	for i, p := range ctrl {
-		if p == nil {
-			continue
-		}
-		resp, err := p.Call(&wire.Step{Kind: kind, Seq: seq})
+	for i := 1; i < len(d.links); i++ {
+		resp, err := d.call(i, planeCtrl, &wire.Step{Kind: kind, Seq: seq})
 		if err != nil {
-			return fmt.Errorf("peer: step broadcast to daemon %d: %w", i, err)
+			return err
 		}
 		ack, ok := resp.(*wire.StepAck)
 		if !ok || ack.Seq != seq {
@@ -496,31 +407,21 @@ func (d *Daemon) runCycle(kind uint8) error {
 	}
 
 	// Phase 2: every daemon runs its exchanges, concurrently — they call
-	// into each other mid-phase. The ExchangeGo call parks on its control
-	// link until the member's whole phase completes; the lead's own
-	// exchange traffic flows on the separate data links meanwhile.
-	errs := make(chan error, len(ctrl))
-	inflight := 0
-	for i, p := range ctrl {
-		if p == nil {
-			continue
-		}
-		inflight++
-		go func(i int, p *rpcConn) {
-			resp, err := p.Call(&wire.ExchangeGo{Seq: seq})
-			if err != nil {
-				errs <- fmt.Errorf("peer: exchange broadcast to daemon %d: %w", i, err)
-				return
+	// into each other mid-phase. The ExchangeGo call parks on its
+	// connection until the member's whole phase completes; the lead's own
+	// exchange traffic to that member gets connections of its own.
+	errs := make(chan error, len(d.links)-1)
+	for i := 1; i < len(d.links); i++ {
+		go func() {
+			resp, err := d.call(i, planeCtrl, &wire.ExchangeGo{Seq: seq})
+			if ack, ok := resp.(*wire.ExchangeAck); err == nil && (!ok || ack.Seq != seq) {
+				err = fmt.Errorf("peer: daemon %d acked the wrong exchange: %+v (want seq %d)", i, resp, seq)
 			}
-			if ack, ok := resp.(*wire.ExchangeAck); !ok || ack.Seq != seq {
-				errs <- fmt.Errorf("peer: daemon %d acked the wrong exchange: %+v (want seq %d)", i, resp, seq)
-				return
-			}
-			errs <- nil
-		}(i, p)
+			errs <- err
+		}()
 	}
 	ownErr := d.exchangePhase(seq)
-	for ; inflight > 0; inflight-- {
+	for i := 1; i < len(d.links); i++ {
 		if err := <-errs; err != nil && ownErr == nil {
 			ownErr = err
 		}
@@ -537,21 +438,17 @@ func (d *Daemon) SubmitQuery(q trace.Query) (uint64, error) {
 	}
 	d.leadMu.Lock()
 	defer d.leadMu.Unlock()
-	ctrl, err := d.connectedCtrl()
-	if err != nil {
+	if err := d.connected(); err != nil {
 		return 0, err
 	}
 	qid, err := d.issueLocal(q)
 	if err != nil {
 		return 0, err
 	}
-	for i, p := range ctrl {
-		if p == nil {
-			continue
-		}
-		resp, err := p.Call(&wire.QueryIssue{Querier: q.Querier, Tags: q.Tags})
+	for i := 1; i < len(d.links); i++ {
+		resp, err := d.call(i, planeCtrl, &wire.QueryIssue{Querier: q.Querier, Tags: q.Tags})
 		if err != nil {
-			return 0, fmt.Errorf("peer: issue broadcast to daemon %d: %w", i, err)
+			return 0, err
 		}
 		ack, okResp := resp.(*wire.QueryIssueAck)
 		if !okResp || !ack.OK {
@@ -767,7 +664,7 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 		if !d.hosts(v.Initiator) || d.hosts(v.Partner) {
 			continue
 		}
-		resp, err := d.peer(d.daemonOf(v.Partner)).Call(&wire.ViewExchangeReq{
+		resp, err := d.call(d.daemonOf(v.Partner), planeData, &wire.ViewExchangeReq{
 			Seq: cs.seq, Initiator: v.Initiator, Partner: v.Partner, Buf: v.BufA,
 		})
 		if err != nil {
@@ -784,7 +681,7 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 			continue
 		}
 		if t.HasPartner && !d.hosts(t.Partner) {
-			resp, err := d.peer(d.daemonOf(t.Partner)).Call(&wire.TopExchangeReq{
+			resp, err := d.call(d.daemonOf(t.Partner), planeData, &wire.TopExchangeReq{
 				Seq: cs.seq, Initiator: t.Initiator, Partner: t.Partner, Offers: t.OffersA,
 			})
 			if err != nil {
@@ -799,7 +696,7 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 			if d.hosts(f.Owner) {
 				continue
 			}
-			resp, err := d.peer(d.daemonOf(f.Owner)).Call(&wire.DirectFetchReq{
+			resp, err := d.call(d.daemonOf(f.Owner), planeData, &wire.DirectFetchReq{
 				Seq: cs.seq, Requester: t.Initiator, Owner: f.Owner,
 			})
 			if err != nil {
@@ -826,7 +723,7 @@ func (d *Daemon) runEagerExchanges(cs *cycleState) error {
 			continue
 		}
 		if !d.hosts(pc.Dest) {
-			resp, err := d.peer(d.daemonOf(pc.Dest)).Call(&wire.EagerForwardReq{
+			resp, err := d.call(d.daemonOf(pc.Dest), planeData, &wire.EagerForwardReq{
 				Seq:       cs.seq,
 				Qid:       pc.Qid,
 				Initiator: pc.Initiator,
@@ -871,7 +768,7 @@ func (d *Daemon) deliverPartial(cs *cycleState, pc *core.EagerPairCap) error {
 		d.acceptPartial(msg)
 		return nil
 	}
-	resp, err := d.peer(d.daemonOf(pc.Querier)).Call(msg)
+	resp, err := d.call(d.daemonOf(pc.Querier), planeData, msg)
 	if err != nil {
 		return err
 	}

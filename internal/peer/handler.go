@@ -11,11 +11,11 @@ import (
 	"p3q/internal/wire"
 )
 
-// handle dispatches one incoming wire message. Handlers that must speak
-// on other links (partial-result delivery, gateway forwarding) do so
-// without holding the daemon mutex, so the conversation mesh cannot
-// deadlock: no goroutine ever waits on the wire while holding a lock
-// another daemon's request needs.
+// handle dispatches one incoming wire message. Handlers that must call
+// other daemons (partial-result delivery, gateway relays) do so on
+// connections of their own and without holding the daemon mutex, so the
+// conversation mesh cannot deadlock: no goroutine ever waits on the wire
+// while holding a lock or a connection another conversation needs.
 func (d *Daemon) handle(req wire.Msg) wire.Msg {
 	switch m := req.(type) {
 	case *wire.Hello:
@@ -78,7 +78,7 @@ func (d *Daemon) serveHello(m *wire.Hello) wire.Msg {
 	reject := func(format string, args ...any) wire.Msg {
 		return &wire.HelloAck{OK: false, Index: uint32(d.cfg.Index), Reason: fmt.Sprintf(format, args...)}
 	}
-	if int(m.Index) < 0 || int(m.Index) >= len(d.cfg.Addrs) || int(m.Index) == d.cfg.Index {
+	if int(m.Index) >= len(d.cfg.Addrs) || int(m.Index) == d.cfg.Index {
 		return reject("daemon index %d not valid in a %d-daemon cluster", m.Index, len(d.cfg.Addrs))
 	}
 	if int(m.Users) != d.cfg.Gen.Users {
@@ -148,8 +148,9 @@ func (d *Daemon) serveFetch(m *wire.DirectFetchReq) wire.Msg {
 		d.divergence.Add(1)
 		return &wire.DirectFetchResp{}
 	}
-	// Fetches from one requester arrive in capture order on its serial
-	// link, so popping the expectation queue front matches them up.
+	// Fetches from one requester arrive in capture order — its daemon's
+	// one exchange loop issues them one after the other, each answered
+	// before the next is sent — so popping the queue front matches them up.
 	d.mu.Lock()
 	key := pairKey{m.Requester, m.Owner}
 	queue := cs.fetches[key]
@@ -203,7 +204,7 @@ func (d *Daemon) serveSubmit(m *wire.QuerySubmit) wire.Msg {
 	}
 	// Members relay to the lead, which is the only daemon allowed to
 	// interleave cluster operations.
-	resp, err := d.gatewayCall(0, m)
+	resp, err := d.call(0, planeGateway, m)
 	if err != nil {
 		return &wire.QuerySubmitAck{OK: false, Reason: err.Error()}
 	}
@@ -229,7 +230,7 @@ func (d *Daemon) serveStatus(m *wire.QueryStatus) wire.Msg {
 		if target == d.cfg.Index {
 			return &wire.QueryStatusResp{}
 		}
-		resp, err := d.gatewayCall(target, m)
+		resp, err := d.call(target, planeGateway, m)
 		if err != nil {
 			return &wire.QueryStatusResp{}
 		}
@@ -280,7 +281,7 @@ func (d *Daemon) clusterQueryBytes(qid uint64) wire.QueryStat {
 		if i == d.cfg.Index {
 			continue
 		}
-		resp, err := d.gatewayCall(i, &wire.Stats{})
+		resp, err := d.call(i, planeGateway, &wire.Stats{})
 		if err != nil {
 			continue
 		}

@@ -1,0 +1,148 @@
+package peer
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"testing"
+	"time"
+
+	"p3q/internal/core"
+	"p3q/internal/trace"
+	"p3q/internal/wire"
+)
+
+// startDaemons builds and starts n small daemons on one fabric without
+// connecting them.
+func startDaemons(t *testing.T, n int) (*Fabric, []*Daemon) {
+	t.Helper()
+	fabric := NewFabric()
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = string(rune('a' + i))
+	}
+	var daemons []*Daemon
+	for i := range addrs {
+		d, err := New(Config{Index: i, Addrs: addrs, Gen: trace.DefaultGenParams(30), Engine: core.DefaultConfig()}, fabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		daemons = append(daemons, d)
+	}
+	return fabric, daemons
+}
+
+// frameOf encodes m as one wire frame.
+func frameOf(t *testing.T, m wire.Msg) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.WriteMsg(wire.NewWriter(&buf), m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHandlerBadFrameClosesOnlyItsConnection: a frame the daemon cannot
+// take — an unknown message type, a foreign protocol version, a response
+// sent as a request — closes the one accepted connection it arrived on and
+// poisons nothing: the stream-level rejects leave every counter alone,
+// handle's "protocol confusion" case bumps divergence by one, and a fresh
+// connection to the same daemon still answers Stats.
+func TestHandlerBadFrameClosesOnlyItsConnection(t *testing.T) {
+	fabric, _ := startDaemons(t, 1)
+	stats := frameOf(t, &wire.Stats{})
+	patched := func(offset int, v uint16) []byte {
+		f := bytes.Clone(stats)
+		binary.LittleEndian.PutUint16(f[offset:], v)
+		return f
+	}
+	for _, tc := range []struct {
+		name       string
+		frame      []byte
+		divergence uint64 // cumulative
+	}{
+		{"unknown message type", patched(6, 0xFFFF), 0},
+		{"foreign version", patched(4, wire.Version+1), 0},
+		{"response sent as a request", frameOf(t, &wire.StepAck{Seq: 1}), 1},
+	} {
+		conn, err := fabric.Dial("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.frame); err != nil {
+			t.Fatalf("%s: writing the frame: %v", tc.name, err)
+		}
+		if n, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("%s: the daemon answered (%d bytes) instead of hanging up", tc.name, n)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: the daemon kept the connection open", tc.name)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		cl, err := DialClient(fabric, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Stats()
+		cl.Close()
+		if err != nil {
+			t.Fatalf("%s: stats on a fresh connection: %v", tc.name, err)
+		}
+		if st.Divergence != tc.divergence || st.LazyCycles != 0 || st.EagerCycles != 0 || len(st.Queries) != 0 {
+			t.Errorf("%s: daemon state moved: divergence %d (want %d), %d lazy and %d eager cycles, %d queries",
+				tc.name, st.Divergence, tc.divergence, st.LazyCycles, st.EagerCycles, len(st.Queries))
+		}
+	}
+}
+
+// TestHandlerStepWaitsForTheReadyGate: a Step that reaches a member before
+// its own Connect finished is held — stepping opens an exchange phase that
+// calls every peer — and answered once the mesh is up.
+func TestHandlerStepWaitsForTheReadyGate(t *testing.T) {
+	fabric, daemons := startDaemons(t, 2)
+	conn, err := fabric.Dial("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rc := newRPCConn(conn, &wireCounters{})
+	acked := make(chan wire.Msg, 1)
+	go func() {
+		resp, err := rc.Call(&wire.Step{Kind: wire.StepLazy, Seq: 0})
+		if err != nil {
+			t.Errorf("step: %v", err)
+		}
+		acked <- resp
+	}()
+	select {
+	case resp := <-acked:
+		t.Fatalf("member stepped before Connect: %#v", resp)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := daemons[1].Engine().LazyCycles(); n != 0 {
+		t.Fatalf("replica ran %d lazy cycles behind the gate", n)
+	}
+	if err := daemons[1].Connect(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case resp := <-acked:
+		if ack, ok := resp.(*wire.StepAck); !ok || ack.Seq != 0 {
+			t.Errorf("got %#v, want StepAck{Seq: 0}", resp)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held Step was not answered after Connect")
+	}
+	if n := daemons[1].Divergence(); n != 0 {
+		t.Errorf("%d divergences", n)
+	}
+}

@@ -27,6 +27,15 @@
 // same query ID. Within a phase daemons work concurrently; the lead
 // collects acks before opening the next phase.
 //
+// # Connections
+//
+// A daemon reaches a peer one way (link, in rpc.go): a connection carries
+// one conversation, and the link opens as many as it has conversations
+// under way. A call blocks only on its own remote handler, so the mesh
+// cannot deadlock however many queries are in flight, and every call has
+// a deadline. The data/ctrl/gateway/served counters label why bytes were
+// sent, not which connection carried them.
+//
 // # Scope
 //
 // The v1 daemon assumes the paper's static deployment: no churn, static
