@@ -18,91 +18,111 @@
 // one description of a struct — a walk — as its encoder or its decoder
 // (every wire message). Trace and checkpoint use the pair directly.
 //
+// Both carriers own a 4 KiB buffer, so a fixed-width field on the fast path
+// is a bounds check and a load or store, with no call into a buffering layer
+// underneath.
+//
 // The stickyerr analyzer (internal/lint) holds the other codec packages to
 // this: raw bufio/io stream access is legal only in here.
 package binio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Writer serializes fixed-width fields onto a buffered stream. Formats
+// bufSize is the size of the buffer each carrier owns.
+const bufSize = 4096
+
+// Writer serializes fixed-width fields onto a stream through its own
+// buffer, which reaches the stream when it is full and at Flush. Formats
 // embed it by value and add their framing.
 type Writer struct {
-	bw      *bufio.Writer
-	prefix  string
-	scratch [8]byte
-	err     error
+	w      io.Writer
+	prefix string
+	buf    []byte // bufSize bytes; buf[:n] waits for the next flush
+	n      int
+	err    error
 }
 
 // MakeWriter returns a Writer over w; prefix names the format in the
 // errors the Writer itself raises ("checkpoint", "wire", "trace").
 func MakeWriter(w io.Writer, prefix string) Writer {
-	return Writer{bw: bufio.NewWriter(w), prefix: prefix}
+	return Writer{w: w, prefix: prefix, buf: make([]byte, bufSize)}
 }
 
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
+// flush empties the buffer onto the stream. After the first error it only
+// discards: the field methods never test err, they keep filling a buffer
+// that goes nowhere.
+func (w *Writer) flush() {
+	if w.err == nil && w.n > 0 {
+		n, err := w.w.Write(w.buf[:w.n])
+		if n < w.n && err == nil {
+			err = io.ErrShortWrite
+		}
+		w.err = err
 	}
-	_, w.err = w.bw.Write(b)
+	w.n = 0
 }
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) {
-	w.scratch[0] = v
-	w.write(w.scratch[:1])
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	w.buf[w.n] = v
+	w.n++
 }
 
 // U16 writes a little-endian uint16.
 func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.scratch[:2], v)
-	w.write(w.scratch[:2])
+	if len(w.buf)-w.n < 2 {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint16(w.buf[w.n:], v)
+	w.n += 2
 }
 
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	w.write(w.scratch[:4])
-}
-
-// U32Pair writes two little-endian uint32s in one call (the per-action hot
-// path of the trace format).
-func (w *Writer) U32Pair(a, b uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], a)
-	binary.LittleEndian.PutUint32(w.scratch[4:], b)
-	w.write(w.scratch[:])
+	if len(w.buf)-w.n < 4 {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint32(w.buf[w.n:], v)
+	w.n += 4
 }
 
 // U64 writes a little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.write(w.scratch[:8])
+	if len(w.buf)-w.n < 8 {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
 }
 
 // I64 writes a little-endian int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// U64s writes a batch of little-endian uint64s. Hot bulk sections (profile
-// action logs) use it to amortize per-field call overhead.
+// U64s writes a batch of little-endian uint64s (profile action logs),
+// encoding straight into the buffer.
 func (w *Writer) U64s(vs []uint64) {
-	if w.err != nil {
-		return
-	}
-	var chunk [512]byte
 	for len(vs) > 0 {
-		n := min(len(vs), len(chunk)/8)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], vs[i])
+		if len(w.buf)-w.n < 8 {
+			w.flush()
 		}
-		w.write(chunk[:n*8])
-		vs = vs[n:]
+		k := min(len(vs), (len(w.buf)-w.n)/8)
+		b := w.buf[w.n : w.n+k*8]
+		for _, v := range vs[:k] {
+			binary.LittleEndian.PutUint64(b, v)
+			b = b[8:]
+		}
+		w.n += k * 8
+		vs = vs[k:]
 	}
 }
 
@@ -133,8 +153,13 @@ func (w *Writer) String(s string, max int) {
 		return
 	}
 	w.Count(len(s))
-	if w.err == nil {
-		_, w.err = w.bw.WriteString(s)
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		k := copy(w.buf[w.n:], s)
+		w.n += k
+		s = s[k:]
 	}
 }
 
@@ -148,41 +173,55 @@ func (w *Writer) Fail(format string, args ...any) {
 // Flush pushes the buffered bytes onto the stream and returns the first
 // error of everything written so far, a failed flush included.
 func (w *Writer) Flush() error {
-	if w.err == nil {
-		w.err = w.bw.Flush()
-	}
+	w.flush()
 	return w.err
 }
 
 // Reader deserializes what Writer produced, with the same discipline:
 // after the first failure every read returns zero values and Err reports
-// what went wrong.
+// what went wrong. It reads the stream into its own buffer one Read at a
+// time and only until the field being read is complete, so it never waits
+// for bytes its caller did not ask for (two ends of a connection taking
+// turns depend on it).
 type Reader struct {
-	br      *bufio.Reader
-	prefix  string
-	scratch [8]byte
-	err     error
+	src    io.Reader
+	prefix string
+	buf    []byte // bufSize bytes; buf[i:n] is read from the stream, not yet consumed
+	i, n   int
+	err    error
 }
 
 // MakeReader returns a Reader over r; prefix names the format in errors.
 func MakeReader(r io.Reader, prefix string) Reader {
-	return Reader{br: bufio.NewReader(r), prefix: prefix}
+	return Reader{src: r, prefix: prefix, buf: make([]byte, bufSize)}
 }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
-// fill reads exactly len(b) bytes; a stream that ends first is truncated,
-// whether it ends on a field boundary or inside one.
-func (r *Reader) fill(b []byte) bool {
+// stick records the first error and drops the buffered bytes: the field
+// methods never test err, an empty buffer sends them to refill, which does.
+func (r *Reader) stick(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.i, r.n = 0, 0
+}
+
+// refill reads until k <= bufSize bytes are buffered. A stream that ends
+// first is truncated, whether it ends on a field boundary or inside one.
+func (r *Reader) refill(k int) bool {
 	if r.err != nil {
 		return false
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
+	r.n = copy(r.buf, r.buf[r.i:r.n])
+	r.i = 0
+	m, err := io.ReadAtLeast(r.src, r.buf[r.n:], k-r.n)
+	if r.n += m; err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		r.err = fmt.Errorf("%s: truncated input: %w", r.prefix, err)
+		r.stick(fmt.Errorf("%s: truncated input: %w", r.prefix, err))
 		return false
 	}
 	return true
@@ -190,60 +229,62 @@ func (r *Reader) fill(b []byte) bool {
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	if !r.fill(r.scratch[:1]) {
+	if r.i == r.n && !r.refill(1) {
 		return 0
 	}
-	return r.scratch[0]
+	v := r.buf[r.i]
+	r.i++
+	return v
 }
 
 // U16 reads a little-endian uint16.
 func (r *Reader) U16() uint16 {
-	if !r.fill(r.scratch[:2]) {
+	if r.n-r.i < 2 && !r.refill(2) {
 		return 0
 	}
-	return binary.LittleEndian.Uint16(r.scratch[:2])
+	v := binary.LittleEndian.Uint16(r.buf[r.i:])
+	r.i += 2
+	return v
 }
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	if !r.fill(r.scratch[:4]) {
+	if r.n-r.i < 4 && !r.refill(4) {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(r.scratch[:4])
-}
-
-// U32Pair reads two little-endian uint32s, the counterpart of
-// Writer.U32Pair.
-func (r *Reader) U32Pair() (uint32, uint32) {
-	if !r.fill(r.scratch[:]) {
-		return 0, 0
-	}
-	return binary.LittleEndian.Uint32(r.scratch[:4]), binary.LittleEndian.Uint32(r.scratch[4:])
+	v := binary.LittleEndian.Uint32(r.buf[r.i:])
+	r.i += 4
+	return v
 }
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	if !r.fill(r.scratch[:8]) {
+	if r.n-r.i < 8 && !r.refill(8) {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.scratch[:8])
+	v := binary.LittleEndian.Uint64(r.buf[r.i:])
+	r.i += 8
+	return v
 }
 
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// U64s fills out with little-endian uint64s, the batch counterpart of U64.
+// U64s fills out with little-endian uint64s, the batch counterpart of U64,
+// decoding straight from the buffer.
 func (r *Reader) U64s(out []uint64) {
-	var chunk [512]byte
 	for len(out) > 0 {
-		n := min(len(out), len(chunk)/8)
-		if !r.fill(chunk[:n*8]) {
+		if r.n-r.i < 8 && !r.refill(8) {
 			return
 		}
-		for i := 0; i < n; i++ {
-			out[i] = binary.LittleEndian.Uint64(chunk[i*8:])
+		k := min(len(out), (r.n-r.i)/8)
+		b := r.buf[r.i : r.i+k*8]
+		for i := range out[:k] {
+			out[i] = binary.LittleEndian.Uint64(b)
+			b = b[8:]
 		}
-		out = out[n:]
+		r.i += k * 8
+		out = out[k:]
 	}
 }
 
@@ -279,11 +320,16 @@ func (r *Reader) String(max int) string {
 	if n == 0 {
 		return ""
 	}
-	buf := make([]byte, n)
-	if !r.fill(buf) {
-		return ""
+	s := make([]byte, n)
+	for b := s; len(b) > 0; {
+		if r.i == r.n && !r.refill(1) {
+			return ""
+		}
+		k := copy(b, r.buf[r.i:r.n])
+		r.i += k
+		b = b[k:]
 	}
-	return string(buf)
+	return string(s)
 }
 
 // Fail records a validation failure beyond the structural ones the
@@ -291,17 +337,13 @@ func (r *Reader) String(max int) string {
 // reads become no-ops.
 func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf(r.prefix+": "+format, args...)
+		r.stick(fmt.Errorf(r.prefix+": "+format, args...))
 	}
 }
 
 // FailWith records a sentinel the caller matches with errors.Is (a
 // format's ErrBadMagic), unless an earlier error already stuck.
-func (r *Reader) FailWith(sentinel error) {
-	if r.err == nil {
-		r.err = sentinel
-	}
-}
+func (r *Reader) FailWith(sentinel error) { r.stick(sentinel) }
 
 // CapHint bounds a slice pre-allocation for a validated count: hostile
 // input can still claim large counts within a limit, so the caller

@@ -30,9 +30,6 @@ var fields = []field{
 		func(w *Writer) { w.U16(0xFFFE) }, func(r *Reader) any { return r.U16() }, uint16(0xFFFE)},
 	{"U32", "ef be ad de",
 		func(w *Writer) { w.U32(0xDEADBEEF) }, func(r *Reader) any { return r.U32() }, uint32(0xDEADBEEF)},
-	{"U32Pair", "01 00 00 00 02 00 00 80",
-		func(w *Writer) { w.U32Pair(1, 1<<31|2) },
-		func(r *Reader) any { a, b := r.U32Pair(); return [2]uint32{a, b} }, [2]uint32{1, 1<<31 | 2}},
 	{"U64", "08 07 06 05 04 03 02 01",
 		func(w *Writer) { w.U64(0x0102030405060708) }, func(r *Reader) any { return r.U64() }, uint64(0x0102030405060708)},
 	{"I64", "d6 ff ff ff ff ff ff ff",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,7 +118,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // converged overlay serve whole scenario families.
 func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	cr := ckpt.NewReader(r)
-	rs := &restorer{r: cr, digests: make(map[digestKey]*tagging.Digest), inflight: make(map[uint64]int)}
+	rs := &restorer{r: cr, inflight: make(map[uint64]int)}
 
 	users := rs.readParams(cfg)
 	if cr.Err() != nil {
@@ -142,6 +143,7 @@ func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 		return nil, cr.Err()
 	}
 	e.ds = rs.ds
+	rs.digests = make([][]*tagging.Digest, users)
 	e.net = sim.NewNetwork(users)
 	e.net.SetNow(e.now)
 	rs.readNetwork()
@@ -161,21 +163,17 @@ func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// digestKey identifies a reconstructable digest: profiles are append-only,
-// so (owner, version) determines the digest content exactly.
-type digestKey struct {
-	owner   tagging.UserID
-	version int
-}
-
 // restorer carries the context of one Restore call.
 type restorer struct {
-	r       *ckpt.Reader
-	cfg     Config
-	e       *Engine
-	ds      *trace.Dataset
-	users   int
-	digests map[digestKey]*tagging.Digest
+	r     *ckpt.Reader
+	cfg   Config
+	e     *Engine
+	ds    *trace.Dataset
+	users int
+	// digests holds, per owner, the digests rebuilt so far, one per version
+	// referenced (profiles are append-only, so owner and version determine
+	// the content; nearly every owner is referenced at a single version).
+	digests [][]*tagging.Digest
 	// inflight counts the delivery events read per query, pending and
 	// frozen, for crossCheck to hold against QueryRun.inflight.
 	inflight map[uint64]int
@@ -346,6 +344,7 @@ func (rs *restorer) readProfiles(ds *trace.Dataset, users int) {
 		profiles = make([]*tagging.Profile, 0, ckpt.CapHint(users))
 	}
 	var keys []uint64
+	var suffix []tagging.Action
 	for u := 0; u < users && rs.r.Err() == nil; u++ {
 		n := rs.r.Count(maxListEntries)
 		var p *tagging.Profile
@@ -360,36 +359,31 @@ func (rs *restorer) readProfiles(ds *trace.Dataset, users int) {
 				return
 			}
 		}
-		// The count is known up front: reserve the log and its key column
-		// once (bounded, like every count-driven allocation here).
-		p.Grow(ckpt.CapHint(n - have))
-		log := p.Actions()
-		for j := 0; j < n && rs.r.Err() == nil; {
-			batch := n - j
-			if batch > 4096 {
-				batch = 4096
+		// The count is a claim until that many keys have arrived: the buffer
+		// grows a bounded batch at a time.
+		keys = keys[:0]
+		for len(keys) < n && rs.r.Err() == nil {
+			batch := min(n-len(keys), 4096)
+			keys = slices.Grow(keys, batch)[:len(keys)+batch]
+			rs.r.U64s(keys[len(keys)-batch:])
+		}
+		if rs.r.Err() != nil {
+			return
+		}
+		for j, a := range p.Actions() {
+			if a.Key() != keys[j] {
+				snap := tagging.ActionFromKey(keys[j])
+				rs.r.Fail("user %d: dataset action %d is (%d, %d), snapshot has (%d, %d) — not the checkpoint's base dataset",
+					u, j, a.Item, a.Tag, snap.Item, snap.Tag)
+				return
 			}
-			if cap(keys) < batch {
-				keys = make([]uint64, batch)
-			}
-			keys = keys[:batch]
-			rs.r.U64s(keys)
-			for _, key := range keys {
-				if rs.r.Err() != nil {
-					return
-				}
-				a := tagging.ActionFromKey(key)
-				if j < have {
-					if log[j].Key() != key {
-						rs.r.Fail("user %d: dataset action %d is (%d, %d), snapshot has (%d, %d) — not the checkpoint's base dataset",
-							u, j, log[j].Item, log[j].Tag, a.Item, a.Tag)
-						return
-					}
-				} else if !p.Add(a.Item, a.Tag) {
-					rs.r.Fail("user %d: action (%d, %d) duplicated in the snapshot", u, a.Item, a.Tag)
-				}
-				j++
-			}
+		}
+		suffix = suffix[:0]
+		for _, key := range keys[have:] {
+			suffix = append(suffix, tagging.ActionFromKey(key))
+		}
+		if _, dup := p.AddAll(suffix); dup >= 0 {
+			rs.r.Fail("user %d: action (%d, %d) duplicated in the snapshot", u, suffix[dup].Item, suffix[dup].Tag)
 		}
 		if ds == nil {
 			profiles = append(profiles, p)
@@ -449,7 +443,7 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 	cw.U64(n.rng.State())
 
 	cw.U32(uint32(n.evalVersion))
-	e.scratch.eval = n.evaluated.appendSorted(e.scratch.eval[:0])
+	e.scratch.eval = n.evaluated.appendSorted(e.scratch.eval[:0], &e.scratch.order)
 	cw.Count(len(e.scratch.eval))
 	for _, s := range e.scratch.eval {
 		cw.U32(s.key - 1)
@@ -551,6 +545,9 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 	n.pnet = NewPersonalNetwork(id, s, c)
 	n.pnet.clock = rs.r.U64()
 	nPnet := rs.r.Count(s)
+	if nPnet > 0 {
+		n.pnet.reserve(ckpt.CapHint(nPnet))
+	}
 	for i := 0; i < nPnet && rs.r.Err() == nil; i++ {
 		owner := rs.readUserID()
 		score := int(rs.r.I64())
@@ -879,12 +876,13 @@ func (rs *restorer) digestFor(owner tagging.UserID, version int) *tagging.Digest
 		rs.r.Fail("digest of user %d at version %d, but the profile has %d actions", owner, version, rs.ds.Profiles[owner].Len())
 		return nil
 	}
-	key := digestKey{owner: owner, version: version}
-	if d, ok := rs.digests[key]; ok {
-		return d
+	for _, d := range rs.digests[owner] {
+		if d.Version == version {
+			return d
+		}
 	}
 	d := tagging.NewDigest(rs.ds.Profiles[owner].SnapshotAt(version), rs.cfg.BloomBits, rs.cfg.BloomHashes)
-	rs.digests[key] = d
+	rs.digests[owner] = append(rs.digests[owner], d)
 	return d
 }
 

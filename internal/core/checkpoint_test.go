@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -273,6 +275,13 @@ func TestRestoreRejectsInflightMismatch(t *testing.T) {
 // and the fuzzer seed corpus.
 func smallSnapshot(t testing.TB) ([]byte, Config) {
 	t.Helper()
+	_, raw, cfg := smallSnapshotOf(t)
+	return raw, cfg
+}
+
+// smallSnapshotOf is smallSnapshot together with the engine it was taken of.
+func smallSnapshotOf(t testing.TB) (*Engine, []byte, Config) {
+	t.Helper()
 	cfg := smallCfg()
 	cfg.Workers = 1
 	w := newWorld(t, 40, cfg, 11)
@@ -286,7 +295,76 @@ func smallSnapshot(t testing.TB) ([]byte, Config) {
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), cfg
+	return e, buf.Bytes(), cfg
+}
+
+// hostileCount is a truncated checkpoint one of whose counts claims the most
+// its limit allows.
+type hostileCount struct {
+	name string
+	raw  []byte
+}
+
+// hostileCounts cuts the small snapshot right behind the first profile's
+// action count and behind node 0's evaluated-memo, view and personal-network
+// counts, each raised to its maximum. The offsets follow the layout Snapshot
+// writes; the test checks them against the counts actually found there.
+func hostileCounts(t testing.TB) ([]hostileCount, Config) {
+	t.Helper()
+	e, raw, cfg := smallSnapshotOf(t)
+	const header = 4 + 2                  // magic, version
+	const params = 11*4 + 8 + 2*8 + 8 + 2 // writeParams
+	const counters = 9 * 8                // writeCounters
+	users, n0 := len(e.nodes), e.nodes[0]
+	profile0 := header + params + counters
+	node0 := profile0
+	for _, p := range e.ds.Profiles {
+		node0 += 4 + 8*p.Len()
+	}
+	node0 += users + (1+users)*16*len(sim.Kinds()) // writeNetwork
+	memo := node0 + 8 + 4                          // rng, evalVersion
+	view := memo + 4 + 8*n0.evaluated.n
+	pnet := view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
+
+	var out []hostileCount
+	for _, c := range []struct {
+		name        string
+		off         int
+		holds, most int
+	}{
+		{"profile", profile0, e.ds.Profiles[0].Len(), maxListEntries},
+		{"evaluated-memo", memo, n0.evaluated.n, users},
+		{"view", view, n0.view.Size(), cfg.R},
+		{"personal-network", pnet, n0.pnet.Len(), cfg.S},
+	} {
+		if got := int(binary.LittleEndian.Uint32(raw[c.off:])); got != c.holds {
+			t.Fatalf("%s count: offset %d holds %d, the engine %d (did the layout change?)", c.name, c.off, got, c.holds)
+		}
+		cut := bytes.Clone(raw[:c.off+4+12]) // the count and a bit of what it counts
+		binary.LittleEndian.PutUint32(cut[c.off:], uint32(c.most))
+		out = append(out, hostileCount{c.name, cut})
+	}
+	return out, cfg
+}
+
+// TestRestoreHostileCountsStayBounded: a count is a claim until the data
+// behind it has arrived, so sizing anything from one must not let a short
+// file buy memory. 1 MB is far above what restoring the 40-user prefix takes
+// and far below what any of these counts would reserve if it were trusted.
+func TestRestoreHostileCountsStayBounded(t *testing.T) {
+	cases, cfg := hostileCounts(t)
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Restore(bytes.NewReader(c.raw), nil, cfg)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "checkpoint: truncated input") {
+			t.Errorf("%s count at its maximum: err = %v, want the checkpoint's truncation error", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s count at its maximum: Restore allocated %d KB on a %d-byte input", c.name, got>>10, len(c.raw))
+		}
+	}
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
@@ -452,6 +530,9 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	hostile, _ := hostileCounts(f)
+	f.Add(hostile[0].raw) // a profile claiming 2^26 actions
+	f.Add(hostile[3].raw) // a personal network claiming S neighbours
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Restore(bytes.NewReader(data), nil, cfg)

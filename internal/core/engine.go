@@ -108,7 +108,8 @@ type scratch struct {
 	pairs  []eagerPair   // the eager cycle's gossip pairs
 	perm   []int         // the cycle's node permutation
 	shards []commitShard // commit-phase shards, re-initialized by commitSharded
-	eval   []evalSlot    // Snapshot's sorted export of one node's evaluated memo
+	eval   []evalSlot    // Snapshot's ordered export of one node's evaluated memo
+	order  memoOrder     // the bitmap and version column that put it in order
 }
 
 // New builds an engine over the dataset. Nodes start with empty personal

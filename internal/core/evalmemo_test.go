@@ -18,7 +18,7 @@ func checkMemo(t *testing.T, m *evalMemo, model map[tagging.UserID]int, ids int)
 			t.Fatalf("get(%d) = (%d, %v), model (%d, %v)", id, got, ok, want, wantOK)
 		}
 	}
-	out := m.appendSorted([]evalSlot{{key: 9999}})[1:]
+	out := m.appendSorted([]evalSlot{{key: 9999}}, &memoOrder{})[1:]
 	if len(out) != len(model) || m.n != len(model) {
 		t.Fatalf("export holds %d entries (n=%d), model %d", len(out), m.n, len(model))
 	}

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
@@ -177,16 +176,41 @@ func (m *evalMemo) reset() {
 	m.n = 0
 }
 
+// memoOrder is the working memory of evalMemo.appendSorted: a bitmap of the
+// owners present and their versions in a dense column, both indexed by owner
+// and grown to the largest owner seen. The bitmap is all zeroes between calls.
+type memoOrder struct {
+	present  []uint64
+	versions []int32
+}
+
 // appendSorted appends the memo's entries to dst in ascending owner order —
-// the canonical order of the checkpoint — and returns it.
-func (m *evalMemo) appendSorted(dst []evalSlot) []evalSlot {
-	from := len(dst)
+// the canonical order of the checkpoint — and returns it. The table is
+// scattered into o by owner and read back in bitmap order, so nothing is
+// sorted: one pass over the slots, one over the bitmap words they touched.
+func (m *evalMemo) appendSorted(dst []evalSlot, o *memoOrder) []evalSlot {
+	lo, hi := len(o.present), 0
 	for _, s := range m.slots {
-		if s.key != 0 {
-			dst = append(dst, s)
+		if s.key == 0 {
+			continue
 		}
+		owner := int(s.key - 1)
+		w := owner >> 6
+		if w >= len(o.present) {
+			o.present = append(o.present, make([]uint64, w+1-len(o.present))...)
+			o.versions = append(o.versions, make([]int32, len(o.present)<<6-len(o.versions))...)
+		}
+		o.present[w] |= 1 << (owner & 63)
+		o.versions[owner] = s.version
+		lo, hi = min(lo, w), max(hi, w+1)
 	}
-	slices.SortFunc(dst[from:], func(a, b evalSlot) int { return cmp.Compare(a.key, b.key) })
+	for w := lo; w < hi; w++ {
+		for word := o.present[w]; word != 0; word &= word - 1 {
+			owner := w<<6 | bits.TrailingZeros64(word)
+			dst = append(dst, evalSlot{key: uint32(owner) + 1, version: o.versions[owner]})
+		}
+		o.present[w] = 0
+	}
 	return dst
 }
 

@@ -163,21 +163,21 @@ func (pn *PersonalNetwork) idxPlace(key uint32, score int32) {
 //p3q:hotpath
 func (pn *PersonalNetwork) idxAdd(key uint32, score int32) {
 	if len(pn.ranking)*4 > len(pn.idx)*3 {
-		pn.growIdx()
+		pn.growIdx(len(pn.ranking))
 		return
 	}
 	pn.idxPlace(key, score)
 }
 
-// growIdx rebuilds the index at the next power-of-two size that keeps the
-// current ranking at or below half load. Deliberately not a hot path: the
-// table grows O(log s) times over a network's lifetime.
-func (pn *PersonalNetwork) growIdx() {
+// growIdx rebuilds the index at the next power-of-two size that keeps room
+// entries (the current ranking at least) at or below half load. Deliberately
+// not a hot path: the table grows O(log s) times over a network's lifetime.
+func (pn *PersonalNetwork) growIdx(room int) {
 	n := len(pn.idx) * 2
 	if n < 8 {
 		n = 8
 	}
-	for n < len(pn.ranking)*2 {
+	for n < room*2 {
 		n *= 2
 	}
 	pn.idx = make([]rankSlot, n)
@@ -294,6 +294,13 @@ func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.
 	pn.insertAt(j, Entry{ID: id, Score: score, Digest: digest, pn: pn, last: pn.clock})
 	pn.idxAdd(idKey(id), int32(score))
 	return &pn.ranking[j]
+}
+
+// reserve sizes an empty network's ranking and by-owner index for n entries,
+// so the checkpoint reader's appendEntry calls never grow either.
+func (pn *PersonalNetwork) reserve(n int) {
+	pn.ranking = make([]Entry, 0, n)
+	pn.growIdx(n)
 }
 
 // appendEntry appends a restored entry at the tail of the ranking and

@@ -241,22 +241,6 @@ func TestItemHashesTrackItems(t *testing.T) {
 	}
 }
 
-func TestGrowKeepsContent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p, m := randomPair(rng, 0, 40, 10, 4)
-	p.Grow(100)
-	if !slices.Equal(p.Actions(), m.log) {
-		t.Fatal("Grow changed the log")
-	}
-	logCap, keyCap := cap(p.log), cap(p.keys)
-	for i := 0; p.Len() < len(m.log)+100; i++ {
-		p.Add(ItemID(1000+i), 0)
-	}
-	if cap(p.log) != logCap || cap(p.keys) != keyCap {
-		t.Fatal("columns reallocated inside the reserved room")
-	}
-}
-
 func TestScoringKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	owner, _ := randomPair(rng, 0, 400, 120, 4)

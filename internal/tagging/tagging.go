@@ -13,6 +13,7 @@
 package tagging
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -91,16 +92,6 @@ func (p *Profile) Version() int { return len(p.log) }
 // NumItems returns the number of distinct items tagged in the profile.
 func (p *Profile) NumItems() int { return len(p.itemsSorted) }
 
-// Grow reserves room for n more actions in the log and the action-key
-// column, so a caller that knows how many actions it is about to Add (the
-// checkpoint reader) pays one allocation per column instead of a doubling
-// series.
-func (p *Profile) Grow(n int) {
-	p.log = slices.Grow(p.log, n)
-	p.keys = slices.Grow(p.keys, n)
-	p.pos = slices.Grow(p.pos, n)
-}
-
 // Add records the action (item, tag). It returns false if the exact action
 // was already present (a user tagging the same item with the same tag twice
 // is a no-op, as in delicious).
@@ -128,16 +119,99 @@ func (p *Profile) Add(item ItemID, tag TagID) bool {
 // keyItem is the item half of an action key.
 func keyItem(k uint64) ItemID { return ItemID(k >> 32) }
 
-// AddAll records every action in the list, skipping duplicates, and returns
-// the number actually added.
-func (p *Profile) AddAll(actions []Action) int {
-	n := 0
-	for _, a := range actions {
-		if p.Add(a.Item, a.Tag) {
-			n++
+// keyed is one action of an AddAll batch: its key and its index in the
+// batch, then its offset in the log.
+type keyed struct {
+	key uint64
+	idx int32
+}
+
+// AddAll records the actions in order, skipping every one the profile holds
+// already or the batch held earlier, and leaves the profile exactly as one
+// Add per action would. It returns the number added and the batch index of
+// the first action skipped, -1 when none was.
+//
+// It is the bulk builder (a checkpoint, a trace file or a change-set
+// arriving whole): the batch is sorted once and merged into the action-key
+// column in one pass, where Add shifts the column once per action.
+func (p *Profile) AddAll(actions []Action) (added, firstDup int) {
+	var small [128]keyed
+	batch := small[:0]
+	if len(actions) > len(small) {
+		batch = make([]keyed, 0, len(actions))
+	}
+	for i, a := range actions {
+		batch = append(batch, keyed{a.Key(), int32(i)})
+	}
+	// By key, equal keys in batch order: the first of them is the one to keep.
+	slices.SortFunc(batch, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	kept := batch[:0]
+	for i, j := 0, 0; i < len(batch); i++ {
+		b := batch[i]
+		j = gallop(p.keys, j, b.key)
+		if (j == len(p.keys) || p.keys[j] != b.key) && (len(kept) == 0 || kept[len(kept)-1].key != b.key) {
+			kept = append(kept, b)
 		}
 	}
-	return n
+
+	base := len(p.log)
+	firstDup = -1
+	if len(kept) == len(actions) {
+		p.log = append(p.log, actions...)
+	} else {
+		// The log takes the kept actions in batch order, and a kept action's
+		// offset in it is its rank among them.
+		rank := make([]int32, len(actions))
+		for _, b := range kept {
+			rank[b.idx] = 1
+		}
+		for i, a := range actions {
+			if rank[i] == 0 {
+				if firstDup < 0 {
+					firstDup = i
+				}
+				continue
+			}
+			rank[i] = int32(len(p.log) - base)
+			p.log = append(p.log, a)
+		}
+		for i := range kept {
+			kept[i].idx = rank[kept[i].idx]
+		}
+	}
+
+	// Merge the kept keys into the action-key column from the back, in place.
+	n, m := len(p.keys), len(kept)
+	p.keys = slices.Grow(p.keys, m)[:n+m]
+	p.pos = slices.Grow(p.pos, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && p.keys[i] > kept[j].key {
+			p.keys[k], p.pos[k] = p.keys[i], p.pos[i]
+			i--
+		} else {
+			p.keys[k], p.pos[k] = kept[j].key, int32(base)+kept[j].idx
+			j--
+		}
+	}
+
+	// An item's keys are one run of kept, and the items ascend: into an empty
+	// profile every insertion below is an append.
+	for i := 0; i < m; {
+		it := keyItem(kept[i].key)
+		for i < m && keyItem(kept[i].key) == it {
+			i++
+		}
+		if j, has := slices.BinarySearch(p.itemsSorted, it); !has {
+			p.itemsSorted = slices.Insert(p.itemsSorted, j, it)
+			p.itemHashes = slices.Insert(p.itemHashes, j, bloom.HashKey(itemKey(it)))
+		}
+	}
+	return m, firstDup
 }
 
 // Has reports whether the profile contains the exact action (item, tag).

@@ -96,9 +96,9 @@ func TestProfileItemsSorted(t *testing.T) {
 func TestAddAllCountsOnlyNew(t *testing.T) {
 	p := NewProfile(0)
 	p.Add(1, 1)
-	n := p.AddAll([]Action{{1, 1}, {2, 2}, {2, 2}, {3, 3}})
-	if n != 2 {
-		t.Fatalf("AddAll added %d, want 2", n)
+	n, dup := p.AddAll([]Action{{1, 1}, {2, 2}, {2, 2}, {3, 3}})
+	if n != 2 || dup != 0 {
+		t.Fatalf("AddAll added %d (first duplicate at %d), want 2 (at 0)", n, dup)
 	}
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", p.Len())

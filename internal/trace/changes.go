@@ -120,7 +120,8 @@ func (d *Dataset) pickTagFor(rng *randx.Source, it tagging.ItemID) tagging.TagID
 // Apply appends the change's actions to the owner's profile and returns the
 // number of actions actually added (duplicates are skipped).
 func (c Change) Apply(d *Dataset) int {
-	return d.Profiles[c.User].AddAll(c.Actions)
+	added, _ := d.Profiles[c.User].AddAll(c.Actions)
+	return added
 }
 
 // ApplyChanges applies every change and returns the total number of actions

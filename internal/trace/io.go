@@ -43,7 +43,8 @@ func Save(w io.Writer, d *Dataset) error {
 		tw.U32(uint32(p.Owner()))
 		tw.U32(uint32(p.Len()))
 		for _, a := range p.Actions() {
-			tw.U32Pair(uint32(a.Item), uint32(a.Tag))
+			tw.U32(uint32(a.Item))
+			tw.U32(uint32(a.Tag))
 		}
 	}
 	return tw.Flush()
@@ -69,19 +70,24 @@ func Load(r io.Reader) (*Dataset, error) {
 		NumItems: int(items),
 		NumTags:  int(tags),
 	}
+	var actions []tagging.Action
 	for i := 0; i < users; i++ {
 		owner := tr.U32()
 		n := tr.U32()
 		if tr.Err() == nil && owner != uint32(i) {
 			tr.Fail("user %d has owner field %d (profiles must be dense)", i, owner)
 		}
+		// n is unvalidated: the batch grows as actions arrive, and a failed
+		// reader must not spin through it.
+		actions = actions[:0]
+		for j := uint32(0); j < n && tr.Err() == nil; j++ {
+			actions = append(actions, tagging.Action{Item: tagging.ItemID(tr.U32()), Tag: tagging.TagID(tr.U32())})
+		}
 		p := tagging.NewProfile(tagging.UserID(owner))
-		for j := uint32(0); j < n; j++ {
-			it, tg := tr.U32Pair()
-			if tr.Err() != nil {
-				break // n is unvalidated: a failed reader must not spin through it
+		if tr.Err() == nil {
+			if _, dup := p.AddAll(actions); dup >= 0 {
+				tr.Fail("action %d (%d, %d) repeats an earlier one", dup, actions[dup].Item, actions[dup].Tag)
 			}
-			p.Add(tagging.ItemID(it), tagging.TagID(tg))
 		}
 		if tr.Err() != nil {
 			return nil, fmt.Errorf("%w (user %d of %d)", tr.Err(), i, users)

@@ -110,4 +110,12 @@ func TestLoadRejects(t *testing.T) {
 	if _, err := Load(bytes.NewReader(patch(16+8+16, 7))); err == nil || !strings.Contains(err.Error(), "must be dense") {
 		t.Errorf("user 1 with owner field 7: err = %v", err)
 	}
+	// User 0's second action rewritten as a copy of the first: a trace is a
+	// log of distinct actions, and a loader that drops the copy would hand
+	// back a shorter profile than the header promised.
+	twice := patch(16+8+8, 5)
+	binary.LittleEndian.PutUint32(twice[16+8+12:], 2)
+	if _, err := Load(bytes.NewReader(twice)); err == nil || !strings.Contains(err.Error(), "action 1 (5, 2) repeats an earlier one (user 0 of 2)") {
+		t.Errorf("duplicated action: err = %v", err)
+	}
 }
