@@ -32,9 +32,9 @@ type NRA struct {
 	k     int
 	lists []scanList
 	// cands is dense, in first-seen order; index maps an item to its slot
-	// and is read only by scanOne (and by RestoreNRA's duplicate check).
+	// and is read only through slotOf (by scanOne and RestoreNRA).
 	cands []candidate
-	index map[tagging.ItemID]int
+	index []itemSlot // open-addressed, power-of-two length, or nil
 	// top holds the cands indexes of the first min(k, len(cands)) candidates
 	// of Algorithm 4's heap order — descending worst-case score, ties by
 	// larger best-case score, then ascending item — as of the last rank.
@@ -73,7 +73,7 @@ func (l *scanList) exhausted() bool { return l.pos >= len(l.entries) }
 type candidate struct {
 	item  tagging.ItemID
 	worst int
-	best  int // best-case score as of the last rank
+	best  int // best-case score as of the last rank that did not skip it
 	// seenIn lists the indexes of the lists where the item has been seen, in
 	// scan order (each list contributes at most once). Old lists rejoin a
 	// scan after newer ones, so the order is not ascending in general.
@@ -97,7 +97,47 @@ func NewNRA(k int) *NRA {
 	if k < 1 {
 		k = 1
 	}
-	return &NRA{k: k, index: make(map[tagging.ItemID]int)}
+	return &NRA{k: k}
+}
+
+// itemSlot is one slot of the item index: an item and its cands index biased
+// by one (0 marks an empty slot).
+type itemSlot struct {
+	item tagging.ItemID
+	cand uint32
+}
+
+// slotOf returns the index slot holding item, or the empty one where it
+// belongs, first growing the table if one more candidate would load it past
+// 3/4. It is the flat table of core's pnet index and evalMemo: Fibonacci
+// hashing, linear probing, no deletion.
+//
+//p3q:hotpath
+func (n *NRA) slotOf(item tagging.ItemID) *itemSlot {
+	if (len(n.cands)+1)*4 > len(n.index)*3 {
+		n.growIndex()
+	}
+	mask := len(n.index) - 1
+	for i := itemHash(item) & mask; ; i = (i + 1) & mask {
+		if s := &n.index[i]; s.cand == 0 || s.item == item {
+			return s
+		}
+	}
+}
+
+func itemHash(item tagging.ItemID) int { return int(uint64(item) * 0x9e3779b97f4a7c15 >> 33) }
+
+// growIndex doubles the table (to 8 at first) and re-places every candidate.
+func (n *NRA) growIndex() {
+	n.index = make([]itemSlot, max(8, 2*len(n.index)))
+	mask := len(n.index) - 1
+	for ci, c := range n.cands {
+		i := itemHash(c.item) & mask
+		for n.index[i].cand != 0 {
+			i = (i + 1) & mask
+		}
+		n.index[i] = itemSlot{item: c.item, cand: uint32(ci + 1)}
+	}
 }
 
 // K returns the operator's k.
@@ -197,13 +237,12 @@ func (n *NRA) scanOne(li int) bool {
 	}
 	e := l.entries[l.pos]
 	l.pos++
-	ci, ok := n.index[e.Item]
-	if !ok {
-		ci = len(n.cands)
-		n.index[e.Item] = ci
+	s := n.slotOf(e.Item)
+	if s.cand == 0 {
 		n.cands = append(n.cands, candidate{item: e.Item})
+		*s = itemSlot{item: e.Item, cand: uint32(len(n.cands))}
 	}
-	c := &n.cands[ci]
+	c := &n.cands[s.cand-1]
 	c.worst += e.Score
 	c.seenIn = append(c.seenIn, li)
 	return true
@@ -219,25 +258,35 @@ func (n *NRA) TopK() []Entry {
 	return out
 }
 
-// rank recomputes every best-case score and selects the top-k in one pass
+// rank recomputes the best-case scores and selects the top-k in one pass
 // over the candidates, with no sort: each candidate is inserted into the at
 // most k slots of top if it precedes the last of them, and whatever is not
 // selected — evicted from a slot or never admitted — raises bound instead.
 // The stop test and TopK read nothing else, so the rest of Algorithm 4's
 // heap is never ordered.
 //
+// Once top is full, a candidate with worst below the k-th's (not admitted)
+// and worst + Σ lastSeen ≤ bound (cannot raise bound, as best ≤ worst + Σ
+// lastSeen unless a hostile list has a negative score, which turns the skip
+// off) is skipped before its seenIn walk: neither the k-th's worst nor bound
+// falls within a rank, so top and bound end as the full walk leaves them.
+//
 //p3q:hotpath
 func (n *NRA) rank() {
-	lastSeen, sum := n.lastSeen[:0], 0
+	lastSeen, sum, skip := n.lastSeen[:0], 0, true
 	for i := range n.lists {
 		ls := n.lists[i].lastSeen()
 		lastSeen = append(lastSeen, ls)
 		sum += ls
+		skip = skip && ls >= 0
 	}
 	n.lastSeen = lastSeen
 	top, bound := n.top[:0], sum
 	for ci := range n.cands {
 		c := &n.cands[ci]
+		if skip && len(top) == n.k && c.worst < n.cands[top[n.k-1]].worst && c.worst+sum <= bound {
+			continue
+		}
 		best := c.worst + sum
 		for _, li := range c.seenIn {
 			best -= lastSeen[li]
@@ -327,7 +376,8 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 		n.lists = append(n.lists, scanList{entries: l.Entries, pos: l.Pos})
 	}
 	for _, c := range st.Cands {
-		if _, dup := n.index[c.Item]; dup {
+		s := n.slotOf(c.Item)
+		if s.cand != 0 {
 			return nil, fmt.Errorf("topk: restored candidate %d duplicated", c.Item)
 		}
 		for _, li := range c.SeenIn {
@@ -335,8 +385,8 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 				return nil, fmt.Errorf("topk: restored candidate %d seen in out-of-range list %d", c.Item, li)
 			}
 		}
-		n.index[c.Item] = len(n.cands)
 		n.cands = append(n.cands, candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn})
+		*s = itemSlot{item: c.Item, cand: uint32(len(n.cands))}
 	}
 	n.rank()
 	return n, nil

@@ -21,7 +21,6 @@ type oracleNRA struct {
 	lists       []*oracleList
 	cands       map[tagging.ItemID]*oracleCand
 	ranked      []*oracleCand
-	bests       map[tagging.ItemID]int
 	sumLastSeen int
 }
 
@@ -45,6 +44,7 @@ func (l *oracleList) exhausted() bool { return l.pos >= len(l.entries) }
 type oracleCand struct {
 	item   tagging.ItemID
 	worst  int
+	best   int // as of the last rebuildRanking
 	seenIn []int
 }
 
@@ -52,11 +52,7 @@ func newOracleNRA(k int) *oracleNRA {
 	if k < 1 {
 		k = 1
 	}
-	return &oracleNRA{
-		k:     k,
-		cands: make(map[tagging.ItemID]*oracleCand),
-		bests: make(map[tagging.ItemID]int),
-	}
+	return &oracleNRA{k: k, cands: make(map[tagging.ItemID]*oracleCand)}
 }
 
 func (n *oracleNRA) Run(newLists [][]Entry) []Entry {
@@ -150,15 +146,15 @@ func (n *oracleNRA) rebuildRanking() {
 		for _, li := range c.seenIn {
 			b -= n.lists[li].lastSeen()
 		}
-		n.bests[c.item] = b
+		c.best = b
 	}
 	sort.Slice(n.ranked, func(i, j int) bool {
 		a, b := n.ranked[i], n.ranked[j]
 		if a.worst != b.worst {
 			return a.worst > b.worst
 		}
-		if n.bests[a.item] != n.bests[b.item] {
-			return n.bests[a.item] > n.bests[b.item]
+		if a.best != b.best {
+			return a.best > b.best
 		}
 		return a.item < b.item
 	})
@@ -191,9 +187,7 @@ func (n *oracleNRA) stopConditionMet() bool {
 	kthWorst := n.ranked[n.k-1].worst
 	maxBest := n.sumLastSeen
 	for _, c := range n.ranked[n.k:] {
-		if b := n.bests[c.item]; b > maxBest {
-			maxBest = b
-		}
+		maxBest = max(maxBest, c.best)
 	}
 	return kthWorst >= maxBest
 }
@@ -235,17 +229,53 @@ func choiceList(c choices, itemSpace, maxScore int) []Entry {
 	return entriesFrom(acc)
 }
 
+// clusterList draws one partial result list of cluster-query-3d's shape:
+// 50-300 distinct items, a short head scored 2-5 and a long tail of score 1.
+// Items lean to the low IDs, so lists overlap the way popular items make
+// them. In this shape most candidates sit in the tail below the k-th worst
+// case, which is where rank skips them.
+func clusterList(c choices, itemSpace int) []Entry {
+	acc := make(map[tagging.ItemID]int)
+	for n := 50 + c.Intn(251); len(acc) < n; {
+		it := tagging.ItemID(min(c.Intn(itemSpace), c.Intn(itemSpace)))
+		if _, dup := acc[it]; !dup {
+			acc[it] = 1
+			if c.Intn(16) == 0 {
+				acc[it] += 1 + c.Intn(4)
+			}
+		}
+	}
+	return entriesFrom(acc)
+}
+
 // checkOracleStream drives NRA and the oracle through one stream of 1-30
-// lists in batches of 1-4 per Run and fails on the first difference: the
-// returned top-k and the whole State (cursors, candidates, SeenIn order)
-// after every Run, with the operator replaced by RestoreNRA(State()) at
-// random points, then Drain against both the oracle and the exact sum.
+// small lists (choiceList).
 func checkOracleStream(t testing.TB, label string, c choices) {
 	t.Helper()
 	k := 1 + c.Intn(12)
 	nLists := 1 + c.Intn(30)
 	itemSpace := 2 + c.Intn(24)
 	maxScore := 1 + c.Intn(3)
+	runOracleStream(t, label, c, k, nLists, func() []Entry { return choiceList(c, itemSpace, maxScore) })
+}
+
+// checkClusterStream drives them through 30-100 lists of clusterList's
+// shape over 300-600 items.
+func checkClusterStream(t testing.TB, label string, c choices) {
+	t.Helper()
+	k := 1 + c.Intn(12)
+	nLists := 30 + c.Intn(71)
+	itemSpace := 300 + c.Intn(301)
+	runOracleStream(t, label, c, k, nLists, func() []Entry { return clusterList(c, itemSpace) })
+}
+
+// runOracleStream feeds NRA and the oracle nLists lists from next in batches
+// of 1-4 per Run and fails on the first difference: the returned top-k and
+// the whole State (cursors, candidates, SeenIn order) after every Run, with
+// the operator replaced by RestoreNRA(State()) at random points, then Drain
+// against both the oracle and the exact sum.
+func runOracleStream(t testing.TB, label string, c choices, k, nLists int, next func() []Entry) {
+	t.Helper()
 	nra, oracle := NewNRA(k), newOracleNRA(k)
 	run := 0
 	equal := func(what string, got, want any) {
@@ -258,7 +288,7 @@ func checkOracleStream(t testing.TB, label string, c choices) {
 	for ; len(all) < nLists; run++ {
 		batch := make([][]Entry, 1+c.Intn(4))
 		for i := range batch {
-			batch[i] = choiceList(c, itemSpace, maxScore)
+			batch[i] = next()
 		}
 		all = append(all, batch...)
 		equal("top-k", nra.Run(batch), oracle.Run(batch))
@@ -281,6 +311,9 @@ func checkOracleStream(t testing.TB, label string, c choices) {
 func TestNRAMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3000; seed++ {
 		checkOracleStream(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)))
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		checkClusterStream(t, fmt.Sprintf("cluster seed %d", seed), rand.New(rand.NewSource(seed)))
 	}
 }
 

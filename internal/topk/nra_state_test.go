@@ -2,7 +2,10 @@ package topk
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"p3q/internal/tagging"
 )
 
 // stateLists builds a stream of partial result lists with overlapping
@@ -89,6 +92,66 @@ func TestRestoreNRARejectsIncoherentState(t *testing.T) {
 	bad = NRAState{K: 2, Cands: []NRACandidateState{{Item: 1}, {Item: 1}}}
 	if _, err := RestoreNRA(bad); err == nil {
 		t.Fatal("accepted duplicate candidates")
+	}
+}
+
+// TestRestoreNRAFlatIndex restores operators of 0 to 10^4 candidates: the
+// index grows from nothing with every item resolving to its own candidate,
+// the restored operator continues exactly as the original, and a duplicated
+// candidate is rejected wherever the original sits.
+func TestRestoreNRAFlatIndex(t *testing.T) {
+	for _, size := range []int{0, 1, 6, 7, 100, 10000} {
+		list := make([]Entry, size)
+		for i := range list {
+			list[i] = Entry{Item: tagging.ItemID(i * 7919), Score: 1}
+		}
+		orig := NewNRA(3)
+		orig.Run([][]Entry{list})
+		orig.Drain()
+		st := orig.State()
+		restored, err := RestoreNRA(st)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		for ci, c := range restored.cands {
+			if s := restored.slotOf(c.item); s.cand != uint32(ci+1) {
+				t.Fatalf("size %d: item %d resolves to slot %d, want %d", size, c.item, s.cand, ci+1)
+			}
+		}
+		more := []Entry{{Item: 1, Score: 4}, {Item: 7919 * tagging.ItemID(size/2), Score: 2}, {Item: 2, Score: 1}}
+		if got, want := restored.Run([][]Entry{more}), orig.Run([][]Entry{more}); !equalEntries(got, want) {
+			t.Fatalf("size %d: restored Run = %v, want %v", size, got, want)
+		}
+		if got, want := restored.State(), orig.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: restored operator diverged after a Run", size)
+		}
+		for _, at := range []int{0, size / 2, size - 1} {
+			if size == 0 {
+				break
+			}
+			dup := st
+			dup.Cands = append(slices.Clone(st.Cands), st.Cands[at])
+			if _, err := RestoreNRA(dup); err == nil {
+				t.Fatalf("size %d: accepted candidate %d twice", size, st.Cands[at].Item)
+			}
+		}
+	}
+}
+
+// TestNRAScanOneIndexedAllocatesNothing: advancing onto an item that already
+// has a candidate is one probe of the flat index and an append into room
+// seenIn already has.
+func TestNRAScanOneIndexedAllocatesNothing(t *testing.T) {
+	n := NewNRA(2)
+	n.Run([][]Entry{{{Item: 1, Score: 3}, {Item: 2, Score: 2}, {Item: 3, Score: 1}}})
+	n.Drain()
+	allocs := testing.AllocsPerRun(100, func() {
+		n.lists[0].pos = 0
+		n.cands[0].seenIn = n.cands[0].seenIn[:0]
+		n.scanOne(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("scanOne on an indexed item: %v allocs, want 0", allocs)
 	}
 }
 

@@ -42,50 +42,74 @@ func Less(a, b Entry) bool { return compare(a, b) < 0 }
 // SortEntries sorts a result list in the canonical order.
 func SortEntries(es []Entry) { slices.SortFunc(es, compare) }
 
-// TagSet is a deduplicated query tag set.
-type TagSet map[tagging.TagID]struct{}
+// TagSet is a query's distinct tags in ascending order, with bit t&63 of mask
+// set for each tag t. A query's tags are the ones its user put on one item, a
+// handful: membership is one mask test that rejects most tags, then a short
+// scan. The zero value is the empty set.
+type TagSet struct {
+	mask uint64
+	tags []tagging.TagID
+}
 
 // NewTagSet builds a TagSet from the query's tags.
 func NewTagSet(tags []tagging.TagID) TagSet {
-	s := make(TagSet, len(tags))
-	for _, t := range tags {
-		s[t] = struct{}{}
+	s := TagSet{tags: slices.Clone(tags)}
+	slices.Sort(s.tags)
+	s.tags = slices.Compact(s.tags)
+	for _, t := range s.tags {
+		s.mask |= 1 << (t & 63)
 	}
 	return s
 }
 
-// Accumulate adds the partial scores of one profile snapshot into acc: for
-// every action (i, t) in the snapshot with t in the query, the score of i
-// increases by one. Because a profile never contains duplicate (item, tag)
-// pairs this computes exactly |{t in Q : Tagged(i, t)}| per item.
-func Accumulate(acc map[tagging.ItemID]int, snap tagging.Snapshot, q TagSet) {
-	for _, a := range snap.Actions() {
-		if _, ok := q[a.Tag]; ok {
-			acc[a.Item]++
-		}
-	}
+// has reports whether t is in the set.
+func (s TagSet) has(t tagging.TagID) bool {
+	return s.mask&(1<<(t&63)) != 0 && slices.Contains(s.tags, t)
 }
 
 // PartialList computes the partial result list over a set of profile
 // snapshots: all items with positive aggregate score, in canonical order.
 // This is what a node reached by a query sends back to the querier.
+//
+// A profile never holds an (item, tag) pair twice, so an item's score is the
+// number of visible actions on it whose tag is in q: the items of those
+// actions are collected and sorted, and each run of one item becomes an
+// entry. No map is built.
 func PartialList(snaps []tagging.Snapshot, q TagSet) []Entry {
-	acc := make(map[tagging.ItemID]int)
+	var small [256]tagging.ItemID
+	items := small[:0]
 	for _, s := range snaps {
-		Accumulate(acc, s, q)
+		for _, a := range s.Actions() {
+			if q.has(a.Tag) {
+				items = append(items, a.Item)
+			}
+		}
 	}
-	return entriesFrom(acc)
+	slices.Sort(items)
+	runs := 0
+	for i, it := range items {
+		if i == 0 || it != items[i-1] {
+			runs++
+		}
+	}
+	es := make([]Entry, 0, runs) // exact: lists live on in query state
+	for i, it := range items {
+		if i > 0 && it == items[i-1] {
+			es[len(es)-1].Score++
+		} else {
+			es = append(es, Entry{Item: it, Score: 1})
+		}
+	}
+	SortEntries(es)
+	return es
 }
 
 // Exact computes the exact top-k result over a set of snapshots. It is the
 // centralized reference ("recall of 1") the protocol's output is compared
 // against.
 func Exact(snaps []tagging.Snapshot, q TagSet, k int) []Entry {
-	acc := make(map[tagging.ItemID]int)
-	for _, s := range snaps {
-		Accumulate(acc, s, q)
-	}
-	return TopOf(acc, k)
+	es := PartialList(snaps, q)
+	return es[:min(k, len(es))]
 }
 
 // TopOf returns the k best entries of a score map in canonical order.

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p3q/internal/tagging"
@@ -37,9 +38,8 @@ func TestAccumulateCountsQueryTags(t *testing.T) {
 	p.Add(10, 3)
 	p.Add(20, 1)
 	p.Add(30, 9)
-	q := NewTagSet([]tagging.TagID{1, 2})
 	acc := make(map[tagging.ItemID]int)
-	Accumulate(acc, p.Snapshot(), q)
+	Accumulate(acc, p.Snapshot(), newOracleTagSet([]tagging.TagID{1, 2}))
 	if acc[10] != 2 {
 		t.Fatalf("score(10) = %d, want 2 (tags 1 and 2)", acc[10])
 	}
@@ -52,9 +52,9 @@ func TestAccumulateCountsQueryTags(t *testing.T) {
 }
 
 func TestNewTagSetDeduplicates(t *testing.T) {
-	q := NewTagSet([]tagging.TagID{1, 1, 2})
-	if len(q) != 2 {
-		t.Fatalf("tag set size = %d, want 2", len(q))
+	q := NewTagSet([]tagging.TagID{2, 1, 1})
+	if !slices.Equal(q.tags, []tagging.TagID{1, 2}) {
+		t.Fatalf("tag set = %v, want [1 2]", q.tags)
 	}
 }
 
