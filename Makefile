@@ -5,7 +5,7 @@
 .PHONY: lint test build e2e loc
 
 # lint runs the determinism-linter suite over every package of the module
-# (the same analyzers and loader as TestRepoLintClean).
+# (the same entry point, lint.Lint, as TestRepoLintClean). CI runs it.
 lint:
 	go run ./cmd/p3qlint ./...
 

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -12,11 +11,19 @@ import (
 // (a reason, or a phase name for //p3q:phase).
 const directivePrefix = "//p3q:"
 
-// The directive verbs. Each verb is owned by one analyzer, which validates
-// its attachment, argument, and staleness; maporder additionally validates
-// every directive's verb and scope module-wide, so a typoed or misplaced
-// verb is an error in whatever package it lands in.
+// The directive verbs.
 const (
+	// allocVerb excuses one allocating construct inside a hotpath
+	// function, with a reason.
+	allocVerb = "alloc"
+	// hostplaneVerb marks a struct field or function as host-plane
+	// telemetry: wall-clock derived, observability-only. obspurity then
+	// enforces that host-plane values never reach engine state or the
+	// sim plane of the obs registry.
+	hostplaneVerb = "hostplane"
+	// hotpathVerb marks a per-cycle inner-loop function whose body
+	// hotalloc scans for allocating constructs.
+	hotpathVerb = "hotpath"
 	// orderInvariantVerb marks a range-over-map whose body is commutative,
 	// so iteration order provably cannot reach any engine-visible state.
 	orderInvariantVerb = "orderinvariant"
@@ -26,115 +33,138 @@ const (
 	// transientVerb excuses a field of a checkpointed struct from the
 	// snapshotcomplete coverage requirement, with a reason.
 	transientVerb = "transient"
-	// hotpathVerb marks a per-cycle inner-loop function whose body
-	// hotalloc scans for allocating constructs.
-	hotpathVerb = "hotpath"
-	// allocVerb excuses one allocating construct inside a hotpath
-	// function, with a reason.
-	allocVerb = "alloc"
-	// hostplaneVerb marks a struct field or function as host-plane
-	// telemetry: wall-clock derived, observability-only. obspurity then
-	// enforces that host-plane values never reach engine state or the
-	// sim plane of the obs registry.
-	hostplaneVerb = "hostplane"
 )
 
-// verbScopes maps each recognized verb to the package scopes it applies
-// in; nil means the verb is recognized module-wide. A directive using a
-// known verb outside its scope is as wrong as an unknown verb — it
-// suppresses nothing and rots into false confidence — so maporder reports
-// both the same way.
-var verbScopes = map[string][]string{
-	orderInvariantVerb: nil,
-	phaseVerb:          DeterministicScopes,
-	transientVerb:      SnapshotScopes,
-	hotpathVerb:        HotpathScopes,
-	allocVerb:          HotpathScopes,
-	hostplaneVerb:      DeterministicScopes,
-}
-
-// knownVerbs returns the recognized verbs sorted, for diagnostics.
-func knownVerbs() []string {
-	out := make([]string, 0, len(verbScopes))
-	for v := range verbScopes {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+// verbs is the directive grammar, one row per verb in name order. A
+// directive is validated after its owner has run: an unknown verb (owned
+// by maporder), a known verb outside its scopes, a directive its owner
+// attached to nothing, and a missing reason where one is required are all
+// findings — an annotation that suppresses nothing rots into false
+// confidence the next time the code below it changes.
+var verbs = []struct {
+	verb   string
+	owner  string   // the analyzer that attaches the verb and reports its problems
+	scopes []string // packages where the verb is recognized; nil means module-wide
+	target string   // what it attaches to, completing "stale ... directive: no "
+	reason string   // the hint of the missing-reason finding; "" means no reason is required
+}{
+	{allocVerb, "hotalloc", HotpathScopes, "flagged allocation on its line (is the enclosing function annotated //p3q:hotpath?)", "say why this allocation must stay on the hot path"},
+	{hostplaneVerb, "obspurity", DeterministicScopes, "struct field or function declaration starts on the line below it", ""},
+	{hotpathVerb, "hotalloc", HotpathScopes, "function declaration starts on the line below it", ""},
+	{orderInvariantVerb, "maporder", nil, "range-over-map starts on the line below it", "say why this loop body is order-invariant"},
+	{phaseVerb, "phasepurity", DeterministicScopes, "function declaration starts on the line below it", ""},
+	{transientVerb, "snapshotcomplete", SnapshotScopes, "field of a checkpointed struct starts on the line below it", "say why this field need not survive a checkpoint"},
 }
 
 // directive is one parsed //p3q: annotation.
 type directive struct {
-	comment *ast.Comment
-	verb    string
-	reason  string
-	used    bool
+	pos    token.Pos
+	verb   string
+	reason string
+	used   bool // attached by its owner
 }
 
-// parseDirectives extracts the //p3q: annotations of a file, keyed by the
-// comment group that carries them.
-func parseDirectives(f *ast.File) map[*ast.CommentGroup][]*directive {
-	out := map[*ast.CommentGroup][]*directive{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
-			}
-			verb, reason, _ := strings.Cut(rest, " ")
-			out[cg] = append(out[cg], &directive{
-				comment: c,
-				verb:    verb,
-				reason:  strings.TrimSpace(reason),
-			})
-		}
-	}
-	return out
+// lineKey names one line of one file.
+type lineKey struct {
+	file *token.File
+	line int
 }
 
-// directivesAt returns the directives with the given verb attached to a
-// declaration or statement starting at line: carried by a comment group
-// ending on the line above it, or by a trailing comment on the same line.
-// codeEnds (from codeEndLines) disambiguates the two: a trailing comment
-// shares its line with code and attaches only there, never to the line
-// below.
-func directivesAt(fset *token.FileSet, directives map[*ast.CommentGroup][]*directive, codeEnds map[int]token.Pos, verb string, line int) []*directive {
-	var out []*directive
-	for cg, ds := range directives {
-		start := fset.Position(cg.Pos()).Line
-		end := fset.Position(cg.End()).Line
-		trailing := codeEnds[start] > 0 && codeEnds[start] <= cg.Pos()
-		if trailing {
-			if start != line {
-				continue
-			}
-		} else if end != line-1 {
-			continue
-		}
-		for _, d := range ds {
-			if d.verb == verb {
-				out = append(out, d)
+// directiveIndex holds the directives of one package, built once per
+// package by Check. Each directive attaches to one line: a comment group
+// ending on the line above it, or a trailing comment on the same line. A
+// trailing comment shares its line with code and attaches only there,
+// never to the line below.
+type directiveIndex struct {
+	all []*directive
+	at  map[lineKey][]*directive
+}
+
+func indexDirectives(pkg *Package) *directiveIndex {
+	idx := &directiveIndex{at: map[lineKey][]*directive{}}
+	for _, f := range pkg.Files {
+		tf := pkg.Fset.File(f.Pos())
+		var codeEnds map[int]token.Pos
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, directivePrefix)
+				if !ok {
+					continue
+				}
+				if codeEnds == nil {
+					codeEnds = codeEndLines(tf, f)
+				}
+				key := lineKey{tf, tf.Line(cg.End()) + 1}
+				if start := tf.Line(cg.Pos()); codeEnds[start] > 0 && codeEnds[start] <= cg.Pos() {
+					key.line = start
+				}
+				verb, reason, _ := strings.Cut(rest, " ")
+				d := &directive{pos: c.Pos(), verb: verb, reason: strings.TrimSpace(reason)}
+				idx.all = append(idx.all, d)
+				idx.at[key] = append(idx.at[key], d)
 			}
 		}
 	}
-	return out
+	return idx
 }
 
 // codeEndLines maps each line of f to the end position of the last
 // non-comment syntax node ending on it. A comment group starting after
 // that position is a trailing comment of that line's code.
-func codeEndLines(fset *token.FileSet, f *ast.File) map[int]token.Pos {
+func codeEndLines(tf *token.File, f *ast.File) map[int]token.Pos {
 	ends := map[int]token.Pos{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n.(type) {
 		case nil, *ast.Comment, *ast.CommentGroup:
 			return true
 		}
-		line := fset.Position(n.End()).Line
-		if n.End() > ends[line] {
+		if line := tf.Line(n.End()); n.End() > ends[line] {
 			ends[line] = n.End()
 		}
 		return true
 	})
 	return ends
+}
+
+// directivesAt returns the directives with the given verb attached to the
+// declaration, field or statement starting on pos's line, and marks them
+// used.
+func (p *Pass) directivesAt(pos token.Pos, verb string) []*directive {
+	tf := p.Fset.File(pos)
+	var out []*directive
+	for _, d := range p.directives.at[lineKey{tf, tf.Line(pos)}] {
+		if d.verb == verb {
+			d.used = true
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// validate reports, under its owning analyzer's name, every problem of
+// every directive of package path.
+func (idx *directiveIndex) validate(path string, report func(owner string, pos token.Pos, msg string)) {
+	for _, d := range idx.all {
+		i := 0
+		for i < len(verbs) && verbs[i].verb != d.verb {
+			i++
+		}
+		if i == len(verbs) {
+			known := make([]string, len(verbs))
+			for j, v := range verbs {
+				known[j] = v.verb
+			}
+			report("maporder", d.pos, "unknown directive //p3q:"+d.verb+" (recognized verbs: "+strings.Join(known, ", ")+")")
+			continue
+		}
+		v := verbs[i]
+		switch {
+		case v.scopes != nil && !inScope(path, v.scopes):
+			report(v.owner, d.pos, "unknown directive //p3q:"+d.verb+" in package "+path+" (this verb is only recognized under "+strings.Join(v.scopes, ", ")+")")
+		case !d.used:
+			report(v.owner, d.pos, "stale //p3q:"+d.verb+" directive: no "+v.target)
+		case v.reason != "" && d.reason == "":
+			report(v.owner, d.pos, "//p3q:"+d.verb+" directive is missing a reason ("+v.reason+")")
+		}
+	}
 }

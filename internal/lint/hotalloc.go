@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"p3q/internal/lint/analysis"
 )
 
 // HotAlloc flags allocating constructs inside functions annotated
@@ -21,72 +19,36 @@ import (
 // append is deliberately not flagged: growth into a pre-sized or reused
 // backing array is the pattern the pooled buffers converge on, and the
 // analyzer cannot see capacity.
-var HotAlloc = &analysis.Analyzer{
-	Name: "hotalloc",
-	Doc:  "flag allocating constructs in //p3q:hotpath functions unless excused by //p3q:alloc <reason>",
-	Run:  runHotAlloc,
-}
+var HotAlloc = &Analyzer{Name: "hotalloc", Run: runHotAlloc}
 
-func runHotAlloc(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), HotpathScopes) {
-		return nil
+func runHotAlloc(pass *Pass) {
+	if !inScope(pass.Path, HotpathScopes) {
+		return
 	}
 	for _, f := range pass.Files {
-		directives := parseDirectives(f)
-		codeEnds := codeEndLines(pass.Fset, f)
-
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			line := pass.Fset.Position(fn.Pos()).Line
-			hot := directivesAt(pass.Fset, directives, codeEnds, hotpathVerb, line)
-			for _, d := range hot {
-				d.used = true
-			}
-			if len(hot) == 0 || fn.Body == nil {
-				continue
-			}
-			checkHotBody(pass, directives, codeEnds, fn)
-		}
-
-		for _, ds := range directives {
-			for _, d := range ds {
-				switch {
-				case d.verb == hotpathVerb && !d.used:
-					pass.Reportf(d.comment.Pos(), "stale //p3q:%s directive: no function declaration starts on the line below it", hotpathVerb)
-				case d.verb == allocVerb && !d.used:
-					pass.Reportf(d.comment.Pos(), "stale //p3q:%s directive: no flagged allocation on its line (is the enclosing function annotated //p3q:%s?)", allocVerb, hotpathVerb)
-				}
+			if ok && len(pass.directivesAt(fn.Pos(), hotpathVerb)) > 0 && fn.Body != nil {
+				checkHotBody(pass, fn)
 			}
 		}
 	}
-	return nil
 }
 
 // checkHotBody walks one hotpath function body and reports each
 // allocating construct not excused by an //p3q:alloc directive.
-func checkHotBody(pass *analysis.Pass, directives map[*ast.CommentGroup][]*directive, codeEnds map[int]token.Pos, fn *ast.FuncDecl) {
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		line := pass.Fset.Position(pos).Line
-		if ds := directivesAt(pass.Fset, directives, codeEnds, allocVerb, line); len(ds) > 0 {
-			for _, d := range ds {
-				d.used = true
-				if d.reason == "" {
-					pass.Reportf(d.comment.Pos(), "//p3q:%s directive is missing a reason (say why this allocation must stay on the hot path)", allocVerb)
-				}
-			}
-			return
+func checkHotBody(pass *Pass, fn *ast.FuncDecl) {
+	report := func(pos token.Pos, format string, args ...any) {
+		if len(pass.directivesAt(pos, allocVerb)) == 0 {
+			args = append(args, fn.Name.Name, allocVerb)
+			pass.Reportf(pos, format+" in hotpath function %s (excuse with //p3q:%s <reason>)", args...)
 		}
-		args = append(args, fn.Name.Name, allocVerb)
-		pass.Reportf(pos, format+" in hotpath function %s (excuse with //p3q:%s <reason>)", args...)
 	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CompositeLit:
-			t := exprType(pass, x)
+			t := pass.Info.TypeOf(x)
 			if t == nil {
 				return true
 			}
@@ -99,12 +61,12 @@ func checkHotBody(pass *analysis.Pass, directives map[*ast.CommentGroup][]*direc
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if _, ok := x.X.(*ast.CompositeLit); ok {
-					report(x.Pos(), "&%s literal heap-allocates", typeString(exprType(pass, x.X)))
+					report(x.Pos(), "&%s literal heap-allocates", typeString(pass.Info.TypeOf(x.X)))
 				}
 			}
 		case *ast.BinaryExpr:
-			if x.Op == token.ADD && isStringType(exprType(pass, x)) {
-				if tv, ok := pass.TypesInfo.Types[x]; ok && tv.Value != nil {
+			if x.Op == token.ADD && isStringType(pass.Info.TypeOf(x)) {
+				if tv, ok := pass.Info.Types[x]; ok && tv.Value != nil {
 					return true // constant-folded at compile time
 				}
 				report(x.Pos(), "string concatenation allocates")
@@ -119,8 +81,8 @@ func checkHotBody(pass *analysis.Pass, directives map[*ast.CommentGroup][]*direc
 // checkHotCall classifies one call expression in a hotpath body: builtin
 // allocators, fmt calls, allocating conversions, and interface boxing of
 // arguments.
-func checkHotCall(pass *analysis.Pass, report func(token.Pos, string, ...interface{}), call *ast.CallExpr) {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
+func checkHotCall(pass *Pass, report func(token.Pos, string, ...any), call *ast.CallExpr) {
+	tv, ok := pass.Info.Types[call.Fun]
 	if !ok {
 		return
 	}
@@ -128,7 +90,7 @@ func checkHotCall(pass *analysis.Pass, report func(token.Pos, string, ...interfa
 		// A conversion. string<->[]byte/[]rune copies; converting a
 		// concrete value to an interface type boxes it.
 		to := tv.Type
-		from := exprType(pass, call.Args[0])
+		from := pass.Info.TypeOf(call.Args[0])
 		switch {
 		case isStringType(to) != isStringType(from):
 			report(call.Pos(), "conversion to %s copies its operand", typeString(to))
@@ -147,7 +109,7 @@ func checkHotCall(pass *analysis.Pass, report func(token.Pos, string, ...interfa
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if id, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
+			if pn, ok := pass.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
 				report(call.Pos(), "fmt.%s formats into fresh allocations", sel.Sel.Name)
 				return
 			}
@@ -173,8 +135,8 @@ func checkHotCall(pass *analysis.Pass, report func(token.Pos, string, ...interfa
 		default:
 			continue
 		}
-		at := exprType(pass, arg)
-		if tv, ok := pass.TypesInfo.Types[arg]; ok && tv.IsNil() {
+		at := pass.Info.TypeOf(arg)
+		if tv, ok := pass.Info.Types[arg]; ok && tv.IsNil() {
 			continue
 		}
 		if isInterfaceType(pt) && at != nil && !isInterfaceType(at) {
@@ -184,12 +146,12 @@ func checkHotCall(pass *analysis.Pass, report func(token.Pos, string, ...interfa
 }
 
 // isBuiltin reports whether fun denotes the named builtin.
-func isBuiltin(pass *analysis.Pass, fun ast.Expr, name string) bool {
+func isBuiltin(pass *Pass, fun ast.Expr, name string) bool {
 	id, ok := fun.(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}
-	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
+	_, ok = pass.Info.Uses[id].(*types.Builtin)
 	return ok
 }
 

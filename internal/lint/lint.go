@@ -1,38 +1,31 @@
-// Package lint is the p3qlint determinism-linter suite: eight static
-// analyzers that enforce, at lint time, the ordering, clock, RNG,
-// phase, telemetry, and checkpoint contracts ARCHITECTURE.md otherwise
-// states only in prose. The dynamic half of the safety net — the Workers=1-vs-N
-// fingerprint tests and the resume-equals-uninterrupted checkpoint tests
-// — catches a determinism violation only after it is written and only on
-// an exercised path; these analyzers reject the idioms that cause them
-// before the code runs.
+// Package lint is the p3qlint determinism-linter suite: seven static
+// analyzers that enforce, at lint time, the ordering, clock, phase,
+// telemetry, allocation and checkpoint contracts ARCHITECTURE.md otherwise
+// states only in prose. The dynamic half of the safety net — the
+// Workers=1-vs-N fingerprint tests, the goldens and the
+// resume-equals-uninterrupted checkpoint tests — catches a determinism
+// violation only after it is written and only on an exercised path; each
+// analyzer here is kept because a hand mutation of production code showed
+// it catching something no test catches.
 //
 // The analyzers:
 //
 //   - maporder: no `range` over a map inside the deterministic engine
 //     packages, unless annotated `//p3q:orderinvariant <reason>` (for
-//     provably commutative loop bodies). The //p3q: directive system
-//     itself is validated module-wide here: a stale or reasonless
-//     orderinvariant annotation, an unknown verb, and a known verb used
-//     outside its scope are all errors.
+//     provably commutative loop bodies).
 //   - wallclock: no time.Now/Since/Sleep and no global math/rand or
-//     crypto/rand in the deterministic packages; use the virtual clock
-//     and internal/randx split streams.
-//   - rngdiscipline: a randx.Source that crosses into a spawned goroutine
-//     must pass through .Split(label) first.
+//     crypto/rand in the deterministic packages; use the virtual clock,
+//     internal/randx split streams, and internal/hostclock for profiling.
 //   - stickyerr: the codec packages (internal/binio and the checkpoint,
-//     trace and wire formats on it) discard no error results, and raw
-//     stream I/O happens only inside internal/binio.
+//     trace and wire formats on it) discard no error results.
 //   - phasepurity: functions annotated `//p3q:phase plan` (run
 //     concurrently against cycle-start state) may not write through an
-//     Engine-typed value; `//p3q:phase commit` functions may not draw
-//     from randx.Source or range over maps; functions called from the
+//     Engine-typed value; functions called from the
 //     forEachIndex/forEachNode/commitSharded worker closures must carry a
-//     phase annotation.
-//   - snapshotcomplete: every field of a checkpointed struct (Engine,
-//     Node, PersonalNetwork, Entry, QueryRun, eagerEvent, sim.EventQueue,
-//     sim.Traffic, randx.Source) must be referenced on both the Snapshot
-//     and the Restore path, or carry `//p3q:transient <reason>`.
+//     matching `//p3q:phase plan|commit` annotation.
+//   - snapshotcomplete: every field of a checkpointed struct (see
+//     checkpointedTypes) must be referenced on both the Snapshot and the
+//     Restore path, or carry `//p3q:transient <reason>`.
 //   - hotalloc: inside functions annotated `//p3q:hotpath`, allocating
 //     constructs (map/slice literals, make/new, fmt calls, string
 //     concatenation, interface boxing) are flagged unless excused by
@@ -43,21 +36,34 @@
 //     control flow, escape as unannotated returns, or enter the sim
 //     plane of the obs registry (Inc/Add/Event/AddShardIntent).
 //
-// Run the suite with `go run ./cmd/p3qlint ./...` (or `make lint`).
+// The //p3q: directive grammar has one home, directives.go: one table row
+// per verb, and one validation pass that reports unknown, out-of-scope,
+// reasonless and stale directives after the analyzers have run.
+//
+// Run the suite with `make lint` (`go run ./cmd/p3qlint ./...`).
 package lint
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
-
-	"p3q/internal/lint/analysis"
-	"p3q/internal/lint/load"
 )
+
+// module is the import path of the module the suite lints.
+const module = "p3q"
 
 // DeterministicScopes lists the package paths (each covering its subtree)
 // under the byte-for-byte determinism contract: everything that executes
-// between a seed and an engine fingerprint. maporder, wallclock, and
-// rngdiscipline only report inside these scopes.
+// between a seed and an engine fingerprint. maporder, wallclock,
+// phasepurity and obspurity only report inside these scopes.
 var DeterministicScopes = []string{
 	"p3q/internal/core",
 	"p3q/internal/gossip",
@@ -82,14 +88,10 @@ var HotpathScopes = append([]string{
 	"p3q/internal/topk",
 }, DeterministicScopes...)
 
-// CarrierScope is the one package allowed raw stream I/O: the sticky-error
-// carrier every binary format runs on.
-const CarrierScope = "p3q/internal/binio"
-
 // CodecScopes lists the packages under the sticky-error codec discipline
 // enforced by stickyerr.
 var CodecScopes = []string{
-	CarrierScope,
+	"p3q/internal/binio",
 	"p3q/internal/checkpoint",
 	"p3q/internal/trace",
 	"p3q/internal/wire",
@@ -114,9 +116,27 @@ func inScope(path string, scopes []string) bool {
 	return false
 }
 
-// Analyzers returns the full p3qlint suite in reporting order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{MapOrder, WallClock, RNGDiscipline, StickyErr, PhasePurity, SnapshotComplete, HotAlloc, Obspurity}
+// An Analyzer is one named check, run once per package.
+type Analyzer struct {
+	Name string
+	Run  func(*Pass)
+}
+
+// Analyzers returns the full p3qlint suite.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{MapOrder, WallClock, StickyErr, PhasePurity, SnapshotComplete, HotAlloc, Obspurity}
+}
+
+// A Pass is one analyzer's view of one type-checked package.
+type Pass struct {
+	*Package
+	directives *directiveIndex
+	report     func(token.Pos, string)
+}
+
+// Reportf reports a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
 }
 
 // Finding is one diagnostic located in a file, ready for printing.
@@ -128,47 +148,125 @@ type Finding struct {
 	Message  string
 }
 
-// Check runs the analyzers over the packages and returns all findings
-// sorted by file, line, column, and analyzer name.
-func Check(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// String renders the finding as `file:line:col: message [analyzer]`, the
+// line the CI problem matcher reads.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+}
+
+// Check runs the analyzers over the packages, then validates every //p3q:
+// directive owned by one of them, and returns all findings sorted by file,
+// line, column, and analyzer name.
+func Check(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-			}
-			name := a.Name
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				findings = append(findings, Finding{
-					Analyzer: name,
-					File:     pos.Filename,
-					Line:     pos.Line,
-					Col:      pos.Column,
-					Message:  d.Message,
-				})
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, err
-			}
+	reporter := func(pkg *Package, analyzer string) func(token.Pos, string) {
+		return func(pos token.Pos, msg string) {
+			p := pkg.Fset.Position(pos)
+			findings = append(findings, Finding{analyzer, p.Filename, p.Line, p.Column, msg})
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
+	for _, pkg := range pkgs {
+		idx := indexDirectives(pkg)
+		ran := map[string]bool{}
+		for _, a := range analyzers {
+			a.Run(&Pass{Package: pkg, directives: idx, report: reporter(pkg, a.Name)})
+			ran[a.Name] = true
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
+		idx.validate(pkg.Path, func(owner string, pos token.Pos, msg string) {
+			if ran[owner] {
+				reporter(pkg, owner)(pos, msg)
+			}
+		})
+	}
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col), strings.Compare(a.Analyzer, b.Analyzer))
 	})
+	return findings
+}
+
+// Lint is the suite's one entry point, shared by cmd/p3qlint and
+// TestRepoLintClean: it expands go-tool package patterns (./..., ./dir,
+// import paths) with `go list` in the current directory, loads and
+// type-checks the packages, runs every analyzer, and returns the findings
+// with file names relative to the module root.
+func Lint(patterns ...string) ([]Finding, error) {
+	dir, err := moduleDir()
+	if err != nil {
+		return nil, err
+	}
+	paths, err := goList(append([]string{"-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader(root{module, dir})
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		pkg, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	findings := Check(pkgs, Analyzers())
+	for i, f := range findings {
+		if rel, err := filepath.Rel(dir, f.File); err == nil && !strings.HasPrefix(rel, "..") {
+			findings[i].File = rel
+		}
+	}
 	return findings, nil
+}
+
+// moduleDir returns the root directory of the enclosing module.
+func moduleDir() (string, error) {
+	out, err := goList("-m", "-f", "{{.Dir}}")
+	if err != nil {
+		return "", err
+	}
+	if len(out) != 1 {
+		return "", fmt.Errorf("go list -m: want one module directory, got %q", out)
+	}
+	return out[0], nil
+}
+
+// goList runs `go list` with args and returns its output lines, blank
+// ones dropped.
+func goList(args ...string) ([]string, error) {
+	out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+		return nil, fmt.Errorf("go list: %s", bytes.TrimSpace(ee.Stderr))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' || r == '\r' }), nil
+}
+
+// typeString renders a type compactly for diagnostics: the reader is
+// inside the repo already, so p3q-internal names lose their prefix.
+func typeString(t types.Type) string {
+	return strings.ReplaceAll(t.String(), "p3q/internal/", "")
+}
+
+// namedObj returns the declaration of t's named type, looking through one
+// pointer, or nil when t is not a named type of some package.
+func namedObj(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj()
+	}
+	return nil
+}
+
+// calleeIdent returns the identifier naming a call's function — f in f()
+// and in x.f() — or nil for any other callee expression.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		return f
+	case *ast.SelectorExpr:
+		return f.Sel
+	}
+	return nil
 }

@@ -3,104 +3,35 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
-
-	"p3q/internal/lint/analysis"
 )
 
 // MapOrder flags `range` over a map in the deterministic engine packages:
 // Go randomizes map iteration order per run, so any map walk whose body
 // has order-dependent effects breaks the Workers=1-vs-N fingerprint
 // contract. Loops with genuinely commutative bodies are annotated
-// `//p3q:orderinvariant <reason>`; the analyzer also validates the //p3q:
-// directive system itself, module-wide: an orderinvariant annotation that
-// is attached to no map range or lacks a reason, a directive with an
-// unknown verb, and a known verb used outside its scope (see verbScopes)
-// are all errors in every package.
-var MapOrder = &analysis.Analyzer{
-	Name: "maporder",
-	Doc:  "flag range-over-map in deterministic packages unless annotated //p3q:orderinvariant <reason>",
-	Run:  runMapOrder,
-}
+// `//p3q:orderinvariant <reason>`. MapOrder also owns the directive
+// grammar itself: an unknown //p3q: verb anywhere in the module is
+// reported under its name (see verbs).
+var MapOrder = &Analyzer{Name: "maporder", Run: runMapOrder}
 
-func runMapOrder(pass *analysis.Pass) error {
-	deterministic := inScope(pass.Pkg.Path(), DeterministicScopes)
+func runMapOrder(pass *Pass) {
+	deterministic := inScope(pass.Path, DeterministicScopes)
 	for _, f := range pass.Files {
-		directives := parseDirectives(f)
-		codeEnds := codeEndLines(pass.Fset, f)
-
-		// annotationFor finds an orderinvariant directive attached to the
-		// statement starting at line.
-		annotationFor := func(line int) *directive {
-			ds := directivesAt(pass.Fset, directives, codeEnds, orderInvariantVerb, line)
-			if len(ds) == 0 {
-				return nil
-			}
-			return ds[0]
-		}
-
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			tv, ok := pass.TypesInfo.Types[rs.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if rs.Key == nil {
+			t := pass.Info.TypeOf(rs.X)
+			if _, isMap := t.Underlying().(*types.Map); !isMap || rs.Key == nil {
 				// `for range m` binds nothing: the body runs len(m)
 				// times identically, so order cannot leak.
 				return true
 			}
-			line := pass.Fset.Position(rs.Pos()).Line
-			if d := annotationFor(line); d != nil {
-				d.used = true
-				if d.reason == "" {
-					pass.Reportf(d.comment.Pos(), "//p3q:%s directive is missing a reason (say why this loop body is order-invariant)", orderInvariantVerb)
-				}
-				return true
-			}
-			if deterministic {
-				pass.Reportf(rs.Pos(), "iteration over map %s in deterministic package %s: iterate in canonical order (sorted keys or index order), or annotate the loop //p3q:%s <reason> if its body is commutative", typeString(tv.Type), pass.Pkg.Path(), orderInvariantVerb)
+			if len(pass.directivesAt(rs.Pos(), orderInvariantVerb)) == 0 && deterministic {
+				pass.Reportf(rs.Pos(), "iteration over map %s in deterministic package %s: iterate in canonical order (sorted keys or index order), or annotate the loop //p3q:%s <reason> if its body is commutative", typeString(t), pass.Path, orderInvariantVerb)
 			}
 			return true
 		})
-
-		// Validate the directive system itself, in every package: an
-		// annotation that suppresses nothing rots into false confidence
-		// the next time the code below it changes. Verb and scope are
-		// checked here for every directive; attachment, argument, and
-		// staleness of the non-orderinvariant verbs are validated by
-		// their owning analyzers (phasepurity, snapshotcomplete,
-		// hotalloc).
-		for _, ds := range directives {
-			for _, d := range ds {
-				scopes, known := verbScopes[d.verb]
-				switch {
-				case !known:
-					pass.Reportf(d.comment.Pos(), "unknown directive //p3q:%s (recognized verbs: %s)", d.verb, strings.Join(knownVerbs(), ", "))
-				case scopes != nil && !inScope(pass.Pkg.Path(), scopes):
-					pass.Reportf(d.comment.Pos(), "unknown directive //p3q:%s in package %s (this verb is only recognized under %s)", d.verb, pass.Pkg.Path(), strings.Join(scopes, ", "))
-				case d.verb != orderInvariantVerb:
-					// Owned by another analyzer.
-				case !d.used:
-					pass.Reportf(d.comment.Pos(), "stale //p3q:%s directive: no range-over-map starts on the line below it", orderInvariantVerb)
-				}
-			}
-		}
 	}
-	return nil
-}
-
-// typeString renders a type compactly for diagnostics.
-func typeString(t types.Type) string {
-	s := t.String()
-	// Shorten fully qualified p3q-internal names: the reader is inside
-	// the repo already.
-	s = strings.ReplaceAll(s, "p3q/internal/", "")
-	return s
 }

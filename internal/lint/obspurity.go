@@ -4,9 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
-
-	"p3q/internal/lint/analysis"
 )
 
 // Obspurity enforces the two-plane telemetry contract of internal/obs:
@@ -37,11 +34,7 @@ import (
 // phasepurity, this is an intra-procedural check, not an escape analysis:
 // taint stops at ordinary call boundaries (a callee's result is clean),
 // and the obs fingerprint-invariance tests remain the dynamic backstop.
-var Obspurity = &analysis.Analyzer{
-	Name: "obspurity",
-	Doc:  "enforce that //p3q:hostplane wall-clock telemetry never reaches engine state or the sim plane of the obs registry",
-	Run:  runObspurity,
-}
+var Obspurity = &Analyzer{Name: "obspurity", Run: runObspurity}
 
 // simPlaneMutators are the obs.Registry methods that write the sim plane.
 var simPlaneMutators = map[string]bool{
@@ -51,94 +44,60 @@ var simPlaneMutators = map[string]bool{
 	"AddShardIntent": true,
 }
 
-func runObspurity(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), DeterministicScopes) {
-		return nil
+func runObspurity(pass *Pass) {
+	if !inScope(pass.Path, DeterministicScopes) {
+		return
 	}
 
 	// Pass 1 over all files: attach //p3q:hostplane directives to struct
 	// fields and function declarations, indexed by object so uses in one
 	// file see annotations granted in another.
 	hostplane := map[types.Object]bool{}
-	type fileDirectives struct {
-		file       *ast.File
-		directives map[*ast.CommentGroup][]*directive
-		codeEnds   map[int]token.Pos
-	}
-	var perFile []fileDirectives
-	for _, f := range pass.Files {
-		directives := parseDirectives(f)
-		codeEnds := codeEndLines(pass.Fset, f)
-		perFile = append(perFile, fileDirectives{f, directives, codeEnds})
-		attach := func(line int, objs ...types.Object) bool {
-			ds := directivesAt(pass.Fset, directives, codeEnds, hostplaneVerb, line)
-			for _, d := range ds {
-				d.used = true
-				for _, obj := range objs {
-					if obj != nil {
-						hostplane[obj] = true
-					}
+	attach := func(pos token.Pos, idents ...*ast.Ident) {
+		if len(pass.directivesAt(pos, hostplaneVerb)) > 0 {
+			for _, id := range idents {
+				if obj := pass.Info.Defs[id]; obj != nil {
+					hostplane[obj] = true
 				}
 			}
-			return len(ds) > 0
 		}
+	}
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				attach(pass.Fset.Position(fd.Pos()).Line, pass.TypesInfo.Defs[fd.Name])
+				attach(fd.Pos(), fd.Name)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				objs := make([]types.Object, 0, len(field.Names))
-				for _, name := range field.Names {
-					objs = append(objs, pass.TypesInfo.Defs[name])
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					attach(field.Pos(), field.Names...)
 				}
-				attach(pass.Fset.Position(field.Pos()).Line, objs...)
 			}
 			return true
 		})
 	}
 
-	// A hostplane directive that attached to no field or function asserts
-	// nothing and rots.
-	for _, fd := range perFile {
-		for _, ds := range fd.directives {
-			for _, d := range ds {
-				if d.verb == hostplaneVerb && !d.used {
-					pass.Reportf(d.comment.Pos(), "stale //p3q:%s directive: no struct field or function declaration starts on the line below it", hostplaneVerb)
-				}
-			}
-		}
-	}
-
 	// Pass 2: taint-track each function body.
-	for _, fd := range perFile {
-		for _, decl := range fd.file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkHostplaneFlows(pass, fn, hostplane, hostplane[pass.Info.Defs[fn.Name]])
 			}
-			exempt := hostplane[pass.TypesInfo.Defs[fn.Name]]
-			checkHostplaneFlows(pass, fn, hostplane, exempt)
 		}
 	}
-	return nil
 }
 
 // checkHostplaneFlows runs the per-function taint analysis described on
 // Obspurity. exempt relaxes the state/control-flow/return rules for a
 // function that is itself declared hostplane.
-func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[types.Object]bool, exempt bool) {
+func checkHostplaneFlows(pass *Pass, fn *ast.FuncDecl, hostplane map[types.Object]bool, exempt bool) {
 	tainted := map[types.Object]bool{}
 
 	// fieldObj resolves a selector to the struct field it reads or writes,
 	// or nil for anything else (package selectors, method values).
 	fieldObj := func(sel *ast.SelectorExpr) types.Object {
-		s := pass.TypesInfo.Selections[sel]
+		s := pass.Info.Selections[sel]
 		if s == nil || s.Kind() != types.FieldVal {
 			return nil
 		}
@@ -149,15 +108,15 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 	taintedExpr = func(e ast.Expr) bool {
 		switch x := e.(type) {
 		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[x]
-			return tainted[obj] || isHostclockValue(exprType(pass, x))
+			obj := pass.Info.Uses[x]
+			return tainted[obj] || isHostclockValue(pass.Info.TypeOf(x))
 		case *ast.SelectorExpr:
 			if hostplane[fieldObj(x)] {
 				return true
 			}
-			return isHostclockValue(exprType(pass, x)) || taintedExpr(x.X)
+			return isHostclockValue(pass.Info.TypeOf(x)) || taintedExpr(x.X)
 		case *ast.CallExpr:
-			if tv, ok := pass.TypesInfo.Types[x.Fun]; ok && tv.IsType() {
+			if tv, ok := pass.Info.Types[x.Fun]; ok && tv.IsType() {
 				// A conversion passes the value through unchanged.
 				return len(x.Args) == 1 && taintedExpr(x.Args[0])
 			}
@@ -170,6 +129,18 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 			return taintedExpr(x.X)
 		case *ast.StarExpr:
 			return taintedExpr(x.X)
+		}
+		return false
+	}
+
+	// taintedRHS reports whether the value assigned to as.Lhs[i] is
+	// tainted: its paired right-hand side, or the single multi-value one.
+	taintedRHS := func(as *ast.AssignStmt, i int) bool {
+		switch len(as.Rhs) {
+		case len(as.Lhs):
+			return taintedExpr(as.Rhs[i])
+		case 1:
+			return taintedExpr(as.Rhs[0])
 		}
 		return false
 	}
@@ -188,30 +159,17 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 				if !ok {
 					continue
 				}
-				obj := pass.TypesInfo.Defs[id]
+				obj := pass.Info.Defs[id]
 				if obj == nil {
-					obj = pass.TypesInfo.Uses[id]
+					obj = pass.Info.Uses[id]
 				}
-				if obj == nil || tainted[obj] {
-					continue
-				}
-				var rhs ast.Expr
-				if len(as.Rhs) == len(as.Lhs) {
-					rhs = as.Rhs[i]
-				} else if len(as.Rhs) == 1 {
-					rhs = as.Rhs[0]
-				}
-				if rhs != nil && taintedExpr(rhs) {
+				if obj != nil && !tainted[obj] && taintedRHS(as, i) {
 					tainted[obj] = true
 					changed = true
 				}
 			}
 			return true
 		})
-	}
-
-	report := func(pos token.Pos, format string, args ...any) {
-		pass.Reportf(pos, format, args...)
 	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -229,32 +187,26 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 				if fobj == nil || hostplane[fobj] {
 					continue
 				}
-				var rhs ast.Expr
-				if len(x.Rhs) == len(x.Lhs) {
-					rhs = x.Rhs[i]
-				} else if len(x.Rhs) == 1 {
-					rhs = x.Rhs[0]
-				}
-				if rhs != nil && taintedExpr(rhs) {
-					report(lhs.Pos(), "%s writes a host-plane value into field %s, which is not marked //p3q:%s: host wall time must never become state (store it in a hostplane-marked field or route it to the obs registry's host plane)", fn.Name.Name, fobj.Name(), hostplaneVerb)
+				if taintedRHS(x, i) {
+					pass.Reportf(lhs.Pos(), "%s writes a host-plane value into field %s, which is not marked //p3q:%s: host wall time must never become state (store it in a hostplane-marked field or route it to the obs registry's host plane)", fn.Name.Name, fobj.Name(), hostplaneVerb)
 				}
 			}
 		case *ast.CompositeLit:
 			if exempt {
 				return true
 			}
-			checkCompositeTaint(pass, fn, x, hostplane, taintedExpr, report)
+			checkCompositeTaint(pass, fn, x, hostplane, taintedExpr)
 		case *ast.IfStmt:
 			if !exempt && x.Cond != nil && taintedExpr(x.Cond) {
-				report(x.Cond.Pos(), "%s branches on a host-plane value: engine control flow must not depend on the host clock (move the comparison into a //p3q:%s function if it is observability-only)", fn.Name.Name, hostplaneVerb)
+				pass.Reportf(x.Cond.Pos(), "%s branches on a host-plane value: engine control flow must not depend on the host clock (move the comparison into a //p3q:%s function if it is observability-only)", fn.Name.Name, hostplaneVerb)
 			}
 		case *ast.ForStmt:
 			if !exempt && x.Cond != nil && taintedExpr(x.Cond) {
-				report(x.Cond.Pos(), "%s loops on a host-plane value: engine control flow must not depend on the host clock", fn.Name.Name)
+				pass.Reportf(x.Cond.Pos(), "%s loops on a host-plane value: engine control flow must not depend on the host clock", fn.Name.Name)
 			}
 		case *ast.SwitchStmt:
 			if !exempt && x.Tag != nil && taintedExpr(x.Tag) {
-				report(x.Tag.Pos(), "%s switches on a host-plane value: engine control flow must not depend on the host clock", fn.Name.Name)
+				pass.Reportf(x.Tag.Pos(), "%s switches on a host-plane value: engine control flow must not depend on the host clock", fn.Name.Name)
 			}
 		case *ast.ReturnStmt:
 			if exempt {
@@ -262,18 +214,18 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 			}
 			for _, res := range x.Results {
 				if taintedExpr(res) {
-					report(res.Pos(), "%s returns a host-plane value but is not marked //p3q:%s: annotate the function (declaring it observability-only) so the taint stays labelled", fn.Name.Name, hostplaneVerb)
+					pass.Reportf(res.Pos(), "%s returns a host-plane value but is not marked //p3q:%s: annotate the function (declaring it observability-only) so the taint stays labelled", fn.Name.Name, hostplaneVerb)
 				}
 			}
 		case *ast.CallExpr:
 			// The sim-plane rule holds everywhere, exempt or not.
 			sel, ok := x.Fun.(*ast.SelectorExpr)
-			if !ok || !simPlaneMutators[sel.Sel.Name] || !isObsRegistry(exprType(pass, sel.X)) {
+			if !ok || !simPlaneMutators[sel.Sel.Name] || !isObsRegistry(pass.Info.TypeOf(sel.X)) {
 				return true
 			}
 			for _, arg := range x.Args {
 				if taintedExpr(arg) {
-					report(arg.Pos(), "%s feeds a host-plane value into obs.Registry.%s: the sim plane must stay reproducible, so only engine-state-derived values may enter it (host timings belong in SamplePhase/SampleShardDuration/SampleCommitSkew)", fn.Name.Name, sel.Sel.Name)
+					pass.Reportf(arg.Pos(), "%s feeds a host-plane value into obs.Registry.%s: the sim plane must stay reproducible, so only engine-state-derived values may enter it (host timings belong in SamplePhase/SampleShardDuration/SampleCommitSkew)", fn.Name.Name, sel.Sel.Name)
 				}
 			}
 		}
@@ -283,12 +235,8 @@ func checkHostplaneFlows(pass *analysis.Pass, fn *ast.FuncDecl, hostplane map[ty
 
 // checkCompositeTaint flags tainted values bound to non-hostplane fields
 // in a struct composite literal (both keyed and positional forms).
-func checkCompositeTaint(pass *analysis.Pass, fn *ast.FuncDecl, lit *ast.CompositeLit, hostplane map[types.Object]bool, taintedExpr func(ast.Expr) bool, report func(token.Pos, string, ...any)) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok {
-		return
-	}
-	st, ok := tv.Type.Underlying().(*types.Struct)
+func checkCompositeTaint(pass *Pass, fn *ast.FuncDecl, lit *ast.CompositeLit, hostplane map[types.Object]bool, taintedExpr func(ast.Expr) bool) {
+	st, ok := pass.Info.TypeOf(lit).Underlying().(*types.Struct)
 	if !ok {
 		return
 	}
@@ -296,15 +244,8 @@ func checkCompositeTaint(pass *analysis.Pass, fn *ast.FuncDecl, lit *ast.Composi
 		var field *types.Var
 		val := elt
 		if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
-			key, isIdent := kv.Key.(*ast.Ident)
-			if !isIdent {
-				continue
-			}
-			for j := 0; j < st.NumFields(); j++ {
-				if st.Field(j).Name() == key.Name {
-					field = st.Field(j)
-					break
-				}
+			if key, isIdent := kv.Key.(*ast.Ident); isIdent {
+				field, _ = pass.Info.Uses[key].(*types.Var)
 			}
 			val = kv.Value
 		} else if i < st.NumFields() {
@@ -314,7 +255,7 @@ func checkCompositeTaint(pass *analysis.Pass, fn *ast.FuncDecl, lit *ast.Composi
 			continue
 		}
 		if taintedExpr(val) {
-			report(val.Pos(), "%s binds a host-plane value to field %s, which is not marked //p3q:%s: host wall time must never become state", fn.Name.Name, field.Name(), hostplaneVerb)
+			pass.Reportf(val.Pos(), "%s binds a host-plane value to field %s, which is not marked //p3q:%s: host wall time must never become state", fn.Name.Name, field.Name(), hostplaneVerb)
 		}
 	}
 }
@@ -322,62 +263,28 @@ func checkCompositeTaint(pass *analysis.Pass, fn *ast.FuncDecl, lit *ast.Composi
 // taintedCall reports whether a call expression produces a tainted value:
 // any call into internal/hostclock (package function or Stopwatch method)
 // and any call of a //p3q:hostplane-marked function.
-func taintedCall(pass *analysis.Pass, call *ast.CallExpr, hostplane map[types.Object]bool) bool {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return hostplane[pass.TypesInfo.Uses[f]]
-	case *ast.SelectorExpr:
-		obj := pass.TypesInfo.Uses[f.Sel]
-		if hostplane[obj] {
-			return true
-		}
-		if obj != nil && obj.Pkg() != nil && isHostclockPath(obj.Pkg().Path()) {
-			return true
-		}
-		return isHostclockValue(exprType(pass, f.X))
+func taintedCall(pass *Pass, call *ast.CallExpr, hostplane map[types.Object]bool) bool {
+	obj := pass.Info.Uses[calleeIdent(call)]
+	if hostplane[obj] || obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == hostclockPath {
+		return true
 	}
-	return false
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && isHostclockValue(pass.Info.TypeOf(sel.X))
 }
 
 // isHostclockValue reports whether t (possibly behind a pointer) is a
 // named type declared in internal/hostclock — every such value is a
 // wall-clock artifact.
 func isHostclockValue(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && isHostclockPath(obj.Pkg().Path())
+	obj := namedObj(t)
+	return obj != nil && obj.Pkg().Path() == hostclockPath
 }
 
-func isHostclockPath(path string) bool {
-	return path == "p3q/internal/hostclock" || strings.HasSuffix(path, "/internal/hostclock")
-}
+const hostclockPath = "p3q/internal/hostclock"
 
 // isObsRegistry reports whether t (possibly behind a pointer) is the
 // obs.Registry type.
 func isObsRegistry(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Registry" || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "p3q/internal/obs" || strings.HasSuffix(path, "/internal/obs")
+	obj := namedObj(t)
+	return obj != nil && obj.Name() == "Registry" && obj.Pkg().Path() == "p3q/internal/obs"
 }

@@ -2,10 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-
-	"p3q/internal/lint/analysis"
 )
 
 // The two phases a function can be assigned to with //p3q:phase.
@@ -19,30 +16,24 @@ const (
 // worker goroutines against cycle-start state, so they may not write
 // through an Engine-typed value (mutations must flow through returned
 // plan/intent values; a plan function may still normalize its own node,
-// because each unit of work owns one node's state exclusively). Functions
-// annotated `//p3q:phase commit` replay plans in the canonical order, so
-// they may not draw fresh randomness from a randx.Source (Split and State
-// do not advance the stream and stay legal) and may not re-derive
-// ordering by ranging over a map (unless the loop is independently proven
-// commutative with //p3q:orderinvariant). Finally, any function called
-// directly from a worker closure passed to forEachIndex, forEachNode, or
-// commitSharded must itself carry a phase annotation, so new helpers
-// cannot slip into the parallel sections unreviewed.
+// because each unit of work owns one node's state exclusively). Any
+// function called directly from a worker closure passed to forEachIndex,
+// forEachNode, or commitSharded must itself carry a phase annotation
+// matching the spawner's, so new helpers cannot slip into the parallel
+// sections unreviewed. What a `//p3q:phase commit` function does is
+// policed elsewhere: map iteration by maporder, and a randomness draw by
+// the goldens, which fail on any draw that moves a stream.
 //
 // The write check is a direct-assignment check, not an escape analysis:
 // it flags assignments and ++/-- whose target chain passes through a
 // value of the package's Engine type. Mutations hidden behind method
 // calls are out of its reach — those are what the Workers=1-vs-N
 // fingerprint tests remain for.
-var PhasePurity = &analysis.Analyzer{
-	Name: "phasepurity",
-	Doc:  "enforce //p3q:phase plan/commit purity and annotation coverage of worker-closure callees",
-	Run:  runPhasePurity,
-}
+var PhasePurity = &Analyzer{Name: "phasepurity", Run: runPhasePurity}
 
-func runPhasePurity(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), DeterministicScopes) {
-		return nil
+func runPhasePurity(pass *Pass) {
+	if !inScope(pass.Path, DeterministicScopes) {
+		return
 	}
 
 	// Pass 1 over all files: attach //p3q:phase directives to function
@@ -50,51 +41,28 @@ func runPhasePurity(pass *analysis.Pass) error {
 	// in one file can see annotations granted in another.
 	phaseOf := map[types.Object]string{}
 	decls := map[types.Object]*ast.FuncDecl{}
-	type fileDirectives struct {
-		file       *ast.File
-		directives map[*ast.CommentGroup][]*directive
-		codeEnds   map[int]token.Pos
-	}
-	var perFile []fileDirectives
 	for _, f := range pass.Files {
-		directives := parseDirectives(f)
-		codeEnds := codeEndLines(pass.Fset, f)
-		perFile = append(perFile, fileDirectives{f, directives, codeEnds})
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			obj := pass.TypesInfo.Defs[fd.Name]
+			obj := pass.Info.Defs[fd.Name]
 			if obj != nil {
 				decls[obj] = fd
 			}
-			line := pass.Fset.Position(fd.Pos()).Line
-			for _, d := range directivesAt(pass.Fset, directives, codeEnds, phaseVerb, line) {
-				d.used = true
+			for _, d := range pass.directivesAt(fd.Pos(), phaseVerb) {
 				switch d.reason {
 				case planPhase, commitPhase:
 					if prev, ok := phaseOf[obj]; ok && prev != d.reason {
-						pass.Reportf(d.comment.Pos(), "conflicting //p3q:phase directives on %s: %s and %s (a function belongs to exactly one phase)", fd.Name.Name, prev, d.reason)
+						pass.Reportf(d.pos, "conflicting //p3q:phase directives on %s: %s and %s (a function belongs to exactly one phase)", fd.Name.Name, prev, d.reason)
 						continue
 					}
 					if obj != nil {
 						phaseOf[obj] = d.reason
 					}
 				default:
-					pass.Reportf(d.comment.Pos(), "//p3q:phase directive needs a phase argument: plan or commit")
-				}
-			}
-		}
-	}
-
-	// A //p3q:phase directive that attached to no function declaration
-	// (on a type, a statement, a blank line) asserts nothing.
-	for _, fd := range perFile {
-		for _, ds := range fd.directives {
-			for _, d := range ds {
-				if d.verb == phaseVerb && !d.used {
-					pass.Reportf(d.comment.Pos(), "stale //p3q:phase directive: no function declaration starts on the line below it")
+					pass.Reportf(d.pos, "//p3q:phase directive needs a phase argument: plan or commit")
 				}
 			}
 		}
@@ -103,35 +71,30 @@ func runPhasePurity(pass *analysis.Pass) error {
 	// Pass 2: enforce the per-phase body contracts and the annotation
 	// coverage of worker-closure callees.
 	reported := map[types.Object]bool{}
-	for _, fd := range perFile {
-		for _, decl := range fd.file.Decls {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			obj := pass.TypesInfo.Defs[fn.Name]
-			switch phaseOf[obj] {
-			case planPhase:
+			if phaseOf[pass.Info.Defs[fn.Name]] == planPhase {
 				checkPlanWrites(pass, fn)
-			case commitPhase:
-				checkCommitBody(pass, fd.directives, fd.codeEnds, fn)
 			}
 			checkWorkerClosures(pass, fn, phaseOf, decls, reported)
 		}
 	}
-	return nil
 }
 
 // checkPlanWrites flags assignment targets in a plan-phase function whose
 // selector/index chain passes through an Engine-typed value: those writes
 // land in shared engine state while sibling workers are still reading it.
-func checkPlanWrites(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkPlanWrites(pass *Pass, fn *ast.FuncDecl) {
 	check := func(target ast.Expr) {
 		for e := target; ; {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
-				if isEngineType(pass.Pkg, exprType(pass, x.X)) {
-					pass.Reportf(target.Pos(), "plan-phase function %s writes engine shared state (%s): plan runs concurrently against cycle-start state, so mutations must flow through the returned plan value and be applied at commit", fn.Name.Name, typeString(exprType(pass, target)))
+				if isEngineType(pass.Info.TypeOf(x.X)) {
+					pass.Reportf(target.Pos(), "plan-phase function %s writes engine shared state (%s): plan runs concurrently against cycle-start state, so mutations must flow through the returned plan value and be applied at commit", fn.Name.Name, typeString(pass.Info.TypeOf(target)))
 					return
 				}
 				e = x.X
@@ -159,40 +122,6 @@ func checkPlanWrites(pass *analysis.Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// checkCommitBody flags randomness draws and map iteration in a
-// commit-phase function: commit replays plans in the canonical order, so
-// any fresh draw desynchronizes the RNG streams across worker counts and
-// any map walk injects Go's per-run iteration order into the result.
-func checkCommitBody(pass *analysis.Pass, directives map[*ast.CommentGroup][]*directive, codeEnds map[int]token.Pos, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := x.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if isRandxSource(exprType(pass, sel.X)) && sel.Sel.Name != "Split" && sel.Sel.Name != "State" {
-				pass.Reportf(x.Pos(), "commit-phase function %s draws from a randx.Source (%s): draw all randomness at plan time or in a sequential pass, so streams stay identical across worker counts", fn.Name.Name, sel.Sel.Name)
-			}
-		case *ast.RangeStmt:
-			tv, ok := pass.TypesInfo.Types[x.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap || x.Key == nil {
-				return true
-			}
-			line := pass.Fset.Position(x.Pos()).Line
-			if len(directivesAt(pass.Fset, directives, codeEnds, orderInvariantVerb, line)) > 0 {
-				// maporder has already vetted this loop as commutative.
-				return true
-			}
-			pass.Reportf(x.Pos(), "commit-phase function %s ranges over map %s: commit must not re-derive ordering from a map (walk a canonical slice, or prove the body commutative with //p3q:%s)", fn.Name.Name, typeString(tv.Type), orderInvariantVerb)
-		}
-		return true
-	})
-}
-
 // workerSpawners names the Engine methods that fan work out to goroutines
 // and the phase their closures run in.
 var workerSpawners = map[string]string{
@@ -205,7 +134,7 @@ var workerSpawners = map[string]string{
 // directly from a func literal passed to forEachIndex/forEachNode/
 // commitSharded to carry a //p3q:phase annotation matching the spawner's
 // phase. One diagnostic per function, at its declaration.
-func checkWorkerClosures(pass *analysis.Pass, fn *ast.FuncDecl, phaseOf map[types.Object]string, decls map[types.Object]*ast.FuncDecl, reported map[types.Object]bool) {
+func checkWorkerClosures(pass *Pass, fn *ast.FuncDecl, phaseOf map[types.Object]string, decls map[types.Object]*ast.FuncDecl, reported map[types.Object]bool) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -216,7 +145,7 @@ func checkWorkerClosures(pass *analysis.Pass, fn *ast.FuncDecl, phaseOf map[type
 			return true
 		}
 		phase, ok := workerSpawners[sel.Sel.Name]
-		if !ok || !isEngineType(pass.Pkg, exprType(pass, sel.X)) {
+		if !ok || !isEngineType(pass.Info.TypeOf(sel.X)) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -229,16 +158,11 @@ func checkWorkerClosures(pass *analysis.Pass, fn *ast.FuncDecl, phaseOf map[type
 				if !ok {
 					return true
 				}
-				var callee *ast.Ident
-				switch f := inner.Fun.(type) {
-				case *ast.Ident:
-					callee = f
-				case *ast.SelectorExpr:
-					callee = f.Sel
-				default:
+				callee := calleeIdent(inner)
+				if callee == nil {
 					return true
 				}
-				obj := pass.TypesInfo.Uses[callee]
+				obj := pass.Info.Uses[callee]
 				fd, declared := decls[obj]
 				if obj == nil || !declared || reported[obj] {
 					return true
@@ -262,17 +186,7 @@ func checkWorkerClosures(pass *analysis.Pass, fn *ast.FuncDecl, phaseOf map[type
 // isEngineType reports whether t (possibly behind a pointer) is a named
 // type called Engine declared in a deterministic-scope package — the
 // cycle engine whose shared state the plan phase must not touch.
-func isEngineType(pkg *types.Package, t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Engine" && obj.Pkg() != nil && inScope(obj.Pkg().Path(), DeterministicScopes)
+func isEngineType(t types.Type) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Name() == "Engine" && inScope(obj.Pkg().Path(), DeterministicScopes)
 }

@@ -2,11 +2,9 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 	"strings"
-
-	"p3q/internal/lint/analysis"
 )
 
 // checkpointedTypes names, per snapshot scope, the struct types whose
@@ -29,11 +27,7 @@ var checkpointedTypes = map[string][]string{
 // read* function), or carry `//p3q:transient <reason>` saying why it need
 // not survive a checkpoint. A newly added field that silently misses the
 // codec is then a lint error instead of a latent resume-divergence.
-var SnapshotComplete = &analysis.Analyzer{
-	Name: "snapshotcomplete",
-	Doc:  "require every field of a checkpointed struct on both codec paths or //p3q:transient <reason>",
-	Run:  runSnapshotComplete,
-}
+var SnapshotComplete = &Analyzer{Name: "snapshotcomplete", Run: runSnapshotComplete}
 
 // isSnapshotRoot and isRestoreRoot classify function names as codec
 // entry points; path membership is the in-package call-graph closure of
@@ -50,66 +44,33 @@ func isRestoreRoot(name string) bool {
 	return name == "Restore" || strings.HasPrefix(name, "Restore") || strings.HasPrefix(name, "read")
 }
 
-func runSnapshotComplete(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), SnapshotScopes) {
-		// Out-of-scope //p3q:transient directives are reported by
-		// maporder's module-wide verb/scope validation.
-		return nil
-	}
+func runSnapshotComplete(pass *Pass) {
 	var typeNames []string
 	for scope, names := range checkpointedTypes {
-		if inScope(pass.Pkg.Path(), []string{scope}) {
+		if inScope(pass.Path, []string{scope}) {
 			typeNames = names
 			break
 		}
 	}
-	allDirectives := map[*ast.File]map[*ast.CommentGroup][]*directive{}
-	for _, f := range pass.Files {
-		allDirectives[f] = parseDirectives(f)
+	if typeNames == nil {
+		return
 	}
-	if typeNames != nil {
-		checkCheckpointedTypes(pass, typeNames, allDirectives)
-	}
-
-	// Any transient directive that did not attach to a field of a
-	// checkpointed struct excuses nothing.
-	for _, directives := range allDirectives {
-		for _, ds := range directives {
-			for _, d := range ds {
-				if d.verb != transientVerb || d.used {
-					continue
-				}
-				pass.Reportf(d.comment.Pos(), "stale //p3q:%s directive: no field of a checkpointed struct starts on the line below it", transientVerb)
-			}
-		}
-	}
-	return nil
-}
-
-func checkCheckpointedTypes(pass *analysis.Pass, typeNames []string, allDirectives map[*ast.File]map[*ast.CommentGroup][]*directive) {
 	snapFuncs, restFuncs := codecPathFuncs(pass)
 	snapRefs := fieldRefs(pass, snapFuncs)
 	restRefs := fieldRefs(pass, restFuncs)
-
-	designated := map[string]bool{}
-	for _, n := range typeNames {
-		designated[n] = true
-	}
 	for _, f := range pass.Files {
-		directives := allDirectives[f]
-		codeEnds := codeEndLines(pass.Fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
-			if !ok || !designated[ts.Name.Name] {
+			if !ok {
 				return true
 			}
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
+			if !ok || !slices.Contains(typeNames, ts.Name.Name) {
 				return true
 			}
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
-					checkField(pass, directives, codeEnds, ts.Name.Name, name, snapRefs, restRefs)
+					checkField(pass, ts.Name.Name, name, snapRefs, restRefs)
 				}
 			}
 			return true
@@ -118,24 +79,14 @@ func checkCheckpointedTypes(pass *analysis.Pass, typeNames []string, allDirectiv
 }
 
 // checkField applies the coverage rule to one named field.
-func checkField(pass *analysis.Pass, directives map[*ast.CommentGroup][]*directive, codeEnds map[int]token.Pos, typeName string, name *ast.Ident, snapRefs, restRefs map[types.Object]bool) {
-	obj := pass.TypesInfo.Defs[name]
-	inSnap := snapRefs[obj]
-	inRest := restRefs[obj]
-	line := pass.Fset.Position(name.Pos()).Line
-	if ds := directivesAt(pass.Fset, directives, codeEnds, transientVerb, line); len(ds) > 0 {
-		for _, d := range ds {
-			d.used = true
-			if d.reason == "" {
-				pass.Reportf(d.comment.Pos(), "//p3q:%s directive is missing a reason (say why %s.%s need not survive a checkpoint)", transientVerb, typeName, name.Name)
-			}
-		}
+func checkField(pass *Pass, typeName string, name *ast.Ident, snapRefs, restRefs map[types.Object]bool) {
+	obj := pass.Info.Defs[name]
+	inSnap, inRest := snapRefs[obj], restRefs[obj]
+	switch {
+	case len(pass.directivesAt(name.Pos(), transientVerb)) > 0:
 		if inSnap && inRest {
 			pass.Reportf(name.Pos(), "stale //p3q:%s directive: field %s.%s is referenced on both checkpoint paths, so it is not transient", transientVerb, typeName, name.Name)
 		}
-		return
-	}
-	switch {
 	case !inSnap && !inRest:
 		pass.Reportf(name.Pos(), "field %s.%s is captured by neither the Snapshot nor the Restore path: serialize it in the checkpoint codec, or annotate it //p3q:%s <reason>", typeName, name.Name, transientVerb)
 	case !inSnap:
@@ -147,7 +98,7 @@ func checkField(pass *analysis.Pass, directives map[*ast.CommentGroup][]*directi
 
 // codecPathFuncs computes the snapshot-path and restore-path function
 // sets: the in-package call-graph closure of the codec roots.
-func codecPathFuncs(pass *analysis.Pass) (snap, rest map[types.Object]bool) {
+func codecPathFuncs(pass *Pass) (snap, rest map[types.Object]bool) {
 	callees := map[types.Object][]types.Object{}
 	var snapRoots, restRoots []types.Object
 	for _, f := range pass.Files {
@@ -156,7 +107,7 @@ func codecPathFuncs(pass *analysis.Pass) (snap, rest map[types.Object]bool) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj := pass.TypesInfo.Defs[fd.Name]
+			obj := pass.Info.Defs[fd.Name]
 			if obj == nil {
 				continue
 			}
@@ -171,16 +122,7 @@ func codecPathFuncs(pass *analysis.Pass) (snap, rest map[types.Object]bool) {
 				if !ok {
 					return true
 				}
-				var callee *ast.Ident
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					callee = fun
-				case *ast.SelectorExpr:
-					callee = fun.Sel
-				default:
-					return true
-				}
-				if obj2 := pass.TypesInfo.Uses[callee]; obj2 != nil && obj2.Pkg() == pass.Pkg {
+				if obj2 := pass.Info.Uses[calleeIdent(call)]; obj2 != nil && obj2.Pkg() == pass.Types {
 					callees[obj] = append(callees[obj], obj2)
 				}
 				return true
@@ -207,22 +149,22 @@ func codecPathFuncs(pass *analysis.Pass) (snap, rest map[types.Object]bool) {
 // fieldRefs collects every struct-field object referenced in the bodies
 // of the given functions: through selectors, keyed composite-literal
 // fields, and unkeyed composite literals (which initialize every field).
-func fieldRefs(pass *analysis.Pass, funcs map[types.Object]bool) map[types.Object]bool {
+func fieldRefs(pass *Pass, funcs map[types.Object]bool) map[types.Object]bool {
 	refs := map[types.Object]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !funcs[pass.TypesInfo.Defs[fd.Name]] {
+			if !ok || fd.Body == nil || !funcs[pass.Info.Defs[fd.Name]] {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.SelectorExpr:
-					if sel, ok := pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.FieldVal {
+					if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
 						refs[sel.Obj()] = true
 					}
 				case *ast.CompositeLit:
-					st, ok := structOf(exprType(pass, x))
+					st, ok := structOf(pass.Info.TypeOf(x))
 					if !ok {
 						return true
 					}
@@ -234,7 +176,7 @@ func fieldRefs(pass *analysis.Pass, funcs map[types.Object]bool) map[types.Objec
 						}
 						keyed = true
 						if key, ok := kv.Key.(*ast.Ident); ok {
-							if obj := pass.TypesInfo.Uses[key]; obj != nil {
+							if obj := pass.Info.Uses[key]; obj != nil {
 								refs[obj] = true
 							}
 						}

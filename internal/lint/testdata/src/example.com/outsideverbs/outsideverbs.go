@@ -20,3 +20,14 @@ var cache map[int]int
 // want-above "unknown directive //p3q:phase in package example.com/outsideverbs"
 
 func notPlanned() { _ = cache }
+
+//p3q:hostplane wall time for a progress line
+// want-above "unknown directive //p3q:hostplane in package example.com/outsideverbs"
+
+func notHostplane() {}
+
+func notExcused() []int {
+	//p3q:alloc result slice
+	// want-above "unknown directive //p3q:alloc in package example.com/outsideverbs"
+	return make([]int, 1)
+}

@@ -33,10 +33,10 @@ func (e *Engine) commitTimed() {
 	sw := hostclock.Start()
 	e.cycleSeq++
 	d := sw.Elapsed()
-	e.planDur = d                     // hostplane field: legal
-	e.planDur += sw.Elapsed()         // still legal
-	e.ledger = uint64(d)              // want "commitTimed writes a host-plane value into field ledger"
-	if d > time.Millisecond {         // want "commitTimed branches on a host-plane value"
+	e.planDur = d             // hostplane field: legal
+	e.planDur += sw.Elapsed() // still legal
+	e.ledger = uint64(d)      // want "commitTimed writes a host-plane value into field ledger"
+	if d > time.Millisecond { // want "commitTimed branches on a host-plane value"
 		e.cycleSeq++
 	}
 	halved := d / 2

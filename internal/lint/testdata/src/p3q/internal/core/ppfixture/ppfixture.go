@@ -1,7 +1,7 @@
 // Package ppfixture exercises the phasepurity analyzer: plan-phase write
-// purity, commit-phase randomness and map-order bans, worker-closure
-// annotation coverage, and validation of the //p3q:phase directives
-// themselves.
+// purity, worker-closure annotation coverage, and validation of the
+// //p3q:phase directives themselves. A commit function's draws are the
+// goldens' to catch and its map loop is maporder's.
 package ppfixture
 
 import "p3q/internal/randx"
@@ -53,10 +53,10 @@ func (n *Node) planOwn() {
 
 //p3q:phase commit
 func (e *Engine) commitBad(i int) {
-	_ = e.rng.Intn(10) // want "commit-phase function commitBad draws from a randx.Source"
+	_ = e.rng.Intn(10) // a draw that moves a stream fails the goldens
 	child := e.rng.Split(7)
 	_ = child.State()             // Split and State do not advance the stream
-	for q, v := range e.queries { // want "commit-phase function commitBad ranges over map"
+	for q, v := range e.queries { // want "iteration over map"
 		_ = q
 		_ = v
 	}

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"p3q/internal/lint/analysis"
 )
 
 // WallClock flags reads of host time and global process-wide randomness in
@@ -14,11 +12,7 @@ import (
 // producing identical fingerprints. Wall-clock profiling that never feeds
 // engine state belongs in internal/hostclock, which exists to make that
 // exception explicit and searchable.
-var WallClock = &analysis.Analyzer{
-	Name: "wallclock",
-	Doc:  "ban time.Now/Since/Sleep and global math/rand / crypto/rand in deterministic packages",
-	Run:  runWallClock,
-}
+var WallClock = &Analyzer{Name: "wallclock", Run: runWallClock}
 
 // bannedTime are the time-package functions that read or wait on the host
 // clock. Types and constants (time.Duration, time.Second) stay allowed:
@@ -42,9 +36,9 @@ var bannedGlobalRand = map[string]bool{
 	"ExpFloat64": true, "NormFloat64": true, "Read": true,
 }
 
-func runWallClock(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), DeterministicScopes) {
-		return nil
+func runWallClock(pass *Pass) {
+	if !inScope(pass.Path, DeterministicScopes) {
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -56,7 +50,7 @@ func runWallClock(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+			pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
 			if !ok {
 				return true
 			}
@@ -64,17 +58,16 @@ func runWallClock(pass *analysis.Pass) error {
 			switch pkgName.Imported().Path() {
 			case "time":
 				if bannedTime[name] {
-					pass.Reportf(sel.Pos(), "time.%s reads the host clock in deterministic package %s: use the virtual clock (Engine.Now / Network.SetNow / event time), or internal/hostclock for profiling that never feeds engine state", name, pass.Pkg.Path())
+					pass.Reportf(sel.Pos(), "time.%s reads the host clock in deterministic package %s: use the virtual clock (Engine.Now / Network.SetNow / event time), or internal/hostclock for profiling that never feeds engine state", name, pass.Path)
 				}
 			case "math/rand", "math/rand/v2":
 				if bannedGlobalRand[name] {
-					pass.Reportf(sel.Pos(), "global rand.%s draws from process-wide state in deterministic package %s: draw from an internal/randx split stream instead", name, pass.Pkg.Path())
+					pass.Reportf(sel.Pos(), "global rand.%s draws from process-wide state in deterministic package %s: draw from an internal/randx split stream instead", name, pass.Path)
 				}
 			case "crypto/rand":
-				pass.Reportf(sel.Pos(), "crypto/rand is nondeterministic by design: derive randomness from internal/randx split streams in package %s", pass.Pkg.Path())
+				pass.Reportf(sel.Pos(), "crypto/rand is nondeterministic by design: derive randomness from internal/randx split streams in package %s", pass.Path)
 			}
 			return true
 		})
 	}
-	return nil
 }
