@@ -327,8 +327,7 @@ func run(r experiments.Runner, cfg experiments.Config, csv bool, outDir string) 
 	for i, tb := range tables {
 		var err error
 		if csv {
-			fmt.Printf("# %s\n", tb.Title)
-			err = tb.CSV(os.Stdout)
+			err = tb.TitledCSV(os.Stdout)
 		} else {
 			err = tb.Fprint(os.Stdout)
 		}
@@ -363,8 +362,5 @@ func writeCSVFile(dir, name string, idx, total int, tb *metrics.Table) error {
 		return err
 	}
 	defer f.Close()
-	if _, err := fmt.Fprintf(f, "# %s\n", tb.Title); err != nil {
-		return err
-	}
-	return tb.CSV(f)
+	return tb.TitledCSV(f)
 }

@@ -189,6 +189,16 @@ func (t *Table) CSV(w io.Writer) error {
 	return nil
 }
 
+// TitledCSV renders the table as one CSV block: a "# <title>" comment line,
+// then CSV. It is the block `p3qsim -csv` prints and `-out` writes per
+// table, and the unit of the experiments' figure goldens.
+func (t *Table) TitledCSV(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
+		return err
+	}
+	return t.CSV(w)
+}
+
 // F formats a float with the given precision (helper for table cells).
 func F(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
 
