@@ -39,7 +39,6 @@ import (
 	"p3q/internal/metrics"
 	"p3q/internal/obs"
 	"p3q/internal/sim"
-	"p3q/internal/trace"
 )
 
 // die prints a one-line friendly error and exits non-zero — never a panic,
@@ -155,13 +154,11 @@ func main() {
 // every query lifecycle event as one JSON line.
 func runConverge(cfg experiments.Config, every int, dir, resume, obsOut string) {
 	start := time.Now()
-	// cfg.CoreConfig is the same derivation the experiments harness uses,
-	// so a checkpoint written here restores in either with the same flags.
+	// cfg.CoreConfig and cfg.Workload are the derivations the experiments
+	// harness uses, so a checkpoint written here restores in either with the
+	// same flags.
 	cc := cfg.CoreConfig(10)
-	p := trace.DefaultGenParams(cfg.Users)
-	p.MeanItems = cfg.MeanItems
-	p.Seed = cfg.Seed
-	ds := trace.Generate(p)
+	ds, queries := cfg.Workload()
 
 	var e *core.Engine
 	if resume != "" {
@@ -227,8 +224,7 @@ func runConverge(cfg experiments.Config, every int, dir, resume, obsOut string) 
 		progress("converge")
 	}
 	if len(e.Queries()) == 0 {
-		queries := trace.GenerateQueries(ds, cfg.Seed+1)
-		for _, q := range queries[:min(cfg.Queries, len(queries))] {
+		for _, q := range queries {
 			e.IssueQuery(q)
 		}
 	}

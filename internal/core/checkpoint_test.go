@@ -238,6 +238,38 @@ func TestCheckpointResumeUnderOtherLatencyModel(t *testing.T) {
 			}
 		})
 	}
+	// A snapshot taken between cycles with nothing in flight, restored under
+	// a model it was not taken with, runs exactly like a cold engine built
+	// with that model — the converge-once-fork-many property
+	// examples/warmstart relies on.
+	t.Run("quiescent-nil-to-fixed", func(t *testing.T) {
+		cfg := checkpointCfg(2, nil)
+		w := newWorld(t, 120, cfg, 91)
+		seeded := func(cfg Config) *Engine {
+			e := New(w.ds, cfg)
+			e.SeedIdealNetworks(w.ideal)
+			return e
+		}
+		burst := func(e *Engine) string {
+			for _, q := range trace.GenerateQueries(w.ds, 6)[:25] {
+				e.IssueQuery(q)
+			}
+			e.RunEager(40)
+			return engineFingerprint(e)
+		}
+		var buf bytes.Buffer
+		if err := seeded(cfg).Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Latency = sim.FixedLatency(50 * time.Millisecond)
+		restored, err := Restore(&buf, w.ds, cfg)
+		if err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		if got, want := burst(restored), burst(seeded(cfg)); got != want {
+			t.Fatalf("restored engine diverged from the cold build:\n%s", firstDiff(want, got))
+		}
+	})
 }
 
 func TestRestoreRejectsInflightMismatch(t *testing.T) {

@@ -26,58 +26,20 @@ func Fig11b(cfg Config) []*metrics.Table {
 }
 
 func churnRecall(cfg Config, lambda float64) *metrics.Table {
-	cycles := cfg.Cycles / 2
-	if cycles < 10 {
-		cycles = 10
-	}
-	header := []string{"cycle"}
-	for _, p := range fig11Departures {
-		header = append(header, fmt.Sprintf("p=%.0f%%", p*100))
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("Figure 11 — average recall under departures (lambda=%g)", lambda), header...)
-
+	w := NewWorld(cfg)
+	cycles := max(cfg.Cycles/2, 10)
+	header := make([]string, len(fig11Departures))
 	curves := make([][]float64, len(fig11Departures))
 	for pi, p := range fig11Departures {
-		w := NewWorld(cfg)
-		e := w.SeededEngine(w.HeteroConfig(lambda))
+		header[pi] = fmt.Sprintf("p=%.0f%%", p*100)
+		e := w.SeededEngine(cfg.HeteroConfig(lambda))
 		e.Kill(p)
 		// The baseline stays the full-information one: the querier wants
 		// the items her whole personal network would have provided.
-		refs := make([][]topk.Entry, 0, len(w.Queries))
-		var runs []int
-		for _, q := range w.Queries {
-			qr := e.IssueQuery(q)
-			if qr == nil {
-				continue // departed querier
-			}
-			runs = append(runs, len(refs))
-			refs = append(refs, w.Central.TopK(q))
-		}
-		all := e.Queries()
-		avg := func() float64 {
-			vals := make([]float64, 0, len(all))
-			for i, qr := range all {
-				vals = append(vals, topk.Recall(qr.Results(), refs[runs[i]]))
-			}
-			return metrics.Mean(vals)
-		}
-		var curve []float64
-		curve = append(curve, avg())
-		for c := 0; c < cycles; c++ {
-			e.EagerCycle()
-			curve = append(curve, avg())
-		}
-		curves[pi] = curve
+		curves[pi] = w.RecallCurve(e, cycles)
 	}
-	for cyc := 0; cyc <= cycles; cyc++ {
-		row := []string{cycleLabel(cyc)}
-		for pi := range fig11Departures {
-			row = append(row, metrics.F(curves[pi][cyc], 3))
-		}
-		t.Add(row...)
-	}
-	return t
+	return curveTable(fmt.Sprintf("Figure 11 — average recall under departures (lambda=%g)", lambda),
+		header, steps(cycles, 1), curves, 3)
 }
 
 // Fig11c reproduces Figure 11(c): the percentage of queries that cannot
@@ -87,46 +49,28 @@ func churnRecall(cfg Config, lambda float64) *metrics.Table {
 // with the departure percentage and is much smaller for lambda=4 (more
 // replicas; < 5% even at 50% departures at paper scale).
 func Fig11c(cfg Config) []*metrics.Table {
-	departures := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+	w := NewWorld(cfg)
 	t := metrics.NewTable("Figure 11c — % of queries unable to reach recall 1",
 		"departure %", "l=1", "l=4")
-	cycles := cfg.Cycles * 3
-
-	results := make(map[float64][2]float64)
-	for li, lambda := range []float64{1, 4} {
-		for _, p := range departures {
-			w := NewWorld(cfg)
-			e := w.SeededEngine(w.HeteroConfig(lambda))
-			e.Kill(p)
-			issued := 0
-			var refs [][]topk.Entry
-			for _, q := range w.Queries {
-				qr := e.IssueQuery(q)
-				if qr == nil {
-					continue
-				}
-				issued++
-				refs = append(refs, w.Central.TopK(q))
+	incomplete := func(lambda, p float64) string {
+		e := w.SeededEngine(cfg.HeteroConfig(lambda))
+		e.Kill(p)
+		runs, refs := w.issue(e)
+		e.RunEager(cfg.Cycles * 3)
+		n := 0
+		for i, qr := range runs {
+			if topk.Recall(qr.Results(), refs[i]) < 1 {
+				n++
 			}
-			e.RunEager(cycles)
-			incomplete := 0
-			for i, qr := range e.Queries() {
-				if topk.Recall(qr.Results(), refs[i]) < 1 {
-					incomplete++
-				}
-			}
-			pct := 0.0
-			if issued > 0 {
-				pct = 100 * float64(incomplete) / float64(issued)
-			}
-			r := results[p]
-			r[li] = pct
-			results[p] = r
 		}
+		pct := 0.0
+		if len(runs) > 0 {
+			pct = 100 * float64(n) / float64(len(runs))
+		}
+		return metrics.F(pct, 1)
 	}
-	for _, p := range departures {
-		r := results[p]
-		t.Add(fmt.Sprintf("%.0f", p*100), metrics.F(r[0], 1), metrics.F(r[1], 1))
+	for _, p := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
+		t.Add(fmt.Sprintf("%.0f", p*100), incomplete(1, p), incomplete(4, p))
 	}
 	return []*metrics.Table{t}
 }

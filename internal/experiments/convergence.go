@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"p3q/internal/core"
 	"p3q/internal/metrics"
 	"p3q/internal/tagging"
@@ -19,47 +17,15 @@ func Fig2(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
 	cValues := cfg.UniformCValues()
 	cycles := cfg.Cycles * 5 // Figure 2 runs to 500 cycles at paper scale
-	step := cycles / 20
-	if step < 1 {
-		step = 1
-	}
-
-	header := []string{"cycle"}
-	for _, c := range cValues {
-		header = append(header, fmt.Sprintf("c=%d", c))
-	}
-	t := metrics.NewTable("Figure 2 — average success ratio vs lazy cycles", header...)
-
+	step := max(cycles/20, 1)
 	curves := make([][]float64, len(cValues))
-	var sampledCycles []int
 	for ci, c := range cValues {
-		e := core.New(w.DS, w.CoreConfig(c))
+		e := core.New(w.DS, cfg.CoreConfig(c))
 		e.Bootstrap()
-		var curve []float64
-		record := func() { curve = append(curve, avgSuccessRatio(e, w)) }
-		record()
-		for cyc := 1; cyc <= cycles; cyc++ {
-			e.LazyCycle()
-			if cyc%step == 0 {
-				record()
-			}
-		}
-		curves[ci] = curve
-		if ci == 0 {
-			sampledCycles = append(sampledCycles, 0)
-			for cyc := step; cyc <= cycles; cyc += step {
-				sampledCycles = append(sampledCycles, cyc)
-			}
-		}
+		curves[ci] = lazyCurve(e, cycles, step, func() float64 { return avgSuccessRatio(e, w) })
 	}
-	for i, cyc := range sampledCycles {
-		row := []string{cycleLabel(cyc)}
-		for ci := range cValues {
-			row = append(row, metrics.F(curves[ci][i], 3))
-		}
-		t.Add(row...)
-	}
-	return []*metrics.Table{t}
+	return []*metrics.Table{curveTable("Figure 2 — average success ratio vs lazy cycles",
+		labels("c=%d", cValues), steps(cycles, step), curves, 3)}
 }
 
 // avgSuccessRatio measures §3.2.1's success ratio averaged over all users.

@@ -25,19 +25,14 @@ func Fig5(cfg Config) []*metrics.Table {
 		"c", "min", "p25", "median", "p75", "p90", "max", "mean", "% of full")
 
 	var fullTotal float64
-	perC := make(map[int][]float64)
-	for _, c := range cValues {
-		vals := make([]float64, w.Cfg.Users)
-		for u := 0; u < w.Cfg.Users; u++ {
-			vals[u] = float64(full.StorageActionsTopC(tagging.UserID(u), c))
-		}
-		perC[c] = vals
-	}
-	for u := 0; u < w.Cfg.Users; u++ {
+	for u := 0; u < cfg.Users; u++ {
 		fullTotal += float64(full.StorageActions(tagging.UserID(u)))
 	}
 	for _, c := range cValues {
-		vals := perC[c]
+		vals := make([]float64, cfg.Users)
+		for u := range vals {
+			vals[u] = float64(full.StorageActionsTopC(tagging.UserID(u), c))
+		}
 		ps := percentiles(vals, 0, 0.25, 0.5, 0.75, 0.90, 1)
 		total := 0.0
 		for _, v := range vals {
@@ -66,13 +61,11 @@ func Fig6(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
 	var tables []*metrics.Table
 	for _, lambda := range []float64{1, 4} {
-		e := w.SeededEngine(w.HeteroConfig(lambda))
-		var fwd, ret, res, msgs []float64
-		for _, q := range w.Queries {
-			e.IssueQuery(q)
-		}
+		e := w.SeededEngine(cfg.HeteroConfig(lambda))
+		runs, _ := w.issue(e)
 		e.RunEager(cfg.Cycles * 2)
-		for _, qr := range e.Queries() {
+		var fwd, ret, res, msgs []float64
+		for _, qr := range runs {
 			b := qr.Bytes()
 			fwd = append(fwd, float64(b.Forwarded))
 			ret = append(ret, float64(b.Returned))
@@ -105,7 +98,7 @@ func Fig6(cfg Config) []*metrics.Table {
 // 91 Kbps to answer a query within 50 seconds.
 func Bandwidth(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	e := w.SeededEngine(w.HeteroConfig(1))
+	e := w.SeededEngine(cfg.HeteroConfig(1))
 
 	// Lazy background: run cycles and average per-user sent bytes.
 	const lazyCycleSeconds = 60.0
@@ -118,12 +111,10 @@ func Bandwidth(cfg Config) []*metrics.Table {
 
 	// Eager burst: per-query traffic over the cycles it takes.
 	const eagerCycleSeconds = 5.0
-	for _, q := range w.Queries {
-		e.IssueQuery(q)
-	}
+	runs, _ := w.issue(e)
 	e.RunEager(cfg.Cycles * 2)
 	var kbps, payloadKbps, seconds, msgs []float64
-	for _, qr := range e.Queries() {
+	for _, qr := range runs {
 		cycles := qr.Cycles()
 		if cycles == 0 {
 			cycles = 1

@@ -65,60 +65,31 @@ func Table2(cfg Config) []*metrics.Table {
 // stay fresh (AUR near 1 within tens of cycles for c=10/20) while large
 // stores lag.
 func Fig7a(cfg Config) []*metrics.Table {
-	cValues := cfg.UniformCValues()
-	labels := make([]string, len(cValues))
-	for i, c := range cValues {
-		labels[i] = fmt.Sprintf("c=%d", c)
-	}
 	return []*metrics.Table{aurLazyCurves(cfg, "Figure 7a — AUR vs lazy cycles (uniform c)",
-		labels, cValues, func(w *World, c int) core.Config { return w.CoreConfig(c) })}
+		"c=%d", cfg.UniformCValues(), cfg.CoreConfig)}
 }
 
 // Fig7b reproduces Figure 7(b): the same curves for the heterogeneous
 // scenarios; lambda=1 (mostly small stores) stays fresher than lambda=4.
 func Fig7b(cfg Config) []*metrics.Table {
 	return []*metrics.Table{aurLazyCurves(cfg, "Figure 7b — AUR vs lazy cycles (heterogeneous)",
-		[]string{"l=1", "l=4"}, []int{1, 4},
-		func(w *World, lambda int) core.Config { return w.HeteroConfig(float64(lambda)) })}
+		"l=%g", []float64{1, 4}, cfg.HeteroConfig)}
 }
 
 // aurLazyCurves runs the shared harness of Figure 7: seed converged
 // networks, apply the change-set, run lazy cycles, sample the AUR. Each
 // scenario gets a fresh world so all curves start from the same base state.
-func aurLazyCurves(cfg Config, title string, labels []string, params []int,
-	configFor func(w *World, param int) core.Config) *metrics.Table {
-
+func aurLazyCurves[P any](cfg Config, title, label string, params []P, configFor func(P) core.Config) *metrics.Table {
 	cycles := cfg.Cycles * 2
-	step := cycles / 10
-	if step < 1 {
-		step = 1
-	}
-	header := append([]string{"cycle"}, labels...)
-	t := metrics.NewTable(title, header...)
-
+	step := max(cycles/10, 1)
 	curves := make([][]float64, len(params))
 	for pi, param := range params {
 		pw := NewWorld(cfg)
-		e := pw.SeededEngine(configFor(pw, param))
+		e := pw.SeededEngine(configFor(param))
 		target := changedVersions(pw.DS, trace.GenerateChanges(pw.DS, scaledChangeParams(cfg)))
-		var curve []float64
-		curve = append(curve, engineAUR(e, nil, target))
-		for cyc := 1; cyc <= cycles; cyc++ {
-			e.LazyCycle()
-			if cyc%step == 0 {
-				curve = append(curve, engineAUR(e, nil, target))
-			}
-		}
-		curves[pi] = curve
+		curves[pi] = lazyCurve(e, cycles, step, func() float64 { return engineAUR(e, nil, target) })
 	}
-	for i := 0; i <= cycles/step; i++ {
-		row := []string{cycleLabel(i * step)}
-		for pi := range params {
-			row = append(row, metrics.F(curves[pi][i], 3))
-		}
-		t.Add(row...)
-	}
-	return t
+	return curveTable(title, labels(label, params), steps(cycles, step), curves, 3)
 }
 
 // Fig8 reproduces Figure 8: the number of users reached by each query in
@@ -131,13 +102,11 @@ func Fig8(cfg Config) []*metrics.Table {
 	t := metrics.NewTable("Figure 8 — users reached by a query",
 		"lambda", "min", "median", "p90", "max", "mean")
 	for _, lambda := range []float64{1, 4} {
-		e := w.SeededEngine(w.HeteroConfig(lambda))
-		for _, q := range w.Queries {
-			e.IssueQuery(q)
-		}
+		e := w.SeededEngine(cfg.HeteroConfig(lambda))
+		runs, _ := w.issue(e)
 		e.RunEager(cfg.Cycles * 2)
 		var reached []float64
-		for _, qr := range e.Queries() {
+		for _, qr := range runs {
 			reached = append(reached, float64(qr.UsersReached()))
 		}
 		ps := percentiles(reached, 0, 0.5, 0.9, 1)
@@ -157,7 +126,7 @@ func Fig8(cfg Config) []*metrics.Table {
 // mode").
 func Fig9(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	e := w.SeededEngine(w.HeteroConfig(1))
+	e := w.SeededEngine(cfg.HeteroConfig(1))
 	target := changedVersions(w.DS, trace.GenerateChanges(w.DS, scaledChangeParams(cfg)))
 
 	numQueries := 50
@@ -177,7 +146,7 @@ func Fig9(cfg Config) []*metrics.Table {
 			break
 		}
 		e.RunEager(cfg.Cycles * 2)
-		for _, u := range reachedOf(qr) {
+		for _, u := range qr.Reached() {
 			reached[u] = struct{}{}
 		}
 		if sample[i] {
@@ -200,17 +169,12 @@ func Fig9(cfg Config) []*metrics.Table {
 // scenarios are reported.
 func Fig10(cfg Config) []*metrics.Table {
 	cycles := cfg.Cycles * 3
-	step := cycles / 10
-	if step < 1 {
-		step = 1
-	}
-	t := metrics.NewTable("Figure 10 — % of users having found all new neighbours",
-		"cycle", "l=1", "l=4")
-
-	curves := make([][]float64, 2)
-	for li, lambda := range []float64{1, 4} {
+	step := max(cycles/10, 1)
+	lambdas := []float64{1, 4}
+	curves := make([][]float64, len(lambdas))
+	for li, lambda := range lambdas {
 		pw := NewWorld(cfg)
-		e := pw.SeededEngine(pw.HeteroConfig(lambda))
+		e := pw.SeededEngine(cfg.HeteroConfig(lambda))
 		oldIdeal := pw.Ideal
 		trace.ApplyChanges(pw.DS, trace.GenerateChanges(pw.DS, scaledChangeParams(cfg)))
 		newIdeal := similarity.IdealNetworks(pw.DS, cfg.S)
@@ -253,21 +217,8 @@ func Fig10(cfg Config) []*metrics.Table {
 			}
 			return 100 * float64(done) / float64(len(newNeighbours))
 		}
-		var curve []float64
-		curve = append(curve, measure())
-		for cyc := 1; cyc <= cycles; cyc++ {
-			e.LazyCycle()
-			if cyc%step == 0 {
-				curve = append(curve, measure())
-			}
-		}
-		curves[li] = curve
+		curves[li] = lazyCurve(e, cycles, step, measure)
 	}
-	for i := 0; i <= cycles/step; i++ {
-		t.Add(cycleLabel(i*step), metrics.F(curves[0][i], 1), metrics.F(curves[1][i], 1))
-	}
-	return []*metrics.Table{t}
+	return []*metrics.Table{curveTable("Figure 10 — % of users having found all new neighbours",
+		labels("l=%g", lambdas), steps(cycles, step), curves, 1)}
 }
-
-// reachedOf exposes the reached-user set of a query run as a slice.
-func reachedOf(qr *core.QueryRun) []tagging.UserID { return qr.Reached() }

@@ -117,8 +117,26 @@ func (c Config) UniformCValues() []int {
 	return out
 }
 
+// Workload generates the configuration's trace and its query workload
+// (capped at Queries). It is the one derivation of the data: the harness's
+// worlds and cmd/p3qsim's converge driver both start here, so a converge
+// checkpoint restores over the same trace.
+func (c Config) Workload() (*trace.Dataset, []trace.Query) {
+	p := trace.DefaultGenParams(c.Users)
+	p.MeanItems = c.MeanItems
+	p.Seed = c.Seed
+	ds := trace.Generate(p)
+	queries := trace.GenerateQueries(ds, c.Seed+1)
+	if c.Queries > 0 && c.Queries < len(queries) {
+		queries = queries[:c.Queries]
+	}
+	return ds, queries
+}
+
 // World bundles the dataset, its ideal networks, the centralized baseline
-// and the query workload — everything experiments share.
+// and the query workload — everything experiments share. A runner builds
+// one world and every row reads it, unless a row applies a change-set to
+// the dataset (Figures 7 and 10), in which case each row gets its own.
 type World struct {
 	Cfg     Config
 	DS      *trace.Dataset
@@ -129,15 +147,8 @@ type World struct {
 
 // NewWorld generates the workload for a configuration.
 func NewWorld(cfg Config) *World {
-	p := trace.DefaultGenParams(cfg.Users)
-	p.MeanItems = cfg.MeanItems
-	p.Seed = cfg.Seed
-	ds := trace.Generate(p)
+	ds, queries := cfg.Workload()
 	ideal := similarity.IdealNetworks(ds, cfg.S)
-	queries := trace.GenerateQueries(ds, cfg.Seed+1)
-	if cfg.Queries > 0 && cfg.Queries < len(queries) {
-		queries = queries[:cfg.Queries]
-	}
 	return &World{
 		Cfg:     cfg,
 		DS:      ds,
@@ -190,25 +201,15 @@ func (c Config) CoreConfig(storageC int) core.Config {
 	return cc
 }
 
-// CoreConfig builds a protocol configuration with uniform storage c.
-func (w *World) CoreConfig(c int) core.Config { return w.Cfg.CoreConfig(c) }
-
-// HeteroConfig builds a protocol configuration with Poisson-distributed
-// storage capacities (Table 1), scaled to s via ScaledClass.
-func (w *World) HeteroConfig(lambda float64) core.Config {
-	cc := core.DefaultConfig()
-	cc.S = w.Cfg.S
-	cc.K = w.Cfg.K
-	cc.Seed = w.Cfg.Seed
-	cc.MaxDigestsPerGossip = w.Cfg.DigestCap()
-	cc.BloomBits = w.Cfg.ScaledBloomBits()
-	cc.Workers = w.Cfg.Workers
-	cc.Latency = w.Cfg.Latency
-	rng := randx.NewSource(w.Cfg.Seed).Split(uint64(lambda * 1000))
-	raw := rng.AssignStorage(w.Cfg.Users, lambda, randx.TailModeFor(lambda))
+// HeteroConfig is CoreConfig with Poisson-distributed storage capacities
+// (Table 1), scaled to s via ScaledClass; CAssign overrides the uniform c.
+func (c Config) HeteroConfig(lambda float64) core.Config {
+	cc := c.CoreConfig(core.DefaultConfig().C)
+	rng := randx.NewSource(c.Seed).Split(uint64(lambda * 1000))
+	raw := rng.AssignStorage(c.Users, lambda, randx.TailModeFor(lambda))
 	cc.CAssign = make([]int, len(raw))
 	for i, v := range raw {
-		cc.CAssign[i] = w.Cfg.ScaledClass(v)
+		cc.CAssign[i] = c.ScaledClass(v)
 	}
 	return cc
 }
@@ -221,34 +222,85 @@ func (w *World) SeededEngine(cc core.Config) *core.Engine {
 	return e
 }
 
+// issue issues the world's queries on e and returns the runs that started
+// (a departed querier's query does not), each with its centralized
+// reference: the items the querier's whole ideal network provides.
+func (w *World) issue(e *core.Engine) (runs []*core.QueryRun, refs [][]topk.Entry) {
+	for _, q := range w.Queries {
+		if qr := e.IssueQuery(q); qr != nil {
+			runs = append(runs, qr)
+			refs = append(refs, w.Central.TopK(q))
+		}
+	}
+	return runs, refs
+}
+
+// meanRecall is the average recall of the runs against their references.
+func meanRecall(runs []*core.QueryRun, refs [][]topk.Entry) float64 {
+	vals := make([]float64, len(runs))
+	for i, qr := range runs {
+		vals[i] = topk.Recall(qr.Results(), refs[i])
+	}
+	return metrics.Mean(vals)
+}
+
 // RecallCurve issues the world's queries on the engine and returns the
 // average recall (against the centralized baseline) at the end of each
 // eager cycle; index 0 is the purely local result of Algorithm 2 line 3.
 func (w *World) RecallCurve(e *core.Engine, cycles int) []float64 {
-	refs := make([][]topk.Entry, 0, len(w.Queries))
-	runs := make([]*core.QueryRun, 0, len(w.Queries))
-	for _, q := range w.Queries {
-		qr := e.IssueQuery(q)
-		if qr == nil {
-			continue
-		}
-		runs = append(runs, qr)
-		refs = append(refs, w.Central.TopK(q))
-	}
-	curve := make([]float64, 0, cycles+1)
-	avg := func() float64 {
-		vals := make([]float64, len(runs))
-		for i, qr := range runs {
-			vals[i] = topk.Recall(qr.Results(), refs[i])
-		}
-		return metrics.Mean(vals)
-	}
-	curve = append(curve, avg())
+	runs, refs := w.issue(e)
+	curve := []float64{meanRecall(runs, refs)}
 	for i := 0; i < cycles; i++ {
 		e.EagerCycle()
-		curve = append(curve, avg())
+		curve = append(curve, meanRecall(runs, refs))
 	}
 	return curve
+}
+
+// lazyCurve samples measure before the first lazy cycle and after every
+// step-th of cycles lazy cycles.
+func lazyCurve(e *core.Engine, cycles, step int, measure func() float64) []float64 {
+	curve := []float64{measure()}
+	for cyc := 1; cyc <= cycles; cyc++ {
+		e.LazyCycle()
+		if cyc%step == 0 {
+			curve = append(curve, measure())
+		}
+	}
+	return curve
+}
+
+// steps returns the cycles a curve sampled every step-th of cycles holds:
+// 0, step, 2·step, … up to cycles.
+func steps(cycles, step int) []int {
+	var out []int
+	for cyc := 0; cyc <= cycles; cyc += step {
+		out = append(out, cyc)
+	}
+	return out
+}
+
+// curveTable lays curves out as a table: a "cycle" column holding the
+// sampled cycles, then one column per curve under its label.
+func curveTable(title string, labels []string, cycles []int, curves [][]float64, prec int) *metrics.Table {
+	t := metrics.NewTable(title, append([]string{"cycle"}, labels...)...)
+	for i, cyc := range cycles {
+		row := []string{metrics.I(cyc)}
+		for _, curve := range curves {
+			row = append(row, metrics.F(curve[i], prec))
+		}
+		t.Add(row...)
+	}
+	return t
+}
+
+// labels formats one column label per parameter value.
+func labels[T any](format string, values []T) []string {
+	out := make([]string, len(values))
+	for i, v := range values {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
 }
 
 // Runner is a named experiment producing the paper's rows.
@@ -310,9 +362,6 @@ func percentiles(xs []float64, qs ...float64) []float64 {
 	}
 	return out
 }
-
-// cycleLabel renders a cycle index.
-func cycleLabel(c int) string { return fmt.Sprintf("%d", c) }
 
 // changedVersions applies a change-set and returns each changed user's
 // post-change profile version (the target replicas must reach to count as

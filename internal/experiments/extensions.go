@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-
 	"p3q/internal/core"
 	"p3q/internal/expansion"
-	"p3q/internal/hostclock"
 	"p3q/internal/metrics"
 	"p3q/internal/tagging"
 	"p3q/internal/topk"
@@ -32,19 +28,12 @@ func LocalOnly(cfg Config) []*metrics.Table {
 			continue
 		}
 		seen[c] = true
-		e := w.SeededEngine(w.CoreConfig(c))
-		var recalls []float64
+		e := w.SeededEngine(cfg.CoreConfig(c))
+		// Cycle-0 results = local processing only (Algorithm 2 line 3).
+		recall := meanRecall(w.issue(e))
 		var stored, full float64
-		for _, q := range w.Queries {
-			qr := e.IssueQuery(q)
-			if qr == nil {
-				continue
-			}
-			// Cycle-0 results = local processing only (Algorithm 2 line 3).
-			recalls = append(recalls, topk.Recall(qr.Results(), w.Central.TopK(q)))
-		}
 		for u := 0; u < cfg.Users; u++ {
-			node := e.Node(tagUserID(u))
+			node := e.Node(tagging.UserID(u))
 			for i, nb := range w.Ideal[u] {
 				l := float64(w.DS.Profiles[nb.ID].Len())
 				full += l
@@ -57,7 +46,7 @@ func LocalOnly(cfg Config) []*metrics.Table {
 		if full > 0 {
 			pct = 100 * stored / full
 		}
-		t.Add(metrics.I(c), metrics.F(metrics.Mean(recalls), 3), metrics.F(pct, 1))
+		t.Add(metrics.I(c), metrics.F(recall, 3), metrics.F(pct, 1))
 	}
 	return []*metrics.Table{t}
 }
@@ -68,15 +57,6 @@ func LocalOnly(cfg Config) []*metrics.Table {
 // against the full-query centralized reference.
 func Expansion(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	// Converge once, fork per variant: both variants start from the same
-	// snapshotted seeded engine instead of re-seeding (the forked state is
-	// byte-for-byte the cold-built state, so the table is unchanged).
-	sw := hostclock.Start()
-	base := w.SeededEngine(w.CoreConfig(10))
-	snap, err := NewSharedSnapshot(base, sw.Elapsed())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: expansion warm-start snapshot failed: %v", err))
-	}
 	t := metrics.NewTable(
 		"Extension (§4) — personalized query expansion on truncated queries",
 		"variant", "avg recall vs full-query reference")
@@ -86,13 +66,10 @@ func Expansion(cfg Config) []*metrics.Table {
 		expand bool
 	}
 	for _, v := range []variant{{"bare single-tag query", false}, {"expanded (+3 suggested tags)", true}} {
-		// A forked engine per variant keeps the query registries separate.
-		ve := snap.MustFork(w.CoreConfig(10))
-		type pending struct {
-			qr   *core.QueryRun
-			want []topk.Entry
-		}
-		var runs []pending
+		// An engine per variant keeps the query registries separate.
+		ve := w.SeededEngine(cfg.CoreConfig(10))
+		var runs []*core.QueryRun
+		var refs [][]topk.Entry
 		for _, q := range w.Queries {
 			if len(q.Tags) < 2 {
 				continue // nothing to truncate
@@ -103,17 +80,13 @@ func Expansion(cfg Config) []*metrics.Table {
 				issued.Tags = x.Expand(issued.Tags, 3)
 			}
 			if qr := ve.IssueQuery(issued); qr != nil {
-				runs = append(runs, pending{qr: qr, want: w.Central.TopK(q)})
+				runs = append(runs, qr)
+				refs = append(refs, w.Central.TopK(q))
 			}
 		}
 		ve.RunEager(cfg.Cycles * 3)
-		var recalls []float64
-		for _, p := range runs {
-			recalls = append(recalls, topk.Recall(p.qr.Results(), p.want))
-		}
-		t.Add(v.name, metrics.F(metrics.Mean(recalls), 3))
+		t.Add(v.name, metrics.F(meanRecall(runs, refs), 3))
 	}
-	fmt.Fprintln(os.Stderr, snap.SavingsNote("expansion"))
 	return []*metrics.Table{t}
 }
 
@@ -125,7 +98,7 @@ func Ablations(cfg Config) []*metrics.Table {
 		"design choice", "with (paper)", "without (naive)", "unit")
 
 	// 3-step exchange vs shipping advertised profiles in full.
-	e := w.SeededEngine(w.CoreConfig(10))
+	e := w.SeededEngine(cfg.CoreConfig(10))
 	lazyCycles := 5
 	e.RunLazy(lazyCycles)
 	actual := float64(e.Network().Total().TotalBytes()) / float64(e.Users()) / float64(lazyCycles)
@@ -135,15 +108,13 @@ func Ablations(cfg Config) []*metrics.Table {
 
 	// Eager destination bias vs uniform random destinations.
 	cyclesFor := func(disable bool) float64 {
-		cc := w.CoreConfig(10)
+		cc := cfg.CoreConfig(10)
 		cc.DisableEagerBias = disable
 		ve := w.SeededEngine(cc)
-		for _, q := range w.Queries {
-			ve.IssueQuery(q)
-		}
+		runs, _ := w.issue(ve)
 		ve.RunEager(cfg.Cycles * 3)
 		var cs []float64
-		for _, qr := range ve.Queries() {
+		for _, qr := range runs {
 			cs = append(cs, float64(qr.Cycles()))
 		}
 		return metrics.Mean(cs)
@@ -180,5 +151,3 @@ func sampleLists(w *World, n int) [][]topk.Entry {
 	}
 	return lists
 }
-
-func tagUserID(u int) tagging.UserID { return tagging.UserID(u) }

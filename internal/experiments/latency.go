@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
 	"time"
 
-	"p3q/internal/core"
-	"p3q/internal/hostclock"
 	"p3q/internal/metrics"
 	"p3q/internal/sim"
-	"p3q/internal/topk"
 )
 
 // Latency is the asynchronous-delivery extension experiment: the same
@@ -38,38 +33,19 @@ func Latency(cfg Config) []*metrics.Table {
 	}
 
 	w := NewWorld(cfg)
-	// Converge-once-fork-many: one seeded engine is snapshotted and every
-	// latency row forks from it instead of re-seeding. The forked state is
-	// byte-for-byte the cold-built state (the checkpoint contract), so the
-	// rows are unchanged; the savings note reports the wall clock spared.
-	sw := hostclock.Start()
-	base := w.SeededEngine(w.CoreConfig(10))
-	snap, err := NewSharedSnapshot(base, sw.Elapsed())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: latency warm-start snapshot failed: %v", err))
-	}
 	tTimes := metrics.NewTable(
 		"Asynchronous eager delivery — per-query times (virtual clock, eager period 5s)",
 		"model", "ttfr p50", "ttfr p90", "ttfr p99", "full p50", "full p90", "full p99", "done %", "avg recall", "avg cycles")
 	for _, mc := range models {
-		cc := w.CoreConfig(10)
+		cc := cfg.CoreConfig(10)
 		cc.Latency = mc.m
-		e := snap.MustFork(cc)
-
-		var refs [][]topk.Entry
-		var runs []*core.QueryRun
-		for _, q := range w.Queries {
-			if qr := e.IssueQuery(q); qr != nil {
-				runs = append(runs, qr)
-				refs = append(refs, w.Central.TopK(q))
-			}
-		}
+		e := w.SeededEngine(cc)
+		runs, refs := w.issue(e)
 		e.RunEager(cfg.Cycles * 4)
 
-		var ttfr, full, recall, cycles []float64
+		var ttfr, full, cycles []float64
 		done := 0
-		for i, qr := range runs {
-			recall = append(recall, topk.Recall(qr.Results(), refs[i]))
+		for _, qr := range runs {
 			cycles = append(cycles, float64(qr.Cycles()))
 			if d, ok := qr.TimeToFirstResult(); ok {
 				ttfr = append(ttfr, d.Seconds())
@@ -85,9 +61,8 @@ func Latency(cfg Config) []*metrics.Table {
 			metrics.F(pf[0], 2), metrics.F(pf[1], 2), metrics.F(pf[2], 2),
 			metrics.F(pd[0], 2), metrics.F(pd[1], 2), metrics.F(pd[2], 2),
 			metrics.F(100*float64(done)/float64(len(runs)), 1),
-			metrics.F(metrics.Mean(recall), 3),
+			metrics.F(meanRecall(runs, refs), 3),
 			metrics.F(metrics.Mean(cycles), 1))
 	}
-	fmt.Fprintln(os.Stderr, snap.SavingsNote("latency"))
 	return []*metrics.Table{tTimes}
 }

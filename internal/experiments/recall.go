@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"p3q/internal/metrics"
 )
 
-// fig3Alphas are the split parameters swept by Figure 3.
+// fig3Alphas are the split parameters swept by Figure 3 and by Theory.
 var fig3Alphas = []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}
 
 // Fig3 reproduces Figure 3: the evolution of average recall over eager
@@ -17,28 +15,14 @@ var fig3Alphas = []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}
 // Theorem 2.2 empirically.
 func Fig3(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	cycles := cfg.Cycles
-
-	header := []string{"cycle"}
-	for _, a := range fig3Alphas {
-		header = append(header, fmt.Sprintf("a=%.1f", a))
-	}
-	t := metrics.NewTable("Figure 3 — average recall vs cycles, alpha sweep (c=10)", header...)
-
 	curves := make([][]float64, len(fig3Alphas))
 	for ai, alpha := range fig3Alphas {
-		cc := w.CoreConfig(10)
+		cc := cfg.CoreConfig(10)
 		cc.Alpha = alpha
-		curves[ai] = w.RecallCurve(w.SeededEngine(cc), cycles)
+		curves[ai] = w.RecallCurve(w.SeededEngine(cc), cfg.Cycles)
 	}
-	for cyc := 0; cyc <= cycles; cyc++ {
-		row := []string{cycleLabel(cyc)}
-		for ai := range fig3Alphas {
-			row = append(row, metrics.F(curves[ai][cyc], 3))
-		}
-		t.Add(row...)
-	}
-	return []*metrics.Table{t}
+	return []*metrics.Table{curveTable("Figure 3 — average recall vs cycles, alpha sweep (c=10)",
+		labels("a=%.1f", fig3Alphas), steps(cfg.Cycles, 1), curves, 3)}
 }
 
 // Fig4 reproduces Figure 4: the evolution of average recall over eager
@@ -48,28 +32,12 @@ func Fig3(cfg Config) []*metrics.Table {
 // brings the largest improvement.
 func Fig4(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	cycles := cfg.Cycles / 2
-	if cycles < 10 {
-		cycles = 10
-	}
+	cycles := max(cfg.Cycles/2, 10)
 	cValues := cfg.UniformCValues()
-
-	header := []string{"cycle"}
-	for _, c := range cValues {
-		header = append(header, fmt.Sprintf("c=%d", c))
-	}
-	t := metrics.NewTable("Figure 4 — average recall vs cycles, c sweep (alpha=0.5)", header...)
-
 	curves := make([][]float64, len(cValues))
 	for ci, c := range cValues {
-		curves[ci] = w.RecallCurve(w.SeededEngine(w.CoreConfig(c)), cycles)
+		curves[ci] = w.RecallCurve(w.SeededEngine(cfg.CoreConfig(c)), cycles)
 	}
-	for cyc := 0; cyc <= cycles; cyc++ {
-		row := []string{cycleLabel(cyc)}
-		for ci := range cValues {
-			row = append(row, metrics.F(curves[ci][cyc], 3))
-		}
-		t.Add(row...)
-	}
-	return []*metrics.Table{t}
+	return []*metrics.Table{curveTable("Figure 4 — average recall vs cycles, c sweep (alpha=0.5)",
+		labels("c=%d", cValues), steps(cycles, 1), curves, 3)}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"p3q/internal/analysis"
+	"p3q/internal/core"
 	"p3q/internal/metrics"
 )
 
@@ -22,36 +23,33 @@ import (
 func Theory(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
 
-	alphas := []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}
-	measured := make([]float64, len(alphas))
+	measured := make([]float64, len(fig3Alphas))
 	avgL := 0.0
-	for ai, alpha := range alphas {
-		cc := w.CoreConfig(10)
+	var optimal []*core.QueryRun // the alpha = 0.5 runs, for Theorems 2.3/2.4
+	for ai, alpha := range fig3Alphas {
+		cc := cfg.CoreConfig(10)
 		cc.Alpha = alpha
 		e := w.SeededEngine(cc)
-		var lSum float64
-		for _, q := range w.Queries {
-			qr := e.IssueQuery(q)
-			if qr == nil {
-				continue
-			}
-			lSum += float64(qr.ProfilesNeeded() - 1)
-		}
+		runs, _ := w.issue(e)
 		e.RunEager(cfg.Cycles * 10)
-		var cyclesDone []float64
-		for _, qr := range e.Queries() {
+		var lengths, cyclesDone []float64
+		for _, qr := range runs {
+			lengths = append(lengths, float64(qr.ProfilesNeeded()-1))
 			cyclesDone = append(cyclesDone, float64(qr.Cycles()))
 		}
 		measured[ai] = metrics.Mean(cyclesDone)
-		if ai == 0 && len(e.Queries()) > 0 {
-			avgL = lSum / float64(len(e.Queries()))
+		if ai == 0 {
+			avgL = metrics.Mean(lengths)
+		}
+		if alpha == analysis.OptimalAlpha {
+			optimal = runs
 		}
 	}
 
 	t1 := metrics.NewTable(
 		fmt.Sprintf("Theorems 2.1-2.2 — R(alpha) (analytic, L=%.0f) vs measured completion cycles", avgL),
 		"alpha", "R(alpha) X=1", "R(alpha) X=3", "R(alpha) X=10", "measured cycles")
-	for ai, alpha := range alphas {
+	for ai, alpha := range fig3Alphas {
 		t1.Add(fmt.Sprintf("%.1f", alpha),
 			metrics.F(analysis.RAlpha(alpha, avgL, 1), 1),
 			metrics.F(analysis.RAlpha(alpha, avgL, 3), 1),
@@ -61,13 +59,8 @@ func Theory(cfg Config) []*metrics.Table {
 
 	// Theorems 2.3/2.4 at alpha = 0.5 with a conservative X = 1.
 	r := analysis.RAlpha(analysis.OptimalAlpha, avgL, 1)
-	e := w.SeededEngine(w.CoreConfig(10))
-	for _, q := range w.Queries {
-		e.IssueQuery(q)
-	}
-	e.RunEager(cfg.Cycles * 10)
 	var users, partials []float64
-	for _, qr := range e.Queries() {
+	for _, qr := range optimal {
 		users = append(users, float64(qr.UsersReached()))
 		partials = append(partials, float64(qr.PartialResultMessages()))
 	}
@@ -75,22 +68,12 @@ func Theory(cfg Config) []*metrics.Table {
 		"quantity", "bound", "measured mean", "measured max")
 	t2.Add("users involved (<= 2^R)",
 		metrics.F(math.Min(analysis.UsersBound(r), float64(cfg.Users)), 0),
-		metrics.F(metrics.Mean(users), 1), metrics.F(maxOf(users), 0))
+		metrics.F(metrics.Mean(users), 1), metrics.F(percentiles(users, 1)[0], 0))
 	t2.Add("partial results (<= 2^R - 1)",
 		metrics.F(math.Min(analysis.PartialResultsBound(r), float64(cfg.Users)), 0),
-		metrics.F(metrics.Mean(partials), 1), metrics.F(maxOf(partials), 0))
+		metrics.F(metrics.Mean(partials), 1), metrics.F(percentiles(partials, 1)[0], 0))
 	t2.Add("remaining-list messages (<= 2(2^R - 1))",
 		metrics.F(math.Min(analysis.MessagesBound(r), 2*float64(cfg.Users)), 0),
 		"", "")
 	return []*metrics.Table{t1, t2}
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

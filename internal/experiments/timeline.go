@@ -6,7 +6,6 @@ import (
 
 	"p3q/internal/core"
 	"p3q/internal/metrics"
-	"p3q/internal/topk"
 )
 
 // Timeline reproduces the §3.5 deployment narrative in simulated wall-clock
@@ -17,31 +16,22 @@ import (
 // issued simultaneously.
 func Timeline(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	e := w.SeededEngine(w.HeteroConfig(1))
+	e := w.SeededEngine(cfg.HeteroConfig(1))
 	clock := core.NewClock(e, time.Minute, 5*time.Second)
-
-	var refs [][]topk.Entry
-	for _, q := range w.Queries {
-		if qr := e.IssueQuery(q); qr != nil {
-			refs = append(refs, w.Central.TopK(q))
-		}
-	}
-	runs := e.Queries()
+	runs, refs := w.issue(e)
 
 	t := metrics.NewTable(
 		"Section 3.5 — query timeline (lazy 60s / eager 5s, lambda=1)",
 		"seconds", "avg recall", "% queries done")
 	record := func() {
-		var recall []float64
 		done := 0
-		for i, qr := range runs {
-			recall = append(recall, topk.Recall(qr.Results(), refs[i]))
+		for _, qr := range runs {
 			if qr.Done() {
 				done++
 			}
 		}
 		t.Add(fmt.Sprintf("%.0f", clock.Now().Seconds()),
-			metrics.F(metrics.Mean(recall), 3),
+			metrics.F(meanRecall(runs, refs), 3),
 			metrics.F(100*float64(done)/float64(len(runs)), 1))
 	}
 	record()

@@ -14,8 +14,8 @@
 // disagree; every list and string is bounded on both sides — an oversized
 // one fails at the sender, by name. This package adds the frame envelope,
 // with an end marker per frame proving reader and writer agreed on the
-// layout. The stickyerr analyzer (internal/lint) enforces that raw stream
-// access stays inside binio and that no error result is dropped.
+// layout. The stickyerr analyzer (internal/lint) enforces that no error
+// result is dropped.
 //
 // Frame layout (one frame per message, self-delimiting on a stream):
 //

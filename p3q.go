@@ -39,12 +39,12 @@
 // (and across repeated runs with the same seed). The contract is enforced
 // statically as well as by tests: the determinism linter (internal/lint,
 // run as `make lint`, i.e. `go run ./cmd/p3qlint ./...`) bans
-// order-sensitive map iteration,
-// host-clock and ambient-randomness use, and undisciplined RNG sharing in
-// the engine packages, enforces the plan/commit phase contract
+// order-sensitive map iteration and host-clock and ambient-randomness use
+// in the engine packages, enforces the plan/commit phase contract
 // (//p3q:phase), requires checkpointed structs to be fully covered by the
-// snapshot codec (//p3q:transient), and flags per-call allocations on
-// //p3q:hotpath functions.
+// snapshot codec (//p3q:transient), keeps host-plane telemetry out of the
+// simulation, flags dropped errors in the codecs and per-call allocations
+// on //p3q:hotpath functions.
 //
 // Eager delivery is event-driven: forwarded lists, returned portions and
 // partial results arrive as timestamped events on the engine's virtual
