@@ -1,6 +1,6 @@
 // Command p3qctl is the thin gateway CLI for a running p3qd cluster. It
-// dials one daemon (any daemon: members relay submissions to the lead)
-// and speaks the same wire protocol the daemons use among themselves.
+// dials any one daemon (members relay submissions to the lead; status and
+// stats are answered locally) and speaks the daemons' own wire protocol.
 //
 // Usage:
 //

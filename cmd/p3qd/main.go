@@ -15,8 +15,8 @@
 //	p3qd -index 1 -addrs localhost:7701,localhost:7702,localhost:7703 &
 //	p3qd -index 2 -addrs localhost:7701,localhost:7702,localhost:7703 &
 //
-// then query it with p3qctl (any daemon answers; members relay to the
-// lead):
+// then query it with p3qctl (any daemon answers status and stats from
+// its own replica; members relay submissions to the lead):
 //
 //	p3qctl -addr localhost:7702 submit -querier 3 -tags 1,4
 //	p3qctl -addr localhost:7702 wait -qid 1

@@ -2,10 +2,8 @@ package core
 
 import (
 	"p3q/internal/gossip"
-	"p3q/internal/sim"
 	"p3q/internal/tagging"
 	"p3q/internal/topk"
-	"p3q/internal/trace"
 )
 
 // This file is the core-reuse seam between the deterministic engine and
@@ -68,15 +66,8 @@ type LazyCapture struct {
 
 // EagerPairCap is one (initiator, query) gossip of an eager cycle
 // (Algorithm 3): the forwarded branch, the destination's resolution into
-// a partial result, the α-split of the unresolved rest, and the
-// piggybacked maintenance exchange. Bytes is this pair's contribution to
-// the query's traffic, exactly as the engine's scheduling pass attributes
-// it.
-//
-// To replay the querier's active-branch set from a cycle's pairs, follow
-// the engine's order: first every Ok pair's Initiator leaves the set (her
-// branch is forwarded in full at send time), then Dest enters it where Keep
-// is non-empty and Initiator re-enters it where Returned is.
+// a partial result, the portion of the unresolved rest sent back, and the
+// piggybacked maintenance exchange.
 type EagerPairCap struct {
 	Initiator tagging.UserID
 	Qid       uint64
@@ -89,13 +80,10 @@ type EagerPairCap struct {
 	FoundOwners []tagging.UserID // resolved against the destination's storage
 	Plist       []topk.Entry     // partial result over the resolved profiles
 	Delivered   bool             // the partial result reached the querier
-	Keep        []tagging.UserID // unresolved members the destination keeps
 	Returned    []tagging.UserID // unresolved members sent back
 
 	OffersA []tagging.DigestRef // piggybacked maintenance, initiator -> destination
 	OffersB []tagging.DigestRef // piggybacked maintenance, destination -> initiator
-
-	Bytes QueryBytes // commit-resolved
 }
 
 // EagerCapture describes every gossip of one eager cycle, in the
@@ -103,20 +91,6 @@ type EagerPairCap struct {
 type EagerCapture struct {
 	Seq   uint64
 	Pairs []EagerPairCap
-}
-
-// IssueCapture describes the querier-local processing of IssueQuery
-// (Algorithm 2): the profiles answered from local storage, the initial
-// partial result, and the remaining list seeding the first branch.
-type IssueCapture struct {
-	Qid        uint64
-	Querier    tagging.UserID
-	Needed     int
-	UsedOwners []tagging.UserID // querier + stored neighbours, local-storage hits
-	Local      []topk.Entry     // partial result over the local profiles
-	Remaining  []tagging.UserID
-	Done       bool // answered entirely from local storage
-	Results    []topk.Entry
 }
 
 // LazyCycleCaptured runs one lazy cycle exactly like LazyCycle and
@@ -141,17 +115,6 @@ func (e *Engine) EagerCycleCaptured() *EagerCapture {
 	cp := &EagerCapture{}
 	e.eagerCycle(cp)
 	return cp
-}
-
-// IssueQueryCaptured issues a query exactly like IssueQuery and returns
-// the capture of the querier-local processing alongside the run.
-func (e *Engine) IssueQueryCaptured(q trace.Query) (*QueryRun, *IssueCapture) {
-	cp := &IssueCapture{}
-	qr := e.issueQuery(q, cp)
-	if qr == nil {
-		return nil, nil
-	}
-	return qr, cp
 }
 
 // digestRefs converts an offer batch to its wire references.
@@ -224,7 +187,7 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 
 // captureEagerContent fills cap with the plan-phase content of the
 // cycle's gossips, before commit mutates any branch. The hand-off slices
-// (foundOwners, plist, keep, returned) are freshly allocated per plan and
+// (foundOwners, plist, returned) are freshly allocated per plan and
 // never mutated after the cycle, so the capture aliases them; the branch
 // aliases the initiator's live list, so it is copied.
 func (e *Engine) captureEagerContent(cp *EagerCapture, plans []eagerPlan) {
@@ -246,41 +209,8 @@ func (e *Engine) captureEagerContent(cp *EagerCapture, plans []eagerPlan) {
 		pc.FoundOwners = p.foundOwners
 		pc.Plist = p.plist
 		pc.Delivered = p.delivered
-		pc.Keep = p.keep
 		pc.Returned = p.returned
 		pc.OffersA = digestRefs(p.exch.offersA)
 		pc.OffersB = digestRefs(p.exch.offersB)
 	}
-}
-
-// captureEagerOutcome fills in the commit-resolved per-pair traffic
-// attribution after the shard committers have run (the same arithmetic
-// scheduleEagerGossips applies to the query totals).
-func (e *Engine) captureEagerOutcome(cp *EagerCapture, plans []eagerPlan) {
-	for i := range plans {
-		p := &plans[i]
-		pc := &cp.Pairs[i]
-		t := p.ledger.Total()
-		pc.Bytes.Forwarded = t.Bytes[sim.MsgQueryForward]
-		pc.Bytes.Returned = t.Bytes[sim.MsgQueryReturn]
-		pc.Bytes.PartialResults = t.Bytes[sim.MsgPartialResult]
-		if p.ok {
-			pc.Bytes.Maintenance = p.exch.ledger.Total().TotalBytes() + p.peerBytes + p.selfBytes
-		}
-	}
-}
-
-// captureIssue fills cap from the querier-local processing state.
-func captureIssue(cp *IssueCapture, qr *QueryRun, u *Node, local []topk.Entry, remaining []tagging.UserID) {
-	cp.Qid = qr.ID
-	cp.Querier = u.id
-	cp.Needed = qr.needed
-	cp.UsedOwners = append(cp.UsedOwners, u.id)
-	for _, entry := range u.pnet.StoredEntries() {
-		cp.UsedOwners = append(cp.UsedOwners, entry.ID)
-	}
-	cp.Local = local
-	cp.Remaining = remaining
-	cp.Done = qr.done
-	cp.Results = qr.results
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
-	"p3q/internal/tagging"
 	"p3q/internal/trace"
 )
 
@@ -29,9 +29,7 @@ func TestCapturedRunMatchesPlainRun(t *testing.T) {
 	queries := trace.GenerateQueries(ds, 3)[:10]
 	for _, q := range queries {
 		plain.IssueQuery(q)
-		if _, cp := captured.IssueQueryCaptured(q); cp == nil {
-			t.Fatalf("IssueQueryCaptured(%d) returned nil capture", q.Querier)
-		}
+		captured.IssueQuery(q)
 	}
 	for i := 0; i < 40 && !plain.AllQueriesDone(); i++ {
 		plain.EagerCycle()
@@ -45,126 +43,55 @@ func TestCapturedRunMatchesPlainRun(t *testing.T) {
 	}
 }
 
-// TestEagerCapturePairBytesSumToQueryBytes pins the attribution contract
-// the daemons' wire-layer tallies rely on: summing the per-pair Bytes of
-// every captured gossip, plus nothing else, reproduces each query's
-// QueryBytes exactly.
-func TestEagerCapturePairBytesSumToQueryBytes(t *testing.T) {
-	ds := trace.Generate(trace.DefaultGenParams(50))
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	e := New(ds, cfg)
-	e.Bootstrap()
-	e.RunLazy(10)
-
-	sums := make(map[uint64]QueryBytes)
-	for _, q := range trace.GenerateQueries(ds, 5)[:12] {
-		qr := e.IssueQuery(q)
-		sums[qr.ID] = QueryBytes{}
-	}
-	for i := 0; i < 40 && !e.AllQueriesDone(); i++ {
-		cp := e.EagerCycleCaptured()
-		for pi := range cp.Pairs {
-			p := &cp.Pairs[pi]
-			s := sums[p.Qid]
-			s.Forwarded += p.Bytes.Forwarded
-			s.Returned += p.Bytes.Returned
-			s.PartialResults += p.Bytes.PartialResults
-			s.Maintenance += p.Bytes.Maintenance
-			sums[p.Qid] = s
+// TestEagerSplitHonoursAlpha holds the remaining-list split of Algorithm 3
+// (lines 19-20) to Config.Alpha over a seeded query burst: of the n branch
+// members a destination could not resolve it keeps ⌊(1-α)·n⌋ and returns
+// the rest — nothing at α = 0, everything at α = 1, and ⌊n/2⌋ kept at 0.5.
+// The captured Returned list is what a daemon ships, so it must be the
+// planned one.
+func TestEagerSplitHonoursAlpha(t *testing.T) {
+	ds := trace.Generate(trace.DefaultGenParams(60))
+	queries := trace.GenerateQueries(ds, 5)[:12]
+	for _, tc := range []struct {
+		alpha float64
+		keep  func(n int) int
+	}{
+		{0, func(n int) int { return n }},
+		{0.5, func(n int) int { return n / 2 }},
+		{1, func(int) int { return 0 }},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed = 13
+		cfg.Alpha = tc.alpha
+		e := New(ds, cfg)
+		e.Bootstrap()
+		e.RunLazy(10)
+		for _, q := range queries {
+			e.IssueQuery(q)
 		}
-	}
-	if !e.AllQueriesDone() {
-		t.Fatal("queries did not settle")
-	}
-	for _, qr := range e.Queries() {
-		if got, want := sums[qr.ID], qr.Bytes(); got != want {
-			t.Errorf("query %d: captured pair bytes %+v, engine %+v", qr.ID, got, want)
-		}
-	}
-}
-
-// TestEagerCaptureReplaysQuerierBookkeeping drives the querier-side state
-// machine a daemon runs — used-profile and active-branch tracking from the
-// captured pairs alone — and checks it reaches the engine's own counters.
-// This is the daemon's done-detection path: a query is done exactly when
-// no node holds a non-empty branch.
-func TestEagerCaptureReplaysQuerierBookkeeping(t *testing.T) {
-	ds := trace.Generate(trace.DefaultGenParams(40))
-	cfg := DefaultConfig()
-	cfg.Seed = 21
-	e := New(ds, cfg)
-	e.Bootstrap()
-	e.RunLazy(10)
-
-	type qstate struct {
-		used   map[tagging.UserID]struct{}
-		active map[tagging.UserID]struct{}
-	}
-	states := make(map[uint64]*qstate)
-	for _, q := range trace.GenerateQueries(ds, 9)[:8] {
-		qr, cp := e.IssueQueryCaptured(q)
-		st := &qstate{used: make(map[tagging.UserID]struct{}), active: make(map[tagging.UserID]struct{})}
-		for _, o := range cp.UsedOwners {
-			st.used[o] = struct{}{}
-		}
-		if !cp.Done {
-			st.active[cp.Querier] = struct{}{}
-		}
-		if cp.Needed != qr.ProfilesNeeded() || cp.Qid != qr.ID {
-			t.Fatalf("issue capture mismatch: %+v vs needed=%d id=%d", cp, qr.ProfilesNeeded(), qr.ID)
-		}
-		states[qr.ID] = st
-	}
-	for i := 0; i < 40 && !e.AllQueriesDone(); i++ {
-		cp := e.EagerCycleCaptured()
-		// The engine's order: every initiator's branch leaves at send time,
-		// then the hand-offs arrive.
-		for pi := range cp.Pairs {
-			if p := &cp.Pairs[pi]; p.Ok {
-				delete(states[p.Qid].active, p.Initiator)
-			}
-		}
-		for pi := range cp.Pairs {
-			p := &cp.Pairs[pi]
-			st := states[p.Qid]
-			if !p.Ok {
-				continue
-			}
-			if p.Delivered {
-				for _, o := range p.FoundOwners {
-					st.used[o] = struct{}{}
+		splits := 0
+		for cycle := 0; cycle < 40 && !e.AllQueriesDone(); cycle++ {
+			cp := e.EagerCycleCaptured()
+			for i := range cp.Pairs {
+				p := &e.scratch.eplans[i]
+				if !p.ok {
+					continue
+				}
+				n := len(p.keep) + len(p.returned)
+				if len(p.keep) != tc.keep(n) {
+					t.Fatalf("α=%v cycle %d: destination %d kept %d of %d unresolved members, want %d",
+						tc.alpha, cycle, p.dest, len(p.keep), n, tc.keep(n))
+				}
+				if !slices.Equal(cp.Pairs[i].Returned, p.returned) {
+					t.Fatalf("α=%v cycle %d: captured returned %v, planned %v", tc.alpha, cycle, cp.Pairs[i].Returned, p.returned)
+				}
+				if n >= 2 {
+					splits++
 				}
 			}
-			if len(p.Keep) > 0 {
-				st.active[p.Dest] = struct{}{}
-			}
-			if len(p.Returned) > 0 {
-				st.active[p.Initiator] = struct{}{}
-			}
 		}
-		// Done-detection must agree with the engine after every cycle, not
-		// only at the end.
-		for _, qr := range e.Queries() {
-			if st := states[qr.ID]; (len(st.active) == 0) != qr.Done() {
-				t.Fatalf("cycle %d query %d: replayed active set has %d nodes, engine done=%v",
-					i, qr.ID, len(st.active), qr.Done())
-			}
-		}
-	}
-	if !e.AllQueriesDone() {
-		t.Fatal("queries did not settle")
-	}
-	for _, qr := range e.Queries() {
-		st := states[qr.ID]
-		if len(st.used) != qr.ProfilesUsed() {
-			t.Errorf("query %d: replayed used=%d, engine=%d", qr.ID, len(st.used), qr.ProfilesUsed())
-		}
-		if len(st.active) != 0 {
-			t.Errorf("query %d: replayed active set not drained: %d nodes", qr.ID, len(st.active))
-		}
-		if len(st.used) != qr.ProfilesNeeded() {
-			t.Errorf("query %d: replayed used=%d, needed=%d", qr.ID, len(st.used), qr.ProfilesNeeded())
+		if splits == 0 {
+			t.Fatalf("α=%v: no gossip left two or more members unresolved; the burst cannot tell a split apart", tc.alpha)
 		}
 	}
 }

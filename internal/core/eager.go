@@ -240,11 +240,7 @@ func (qr *QueryRun) TimeToFullRecall() (time.Duration, bool) {
 // snapshots of her personal network, displays it, and builds the remaining
 // list of neighbours whose profiles must be collected through gossip.
 // It returns nil if the querier has departed.
-func (e *Engine) IssueQuery(q trace.Query) *QueryRun { return e.issueQuery(q, nil) }
-
-// issueQuery is IssueQuery with an optional capture of the querier-local
-// processing (see capture.go).
-func (e *Engine) issueQuery(q trace.Query, cp *IssueCapture) *QueryRun {
+func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 	if !e.net.Online(q.Querier) {
 		return nil
 	}
@@ -285,17 +281,11 @@ func (e *Engine) issueQuery(q trace.Query, cp *IssueCapture) *QueryRun {
 		qr.results = qr.nra.Drain()
 		e.obs.Inc(obs.CQueriesSettled)
 		e.emitQueryEvent(obs.EvSettled, qr.ID, qr.doneAt, u.id, 0, 0)
-		if cp != nil {
-			captureIssue(cp, qr, u, local, nil)
-		}
 		return qr
 	}
 	u.setBranch(qr.ID, remaining)
 	qr.activeNodes[u.id] = struct{}{}
 	qr.results = qr.nra.TopK()
-	if cp != nil {
-		captureIssue(cp, qr, u, local, remaining)
-	}
 	return qr
 }
 
@@ -371,8 +361,7 @@ func (e *Engine) eagerCycle(cp *EagerCapture) {
 // gossipEagerPairs runs the given gossips of cycle seq: plan, sharded
 // commit of the send-time effects, and the scheduling of their deliveries
 // from the current clock. When cp is non-nil the gossips are described into
-// it — content after the plan phase, commit-resolved traffic after the
-// scheduling pass.
+// it after the plan phase.
 func (e *Engine) gossipEagerPairs(pairs []eagerPair, seq uint64, cp *EagerCapture) {
 	e.obs.Add(obs.CGossipsPlanned, uint64(len(pairs)))
 	if cp != nil {
@@ -405,9 +394,6 @@ func (e *Engine) gossipEagerPairs(pairs []eagerPair, seq uint64, cp *EagerCaptur
 	})
 	e.scheduleEagerGossips(plans, seq)
 	e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
-	if cp != nil {
-		e.captureEagerOutcome(cp, plans)
-	}
 }
 
 // eagerStream derives the randomness stream for one role of a planned

@@ -14,7 +14,7 @@ import (
 // deterministic in-process engine (the executable spec) and once through
 // a four-daemon cluster speaking the wire protocol — and every
 // observable must agree: query completion, recall, the exact result
-// lists, and the per-query byte tallies summed across the cluster.
+// lists, and the per-query byte tallies — through every daemon's gateway.
 //
 // This is the test that makes the simulator the oracle for the daemon:
 // a protocol change that alters what goes over the wire, or a byte
@@ -76,20 +76,37 @@ func TestCrossCheckClusterMatchesEngine(t *testing.T) {
 	}
 	c.RequireNoDivergence(t)
 
-	cl := c.Client(t, 0)
-	for i, run := range runs {
-		st, err := cl.Status(qids[i])
-		if err != nil {
-			t.Fatalf("status for query %d: %v", i, err)
+	// Every daemon answers from its own replica, so every gateway must
+	// give the engine's answer, and every daemon the same per-query rows.
+	var rows []wire.QueryStat
+	for di := range c.Daemons {
+		cl := c.Client(t, di)
+		for i, run := range runs {
+			st, err := cl.Status(qids[i])
+			if err != nil {
+				t.Fatalf("daemon %d: status for query %d: %v", di, i, err)
+			}
+			requireMatchesRun(t, i, qids[i], st, run)
 		}
-		requireMatchesRun(t, i, qids[i], st, run)
+		stats, err := cl.Stats()
+		if err != nil {
+			t.Fatalf("daemon %d: stats: %v", di, err)
+		}
+		if di == 0 {
+			rows = stats.Queries
+		} else if !slices.Equal(stats.Queries, rows) {
+			t.Errorf("daemon %d per-query rows %+v, daemon 0 %+v", di, stats.Queries, rows)
+		}
+	}
+	if len(rows) != len(runs) {
+		t.Errorf("stats report %d queries, %d were issued", len(rows), len(runs))
 	}
 }
 
 // requireMatchesRun is the cross-check comparison for one settled query:
-// what the cluster's gateway reports must equal the bare engine's run of
-// the same query under the same schedule — id, completion, recall, the
-// exact result list, and the per-query byte tallies summed across daemons.
+// what a cluster gateway reports must equal the bare engine's run of the
+// same query under the same schedule — id, completion, recall, the exact
+// result list, and the per-query byte tallies.
 func requireMatchesRun(t *testing.T, i int, qid uint64, st *wire.QueryStatusResp, run *core.QueryRun) {
 	t.Helper()
 	if run.ID != qid {

@@ -10,7 +10,8 @@ import (
 // Client is the thin gateway side of the wire protocol: what cmd/p3qctl
 // (and the test harnesses) use to talk to any daemon of a cluster. It
 // speaks the same frames as the daemons; queries submitted through a
-// member are relayed to the lead transparently.
+// member are relayed to the lead transparently, and status and stats are
+// answered by the dialed daemon itself.
 type Client struct {
 	rc       *rpcConn
 	counters wireCounters

@@ -12,7 +12,6 @@ import (
 	"p3q/internal/core"
 	"p3q/internal/obs"
 	"p3q/internal/tagging"
-	"p3q/internal/topk"
 	"p3q/internal/trace"
 	"p3q/internal/wire"
 )
@@ -41,27 +40,6 @@ type Config struct {
 // hostedRange returns the contiguous node range daemon i hosts out of n.
 func hostedRange(users, n, i int) (lo, hi tagging.UserID) {
 	return tagging.UserID(i * users / n), tagging.UserID((i + 1) * users / n)
-}
-
-// queryState is the querier-side state machine a daemon runs for each
-// query whose querier it hosts: the incremental NRA fed by wire-received
-// partial result lists, and the used-profile / active-branch bookkeeping
-// that drives done-detection (a query is done exactly when no node holds
-// a non-empty branch). core's capture tests pin this replay equal to the
-// engine's own counters.
-type queryState struct {
-	qid     uint64
-	querier tagging.UserID
-	needed  int
-
-	used   map[tagging.UserID]struct{}
-	active map[tagging.UserID]struct{}
-	nra    *topk.NRA
-	batch  [][]topk.Entry // this cycle's partial lists, capture order
-
-	cycles  int
-	done    bool
-	results []topk.Entry
 }
 
 // pairKey identifies a lazy exchange by its two endpoints.
@@ -94,10 +72,11 @@ type cycleState struct {
 	pairs   map[eagerKey]*core.EagerPairCap
 
 	// Partial-result collection for hosted queriers: the exchange phase
-	// acks only after every delivery captured for this cycle has arrived
-	// (or timed out into a divergence).
+	// acks only after every delivery the capture owes this daemon has
+	// arrived (or timed out into a divergence). received holds owed keys
+	// only, so a stray message can never stand in for a missing one.
 	expected     int
-	received     map[partialKey]*wire.PartialResult
+	received     map[partialKey]struct{}
 	partialsDone chan struct{}
 	reconciled   bool
 }
@@ -141,14 +120,9 @@ type Daemon struct {
 	// what they need under mu, release it, then speak on the wire — so
 	// a handler that needs mu waits for a critical section, never for
 	// another daemon.
-	mu      sync.Mutex
-	cycle   *cycleState
-	queries map[uint64]*queryState
-	qorder  []uint64
-	runs    map[uint64]*core.QueryRun
-
-	qstats  map[uint64]*wire.QueryStat // this daemon's per-query byte share (hosted initiators)
-	qsOrder []uint64
+	mu    sync.Mutex
+	cycle *cycleState
+	runs  map[uint64]*core.QueryRun // the replica's run of every issued query
 
 	divergence atomic.Uint64
 
@@ -173,16 +147,14 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 	}
 	lo, hi := hostedRange(cfg.Gen.Users, len(cfg.Addrs), cfg.Index)
 	d := &Daemon{
-		cfg:     cfg,
-		lo:      lo,
-		hi:      hi,
-		tr:      tr,
-		links:   make([]*link, len(cfg.Addrs)),
-		queries: make(map[uint64]*queryState),
-		runs:    make(map[uint64]*core.QueryRun),
-		qstats:  make(map[uint64]*wire.QueryStat),
-		ready:   make(chan struct{}),
-		stopCh:  make(chan struct{}),
+		cfg:    cfg,
+		lo:     lo,
+		hi:     hi,
+		tr:     tr,
+		links:  make([]*link, len(cfg.Addrs)),
+		runs:   make(map[uint64]*core.QueryRun),
+		ready:  make(chan struct{}),
+		stopCh: make(chan struct{}),
 	}
 	for i, addr := range cfg.Addrs {
 		if i != cfg.Index {
@@ -543,22 +515,11 @@ func (d *Daemon) stepLocal(kind uint8) uint64 {
 		for i := range cp.Pairs {
 			pc := &cp.Pairs[i]
 			cs.pairs[eagerKey{pc.Qid, pc.Initiator}] = pc
-			// The daemon hosting a gossip's initiator owns that pair's
-			// byte attribution; summed across daemons these reproduce the
-			// engine's per-query totals exactly (pinned by core's capture
-			// tests).
-			if d.hosts(pc.Initiator) {
-				row := d.qstatRowLocked(pc.Qid)
-				row.Forwarded += pc.Bytes.Forwarded
-				row.Returned += pc.Bytes.Returned
-				row.PartialResults += pc.Bytes.PartialResults
-				row.Maintenance += pc.Bytes.Maintenance
-			}
-			if pc.Ok && pc.Delivered && d.hosts(pc.Querier) {
+			if d.owed(pc) {
 				cs.expected++
 			}
 		}
-		cs.received = make(map[partialKey]*wire.PartialResult, cs.expected)
+		cs.received = make(map[partialKey]struct{}, cs.expected)
 	}
 	if cs.expected == 0 {
 		close(cs.partialsDone)
@@ -567,59 +528,20 @@ func (d *Daemon) stepLocal(kind uint8) uint64 {
 	return cs.seq
 }
 
-func (d *Daemon) qstatRowLocked(qid uint64) *wire.QueryStat {
-	row := d.qstats[qid]
-	if row == nil {
-		row = &wire.QueryStat{Qid: qid}
-		d.qstats[qid] = row
-		d.qsOrder = append(d.qsOrder, qid)
-	}
-	return row
-}
-
-// issueLocal issues a query on the replica and, when this daemon hosts
-// the querier, seeds the querier-side state machine from the capture. The
-// querier comes off the wire (gateway submits on the lead, QueryIssue on
-// members), so it is checked against the population before the engine
-// indexes by it.
+// issueLocal issues a query on the replica. The querier comes off the wire
+// (gateway submits on the lead, QueryIssue on members), so it is checked
+// against the population before the engine indexes by it.
 func (d *Daemon) issueLocal(q trace.Query) (uint64, error) {
 	if int(q.Querier) >= d.cfg.Gen.Users {
 		return 0, fmt.Errorf("peer: querier %d outside population of %d", q.Querier, d.cfg.Gen.Users)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	qr, cp := d.eng.IssueQueryCaptured(q)
+	qr := d.eng.IssueQuery(q)
 	if qr == nil {
 		return 0, fmt.Errorf("peer: querier %d is offline", q.Querier)
 	}
 	d.runs[qr.ID] = qr
-	if !d.hosts(q.Querier) {
-		return qr.ID, nil
-	}
-	st := &queryState{
-		qid:     cp.Qid,
-		querier: cp.Querier,
-		needed:  cp.Needed,
-		used:    make(map[tagging.UserID]struct{}, len(cp.UsedOwners)),
-		active:  make(map[tagging.UserID]struct{}),
-		nra:     topk.NewNRA(d.eng.Config().K),
-	}
-	for _, o := range cp.UsedOwners {
-		st.used[o] = struct{}{}
-	}
-	st.nra.Run([][]topk.Entry{cp.Local})
-	if cp.Done {
-		st.done = true
-		st.results = st.nra.Drain()
-		if !slices.Equal(st.results, cp.Results) {
-			d.divergence.Add(1)
-		}
-	} else {
-		st.active[cp.Querier] = struct{}{}
-		st.results = st.nra.TopK()
-	}
-	d.queries[cp.Qid] = st
-	d.qorder = append(d.qorder, cp.Qid)
 	return qr.ID, nil
 }
 
@@ -627,8 +549,8 @@ func (d *Daemon) issueLocal(q trace.Query) (uint64, error) {
 // Exchange phase.
 
 // exchangePhase speaks cycle seq's exchanges for this daemon's hosted
-// initiators, waits for the partial results owed to its hosted queriers,
-// and folds them into the querier state machines.
+// initiators and waits for the partial results owed to its hosted
+// queriers.
 func (d *Daemon) exchangePhase(seq uint64) error {
 	d.mu.Lock()
 	cs := d.cycle
@@ -778,8 +700,16 @@ func (d *Daemon) deliverPartial(cs *cycleState, pc *core.EagerPairCap) error {
 	return nil
 }
 
+// owed reports whether pc's partial result must arrive at this daemon:
+// the destination resolved something and this daemon hosts the querier.
+func (d *Daemon) owed(pc *core.EagerPairCap) bool {
+	return pc.Ok && pc.Delivered && d.hosts(pc.Querier)
+}
+
 // acceptPartial records an arriving partial result for the cycle,
 // verifying it against the local replica's capture of the same gossip.
+// Only a delivery the capture owes is recorded: anything else is a
+// divergence and leaves the wait for the owed ones untouched.
 func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -790,8 +720,11 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 	}
 	key := partialKey{msg.Qid, msg.Initiator}
 	pc := cs.pairs[key]
-	if pc == nil || !pc.Delivered || !d.hosts(pc.Querier) ||
-		pc.Dest != msg.From || pc.Querier != msg.Querier ||
+	if pc == nil || !d.owed(pc) {
+		d.divergence.Add(1)
+		return
+	}
+	if pc.Dest != msg.From || pc.Querier != msg.Querier ||
 		!slices.Equal(msg.FoundOwners, pc.FoundOwners) || !slices.Equal(msg.Entries, pc.Plist) {
 		d.divergence.Add(1)
 	}
@@ -799,22 +732,16 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 		d.divergence.Add(1)
 		return
 	}
-	cs.received[key] = msg
-	if len(cs.received) >= cs.expected {
-		select {
-		case <-cs.partialsDone:
-		default:
-			close(cs.partialsDone)
-		}
+	cs.received[key] = struct{}{}
+	if len(cs.received) == cs.expected {
+		close(cs.partialsDone)
 	}
 }
 
-// reconcileLocked is the daemon-side end of an eager cycle (Algorithm 4):
-// it replays the cycle's captured pairs against the hosted querier state
-// machines in the engine's order — the send-time effects of every pair in
-// canonical order, then the arrivals — feeding the wire-received partial
-// lists to each NRA and resolving done-detection. Any delivery still
-// missing at this point is charged as a divergence.
+// reconcileLocked closes an eager cycle's collection: each owed delivery
+// that never arrived is charged as one divergence. The replica's QueryRun
+// already holds the merged answer (Algorithm 4); every delivery that did
+// arrive was checked against the capture in acceptPartial.
 func (d *Daemon) reconcileLocked() {
 	cs := d.cycle
 	if cs == nil || cs.kind != wire.StepEager || cs.reconciled {
@@ -823,60 +750,8 @@ func (d *Daemon) reconcileLocked() {
 	cs.reconciled = true
 	for i := range cs.eager.Pairs {
 		pc := &cs.eager.Pairs[i]
-		if st := d.queries[pc.Qid]; pc.Ok && st != nil {
-			delete(st.active, pc.Initiator)
-		}
-	}
-	for i := range cs.eager.Pairs {
-		pc := &cs.eager.Pairs[i]
-		if !pc.Ok {
-			continue
-		}
-		st := d.queries[pc.Qid]
-		if st == nil {
-			continue
-		}
-		if pc.Delivered && d.hosts(pc.Querier) {
-			msg := cs.received[partialKey{pc.Qid, pc.Initiator}]
-			if msg == nil {
-				// The wire never delivered what the replica proves was
-				// sent; fall back to the capture so the state machine
-				// stays live, but record the divergence.
-				d.divergence.Add(1)
-				msg = &wire.PartialResult{FoundOwners: pc.FoundOwners, Entries: pc.Plist}
-			}
-			for _, o := range msg.FoundOwners {
-				st.used[o] = struct{}{}
-			}
-			st.batch = append(st.batch, msg.Entries)
-		}
-		if len(pc.Keep) > 0 {
-			st.active[pc.Dest] = struct{}{}
-		}
-		if len(pc.Returned) > 0 {
-			st.active[pc.Initiator] = struct{}{}
-		}
-	}
-	for _, qid := range d.qorder {
-		st := d.queries[qid]
-		if st.done {
-			continue
-		}
-		if len(st.batch) > 0 {
-			st.nra.Run(st.batch)
-			st.batch = nil
-		}
-		st.cycles++
-		if len(st.active) == 0 {
-			st.done = true
-			st.results = st.nra.Drain()
-			// Simulator-as-oracle on the final answer: the wire-fed NRA
-			// must land exactly where the replica's own query run did.
-			if qr := d.runs[qid]; qr == nil || !qr.Done() || !slices.Equal(st.results, qr.Results()) {
-				d.divergence.Add(1)
-			}
-		} else {
-			st.results = st.nra.TopK()
+		if _, ok := cs.received[partialKey{pc.Qid, pc.Initiator}]; d.owed(pc) && !ok {
+			d.divergence.Add(1)
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 
+	"p3q/internal/core"
 	"p3q/internal/obs"
 	"p3q/internal/tagging"
-	"p3q/internal/topk"
 	"p3q/internal/trace"
 	"p3q/internal/wire"
 )
@@ -215,87 +215,50 @@ func (d *Daemon) serveSubmit(m *wire.QuerySubmit) wire.Msg {
 	return ack
 }
 
+// serveStatus answers from this daemon's own replica. Every daemon issues
+// every query (the QueryIssue broadcast), so whichever daemon the client
+// dialed holds the query's run and answers with no relay: recall counters,
+// the traffic split and, once done, the results. The replica settles a
+// query while stepping, so a read during a cycle's exchange phase can
+// report it done before that cycle's wire deliveries have landed; the
+// exchange phase still checks every one of them.
 func (d *Daemon) serveStatus(m *wire.QueryStatus) wire.Msg {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	qr := d.runs[m.Qid]
-	st := d.queries[m.Qid]
-	d.mu.Unlock()
 	if qr == nil {
 		return &wire.QueryStatusResp{}
 	}
-	if st == nil {
-		// Known query, querier hosted elsewhere: relay to the daemon
-		// running its state machine.
-		target := d.daemonOf(qr.Query.Querier)
-		if target == d.cfg.Index {
-			return &wire.QueryStatusResp{}
-		}
-		resp, err := d.call(target, planeGateway, m)
-		if err != nil {
-			return &wire.QueryStatusResp{}
-		}
-		if sr, ok := resp.(*wire.QueryStatusResp); ok {
-			return sr
-		}
-		return &wire.QueryStatusResp{}
-	}
-	d.mu.Lock()
+	row := queryStat(qr)
 	resp := &wire.QueryStatusResp{
-		Known:  true,
-		Done:   st.done,
-		Cycles: uint32(st.cycles),
-		Used:   uint32(len(st.used)),
-		Needed: uint32(st.needed),
+		Known:          true,
+		Done:           row.Done,
+		Cycles:         uint32(qr.Cycles()),
+		Used:           uint32(qr.ProfilesUsed()),
+		Needed:         uint32(qr.ProfilesNeeded()),
+		Forwarded:      row.Forwarded,
+		Returned:       row.Returned,
+		PartialResults: row.PartialResults,
+		Maintenance:    row.Maintenance,
 	}
-	if st.done {
-		resp.Results = append([]topk.Entry(nil), st.results...)
+	if row.Done {
+		resp.Results = slices.Clone(qr.Results())
 	}
-	d.mu.Unlock()
-	// Aggregate the query's traffic across the cluster: each daemon owns
-	// the byte share of the gossips its hosted nodes initiated.
-	row := d.clusterQueryBytes(m.Qid)
-	resp.Forwarded = row.Forwarded
-	resp.Returned = row.Returned
-	resp.PartialResults = row.PartialResults
-	resp.Maintenance = row.Maintenance
 	return resp
 }
 
-// clusterQueryBytes sums one query's wire-layer byte attribution across
-// every daemon. Called without the daemon lock; peers answer from brief
-// critical sections.
-func (d *Daemon) clusterQueryBytes(qid uint64) wire.QueryStat {
-	total := wire.QueryStat{Qid: qid}
-	add := func(row *wire.QueryStat) {
-		total.Forwarded += row.Forwarded
-		total.Returned += row.Returned
-		total.PartialResults += row.PartialResults
-		total.Maintenance += row.Maintenance
+// queryStat is the replica's per-query row: completion and the traffic
+// split of core.QueryBytes.
+func queryStat(qr *core.QueryRun) wire.QueryStat {
+	b := qr.Bytes()
+	return wire.QueryStat{
+		Qid:            qr.ID,
+		Done:           qr.Done(),
+		Forwarded:      b.Forwarded,
+		Returned:       b.Returned,
+		PartialResults: b.PartialResults,
+		Maintenance:    b.Maintenance,
 	}
-	d.mu.Lock()
-	if row := d.qstats[qid]; row != nil {
-		add(row)
-	}
-	d.mu.Unlock()
-	for i := range d.cfg.Addrs {
-		if i == d.cfg.Index {
-			continue
-		}
-		resp, err := d.call(i, planeGateway, &wire.Stats{})
-		if err != nil {
-			continue
-		}
-		sr, ok := resp.(*wire.StatsResp)
-		if !ok {
-			continue
-		}
-		for i := range sr.Queries {
-			if sr.Queries[i].Qid == qid {
-				add(&sr.Queries[i])
-			}
-		}
-	}
-	return total
 }
 
 func (d *Daemon) serveStats() wire.Msg {
@@ -320,12 +283,8 @@ func (d *Daemon) serveStats() wire.Msg {
 		resp.WireMsgs += planes[i].Msgs
 		resp.WireBytes += planes[i].Bytes
 	}
-	for _, qid := range d.qsOrder {
-		row := *d.qstats[qid]
-		if qr := d.runs[qid]; qr != nil {
-			row.Done = qr.Done()
-		}
-		resp.Queries = append(resp.Queries, row)
+	for _, qr := range d.eng.Queries() {
+		resp.Queries = append(resp.Queries, queryStat(qr))
 	}
 	return resp
 }

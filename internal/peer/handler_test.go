@@ -146,3 +146,69 @@ func TestHandlerStepWaitsForTheReadyGate(t *testing.T) {
 		t.Errorf("%d divergences", n)
 	}
 }
+
+// TestHandlerStrayPartialKeepsTheWaitOpen: during an eager cycle that owes
+// one partial result, a PartialResult the capture does not owe costs
+// exactly one divergence and does not count toward the owed deliveries —
+// the exchange phase keeps waiting until the owed one arrives.
+func TestHandlerStrayPartialKeepsTheWaitOpen(t *testing.T) {
+	_, daemons := startDaemons(t, 1)
+	d := daemons[0]
+	if err := d.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunLazyCycles(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range trace.GenerateQueries(d.Engine().Dataset(), 3)[:4] {
+		if _, err := d.SubmitQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := d.stepLocal(wire.StepEager)
+	cs := d.cycle
+	var owed []*core.EagerPairCap
+	for i := range cs.eager.Pairs {
+		if pc := &cs.eager.Pairs[i]; pc.Ok && pc.Delivered {
+			owed = append(owed, pc)
+		}
+	}
+	if len(owed) == 0 {
+		t.Fatal("the first eager cycle owes no partial result; the fixture cannot test the wait")
+	}
+	// Deliver all but one owed partial, so the cycle owes exactly one.
+	last := owed[len(owed)-1]
+	for _, pc := range owed[:len(owed)-1] {
+		if err := d.deliverPartial(cs, pc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	isOpen := func() bool {
+		select {
+		case <-cs.partialsDone:
+			return false
+		default:
+			return true
+		}
+	}
+	if n := d.Divergence(); n != 0 || !isOpen() {
+		t.Fatalf("before the stray: divergence %d, wait open %v", n, isOpen())
+	}
+
+	d.acceptPartial(&wire.PartialResult{Seq: seq, Qid: 1 << 40, Initiator: last.Initiator, From: last.Dest, Querier: last.Querier})
+	if n := d.Divergence(); n != 1 {
+		t.Errorf("a stray partial cost %d divergences, want 1", n)
+	}
+	if !isOpen() {
+		t.Fatal("a stray partial released the wait for the owed one")
+	}
+	if err := d.deliverPartial(cs, last); err != nil {
+		t.Fatal(err)
+	}
+	if isOpen() {
+		t.Error("the last owed partial did not release the wait")
+	}
+	if n := d.Divergence(); n != 1 {
+		t.Errorf("owed deliveries moved divergence to %d", n)
+	}
+}

@@ -15,10 +15,10 @@ import (
 // Planes label why bytes were sent. A daemon reaches a peer one way only
 // (see link), and the call site names the purpose, so the stats surface
 // still shows where the volume goes: data is the exchange conversations
-// and partial results, ctrl the lead's lockstep broadcasts, gateway the
-// submit/status/stats relays, and served is everything written on accepted
-// connections (the answering side does not know the caller's purpose, so
-// inbound volume pools).
+// and partial results, ctrl the lead's lockstep broadcasts, gateway a
+// member's submit relay to the lead, and served is everything written on
+// accepted connections (the answering side does not know the caller's
+// purpose, so inbound volume pools).
 const (
 	planeData = iota
 	planeCtrl

@@ -27,6 +27,16 @@
 // same query ID. Within a phase daemons work concurrently; the lead
 // collects acks before opening the next phase.
 //
+// # Queries
+//
+// Algorithm 4 runs once, in the replica: there is no querier-side state
+// machine. The querier's daemon checks each partial result the wire
+// delivers against its capture and charges a divergence for every owed
+// delivery that never arrives, but the answer is the replica's QueryRun.
+// Every replica issues every query, so any daemon answers a status request
+// from its own replica, and the per-query rows of its stats are the
+// replica's totals, identical on every daemon.
+//
 // # Connections
 //
 // A daemon reaches a peer one way (link, in rpc.go): a connection carries

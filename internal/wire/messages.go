@@ -422,10 +422,10 @@ func (m *QueryStatus) walk(c *binio.Codec) {
 	c.U64(&m.Qid)
 }
 
-// QueryStatusResp reports a query's progress as the answering daemon sees
-// it: recall counters, the wire-tallied traffic split, and — once done —
-// the result list its own NRA accumulated from wire-received partial
-// results.
+// QueryStatusResp reports a query's progress as the answering daemon's
+// replica holds it: recall counters, the traffic split and — once done —
+// the result list. Every daemon replicates every query, so every daemon
+// gives the same answer.
 type QueryStatusResp struct {
 	Known  bool
 	Done   bool
@@ -433,8 +433,7 @@ type QueryStatusResp struct {
 	Used   uint32 // profiles used so far
 	Needed uint32 // personal network size + 1
 
-	// Wire-tallied traffic attributed to this query, same categories as
-	// core.QueryBytes.
+	// Traffic attributed to this query, the replica's core.QueryBytes.
 	Forwarded      uint64
 	Returned       uint64
 	PartialResults uint64
@@ -464,7 +463,8 @@ type Stats struct{}
 func (*Stats) WireType() Type    { return TypeStats }
 func (*Stats) walk(*binio.Codec) {}
 
-// QueryStat is one query's row in a StatsResp.
+// QueryStat is one query's row in a StatsResp: completion and the
+// replica's core.QueryBytes totals.
 type QueryStat struct {
 	Qid  uint64
 	Done bool
@@ -498,9 +498,9 @@ func walkPlane(c *binio.Codec, p *PlaneStat) {
 // StatsResp reports a daemon's counters: cycles stepped, divergence
 // detections (peer responses contradicting the local replica), raw wire
 // volume — total and split by connection plane — the replica's
-// event-machine depths, cumulative hostclock phase windows, and the
-// per-query traffic tallies this daemon attributed from the exchanges
-// its hosted initiators ran.
+// event-machine depths, cumulative hostclock phase windows, and one row
+// per issued query, in issue order — the replica's per-query totals,
+// identical on every daemon.
 type StatsResp struct {
 	Index       uint32
 	LazyCycles  uint64
