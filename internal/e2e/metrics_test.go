@@ -113,11 +113,21 @@ func TestSmokeClusterMetrics(t *testing.T) {
 		}
 	}
 
-	// The richer stats message agrees with the scrape.
+	// The richer stats message agrees with the scrape. The lead sends each
+	// member one ctrl frame per cycle (Step) and per query (QueryIssue);
+	// members send none.
 	for i := range c.Daemons {
 		st, err := c.Client(t, i).Stats()
 		if err != nil {
 			t.Fatalf("stats from daemon %d: %v", i, err)
+		}
+		var wantCtrl uint64
+		if i == 0 {
+			wantCtrl = uint64(len(c.Daemons)-1) * (st.LazyCycles + st.EagerCycles + 1)
+		}
+		if st.Ctrl.Msgs != wantCtrl {
+			t.Errorf("daemon %d: %d ctrl frames after %d lazy and %d eager cycles and 1 query, want %d",
+				i, st.Ctrl.Msgs, st.LazyCycles, st.EagerCycles, wantCtrl)
 		}
 		if st.PlanNanos == 0 || st.CommitNanos == 0 {
 			t.Errorf("daemon %d: phase timings empty (plan=%d commit=%d)", i, st.PlanNanos, st.CommitNanos)

@@ -54,10 +54,10 @@ type eagerKey struct {
 // partialKey identifies one partial-result delivery within a cycle.
 type partialKey = eagerKey
 
-// cycleState is everything a daemon knows about the cycle currently in
-// its exchange phase: the capture (immutable once built) and the
-// responder-side indexes into it. It is replaced wholesale at each step,
-// and the step/exchange barrier guarantees no exchange for cycle N runs
+// cycleState is everything a daemon knows about the cycle it stepped
+// last: the capture (immutable once built) and the responder-side indexes
+// into it. It is replaced wholesale at each step; the lead steps cycle N+1
+// only after every daemon acked cycle N, so no exchange for cycle N runs
 // after cycle N+1 steps.
 type cycleState struct {
 	seq  uint64
@@ -72,13 +72,12 @@ type cycleState struct {
 	pairs   map[eagerKey]*core.EagerPairCap
 
 	// Partial-result collection for hosted queriers: the exchange phase
-	// acks only after every delivery the capture owes this daemon has
+	// ends only after every delivery the capture owes this daemon has
 	// arrived (or timed out into a divergence). received holds owed keys
 	// only, so a stray message can never stand in for a missing one.
 	expected     int
 	received     map[partialKey]struct{}
 	partialsDone chan struct{}
-	reconciled   bool
 }
 
 // Daemon is one p3qd peer: a full engine replica plus the wire protocol
@@ -94,7 +93,7 @@ type Daemon struct {
 	ln net.Listener
 	// links are the one way to reach each peer, whatever the purpose:
 	// every outgoing conversation goes through call and gets a connection
-	// of its own, so an ExchangeGo parked for a member's whole exchange
+	// of its own, so a Step parked for a member's whole step and exchange
 	// phase delays nothing else bound for that member.
 	links    []*link // by daemon index; nil at own index
 	counters [numPlanes]wireCounters
@@ -120,9 +119,10 @@ type Daemon struct {
 	// what they need under mu, release it, then speak on the wire — so
 	// a handler that needs mu waits for a critical section, never for
 	// another daemon.
-	mu    sync.Mutex
-	cycle *cycleState
-	runs  map[uint64]*core.QueryRun // the replica's run of every issued query
+	mu      sync.Mutex
+	cycle   *cycleState
+	stepped chan struct{}             // closed and replaced each time a step installs a cycle
+	runs    map[uint64]*core.QueryRun // the replica's run of every issued query
 
 	divergence atomic.Uint64
 
@@ -147,14 +147,15 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 	}
 	lo, hi := hostedRange(cfg.Gen.Users, len(cfg.Addrs), cfg.Index)
 	d := &Daemon{
-		cfg:    cfg,
-		lo:     lo,
-		hi:     hi,
-		tr:     tr,
-		links:  make([]*link, len(cfg.Addrs)),
-		runs:   make(map[uint64]*core.QueryRun),
-		ready:  make(chan struct{}),
-		stopCh: make(chan struct{}),
+		cfg:     cfg,
+		lo:      lo,
+		hi:      hi,
+		tr:      tr,
+		links:   make([]*link, len(cfg.Addrs)),
+		stepped: make(chan struct{}),
+		runs:    make(map[uint64]*core.QueryRun),
+		ready:   make(chan struct{}),
+		stopCh:  make(chan struct{}),
 	}
 	for i, addr := range cfg.Addrs {
 		if i != cfg.Index {
@@ -241,12 +242,14 @@ func (d *Daemon) connectTimeout() time.Duration {
 // Connect has completed the mesh, bounded by the connect timeout. It
 // reports false if the daemon is shut down or never finishes connecting.
 func (d *Daemon) waitReady() bool {
+	timeout := time.NewTimer(d.connectTimeout())
+	defer timeout.Stop()
 	select {
 	case <-d.ready:
 		return true
 	case <-d.stopCh:
 		return false
-	case <-time.After(d.connectTimeout()):
+	case <-timeout.C:
 		return false
 	}
 }
@@ -335,9 +338,9 @@ func (d *Daemon) daemonOf(u tagging.UserID) int {
 
 var errNotLead = fmt.Errorf("peer: only the lead daemon (index 0) drives cycles")
 
-// RunLazyCycle steps the whole cluster through one lazy cycle: Step
-// broadcast (every replica advances, captures in hand), then ExchangeGo
-// broadcast (every daemon speaks its hosted initiators' exchanges).
+// RunLazyCycle steps the whole cluster through one lazy cycle: a Step
+// broadcast makes every daemon advance its replica and speak its hosted
+// initiators' exchanges, and the cycle ends when every daemon has acked.
 func (d *Daemon) RunLazyCycle() error { return d.runCycle(wire.StepLazy) }
 
 // RunEagerCycle steps the whole cluster through one eager cycle.
@@ -364,35 +367,25 @@ func (d *Daemon) runCycle(kind uint8) error {
 		return err
 	}
 
-	// Phase 1: every replica steps. Sequential is fine — stepping makes
-	// no outgoing calls. The lead is daemon 0; the members are the rest.
-	seq := d.stepLocal(kind)
-	for i := 1; i < len(d.links); i++ {
-		resp, err := d.call(i, planeCtrl, &wire.Step{Kind: kind, Seq: seq})
-		if err != nil {
-			return err
-		}
-		ack, ok := resp.(*wire.StepAck)
-		if !ok || ack.Seq != seq {
-			return fmt.Errorf("peer: daemon %d stepped out of lockstep: %+v (want seq %d)", i, resp, seq)
-		}
-	}
-
-	// Phase 2: every daemon runs its exchanges, concurrently — they call
-	// into each other mid-phase. The ExchangeGo call parks on its
-	// connection until the member's whole phase completes; the lead's own
-	// exchange traffic to that member gets connections of its own.
+	// Every daemon steps and runs its exchanges concurrently, calling into
+	// the others; a request that reaches a daemon before its own step of
+	// the cycle waits for that step. A Step call parks on its connection
+	// for the member's whole phase. Daemons never restore, so the cycle
+	// about to step is numbered by the replica's cycle count.
+	d.mu.Lock()
+	seq := uint64(d.eng.LazyCycles() + d.eng.EagerCycles())
+	d.mu.Unlock()
 	errs := make(chan error, len(d.links)-1)
 	for i := 1; i < len(d.links); i++ {
 		go func() {
-			resp, err := d.call(i, planeCtrl, &wire.ExchangeGo{Seq: seq})
-			if ack, ok := resp.(*wire.ExchangeAck); err == nil && (!ok || ack.Seq != seq) {
-				err = fmt.Errorf("peer: daemon %d acked the wrong exchange: %+v (want seq %d)", i, resp, seq)
+			resp, err := d.call(i, planeCtrl, &wire.Step{Kind: kind, Seq: seq})
+			if ack, ok := resp.(*wire.StepAck); err == nil && (!ok || ack.Seq != seq) {
+				err = fmt.Errorf("peer: daemon %d stepped out of lockstep: %+v (want seq %d)", i, resp, seq)
 			}
 			errs <- err
 		}()
 	}
-	ownErr := d.exchangePhase(seq)
+	ownErr := d.exchangePhase(d.stepLocal(kind))
 	for i := 1; i < len(d.links); i++ {
 		if err := <-errs; err != nil && ownErr == nil {
 			ownErr = err
@@ -478,13 +471,11 @@ func (d *Daemon) RunLead(warmup int, eagerEvery, lazyEvery time.Duration) error 
 // ---------------------------------------------------------------------
 // Step phase.
 
-// stepLocal advances the replica one cycle and installs the new cycle
-// state. It returns the cycle's sequence number.
-func (d *Daemon) stepLocal(kind uint8) uint64 {
+// stepLocal advances the replica one cycle, installs the new cycle state
+// and releases the requests waiting for it.
+func (d *Daemon) stepLocal(kind uint8) *cycleState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.reconcileLocked() // cycle N+1 steps only after N's exchanges acked
-
 	cs := &cycleState{kind: kind, partialsDone: make(chan struct{})}
 	if kind == wire.StepLazy {
 		cp := d.eng.LazyCycleCaptured()
@@ -525,7 +516,37 @@ func (d *Daemon) stepLocal(kind uint8) uint64 {
 		close(cs.partialsDone)
 	}
 	d.cycle = cs
-	return cs.seq
+	close(d.stepped)
+	d.stepped = make(chan struct{})
+	return cs
+}
+
+// awaitCycle returns the installed cycle state once this daemon has
+// stepped cycle seq: a peer's request for the cycle can arrive before the
+// daemon's own Step does. The wait is bounded by callTimeout and released
+// by Close; what it returns then is the caller's to reject.
+func (d *Daemon) awaitCycle(seq uint64) *cycleState {
+	d.mu.Lock()
+	cs, stepped := d.cycle, d.stepped
+	d.mu.Unlock()
+	if cs != nil && cs.seq >= seq {
+		return cs // the common case arms no timer
+	}
+	timeout := time.NewTimer(callTimeout)
+	defer timeout.Stop()
+	for cs == nil || cs.seq < seq {
+		select {
+		case <-stepped:
+		case <-d.stopCh:
+			return cs
+		case <-timeout.C:
+			return cs
+		}
+		d.mu.Lock()
+		cs, stepped = d.cycle, d.stepped
+		d.mu.Unlock()
+	}
+	return cs
 }
 
 // issueLocal issues a query on the replica. The querier comes off the wire
@@ -548,30 +569,30 @@ func (d *Daemon) issueLocal(q trace.Query) (uint64, error) {
 // ---------------------------------------------------------------------
 // Exchange phase.
 
-// exchangePhase speaks cycle seq's exchanges for this daemon's hosted
-// initiators and waits for the partial results owed to its hosted
-// queriers.
-func (d *Daemon) exchangePhase(seq uint64) error {
-	d.mu.Lock()
-	cs := d.cycle
-	d.mu.Unlock()
-	if cs == nil || cs.seq != seq {
-		d.divergence.Add(1)
-		return fmt.Errorf("peer: daemon %d asked to exchange cycle %d but holds %v", d.cfg.Index, seq, cs)
-	}
-	var err error
+// exchangePhase speaks the stepped cycle's exchanges for this daemon's
+// hosted initiators and waits for the partial results owed to its hosted
+// queriers. Each owed delivery that never arrived is charged as one
+// divergence. The replica's QueryRun already holds the merged answer
+// (Algorithm 4); every delivery that did arrive was checked against the
+// capture in acceptPartial.
+func (d *Daemon) exchangePhase(cs *cycleState) error {
 	if cs.kind == wire.StepLazy {
-		err = d.runLazyExchanges(cs)
-	} else {
-		err = d.runEagerExchanges(cs)
-		select {
-		case <-cs.partialsDone:
-		case <-time.After(30 * time.Second):
-			// Missing deliveries become divergences in the reconcile.
+		return d.runLazyExchanges(cs)
+	}
+	err := d.runEagerExchanges(cs)
+	timeout := time.NewTimer(30 * time.Second)
+	defer timeout.Stop()
+	select {
+	case <-cs.partialsDone:
+	case <-timeout.C:
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := range cs.eager.Pairs {
+		pc := &cs.eager.Pairs[i]
+		if _, ok := cs.received[partialKey{pc.Qid, pc.Initiator}]; d.owed(pc) && !ok {
+			d.divergence.Add(1)
 		}
-		d.mu.Lock()
-		d.reconcileLocked()
-		d.mu.Unlock()
 	}
 	return err
 }
@@ -711,9 +732,9 @@ func (d *Daemon) owed(pc *core.EagerPairCap) bool {
 // Only a delivery the capture owes is recorded: anything else is a
 // divergence and leaves the wait for the owed ones untouched.
 func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
+	cs := d.awaitCycle(msg.Seq)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cs := d.cycle
 	if cs == nil || cs.kind != wire.StepEager || cs.seq != msg.Seq {
 		d.divergence.Add(1)
 		return
@@ -735,23 +756,5 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 	cs.received[key] = struct{}{}
 	if len(cs.received) == cs.expected {
 		close(cs.partialsDone)
-	}
-}
-
-// reconcileLocked closes an eager cycle's collection: each owed delivery
-// that never arrived is charged as one divergence. The replica's QueryRun
-// already holds the merged answer (Algorithm 4); every delivery that did
-// arrive was checked against the capture in acceptPartial.
-func (d *Daemon) reconcileLocked() {
-	cs := d.cycle
-	if cs == nil || cs.kind != wire.StepEager || cs.reconciled {
-		return
-	}
-	cs.reconciled = true
-	for i := range cs.eager.Pairs {
-		pc := &cs.eager.Pairs[i]
-		if _, ok := cs.received[partialKey{pc.Qid, pc.Initiator}]; d.owed(pc) && !ok {
-			d.divergence.Add(1)
-		}
 	}
 }

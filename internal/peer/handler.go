@@ -21,27 +21,22 @@ func (d *Daemon) handle(req wire.Msg) wire.Msg {
 	case *wire.Hello:
 		return d.serveHello(m)
 	case *wire.Step:
-		// Lockstep operations need the full mesh: stepping triggers an
-		// exchange phase that calls every other daemon. A freshly-started
-		// daemon can be stepped by the lead before its own Connect
-		// finishes, so hold the request until then — each connection has
-		// its own serving goroutine, so blocking here blocks nobody else.
+		// Lockstep operations need the full mesh: the step's exchange
+		// phase calls every other daemon. A freshly-started daemon can be
+		// stepped by the lead before its own Connect finishes, so hold the
+		// request until then — each connection has its own serving
+		// goroutine, so blocking here blocks nobody else.
 		if !d.waitReady() {
 			return nil // never connected: drop the conn, the lead reports it
 		}
-		seq := d.stepLocal(m.Kind)
-		if seq != m.Seq {
+		cs := d.stepLocal(m.Kind)
+		if cs.seq != m.Seq {
 			d.divergence.Add(1)
 		}
-		return &wire.StepAck{Seq: seq}
-	case *wire.ExchangeGo:
-		if !d.waitReady() {
-			return nil
-		}
-		if err := d.exchangePhase(m.Seq); err != nil {
+		if err := d.exchangePhase(cs); err != nil {
 			d.divergence.Add(1)
 		}
-		return &wire.ExchangeAck{Seq: m.Seq, Divergence: d.divergence.Load()}
+		return &wire.StepAck{Seq: cs.seq}
 	case *wire.ViewExchangeReq:
 		return d.serveView(m)
 	case *wire.TopExchangeReq:
@@ -100,13 +95,11 @@ func (d *Daemon) serveHello(m *wire.Hello) wire.Msg {
 	return &wire.HelloAck{OK: true, Index: uint32(d.cfg.Index)}
 }
 
-// currentCycle fetches the cycle state if it matches the request's
-// coordinates; a mismatch means the peers disagree about where the
-// lockstep stands.
+// currentCycle fetches the cycle state once this daemon has stepped the
+// request's cycle, and only if it matches the request's coordinates; a
+// mismatch means the peers disagree about where the lockstep stands.
 func (d *Daemon) currentCycle(kind uint8, seq uint64) *cycleState {
-	d.mu.Lock()
-	cs := d.cycle
-	d.mu.Unlock()
+	cs := d.awaitCycle(seq)
 	if cs == nil || cs.kind != kind || cs.seq != seq {
 		d.divergence.Add(1)
 		return nil

@@ -105,8 +105,9 @@ func TestHandlerBadFrameClosesOnlyItsConnection(t *testing.T) {
 }
 
 // TestHandlerStepWaitsForTheReadyGate: a Step that reaches a member before
-// its own Connect finished is held — stepping opens an exchange phase that
-// calls every peer — and answered once the mesh is up.
+// its own Connect finished is held — its exchange phase calls every peer —
+// and answered once the mesh is up and the lead has stepped and exchanged
+// the same cycle.
 func TestHandlerStepWaitsForTheReadyGate(t *testing.T) {
 	fabric, daemons := startDaemons(t, 2)
 	conn, err := fabric.Dial("b")
@@ -134,6 +135,9 @@ func TestHandlerStepWaitsForTheReadyGate(t *testing.T) {
 	if err := daemons[1].Connect(); err != nil {
 		t.Fatal(err)
 	}
+	if err := daemons[0].exchangePhase(daemons[0].stepLocal(wire.StepLazy)); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case resp := <-acked:
 		if ack, ok := resp.(*wire.StepAck); !ok || ack.Seq != 0 {
@@ -142,8 +146,10 @@ func TestHandlerStepWaitsForTheReadyGate(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the held Step was not answered after Connect")
 	}
-	if n := daemons[1].Divergence(); n != 0 {
-		t.Errorf("%d divergences", n)
+	for i, d := range daemons {
+		if n := d.Divergence(); n != 0 {
+			t.Errorf("daemon %d: %d divergences", i, n)
+		}
 	}
 }
 
@@ -165,8 +171,7 @@ func TestHandlerStrayPartialKeepsTheWaitOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq := d.stepLocal(wire.StepEager)
-	cs := d.cycle
+	cs := d.stepLocal(wire.StepEager)
 	var owed []*core.EagerPairCap
 	for i := range cs.eager.Pairs {
 		if pc := &cs.eager.Pairs[i]; pc.Ok && pc.Delivered {
@@ -195,7 +200,7 @@ func TestHandlerStrayPartialKeepsTheWaitOpen(t *testing.T) {
 		t.Fatalf("before the stray: divergence %d, wait open %v", n, isOpen())
 	}
 
-	d.acceptPartial(&wire.PartialResult{Seq: seq, Qid: 1 << 40, Initiator: last.Initiator, From: last.Dest, Querier: last.Querier})
+	d.acceptPartial(&wire.PartialResult{Seq: cs.seq, Qid: 1 << 40, Initiator: last.Initiator, From: last.Dest, Querier: last.Querier})
 	if n := d.Divergence(); n != 1 {
 		t.Errorf("a stray partial cost %d divergences, want 1", n)
 	}
@@ -210,5 +215,101 @@ func TestHandlerStrayPartialKeepsTheWaitOpen(t *testing.T) {
 	}
 	if n := d.Divergence(); n != 1 {
 		t.Errorf("owed deliveries moved divergence to %d", n)
+	}
+}
+
+// TestHandlerRequestBeforeTheStepIsHeld: a request for a cycle its
+// responder has not stepped yet waits for that step instead of being
+// charged as a divergence. The lead steps and exchanges while the member
+// is held back, then the member catches up. In the lazy cycle the lead's
+// requests wait in currentCycle; in the eager cycle its first request is a
+// partial result owed to a querier the member hosts, which waits in
+// acceptPartial.
+func TestHandlerRequestBeforeTheStepIsHeld(t *testing.T) {
+	_, daemons := startDaemons(t, 2)
+	lead, member := daemons[0], daemons[1]
+	for _, d := range daemons {
+		if err := d.Connect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leadFirst := func(kind uint8) *cycleState {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- lead.exchangePhase(lead.stepLocal(kind)) }()
+		select {
+		case err := <-done:
+			t.Fatalf("kind %d: the lead's exchange phase returned (%v) before the member stepped", kind, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		cs := member.stepLocal(kind)
+		if err := member.exchangePhase(cs); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+
+	leadFirst(wire.StepLazy)
+	if err := lead.RunLazyCycles(7); err != nil {
+		t.Fatal(err)
+	}
+	q := trace.GenerateQueries(lead.Engine().Dataset(), 3)[21]
+	if _, err := lead.SubmitQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := lead.RunEagerCycle(); err != nil {
+		t.Fatal(err)
+	}
+	cs := leadFirst(wire.StepEager)
+	first := "no call"
+	for i := range cs.eager.Pairs { // runEagerExchanges' walk, on the lead
+		if pc := &cs.eager.Pairs[i]; lead.hosts(pc.Initiator) && pc.Ok {
+			if !lead.hosts(pc.Dest) {
+				first = "a forward"
+				break
+			}
+			if pc.Delivered && member.hosts(pc.Querier) {
+				first = "a partial result"
+				break
+			}
+		}
+	}
+	if first != "a partial result" {
+		t.Fatalf("the lead's first eager request to the member is %s; the fixture cannot test acceptPartial's wait", first)
+	}
+	for i, d := range daemons {
+		if n := d.Divergence(); n != 0 {
+			t.Errorf("daemon %d: %d divergences", i, n)
+		}
+	}
+}
+
+// TestHandlerCloseReleasesAHeldRequest: a request for a cycle the daemon
+// never steps returns once the daemon is closed, long before callTimeout,
+// and costs one divergence.
+func TestHandlerCloseReleasesAHeldRequest(t *testing.T) {
+	_, daemons := startDaemons(t, 1)
+	d := daemons[0]
+	done := make(chan struct{})
+	go func() {
+		d.handle(&wire.PartialResult{Seq: 3})
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("a partial result for a cycle the daemon never stepped was not held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	d.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release the held request")
+	}
+	if n := d.Divergence(); n != 1 {
+		t.Errorf("the released request cost %d divergences, want 1", n)
 	}
 }

@@ -89,8 +89,10 @@ func (c *rpcConn) Close() error { return c.cc.Close() }
 
 // callTimeout bounds one conversation, handler time included: a call gets
 // at least this long and at most twice as long (see link.call). The longest
-// handler is a member's whole exchange phase (ExchangeGo), which itself
-// waits up to 30 s for partial results, so the bound sits above that.
+// handler is a member's Step, its whole step and exchange phase, which
+// itself waits up to 30 s for partial results, so the bound sits above
+// that. It also bounds how long a request waits for its responder to step
+// the request's cycle (awaitCycle).
 const callTimeout = time.Minute
 
 // link is the one way a daemon reaches a peer. A connection carries one

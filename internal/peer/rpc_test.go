@@ -41,7 +41,7 @@ func waitFor(t *testing.T, wg *sync.WaitGroup, what string) {
 // sharing one link each get the response to their own request.
 func TestRPCConnConcurrentCalls(t *testing.T) {
 	client, done, _ := serveOnPipe(func(m wire.Msg) wire.Msg {
-		return &wire.StepAck{Seq: m.(*wire.ExchangeGo).Seq}
+		return &wire.StepAck{Seq: m.(*wire.Step).Seq}
 	})
 	var counters wireCounters
 	c := newRPCConn(client, &counters)
@@ -53,7 +53,7 @@ func TestRPCConnConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := uint64(0); i < calls; i++ {
 				seq := g<<32 | i
-				resp, err := c.Call(&wire.ExchangeGo{Seq: seq})
+				resp, err := c.Call(&wire.Step{Seq: seq})
 				if err != nil {
 					t.Errorf("caller %d call %d: %v", g, i, err)
 					return
@@ -80,8 +80,8 @@ func TestRPCConnConcurrentCalls(t *testing.T) {
 func TestRPCConnPeerHangsUpMidCall(t *testing.T) {
 	client, done, _ := serveOnPipe(func(wire.Msg) wire.Msg { return nil })
 	c := newRPCConn(client, &wireCounters{})
-	resp, err := c.Call(&wire.ExchangeGo{Seq: 1})
-	const want = "peer: awaiting response to *wire.ExchangeGo: "
+	resp, err := c.Call(&wire.Step{Seq: 1})
+	const want = "peer: awaiting response to *wire.Step: "
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("Call = %#v, %v; want an error starting %q", resp, err, want)
 	}
@@ -116,14 +116,14 @@ func pipeLink(handle func(wire.Msg) wire.Msg) (*link, *atomic.Int32) {
 	}}, dials
 }
 
-// echoSeq answers an ExchangeGo with a StepAck carrying the same Seq.
-func echoSeq(m wire.Msg) wire.Msg { return &wire.StepAck{Seq: m.(*wire.ExchangeGo).Seq} }
+// echoSeq answers a Step with a StepAck carrying the same Seq.
+func echoSeq(m wire.Msg) wire.Msg { return &wire.StepAck{Seq: m.(*wire.Step).Seq} }
 
 // callSeq runs one echoSeq conversation and checks the caller got the
 // answer to its own request.
 func callSeq(t *testing.T, l *link, plane *wireCounters, seq uint64) {
 	t.Helper()
-	resp, err := l.call(plane, &wire.ExchangeGo{Seq: seq})
+	resp, err := l.call(plane, &wire.Step{Seq: seq})
 	if err != nil {
 		t.Errorf("call %#x: %v", seq, err)
 	} else if ack, ok := resp.(*wire.StepAck); !ok || ack.Seq != seq {
@@ -157,7 +157,7 @@ func TestLinkConcurrentCallsGetTheirOwnConnections(t *testing.T) {
 	var arrived sync.WaitGroup
 	arrived.Add(callers)
 	l, dials := pipeLink(func(m wire.Msg) wire.Msg {
-		if m.(*wire.ExchangeGo).Seq < callers { // first round only
+		if m.(*wire.Step).Seq < callers { // first round only
 			arrived.Done()
 			arrived.Wait()
 		}
@@ -197,8 +197,8 @@ func TestLinkDropsAConnectionWhoseCallFailed(t *testing.T) {
 	})
 	defer l.open.closeAll()
 	var plane wireCounters
-	resp, err := l.call(&plane, &wire.ExchangeGo{Seq: 1})
-	const want = "peer: daemon 0 → 2: peer: awaiting response to *wire.ExchangeGo: "
+	resp, err := l.call(&plane, &wire.Step{Seq: 1})
+	const want = "peer: daemon 0 → 2: peer: awaiting response to *wire.Step: "
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("call = %#v, %v; want an error starting %q", resp, err, want)
 	}
@@ -219,8 +219,8 @@ func TestLinkCallDeadline(t *testing.T) {
 	l, _ := pipeLink(func(wire.Msg) wire.Msg { <-release; return nil })
 	defer close(release)
 	l.timeout = 20 * time.Millisecond
-	resp, err := l.call(&wireCounters{}, &wire.ExchangeGo{Seq: 1})
-	const want = "peer: daemon 0 → 2: *wire.ExchangeGo: deadline exceeded"
+	resp, err := l.call(&wireCounters{}, &wire.Step{Seq: 1})
+	const want = "peer: daemon 0 → 2: *wire.Step: deadline exceeded"
 	if err == nil || err.Error() != want {
 		t.Fatalf("call = %#v, %v; want the error %q", resp, err, want)
 	}
@@ -241,14 +241,14 @@ func TestLinkCloseInterruptsAParkedCall(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if resp, err := l.call(&wireCounters{}, &wire.ExchangeGo{Seq: 1}); err == nil {
+		if resp, err := l.call(&wireCounters{}, &wire.Step{Seq: 1}); err == nil {
 			t.Errorf("the interrupted call returned %#v", resp)
 		}
 	}()
 	<-parked
 	l.open.closeAll()
 	waitFor(t, &wg, "the parked call")
-	if _, err := l.call(&wireCounters{}, &wire.ExchangeGo{Seq: 2}); !errors.Is(err, net.ErrClosed) {
+	if _, err := l.call(&wireCounters{}, &wire.Step{Seq: 2}); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("call on a closed link: %v, want net.ErrClosed", err)
 	}
 }

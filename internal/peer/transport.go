@@ -19,13 +19,14 @@
 //
 // # Lockstep cycles
 //
-// The lead daemon (index 0) drives the cluster in a two-phase lockstep:
-// a Step broadcast makes every replica advance one cycle (with capture),
-// then an ExchangeGo broadcast makes every daemon run the cycle's wire
-// conversations for the initiators it hosts. Queries are issued between
-// cycles through a QueryIssue broadcast, so every replica assigns the
-// same query ID. Within a phase daemons work concurrently; the lead
-// collects acks before opening the next phase.
+// The lead daemon (index 0) drives the cluster one round per cycle: a Step
+// broadcast makes every daemon advance its replica one cycle (with
+// capture) and run the cycle's wire conversations for the initiators it
+// hosts, while the lead does the same. Daemons work concurrently, so a
+// request can reach a daemon before its own step of the cycle; it waits
+// for that step. Queries are issued between cycles through a QueryIssue
+// broadcast, so every replica assigns the same query ID. The lead collects
+// every ack before it starts the next cycle.
 //
 // # Queries
 //

@@ -16,11 +16,9 @@ const (
 	// Cluster control plane.
 	TypeHello       Type = 1 // daemon -> daemon: identity + compatibility proof
 	TypeHelloAck    Type = 2
-	TypeStep        Type = 3 // lead -> member: step the replica one cycle
+	TypeStep        Type = 3 // lead -> member: step the replica one cycle and run its exchanges
 	TypeStepAck     Type = 4
-	TypeExchangeGo  Type = 5 // lead -> member: run the cycle's wire exchanges
-	TypeExchangeAck Type = 6
-	TypeShutdown    Type = 7
+	TypeShutdown    Type = 7 // 5 and 6 retired with protocol version 3
 	TypeShutdownAck Type = 8
 
 	// Protocol plane: lazy digest exchange (§2.2.1).
@@ -128,10 +126,10 @@ const (
 	StepEager uint8 = 1
 )
 
-// Step instructs a member to step its replica one cycle (with capture)
-// and ack. The lead drives the cluster in lockstep: phase one steps every
-// replica, phase two (ExchangeGo) runs the wire exchanges the captures
-// describe.
+// Step instructs a member to step its replica one cycle (with capture),
+// run the wire exchanges the capture describes for the initiators it
+// hosts, and ack. The lead drives the cluster in lockstep: one Step
+// broadcast per cycle, and the next cycle starts after every ack.
 type Step struct {
 	Kind uint8 // StepLazy or StepEager
 	Seq  uint64
@@ -147,7 +145,8 @@ func (m *Step) walk(c *binio.Codec) {
 	c.U64(&m.Seq)
 }
 
-// StepAck confirms the replica stepped cycle Seq.
+// StepAck confirms the member stepped cycle Seq and finished its
+// exchanges.
 type StepAck struct {
 	Seq uint64
 }
@@ -155,32 +154,6 @@ type StepAck struct {
 func (*StepAck) WireType() Type { return TypeStepAck }
 func (m *StepAck) walk(c *binio.Codec) {
 	c.U64(&m.Seq)
-}
-
-// ExchangeGo instructs a member to run cycle Seq's wire exchanges for the
-// initiators it hosts.
-type ExchangeGo struct {
-	Seq uint64
-}
-
-func (*ExchangeGo) WireType() Type { return TypeExchangeGo }
-func (m *ExchangeGo) walk(c *binio.Codec) {
-	c.U64(&m.Seq)
-}
-
-// ExchangeAck confirms the member finished cycle Seq's exchanges and
-// reports its cumulative divergence count — peer responses that did not
-// match the local replica's own computation.
-type ExchangeAck struct {
-	Seq        uint64
-	Divergence uint64
-}
-
-func (*ExchangeAck) WireType() Type { return TypeExchangeAck }
-
-func (m *ExchangeAck) walk(c *binio.Codec) {
-	c.U64(&m.Seq)
-	c.U64(&m.Divergence)
 }
 
 // Shutdown asks a daemon to stop cleanly.
@@ -562,10 +535,6 @@ func newMsg(t Type) (Msg, bool) {
 		return &Step{}, true
 	case TypeStepAck:
 		return &StepAck{}, true
-	case TypeExchangeGo:
-		return &ExchangeGo{}, true
-	case TypeExchangeAck:
-		return &ExchangeAck{}, true
 	case TypeShutdown:
 		return &Shutdown{}, true
 	case TypeShutdownAck:

@@ -47,7 +47,7 @@ const Magic uint32 = 0x50335157
 // it, and every frame repeats it: daemons reject any frame from a
 // different version instead of misparsing it — the format references
 // engine state whose derivation may change between versions.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // endMarker terminates a frame ("#END"), shared with the checkpoint
 // format: reading it proves the payload was consumed in full agreement

@@ -31,8 +31,6 @@ func sampleMessages() []Msg {
 		&HelloAck{OK: false, Index: 0, Reason: "seed mismatch"},
 		&Step{Kind: StepEager, Seq: 9},
 		&StepAck{Seq: 9},
-		&ExchangeGo{Seq: 9},
-		&ExchangeAck{Seq: 9, Divergence: 1},
 		&Shutdown{},
 		&ShutdownAck{},
 		&ViewExchangeReq{Seq: 4, Initiator: 5, Partner: 31, Buf: refs},
