@@ -70,7 +70,7 @@ func ExampleClock() {
 	engine := p3q.NewEngine(ds, cfg)
 	engine.SeedIdealNetworks(p3q.IdealNetworks(ds, cfg.S))
 
-	clock := core.NewClock(engine, time.Minute, 5*time.Second)
+	clock := core.NewClock(engine)
 	q, _ := p3q.QueryFor(ds, 3, 2)
 	run := engine.IssueQuery(q)
 	elapsed := clock.RunUntilQueriesDone(2 * time.Minute)

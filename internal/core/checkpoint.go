@@ -145,7 +145,6 @@ func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	e.ds = rs.ds
 	rs.digests = make([][]*tagging.Digest, users)
 	e.net = sim.NewNetwork(users)
-	e.net.SetNow(e.now)
 	rs.readNetwork()
 	e.nodes = make([]*Node, users)
 	for u := 0; u < users && cr.Err() == nil; u++ {
@@ -443,10 +442,10 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 	cw.U64(n.rng.State())
 
 	cw.U32(uint32(n.evalVersion))
-	e.scratch.eval = n.evaluated.appendSorted(e.scratch.eval[:0], &e.scratch.order)
+	e.scratch.eval = e.scratch.order.appendSorted(e.scratch.eval[:0], &n.evaluated)
 	cw.Count(len(e.scratch.eval))
 	for _, s := range e.scratch.eval {
-		cw.U32(s.key - 1)
+		cw.U32(uint32(s.owner))
 		cw.U32(uint32(s.version))
 	}
 
@@ -497,7 +496,7 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 	n.evalVersion = int(rs.r.U32())
 	nEval := rs.r.Count(rs.users)
 	if nEval > 0 {
-		n.evaluated.grow(ckpt.CapHint(nEval))
+		n.evaluated.Reserve(ckpt.CapHint(nEval))
 	}
 	prev := -1
 	for i := 0; i < nEval && rs.r.Err() == nil; i++ {
@@ -510,7 +509,7 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 		if rs.r.Err() == nil && version > rs.ds.Profiles[owner].Len() {
 			rs.r.Fail("node %d: evaluated memo holds version %d of user %d, but the profile has %d actions", id, version, owner, rs.ds.Profiles[owner].Len())
 		}
-		n.evaluated.set(owner, version)
+		n.evaluated.Put(uint32(owner), int32(version))
 	}
 
 	nView := rs.r.Count(rs.cfg.R)

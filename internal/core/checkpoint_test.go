@@ -2,17 +2,21 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"p3q/internal/idtab"
 	"p3q/internal/sim"
 	"p3q/internal/tagging"
 	"p3q/internal/trace"
@@ -355,7 +359,7 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 	}
 	node0 += users + (1+users)*16*len(sim.Kinds()) // writeNetwork
 	memo := node0 + 8 + 4                          // rng, evalVersion
-	view := memo + 4 + 8*n0.evaluated.n
+	view := memo + 4 + 8*n0.evaluated.Len()
 	pnet := view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
 
 	var out []hostileCount
@@ -365,7 +369,7 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 		holds, most int
 	}{
 		{"profile", profile0, e.ds.Profiles[0].Len(), maxListEntries},
-		{"evaluated-memo", memo, n0.evaluated.n, users},
+		{"evaluated-memo", memo, n0.evaluated.Len(), users},
 		{"view", view, n0.view.Size(), cfg.R},
 		{"personal-network", pnet, n0.pnet.Len(), cfg.S},
 	} {
@@ -581,4 +585,36 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("re-snapshotting an accepted restore failed: %v", err)
 		}
 	})
+}
+
+// TestEvaluatedExportSorted: the checkpoint writes the evaluated memo in
+// ascending owner order, whatever the table's slot order, and leaves the
+// bitmap clear for the next node.
+func TestEvaluatedExportSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var o memoOrder
+	for trial := 0; trial < 50; trial++ {
+		var m idtab.Table
+		model := map[tagging.UserID]int32{}
+		for i, sets := 0, rng.Intn(1200); i < sets; i++ {
+			owner, v := tagging.UserID(rng.Intn(600)), int32(rng.Intn(1000))
+			m.Put(uint32(owner), v)
+			model[owner] = v
+		}
+		out := o.appendSorted([]evalSlot{{owner: 9999}}, &m)[1:]
+		if len(out) != len(model) {
+			t.Fatalf("export holds %d entries, model %d", len(out), len(model))
+		}
+		if !slices.IsSortedFunc(out, func(a, b evalSlot) int { return cmp.Compare(a.owner, b.owner) }) {
+			t.Fatalf("export not in ascending owner order: %v", out)
+		}
+		for _, s := range out {
+			if v, ok := model[s.owner]; !ok || v != s.version {
+				t.Fatalf("export entry (owner %d, version %d) not in the model", s.owner, s.version)
+			}
+		}
+		if i := slices.IndexFunc(o.present, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("bitmap word %d left set", i)
+		}
+	}
 }

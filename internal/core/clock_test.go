@@ -12,7 +12,7 @@ func TestClockFiresCyclesAtPeriods(t *testing.T) {
 	w := newWorld(t, 60, smallCfg(), 70)
 	e := New(w.ds, w.cfg)
 	e.SeedIdealNetworks(w.ideal)
-	c := NewClock(e, time.Minute, 5*time.Second)
+	c := NewClock(e)
 
 	c.Advance(4 * time.Second)
 	if e.LazyCycles() != 0 || e.EagerCycles() != 0 {
@@ -38,7 +38,7 @@ func TestClockEagerOnlyWithActiveQueries(t *testing.T) {
 	w := newWorld(t, 60, smallCfg(), 71)
 	e := New(w.ds, w.cfg)
 	e.SeedIdealNetworks(w.ideal)
-	c := NewClock(e, time.Minute, 5*time.Second)
+	c := NewClock(e)
 	c.Advance(30 * time.Second)
 	if e.EagerCycles() != 0 {
 		t.Fatalf("eager cycles fired with no queries: %d", e.EagerCycles())
@@ -57,7 +57,7 @@ func TestClockAnswersQueryWithinPaperBudget(t *testing.T) {
 	w := newWorld(t, 120, smallCfg(), 72)
 	e := New(w.ds, w.cfg)
 	e.SeedIdealNetworks(w.ideal)
-	c := NewClock(e, time.Minute, 5*time.Second)
+	c := NewClock(e)
 	q, _ := trace.QueryFor(w.ds, 8, 3)
 	qr := e.IssueQuery(q)
 	elapsed := c.RunUntilQueriesDone(5 * time.Minute)
@@ -73,12 +73,17 @@ func TestClockAnswersQueryWithinPaperBudget(t *testing.T) {
 	}
 }
 
-func TestClockDefaultsPeriods(t *testing.T) {
+// TestClockTakesPeriodsFromConfig: a 30s lazy period in the engine's
+// Config gives two lazy cycles per simulated minute.
+func TestClockTakesPeriodsFromConfig(t *testing.T) {
 	w := newWorld(t, 30, smallCfg(), 73)
-	e := New(w.ds, w.cfg)
-	c := NewClock(e, 0, 0)
-	if c.LazyPeriod != time.Minute || c.EagerPeriod != 5*time.Second {
-		t.Fatalf("defaults = %v/%v, want 1m/5s", c.LazyPeriod, c.EagerPeriod)
+	cfg := w.cfg
+	cfg.LazyPeriod = 30 * time.Second
+	e := New(w.ds, cfg)
+	c := NewClock(e)
+	c.Advance(time.Minute)
+	if e.LazyCycles() != 2 {
+		t.Fatalf("lazy cycles in one minute at a 30s period = %d, want 2", e.LazyCycles())
 	}
 }
 
@@ -91,7 +96,7 @@ func TestClockInterleavingMatchesPaperRatio(t *testing.T) {
 	for _, q := range trace.GenerateQueries(w.ds, 7)[:30] {
 		e.IssueQuery(q)
 	}
-	c := NewClock(e, time.Minute, 5*time.Second)
+	c := NewClock(e)
 	c.Advance(time.Minute)
 	if e.LazyCycles() != 1 {
 		t.Fatalf("lazy cycles = %d, want 1", e.LazyCycles())

@@ -346,7 +346,6 @@ func (e *Engine) EagerCycle() { e.eagerCycle(nil) }
 // (see capture.go), which has no effect on the cycle itself.
 func (e *Engine) eagerCycle(cp *EagerCapture) {
 	t1 := e.now + e.cfg.EagerPeriod
-	e.net.SetNow(e.now)
 	e.replayFrozen()
 	seq := e.cycleSeq
 	e.cycleSeq++

@@ -295,7 +295,6 @@ func (e *Engine) LazyCycle() { e.lazyCycle(nil) }
 // cycle's exchanges are described into it (see capture.go) after the
 // commit phases, with no effect on the cycle itself.
 func (e *Engine) lazyCycle(cp *LazyCapture) {
-	e.net.SetNow(e.now)
 	e.replayFrozen()
 	order := e.rng.PermInto(e.scratch.perm, len(e.nodes))
 	e.scratch.perm = order
@@ -624,7 +623,7 @@ func (e *Engine) SeedExplicitNetworks(contacts [][]tagging.UserID) {
 				score = 1
 			}
 			node.pnet.Upsert(friend, score, digests[friend])
-			node.evaluated.set(friend, digests[friend].Version)
+			node.evaluated.Put(uint32(friend), int32(digests[friend].Version))
 		}
 		for _, entry := range node.pnet.Rebalance() {
 			entry.Stored = e.nodes[entry.ID].profile.Snapshot()
@@ -655,7 +654,7 @@ func (e *Engine) SeedIdealNetworks(nets [][]similarity.Neighbour) {
 		}
 		for _, nb := range nets[u][:limit] {
 			node.pnet.Upsert(nb.ID, nb.Score, digests[nb.ID])
-			node.evaluated.set(nb.ID, digests[nb.ID].Version)
+			node.evaluated.Put(uint32(nb.ID), int32(digests[nb.ID].Version))
 		}
 		for _, entry := range node.pnet.Rebalance() {
 			entry.Stored = e.nodes[entry.ID].profile.Snapshot()

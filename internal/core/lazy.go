@@ -302,11 +302,11 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 		if d.Node == a.id {
 			continue
 		}
-		v, known := a.evaluated.get(d.Node)
-		if sv, ok := seen[d.Node]; ok && (!known || sv > v) {
-			v, known = sv, true
+		v, known := a.evaluated.Get(uint32(d.Node))
+		if sv, ok := seen[d.Node]; ok && (!known || sv > int(v)) {
+			v, known = int32(sv), true
 		}
-		if known && v >= d.Digest.Version {
+		if known && int(v) >= d.Digest.Version {
 			continue
 		}
 		entry := a.pnet.Entry(d.Node)
@@ -371,7 +371,7 @@ func (e *Engine) commitTopShard(a *Node, p *topPlan, sh *commitShard) {
 			c := &p.rv[i]
 			if c.evalOnly {
 				a.checkEvalCache()
-				a.evaluated.set(c.owner, c.version)
+				a.evaluated.Put(uint32(c.owner), int32(c.version))
 				continue
 			}
 			a.commitIntegration(&c.intent, &sh.ledger)
@@ -515,11 +515,11 @@ func planIntegrateInto(it *integration, n *Node, offers []offer, provider taggin
 		if owner == n.id {
 			continue
 		}
-		v, known := n.evaluated.get(owner)
-		if sv, ok := seen[owner]; ok && (!known || sv > v) {
-			v, known = sv, true
+		v, known := n.evaluated.Get(uint32(owner))
+		if sv, ok := seen[owner]; ok && (!known || sv > int(v)) {
+			v, known = int32(sv), true
 		}
-		if known && v >= o.digest.Version {
+		if known && int(v) >= o.digest.Version {
 			continue // already scored at this or a newer version
 		}
 		if entry := n.pnet.Entry(owner); entry != nil {
@@ -567,8 +567,8 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 	// integration already applied, or the evaluated memo's "highest
 	// version scored" contract (and score monotonicity) breaks.
 	for _, r := range it.results {
-		if v, ok := n.evaluated.get(r.o.digest.Owner); !ok || r.version > v {
-			n.evaluated.set(r.o.digest.Owner, r.version)
+		if v, ok := n.evaluated.Get(uint32(r.o.digest.Owner)); !ok || r.version > int(v) {
+			n.evaluated.Put(uint32(r.o.digest.Owner), int32(r.version))
 		}
 	}
 	l.Send(n.id, it.provider, sim.MsgCommonItems, it.reqBytes)

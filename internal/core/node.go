@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"p3q/internal/gossip"
+	"p3q/internal/idtab"
 	"p3q/internal/randx"
 	"p3q/internal/tagging"
 )
@@ -30,7 +31,7 @@ type Node struct {
 	// candidate is skipped without a Bloom scan. The cache is only valid
 	// for the own profile version it was built against: scores grow when
 	// the *own* profile grows, so the cache resets on own-profile change.
-	evaluated   evalMemo
+	evaluated   idtab.Table
 	evalVersion int
 
 	// branches holds this node's remaining list per active query. The map
@@ -92,122 +93,47 @@ func (n *Node) descriptor() gossip.Descriptor {
 //p3q:hotpath
 func (n *Node) checkEvalCache() {
 	if n.evalVersion != n.profile.Version() {
-		n.evaluated.reset()
+		n.evaluated.Clear()
 		n.evalVersion = n.profile.Version()
 	}
 }
 
-// evalSlot is one slot of an evalMemo: the owner ID biased by one (0 marks
-// an empty slot) and the highest version scored.
+// evalSlot is one entry of the evaluated memo in checkpoint order: an owner
+// and the highest version scored.
 type evalSlot struct {
-	key     uint32 // owner ID + 1; 0 = empty
+	owner   tagging.UserID
 	version int32
 }
 
-// evalMemo maps owner to version in a flat open-addressed table, in the
-// style of the personal network's by-owner index (pnet.go): Fibonacci
-// hashing, linear probing, load factor at most 3/4, no deletion — the memo
-// only grows until reset empties it, keeping the table. The zero value is an
-// empty memo.
-type evalMemo struct {
-	slots []evalSlot // power-of-two length, or nil
-	n     int        // occupied slots
-}
-
-// find returns the slot holding key, or the empty slot where it belongs. The
-// table must be non-empty.
-//
-//p3q:hotpath
-func (m *evalMemo) find(key uint32) *evalSlot {
-	mask := len(m.slots) - 1
-	for i := fibHash(key) & mask; ; i = (i + 1) & mask {
-		if s := &m.slots[i]; s.key == key || s.key == 0 {
-			return s
-		}
-	}
-}
-
-// get returns the version recorded for the owner.
-//
-//p3q:hotpath
-func (m *evalMemo) get(id tagging.UserID) (version int, ok bool) {
-	if m.n == 0 {
-		return 0, false
-	}
-	s := m.find(idKey(id))
-	return int(s.version), s.key != 0
-}
-
-// set records (or overwrites) the owner's version.
-//
-//p3q:hotpath
-func (m *evalMemo) set(id tagging.UserID, version int) {
-	if (m.n+1)*4 > len(m.slots)*3 {
-		m.grow(m.n + 1)
-	}
-	s := m.find(idKey(id))
-	if s.key == 0 {
-		s.key = idKey(id)
-		m.n++
-	}
-	s.version = int32(version)
-}
-
-// grow rebuilds the table at the smallest power-of-two size that holds n
-// entries at or below half load. Deliberately not a hot path: the table
-// grows O(log n) times and survives every reset.
-func (m *evalMemo) grow(n int) {
-	size := 8
-	for size < n*2 {
-		size *= 2
-	}
-	old := m.slots
-	m.slots = make([]evalSlot, size)
-	for _, s := range old {
-		if s.key != 0 {
-			*m.find(s.key) = s
-		}
-	}
-}
-
-// reset empties the memo, keeping the table.
-func (m *evalMemo) reset() {
-	clear(m.slots)
-	m.n = 0
-}
-
-// memoOrder is the working memory of evalMemo.appendSorted: a bitmap of the
-// owners present and their versions in a dense column, both indexed by owner
-// and grown to the largest owner seen. The bitmap is all zeroes between calls.
+// memoOrder is the working memory of appendSorted: a bitmap of the owners
+// present and their versions in a dense column, both indexed by owner and
+// grown to the largest owner seen. The bitmap is all zeroes between calls.
 type memoOrder struct {
 	present  []uint64
 	versions []int32
 }
 
-// appendSorted appends the memo's entries to dst in ascending owner order —
+// appendSorted appends the evaluated memo m to dst in ascending owner order —
 // the canonical order of the checkpoint — and returns it. The table is
 // scattered into o by owner and read back in bitmap order, so nothing is
-// sorted: one pass over the slots, one over the bitmap words they touched.
-func (m *evalMemo) appendSorted(dst []evalSlot, o *memoOrder) []evalSlot {
+// sorted: one pass over the table, one over the bitmap words it touched.
+func (o *memoOrder) appendSorted(dst []evalSlot, m *idtab.Table) []evalSlot {
 	lo, hi := len(o.present), 0
-	for _, s := range m.slots {
-		if s.key == 0 {
-			continue
-		}
-		owner := int(s.key - 1)
+	m.Range(func(key uint32, version int32) {
+		owner := int(key)
 		w := owner >> 6
 		if w >= len(o.present) {
 			o.present = append(o.present, make([]uint64, w+1-len(o.present))...)
 			o.versions = append(o.versions, make([]int32, len(o.present)<<6-len(o.versions))...)
 		}
 		o.present[w] |= 1 << (owner & 63)
-		o.versions[owner] = s.version
+		o.versions[owner] = version
 		lo, hi = min(lo, w), max(hi, w+1)
-	}
+	})
 	for w := lo; w < hi; w++ {
 		for word := o.present[w]; word != 0; word &= word - 1 {
 			owner := w<<6 | bits.TrailingZeros64(word)
-			dst = append(dst, evalSlot{key: uint32(owner) + 1, version: o.versions[owner]})
+			dst = append(dst, evalSlot{owner: tagging.UserID(owner), version: o.versions[owner]})
 		}
 		o.present[w] = 0
 	}
@@ -303,11 +229,4 @@ func (n *Node) lookup(ul tagging.UserID) (tagging.Snapshot, bool) {
 		return e.Stored, true
 	}
 	return tagging.Snapshot{}, false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"p3q/internal/idtab"
 	"p3q/internal/tagging"
 )
 
@@ -57,21 +58,12 @@ func rankBefore(aScore int, aID tagging.UserID, bScore int, bID tagging.UserID) 
 	return aID < bID
 }
 
-// rankSlot is one slot of the open-addressed by-owner index: the neighbour
-// ID biased by one (0 marks an empty slot) and a copy of its current score,
-// which is exactly the key needed to locate the entry in the sorted ranking
-// by binary search.
-type rankSlot struct {
-	key   uint32 // neighbour ID + 1; 0 = empty
-	score int32
-}
-
 // PersonalNetwork is the top-layer state of one node: up to s scored
 // neighbours ranked by similarity, with snapshots stored for the top c.
 //
 // The hot state is dense: the ranking is a flat []Entry kept sorted at all
-// times (descending score, ascending ID), and the by-owner lookup is a small
-// open-addressed index mapping neighbour ID to its current score — membership
+// times (descending score, ascending ID), and the by-owner lookup is an
+// idtab.Table mapping neighbour ID to its current score — membership
 // is one probe sequence, and an entry's position falls out of a binary search
 // on (score, ID). Because the index stores no positions, the shifts that keep
 // the ranking sorted never touch it; only a score change updates one slot.
@@ -85,10 +77,8 @@ type PersonalNetwork struct {
 	s, c int
 	// ranking always sorted: descending score, ascending ID.
 	ranking []Entry
-	//p3q:transient mirror: open-addressed by-owner index over ranking, rebuilt on restore and growth
-	idx []rankSlot
-	//p3q:transient mirror: len(idx)-1, kept alongside idx
-	idxMask int
+	//p3q:transient mirror: by-owner index over ranking (neighbour ID -> score), rebuilt on restore
+	idx idtab.Table
 	// clock counts Touch calls; entries age implicitly as it advances.
 	clock uint64
 }
@@ -111,109 +101,6 @@ func (pn *PersonalNetwork) S() int { return pn.s }
 // C returns the profile storage capacity.
 func (pn *PersonalNetwork) C() int { return pn.c }
 
-// idKey biases a neighbour ID into the index key space (0 is reserved for
-// empty slots).
-func idKey(id tagging.UserID) uint32 { return uint32(id) + 1 }
-
-// fibHash spreads a biased ID over a power-of-two table: Fibonacci hashing
-// on the high product bits; callers mask it to their table size.
-func fibHash(key uint32) int { return int(uint64(key) * 0x9e3779b97f4a7c15 >> 33) }
-
-// idxHome returns the preferred slot of a key.
-func (pn *PersonalNetwork) idxHome(key uint32) int { return fibHash(key) & pn.idxMask }
-
-// idxFind returns the slot index holding key, or -1. Linear probing; the
-// table keeps its load factor at or below 3/4.
-//
-//p3q:hotpath
-func (pn *PersonalNetwork) idxFind(key uint32) int {
-	if len(pn.idx) == 0 {
-		return -1
-	}
-	i := pn.idxHome(key)
-	for {
-		s := &pn.idx[i]
-		if s.key == key {
-			return i
-		}
-		if s.key == 0 {
-			return -1
-		}
-		i = (i + 1) & pn.idxMask
-	}
-}
-
-// idxPlace probes to the first empty slot and writes. The caller guarantees
-// the key is absent and the table has room.
-//
-//p3q:hotpath
-func (pn *PersonalNetwork) idxPlace(key uint32, score int32) {
-	i := pn.idxHome(key)
-	for pn.idx[i].key != 0 {
-		i = (i + 1) & pn.idxMask
-	}
-	pn.idx[i] = rankSlot{key: key, score: score}
-}
-
-// idxAdd indexes a key that was just appended to the ranking, growing the
-// table first when the insert would push the load factor past 3/4. Growth
-// re-places every ranking entry (the new one included), so after a grow
-// there is nothing left to place.
-//
-//p3q:hotpath
-func (pn *PersonalNetwork) idxAdd(key uint32, score int32) {
-	if len(pn.ranking)*4 > len(pn.idx)*3 {
-		pn.growIdx(len(pn.ranking))
-		return
-	}
-	pn.idxPlace(key, score)
-}
-
-// growIdx rebuilds the index at the next power-of-two size that keeps room
-// entries (the current ranking at least) at or below half load. Deliberately
-// not a hot path: the table grows O(log s) times over a network's lifetime.
-func (pn *PersonalNetwork) growIdx(room int) {
-	n := len(pn.idx) * 2
-	if n < 8 {
-		n = 8
-	}
-	for n < room*2 {
-		n *= 2
-	}
-	pn.idx = make([]rankSlot, n)
-	pn.idxMask = n - 1
-	for i := range pn.ranking {
-		e := &pn.ranking[i]
-		pn.idxPlace(idKey(e.ID), int32(e.Score))
-	}
-}
-
-// idxDelete removes key from the table with backward-shift deletion, which
-// keeps probe sequences unbroken without tombstones.
-//
-//p3q:hotpath
-func (pn *PersonalNetwork) idxDelete(key uint32) {
-	i := pn.idxFind(key)
-	if i < 0 {
-		return
-	}
-	j := i
-	for {
-		j = (j + 1) & pn.idxMask
-		s := pn.idx[j]
-		if s.key == 0 {
-			break
-		}
-		// s may move into the hole at i iff that does not move it before
-		// its home slot (cyclic distance check).
-		if (j-pn.idxHome(s.key))&pn.idxMask >= (j-i)&pn.idxMask {
-			pn.idx[i] = s
-			i = j
-		}
-	}
-	pn.idx[i] = rankSlot{}
-}
-
 // panicUpsert keeps the panic's interface boxing out of the hot Upsert
 // body; it fires only on caller bugs.
 func panicUpsert(msg string) { panic(msg) }
@@ -235,18 +122,19 @@ func (pn *PersonalNetwork) rankPos(score int, id tagging.UserID) int {
 //
 //p3q:hotpath
 func (pn *PersonalNetwork) Entry(id tagging.UserID) *Entry {
-	si := pn.idxFind(idKey(id))
-	if si < 0 {
+	score, ok := pn.idx.Get(uint32(id))
+	if !ok {
 		return nil
 	}
-	return &pn.ranking[pn.rankPos(int(pn.idx[si].score), id)]
+	return &pn.ranking[pn.rankPos(int(score), id)]
 }
 
 // Contains reports whether id is a neighbour.
 //
 //p3q:hotpath
 func (pn *PersonalNetwork) Contains(id tagging.UserID) bool {
-	return pn.idxFind(idKey(id)) >= 0
+	_, ok := pn.idx.Get(uint32(id))
+	return ok
 }
 
 // insertAt drops e into the ranking at position i, shifting the tail up.
@@ -271,28 +159,26 @@ func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.
 	if id == pn.self {
 		panicUpsert("core: Upsert of self")
 	}
-	if si := pn.idxFind(idKey(id)); si >= 0 {
-		i := pn.rankPos(int(pn.idx[si].score), id)
+	// One probe sequence both finds the old score and records the new one.
+	if old, had := pn.idx.Put(uint32(id), int32(score)); had {
+		i := pn.rankPos(int(old), id)
 		e := &pn.ranking[i]
 		e.Digest = digest
 		if e.Score == score {
 			return e
 		}
 		// Reposition: lift the entry out, shift the gap closed, re-insert
-		// under the new key. The index needs only its score copy refreshed —
-		// it stores no positions.
+		// under the new key.
 		ev := *e
 		ev.Score = score
 		copy(pn.ranking[i:], pn.ranking[i+1:])
 		pn.ranking = pn.ranking[:len(pn.ranking)-1]
 		j := pn.rankPos(score, id)
 		pn.insertAt(j, ev)
-		pn.idx[si].score = int32(score)
 		return &pn.ranking[j]
 	}
 	j := pn.rankPos(score, id)
 	pn.insertAt(j, Entry{ID: id, Score: score, Digest: digest, pn: pn, last: pn.clock})
-	pn.idxAdd(idKey(id), int32(score))
 	return &pn.ranking[j]
 }
 
@@ -300,7 +186,7 @@ func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.
 // so the checkpoint reader's appendEntry calls never grow either.
 func (pn *PersonalNetwork) reserve(n int) {
 	pn.ranking = make([]Entry, 0, n)
-	pn.growIdx(n)
+	pn.idx.Reserve(n)
 }
 
 // appendEntry appends a restored entry at the tail of the ranking and
@@ -309,7 +195,7 @@ func (pn *PersonalNetwork) reserve(n int) {
 func (pn *PersonalNetwork) appendEntry(e Entry) {
 	e.pn = pn
 	pn.ranking = append(pn.ranking, e)
-	pn.idxAdd(idKey(e.ID), int32(e.Score))
+	pn.idx.Put(uint32(e.ID), int32(e.Score))
 }
 
 // Ranking returns the neighbours ordered by descending score (ties:
@@ -328,7 +214,7 @@ func (pn *PersonalNetwork) Ranking() []Entry { return pn.ranking }
 func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
 	for len(pn.ranking) > pn.s {
 		last := &pn.ranking[len(pn.ranking)-1]
-		pn.idxDelete(idKey(last.ID))
+		pn.idx.Delete(uint32(last.ID))
 		*last = Entry{}
 		pn.ranking = pn.ranking[:len(pn.ranking)-1]
 	}

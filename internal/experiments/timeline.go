@@ -17,7 +17,7 @@ import (
 func Timeline(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
 	e := w.SeededEngine(cfg.HeteroConfig(1))
-	clock := core.NewClock(e, time.Minute, 5*time.Second)
+	clock := core.NewClock(e)
 	runs, refs := w.issue(e)
 
 	t := metrics.NewTable(

@@ -77,15 +77,17 @@ var DeterministicScopes = []string{
 // are recognized and hotalloc reports: the deterministic engine scopes
 // plus the leaf packages whose helpers the engine's plan/commit inner
 // loops call directly (randx samplers, tagging digests and profile
-// columns, the bloom probe, the querier's NRA round). Those leaves are not
-// under the full determinism lint set — randx legitimately wraps math/rand,
-// tagging sorts its own memos — but their hot helpers carry the same
-// allocation budget as their callers.
+// columns, the bloom probe, the querier's NRA round, the idtab table under
+// the personal-network index, the evaluated memo and the NRA item index).
+// Those leaves are not under the full determinism lint set — randx
+// legitimately wraps math/rand, tagging sorts its own memos — but their hot
+// helpers carry the same allocation budget as their callers.
 var HotpathScopes = append([]string{
 	"p3q/internal/randx",
 	"p3q/internal/tagging",
 	"p3q/internal/bloom",
 	"p3q/internal/topk",
+	"p3q/internal/idtab",
 }, DeterministicScopes...)
 
 // CodecScopes lists the packages under the sticky-error codec discipline

@@ -7,11 +7,11 @@ import (
 
 // WallClock flags reads of host time and global process-wide randomness in
 // the deterministic engine packages. Simulation time must come from the
-// virtual clock (Engine.Now / Network.SetNow / the event queue), and all
-// randomness from internal/randx split streams, or identical seeds stop
-// producing identical fingerprints. Wall-clock profiling that never feeds
-// engine state belongs in internal/hostclock, which exists to make that
-// exception explicit and searchable.
+// virtual clock (Engine.Now / the event queue), and all randomness from
+// internal/randx split streams, or identical seeds stop producing identical
+// fingerprints. Wall-clock profiling that never feeds engine state belongs
+// in internal/hostclock, which exists to make that exception explicit and
+// searchable.
 var WallClock = &Analyzer{Name: "wallclock", Run: runWallClock}
 
 // bannedTime are the time-package functions that read or wait on the host
@@ -58,7 +58,7 @@ func runWallClock(pass *Pass) {
 			switch pkgName.Imported().Path() {
 			case "time":
 				if bannedTime[name] {
-					pass.Reportf(sel.Pos(), "time.%s reads the host clock in deterministic package %s: use the virtual clock (Engine.Now / Network.SetNow / event time), or internal/hostclock for profiling that never feeds engine state", name, pass.Path)
+					pass.Reportf(sel.Pos(), "time.%s reads the host clock in deterministic package %s: use the virtual clock (Engine.Now / event time), or internal/hostclock for profiling that never feeds engine state", name, pass.Path)
 				}
 			case "math/rand", "math/rand/v2":
 				if bannedGlobalRand[name] {

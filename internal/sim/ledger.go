@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Ledger is a thread-confined message recorder for the engine's parallel
 // phases — the planning goroutines (both the lazy mode's per-node plans
 // and the eager mode's per-(initiator, query) plans) and the sharded
@@ -18,29 +16,21 @@ import "time"
 // of Ledgers can record concurrently against the same Network.
 type Ledger struct {
 	nw      *Network
-	at      time.Duration
 	records []Record
 }
 
 // Record is one message captured by a Ledger, already resolved against the
 // liveness snapshot: a send to a departed node is stored as the probe it
-// degrades into, exactly as Network.Send would have accounted it. At is the
-// virtual send time: the network clock (Network.SetNow) when the ledger was
-// created, i.e. the start of the cycle whose plan or commit recorded the
-// message — stamped in every engine-driven run, latency-modelled or not,
-// and zero only when nothing advances the clock. Traffic accounting
-// ignores At; it exists for message-trace analysis.
+// degrades into, exactly as Network.Send would have accounted it.
 type Record struct {
 	From, To NodeID
 	Kind     Kind
 	Bytes    int
-	At       time.Duration
 }
 
 // NewLedger returns an empty ledger recording against this network's
-// current liveness, stamping records with the network clock at creation
-// time (the cycle being planned or committed).
-func (nw *Network) NewLedger() *Ledger { return &Ledger{nw: nw, at: nw.now} }
+// current liveness.
+func (nw *Network) NewLedger() *Ledger { return &Ledger{nw: nw} }
 
 // InitLedger (re)initializes a caller-owned ledger value in place: same
 // semantics as NewLedger, but the record buffer is reused. The engine's
@@ -50,7 +40,6 @@ func (nw *Network) NewLedger() *Ledger { return &Ledger{nw: nw, at: nw.now} }
 //p3q:hotpath
 func (nw *Network) InitLedger(l *Ledger) {
 	l.nw = nw
-	l.at = nw.now
 	l.records = l.records[:0]
 }
 
@@ -64,10 +53,10 @@ func (l *Ledger) Send(from, to NodeID, k Kind, bytes int) bool {
 		panic("sim: offline node attempted to send (ledger)")
 	}
 	if !l.nw.online[to] {
-		l.records = append(l.records, Record{From: from, To: to, Kind: MsgProbe, Bytes: ProbeBytes, At: l.at})
+		l.records = append(l.records, Record{From: from, To: to, Kind: MsgProbe, Bytes: ProbeBytes})
 		return false
 	}
-	l.records = append(l.records, Record{From: from, To: to, Kind: k, Bytes: bytes, At: l.at})
+	l.records = append(l.records, Record{From: from, To: to, Kind: k, Bytes: bytes})
 	return true
 }
 

@@ -10,10 +10,8 @@
 //   - Ledger is the thread-confined recorder the engine's parallel phases
 //     write into; committing a cycle's ledgers in a canonical order makes
 //     the counters independent of how work was scheduled across workers
-//     (see Ledger). Records carry a virtual send timestamp (Record.At) when
-//     the engine drives the clock through Network.SetNow, and
-//     Ledger.BytesSince brackets commit-time sub-sequences so their traffic
-//     can be attributed to the exchange that caused it.
+//     (see Ledger). Ledger.BytesSince brackets commit-time sub-sequences so
+//     their traffic can be attributed to the exchange that caused it.
 //   - EventQueue and the LatencyModel implementations (events.go) are the
 //     event-driven half: a deterministic priority queue of timestamped
 //     events plus pluggable per-message delay distributions (fixed,
@@ -27,7 +25,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"p3q/internal/randx"
 	"p3q/internal/tagging"
@@ -165,19 +162,7 @@ type Network struct {
 	nOnline int
 	total   Traffic
 	perNode []Traffic // traffic *sent* by each node
-
-	// now is the virtual clock stamped onto ledger records (Record.At).
-	// The engine advances it at cycle boundaries; it has no effect on
-	// liveness or traffic accounting.
-	now time.Duration
 }
-
-// SetNow advances the virtual clock stamped onto records of ledgers
-// created afterwards. Pure metadata: traffic counters ignore it.
-func (nw *Network) SetNow(t time.Duration) { nw.now = t }
-
-// Now returns the network's virtual clock.
-func (nw *Network) Now() time.Duration { return nw.now }
 
 // NewNetwork returns a network of n nodes, all online.
 func NewNetwork(n int) *Network {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"p3q/internal/idtab"
 	"p3q/internal/tagging"
 )
 
@@ -31,10 +32,10 @@ import (
 type NRA struct {
 	k     int
 	lists []scanList
-	// cands is dense, in first-seen order; index maps an item to its slot
-	// and is read only through slotOf (by scanOne and RestoreNRA).
+	// cands is dense, in first-seen order; index maps an item to its
+	// position in cands.
 	cands []candidate
-	index []itemSlot // open-addressed, power-of-two length, or nil
+	index idtab.Table
 	// top holds the cands indexes of the first min(k, len(cands)) candidates
 	// of Algorithm 4's heap order — descending worst-case score, ties by
 	// larger best-case score, then ascending item — as of the last rank.
@@ -98,46 +99,6 @@ func NewNRA(k int) *NRA {
 		k = 1
 	}
 	return &NRA{k: k}
-}
-
-// itemSlot is one slot of the item index: an item and its cands index biased
-// by one (0 marks an empty slot).
-type itemSlot struct {
-	item tagging.ItemID
-	cand uint32
-}
-
-// slotOf returns the index slot holding item, or the empty one where it
-// belongs, first growing the table if one more candidate would load it past
-// 3/4. It is the flat table of core's pnet index and evalMemo: Fibonacci
-// hashing, linear probing, no deletion.
-//
-//p3q:hotpath
-func (n *NRA) slotOf(item tagging.ItemID) *itemSlot {
-	if (len(n.cands)+1)*4 > len(n.index)*3 {
-		n.growIndex()
-	}
-	mask := len(n.index) - 1
-	for i := itemHash(item) & mask; ; i = (i + 1) & mask {
-		if s := &n.index[i]; s.cand == 0 || s.item == item {
-			return s
-		}
-	}
-}
-
-func itemHash(item tagging.ItemID) int { return int(uint64(item) * 0x9e3779b97f4a7c15 >> 33) }
-
-// growIndex doubles the table (to 8 at first) and re-places every candidate.
-func (n *NRA) growIndex() {
-	n.index = make([]itemSlot, max(8, 2*len(n.index)))
-	mask := len(n.index) - 1
-	for ci, c := range n.cands {
-		i := itemHash(c.item) & mask
-		for n.index[i].cand != 0 {
-			i = (i + 1) & mask
-		}
-		n.index[i] = itemSlot{item: c.item, cand: uint32(ci + 1)}
-	}
 }
 
 // K returns the operator's k.
@@ -237,12 +198,13 @@ func (n *NRA) scanOne(li int) bool {
 	}
 	e := l.entries[l.pos]
 	l.pos++
-	s := n.slotOf(e.Item)
-	if s.cand == 0 {
+	ci, ok := n.index.Get(uint32(e.Item))
+	if !ok {
+		ci = int32(len(n.cands))
 		n.cands = append(n.cands, candidate{item: e.Item})
-		*s = itemSlot{item: e.Item, cand: uint32(len(n.cands))}
+		n.index.Put(uint32(e.Item), ci)
 	}
-	c := &n.cands[s.cand-1]
+	c := &n.cands[ci]
 	c.worst += e.Score
 	c.seenIn = append(c.seenIn, li)
 	return true
@@ -376,8 +338,7 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 		n.lists = append(n.lists, scanList{entries: l.Entries, pos: l.Pos})
 	}
 	for _, c := range st.Cands {
-		s := n.slotOf(c.Item)
-		if s.cand != 0 {
+		if _, dup := n.index.Put(uint32(c.Item), int32(len(n.cands))); dup {
 			return nil, fmt.Errorf("topk: restored candidate %d duplicated", c.Item)
 		}
 		for _, li := range c.SeenIn {
@@ -386,7 +347,6 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 			}
 		}
 		n.cands = append(n.cands, candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn})
-		*s = itemSlot{item: c.Item, cand: uint32(len(n.cands))}
 	}
 	n.rank()
 	return n, nil

@@ -114,8 +114,8 @@ func TestRestoreNRAFlatIndex(t *testing.T) {
 			t.Fatalf("size %d: %v", size, err)
 		}
 		for ci, c := range restored.cands {
-			if s := restored.slotOf(c.item); s.cand != uint32(ci+1) {
-				t.Fatalf("size %d: item %d resolves to slot %d, want %d", size, c.item, s.cand, ci+1)
+			if got, ok := restored.index.Get(uint32(c.item)); !ok || int(got) != ci {
+				t.Fatalf("size %d: item %d resolves to (%d, %v), want candidate %d", size, c.item, got, ok, ci)
 			}
 		}
 		more := []Entry{{Item: 1, Score: 4}, {Item: 7919 * tagging.ItemID(size/2), Score: 2}, {Item: 2, Score: 1}}
