@@ -109,7 +109,7 @@ func (e *Engine) scheduleEagerGossips(plans []eagerPlan, seq uint64) {
 		}
 		e.emitEagerHops(p, &t)
 		qr.reached[p.dest] = struct{}{}
-		qr.bytes.Maintenance += p.exch.ledger.Total().TotalBytes() + p.peerBytes + p.selfBytes
+		qr.bytes.Maintenance += uint64(p.exch.sizeA+p.exch.sizeB) + p.peerBytes + p.selfBytes
 		delete(qr.activeNodes, p.u)
 
 		prng := lrng.Derive(uint64(i))

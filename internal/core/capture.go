@@ -165,8 +165,8 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
 		tc := TopExchangeCap{Initiator: e.nodes[i].id, HasPartner: p.ok}
 		if p.ok {
 			tc.Partner = p.partner
-			tc.OffersA = digestRefs(p.exch.offersA)
-			tc.OffersB = digestRefs(p.exch.offersB)
+			tc.OffersA = p.exch.refsA
+			tc.OffersB = p.exch.refsB
 		}
 		for ri := range p.rv {
 			c := &p.rv[ri]
@@ -210,7 +210,7 @@ func (e *Engine) captureEagerContent(cp *EagerCapture, plans []eagerPlan) {
 		pc.Plist = p.plist
 		pc.Delivered = p.delivered
 		pc.Returned = p.returned
-		pc.OffersA = digestRefs(p.exch.offersA)
-		pc.OffersB = digestRefs(p.exch.offersB)
+		pc.OffersA = p.exch.refsA
+		pc.OffersB = p.exch.refsB
 	}
 }

@@ -378,8 +378,9 @@ func (e *Engine) gossipEagerPairs(pairs []eagerPair, seq uint64, cp *EagerCaptur
 		n.checkEvalCache()
 	})
 	plans := e.eagerPlanSlots(len(pairs))
-	e.forEachIndex(len(pairs), func(i int) {
-		e.planEagerGossip(pairs[i], seq, &plans[i])
+	workers := e.planWorkers(cp != nil)
+	e.forEachIndex(len(pairs), func(w, i int) {
+		e.planEagerGossip(&workers[w], pairs[i], seq, &plans[i])
 	})
 	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
 	if cp != nil {
@@ -413,9 +414,9 @@ func eagerStream(src *randx.Source, seq, purpose uint64, peer tagging.UserID, qi
 
 // eagerPlan is one planned initiator step of Algorithm 3 for one query,
 // computed against cycle-start state. Plans live in the engine's pooled
-// eplans slots. The pooling rule is strict: only buffers that never escape
-// the plan are reused (the ledger, the embedded maintenance exchange, the
-// resolution and destination-selection scratch). The hand-off slices —
+// eplans slots. The pooling rule is strict: only memory that never outlives
+// the cycle is pooled — the ledger's records and the maintenance exchange's
+// results are runs of the planning worker's arenas. The hand-off slices —
 // foundOwners, plist, keep, returned — escape into query state and into
 // delivery events that can outlive the cycle (in flight, or frozen at a
 // departed node), so they are freshly allocated per plan and only their
@@ -444,18 +445,16 @@ type eagerPlan struct {
 	// read by the sequential scheduling pass after the shards join.
 	peerBytes uint64 // commit-resolved traffic of the destination-side integration
 	selfBytes uint64 // commit-resolved traffic of the initiator-side integration
-
-	// Plan-phase scratch (never escapes the plan).
-	found  []tagging.Snapshot // resolved snapshots for the partial list
-	inPnet []*Entry           // destination selection: branch ∩ personal network
-	cand   []tagging.UserID   // destination selection: candidate order
 }
 
 // eagerPlanSlots returns n pooled plan slots, growing the pool as needed.
+// The slots a larger earlier cycle left beyond n are zeroed: their
+// hand-off slices would otherwise keep finished queries' lists alive.
 func (e *Engine) eagerPlanSlots(n int) []eagerPlan {
 	if len(e.scratch.eplans) < n {
 		e.scratch.eplans = append(e.scratch.eplans, make([]eagerPlan, n-len(e.scratch.eplans))...)
 	}
+	clear(e.scratch.eplans[n:])
 	return e.scratch.eplans[:n]
 }
 
@@ -467,7 +466,7 @@ func (e *Engine) eagerPlanSlots(n int) []eagerPlan {
 // plan concurrently.
 //
 //p3q:phase plan
-func (e *Engine) planEagerGossip(pr eagerPair, seq uint64, p *eagerPlan) {
+func (e *Engine) planEagerGossip(w *planWorker, pr eagerPair, seq uint64, p *eagerPlan) {
 	u := e.nodes[pr.u]
 	qr := e.queries[pr.qid]
 	p.u, p.qid = pr.u, pr.qid
@@ -477,11 +476,13 @@ func (e *Engine) planEagerGossip(pr eagerPair, seq uint64, p *eagerPlan) {
 	p.delivered = false
 	p.keep, p.returned = nil, nil
 	p.peerBytes, p.selfBytes = 0, 0
-	e.net.InitLedger(&p.ledger)
+	// Probes, then the forward, the partial result and the return.
+	e.net.InitLedgerOn(&p.ledger, w.records.open(min(len(p.branch), e.cfg.MaxProbes)+3))
 
 	drng := eagerStream(u.rng, seq, purposeEagerDest, 0, pr.qid)
-	dest := e.selectEagerDest(u, p, &drng)
+	dest := e.selectEagerDest(w, u, p, &drng)
 	if dest == nil {
+		w.records.close(p.ledger.Records())
 		return // every candidate departed: the branch stalls this cycle
 	}
 	p.ok, p.dest = true, dest.id
@@ -497,20 +498,21 @@ func (e *Engine) planEagerGossip(pr eagerPair, seq uint64, p *eagerPlan) {
 	// rest. rest may itself become the kept or returned portion inside
 	// splitRemaining, so unlike the found scratch it must be a fresh
 	// allocation.
-	p.found = p.found[:0]
+	found := w.found[:0]
 	var rest []tagging.UserID
 	for _, ul := range p.branch {
 		if snap, ok := dest.lookup(ul); ok {
-			p.found = append(p.found, snap)
+			found = append(found, snap)
 			p.foundOwners = append(p.foundOwners, ul)
 		} else {
 			rest = append(rest, ul)
 		}
 	}
+	w.found = found
 
-	if len(p.found) > 0 {
+	if len(found) > 0 {
 		if e.net.Online(qr.Query.Querier) {
-			p.plist = topk.PartialList(p.found, qr.qset)
+			p.plist = topk.PartialList(found, qr.qset)
 			sz := tagging.ResultListWireSize(len(p.plist), len(p.foundOwners))
 			p.ledger.Send(dest.id, qr.Query.Querier, sim.MsgPartialResult, sz)
 			p.delivered = true
@@ -535,13 +537,14 @@ func (e *Engine) planEagerGossip(pr eagerPair, seq uint64, p *eagerPlan) {
 	srng := eagerStream(dest.rng, seq, purposeEagerSplit, u.id, pr.qid)
 	p.keep, p.returned = splitRemaining(rest, e.cfg.Alpha, &srng)
 	p.ledger.Send(dest.id, u.id, sim.MsgQueryReturn, tagging.UsersWireSize(len(p.returned)))
+	w.records.close(p.ledger.Records())
 
 	// "maintain personal network as in lazy mode" (Algorithm 3, lines 12
 	// and 24): the eager exchange doubles as a top-layer maintenance
 	// exchange, refreshing both sides' personal networks.
 	arng := eagerStream(u.rng, seq, purposeEagerAdv, 0, pr.qid)
 	brng := eagerStream(dest.rng, seq, purposeEagerAdvReply, u.id, pr.qid)
-	e.planTopExchangeInto(&p.exch, u, dest, &arng, &brng, nil)
+	e.planTopExchangeInto(w, &p.exch, u, dest, &arng, &brng, nil)
 }
 
 // commitEagerGossipShard applies the shard-owned send-time effects of one
@@ -599,18 +602,18 @@ func (e *Engine) emitEagerHops(p *eagerPlan, t *sim.Traffic) {
 // prefer remaining-list members that are also personal-network neighbours,
 // oldest timestamp first; otherwise random remaining-list members. Departed
 // candidates cost a probe each (recorded in the plan's ledger), up to
-// MaxProbes. The candidate orderings build in the plan's scratch buffers.
-func (e *Engine) selectEagerDest(u *Node, p *eagerPlan, rng *randx.Source) *Node {
+// MaxProbes. The candidate orderings build in the worker's scratch buffers.
+func (e *Engine) selectEagerDest(w *planWorker, u *Node, p *eagerPlan, rng *randx.Source) *Node {
 	branch := p.branch
 	if e.cfg.DisableEagerBias {
 		// Ablation: uniform random destination from the remaining list.
-		shuffled := append(p.cand[:0], branch...)
-		p.cand = shuffled
+		shuffled := append(w.cand[:0], branch...)
+		w.cand = shuffled
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		return e.firstOnline(u, shuffled, &p.ledger)
 	}
-	inPnet := p.inPnet[:0]
-	candidates := p.cand[:0]
+	inPnet := w.inPnet[:0]
+	candidates := w.cand[:0]
 	others := 0
 	for _, ul := range branch {
 		if entry := u.pnet.Entry(ul); entry != nil {
@@ -624,7 +627,7 @@ func (e *Engine) selectEagerDest(u *Node, p *eagerPlan, rng *randx.Source) *Node
 	// queries do not always walk the same destination sequence.
 	rng.Shuffle(len(inPnet), func(i, j int) { inPnet[i], inPnet[j] = inPnet[j], inPnet[i] })
 	slices.SortStableFunc(inPnet, func(a, b *Entry) int { return cmp.Compare(b.Age(), a.Age()) })
-	p.inPnet = inPnet
+	w.inPnet = inPnet
 	// Assemble the canonical order — personal-network members first, then
 	// the shuffled others, which were collected at the head of the buffer —
 	// by shifting the others to the tail.
@@ -636,7 +639,7 @@ func (e *Engine) selectEagerDest(u *Node, p *eagerPlan, rng *randx.Source) *Node
 	for i, entry := range inPnet {
 		candidates[i] = entry.ID
 	}
-	p.cand = candidates
+	w.cand = candidates
 	return e.firstOnline(u, candidates, &p.ledger)
 }
 

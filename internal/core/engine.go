@@ -98,18 +98,21 @@ type Engine struct {
 }
 
 // scratch is the engine's pooled working memory. Every cycle re-initializes
-// the slots it uses (a plan slot's used flag gates the committers), so the
-// only state that survives a cycle is buffer capacity — a steady-state
-// cycle plans and commits without allocating.
+// the slots it uses (a plan slot's used flag gates the committers) and
+// resets the plan workers' arenas, so the only state that survives a cycle
+// is buffer capacity — a steady-state cycle plans and commits without
+// allocating. The plan slots hold headers only: their buffers are runs of
+// the arenas (see arena.go).
 type scratch struct {
-	vplans []viewPlan    // lazy round-1 plan pool, one slot per node
-	tplans []topPlan     // lazy round-2 plan pool, one slot per node
-	eplans []eagerPlan   // eager plan pool, one slot per gossip
-	pairs  []eagerPair   // the eager cycle's gossip pairs
-	perm   []int         // the cycle's node permutation
-	shards []commitShard // commit-phase shards, re-initialized by commitSharded
-	eval   []evalSlot    // Snapshot's ordered export of one node's evaluated memo
-	order  memoOrder     // the bitmap and version column that put it in order
+	vplans  []viewPlan    // lazy round-1 plan pool, one slot per node
+	tplans  []topPlan     // lazy round-2 plan pool, one slot per node
+	eplans  []eagerPlan   // eager plan pool, one slot per gossip
+	workers []planWorker  // one per plan goroutine: planner scratch and output arenas
+	pairs   []eagerPair   // the eager cycle's gossip pairs
+	perm    []int         // the cycle's node permutation
+	shards  []commitShard // commit-phase shards, re-initialized by commitSharded
+	eval    []evalSlot    // Snapshot's ordered export of one node's evaluated memo
+	order   memoOrder     // the bitmap and version column that put it in order
 }
 
 // New builds an engine over the dataset. Nodes start with empty personal
@@ -300,6 +303,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	e.scratch.perm = order
 	seq := e.cycleSeq
 	e.cycleSeq++
+	workers := e.planWorkers(cp != nil)
 
 	sw := hostclock.Start()
 	// Normalize per-node caches (own digests, evaluated memos) so the
@@ -317,11 +321,11 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	if len(e.scratch.vplans) < len(e.nodes) {
 		e.scratch.vplans = make([]viewPlan, len(e.nodes))
 	}
-	e.forEachNode(func(n *Node) {
-		p := &e.scratch.vplans[n.id]
+	e.forEachIndex(len(e.nodes), func(w, i int) {
+		p := &e.scratch.vplans[i]
 		p.used = false
-		if e.net.Online(n.id) {
-			e.planViewInto(n, seq, p)
+		if e.net.Online(e.nodes[i].id) {
+			e.planViewInto(&workers[w], e.nodes[i], seq, p)
 		}
 	})
 	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
@@ -341,11 +345,11 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	if len(e.scratch.tplans) < len(e.nodes) {
 		e.scratch.tplans = make([]topPlan, len(e.nodes))
 	}
-	e.forEachNode(func(n *Node) {
-		p := &e.scratch.tplans[n.id]
+	e.forEachIndex(len(e.nodes), func(w, i int) {
+		p := &e.scratch.tplans[i]
 		p.used = false
-		if e.net.Online(n.id) {
-			e.planTopInto(n, seq, p)
+		if e.net.Online(e.nodes[i].id) {
+			e.planTopInto(&workers[w], e.nodes[i], seq, p)
 		}
 	})
 	e.obs.SamplePhase(obs.PhasePlan, sw.Elapsed())
@@ -380,6 +384,7 @@ type commitShard struct {
 	lo, hi tagging.UserID
 	ledger sim.Ledger
 	naive  uint64
+	merge  gossip.MergeScratch // the working memory of the shard's view merges
 
 	// dur is the committer's host wall time for the current phase,
 	// measured only while a telemetry registry is attached; it feeds the
@@ -490,20 +495,21 @@ func (e *Engine) sampleShards(shards []commitShard) {
 // skewed per-node costs.
 const planChunk = 64
 
-// forEachIndex runs fn for every index in [0, n). With Workers > 1 the
-// indices are processed by a worker pool in chunks; fn must therefore be
-// safe to run concurrently for distinct indices (the planning contract:
-// read shared state, write only the index's own slot). The set of fn
-// invocations is identical for every worker count — only the schedule
-// differs.
-func (e *Engine) forEachIndex(n int, fn func(i int)) {
+// forEachIndex runs fn(w, i) for every index i in [0, n), where w < Workers
+// identifies the goroutine running the call. With Workers > 1 the indices
+// are processed by a worker pool in chunks; fn must therefore be safe to
+// run concurrently for distinct indices (the planning contract: read shared
+// state, write only the index's own slot and worker w's planWorker). The
+// set of fn invocations is identical for every worker count — only the
+// schedule, and so which worker's memory a plan's outputs land in, differs.
+func (e *Engine) forEachIndex(n int, fn func(w, i int)) {
 	workers := e.cfg.Workers
 	if max := (n + planChunk - 1) / planChunk; workers > max {
 		workers = max
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -511,7 +517,7 @@ func (e *Engine) forEachIndex(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				lo := int(next.Add(planChunk)) - planChunk
@@ -523,17 +529,17 @@ func (e *Engine) forEachIndex(n int, fn func(i int)) {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					fn(i)
+					fn(w, i)
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }
 
 // forEachNode runs fn for every node under the forEachIndex contract.
 func (e *Engine) forEachNode(fn func(n *Node)) {
-	e.forEachIndex(len(e.nodes), func(i int) { fn(e.nodes[i]) })
+	e.forEachIndex(len(e.nodes), func(_, i int) { fn(e.nodes[i]) })
 }
 
 // RunLazy runs n lazy cycles.

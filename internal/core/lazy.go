@@ -2,6 +2,7 @@ package core
 
 import (
 	"p3q/internal/gossip"
+	"p3q/internal/idtab"
 	"p3q/internal/randx"
 	"p3q/internal/sim"
 	"p3q/internal/tagging"
@@ -69,18 +70,16 @@ func planLabel(seq, purpose uint64, peer tagging.UserID) uint64 {
 }
 
 // viewPlan is one node's planned bottom-layer exchange: the selected
-// partner, both send buffers (computed against the cycle-start views), the
-// split streams the commit-time merges will draw from, and the message
-// ledger. Plans live in the engine's pooled vplans slice: every field is
-// either a value re-initialized per cycle or a scratch buffer that reuses
-// its capacity, so a steady-state cycle plans without allocating.
+// partner, both send buffers (computed against the cycle-start views, runs
+// of the planning worker's arena) and the split streams the commit-time
+// merges will draw from. Plans live in the engine's pooled vplans slice.
+// The exchange's messages follow from the plan alone — a failed probe of a
+// departed partner, or the two buffers — so the commit records them.
 type viewPlan struct {
 	used       bool // false: slot idle this cycle (offline node or empty view)
-	ledger     sim.Ledger
 	partner    tagging.UserID
 	dead       bool // partner departed: drop it from the view
 	bufA, bufB []gossip.Descriptor
-	smpA, smpB randx.Sampler
 	rngA, rngB randx.Source
 }
 
@@ -90,7 +89,7 @@ type viewPlan struct {
 //
 //p3q:phase plan
 //p3q:hotpath
-func (e *Engine) planViewInto(a *Node, seq uint64, p *viewPlan) {
+func (e *Engine) planViewInto(w *planWorker, a *Node, seq uint64, p *viewPlan) {
 	p.used = false
 	p.rngA = a.rng.Derive(planLabel(seq, purposeView, 0))
 	rng := &p.rngA
@@ -101,23 +100,21 @@ func (e *Engine) planViewInto(a *Node, seq uint64, p *viewPlan) {
 	p.used = true
 	p.dead = false
 	p.partner = d.Node
-	e.net.InitLedger(&p.ledger)
 	if !e.net.Online(d.Node) {
-		p.ledger.Send(a.id, d.Node, sim.MsgProbe, 0) // records the failed attempt
 		// Departed contact: drop it so the view heals (§3.4.2).
 		p.dead = true
 		return
 	}
 	b := e.nodes[d.Node]
 	p.rngB = b.rng.Derive(planLabel(seq, purposeViewReply, a.id))
-	p.bufA = a.view.SendBufferInto(a.descriptor(), rng, p.bufA, &p.smpA)
-	p.bufB = b.view.SendBufferInto(b.descriptor(), &p.rngB, p.bufB, &p.smpB)
-	p.ledger.Send(a.id, d.Node, sim.MsgRandomView, descriptorsWireSize(p.bufA))
-	p.ledger.Send(d.Node, a.id, sim.MsgRandomView, descriptorsWireSize(p.bufB))
+	p.bufA = a.view.SendBufferInto(a.descriptor(), rng, w.descs.open(a.view.Capacity()), &w.smp)
+	w.descs.close(p.bufA)
+	p.bufB = b.view.SendBufferInto(b.descriptor(), &p.rngB, w.descs.open(b.view.Capacity()), &w.smp)
+	w.descs.close(p.bufB)
 }
 
 // commitViewShard applies the shard-owned effects of one planned
-// bottom-layer exchange: the plan ledger and the initiator-side view merge
+// bottom-layer exchange: the messages and the initiator-side view merge
 // (or dead-partner removal) belong to a's shard, the partner-side merge to
 // the partner's shard.
 //
@@ -126,20 +123,20 @@ func (e *Engine) commitViewShard(a *Node, p *viewPlan, sh *commitShard) {
 	if !p.used {
 		return
 	}
-	if sh.owns(a.id) {
-		sh.ledger.Merge(&p.ledger)
-	}
 	if p.dead {
 		if sh.owns(a.id) {
+			sh.ledger.Send(a.id, p.partner, sim.MsgProbe, 0) // records the failed attempt
 			a.view.Remove(p.partner)
 		}
 		return
 	}
 	if sh.owns(a.id) {
-		a.view.Merge(p.bufB, &p.rngA)
+		sh.ledger.Send(a.id, p.partner, sim.MsgRandomView, descriptorsWireSize(p.bufA))
+		sh.ledger.Send(p.partner, a.id, sim.MsgRandomView, descriptorsWireSize(p.bufB))
+		a.view.MergeWith(p.bufB, &p.rngA, &sh.merge)
 	}
 	if sh.owns(p.partner) {
-		e.nodes[p.partner].view.Merge(p.bufA, &p.rngB)
+		e.nodes[p.partner].view.MergeWith(p.bufA, &p.rngB, &sh.merge)
 	}
 }
 
@@ -157,26 +154,37 @@ func descriptorsWireSize(ds []gossip.Descriptor) int {
 }
 
 // rvContact is one planned random-view evaluation: either a pure
-// evaluated-cache update (digest shares no item) or a direct contact with
-// the planned integration of the owner's fresh offer. Contacts live in the
-// owning topPlan's pooled rv slice, so the embedded integration's buffers
-// survive from cycle to cycle (see topPlan.nextRV).
+// evaluated-cache update (the view's digest shares no item) or a direct
+// contact, holding the owner's scored fresh offer inline — a single offer
+// has at most one result.
 type rvContact struct {
-	owner    tagging.UserID
-	evalOnly bool
-	version  int
-	intent   integration
+	owner     tagging.UserID
+	evalOnly  bool // the digest shares no item: memoize its version only
+	scored    bool // direct contact: the offer passed step 1 into res
+	version   int  // evalOnly: the version memoized
+	res       [1]intResult
+	reqBytes  int
+	respBytes int
+}
+
+// integration returns the direct contact as the one-offer integration the
+// commit applies.
+func (c *rvContact) integration() integration {
+	n := 0
+	if c.scored {
+		n = 1
+	}
+	return integration{provider: c.owner, results: c.res[:n], reqBytes: c.reqBytes, respBytes: c.respBytes}
 }
 
 // topPlan is one node's planned top-layer gossip plus random-view
 // evaluation: the probes spent finding an online partner, the symmetric
 // 3-step exchange planned for both sides, and the random-view contacts.
-// Like viewPlan, topPlans are pooled engine slots: every sub-plan is
-// embedded by value and every buffer — including the rv slots' integration
-// buffers and the seen overlay map — is reused across cycles.
+// Like viewPlan, topPlans are pooled engine slots; the ledger's records,
+// resets and rv are runs of the planning worker's arenas.
 type topPlan struct {
-	used   bool // false: slot idle this cycle (offline node)
-	ledger sim.Ledger
+	used   bool             // false: slot idle this cycle (offline node)
+	ledger sim.Ledger       // probes and random-view contact traffic
 	resets []tagging.UserID // departed partners probed: reset their timestamps
 
 	partner tagging.UserID
@@ -184,25 +192,6 @@ type topPlan struct {
 	exch    exchangePlan // the symmetric 3-step exchange with the partner
 
 	rv []rvContact
-
-	// Plan-phase scratch.
-	partners []uint32               // selectTopPartner: shuffled (last, ID) ranks, then the current age group
-	seen     map[tagging.UserID]int // evaluated-cache overlay, cleared per cycle
-	oneOffer [1]offer               // backing array for single-offer integrations
-}
-
-// nextRV appends one rv slot and returns it, re-exposing a previous cycle's
-// slot (with its integration buffers intact) when capacity allows. The
-// caller must set every field it relies on: the slot's content is stale.
-//
-//p3q:hotpath
-func (p *topPlan) nextRV() *rvContact {
-	if len(p.rv) < cap(p.rv) {
-		p.rv = p.rv[:len(p.rv)+1]
-	} else {
-		p.rv = append(p.rv, rvContact{})
-	}
-	return &p.rv[len(p.rv)-1]
 }
 
 // selectTopPartner picks a's gossip partner of the cycle — the personal
@@ -222,22 +211,22 @@ func (p *topPlan) nextRV() *rvContact {
 //
 //p3q:phase plan
 //p3q:hotpath
-func (e *Engine) selectTopPartner(a *Node, rng *randx.Source, p *topPlan) *Node {
+func (e *Engine) selectTopPartner(w *planWorker, a *Node, rng *randx.Source, p *topPlan) *Node {
 	ranking := a.pnet.ranking
 	n := len(ranking)
-	perm := p.partners[:0]
+	perm := w.partners[:0]
 	for i := 0; i < n; i++ {
 		perm = append(perm, uint32(i))
 	}
 	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	p.partners = perm
+	w.partners = perm
 	probes, offset, lo := 0, 0, uint64(0)
 	for offset < n && probes < e.cfg.MaxProbes {
 		var last uint64
-		p.partners, last = a.pnet.appendAgeGroup(p.partners[:n], lo)
-		group := p.partners[n:]
+		w.partners, last = a.pnet.appendAgeGroup(w.partners[:n], lo)
+		group := w.partners[n:]
 		left := len(group)
-		for _, r := range p.partners[:n] {
+		for _, r := range w.partners[:n] {
 			k := int(r) - offset
 			if k < 0 || k >= len(group) {
 				continue
@@ -269,42 +258,41 @@ func (e *Engine) selectTopPartner(a *Node, rng *randx.Source, p *topPlan) *Node 
 // (§2.2.1).
 //
 //p3q:phase plan
-func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
+func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 	p.used = true
 	p.ok = false
-	p.resets = p.resets[:0]
-	p.rv = p.rv[:0]
-	e.net.InitLedger(&p.ledger)
+	entries := a.view.Entries()
+	probes := min(a.pnet.Len(), e.cfg.MaxProbes)
+	e.net.InitLedgerOn(&p.ledger, w.records.open(probes+2*len(entries)))
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
-	b := e.selectTopPartner(a, &rng, p)
+	p.resets = w.resets.open(probes)
+	b := e.selectTopPartner(w, a, &rng, p)
+	w.resets.close(p.resets)
 
 	// seen overlays the evaluated cache with the versions this plan already
 	// scored, so the random-view pass below does not re-contact an owner
 	// the top exchange just integrated.
-	if p.seen == nil {
-		p.seen = make(map[tagging.UserID]int)
-	} else {
-		clear(p.seen)
-	}
-	seen := p.seen
+	seen := &w.seen
+	seen.Clear()
 	if b != nil {
 		p.partner, p.ok = b.id, true
 		brng := b.rng.Derive(planLabel(seq, purposeTopReply, a.id))
-		e.planTopExchangeInto(&p.exch, a, b, &rng, &brng, seen)
+		e.planTopExchangeInto(w, &p.exch, a, b, &rng, &brng, seen)
 	}
 
 	// Random-view evaluation: score the members whose digests indicate at
 	// least one shared item, contacting them directly for their fresh
 	// profiles (§2.2.1: "The profile of vj is obtained by directly
 	// contacting vj if Digest(vj) contains at least one item tagged by ui").
-	for _, d := range a.view.Entries() {
+	rv := w.contacts.open(len(entries))
+	for _, d := range entries {
 		if d.Node == a.id {
 			continue
 		}
 		v, known := a.evaluated.Get(uint32(d.Node))
-		if sv, ok := seen[d.Node]; ok && (!known || sv > int(v)) {
-			v, known = int32(sv), true
+		if sv, ok := seen.Get(uint32(d.Node)); ok && (!known || sv > v) {
+			v, known = sv, true
 		}
 		if known && int(v) >= d.Digest.Version {
 			continue
@@ -316,10 +304,10 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 		if entry == nil && e.cfg.StaticNetworks {
 			continue // membership frozen: no point contacting non-members
 		}
-		if !d.Digest.SharesItemWith(a.profile) {
-			seen[d.Node] = d.Digest.Version
-			c := p.nextRV()
-			c.owner, c.evalOnly, c.version = d.Node, true, d.Digest.Version
+		w.common = d.Digest.AppendCommonItems(w.common, a.profile)
+		if len(w.common) == 0 {
+			seen.Put(uint32(d.Node), int32(d.Digest.Version))
+			rv = append(rv, rvContact{owner: d.Node, evalOnly: true, version: d.Digest.Version})
 			continue
 		}
 		if !e.net.Online(d.Node) {
@@ -330,13 +318,22 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 		// profile. The initiating request is charged symmetrically to
 		// fetchFromOwner; the response carries the fresh digest (§3.3).
 		owner := e.nodes[d.Node]
-		p.oneOffer[0] = offer{digest: owner.digest(), snap: owner.profile.Snapshot()}
+		o := offer{digest: owner.digest(), snap: owner.profile.Snapshot()}
 		p.ledger.Send(a.id, d.Node, sim.MsgTopDigest, requestBytes)
-		p.ledger.Send(d.Node, a.id, sim.MsgTopDigest, p.oneOffer[0].digest.SizeBytes())
-		c := p.nextRV()
-		c.owner, c.evalOnly, c.version = d.Node, false, 0
-		planIntegrateInto(&c.intent, a, p.oneOffer[:], d.Node, seen)
+		p.ledger.Send(d.Node, a.id, sim.MsgTopDigest, o.digest.SizeBytes())
+		// The same version of a profile has the same digest, so the common
+		// items just found are the fresh offer's too.
+		common := w.common
+		if o.digest.Version != d.Digest.Version {
+			common = nil
+		}
+		c := rvContact{owner: d.Node}
+		c.res[0], c.reqBytes, c.respBytes, c.scored = w.planOffer(a, o, seen, common)
+		rv = append(rv, c)
 	}
+	w.contacts.close(rv)
+	p.rv = rv
+	w.records.close(p.ledger.Records())
 }
 
 // commitTopShard applies the shard-owned effects of one planned top-layer
@@ -374,30 +371,26 @@ func (e *Engine) commitTopShard(a *Node, p *topPlan, sh *commitShard) {
 				a.evaluated.Put(uint32(c.owner), int32(c.version))
 				continue
 			}
-			a.commitIntegration(&c.intent, &sh.ledger)
+			it := c.integration()
+			a.commitIntegration(&it, &sh.ledger)
 		}
 	}
 }
 
 // exchangePlan is one planned symmetric top-layer exchange between two
 // online nodes (Algorithm 3, "maintain personal network as in lazy mode",
-// and the partner half of planTop): both sides' step-1 digest messages,
-// the ablation side ledger, and the planned integrations of what each side
-// received. Steps 2-3 resolve at commit time through commitIntegration.
+// and the partner half of planTop): the sizes of both sides' step-1 digest
+// messages, the ablation side ledger, and the planned integrations of what
+// each side received. Steps 2-3 resolve at commit time through
+// commitIntegration. The offer batches themselves are planner scratch —
+// the integrations copy what they keep — and survive the plan only as the
+// wire references of a captured cycle.
 type exchangePlan struct {
-	ledger  sim.Ledger
-	naive   uint64      // 3-step ablation ledger contribution
-	intPeer integration // b's integration of a's offers
-	intSelf integration // a's integration of b's offers
-
-	// Plan-phase scratch: the advertised offer batches (their content is
-	// consumed by the sends, the ablation ledger and the integrations above,
-	// which copy what they keep), plus the stored-entry collection buffer
-	// and sampling scratch shared by both advertise calls (they run
-	// sequentially within this plan).
-	offersA, offersB []offer
-	storedBuf        []*Entry
-	smp              randx.Sampler
+	sizeA, sizeB int                 // step-1 digest batches a→b and b→a
+	naive        uint64              // 3-step ablation ledger contribution
+	intPeer      integration         // b's integration of a's offers
+	intSelf      integration         // a's integration of b's offers
+	refsA, refsB []tagging.DigestRef // captured cycles only: the batches a→b and b→a
 }
 
 // planTopExchangeInto plans the symmetric top-layer exchange between two
@@ -406,25 +399,24 @@ type exchangePlan struct {
 // advertising randomness is passed in explicitly so both the lazy and the
 // eager planners can derive per-cycle split streams; seen optionally
 // overlays versions the caller's plan has already scored on a's side (the
-// lazy planner shares it with its random-view pass).
+// lazy planner shares it with its random-view pass). Each side's batch is
+// scored before the other side advertises, so one offer buffer serves both.
 //
 //p3q:phase plan
 //p3q:hotpath
-func (e *Engine) planTopExchangeInto(p *exchangePlan, a, b *Node, rngA, rngB *randx.Source, seen map[tagging.UserID]int) {
-	e.net.InitLedger(&p.ledger)
-	p.offersA, p.storedBuf = a.advertiseInto(rngA, p.offersA, p.storedBuf, &p.smp)
-	p.offersB, p.storedBuf = b.advertiseInto(rngB, p.offersB, p.storedBuf, &p.smp)
-	p.ledger.Send(a.id, b.id, sim.MsgTopDigest, offersWireSize(p.offersA))
-	p.ledger.Send(b.id, a.id, sim.MsgTopDigest, offersWireSize(p.offersB))
-	p.naive = naiveOffersBytes(p.offersA) + naiveOffersBytes(p.offersB)
-	planIntegrateInto(&p.intPeer, b, p.offersA, a.id, nil)
-	planIntegrateInto(&p.intSelf, a, p.offersB, b.id, seen)
+func (e *Engine) planTopExchangeInto(w *planWorker, p *exchangePlan, a, b *Node, rngA, rngB *randx.Source, seen *idtab.Table) {
+	offers := a.advertise(rngA, w)
+	p.sizeA, p.naive, p.refsA = offersWireSize(offers), naiveOffersBytes(offers), w.captureRefs(offers)
+	w.planIntegrateInto(&p.intPeer, b, offers, a.id, nil)
+	offers = b.advertise(rngB, w)
+	p.sizeB, p.naive, p.refsB = offersWireSize(offers), p.naive+naiveOffersBytes(offers), w.captureRefs(offers)
+	w.planIntegrateInto(&p.intSelf, a, offers, b.id, seen)
 }
 
 // commitTopExchangeShard applies the shard-owned effects of a planned
-// exchange: the step-1 ledger and the ablation side ledger (charged to a's
-// shard), b's integration of a's offers (b's shard) and a's integration of
-// b's offers (a's shard). It returns the commit-resolved step-2/step-3
+// exchange: the step-1 messages and the ablation side ledger (charged to
+// a's shard), b's integration of a's offers (b's shard) and a's integration
+// of b's offers (a's shard). It returns the commit-resolved step-2/step-3
 // traffic of each integration — each value is only meaningful in the shard
 // owning the respective node — so the eager scheduling pass can attribute
 // piggybacked maintenance bytes per query.
@@ -432,7 +424,8 @@ func (e *Engine) planTopExchangeInto(p *exchangePlan, a, b *Node, rngA, rngB *ra
 //p3q:phase commit
 func (e *Engine) commitTopExchangeShard(a, b *Node, p *exchangePlan, sh *commitShard) (peerBytes, selfBytes uint64) {
 	if sh.owns(a.id) {
-		sh.ledger.Merge(&p.ledger)
+		sh.ledger.Send(a.id, b.id, sim.MsgTopDigest, p.sizeA)
+		sh.ledger.Send(b.id, a.id, sim.MsgTopDigest, p.sizeB)
 		sh.naive += p.naive
 	}
 	if sh.owns(b.id) {
@@ -461,20 +454,16 @@ func naiveOffersBytes(offers []offer) uint64 {
 
 // integration is the planned outcome of one node integrating a batch of
 // received profile advertisements: the exact similarity scores and message
-// sizes of steps 1-2 of Algorithm 1. Step 3 (profile storage) depends on
-// the personal network as committed, so it is resolved at commit time.
-// Integrations are embedded by value in their owning plan slots and
-// re-initialized in place by planIntegrateInto; the common-item scratch
-// buffer persists across cycles.
+// sizes of steps 1-2 of Algorithm 1, for the offers that passed step 1 (none:
+// nothing to commit). Step 3 (profile storage) depends on the personal
+// network as committed, so it is resolved at commit time. Integrations are
+// embedded by value in their owning plan slots; the results are a run of
+// the planning worker's arena.
 type integration struct {
-	ok        bool // false: every offer was filtered out, nothing to commit
 	provider  tagging.UserID
 	results   []intResult
 	reqBytes  int
 	respBytes int
-
-	// Step-2 scratch, reused per offer.
-	common []tagging.ItemID
 }
 
 // intResult is one scored offer inside an integration. applied is written
@@ -485,64 +474,89 @@ type intResult struct {
 	o        offer
 	score    int
 	received int  // actions transferred in step 2 (for the step-3 discount)
-	version  int  // evaluated-cache update for the offer's owner
 	applied  bool // commit-time: upsert landed, offer's snapshot is storable
 }
 
 // planIntegrateInto computes the read-only part of Algorithm 1 for a batch
 // of offers received by n from provider, into the caller's pooled
-// integration slot:
-//
-//	step 1 (lines 1-15):  filter digests — drop unchanged/known versions and
-//	                      owners sharing no item with the own profile;
-//	step 2 (lines 16-26): fetch the tagging actions on common items and
-//	                      compute exact similarity scores.
-//
-// It reads only n's cycle-start state (plus the optional seen overlay of
-// versions already scored by the same plan) and mutates nothing but the
-// slot, so any number of planners may run it concurrently — including two
-// planners integrating into the same n. The slot's ok flag is false when
-// every offer is filtered out (no step-2 messages are exchanged then).
+// integration slot (see planOffer). It reads only n's cycle-start state
+// (plus the optional seen overlay of versions already scored by the same
+// plan) and mutates nothing but the slot and the worker, so any number of
+// planners may run it concurrently — including two planners integrating
+// into the same n.
 //
 //p3q:phase plan
 //p3q:hotpath
-func planIntegrateInto(it *integration, n *Node, offers []offer, provider tagging.UserID, seen map[tagging.UserID]int) {
+func (w *planWorker) planIntegrateInto(it *integration, n *Node, offers []offer, provider tagging.UserID, seen *idtab.Table) {
 	it.provider = provider
-	it.results = it.results[:0]
 	it.reqBytes, it.respBytes = 0, 0
+	results := w.results.open(len(offers))
 	for _, o := range offers {
-		owner := o.digest.Owner
-		if owner == n.id {
-			continue
+		r, req, resp, ok := w.planOffer(n, o, seen, nil)
+		if ok {
+			results = append(results, r)
+			it.reqBytes += req
+			it.respBytes += resp
 		}
-		v, known := n.evaluated.Get(uint32(owner))
-		if sv, ok := seen[owner]; ok && (!known || sv > int(v)) {
-			v, known = int32(sv), true
-		}
-		if known && int(v) >= o.digest.Version {
-			continue // already scored at this or a newer version
-		}
-		if entry := n.pnet.Entry(owner); entry != nil {
-			if entry.Digest.Version >= o.digest.Version {
-				continue // digest does not change (or is older than known)
-			}
-		} else if n.e.cfg.StaticNetworks {
-			continue // membership frozen: never admit new neighbours
-		} else if !o.digest.SharesItemWith(n.profile) {
-			continue // no common item: does not qualify (Algorithm 1, line 10)
-		}
-		// Step 2: request the actions on common items and compute the
-		// exact score.
-		it.common = o.digest.AppendCommonItems(it.common, n.profile)
-		it.reqBytes += tagging.ItemsWireSize(len(it.common))
-		received, score := o.snap.ScoreOnItems(n.profile, it.common)
-		it.respBytes += tagging.ActionsWireSize(received)
-		if seen != nil {
-			seen[owner] = o.digest.Version
-		}
-		it.results = append(it.results, intResult{o: o, score: score, received: received, version: o.digest.Version})
 	}
-	it.ok = len(it.results) > 0
+	w.results.close(results)
+	it.results = results
+}
+
+// planOffer runs the read-only part of Algorithm 1 on one offer received by
+// n, returning the scored offer and its step-2 message sizes:
+//
+//	step 1 (lines 1-15):  drop the offer when its version is already
+//	                      scored (in the evaluated memo or seen), when it
+//	                      does not change a known neighbour's digest, or
+//	                      when its owner would be a new neighbour sharing no
+//	                      item with the own profile (line 10);
+//	step 2 (lines 16-26): fetch the tagging actions on common items and
+//	                      compute the exact similarity score.
+//
+// One Bloom pass finds the common items, and an empty list is the "no
+// shared item" test. common, when non-nil, is that list already computed
+// by the caller for the same digest. A scored offer's version is recorded
+// in seen (when non-nil).
+//
+//p3q:phase plan
+//p3q:hotpath
+func (w *planWorker) planOffer(n *Node, o offer, seen *idtab.Table, common []tagging.ItemID) (r intResult, reqBytes, respBytes int, ok bool) {
+	owner := o.digest.Owner
+	if owner == n.id {
+		return r, 0, 0, false
+	}
+	v, known := n.evaluated.Get(uint32(owner))
+	if seen != nil {
+		if sv, ok := seen.Get(uint32(owner)); ok && (!known || sv > v) {
+			v, known = sv, true
+		}
+	}
+	if known && int(v) >= o.digest.Version {
+		return r, 0, 0, false // already scored at this or a newer version
+	}
+	entry := n.pnet.Entry(owner)
+	if entry != nil && entry.Digest.Version >= o.digest.Version {
+		return r, 0, 0, false // digest does not change (or is older than known)
+	}
+	if entry == nil && n.e.cfg.StaticNetworks {
+		return r, 0, 0, false // membership frozen: never admit new neighbours
+	}
+	if common == nil {
+		w.common = o.digest.AppendCommonItems(w.common, n.profile)
+		common = w.common
+	}
+	if entry == nil && len(common) == 0 {
+		return r, 0, 0, false // no common item: does not qualify (Algorithm 1, line 10)
+	}
+	// Step 2: request the actions on common items and compute the exact
+	// score.
+	received, score := o.snap.ScoreOnItems(n.profile, common)
+	if seen != nil {
+		seen.Put(uint32(owner), int32(o.digest.Version))
+	}
+	r = intResult{o: o, score: score, received: received}
+	return r, tagging.ItemsWireSize(len(common)), tagging.ActionsWireSize(received), true
 }
 
 // commitIntegration applies a planned integration: the evaluated-cache
@@ -557,7 +571,7 @@ func planIntegrateInto(it *integration, n *Node, offers []offer, provider taggin
 //p3q:phase commit
 //p3q:hotpath
 func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
-	if !it.ok {
+	if len(it.results) == 0 {
 		return
 	}
 	n.checkEvalCache()
@@ -567,8 +581,8 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 	// integration already applied, or the evaluated memo's "highest
 	// version scored" contract (and score monotonicity) breaks.
 	for _, r := range it.results {
-		if v, ok := n.evaluated.Get(uint32(r.o.digest.Owner)); !ok || r.version > int(v) {
-			n.evaluated.Put(uint32(r.o.digest.Owner), int32(r.version))
+		if v, ok := n.evaluated.Get(uint32(r.o.digest.Owner)); !ok || r.o.digest.Version > int(v) {
+			n.evaluated.Put(uint32(r.o.digest.Owner), int32(r.o.digest.Version))
 		}
 	}
 	l.Send(n.id, it.provider, sim.MsgCommonItems, it.reqBytes)
@@ -584,7 +598,7 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 		if r.score <= 0 {
 			continue
 		}
-		if entry := n.pnet.Entry(r.o.digest.Owner); entry != nil && entry.Digest.Version > r.version {
+		if entry := n.pnet.Entry(r.o.digest.Owner); entry != nil && entry.Digest.Version > r.o.digest.Version {
 			continue // a fresher same-cycle commit already landed
 		}
 		n.pnet.Upsert(r.o.digest.Owner, r.score, r.o.digest)

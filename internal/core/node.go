@@ -150,44 +150,39 @@ type offer struct {
 	snap   tagging.Snapshot
 }
 
-// advertise builds the gossip payload of the top layer (§2.2.1): the node's
-// own profile plus a random subset of at most MaxDigestsPerGossip stored
-// neighbour profiles ("if more than 50 profiles are stored ... 50 random
-// ones among them are exchanged ... Otherwise, all the profiles are
+// advertise builds the gossip payload of the top layer (§2.2.1): the
+// node's own profile plus a random subset of at most MaxDigestsPerGossip
+// stored neighbour profiles ("if more than 50 profiles are stored ... 50
+// random ones among them are exchanged ... Otherwise, all the profiles are
 // exchanged"). The sampling randomness is passed in explicitly: both the
 // lazy and the eager planners derive per-cycle split streams (planLabel /
 // eagerStream) so that concurrent planners never contend on a shared
 // source.
-func (n *Node) advertise(rng *randx.Source) []offer {
-	var smp randx.Sampler
-	out, _ := n.advertiseInto(rng, nil, nil, &smp)
-	return out
-}
-
-// advertiseInto is advertise appending into caller-owned buffers: dst
-// receives the offers, stored is the neighbour-collection scratch (both
-// reuse their capacity; the grown stored buffer is returned for the caller
-// to keep), and smp owns the sampling scratch. The buffers are plan-owned,
-// never node-owned: a node can be the partner of several concurrently
-// planning initiators, each of which calls advertise on it.
+//
+// The batch is built in the planning worker's offer buffer, valid until
+// the worker's next advertisement, with the worker's stored-entry buffer
+// and sampler as scratch. The memory is the worker's, never the node's: a
+// node can be the partner of several concurrently planning initiators,
+// each of which advertises it.
 //
 //p3q:hotpath
-func (n *Node) advertiseInto(rng *randx.Source, dst []offer, stored []*Entry, smp *randx.Sampler) (offers []offer, storedOut []*Entry) {
-	stored = n.pnet.AppendStored(stored)
+func (n *Node) advertise(rng *randx.Source, w *planWorker) []offer {
+	w.storedBuf = n.pnet.AppendStored(w.storedBuf)
+	stored := w.storedBuf
 	max := n.e.cfg.MaxDigestsPerGossip
-	dst = dst[:0]
-	dst = append(dst, offer{digest: n.digest(), snap: n.profile.Snapshot()})
+	dst := append(w.offers[:0], offer{digest: n.digest(), snap: n.profile.Snapshot()})
 	if len(stored) <= max {
 		for _, e := range stored {
 			dst = append(dst, offer{digest: e.Digest, snap: e.Stored})
 		}
-		return dst, stored
+	} else {
+		for _, i := range w.smp.Sample(rng, len(stored), max) {
+			e := stored[i]
+			dst = append(dst, offer{digest: e.Digest, snap: e.Stored})
+		}
 	}
-	for _, i := range smp.Sample(rng, len(stored), max) {
-		e := stored[i]
-		dst = append(dst, offer{digest: e.Digest, snap: e.Stored})
-	}
-	return dst, stored
+	w.offers = dst
+	return dst
 }
 
 // offersWireSize is the step-1 cost of a digest batch.

@@ -94,18 +94,19 @@ func TestPartnerSelectionMatchesOracle(t *testing.T) {
 		seeds = 200
 	}
 	var p topPlan
+	var w planWorker
 	for seed := 1; seed <= seeds; seed++ {
 		s := partnerOracleSizes[(seed-1)%len(partnerOracleSizes)]
 		if s == 1000 && seed%12 != 0 {
 			s = 10 + seed%110
 		}
 		for history := 0; history < 3; history++ {
-			checkPartnerSelection(t, &p, seed, history, s)
+			checkPartnerSelection(t, &w, &p, seed, history, s)
 		}
 	}
 }
 
-func checkPartnerSelection(t *testing.T, p *topPlan, seed, history, s int) {
+func checkPartnerSelection(t *testing.T, w *planWorker, p *topPlan, seed, history, s int) {
 	r := rand.New(rand.NewSource(int64(3*seed + history)))
 	pool := 2*s + 4 // neighbour IDs 1..pool; 0 is the node itself
 	pn := NewPersonalNetwork(0, s, 0)
@@ -158,7 +159,7 @@ func checkPartnerSelection(t *testing.T, p *topPlan, seed, history, s int) {
 
 		p.resets = p.resets[:0]
 		nw.InitLedger(&p.ledger)
-		b := e.selectTopPartner(a, rngGot, p)
+		b := e.selectTopPartner(w, a, rngGot, p)
 		ledger := nw.NewLedger()
 		want, wantOK, resets := oraclePartnerProbe(pn, a.id, nw, e.cfg.MaxProbes, &rngWant, ledger)
 

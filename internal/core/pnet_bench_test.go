@@ -153,11 +153,12 @@ func BenchmarkTopPartnerSelect(b *testing.B) {
 				e, a := selectionEngine(pn, s, 3)
 				rng := randx.NewSource(1)
 				var p topPlan
-				e.selectTopPartner(a, rng, &p)
+				var w planWorker
+				e.selectTopPartner(&w, a, rng, &p)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if e.selectTopPartner(a, rng, &p) == nil {
+					if e.selectTopPartner(&w, a, rng, &p) == nil {
 						b.Fatal("no partner selected")
 					}
 				}

@@ -32,14 +32,14 @@ type View struct {
 	self     tagging.UserID
 	capacity int
 	entries  []Descriptor
+}
 
-	// scratch and smp are Merge's dedupe buffer and sampling scratch,
-	// reused across cycles; their content is meaningless between calls
-	// (the checkpoint codec rightly ignores them). Merge runs at commit
-	// time under the owning shard (one committer per node), so view-owned
-	// scratch is safe.
-	scratch []Descriptor
-	smp     randx.Sampler
+// MergeScratch is the working memory of MergeWith: the dedupe buffer and
+// the sampling scratch. Its content is meaningless between calls, so one
+// MergeScratch serves every view its owner merges, one at a time.
+type MergeScratch struct {
+	buf []Descriptor
+	smp randx.Sampler
 }
 
 // NewView returns an empty view for the given node.
@@ -61,23 +61,33 @@ func (v *View) Size() int { return len(v.entries) }
 func (v *View) Entries() []Descriptor { return v.entries }
 
 // Bootstrap seeds the view with initial peers (deduplicated, self excluded,
-// truncated to capacity).
+// truncated to capacity). The dedupe is a linear scan of the at most
+// capacity entries kept so far, so a view that already has room for them
+// allocates nothing.
 func (v *View) Bootstrap(peers []Descriptor) {
+	if n := min(len(peers), v.capacity); cap(v.entries) < n {
+		v.entries = make([]Descriptor, 0, n)
+	}
 	v.entries = v.entries[:0]
-	seen := make(map[tagging.UserID]struct{}, len(peers))
 	for _, d := range peers {
-		if d.Node == v.self {
+		if d.Node == v.self || v.index(d.Node) >= 0 {
 			continue
 		}
-		if _, dup := seen[d.Node]; dup {
-			continue
-		}
-		seen[d.Node] = struct{}{}
 		v.entries = append(v.entries, d)
 		if len(v.entries) == v.capacity {
 			break
 		}
 	}
+}
+
+// index returns the position of node's descriptor in the view, -1 if none.
+func (v *View) index(node tagging.UserID) int {
+	for i := range v.entries {
+		if v.entries[i].Node == node {
+			return i
+		}
+	}
+	return -1
 }
 
 // SelectPartner picks a gossip partner uniformly at random from the view.
@@ -100,10 +110,11 @@ func (v *View) SendBuffer(self Descriptor, rng *randx.Source) []Descriptor {
 }
 
 // SendBufferInto is SendBuffer appending into a caller-owned buffer with
-// caller-owned sampling scratch. The planners call it with plan-slot
+// caller-owned sampling scratch. The planners call it with their worker's
 // buffers: SendBuffer runs in the parallel plan phase, where two planners
-// may read the same view concurrently, so the scratch must be plan-owned,
-// not view-owned. The draw sequence and result are identical to SendBuffer.
+// may read the same view concurrently, so the scratch must be
+// planner-owned, not view-owned. The draw sequence and result are
+// identical to SendBuffer.
 //
 //p3q:hotpath
 func (v *View) SendBufferInto(self Descriptor, rng *randx.Source, dst []Descriptor, smp *randx.Sampler) []Descriptor {
@@ -121,16 +132,22 @@ func (v *View) SendBufferInto(self Descriptor, rng *randx.Source, dst []Descript
 // uniform random sample of capacity entries, per the paper's "r digests
 // among the 2r digests are randomly selected". Duplicates keep the freshest
 // digest (highest version); the node's own descriptor is dropped.
+func (v *View) Merge(received []Descriptor, rng *randx.Source) {
+	sc := MergeScratch{buf: make([]Descriptor, 0, len(v.entries)+len(received))}
+	v.MergeWith(received, rng, &sc)
+}
+
+// MergeWith is Merge with caller-owned working memory. The engine's shard
+// committers each own one MergeScratch and merge every view of their shard
+// through it, so no view carries scratch of its own.
 //
-// The dedupe runs over a view-owned flat scratch with a linear membership
-// scan — at most 2r+1 candidates — replacing the map-and-order-slice pair
-// this method used to allocate per call. Order and draw sequence are
-// unchanged: candidates keep first-occurrence order, and the down-sample
-// draws exactly when the candidate count exceeds capacity.
+// The dedupe is a linear membership scan over the flat scratch — at most
+// 2r+1 candidates. Candidates keep first-occurrence order, and the
+// down-sample draws exactly when the candidate count exceeds capacity.
 //
 //p3q:hotpath
-func (v *View) Merge(received []Descriptor, rng *randx.Source) {
-	sc := v.scratch[:0]
+func (v *View) MergeWith(received []Descriptor, rng *randx.Source, scratch *MergeScratch) {
+	sc := scratch.buf[:0]
 	for pass := 0; pass < 2; pass++ {
 		src := v.entries
 		if pass == 1 {
@@ -158,21 +175,18 @@ func (v *View) Merge(received []Descriptor, rng *randx.Source) {
 	// Uniform random subset of size capacity, in deterministic order.
 	v.entries = v.entries[:0]
 	if len(sc) > v.capacity {
-		for _, i := range v.smp.Sample(rng, len(sc), v.capacity) {
+		for _, i := range scratch.smp.Sample(rng, len(sc), v.capacity) {
 			v.entries = append(v.entries, sc[i])
 		}
 	} else {
 		v.entries = append(v.entries, sc...)
 	}
-	v.scratch = sc[:0]
+	scratch.buf = sc[:0]
 }
 
 // Remove drops the descriptor of a node (e.g. one detected as departed).
 func (v *View) Remove(node tagging.UserID) {
-	for i, d := range v.entries {
-		if d.Node == node {
-			v.entries = append(v.entries[:i], v.entries[i+1:]...)
-			return
-		}
+	if i := v.index(node); i >= 0 {
+		v.entries = append(v.entries[:i], v.entries[i+1:]...)
 	}
 }

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 
 	"p3q/internal/randx"
@@ -28,6 +29,29 @@ func TestBootstrapExcludesSelfAndDuplicates(t *testing.T) {
 		if d.Node == 1 {
 			t.Fatal("view contains self")
 		}
+	}
+}
+
+// TestBootstrapAllocations pins Bootstrap's dedupe to a scan of the view
+// itself: a fresh view allocates its entries once, a warm view nothing.
+func TestBootstrapAllocations(t *testing.T) {
+	peers := make([]Descriptor, 0, 24)
+	for i := 0; i < 24; i++ {
+		peers = append(peers, desc(tagging.UserID(i%12), 1)) // self and duplicates included
+	}
+	v := NewView(3, 10)
+	fresh := func() {
+		v.entries = nil
+		v.Bootstrap(peers)
+	}
+	if n := testing.AllocsPerRun(100, fresh); n != 1 {
+		t.Fatalf("fresh view: %v allocs per Bootstrap, want 1 (its entries)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.Bootstrap(peers) }); n != 0 {
+		t.Fatalf("warm view: %v allocs per Bootstrap, want 0", n)
+	}
+	if v.Size() != 10 || v.index(3) >= 0 {
+		t.Fatalf("view %v: want 10 distinct peers without self", v.Entries())
 	}
 }
 
@@ -123,6 +147,40 @@ func TestMergeKeepsFreshestDigest(t *testing.T) {
 	v.Merge([]Descriptor{desc(1, 3)}, randx.NewSource(7))
 	if v.Entries()[0].Digest.Version != 7 {
 		t.Fatalf("older digest downgraded the entry to %d", v.Entries()[0].Digest.Version)
+	}
+}
+
+// TestMergeWithSharedScratch holds MergeWith, one scratch serving many
+// views in turn as a commit shard uses it, to Merge: same views, same
+// draws, and nothing allocated once the scratch is warm.
+func TestMergeWithSharedScratch(t *testing.T) {
+	const views, r = 8, 5
+	want := make([]*View, views)
+	got := make([]*View, views)
+	for i := range want {
+		want[i], got[i] = NewView(tagging.UserID(i), r), NewView(tagging.UserID(i), r)
+	}
+	var sc MergeScratch
+	rngW, rngG := randx.NewSource(9), randx.NewSource(9)
+	buf := make([]Descriptor, r+1)
+	for round := 0; round < 40; round++ {
+		for i := range want {
+			for j := range buf {
+				buf[j] = desc(tagging.UserID((round*7+i*3+j)%20), 1+(round+j)%4)
+			}
+			want[i].Merge(buf, rngW)
+			got[i].MergeWith(buf, rngG, &sc)
+			if !slices.Equal(got[i].Entries(), want[i].Entries()) {
+				t.Fatalf("round %d view %d: MergeWith %v, Merge %v", round, i, got[i].Entries(), want[i].Entries())
+			}
+		}
+	}
+	if rngW.Uint64() != rngG.Uint64() {
+		t.Fatal("MergeWith and Merge drew differently")
+	}
+	v := got[0]
+	if n := testing.AllocsPerRun(100, func() { v.MergeWith(buf, rngG, &sc) }); n != 0 {
+		t.Fatalf("warm MergeWith: %v allocs, want 0", n)
 	}
 }
 

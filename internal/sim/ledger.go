@@ -34,13 +34,20 @@ func (nw *Network) NewLedger() *Ledger { return &Ledger{nw: nw} }
 
 // InitLedger (re)initializes a caller-owned ledger value in place: same
 // semantics as NewLedger, but the record buffer is reused. The engine's
-// pooled plan slots embed their ledgers and re-init them each cycle instead
-// of allocating fresh ones.
+// commit shards embed their ledgers and re-init them each phase instead of
+// allocating fresh ones.
 //
 //p3q:hotpath
-func (nw *Network) InitLedger(l *Ledger) {
+func (nw *Network) InitLedger(l *Ledger) { nw.InitLedgerOn(l, l.records) }
+
+// InitLedgerOn is InitLedger recording into buf's backing array, from its
+// start: a caller that pools record memory itself hands the ledger a run
+// of it, and reads the records back with Records.
+//
+//p3q:hotpath
+func (nw *Network) InitLedgerOn(l *Ledger, buf []Record) {
 	l.nw = nw
-	l.records = l.records[:0]
+	l.records = buf[:0]
 }
 
 // Send records a message with the same semantics as Network.Send: it

@@ -76,25 +76,12 @@ func (d *Digest) MightContainItem(it ItemID) bool {
 	return d.Items.Test(itemKey(it))
 }
 
-// SharesItemWith reports whether the digested profile appears to share at
-// least one item with the given profile. This is the first-step test of
-// Algorithm 1: a user with no common item "simply does not qualify" as a
-// neighbour candidate.
-//
-//p3q:hotpath
-func (d *Digest) SharesItemWith(p *Profile) bool {
-	for _, h := range p.itemHashes {
-		if d.Items.TestHash(h) {
-			return true
-		}
-	}
-	return false
-}
-
 // AppendCommonItems appends the items of p that the digest may contain —
 // the common-item estimate of Algorithm 1 (false positives possible at the
 // Bloom filter's rate, false negatives never) — into dst (reusing its
-// capacity), in ascending order, and returns it.
+// capacity), in ascending order, and returns it. An empty result is the
+// first-step test of Algorithm 1: a user with no common item "simply does
+// not qualify" as a neighbour candidate.
 //
 //p3q:hotpath
 func (d *Digest) AppendCommonItems(dst []ItemID, p *Profile) []ItemID {

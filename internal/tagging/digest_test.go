@@ -2,6 +2,7 @@ package tagging
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p3q/internal/bloom"
@@ -60,6 +61,8 @@ func TestDigestSameAs(t *testing.T) {
 	}
 }
 
+// TestSharesItemWith pins the "no common item" test of Algorithm 1, an
+// empty AppendCommonItems, on disjoint and overlapping profiles.
 func TestSharesItemWith(t *testing.T) {
 	a := NewProfile(1)
 	b := NewProfile(2)
@@ -68,12 +71,12 @@ func TestSharesItemWith(t *testing.T) {
 		b.Add(ItemID(i+1000), 1)
 	}
 	da := digestOf(a)
-	if da.SharesItemWith(b) {
-		t.Fatal("disjoint profiles reported sharing an item (extremely unlikely FP)")
+	if common := da.AppendCommonItems(nil, b); len(common) != 0 {
+		t.Fatalf("disjoint profiles reported common items %v (extremely unlikely FP)", common)
 	}
 	b.Add(25, 1) // now they share item 25
-	if !da.SharesItemWith(b) {
-		t.Fatal("shared item not detected")
+	if common := da.AppendCommonItems(nil, b); !slices.Contains(common, 25) {
+		t.Fatalf("shared item not detected: %v", common)
 	}
 }
 
