@@ -42,8 +42,9 @@ const Magic uint32 = 0x50335143
 // Version is the current format version. Restore rejects snapshots written
 // by a different version: the format serializes internal engine state whose
 // layout may change between versions, so cross-version reads would be
-// silently wrong rather than merely lossy.
-const Version uint16 = 1
+// silently wrong rather than merely lossy. Version 2 writes a settled query
+// as a compact record (see core's checkpoint.go).
+const Version uint16 = 2
 
 // endMarker terminates a checkpoint ("#END"); reading it proves the stream
 // was consumed in full agreement with the writer.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -166,8 +167,8 @@ func (e *Engine) pumpEvents(t time.Duration) {
 		}
 		e.applyEagerEvent(ev.Payload.(*eagerEvent), ev.At)
 	}
-	for _, qid := range e.queryOrder {
-		e.queries[qid].mergePending()
+	for _, qr := range e.active {
+		qr.mergePending()
 	}
 }
 
@@ -259,23 +260,48 @@ func (qr *QueryRun) maybeSettle(at time.Duration, seq uint64) {
 	if qr.done || qr.inflight > 0 || len(qr.activeNodes) > 0 {
 		return
 	}
+	qr.settle(at, seq)
+}
+
+// settle completes the query at instant at, during cycle seq (noCycleSeq
+// outside any cycle). No remaining list is left anywhere, so the protocol
+// guarantees the accurate results now: the last lists are merged and NRA's
+// open bounds resolved. Then the working state goes — the NRA, the
+// unmerged lists, the used, reached and active-node sets — and the query
+// keeps its compact record: the used count and the reached nodes as a
+// sorted list of at most s+1 IDs.
+func (qr *QueryRun) settle(at time.Duration, seq uint64) {
 	qr.done = true
 	qr.doneAt = at
 	qr.settledSeq = seq
 	qr.mergePending()
-	// No remaining list anywhere: the protocol guarantees the accurate
-	// results now; resolve any bounds NRA's early stop left open.
 	qr.results = qr.nra.Drain()
+	qr.usedCount = len(qr.used)
+	qr.reachedIDs = sortedIDs(qr.reached)
+	qr.qset = topk.TagSet{}
+	qr.nra, qr.pending = nil, nil
+	qr.used, qr.reached, qr.activeNodes = nil, nil, nil
 	qr.e.obs.Inc(obs.CQueriesSettled)
 	qr.e.emitQueryEvent(obs.EvSettled, qr.ID, at, qr.Query.Querier, 0, 0)
 }
 
+// sortedIDs returns the members of a user set in ascending order.
+func sortedIDs(set map[tagging.UserID]struct{}) []tagging.UserID {
+	ids := make([]tagging.UserID, 0, len(set))
+	//p3q:orderinvariant collects keys into ids, which is sorted before use
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // endEagerCycle closes one eager cycle's accounting: queries that settled
 // during this cycle's window, and those still active, count it in Cycles.
-// A stalled query is frozen: no cycle count.
+// A stalled query is frozen: no cycle count. The settled ones then leave
+// the active list.
 func (e *Engine) endEagerCycle(seq uint64) {
-	for _, qid := range e.queryOrder {
-		qr := e.queries[qid]
+	for _, qr := range e.active {
 		if qr.done {
 			if qr.settledSeq == seq {
 				qr.cycles++
@@ -284,4 +310,11 @@ func (e *Engine) endEagerCycle(seq uint64) {
 			qr.cycles++
 		}
 	}
+	e.dropSettled()
+}
+
+// dropSettled removes the queries that settled in the cycle just ended
+// from the active list.
+func (e *Engine) dropSettled() {
+	e.active = slices.DeleteFunc(e.active, (*QueryRun).Done)
 }

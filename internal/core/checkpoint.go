@@ -49,10 +49,18 @@ import (
 //     per-entry last-gossip stamps (ages are derived state), random views,
 //     evaluated-version memos, and per-query remaining-list branches in
 //     list order (order is protocol state: it drives destination selection).
-//   - Query runs: tags, NRA scan state (lists with cursors, candidate
-//     accumulations; the ranking is rebuilt), unmerged lists (none between
-//     cycles: every cycle ends with a merge), reached/used/active sets, traffic attribution, cycle counters and
-//     the virtual-clock instants (issue, first result, full recall).
+//   - Query runs, in issue order, each as one of two records sharing a
+//     header (ID, querier, tags, item, needed, cycles, done, partial-result
+//     count, traffic attribution and the virtual-clock instants: issue,
+//     first result, full recall). An active record (done false) goes on
+//     with the in-flight count, the settle cycle, the used/reached/active
+//     sets, the displayed results, the unmerged lists (none between
+//     cycles: every cycle ends with a merge) and the NRA scan state (lists
+//     with cursors, candidate accumulations; the ranking is rebuilt). A
+//     settled record (done true, Version 2 on) carries only what a settled
+//     query keeps: the settle cycle, the used count, the reached list and
+//     the results. Restore rebuilds the active list from the active
+//     records.
 //   - The network substrate: liveness, global and per-node traffic.
 //   - The event machinery: the pending delivery queue with its (At, Seq)
 //     order and scheduling counter, and the store-and-forward events
@@ -624,6 +632,13 @@ func (e *Engine) writeQueries(cw *ckpt.Writer) {
 		cw.Bool(qr.hasFirst)
 		cw.I64(int64(qr.firstAt))
 		cw.I64(int64(qr.doneAt))
+		if qr.done {
+			cw.U64(qr.settledSeq)
+			cw.U32(uint32(qr.usedCount))
+			writeUserList(cw, qr.reachedIDs)
+			writeEntryList(cw, qr.results)
+			continue
+		}
 		cw.U32(uint32(qr.inflight))
 		cw.U64(qr.settledSeq)
 		writeUserSet(cw, qr.used)
@@ -657,7 +672,6 @@ func (rs *restorer) readQueries() {
 			qr.Query.Tags = append(qr.Query.Tags, tagging.TagID(rs.r.U32()))
 		}
 		qr.Query.Item = tagging.ItemID(rs.r.U32())
-		qr.qset = topk.NewTagSet(qr.Query.Tags)
 		qr.needed = int(rs.r.U32())
 		qr.cycles = int(rs.r.U32())
 		qr.done = rs.r.Bool()
@@ -670,22 +684,36 @@ func (rs *restorer) readQueries() {
 		qr.hasFirst = rs.r.Bool()
 		qr.firstAt = time.Duration(rs.r.I64())
 		qr.doneAt = time.Duration(rs.r.I64())
-		qr.inflight = int(rs.r.U32())
-		qr.settledSeq = rs.r.U64()
-		qr.used = rs.readUserSet()
-		qr.reached = rs.readUserSet()
-		qr.activeNodes = rs.readUserSet()
-		qr.results = rs.readEntryList()
-		nPend := rs.r.Count(maxEvents)
-		for j := 0; j < nPend && rs.r.Err() == nil; j++ {
-			qr.pending = append(qr.pending, rs.readEntryList())
+		if qr.done {
+			qr.settledSeq = rs.r.U64()
+			qr.usedCount = int(rs.r.U32())
+			if rs.r.Err() == nil && qr.usedCount > rs.users {
+				rs.r.Fail("settled query %d used %d profiles of a population of %d", qr.ID, qr.usedCount, rs.users)
+			}
+			qr.reachedIDs = rs.readAscending()
+			qr.results = rs.readEntryList()
+		} else {
+			qr.inflight = int(rs.r.U32())
+			qr.settledSeq = rs.r.U64()
+			qr.qset = topk.NewTagSet(qr.Query.Tags)
+			qr.used = rs.readUserSet()
+			qr.reached = rs.readUserSet()
+			qr.activeNodes = rs.readUserSet()
+			qr.results = rs.readEntryList()
+			nPend := rs.r.Count(maxEvents)
+			for j := 0; j < nPend && rs.r.Err() == nil; j++ {
+				qr.pending = append(qr.pending, rs.readEntryList())
+			}
+			qr.nra = rs.readNRA()
 		}
-		qr.nra = rs.readNRA()
 		if rs.r.Err() != nil {
 			return
 		}
 		e.queries[qr.ID] = qr
 		e.queryOrder = append(e.queryOrder, qr.ID)
+		if !qr.done {
+			e.active = append(e.active, qr)
+		}
 	}
 }
 
@@ -832,23 +860,27 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 }
 
 // crossCheck validates what spans sections: branch query IDs (nodes precede
-// queries in the stream) must name registered queries, the ID allocator
-// must sit past every issued ID so future queries cannot collide, and each
+// queries in the stream) must name active queries, the ID allocator must
+// sit past every issued ID so future queries cannot collide, and each
 // query's in-flight counter must equal its delivery events in the stream —
 // too high and the query can never settle, too low and it settles with
-// deliveries outstanding. Event query IDs are validated at read time — the
-// queries section precedes the events.
+// deliveries outstanding. A settled query's counter is zero, so no event
+// may name it. Event query IDs are validated at read time — the queries
+// section precedes the events.
 func (rs *restorer) crossCheck() error {
 	e := rs.e
 	for _, n := range e.nodes {
 		bad, found := uint64(0), false
-		//p3q:orderinvariant min-reduction: the smallest unknown query ID wins regardless of visit order
+		//p3q:orderinvariant min-reduction: the smallest bad query ID wins regardless of visit order
 		for qid := range n.branches {
-			if _, ok := e.queries[qid]; !ok && (!found || qid < bad) {
+			if qr := e.queries[qid]; (qr == nil || qr.done) && (!found || qid < bad) {
 				bad, found = qid, true
 			}
 		}
 		if found {
+			if e.queries[bad] != nil {
+				return fmt.Errorf("checkpoint: node %d holds a branch of settled query %d", n.id, bad)
+			}
 			return fmt.Errorf("checkpoint: node %d holds a branch of unknown query %d", n.id, bad)
 		}
 	}
@@ -857,7 +889,11 @@ func (rs *restorer) crossCheck() error {
 			e.nextQueryID, e.queryOrder[n-1])
 	}
 	for _, qid := range e.queryOrder {
-		if got, want := e.queries[qid].inflight, rs.inflight[qid]; got != want {
+		qr := e.queries[qid]
+		if got, want := qr.inflight, rs.inflight[qid]; got != want {
+			if qr.done {
+				return fmt.Errorf("checkpoint: settled query %d has %d deliveries in flight", qid, want)
+			}
 			return fmt.Errorf("checkpoint: query %d counts %d deliveries in flight, the snapshot holds %d", qid, got, want)
 		}
 	}
@@ -927,29 +963,29 @@ func (rs *restorer) readUserList(max int) []tagging.UserID {
 // writeUserSet serializes a user-ID set in ascending order (sets carry no
 // order of their own; the canonical order keeps snapshots deterministic).
 func writeUserSet(cw *ckpt.Writer, set map[tagging.UserID]struct{}) {
-	ids := make([]tagging.UserID, 0, len(set))
-	//p3q:orderinvariant collects keys into ids, which is sorted before use
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	writeUserList(cw, ids)
+	writeUserList(cw, sortedIDs(set))
 }
 
 func (rs *restorer) readUserSet() map[tagging.UserID]struct{} {
-	n := rs.r.Count(rs.users)
-	set := make(map[tagging.UserID]struct{}, ckpt.CapHint(n))
-	prev := -1
-	for i := 0; i < n && rs.r.Err() == nil; i++ {
-		id := rs.readUserID()
-		if int(id) <= prev {
-			rs.r.Fail("user set not in ascending order")
-			return set
-		}
-		prev = int(id)
+	ids := rs.readAscending()
+	set := make(map[tagging.UserID]struct{}, len(ids))
+	for _, id := range ids {
 		set[id] = struct{}{}
 	}
 	return set
+}
+
+// readAscending reads a user list that must be strictly ascending: a
+// serialized set.
+func (rs *restorer) readAscending() []tagging.UserID {
+	ids := rs.readUserList(rs.users)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			rs.r.Fail("user set not in ascending order")
+			return nil
+		}
+	}
+	return ids
 }
 
 func writeEntryList(cw *ckpt.Writer, es []topk.Entry) {

@@ -3,14 +3,22 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	ckpt "p3q/internal/checkpoint"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_checkpoint.bin and the FuzzRestore seed from the current engine")
+
+// seedName is the FuzzRestore corpus entry holding the golden snapshot of
+// the current format version. The entries of older versions stay in the
+// corpus as version-mismatch inputs.
+var seedName = fmt.Sprintf("valid-v%d-snapshot", ckpt.Version)
 
 // TestCheckpointGoldenRoundTrip pins the checkpoint byte format against a
 // golden file committed to the repository. TestCheckpointSnapshotRoundTripBytes
@@ -23,13 +31,14 @@ var updateGolden = flag.Bool("update-golden", false,
 //
 //	go test ./internal/core/ -run TestCheckpointGoldenRoundTrip -update-golden
 //
-// which rewrites FuzzRestore's valid-snapshot seed (the same bytes) too.
+// which rewrites FuzzRestore's valid-snapshot seed of the current version
+// (the same bytes, in seedName) too.
 func TestCheckpointGoldenRoundTrip(t *testing.T) {
 	raw, cfg := smallSnapshot(t)
 	path := filepath.Join("testdata", "golden_checkpoint.bin")
 	if *updateGolden {
 		seed := "go test fuzz v1\n[]byte(" + strconv.Quote(string(raw)) + ")\n"
-		seedPath := filepath.Join("testdata", "fuzz", "FuzzRestore", "valid-v1-snapshot")
+		seedPath := filepath.Join("testdata", "fuzz", "FuzzRestore", seedName)
 		for p, data := range map[string][]byte{path: raw, seedPath: []byte(seed)} {
 			if err := os.WriteFile(p, data, 0o644); err != nil {
 				t.Fatal(err)

@@ -97,6 +97,7 @@ func resumedRun(t *testing.T, lat sim.LatencyModel, snapWorkers, restoreWorkers 
 	if wantFrozen && len(e.frozen) == 0 {
 		t.Fatal("no events frozen at departed nodes at the snapshot point; the scenario must cover mid-burst snapshots")
 	}
+	requireQueryMix(t, e)
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -316,6 +317,8 @@ func smallSnapshot(t testing.TB) ([]byte, Config) {
 }
 
 // smallSnapshotOf is smallSnapshot together with the engine it was taken of.
+// Three queries run to full recall before two more are issued and gossiped
+// for one cycle, so the snapshot carries both kinds of query record.
 func smallSnapshotOf(t testing.TB) (*Engine, []byte, Config) {
 	t.Helper()
 	cfg := smallCfg()
@@ -323,15 +326,31 @@ func smallSnapshotOf(t testing.TB) (*Engine, []byte, Config) {
 	w := newWorld(t, 40, cfg, 11)
 	e := New(w.ds, cfg)
 	e.SeedIdealNetworks(w.ideal)
-	for _, q := range trace.GenerateQueries(w.ds, 3)[:5] {
+	queries := trace.GenerateQueries(w.ds, 3)
+	for _, q := range queries[:3] {
+		e.IssueQuery(q)
+	}
+	e.RunEager(10)
+	for _, q := range queries[3:5] {
 		e.IssueQuery(q)
 	}
 	e.RunEager(1)
+	requireQueryMix(t, e)
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return e, buf.Bytes(), cfg
+}
+
+// requireQueryMix fails unless the engine holds both a settled and an
+// active query, so a snapshot of it carries both kinds of query record.
+func requireQueryMix(t testing.TB, e *Engine) {
+	t.Helper()
+	settled := e.Stats().QueriesDone
+	if active := len(e.Queries()) - settled; settled == 0 || active == 0 {
+		t.Fatalf("the snapshot point holds %d settled and %d active queries; it must hold both", settled, active)
+	}
 }
 
 // hostileCount is a truncated checkpoint one of whose counts claims the most
@@ -514,10 +533,11 @@ func TestRestoreRejectsAheadDataset(t *testing.T) {
 
 // TestFuzzSeedCorpusRestores keeps the on-disk seed corpus of FuzzRestore
 // honest: every testdata/fuzz/FuzzRestore entry must parse as a
-// `go test fuzz v1` []byte literal, and the valid-snapshot seed must
-// restore successfully at the current format version. When the format (or
-// the checkpoint.Version constant) changes, this fails and signals that
-// the seed needs regenerating from smallSnapshot.
+// `go test fuzz v1` []byte literal, the valid snapshot of the current
+// format version (seedName) must restore successfully, and the valid
+// snapshots of older versions must be refused as a version mismatch. When
+// the format (or the checkpoint.Version constant) changes, this fails and
+// signals that the seed needs regenerating from smallSnapshot.
 func TestFuzzSeedCorpusRestores(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzRestore")
 	entries, err := os.ReadDir(dir)
@@ -544,14 +564,20 @@ func TestFuzzSeedCorpusRestores(t *testing.T) {
 			t.Fatalf("%s: corpus []byte literal does not unquote: %v", ent.Name(), err)
 		}
 		e, err := Restore(bytes.NewReader([]byte(data)), nil, cfg)
-		if err != nil {
+		switch {
+		case ent.Name() != seedName && strings.HasPrefix(ent.Name(), "valid-v"):
+			if err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+				t.Fatalf("%s: an old version's snapshot surfaced as %v, want a version mismatch", ent.Name(), err)
+			}
+			continue
+		case err != nil:
 			t.Fatalf("%s: seed no longer restores at the current version: %v", ent.Name(), err)
 		}
 		e.LazyCycle()
 		restored++
 	}
 	if restored == 0 {
-		t.Fatal("no corpus entry restored")
+		t.Fatalf("no corpus entry restored (regenerate %s with -update-golden)", seedName)
 	}
 }
 

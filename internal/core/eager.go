@@ -97,6 +97,16 @@ func (s QueryState) String() string {
 
 // QueryRun is the querier-side state and public handle of one query
 // processed by the eager mode.
+//
+// While the query is active it carries its working state: the incremental
+// NRA, the unmerged lists and the used, reached and active-node sets. When
+// it settles (settle) all of that is released and only a compact record
+// stays: the results, the used count, the reached nodes as a sorted list,
+// the traffic and cycle counters and the instants. Every accessor below
+// keeps answering after that — Done, Stalled, State, Results, Cycles,
+// UsersReached, Reached, ProfilesUsed, ProfilesNeeded,
+// PartialResultMessages, Bytes, IssuedAt, InFlight, TimeToFirstResult and
+// TimeToFullRecall — so a settled query costs its record and nothing else.
 type QueryRun struct {
 	// ID uniquely identifies the query within the engine.
 	ID uint64
@@ -108,9 +118,14 @@ type QueryRun struct {
 	nra    *topk.NRA
 	needed int // personal network size at issue time
 
+	// The working sets of an active query; nil once it settles.
 	used        map[tagging.UserID]struct{} // profiles used so far
 	reached     map[tagging.UserID]struct{} // nodes that processed the query
 	activeNodes map[tagging.UserID]struct{} // nodes holding non-empty branches
+
+	// The compact form of used and reached a settled query keeps.
+	usedCount  int              // len(used) at settle
+	reachedIDs []tagging.UserID // reached at settle, ascending
 
 	pending     [][]topk.Entry // partial lists arrived since the last merge (mergePending)
 	results     []topk.Entry
@@ -172,22 +187,29 @@ func (qr *QueryRun) Cycles() int { return qr.cycles }
 
 // UsersReached returns the number of distinct nodes that processed the
 // query, the querier included (Figure 8).
-func (qr *QueryRun) UsersReached() int { return len(qr.reached) }
+func (qr *QueryRun) UsersReached() int {
+	if qr.done {
+		return len(qr.reachedIDs)
+	}
+	return len(qr.reached)
+}
 
 // Reached returns the distinct nodes that processed the query, in
 // ascending ID order.
 func (qr *QueryRun) Reached() []tagging.UserID {
-	out := make([]tagging.UserID, 0, len(qr.reached))
-	//p3q:orderinvariant collects keys into out, which is sorted before use
-	for u := range qr.reached {
-		out = append(out, u)
+	if qr.done {
+		return slices.Clone(qr.reachedIDs)
 	}
-	slices.Sort(out)
-	return out
+	return sortedIDs(qr.reached)
 }
 
 // ProfilesUsed returns the number of distinct profiles used so far.
-func (qr *QueryRun) ProfilesUsed() int { return len(qr.used) }
+func (qr *QueryRun) ProfilesUsed() int {
+	if qr.done {
+		return qr.usedCount
+	}
+	return len(qr.used)
+}
 
 // ProfilesNeeded returns the personal network size at issue time plus one
 // (the querier's own profile): the denominator of result-quality estimates.
@@ -276,16 +298,13 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 
 	remaining := u.pnet.Unstored()
 	if len(remaining) == 0 {
-		qr.done = true
-		qr.doneAt = e.now
-		qr.results = qr.nra.Drain()
-		e.obs.Inc(obs.CQueriesSettled)
-		e.emitQueryEvent(obs.EvSettled, qr.ID, qr.doneAt, u.id, 0, 0)
+		qr.settle(e.now, noCycleSeq)
 		return qr
 	}
 	u.setBranch(qr.ID, remaining)
 	qr.activeNodes[u.id] = struct{}{}
 	qr.results = qr.nra.TopK()
+	e.active = append(e.active, qr)
 	return qr
 }
 

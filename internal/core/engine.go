@@ -58,6 +58,12 @@ type Engine struct {
 	queries     map[uint64]*QueryRun
 	queryOrder  []uint64
 	nextQueryID uint64
+	// active lists the queries not yet settled, in issue order: the only
+	// ones a cycle, a liveness change or Stats has to visit. A query that
+	// settles leaves it at the end of the cycle it settled in.
+	//
+	//p3q:transient derived: Restore rebuilds it from the query records
+	active []*QueryRun
 
 	// now is the engine's virtual clock: EagerPeriod per eager cycle,
 	// LazyPeriod per lazy cycle, starting at zero. The event scheduler
@@ -223,6 +229,9 @@ func (e *Engine) emitQueryEvent(kind obs.EventKind, qid uint64, at time.Duration
 	})
 }
 
+// Query returns the query with the given ID, nil when none was issued.
+func (e *Engine) Query(id uint64) *QueryRun { return e.queries[id] }
+
 // Queries returns every issued query in issue order.
 func (e *Engine) Queries() []*QueryRun {
 	out := make([]*QueryRun, 0, len(e.queryOrder))
@@ -250,8 +259,7 @@ func (e *Engine) NaiveExchangeBytes() uint64 { return e.naiveExchangeBytes }
 // applied — so RunEager keeps running (and the clock keeps advancing) until
 // the last delivery lands.
 func (e *Engine) AllQueriesDone() bool {
-	for _, id := range e.queryOrder {
-		qr := e.queries[id]
+	for _, qr := range e.active {
 		if !qr.done && !qr.Stalled() {
 			return false
 		}
@@ -369,6 +377,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	// eager deliveries falling inside the window arrive during it.
 	t1 := e.now + e.cfg.LazyPeriod
 	e.pumpEvents(t1)
+	e.dropSettled()
 	e.now = t1
 	e.lazyCycles++
 	e.obs.Inc(obs.CLazyCycles)
@@ -571,10 +580,9 @@ func (e *Engine) Kill(frac float64) []tagging.UserID {
 	if e.obs != nil {
 		// Queries whose querier just departed are now stalled (the state is
 		// derived from liveness, so this is the transition moment).
-		for _, qid := range e.queryOrder {
-			qr := e.queries[qid]
+		for _, qr := range e.active {
 			if !qr.done && containsID(ids, qr.Query.Querier) {
-				e.emitQueryEvent(obs.EvStalled, qid, e.now, qr.Query.Querier, 0, 0)
+				e.emitQueryEvent(obs.EvStalled, qr.ID, e.now, qr.Query.Querier, 0, 0)
 			}
 		}
 	}
@@ -592,10 +600,9 @@ func (e *Engine) Revive(ids []tagging.UserID) {
 		e.net.SetOnline(id, true)
 	}
 	if e.obs != nil {
-		for _, qid := range e.queryOrder {
-			qr := e.queries[qid]
+		for _, qr := range e.active {
 			if !qr.done && containsID(ids, qr.Query.Querier) {
-				e.emitQueryEvent(obs.EvResumed, qid, e.now, qr.Query.Querier, 0, 0)
+				e.emitQueryEvent(obs.EvResumed, qr.ID, e.now, qr.Query.Querier, 0, 0)
 			}
 		}
 	}

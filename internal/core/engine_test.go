@@ -413,7 +413,7 @@ func TestEagerGossipRefreshesReachedUsers(t *testing.T) {
 		if !qr.Done() {
 			t.Fatal("query did not complete")
 		}
-		for u := range qr.reached {
+		for _, u := range qr.Reached() {
 			reached[u] = struct{}{}
 		}
 	}

@@ -55,14 +55,18 @@ func (e *Engine) Stats() EngineStats {
 		st.MeanNeighbours = float64(neighbours) / float64(st.Users)
 		st.MeanStored = float64(stored) / float64(st.Users)
 	}
-	for _, id := range e.queryOrder {
-		qr := e.queries[id]
-		if qr.done {
-			st.QueriesDone++
-		} else if qr.Stalled() {
-			st.QueriesStalled++
+	// Every query not yet settled is on the active list, so the rest of
+	// the issued ones are done.
+	open := 0
+	for _, qr := range e.active {
+		if !qr.done {
+			open++
+			if qr.Stalled() {
+				st.QueriesStalled++
+			}
 		}
 	}
+	st.QueriesDone = st.QueriesIssued - open
 	return st
 }
 

@@ -121,8 +121,7 @@ type Daemon struct {
 	// another daemon.
 	mu      sync.Mutex
 	cycle   *cycleState
-	stepped chan struct{}             // closed and replaced each time a step installs a cycle
-	runs    map[uint64]*core.QueryRun // the replica's run of every issued query
+	stepped chan struct{} // closed and replaced each time a step installs a cycle
 
 	divergence atomic.Uint64
 
@@ -153,7 +152,6 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 		tr:      tr,
 		links:   make([]*link, len(cfg.Addrs)),
 		stepped: make(chan struct{}),
-		runs:    make(map[uint64]*core.QueryRun),
 		ready:   make(chan struct{}),
 		stopCh:  make(chan struct{}),
 	}
@@ -562,7 +560,6 @@ func (d *Daemon) issueLocal(q trace.Query) (uint64, error) {
 	if qr == nil {
 		return 0, fmt.Errorf("peer: querier %d is offline", q.Querier)
 	}
-	d.runs[qr.ID] = qr
 	return qr.ID, nil
 }
 

@@ -218,7 +218,7 @@ func (d *Daemon) serveSubmit(m *wire.QuerySubmit) wire.Msg {
 func (d *Daemon) serveStatus(m *wire.QueryStatus) wire.Msg {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	qr := d.runs[m.Qid]
+	qr := d.eng.Query(m.Qid)
 	if qr == nil {
 		return &wire.QueryStatusResp{}
 	}

@@ -261,6 +261,24 @@ func TestScoringKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAddAllGrowsItemColumnOnce: the bulk builder counts a batch's new
+// items and grows the item column and its hash column once, so building a
+// profile allocates the same handful of times however many items it holds
+// — the profile, the batch, the log, the two key columns and the two item
+// columns — where growing the item columns per insertion costs two
+// allocations per doubling.
+func TestAddAllGrowsItemColumnOnce(t *testing.T) {
+	for _, items := range []int{100, 1000} {
+		acts := make([]Action, 0, 2*items)
+		for i := 0; i < 2*items; i++ {
+			acts = append(acts, Action{Item: ItemID(i / 2), Tag: TagID(i % 7)})
+		}
+		if n := testing.AllocsPerRun(20, func() { NewProfile(1).AddAll(acts) }); n > 7 {
+			t.Errorf("building a profile of %d items allocates %v times, want at most 7", items, n)
+		}
+	}
+}
+
 // BenchmarkScoreOnItems times step 2 for one offer at the bench trace's
 // profile size and at the paper's delicious mean (249 items/user): two
 // users drawing their items from a space twice that size, three tags per

@@ -200,18 +200,34 @@ func (p *Profile) AddAll(actions []Action) (added, firstDup int) {
 	}
 
 	// An item's keys are one run of kept, and the items ascend: into an empty
-	// profile every insertion below is an append.
-	for i := 0; i < m; {
-		it := keyItem(kept[i].key)
-		for i < m && keyItem(kept[i].key) == it {
-			i++
+	// profile every insertion below is an append. The new items are counted
+	// first, so the columns grow once and every insertion is in place.
+	fresh := 0
+	for i := 0; i < m; i = nextItemRun(kept, i) {
+		if _, has := slices.BinarySearch(p.itemsSorted, keyItem(kept[i].key)); !has {
+			fresh++
 		}
+	}
+	p.itemsSorted = slices.Grow(p.itemsSorted, fresh)
+	p.itemHashes = slices.Grow(p.itemHashes, fresh)
+	for i := 0; i < m; i = nextItemRun(kept, i) {
+		it := keyItem(kept[i].key)
 		if j, has := slices.BinarySearch(p.itemsSorted, it); !has {
 			p.itemsSorted = slices.Insert(p.itemsSorted, j, it)
 			p.itemHashes = slices.Insert(p.itemHashes, j, bloom.HashKey(itemKey(it)))
 		}
 	}
 	return m, firstDup
+}
+
+// nextItemRun returns the index of the first key in kept (ascending) past
+// the run of keys sharing kept[i]'s item.
+func nextItemRun(kept []keyed, i int) int {
+	it := keyItem(kept[i].key)
+	for i < len(kept) && keyItem(kept[i].key) == it {
+		i++
+	}
+	return i
 }
 
 // Has reports whether the profile contains the exact action (item, tag).
