@@ -5,7 +5,8 @@
 .PHONY: lint test build e2e loc
 
 # lint runs the determinism-linter suite over every package of the module
-# (the same entry point, lint.Lint, as TestRepoLintClean). CI runs it.
+# through lint.Lint (TestRepoLintClean runs the same body, lintWith, on
+# the loader the lint tests share). CI runs it.
 lint:
 	go run ./cmd/p3qlint ./...
 
@@ -24,8 +25,9 @@ e2e:
 
 # loc prints the non-test Go line count of every package, one line each,
 # and the total: ROADMAP's "line count is a tracked metric" (CI puts it in
-# the job summary).
+# the job summary). A package with test files only prints nothing: an
+# empty file list would leave cat reading stdin.
 loc:
-	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	@go list -f '{{if .GoFiles}}{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{end}}' ./... | \
 	while read pkg files; do printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
 	awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

@@ -201,10 +201,18 @@ func BenchmarkAblationNRAIncremental(b *testing.B) {
 			scanned := 0
 			for _, l := range lists {
 				acc = append(acc, l)
-				topk.TopOf(topk.SumLists(acc), 10)
+				sum := map[p3q.ItemID]int{}
 				for _, a := range acc {
+					for _, e := range a {
+						sum[e.Item] += e.Score
+					}
 					scanned += len(a)
 				}
+				es := make([]topk.Entry, 0, len(sum))
+				for it, sc := range sum {
+					es = append(es, topk.Entry{Item: it, Score: sc})
+				}
+				topk.SortEntries(es)
 			}
 			b.ReportMetric(float64(scanned), "scanned")
 		}

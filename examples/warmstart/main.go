@@ -11,6 +11,8 @@
 // latency, and the same burst under churn. Each fork continues
 // byte-for-byte as the converged engine would — restoring is not an
 // approximation — so the rows differ only in what the scenario does next.
+// The wall-clock timings go to stderr, since they differ from run to run;
+// stdout is the same on every run.
 //
 // Run with: go run ./examples/warmstart
 package main
@@ -18,6 +20,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"time"
 
 	"p3q"
@@ -48,9 +51,10 @@ func main() {
 	if err := engine.Snapshot(&snap); err != nil {
 		panic(err)
 	}
-	fmt.Printf("converged %d users over %d lazy cycles in %s; snapshot: %d KB in %s\n\n",
-		users, lazyCycles, converge.Round(time.Millisecond), snap.Len()/1024,
-		time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "converged in %s; snapshot written in %s\n",
+		converge.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("converged %d users over %d lazy cycles; snapshot: %d KB\n\n",
+		users, lazyCycles, snap.Len()/1024)
 
 	queries := p3q.GenerateQueries(ds, 99)[:60]
 	var forks time.Duration
@@ -63,7 +67,8 @@ func main() {
 		}
 		restored := time.Since(start)
 		forks += restored
-		fmt.Printf("%s (forked in %s)\n", scenario, restored.Round(time.Millisecond))
+		fmt.Println(scenario)
+		fmt.Fprintf(os.Stderr, "  forked in %s\n", restored.Round(time.Millisecond))
 		run(e)
 		fmt.Println()
 	}
@@ -123,7 +128,7 @@ func main() {
 
 	cold := 3 * converge
 	warm := converge + forks
-	fmt.Printf("wall clock: converged once + 3 forks = %s; re-converging per row would cost ~%s (saved ~%s)\n",
+	fmt.Fprintf(os.Stderr, "wall clock: converged once + 3 forks = %s; re-converging per row would cost ~%s (saved ~%s)\n",
 		warm.Round(time.Millisecond), cold.Round(time.Millisecond), (cold - warm).Round(time.Millisecond))
 }
 

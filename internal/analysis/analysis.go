@@ -42,25 +42,6 @@ func RAlpha(alpha, l, x float64) float64 {
 // OptimalAlpha is the split minimizing R(α) (Theorem 2.2).
 const OptimalAlpha = 0.5
 
-// RemainingAfter simulates the recurrence of Theorem 2.1's proof directly:
-// the length of the longest remaining list after r cycles. It is the
-// reference the closed form is tested against.
-//
-//	L(r) = β·(L(r-1) - X), with β = max(α, 1-α)
-func RemainingAfter(alpha, l, x float64, r int) float64 {
-	beta := alpha
-	if 1-alpha > beta {
-		beta = 1 - alpha
-	}
-	for i := 0; i < r && l > 0; i++ {
-		l = beta * (l - x)
-		if l < 0 {
-			l = 0
-		}
-	}
-	return l
-}
-
 // UsersBound returns the Theorem 2.3 upper bound on the number of users
 // involved in processing a query completing in r cycles: 2^r.
 func UsersBound(r float64) float64 { return math.Pow(2, r) }
@@ -72,12 +53,3 @@ func PartialResultsBound(r float64) float64 { return math.Pow(2, r) - 1 }
 // MessagesBound returns the Theorem 2.4 upper bound on the number of eager
 // gossip messages transmitting remaining lists: 2·(2^r - 1).
 func MessagesBound(r float64) float64 { return 2 * (math.Pow(2, r) - 1) }
-
-// CyclesLogApprox returns the O(log2 L) approximation quoted in §1 for the
-// query processing time at α = 0.5 with X = 1.
-func CyclesLogApprox(l float64) float64 {
-	if l <= 1 {
-		return 1
-	}
-	return math.Log2(l)
-}

@@ -103,7 +103,7 @@ func TestRAlphaLogApproximation(t *testing.T) {
 	// small constant of log2(L).
 	for _, l := range []float64{64, 256, 1024, 4096} {
 		r := RAlpha(0.5, l, 1)
-		approx := CyclesLogApprox(l)
+		approx := math.Log2(l)
 		if math.Abs(r-approx) > 3 {
 			t.Fatalf("L=%g: R=%f vs log2=%f differ by more than 3", l, r, approx)
 		}
@@ -133,12 +133,6 @@ func TestRemainingAfterMonotone(t *testing.T) {
 	}
 	if prev != 0 {
 		t.Fatalf("remaining list never emptied: %f", prev)
-	}
-}
-
-func TestCyclesLogApproxDegenerate(t *testing.T) {
-	if CyclesLogApprox(0.5) != 1 {
-		t.Fatal("CyclesLogApprox below 1 item should clamp to 1")
 	}
 }
 
@@ -179,4 +173,23 @@ func TestRAlphaAtLeastOneCycleProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RemainingAfter simulates the recurrence of Theorem 2.1's proof directly:
+// the length of the longest remaining list after r cycles. It is the
+// reference the closed form is tested against.
+//
+//	L(r) = β·(L(r-1) - X), with β = max(α, 1-α)
+func RemainingAfter(alpha, l, x float64, r int) float64 {
+	beta := alpha
+	if 1-alpha > beta {
+		beta = 1 - alpha
+	}
+	for i := 0; i < r && l > 0; i++ {
+		l = beta * (l - x)
+		if l < 0 {
+			l = 0
+		}
+	}
+	return l
 }

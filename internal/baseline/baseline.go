@@ -95,11 +95,6 @@ func (f *FullReplication) StorageActions(u tagging.UserID) int {
 	return total
 }
 
-// StorageBytes returns the same storage in wire bytes.
-func (f *FullReplication) StorageBytes(u tagging.UserID) int {
-	return tagging.ActionsWireSize(f.StorageActions(u))
-}
-
 // StorageActionsTopC returns the actions replicated when only the c most
 // similar profiles are stored — P3Q's approach; the ratio against
 // StorageActions reproduces the "storing 10 profiles requires only 6.8% of

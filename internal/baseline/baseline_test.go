@@ -101,9 +101,6 @@ func TestFullReplicationStorage(t *testing.T) {
 	if got := f.StorageActions(u); got != want {
 		t.Fatalf("StorageActions = %d, want %d", got, want)
 	}
-	if got := f.StorageBytes(u); got != want*tagging.ActionBytes {
-		t.Fatalf("StorageBytes = %d, want %d", got, want*tagging.ActionBytes)
-	}
 }
 
 func TestFullReplicationTopCSubset(t *testing.T) {

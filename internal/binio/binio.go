@@ -52,9 +52,6 @@ func MakeWriter(w io.Writer, prefix string) Writer {
 	return Writer{w: w, prefix: prefix, buf: make([]byte, bufSize)}
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
 // flush empties the buffer onto the stream. After the first error it only
 // discards: the field methods never test err, they keep filling a buffer
 // that goes nowhere.

@@ -249,8 +249,8 @@ func TestRejects(t *testing.T) {
 			c.write(&w)
 			w.U32(1) // a no-op after the failure
 			err := w.Flush()
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) || w.Err() != err {
-				t.Fatalf("Flush = %v, Err = %v, want %q from both", err, w.Err(), c.wantErr)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) || w.Flush() != err {
+				t.Fatalf("Flush = %v, then %v, want %q from both", err, w.Flush(), c.wantErr)
 			}
 			if buf.Len() != 0 {
 				t.Errorf("a failed writer still emitted % x", buf.Bytes())
@@ -292,15 +292,15 @@ func TestStickyWriter(t *testing.T) {
 		sink := &failingSink{}
 		w := MakeWriter(sink, "test")
 		w.U64s(make([]uint64, 1024)) // 8 KiB: spills the 4 KiB buffer
-		first := w.Err()
+		first := w.err
 		if first == nil {
 			t.Fatal("write to a failing sink succeeded")
 		}
 		calls := sink.calls
 		w.U32(1)
 		w.String("x", 8)
-		if err := w.Flush(); err != first || w.Err() != first {
-			t.Fatalf("error not sticky: %v, then Flush = %v, Err = %v", first, err, w.Err())
+		if err := w.Flush(); err != first || w.err != first {
+			t.Fatalf("error not sticky: %v, then Flush = %v, Err = %v", first, err, w.err)
 		}
 		if sink.calls != calls {
 			t.Error("a poisoned writer wrote to the stream again")
@@ -310,12 +310,12 @@ func TestStickyWriter(t *testing.T) {
 		sink := &failingSink{}
 		w := MakeWriter(sink, "test")
 		w.U32(1)
-		if w.Err() != nil {
-			t.Fatalf("buffered write failed early: %v", w.Err())
+		if w.err != nil {
+			t.Fatalf("buffered write failed early: %v", w.err)
 		}
 		first := w.Flush()
-		if first == nil || w.Err() != first {
-			t.Fatalf("Flush = %v, Err = %v, want the sink's error from both", first, w.Err())
+		if first == nil || w.err != first {
+			t.Fatalf("Flush = %v, Err = %v, want the sink's error from both", first, w.err)
 		}
 		w.U32(2)
 		if err := w.Flush(); err != first || sink.calls != 1 {

@@ -170,8 +170,8 @@ func (shortSink) Write(p []byte) (int, error) { return len(p) - 1, nil }
 func TestShortWriteIsAnError(t *testing.T) {
 	w := MakeWriter(shortSink{}, "test")
 	w.U32(1)
-	if err := w.Flush(); !errors.Is(err, io.ErrShortWrite) || w.Err() != err {
-		t.Fatalf("Flush = %v, Err = %v, want io.ErrShortWrite from both", err, w.Err())
+	if err := w.Flush(); !errors.Is(err, io.ErrShortWrite) || w.err != err {
+		t.Fatalf("Flush = %v, Err = %v, want io.ErrShortWrite from both", err, w.err)
 	}
 }
 

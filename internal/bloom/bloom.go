@@ -11,8 +11,6 @@
 // directly, then mixed).
 package bloom
 
-import "math/bits"
-
 // DefaultBits is the filter size used by the paper's evaluation: 20 Kbit
 // (2.5 KB), which yields roughly 0.1% false positives for profiles of up to
 // about 2,000 items with 10 hash functions.
@@ -24,10 +22,9 @@ const DefaultHashes = 10
 // Filter is a fixed-size Bloom filter. The zero value is not usable; create
 // filters with New. Filter is not safe for concurrent mutation.
 type Filter struct {
-	bits  []uint64
-	m     uint64 // number of bits
-	k     int    // number of hash functions
-	count int    // number of Add calls (approximate cardinality)
+	bits []uint64
+	m    uint64 // number of bits
+	k    int    // number of hash functions
 }
 
 // New returns a filter with m bits and k hash functions. m is rounded up to
@@ -78,7 +75,6 @@ func (f *Filter) Add(key uint64) {
 		idx := (h.h1 + uint64(i)*h.h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
-	f.count++
 }
 
 // Test reports whether the key may be in the filter. False positives are
@@ -99,52 +95,14 @@ func (f *Filter) TestHash(h KeyHash) bool {
 	return true
 }
 
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() int { return int(f.m) }
-
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.k }
-
 // SizeBytes returns the wire size of the filter in bytes. This is the figure
 // used for digest bandwidth accounting.
 func (f *Filter) SizeBytes() int { return int(f.m) / 8 }
 
-// AddCount returns the number of Add calls performed (with duplicate keys
-// counted each time); Reset zeroes it. It is an insertion tally, not a
-// distinct-key cardinality.
-func (f *Filter) AddCount() int { return f.count }
-
-// FillRatio returns the fraction of bits set.
-func (f *Filter) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.bits {
-		ones += bits.OnesCount64(w)
-	}
-	return float64(ones) / float64(f.m)
-}
-
-// Equal reports whether both filters have identical geometry and bit
-// contents. Two digests of the same unchanged profile are Equal; the engine
-// compares digests by (owner, version) reference, so Equal is the bitwise
-// oracle the digest-builder tests hold rebuilt filters to.
-func (f *Filter) Equal(g *Filter) bool {
-	if g == nil || f.m != g.m || f.k != g.k || len(f.bits) != len(g.bits) {
-		return false
-	}
-	for i, w := range f.bits {
-		if g.bits[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears all bits and zeroes the AddCount tally, returning the
-// filter to its post-New state while keeping the geometry (and the backing
-// allocation) intact — a Reset filter is Equal to a fresh New(m, k).
+// Reset clears all bits, returning the filter to its post-New state while
+// keeping the geometry (and the backing allocation) intact.
 func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
-	f.count = 0
 }

@@ -430,19 +430,24 @@ func (rs *restorer) readNetwork() {
 	}
 }
 
+// writeTraffic and readTraffic go through Traffic.Snapshot and Restore, so
+// snapshotcomplete's check of Traffic covers the codec that runs.
 func writeTraffic(cw *ckpt.Writer, t sim.Traffic) {
-	for _, k := range sim.Kinds() {
-		cw.U64(t.Msgs[k])
-		cw.U64(t.Bytes[k])
+	msgs, bytes := t.Snapshot()
+	for k := range msgs {
+		cw.U64(msgs[k])
+		cw.U64(bytes[k])
 	}
 }
 
 func (rs *restorer) readTraffic() sim.Traffic {
 	var t sim.Traffic
-	for _, k := range sim.Kinds() {
-		t.Msgs[k] = rs.r.U64()
-		t.Bytes[k] = rs.r.U64()
+	msgs, bytes := t.Snapshot()
+	for k := range msgs {
+		msgs[k] = rs.r.U64()
+		bytes[k] = rs.r.U64()
 	}
+	t.Restore(msgs, bytes)
 	return t
 }
 

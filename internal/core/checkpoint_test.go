@@ -376,9 +376,11 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 	for _, p := range e.ds.Profiles {
 		node0 += 4 + 8*p.Len()
 	}
-	node0 += users + (1+users)*16*len(sim.Kinds()) // writeNetwork
-	memo := node0 + 8 + 4                          // rng, evalVersion
-	view := memo + 4 + 8*n0.evaluated.Len()
+	node0 += users + (1+users)*16*len(sim.Traffic{}.Msgs) // writeNetwork
+	memo := node0 + 8 + 4                                 // rng, evalVersion
+	evaluated := 0
+	n0.evaluated.Range(func(uint32, int32) { evaluated++ })
+	view := memo + 4 + 8*evaluated
 	pnet := view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
 
 	var out []hostileCount
@@ -388,7 +390,7 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 		holds, most int
 	}{
 		{"profile", profile0, e.ds.Profiles[0].Len(), maxListEntries},
-		{"evaluated-memo", memo, n0.evaluated.Len(), users},
+		{"evaluated-memo", memo, evaluated, users},
 		{"view", view, n0.view.Size(), cfg.R},
 		{"personal-network", pnet, n0.pnet.Len(), cfg.S},
 	} {

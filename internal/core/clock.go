@@ -59,18 +59,3 @@ func (c *Clock) Advance(d time.Duration) {
 	}
 	c.now = target
 }
-
-// RunUntilQueriesDone advances until every issued query completes or the
-// simulated deadline elapses, and returns the simulated time consumed since
-// the call.
-func (c *Clock) RunUntilQueriesDone(max time.Duration) time.Duration {
-	start := c.now
-	for c.now-start < max && !c.e.AllQueriesDone() {
-		step := c.e.cfg.EagerPeriod
-		if remaining := max - (c.now - start); step > remaining {
-			step = remaining
-		}
-		c.Advance(step)
-	}
-	return c.now - start
-}

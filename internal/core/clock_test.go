@@ -60,7 +60,10 @@ func TestClockAnswersQueryWithinPaperBudget(t *testing.T) {
 	c := NewClock(e)
 	q, _ := trace.QueryFor(w.ds, 8, 3)
 	qr := e.IssueQuery(q)
-	elapsed := c.RunUntilQueriesDone(5 * time.Minute)
+	for c.Now() < 5*time.Minute && !qr.Done() {
+		c.Advance(e.cfg.EagerPeriod)
+	}
+	elapsed := c.Now()
 	if !qr.Done() {
 		t.Fatal("query did not complete in 5 simulated minutes")
 	}

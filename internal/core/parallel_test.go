@@ -48,8 +48,8 @@ func engineFingerprint(e *Engine) string {
 			qr.Cycles(), t1st, tfull, qr.InFlight())
 	}
 	total := e.Network().Total()
-	for _, k := range sim.Kinds() {
-		out += fmt.Sprintf("total %v msgs=%d bytes=%d\n", k, total.Msgs[k], total.Bytes[k])
+	for k := range total.Msgs {
+		out += fmt.Sprintf("total %v msgs=%d bytes=%d\n", sim.Kind(k), total.Msgs[k], total.Bytes[k])
 	}
 	for u := 0; u < e.Users(); u++ {
 		if n := len(e.frozen[tagging.UserID(u)]); n > 0 {

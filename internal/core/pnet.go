@@ -95,9 +95,6 @@ func NewPersonalNetwork(self tagging.UserID, s, c int) *PersonalNetwork {
 // Len returns the number of neighbours.
 func (pn *PersonalNetwork) Len() int { return len(pn.ranking) }
 
-// S returns the personal network capacity.
-func (pn *PersonalNetwork) S() int { return pn.s }
-
 // C returns the profile storage capacity.
 func (pn *PersonalNetwork) C() int { return pn.c }
 

@@ -87,21 +87,6 @@ func (c Config) ScaledClass(class int) int {
 	return v
 }
 
-// StorageClasses returns the heterogeneous storage classes of Table 1
-// scaled to the configured s (deduplicated, for reporting).
-func (c Config) StorageClasses() []int {
-	out := make([]int, 0, len(randx.StorageClasses))
-	seen := make(map[int]bool)
-	for _, v := range randx.StorageClasses {
-		v = c.ScaledClass(v)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // UniformCValues returns the uniform storage scenarios of §3.1.2 (c in
 // {10, 20, 50, 100, 200, 500, 1000}) restricted to c <= s.
 func (c Config) UniformCValues() []int {

@@ -105,7 +105,7 @@ func TestFreshDigestVersionsPropagate(t *testing.T) {
 
 func TestSendBufferWithEmptyView(t *testing.T) {
 	v := NewView(3, 5)
-	buf := v.SendBuffer(desc(3, 1), randx.NewSource(23))
+	buf := v.SendBufferInto(desc(3, 1), randx.NewSource(23), nil, new(randx.Sampler))
 	if len(buf) != 1 || buf[0].Node != 3 {
 		t.Fatalf("empty-view send buffer = %v, want just self", buf)
 	}

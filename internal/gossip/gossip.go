@@ -99,22 +99,14 @@ func (v *View) SelectPartner(rng *randx.Source) (Descriptor, bool) {
 	return v.entries[rng.Intn(len(v.entries))], true
 }
 
-// SendBuffer returns the descriptors to ship to a partner: this node's own
-// fresh descriptor plus a random sample of the view, at most capacity in
-// total. Including the own descriptor is what lets new nodes become known —
-// the paper's "contact information of the corresponding users is also
-// exchanged".
-func (v *View) SendBuffer(self Descriptor, rng *randx.Source) []Descriptor {
-	var smp randx.Sampler
-	return v.SendBufferInto(self, rng, nil, &smp)
-}
-
-// SendBufferInto is SendBuffer appending into a caller-owned buffer with
-// caller-owned sampling scratch. The planners call it with their worker's
-// buffers: SendBuffer runs in the parallel plan phase, where two planners
-// may read the same view concurrently, so the scratch must be
-// planner-owned, not view-owned. The draw sequence and result are
-// identical to SendBuffer.
+// SendBufferInto appends the descriptors to ship to a partner into dst
+// (reusing its capacity) and returns it: this node's own fresh descriptor
+// plus a random sample of the view, at most capacity in total. Including
+// the own descriptor is what lets new nodes become known — the paper's
+// "contact information of the corresponding users is also exchanged". The
+// planners call it with their worker's buffer and sampling scratch: it
+// runs in the parallel plan phase, where two planners may read the same
+// view concurrently, so the scratch must be planner-owned, not view-owned.
 //
 //p3q:hotpath
 func (v *View) SendBufferInto(self Descriptor, rng *randx.Source, dst []Descriptor, smp *randx.Sampler) []Descriptor {

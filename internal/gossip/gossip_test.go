@@ -97,7 +97,7 @@ func TestSendBufferIncludesSelfFirst(t *testing.T) {
 	v := NewView(9, 4)
 	v.Bootstrap([]Descriptor{desc(1, 1), desc(2, 1), desc(3, 1)})
 	self := desc(9, 5)
-	buf := v.SendBuffer(self, randx.NewSource(3))
+	buf := v.SendBufferInto(self, randx.NewSource(3), nil, new(randx.Sampler))
 	if len(buf) == 0 || buf[0].Node != 9 {
 		t.Fatal("send buffer does not lead with the own descriptor")
 	}
@@ -212,8 +212,8 @@ func TestRemove(t *testing.T) {
 
 // exchange simulates one symmetric peer-sampling exchange between two views.
 func exchange(a, b *View, da, db Descriptor, rng *randx.Source) {
-	sa := a.SendBuffer(da, rng)
-	sb := b.SendBuffer(db, rng)
+	sa := a.SendBufferInto(da, rng, nil, new(randx.Sampler))
+	sb := b.SendBufferInto(db, rng, nil, new(randx.Sampler))
 	a.Merge(sb, rng)
 	b.Merge(sa, rng)
 }

@@ -26,9 +26,6 @@ type Table struct {
 // Fibonacci hashing on the high product bits.
 func home(key uint32, mask int) int { return int(uint64(key)*0x9e3779b97f4a7c15>>33) & mask }
 
-// Len returns the number of keys.
-func (t *Table) Len() int { return t.n }
-
 // Get returns the value stored for key. It has its own probe loop, not a
 // shared helper, so that it stays within the inliner's budget.
 //

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// checkTable compares the table with its plain-map model: Len, a Get of
-// every model key and of probe keys, what Range visits, and the load bound.
+// checkTable compares the table with its plain-map model: the key count, a
+// Get of every model key and of probe keys, what Range visits, and the load
+// bound.
 func checkTable(t *testing.T, tab *Table, model map[uint32]int32, probes []uint32) {
 	t.Helper()
-	if tab.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", tab.Len(), len(model))
+	if tab.n != len(model) {
+		t.Fatalf("n = %d, model %d", tab.n, len(model))
 	}
 	for _, k := range probes {
 		want, wantOK := model[k]

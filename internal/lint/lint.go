@@ -196,18 +196,15 @@ func Lint(patterns ...string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, err := goList(append([]string{"-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}"}, patterns...)...)
+	return lintWith(newLoader(root{module, dir}), dir, patterns...)
+}
+
+// lintWith is Lint through a given loader. A loader caches what it loads,
+// so the tests run the repository and the fixtures through one.
+func lintWith(l *loader, dir string, patterns ...string) ([]Finding, error) {
+	pkgs, err := loadPatterns(l, patterns...)
 	if err != nil {
 		return nil, err
-	}
-	l := newLoader(root{module, dir})
-	pkgs := make([]*Package, 0, len(paths))
-	for _, path := range paths {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
 	}
 	findings := Check(pkgs, Analyzers())
 	for i, f := range findings {
@@ -216,6 +213,24 @@ func Lint(patterns ...string) ([]Finding, error) {
 		}
 	}
 	return findings, nil
+}
+
+// loadPatterns expands go-tool package patterns with `go list` in the
+// current directory and loads every package that has non-test Go files.
+func loadPatterns(l *loader, patterns ...string) ([]*Package, error) {
+	paths, err := goList(append([]string{"-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		pkg, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // moduleDir returns the root directory of the enclosing module.
@@ -249,11 +264,13 @@ func typeString(t types.Type) string {
 	return strings.ReplaceAll(t.String(), "p3q/internal/", "")
 }
 
-// namedObj returns the declaration of t's named type, looking through one
-// pointer, or nil when t is not a named type of some package.
+// namedObj returns the declaration of t's named type, looking through
+// aliases and one pointer, or nil when t is not a named type of some
+// package.
 func namedObj(t types.Type) *types.TypeName {
+	t = types.Unalias(t)
 	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+		t = types.Unalias(p.Elem())
 	}
 	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
 		return n.Obj()

@@ -5,12 +5,21 @@ import (
 	"testing"
 )
 
-// TestRepoLintClean runs the suite over every package of the module
-// through the driver's entry point and requires zero findings: the
-// determinism contracts hold everywhere, and every //p3q: annotation in
-// the tree is live and justified.
+// TestRepoLintClean runs the suite over every package of the module the
+// way p3qlint's entry point, Lint, does (through the loader the fixtures
+// share) and requires zero findings: the determinism contracts hold
+// everywhere, and every //p3q: annotation in the tree is live and
+// justified.
 func TestRepoLintClean(t *testing.T) {
-	findings, err := Lint(module + "/...")
+	l, err := fixtureLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := moduleDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := lintWith(l, dir, module+"/...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,17 +103,6 @@ func NewTable(title string, header ...string) *Table {
 // Add appends a row. The number of cells should match the header.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddF appends a row of float64 cells formatted with the given precision,
-// after a leading string label.
-func (t *Table) AddF(label string, prec int, vals ...float64) {
-	cells := make([]string, 0, 1+len(vals))
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, strconv.FormatFloat(v, 'f', prec, 64))
-	}
-	t.Add(cells...)
-}
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) error {
 	if t.Title != "" {

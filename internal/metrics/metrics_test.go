@@ -101,7 +101,7 @@ func TestMean(t *testing.T) {
 func TestTableFprint(t *testing.T) {
 	tb := NewTable("My Title", "cycle", "recall")
 	tb.Add("0", "0.42")
-	tb.AddF("1", 2, 0.9)
+	tb.Add("1", "0.90")
 	var buf bytes.Buffer
 	if err := tb.Fprint(&buf); err != nil {
 		t.Fatal(err)

@@ -329,16 +329,6 @@ func (r *Registry) AddShardIntent(shard int, bytes uint64) {
 	r.shardIntents[shard] += bytes
 }
 
-// ShardIntents returns a copy of the per-shard commit byte tallies.
-func (r *Registry) ShardIntents() []uint64 {
-	if r == nil {
-		return nil
-	}
-	out := make([]uint64, len(r.shardIntents))
-	copy(out, r.shardIntents)
-	return out
-}
-
 // SimFingerprint hashes the sim plane (counters, event counts, per-shard
 // intents) with FNV-1a. Two runs over the same dataset, configuration and
 // seed must produce the same value — the telemetry analogue of the engine
@@ -384,14 +374,6 @@ func (r *Registry) PhaseTotal(p Phase) time.Duration {
 	return r.phases[p].Sum()
 }
 
-// PhaseHistogram returns a snapshot of the phase's timing histogram.
-func (r *Registry) PhaseHistogram(p Phase) Histogram {
-	if r == nil {
-		return Histogram{}
-	}
-	return r.phases[p]
-}
-
 // SampleShardDuration records one shard committer's host-plane wall time
 // for one commit phase.
 func (r *Registry) SampleShardDuration(d time.Duration) {
@@ -399,15 +381,6 @@ func (r *Registry) SampleShardDuration(d time.Duration) {
 		return
 	}
 	r.shardDur.Observe(d)
-}
-
-// ShardDurations returns a snapshot of the per-shard commit timing
-// histogram.
-func (r *Registry) ShardDurations() Histogram {
-	if r == nil {
-		return Histogram{}
-	}
-	return r.shardDur
 }
 
 // SampleCommitSkew records one commit phase's shard skew: the max-min
@@ -448,15 +421,6 @@ func (r *Registry) SampleMemStats() (allocDelta, gcDelta uint64) {
 	r.mem = m
 	r.memValid = true
 	return r.allocRate, r.gcRate
-}
-
-// MemStats returns the most recently sampled runtime.MemStats and whether
-// any sample has been taken.
-func (r *Registry) MemStats() (runtime.MemStats, bool) {
-	if r == nil {
-		return runtime.MemStats{}, false
-	}
-	return r.mem, r.memValid
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition

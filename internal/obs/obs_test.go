@@ -31,9 +31,6 @@ func TestNilRegistry(t *testing.T) {
 	if got := r.SimFingerprint(); got != 0 {
 		t.Fatalf("nil registry fingerprint = %d, want 0", got)
 	}
-	if got := r.ShardIntents(); got != nil {
-		t.Fatalf("nil registry shard intents = %v, want nil", got)
-	}
 	if a, g := r.SampleMemStats(); a != 0 || g != 0 {
 		t.Fatalf("nil registry memstats deltas = %d, %d, want 0, 0", a, g)
 	}

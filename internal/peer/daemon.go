@@ -312,11 +312,6 @@ func (d *Daemon) Divergence() uint64 { return d.divergence.Load() }
 // mutate it.
 func (d *Daemon) Engine() *core.Engine { return d.eng }
 
-// Obs exposes the daemon's telemetry registry. The registry races with
-// the stepping replica — read it only under the same serialization the
-// daemon uses (see Daemon.mu), or through Metrics/serveStats.
-func (d *Daemon) Obs() *obs.Registry { return d.obs }
-
 func (d *Daemon) hosts(u tagging.UserID) bool { return u >= d.lo && u < d.hi }
 
 // daemonOf returns the index of the daemon hosting u.

@@ -107,15 +107,8 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	return s.PermInto(nil, n)
-}
-
 // PermInto writes a random permutation of [0, n) into dst (reusing its
-// capacity) and returns it. The draw sequence and result are identical to
-// Perm, so pooled callers stay byte-for-byte compatible with allocating
-// ones.
+// capacity) and returns it.
 //
 //p3q:hotpath
 func (s *Source) PermInto(dst []int, n int) []int {

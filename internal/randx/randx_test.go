@@ -100,11 +100,11 @@ func TestFloat64Mean(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	s := NewSource(4)
-	p := s.Perm(50)
+	p := s.PermInto(nil, 50)
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
+			t.Fatalf("PermInto not a permutation: %v", p)
 		}
 		seen[v] = true
 	}

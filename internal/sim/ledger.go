@@ -21,7 +21,7 @@ type Ledger struct {
 
 // Record is one message captured by a Ledger, already resolved against the
 // liveness snapshot: a send to a departed node is stored as the probe it
-// degrades into, exactly as Network.Send would have accounted it.
+// degrades into.
 type Record struct {
 	From, To NodeID
 	Kind     Kind
@@ -50,10 +50,9 @@ func (nw *Network) InitLedgerOn(l *Ledger, buf []Record) {
 	l.records = buf[:0]
 }
 
-// Send records a message with the same semantics as Network.Send: it
-// returns true if the destination is online (the message is recorded under
-// its kind) and false otherwise (a probe-sized failed attempt is recorded
-// instead). Senders must be online; recording a send from an offline node
+// Send records a message from one node to another: it returns true if the
+// destination is online (the message is recorded under its kind) and false
+// otherwise (a probe-sized failed attempt is recorded instead). Senders must be online; recording a send from an offline node
 // panics, as it indicates a protocol bug.
 func (l *Ledger) Send(from, to NodeID, k Kind, bytes int) bool {
 	if !l.nw.online[from] {
@@ -105,8 +104,9 @@ func (l *Ledger) Total() Traffic {
 
 // Commit merges every message recorded in the ledger into the network's
 // counters and empties the ledger. Committing the ledgers of a cycle in a
-// fixed order yields counters identical to having called Network.Send
-// inline, which is what keeps parallel planning byte-for-byte deterministic.
+// fixed order yields the same counters whichever ledger recorded which
+// message, which is what keeps parallel planning byte-for-byte
+// deterministic.
 func (nw *Network) Commit(l *Ledger) {
 	for _, r := range l.records {
 		nw.total.Add(r.Kind, r.Bytes)

@@ -77,15 +77,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Kinds returns all message kinds in order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // ProbeBytes is the cost charged for a failed contact attempt: a minimal
 // header-sized message.
 const ProbeBytes = 8
@@ -102,14 +93,6 @@ type Traffic struct {
 func (t *Traffic) Add(k Kind, bytes int) {
 	t.Msgs[k]++
 	t.Bytes[k] += uint64(bytes)
-}
-
-// Merge adds the other counter into this one.
-func (t *Traffic) Merge(o Traffic) {
-	for i := range t.Msgs {
-		t.Msgs[i] += o.Msgs[i]
-		t.Bytes[i] += o.Bytes[i]
-	}
 }
 
 // Since returns the difference t - prev, where prev is an earlier copy of
@@ -177,9 +160,6 @@ func NewNetwork(n int) *Network {
 	}
 }
 
-// Size returns the number of nodes (online or not).
-func (nw *Network) Size() int { return len(nw.online) }
-
 // Online reports whether the node is online.
 func (nw *Network) Online(u NodeID) bool { return nw.online[u] }
 
@@ -223,25 +203,6 @@ func (nw *Network) Kill(p float64, rng *randx.Source) []NodeID {
 		killed = append(killed, u)
 	}
 	return killed
-}
-
-// Send records a message from one node to another. It returns true if the
-// destination is online (the message is delivered and accounted under its
-// kind) and false otherwise (a probe-sized failed attempt is accounted
-// instead). Senders must be online; sending from an offline node panics, as
-// it indicates a protocol bug.
-func (nw *Network) Send(from, to NodeID, k Kind, bytes int) bool {
-	if !nw.online[from] {
-		panic(fmt.Sprintf("sim: offline node %d attempted to send", from))
-	}
-	if !nw.online[to] {
-		nw.total.Add(MsgProbe, ProbeBytes)
-		nw.perNode[from].Add(MsgProbe, ProbeBytes)
-		return false
-	}
-	nw.total.Add(k, bytes)
-	nw.perNode[from].Add(k, bytes)
-	return true
 }
 
 // Total returns a copy of the global traffic counter.

@@ -61,8 +61,8 @@ func TestEventQueueRestoreRejectsBadInput(t *testing.T) {
 
 func TestTrafficSnapshotRestoreRoundTrip(t *testing.T) {
 	n := NewNetwork(2)
-	n.Send(0, 1, MsgProfile, 64)
-	n.Send(1, 0, MsgQueryForward, 9)
+	send(n, 0, 1, MsgProfile, 64)
+	send(n, 1, 0, MsgQueryForward, 9)
 	src := n.Total()
 
 	msgs, bytes := src.Snapshot()
@@ -75,8 +75,8 @@ func TestTrafficSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestNetworkRestoreTraffic(t *testing.T) {
 	src := NewNetwork(3)
-	src.Send(0, 1, MsgProfile, 100)
-	src.Send(2, 0, MsgTopDigest, 40)
+	send(src, 0, 1, MsgProfile, 100)
+	send(src, 2, 0, MsgTopDigest, 40)
 
 	dst := NewNetwork(3)
 	per := []Traffic{src.NodeTraffic(0), src.NodeTraffic(1), src.NodeTraffic(2)}

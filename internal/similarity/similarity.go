@@ -48,12 +48,6 @@ func Build(d *trace.Dataset) *Index {
 	return ix
 }
 
-// UsersFor returns the users that performed the given action. The returned
-// slice aliases the index and must not be modified.
-func (ix *Index) UsersFor(a tagging.Action) []tagging.UserID {
-	return ix.byAction[a.Key()]
-}
-
 // CoScores returns, for the user u, the similarity score with every user
 // sharing at least one action with her. u itself is excluded.
 func (ix *Index) CoScores(p *tagging.Profile) map[tagging.UserID]int {
@@ -82,7 +76,9 @@ func (ix *Index) TopNeighbours(p *tagging.Profile, s int) []Neighbour {
 	}
 	SortNeighbours(out)
 	if len(out) > s {
-		out = out[:s]
+		// A copy, not out[:s]: the network outlives the call, and out is
+		// sized to every co-scored user.
+		out = append(make([]Neighbour, 0, s), out[:s]...)
 	}
 	return out
 }
@@ -134,10 +130,4 @@ func IdealNetworksWithIndex(d *trace.Dataset, ix *Index, s int) [][]Neighbour {
 	close(next)
 	wg.Wait()
 	return out
-}
-
-// Score computes the similarity between two live profiles directly, without
-// an index. It is the reference implementation the index is tested against.
-func Score(a, b *tagging.Profile) int {
-	return a.CommonScore(b.Snapshot())
 }

@@ -41,6 +41,28 @@ func TestCoScoresExcludesSelf(t *testing.T) {
 	}
 }
 
+// TestIdealNetworksRightSized: a network is kept for the whole run, so it
+// must not pin a backing array sized to every co-scored user.
+func TestIdealNetworksRightSized(t *testing.T) {
+	d := testDataset(4)
+	const s = 5
+	ix := Build(d)
+	nets := IdealNetworksWithIndex(d, ix, s)
+	checked := 0
+	for u := range nets {
+		if len(ix.CoScores(d.Profiles[u])) <= s {
+			continue
+		}
+		checked++
+		if len(nets[u]) != s || cap(nets[u]) > s {
+			t.Fatalf("user %d: network len %d cap %d, want len and cap %d", u, len(nets[u]), cap(nets[u]), s)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no user has more than s co-scored users; the test checks nothing")
+	}
+}
+
 func TestTopNeighboursOrdering(t *testing.T) {
 	d := testDataset(3)
 	ix := Build(d)
@@ -134,7 +156,7 @@ func TestUsersFor(t *testing.T) {
 	ix := Build(d)
 	p := d.Profiles[0]
 	a := p.Actions()[0]
-	users := ix.UsersFor(a)
+	users := ix.byAction[a.Key()]
 	found := false
 	for _, u := range users {
 		if u == 0 {
@@ -182,4 +204,10 @@ func TestIdealNetworksAfterChanges(t *testing.T) {
 	if !grew {
 		t.Fatal("no score grew after applying a substantial change-set")
 	}
+}
+
+// Score computes the similarity between two live profiles directly, without
+// an index. It is the reference implementation the index is tested against.
+func Score(a, b *tagging.Profile) int {
+	return a.CommonScore(b.Snapshot())
 }

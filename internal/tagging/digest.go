@@ -70,12 +70,6 @@ func (b *DigestBuilder) fill(f *bloom.Filter, s Snapshot) {
 // The filter's own hashing mixes the key, so identity widening suffices.
 func itemKey(it ItemID) uint64 { return uint64(it) }
 
-// MightContainItem reports whether the digested profile may contain the
-// item. False positives occur at the filter's FPR; false negatives never.
-func (d *Digest) MightContainItem(it ItemID) bool {
-	return d.Items.Test(itemKey(it))
-}
-
 // AppendCommonItems appends the items of p that the digest may contain —
 // the common-item estimate of Algorithm 1 (false positives possible at the
 // Bloom filter's rate, false negatives never) — into dst (reusing its
@@ -92,15 +86,6 @@ func (d *Digest) AppendCommonItems(dst []ItemID, p *Profile) []ItemID {
 		}
 	}
 	return dst
-}
-
-// SameAs reports whether two digests describe the same version of the same
-// profile. Version equality is decisive because profiles are append-only.
-func (d *Digest) SameAs(other *Digest) bool {
-	if other == nil {
-		return false
-	}
-	return d.Owner == other.Owner && d.Version == other.Version
 }
 
 // SizeBytes returns the wire size of the digest: the Bloom filter plus the

@@ -2,6 +2,7 @@ package tagging
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -38,31 +39,6 @@ func TestDigestVersionAndOwner(t *testing.T) {
 	}
 }
 
-func TestDigestSameAs(t *testing.T) {
-	p := NewProfile(1)
-	p.Add(1, 1)
-	d1 := digestOf(p)
-	d2 := digestOf(p)
-	if !d1.SameAs(d2) {
-		t.Fatal("digests of the same profile version not SameAs")
-	}
-	p.Add(2, 2)
-	d3 := digestOf(p)
-	if d1.SameAs(d3) {
-		t.Fatal("digest of changed profile reported SameAs")
-	}
-	q := NewProfile(2)
-	q.Add(1, 1)
-	if d1.SameAs(digestOf(q)) {
-		t.Fatal("digests of different owners reported SameAs")
-	}
-	if d1.SameAs(nil) {
-		t.Fatal("SameAs(nil) returned true")
-	}
-}
-
-// TestSharesItemWith pins the "no common item" test of Algorithm 1, an
-// empty AppendCommonItems, on disjoint and overlapping profiles.
 func TestSharesItemWith(t *testing.T) {
 	a := NewProfile(1)
 	b := NewProfile(2)
@@ -127,10 +103,9 @@ func TestDigestLowFalsePositives(t *testing.T) {
 }
 
 // digestsIdentical is bitwise digest equality: same owner, same version,
-// same filter geometry and bit content, same add count.
+// same filter geometry and bit content.
 func digestsIdentical(a, b *Digest) bool {
-	return a.Owner == b.Owner && a.Version == b.Version &&
-		a.Items.Equal(b.Items) && a.Items.AddCount() == b.Items.AddCount()
+	return a.Owner == b.Owner && a.Version == b.Version && reflect.DeepEqual(a.Items, b.Items)
 }
 
 func TestDigestBuilderBuildMatchesNewDigest(t *testing.T) {
@@ -166,10 +141,16 @@ func TestDigestBuilderRebuildMatchesFresh(t *testing.T) {
 	if d.Items != filter {
 		t.Fatal("Rebuild replaced the filter instead of refilling it in place")
 	}
-	if d.Items.Bits() != 2048 || d.Items.Hashes() != 6 {
-		t.Fatalf("Rebuild changed the geometry to %d/%d", d.Items.Bits(), d.Items.Hashes())
+	if d.Items.SizeBytes() != 2048/8 {
+		t.Fatalf("Rebuild changed the filter size to %d bytes", d.Items.SizeBytes())
 	}
 	if want := NewDigest(p.Snapshot(), 2048, 6); !digestsIdentical(d, want) {
 		t.Fatal("Rebuild diverged from a freshly built digest")
 	}
+}
+
+// MightContainItem reports whether the digested profile may contain the
+// item. False positives occur at the filter's FPR; false negatives never.
+func (d *Digest) MightContainItem(it ItemID) bool {
+	return d.Items.Test(itemKey(it))
 }

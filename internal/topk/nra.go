@@ -101,13 +101,6 @@ func NewNRA(k int) *NRA {
 	return &NRA{k: k}
 }
 
-// K returns the operator's k.
-func (n *NRA) K() int { return n.k }
-
-// Lists returns the number of (non-empty) partial result lists absorbed so
-// far.
-func (n *NRA) Lists() int { return len(n.lists) }
-
 // ScannedEntries returns the total number of list entries consumed by the
 // scan so far — NRA's native cost metric (sequential accesses). The early
 // stopping condition exists to keep this below the total entry count.

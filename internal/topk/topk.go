@@ -36,9 +36,6 @@ func compare(a, b Entry) int {
 	return 1
 }
 
-// Less reports whether a precedes b in the canonical order.
-func Less(a, b Entry) bool { return compare(a, b) < 0 }
-
 // SortEntries sorts a result list in the canonical order.
 func SortEntries(es []Entry) { slices.SortFunc(es, compare) }
 
@@ -110,38 +107,6 @@ func PartialList(snaps []tagging.Snapshot, q TagSet) []Entry {
 func Exact(snaps []tagging.Snapshot, q TagSet, k int) []Entry {
 	es := PartialList(snaps, q)
 	return es[:min(k, len(es))]
-}
-
-// TopOf returns the k best entries of a score map in canonical order.
-func TopOf(acc map[tagging.ItemID]int, k int) []Entry {
-	es := entriesFrom(acc)
-	if len(es) > k {
-		es = es[:k]
-	}
-	return es
-}
-
-// SumLists aggregates a set of partial result lists by summing scores per
-// item. It is the ground truth the incremental NRA must converge to.
-func SumLists(lists [][]Entry) map[tagging.ItemID]int {
-	acc := make(map[tagging.ItemID]int)
-	for _, l := range lists {
-		for _, e := range l {
-			acc[e.Item] += e.Score
-		}
-	}
-	return acc
-}
-
-func entriesFrom(acc map[tagging.ItemID]int) []Entry {
-	es := make([]Entry, 0, len(acc))
-	for it, sc := range acc {
-		if sc > 0 {
-			es = append(es, Entry{Item: it, Score: sc})
-		}
-	}
-	SortEntries(es)
-	return es
 }
 
 // Recall returns |got ∩ want| / |want|, the metric of §3.2.2. Empty want

@@ -234,8 +234,8 @@ func TestNRAEmptyRun(t *testing.T) {
 	if got := n.Run([][]Entry{{}}); len(got) != 0 {
 		t.Fatalf("Run(empty list) = %v, want empty", got)
 	}
-	if n.Lists() != 0 {
-		t.Fatalf("empty lists were absorbed: %d", n.Lists())
+	if len(n.lists) != 0 {
+		t.Fatalf("empty lists were absorbed: %d", len(n.lists))
 	}
 }
 
@@ -263,8 +263,8 @@ func TestNRAKSmallerThanCandidates(t *testing.T) {
 
 func TestNRAKClamped(t *testing.T) {
 	n := NewNRA(0)
-	if n.K() != 1 {
-		t.Fatalf("K = %d, want clamped to 1", n.K())
+	if n.k != 1 {
+		t.Fatalf("k = %d, want clamped to 1", n.k)
 	}
 }
 
@@ -337,4 +337,39 @@ func TestSumLists(t *testing.T) {
 	if got[1] != 5 || got[2] != 1 {
 		t.Fatalf("SumLists = %v", got)
 	}
+}
+
+// Less reports whether a precedes b in the canonical order.
+func Less(a, b Entry) bool { return compare(a, b) < 0 }
+
+// TopOf returns the k best entries of a score map in canonical order.
+func TopOf(acc map[tagging.ItemID]int, k int) []Entry {
+	es := entriesFrom(acc)
+	if len(es) > k {
+		es = es[:k]
+	}
+	return es
+}
+
+// SumLists aggregates a set of partial result lists by summing scores per
+// item. It is the ground truth the incremental NRA must converge to.
+func SumLists(lists [][]Entry) map[tagging.ItemID]int {
+	acc := make(map[tagging.ItemID]int)
+	for _, l := range lists {
+		for _, e := range l {
+			acc[e.Item] += e.Score
+		}
+	}
+	return acc
+}
+
+func entriesFrom(acc map[tagging.ItemID]int) []Entry {
+	es := make([]Entry, 0, len(acc))
+	for it, sc := range acc {
+		if sc > 0 {
+			es = append(es, Entry{Item: it, Score: sc})
+		}
+	}
+	SortEntries(es)
+	return es
 }
