@@ -22,7 +22,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"43 51 33 50",             // magic "P3QC"
-		"02 00",                   // version
+		"03 00",                   // version
 		"d2 04 00 00 00 00 00 00", // payload
 		"23 45 4e 44",             // end marker "#END"
 	}, " ")

@@ -4,7 +4,6 @@ import (
 	"p3q/internal/gossip"
 	"p3q/internal/idtab"
 	"p3q/internal/randx"
-	"p3q/internal/sim"
 	"p3q/internal/tagging"
 )
 
@@ -13,7 +12,7 @@ import (
 //   - what only the planner touches lives in one planWorker per plan
 //     goroutine and is meaningless between plan calls;
 //   - what the commit phase (and the capture readers) read — integration
-//     results, view send buffers, random-view contacts, plan ledgers — is
+//     results, view send buffers, random-view contacts, probe resets — is
 //     carved out of the planning worker's arenas, which are reset at the
 //     start of every cycle.
 //
@@ -98,7 +97,6 @@ type planWorker struct {
 	cand      []tagging.UserID   // eager destination selection: candidate order
 
 	// Per-cycle outputs, read by the commit and the capture.
-	records  arena[sim.Record]        // plan ledgers
 	results  arena[intResult]         // integration results
 	descs    arena[gossip.Descriptor] // view send buffers
 	contacts arena[rvContact]         // random-view contacts
@@ -107,7 +105,6 @@ type planWorker struct {
 
 // reset frees the outputs of the previous cycle.
 func (w *planWorker) reset() {
-	w.records.reset()
 	w.results.reset()
 	w.descs.reset()
 	w.contacts.reset()

@@ -79,7 +79,7 @@ func runZeroDelayWorkload(t *testing.T, workers int, lat sim.LatencyModel) []str
 // reproducing that path's output byte for byte. If a deliberate protocol or
 // fingerprint-format change breaks this, regenerate the constant from
 // sha256(runMixedWorkload(t, 1)).
-const syncGoldenFingerprint = "513db530a44d00e06605983b1c43303edbba43d27950b403126010e04588c259"
+const syncGoldenFingerprint = "f73baecd4e1bdad9bf8061155949c9cb531f88b97e9366162382aec247f8cf71"
 
 func TestSyncOutputPinned(t *testing.T) {
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(runMixedWorkload(t, 1))))

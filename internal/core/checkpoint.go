@@ -61,7 +61,7 @@ import (
 //     query keeps: the settle cycle, the used count, the reached list and
 //     the results. Restore rebuilds the active list from the active
 //     records.
-//   - The network substrate: liveness, global and per-node traffic.
+//   - The network substrate: liveness and the per-kind traffic counters.
 //   - The event machinery: the pending delivery queue with its (At, Seq)
 //     order and scheduling counter, and the store-and-forward events
 //     frozen at departed nodes, per target in freeze order.
@@ -408,26 +408,13 @@ func (e *Engine) writeNetwork(cw *ckpt.Writer) {
 		cw.Bool(e.net.Online(tagging.UserID(u)))
 	}
 	writeTraffic(cw, e.net.Total())
-	for u := range e.nodes {
-		writeTraffic(cw, e.net.NodeTraffic(tagging.UserID(u)))
-	}
 }
 
 func (rs *restorer) readNetwork() {
 	for u := 0; u < rs.users && rs.r.Err() == nil; u++ {
 		rs.e.net.SetOnline(tagging.UserID(u), rs.r.Bool())
 	}
-	total := rs.readTraffic()
-	perNode := make([]sim.Traffic, 0, ckpt.CapHint(rs.users))
-	for u := 0; u < rs.users && rs.r.Err() == nil; u++ {
-		perNode = append(perNode, rs.readTraffic())
-	}
-	if rs.r.Err() != nil {
-		return
-	}
-	if err := rs.e.net.RestoreTraffic(total, perNode); err != nil {
-		rs.r.Fail("%v", err)
-	}
+	rs.e.net.RestoreTraffic(rs.readTraffic())
 }
 
 // writeTraffic and readTraffic go through Traffic.Snapshot and Restore, so

@@ -376,8 +376,8 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 	for _, p := range e.ds.Profiles {
 		node0 += 4 + 8*p.Len()
 	}
-	node0 += users + (1+users)*16*len(sim.Traffic{}.Msgs) // writeNetwork
-	memo := node0 + 8 + 4                                 // rng, evalVersion
+	node0 += users + 16*len(sim.Traffic{}.Msgs) // writeNetwork
+	memo := node0 + 8 + 4                       // rng, evalVersion
 	evaluated := 0
 	n0.evaluated.Range(func(uint32, int32) { evaluated++ })
 	view := memo + 4 + 8*evaluated

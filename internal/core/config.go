@@ -80,10 +80,9 @@ type Config struct {
 	// committer per shard applies exactly its own nodes' intents in the
 	// engine's canonical (cycle, pair, role) order. 0 (the default) means
 	// runtime.GOMAXPROCS(0); 1 forces fully sequential execution. Shards
-	// never share a node and per-shard traffic ledgers are merged in
-	// canonical shard order, so every value of Workers produces
-	// byte-for-byte identical personal networks, query results and traffic
-	// counters.
+	// never share a node and per-shard traffic counters are summed after
+	// the phase, so every value of Workers produces byte-for-byte identical
+	// personal networks, query results and traffic counters.
 	Workers int
 	// Latency models the one-way delivery delay of every eager-mode query
 	// message (forwarded lists, returned portions, partial results). Each

@@ -434,18 +434,18 @@ func eagerStream(src *randx.Source, seq, purpose uint64, peer tagging.UserID, qi
 // eagerPlan is one planned initiator step of Algorithm 3 for one query,
 // computed against cycle-start state. Plans live in the engine's pooled
 // eplans slots. The pooling rule is strict: only memory that never outlives
-// the cycle is pooled — the ledger's records and the maintenance exchange's
-// results are runs of the planning worker's arenas. The hand-off slices —
-// foundOwners, plist, keep, returned — escape into query state and into
-// delivery events that can outlive the cycle (in flight, or frozen at a
-// departed node), so they are freshly allocated per plan and only their
-// headers are reset; branch aliases the initiator's live branch list.
+// the cycle is pooled — the maintenance exchange's results are runs of the
+// planning worker's arenas. The hand-off slices — foundOwners, plist, keep,
+// returned — escape into query state and into delivery events that can
+// outlive the cycle (in flight, or frozen at a departed node), so they are
+// freshly allocated per plan and only their headers are reset; branch
+// aliases the initiator's live branch list.
 type eagerPlan struct {
 	u   tagging.UserID
 	qid uint64
 
-	// ledger records the destination probes and the query's own messages
-	// (forward, partial result, return) in send order.
+	// ledger counts the destination probes and the query's own messages
+	// (forward, partial result, return).
 	ledger sim.Ledger
 
 	ok   bool // an online destination was found
@@ -495,13 +495,11 @@ func (e *Engine) planEagerGossip(w *planWorker, pr eagerPair, seq uint64, p *eag
 	p.delivered = false
 	p.keep, p.returned = nil, nil
 	p.peerBytes, p.selfBytes = 0, 0
-	// Probes, then the forward, the partial result and the return.
-	e.net.InitLedgerOn(&p.ledger, w.records.open(min(len(p.branch), e.cfg.MaxProbes)+3))
+	e.net.InitLedger(&p.ledger)
 
 	drng := eagerStream(u.rng, seq, purposeEagerDest, 0, pr.qid)
 	dest := e.selectEagerDest(w, u, p, &drng)
 	if dest == nil {
-		w.records.close(p.ledger.Records())
 		return // every candidate departed: the branch stalls this cycle
 	}
 	p.ok, p.dest = true, dest.id
@@ -556,7 +554,6 @@ func (e *Engine) planEagerGossip(w *planWorker, pr eagerPair, seq uint64, p *eag
 	srng := eagerStream(dest.rng, seq, purposeEagerSplit, u.id, pr.qid)
 	p.keep, p.returned = splitRemaining(rest, e.cfg.Alpha, &srng)
 	p.ledger.Send(dest.id, u.id, sim.MsgQueryReturn, tagging.UsersWireSize(len(p.returned)))
-	w.records.close(p.ledger.Records())
 
 	// "maintain personal network as in lazy mode" (Algorithm 3, lines 12
 	// and 24): the eager exchange doubles as a top-layer maintenance

@@ -32,8 +32,8 @@ import (
 //     node index shards, and one committer per shard applies only its own
 //     nodes' intents, walking every plan in the canonical order (see
 //     commitSharded). Shards never share a node, and commit-time traffic is
-//     recorded in per-shard ledgers merged canonically afterwards, so every
-//     worker count produces byte-for-byte identical output.
+//     counted in per-shard ledgers summed afterwards, so every worker count
+//     produces byte-for-byte identical output.
 //
 // The worker pools are internal; the engine's methods themselves must
 // still be called from one goroutine at a time.
@@ -413,9 +413,8 @@ func (sh *commitShard) owns(id tagging.UserID) bool { return id >= sh.lo && id <
 // normalized digests, liveness) is frozen during the phase, each node's
 // state receives exactly the same intents in exactly the same order for
 // every worker count. Afterwards the per-shard ledgers and side counters
-// are folded into the network in ascending shard order; the fold is a sum
-// of per-record counters, so the canonical order makes it independent of
-// how the records were distributed across shards.
+// are added to the network's; a sum of per-kind counters does not depend
+// on how the messages were distributed across shards.
 func (e *Engine) commitSharded(apply func(sh *commitShard)) {
 	n := len(e.nodes)
 	workers := e.cfg.Workers

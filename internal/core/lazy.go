@@ -34,10 +34,10 @@ import (
 //     (cross-node inputs — profiles, normalized digests, liveness — are
 //     frozen during the commit phase), so shards never contend. Commit-time
 //     traffic (step-2/step-3 messages, which depend on the committed
-//     network) is recorded in per-shard ledgers that are merged into the
-//     network in canonical shard order after the parallel phase. Each
-//     node's intents land in the same canonical (cycle, pair, role) order
-//     for every worker count, so the output stays byte-for-byte identical.
+//     network) is counted in per-shard ledgers that are added to the
+//     network's counters after the parallel phase. Each node's intents
+//     land in the same canonical (cycle, pair, role) order for every
+//     worker count, so the output stays byte-for-byte identical.
 //
 // The eager mode runs on the same primitives: EagerCycle (eager.go) plans
 // every (initiator, query) gossip concurrently — including the piggybacked
@@ -180,8 +180,8 @@ func (c *rvContact) integration() integration {
 // topPlan is one node's planned top-layer gossip plus random-view
 // evaluation: the probes spent finding an online partner, the symmetric
 // 3-step exchange planned for both sides, and the random-view contacts.
-// Like viewPlan, topPlans are pooled engine slots; the ledger's records,
-// resets and rv are runs of the planning worker's arenas.
+// Like viewPlan, topPlans are pooled engine slots; resets and rv are runs
+// of the planning worker's arenas.
 type topPlan struct {
 	used   bool             // false: slot idle this cycle (offline node)
 	ledger sim.Ledger       // probes and random-view contact traffic
@@ -263,7 +263,7 @@ func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 	p.ok = false
 	entries := a.view.Entries()
 	probes := min(a.pnet.Len(), e.cfg.MaxProbes)
-	e.net.InitLedgerOn(&p.ledger, w.records.open(probes+2*len(entries)))
+	e.net.InitLedger(&p.ledger)
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
 	p.resets = w.resets.open(probes)
@@ -333,7 +333,6 @@ func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 	}
 	w.contacts.close(rv)
 	p.rv = rv
-	w.records.close(p.ledger.Records())
 }
 
 // commitTopShard applies the shard-owned effects of one planned top-layer
@@ -417,9 +416,10 @@ func (e *Engine) planTopExchangeInto(w *planWorker, p *exchangePlan, a, b *Node,
 // exchange: the step-1 messages and the ablation side ledger (charged to
 // a's shard), b's integration of a's offers (b's shard) and a's integration
 // of b's offers (a's shard). It returns the commit-resolved step-2/step-3
-// traffic of each integration — each value is only meaningful in the shard
-// owning the respective node — so the eager scheduling pass can attribute
-// piggybacked maintenance bytes per query.
+// traffic of each integration, as the growth of the shard ledger's byte
+// total across it — each value is only meaningful in the shard owning the
+// respective node — so the eager scheduling pass can attribute piggybacked
+// maintenance bytes per query.
 //
 //p3q:phase commit
 func (e *Engine) commitTopExchangeShard(a, b *Node, p *exchangePlan, sh *commitShard) (peerBytes, selfBytes uint64) {
@@ -429,14 +429,14 @@ func (e *Engine) commitTopExchangeShard(a, b *Node, p *exchangePlan, sh *commitS
 		sh.naive += p.naive
 	}
 	if sh.owns(b.id) {
-		mark := sh.ledger.Len()
+		before := sh.ledger.Total().TotalBytes()
 		b.commitIntegration(&p.intPeer, &sh.ledger)
-		peerBytes = sh.ledger.BytesSince(mark)
+		peerBytes = sh.ledger.Total().TotalBytes() - before
 	}
 	if sh.owns(a.id) {
-		mark := sh.ledger.Len()
+		before := sh.ledger.Total().TotalBytes()
 		a.commitIntegration(&p.intSelf, &sh.ledger)
-		selfBytes = sh.ledger.BytesSince(mark)
+		selfBytes = sh.ledger.Total().TotalBytes() - before
 	}
 	return peerBytes, selfBytes
 }
@@ -562,7 +562,7 @@ func (w *planWorker) planOffer(n *Node, o offer, seen *idtab.Table, common []tag
 // commitIntegration applies a planned integration: the evaluated-cache
 // updates and step-2 traffic, the personal-network upserts (top-s, positive
 // scores), and step 3 (lines 27-31) — fetch and store the full profiles of
-// neighbours entering the top-c. Messages are recorded in l (the committing
+// neighbours entering the top-c. Messages are counted in l (the committing
 // shard's ledger) rather than sent on the network directly, so shard
 // committers stay free of shared counters; only n's own state is mutated,
 // and the cross-node reads (owner profiles and digests) are frozen during

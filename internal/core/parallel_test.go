@@ -13,8 +13,8 @@ import (
 // personal networks (members, scores, timestamps, digest and stored
 // versions), random views, query results, per-query time metrics
 // (time-to-first-result / time-to-full-recall on the virtual clock),
-// in-flight and frozen delivery events, and the network's full traffic
-// counters, globally and per node.
+// in-flight and frozen delivery events, and the network's per-kind traffic
+// counters.
 func engineFingerprint(e *Engine) string {
 	out := ""
 	for u := 0; u < e.Users(); u++ {
@@ -27,8 +27,6 @@ func engineFingerprint(e *Engine) string {
 		for _, d := range n.View().Entries() {
 			out += fmt.Sprintf("  view %d v=%d\n", d.Node, d.Digest.Version)
 		}
-		tr := e.Network().NodeTraffic(n.ID())
-		out += fmt.Sprintf("  sent msgs=%d bytes=%d\n", tr.TotalMsgs(), tr.TotalBytes())
 	}
 	for _, qr := range e.Queries() {
 		out += fmt.Sprintf("query %d state=%v reached=%v used=%d:", qr.ID, qr.State(), qr.Reached(), qr.ProfilesUsed())

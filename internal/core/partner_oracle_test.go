@@ -80,9 +80,9 @@ var partnerOracleSizes = [...]int{50, 1, 2, 7, 100, 1000}
 // exchanges with receiver-side resets joining the youngest group — and
 // then, over rounds of further mutation, picks a partner both ways under a
 // random offline set (none, some, most, all) with MaxProbes 1-4, through
-// one reused plan slot. Both must name the same partner (or none), leave the
-// same probe records in the ledger in the same order and the same resets,
-// and hand on an rng whose next draw is equal.
+// one reused plan slot. Both must name the same partner (or none), count the
+// same probes in the ledger, reset the same departed neighbours in the same
+// order, and hand on an rng whose next draw is equal.
 //
 // Five hand mutations of selectTopPartner/appendAgeGroup each fail it at
 // seed 1: skipping the ID ordering inside a group, walking the permutation
@@ -168,8 +168,10 @@ func checkPartnerSelection(t *testing.T, w *planWorker, p *topPlan, seed, histor
 		if (b != nil) != wantOK || (wantOK && b.id != want) {
 			t.Fatalf("%s: partner found %v, oracle %d/%v", at, b != nil, want, wantOK)
 		}
-		if !slices.Equal(p.ledger.Records(), ledger.Records()) {
-			t.Fatalf("%s: probes %v, oracle %v", at, p.ledger.Records(), ledger.Records())
+		// The counters hold how many probes were sent; resets below pins
+		// which departed neighbours were probed, in which order.
+		if p.ledger.Total() != ledger.Total() {
+			t.Fatalf("%s: probes %+v, oracle %+v", at, p.ledger.Total(), ledger.Total())
 		}
 		if !slices.Equal(p.resets, resets) {
 			t.Fatalf("%s: resets %v, oracle %v", at, p.resets, resets)

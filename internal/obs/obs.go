@@ -45,7 +45,7 @@ type CounterID uint8
 const (
 	// CLazyCycles counts completed lazy cycles.
 	CLazyCycles CounterID = iota
-	// CEagerCycles counts completed eager cycles (sync and async).
+	// CEagerCycles counts completed eager cycles.
 	CEagerCycles
 	// CQueriesIssued counts queries accepted by IssueQuery.
 	CQueriesIssued

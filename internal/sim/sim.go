@@ -1,17 +1,16 @@
 // Package sim is the network substrate of the reproduction: the
 // cycle-driven simulation equivalent of PeerSim's cycle-based mode used by
-// the paper's evaluation. It models node liveness (churn) and accounts
-// every message and byte exchanged, per category and per node, so the
-// bandwidth figures of §3.3 can be regenerated.
+// the paper's evaluation. It models node liveness (churn) and counts
+// every message and byte exchanged, per category, so the bandwidth figures
+// of §3.3 can be regenerated.
 //
 // Three pieces make up the substrate:
 //
-//   - Network tracks liveness and the per-kind / per-node traffic counters.
-//   - Ledger is the thread-confined recorder the engine's parallel phases
-//     write into; committing a cycle's ledgers in a canonical order makes
-//     the counters independent of how work was scheduled across workers
-//     (see Ledger). Ledger.BytesSince brackets commit-time sub-sequences so
-//     their traffic can be attributed to the exchange that caused it.
+//   - Network tracks liveness and the per-kind traffic counters.
+//   - Ledger is the thread-confined counter the engine's parallel phases
+//     write into; committing a cycle's ledgers sums their counters, so the
+//     network's counters are independent of how work was scheduled across
+//     workers (see Ledger).
 //   - EventQueue and the LatencyModel implementations (events.go) are the
 //     event-driven half: a deterministic priority queue of timestamped
 //     events plus pluggable per-message delay distributions (fixed,
@@ -95,6 +94,14 @@ func (t *Traffic) Add(k Kind, bytes int) {
 	t.Bytes[k] += uint64(bytes)
 }
 
+// add adds another counter to this one.
+func (t *Traffic) add(o *Traffic) {
+	for i := range t.Msgs {
+		t.Msgs[i] += o.Msgs[i]
+		t.Bytes[i] += o.Bytes[i]
+	}
+}
+
 // Since returns the difference t - prev, where prev is an earlier copy of
 // the same counter.
 func (t Traffic) Since(prev Traffic) Traffic {
@@ -144,7 +151,6 @@ type Network struct {
 	online  []bool
 	nOnline int
 	total   Traffic
-	perNode []Traffic // traffic *sent* by each node
 }
 
 // NewNetwork returns a network of n nodes, all online.
@@ -153,11 +159,7 @@ func NewNetwork(n int) *Network {
 	for i := range online {
 		online[i] = true
 	}
-	return &Network{
-		online:  online,
-		nOnline: n,
-		perNode: make([]Traffic, n),
-	}
+	return &Network{online: online, nOnline: n}
 }
 
 // Online reports whether the node is online.
@@ -208,17 +210,6 @@ func (nw *Network) Kill(p float64, rng *randx.Source) []NodeID {
 // Total returns a copy of the global traffic counter.
 func (nw *Network) Total() Traffic { return nw.total }
 
-// NodeTraffic returns a copy of the traffic sent by one node.
-func (nw *Network) NodeTraffic(u NodeID) Traffic { return nw.perNode[u] }
-
-// RestoreTraffic overwrites the network's traffic counters — the global
-// total and every per-node counter — from a checkpoint. perNode must carry
-// exactly one counter per node.
-func (nw *Network) RestoreTraffic(total Traffic, perNode []Traffic) error {
-	if len(perNode) != len(nw.perNode) {
-		return fmt.Errorf("sim: RestoreTraffic got %d per-node counters for %d nodes", len(perNode), len(nw.perNode))
-	}
-	nw.total = total
-	copy(nw.perNode, perNode)
-	return nil
-}
+// RestoreTraffic overwrites the network's traffic counter from a
+// checkpoint.
+func (nw *Network) RestoreTraffic(total Traffic) { nw.total = total }

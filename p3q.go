@@ -33,7 +33,7 @@
 // of shard committers apply the planned effects — the population is
 // partitioned into Workers contiguous node index shards, and each
 // committer applies exactly its own nodes' intents in a canonical order,
-// with per-shard traffic ledgers merged canonically afterwards. Runs are
+// with per-shard traffic counters added up afterwards. Runs are
 // byte-for-byte deterministic — identical personal networks, query
 // results, reached-sets and traffic counters — for every worker count
 // (and across repeated runs with the same seed). The contract is enforced
