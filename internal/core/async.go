@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"p3q/internal/obs"
@@ -109,9 +108,9 @@ func (e *Engine) scheduleEagerGossips(plans []eagerPlan, seq uint64) {
 			continue
 		}
 		e.emitEagerHops(p, &t)
-		qr.reached[p.dest] = struct{}{}
+		qr.reached = insertID(qr.reached, p.dest)
 		qr.bytes.Maintenance += uint64(p.exch.sizeA+p.exch.sizeB) + p.peerBytes + p.selfBytes
-		delete(qr.activeNodes, p.u)
+		qr.activeNodes = removeID(qr.activeNodes, p.u)
 
 		prng := lrng.Derive(uint64(i))
 		tA := e.now + e.delay(&prng, 0, p.u, p.dest, sim.MsgQueryForward)
@@ -173,29 +172,20 @@ func (e *Engine) pumpEvents(t time.Duration) {
 }
 
 // replayFrozen re-schedules events frozen at nodes that are back online,
-// at the current clock, sweeping targets in ascending node order (a
-// deterministic order independent of how the map grew). Called at the
-// start of every cycle, it covers both Engine.Revive and direct
-// Network.SetOnline liveness flips.
+// at the current clock, sweeping targets in ascending node order and each
+// target's events in freeze order. Called at the start of every cycle, it
+// covers both Engine.Revive and direct Network.SetOnline liveness flips.
 func (e *Engine) replayFrozen() {
-	if len(e.frozen) == 0 {
-		return
-	}
-	ids := make([]tagging.UserID, 0, len(e.frozen))
-	//p3q:orderinvariant collects online keys into ids, which is sorted before use
-	for id := range e.frozen {
-		if e.net.Online(id) {
-			ids = append(ids, id)
+	for _, n := range e.nodes {
+		if len(n.frozen) == 0 || !e.net.Online(n.id) {
+			continue
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, ev := range e.frozen[id] {
+		for _, ev := range n.frozen {
 			e.events.Schedule(e.now, ev)
 			e.obs.Inc(obs.CEventsReplayed)
-			e.emitQueryEvent(obs.EvReplayed, ev.qid, e.now, id, 0, 0)
+			e.emitQueryEvent(obs.EvReplayed, ev.qid, e.now, n.id, 0, 0)
 		}
-		delete(e.frozen, id)
+		n.frozen = nil
 	}
 }
 
@@ -203,8 +193,9 @@ func (e *Engine) replayFrozen() {
 // liveness is evaluated now — at arrival — not at send time: a node that
 // departed while the message was in flight freezes it for redelivery.
 func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
-	if !e.net.Online(ev.node) {
-		e.frozen[ev.node] = append(e.frozen[ev.node], ev)
+	n := e.nodes[ev.node]
+	if !e.net.Online(n.id) {
+		n.frozen = append(n.frozen, ev)
 		e.obs.Inc(obs.CEventsFrozen)
 		e.emitQueryEvent(obs.EvFrozen, ev.qid, at, ev.node, 0, 0)
 		return
@@ -215,9 +206,8 @@ func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
 	case evDeliverPartial:
 		qr.deliver(ev.plist, ev.owners, at)
 	case evBranchKeep, evBranchReturn:
-		n := e.nodes[ev.node]
-		n.setBranch(ev.qid, mergeUnique(n.branches[ev.qid], ev.members))
-		qr.activeNodes[ev.node] = struct{}{}
+		n.setBranch(ev.qid, mergeUnique(n.branch(ev.qid), ev.members))
+		qr.activeNodes = insertID(qr.activeNodes, n.id)
 	}
 	qr.maybeSettle(at, e.cycleSeq-1)
 }
@@ -228,7 +218,7 @@ func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
 func (qr *QueryRun) deliver(list []topk.Entry, owners []tagging.UserID, at time.Duration) {
 	qr.pending = append(qr.pending, list)
 	for _, o := range owners {
-		qr.used[o] = struct{}{}
+		qr.used = insertID(qr.used, o)
 	}
 	qr.partialMsgs++
 	qr.e.obs.Inc(obs.CPartialsDelivered)
@@ -267,9 +257,9 @@ func (qr *QueryRun) maybeSettle(at time.Duration, seq uint64) {
 // outside any cycle). No remaining list is left anywhere, so the protocol
 // guarantees the accurate results now: the last lists are merged and NRA's
 // open bounds resolved. Then the working state goes — the NRA, the
-// unmerged lists, the used, reached and active-node sets — and the query
-// keeps its compact record: the used count and the reached nodes as a
-// sorted list of at most s+1 IDs.
+// unmerged lists, the used and active-node sets — and the query keeps its
+// compact record: the used count and the reached nodes, an ascending list
+// of at most s+1 IDs, copied to its exact size.
 func (qr *QueryRun) settle(at time.Duration, seq uint64) {
 	qr.done = true
 	qr.doneAt = at
@@ -277,22 +267,27 @@ func (qr *QueryRun) settle(at time.Duration, seq uint64) {
 	qr.mergePending()
 	qr.results = qr.nra.Drain()
 	qr.usedCount = len(qr.used)
-	qr.reachedIDs = sortedIDs(qr.reached)
+	qr.reached = slices.Clone(qr.reached)
 	qr.qset = topk.TagSet{}
 	qr.nra, qr.pending = nil, nil
-	qr.used, qr.reached, qr.activeNodes = nil, nil, nil
+	qr.used, qr.activeNodes = nil, nil
 	qr.e.obs.Inc(obs.CQueriesSettled)
 	qr.e.emitQueryEvent(obs.EvSettled, qr.ID, at, qr.Query.Querier, 0, 0)
 }
 
-// sortedIDs returns the members of a user set in ascending order.
-func sortedIDs(set map[tagging.UserID]struct{}) []tagging.UserID {
-	ids := make([]tagging.UserID, 0, len(set))
-	//p3q:orderinvariant collects keys into ids, which is sorted before use
-	for id := range set {
-		ids = append(ids, id)
+// insertID adds id to the ascending user set ids, if it is absent.
+func insertID(ids []tagging.UserID, id tagging.UserID) []tagging.UserID {
+	if i, ok := slices.BinarySearch(ids, id); !ok {
+		ids = slices.Insert(ids, i, id)
 	}
-	slices.Sort(ids)
+	return ids
+}
+
+// removeID deletes id from the ascending user set ids, if it is present.
+func removeID(ids []tagging.UserID, id tagging.UserID) []tagging.UserID {
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		ids = slices.Delete(ids, i, i+1)
+	}
 	return ids
 }
 

@@ -258,7 +258,7 @@ func TestAsyncFrozenPartialRedelivery(t *testing.T) {
 	if qr.ProfilesUsed() != used || qr.PartialResultMessages() != msgs {
 		t.Fatal("partial results were delivered to a departed querier")
 	}
-	if len(e.frozen[q.Querier]) == 0 {
+	if len(e.nodes[q.Querier].frozen) == 0 {
 		t.Fatal("no event froze at the departed querier")
 	}
 	if !qr.Stalled() {
@@ -270,7 +270,7 @@ func TestAsyncFrozenPartialRedelivery(t *testing.T) {
 	if !qr.Done() {
 		t.Fatal("query did not complete after the querier revived")
 	}
-	if len(e.frozen[q.Querier]) != 0 {
+	if len(e.nodes[q.Querier].frozen) != 0 {
 		t.Fatal("frozen events were not replayed on revival")
 	}
 	if qr.ProfilesUsed() != qr.ProfilesNeeded() {
@@ -309,11 +309,7 @@ func TestAsyncFrozenBranchEventsReplay(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.EagerCycle() // in-flight events aimed at the dead fire and freeze
 	}
-	total := 0
-	for _, evs := range e.frozen {
-		total += len(evs)
-	}
-	if total == 0 {
+	if e.FrozenEvents() == 0 {
 		t.Fatal("no event froze at a departed node; scenario too weak")
 	}
 
@@ -330,9 +326,9 @@ func TestAsyncFrozenBranchEventsReplay(t *testing.T) {
 				qr.ID, qr.ProfilesUsed(), qr.ProfilesNeeded())
 		}
 	}
-	if e.PendingEvents() != 0 || len(e.frozen) != 0 {
-		t.Fatalf("leftover events after completion: %d pending, %d frozen targets",
-			e.PendingEvents(), len(e.frozen))
+	if e.PendingEvents() != 0 || e.FrozenEvents() != 0 {
+		t.Fatalf("leftover events after completion: %d pending, %d frozen",
+			e.PendingEvents(), e.FrozenEvents())
 	}
 }
 

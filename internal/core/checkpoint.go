@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	ckpt "p3q/internal/checkpoint"
@@ -48,8 +47,10 @@ import (
 //   - Personal networks in ranking order with their logical clocks and
 //     per-entry last-gossip stamps (ages are derived state), random views,
 //     evaluated-version memos, and per-query remaining-list branches in
-//     list order (order is protocol state: it drives destination selection).
-//   - Query runs, in issue order, each as one of two records sharing a
+//     ascending query ID, each in list order (order is protocol state: it
+//     drives destination selection).
+//   - Query runs, in issue order — which is ascending ID, the IDs dense
+//     from zero — each as one of two records sharing a
 //     header (ID, querier, tags, item, needed, cycles, done, partial-result
 //     count, traffic attribution and the virtual-clock instants: issue,
 //     first result, full recall). An active record (done false) goes on
@@ -65,8 +66,12 @@ import (
 //   - The event machinery: the pending delivery queue with its (At, Seq)
 //     order and scheduling counter, and the store-and-forward events
 //     frozen at departed nodes, per target in freeze order.
-//   - Every RNG stream state (engine, latency, per node) and the cycle,
-//     kill and query-ID sequence counters that label split streams.
+//   - Every RNG stream state (engine, latency, per node), the cycle and
+//     kill sequence counters that label split streams, and the number of
+//     queries issued.
+//
+// The engine keeps all of this state in the order it is written — slices
+// by node index, by query ID or ascending — so nothing is sorted here.
 //
 // The attached obs registry is deliberately not captured: its host plane
 // measures wall-clock, not protocol state, and restarts at zero.
@@ -126,7 +131,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // converged overlay serve whole scenario families.
 func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	cr := ckpt.NewReader(r)
-	rs := &restorer{r: cr, inflight: make(map[uint64]int)}
+	rs := &restorer{r: cr}
 
 	users := rs.readParams(cfg)
 	if cr.Err() != nil {
@@ -139,10 +144,8 @@ func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	rs.validateParams()
 
 	e := &Engine{
-		cfg:     rs.cfg,
-		queries: make(map[uint64]*QueryRun),
-		events:  sim.NewEventQueue(),
-		frozen:  make(map[tagging.UserID][]*eagerEvent),
+		cfg:    rs.cfg,
+		events: sim.NewEventQueue(),
 	}
 	rs.e = e
 	rs.readCounters()
@@ -181,9 +184,12 @@ type restorer struct {
 	// referenced (profiles are append-only, so owner and version determine
 	// the content; nearly every owner is referenced at a single version).
 	digests [][]*tagging.Digest
-	// inflight counts the delivery events read per query, pending and
+	// issued is the query count of the counters section, which the queries
+	// section must hold.
+	issued uint64
+	// inflight counts the delivery events read per query ID, pending and
 	// frozen, for crossCheck to hold against QueryRun.inflight.
-	inflight map[uint64]int
+	inflight []int
 
 	// snapshot-side parameters read from the stream, validated against cfg.
 	params snapParams
@@ -299,7 +305,7 @@ func (e *Engine) writeCounters(cw *ckpt.Writer) {
 	cw.U64(uint64(e.eagerCycles))
 	cw.U64(e.cycleSeq)
 	cw.U64(e.killSeq)
-	cw.U64(e.nextQueryID)
+	cw.U64(uint64(len(e.queries)))
 	cw.I64(int64(e.now))
 	cw.U64(e.naiveExchangeBytes)
 	cw.U64(e.rng.State())
@@ -312,7 +318,7 @@ func (rs *restorer) readCounters() {
 	e.eagerCycles = int(rs.r.U64())
 	e.cycleSeq = rs.r.U64()
 	e.killSeq = rs.r.U64()
-	e.nextQueryID = rs.r.U64()
+	rs.issued = rs.r.U64()
 	e.now = time.Duration(rs.r.I64())
 	e.naiveExchangeBytes = rs.r.U64()
 	e.rng = randx.Restore(rs.r.U64())
@@ -472,16 +478,10 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 		}
 	}
 
-	qids := make([]uint64, 0, len(n.branches))
-	//p3q:orderinvariant collects keys into qids, which is sorted before use
-	for qid := range n.branches {
-		qids = append(qids, qid)
-	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-	cw.Count(len(qids))
-	for _, qid := range qids {
-		cw.U64(qid)
-		writeUserList(cw, n.branches[qid])
+	cw.Count(len(n.branches))
+	for _, b := range n.branches {
+		cw.U64(b.qid)
+		writeUserList(cw, b.members)
 	}
 }
 
@@ -596,15 +596,14 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 			break
 		}
 		prevQID = qid
-		n.setBranch(qid, rs.readUserList(rs.users))
+		n.branches = append(n.branches, queryBranch{qid: qid, members: rs.readUserList(rs.users)})
 	}
 	return n
 }
 
 func (e *Engine) writeQueries(cw *ckpt.Writer) {
-	cw.Count(len(e.queryOrder))
-	for _, qid := range e.queryOrder {
-		qr := e.queries[qid]
+	cw.Count(len(e.queries))
+	for _, qr := range e.queries {
 		cw.U64(qr.ID)
 		cw.U32(uint32(qr.Query.Querier))
 		cw.Count(len(qr.Query.Tags))
@@ -627,15 +626,15 @@ func (e *Engine) writeQueries(cw *ckpt.Writer) {
 		if qr.done {
 			cw.U64(qr.settledSeq)
 			cw.U32(uint32(qr.usedCount))
-			writeUserList(cw, qr.reachedIDs)
+			writeUserList(cw, qr.reached)
 			writeEntryList(cw, qr.results)
 			continue
 		}
 		cw.U32(uint32(qr.inflight))
 		cw.U64(qr.settledSeq)
-		writeUserSet(cw, qr.used)
-		writeUserSet(cw, qr.reached)
-		writeUserSet(cw, qr.activeNodes)
+		writeUserList(cw, qr.used)
+		writeUserList(cw, qr.reached)
+		writeUserList(cw, qr.activeNodes)
 		writeEntryList(cw, qr.results)
 		cw.Count(len(qr.pending))
 		for _, l := range qr.pending {
@@ -648,15 +647,18 @@ func (e *Engine) writeQueries(cw *ckpt.Writer) {
 func (rs *restorer) readQueries() {
 	e := rs.e
 	nQ := rs.r.Count(maxEvents)
-	var prev uint64
+	if rs.r.Err() == nil && uint64(nQ) != rs.issued {
+		rs.r.Fail("query counter %d, but the snapshot holds %d queries", rs.issued, nQ)
+		return
+	}
+	e.queries = make([]*QueryRun, 0, ckpt.CapHint(nQ))
 	for i := 0; i < nQ && rs.r.Err() == nil; i++ {
 		qr := &QueryRun{e: e}
 		qr.ID = rs.r.U64()
-		if i > 0 && qr.ID <= prev {
-			rs.r.Fail("queries not in ascending ID order")
+		if rs.r.Err() == nil && qr.ID != uint64(i) {
+			rs.r.Fail("query ID %d at position %d: query IDs not dense from 0", qr.ID, i)
 			return
 		}
-		prev = qr.ID
 		qr.Query.Querier = rs.readUserID()
 		nTags := rs.r.Count(maxQueryTags)
 		qr.Query.Tags = make([]tagging.TagID, 0, ckpt.CapHint(nTags))
@@ -682,15 +684,15 @@ func (rs *restorer) readQueries() {
 			if rs.r.Err() == nil && qr.usedCount > rs.users {
 				rs.r.Fail("settled query %d used %d profiles of a population of %d", qr.ID, qr.usedCount, rs.users)
 			}
-			qr.reachedIDs = rs.readAscending()
+			qr.reached = rs.readAscending()
 			qr.results = rs.readEntryList()
 		} else {
 			qr.inflight = int(rs.r.U32())
 			qr.settledSeq = rs.r.U64()
 			qr.qset = topk.NewTagSet(qr.Query.Tags)
-			qr.used = rs.readUserSet()
-			qr.reached = rs.readUserSet()
-			qr.activeNodes = rs.readUserSet()
+			qr.used = rs.readAscending()
+			qr.reached = rs.readAscending()
+			qr.activeNodes = rs.readAscending()
 			qr.results = rs.readEntryList()
 			nPend := rs.r.Count(maxEvents)
 			for j := 0; j < nPend && rs.r.Err() == nil; j++ {
@@ -701,8 +703,7 @@ func (rs *restorer) readQueries() {
 		if rs.r.Err() != nil {
 			return
 		}
-		e.queries[qr.ID] = qr
-		e.queryOrder = append(e.queryOrder, qr.ID)
+		e.queries = append(e.queries, qr)
 		if !qr.done {
 			e.active = append(e.active, qr)
 		}
@@ -765,17 +766,20 @@ func (e *Engine) writeEvents(cw *ckpt.Writer) {
 		writeEagerEvent(cw, ev.Payload.(*eagerEvent))
 	}
 
-	targets := make([]tagging.UserID, 0, len(e.frozen))
-	//p3q:orderinvariant collects keys into targets, which is sorted before use
-	for id := range e.frozen {
-		targets = append(targets, id)
+	targets := 0
+	for _, n := range e.nodes {
+		if len(n.frozen) > 0 {
+			targets++
+		}
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	cw.Count(len(targets))
-	for _, id := range targets {
-		cw.U32(uint32(id))
-		cw.Count(len(e.frozen[id]))
-		for _, ev := range e.frozen[id] {
+	cw.Count(targets)
+	for u, n := range e.nodes {
+		if len(n.frozen) == 0 {
+			continue
+		}
+		cw.U32(uint32(u))
+		cw.Count(len(n.frozen))
+		for _, ev := range n.frozen {
 			writeEagerEvent(cw, ev)
 		}
 	}
@@ -783,6 +787,7 @@ func (e *Engine) writeEvents(cw *ckpt.Writer) {
 
 func (rs *restorer) readEvents() {
 	e := rs.e
+	rs.inflight = make([]int, len(e.queries))
 	nextSeq := rs.r.U64()
 	nPending := rs.r.Count(maxEvents)
 	pending := make([]sim.Event, 0, ckpt.CapHint(nPending))
@@ -815,7 +820,7 @@ func (rs *restorer) readEvents() {
 			rs.r.Fail("frozen target %d has no events", id)
 			return
 		}
-		e.frozen[id] = evs
+		e.nodes[id].frozen = evs
 	}
 }
 
@@ -839,7 +844,10 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 	ev.qid = rs.r.U64()
 	// The queries section precedes the events, so the reference is
 	// checkable right here.
-	if _, ok := rs.e.queries[ev.qid]; rs.r.Err() == nil && !ok {
+	if rs.r.Err() != nil {
+		return ev
+	}
+	if ev.qid >= uint64(len(rs.e.queries)) {
 		rs.r.Fail("delivery event references unknown query %d", ev.qid)
 		return ev
 	}
@@ -852,9 +860,8 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 }
 
 // crossCheck validates what spans sections: branch query IDs (nodes precede
-// queries in the stream) must name active queries, the ID allocator must
-// sit past every issued ID so future queries cannot collide, and each
-// query's in-flight counter must equal its delivery events in the stream —
+// queries in the stream) must name active queries, and each query's
+// in-flight counter must equal its delivery events in the stream —
 // too high and the query can never settle, too low and it settles with
 // deliveries outstanding. A settled query's counter is zero, so no event
 // may name it. Event query IDs are validated at read time — the queries
@@ -862,26 +869,16 @@ func (rs *restorer) readEagerEvent() *eagerEvent {
 func (rs *restorer) crossCheck() error {
 	e := rs.e
 	for _, n := range e.nodes {
-		bad, found := uint64(0), false
-		//p3q:orderinvariant min-reduction: the smallest bad query ID wins regardless of visit order
-		for qid := range n.branches {
-			if qr := e.queries[qid]; (qr == nil || qr.done) && (!found || qid < bad) {
-				bad, found = qid, true
+		for _, b := range n.branches {
+			if b.qid >= uint64(len(e.queries)) {
+				return fmt.Errorf("checkpoint: node %d holds a branch of unknown query %d", n.id, b.qid)
+			}
+			if e.queries[b.qid].done {
+				return fmt.Errorf("checkpoint: node %d holds a branch of settled query %d", n.id, b.qid)
 			}
 		}
-		if found {
-			if e.queries[bad] != nil {
-				return fmt.Errorf("checkpoint: node %d holds a branch of settled query %d", n.id, bad)
-			}
-			return fmt.Errorf("checkpoint: node %d holds a branch of unknown query %d", n.id, bad)
-		}
 	}
-	if n := len(e.queryOrder); n > 0 && e.queryOrder[n-1] >= e.nextQueryID {
-		return fmt.Errorf("checkpoint: query ID allocator (%d) not past the last issued ID (%d)",
-			e.nextQueryID, e.queryOrder[n-1])
-	}
-	for _, qid := range e.queryOrder {
-		qr := e.queries[qid]
+	for qid, qr := range e.queries {
 		if got, want := qr.inflight, rs.inflight[qid]; got != want {
 			if qr.done {
 				return fmt.Errorf("checkpoint: settled query %d has %d deliveries in flight", qid, want)
@@ -950,21 +947,6 @@ func (rs *restorer) readUserList(max int) []tagging.UserID {
 		out = append(out, rs.readUserID())
 	}
 	return out
-}
-
-// writeUserSet serializes a user-ID set in ascending order (sets carry no
-// order of their own; the canonical order keeps snapshots deterministic).
-func writeUserSet(cw *ckpt.Writer, set map[tagging.UserID]struct{}) {
-	writeUserList(cw, sortedIDs(set))
-}
-
-func (rs *restorer) readUserSet() map[tagging.UserID]struct{} {
-	ids := rs.readAscending()
-	set := make(map[tagging.UserID]struct{}, len(ids))
-	for _, id := range ids {
-		set[id] = struct{}{}
-	}
-	return set
 }
 
 // readAscending reads a user list that must be strictly ascending: a

@@ -94,7 +94,7 @@ func checkpointPhaseB(e *Engine, killed []tagging.UserID) string {
 func resumedRun(t *testing.T, lat sim.LatencyModel, snapWorkers, restoreWorkers int, wantFrozen bool) string {
 	t.Helper()
 	e, w, killed := checkpointPhaseA(t, checkpointCfg(snapWorkers, lat))
-	if wantFrozen && len(e.frozen) == 0 {
+	if wantFrozen && e.FrozenEvents() == 0 {
 		t.Fatal("no events frozen at departed nodes at the snapshot point; the scenario must cover mid-burst snapshots")
 	}
 	requireQueryMix(t, e)

@@ -99,10 +99,10 @@ func (s QueryState) String() string {
 // processed by the eager mode.
 //
 // While the query is active it carries its working state: the incremental
-// NRA, the unmerged lists and the used, reached and active-node sets. When
-// it settles (settle) all of that is released and only a compact record
-// stays: the results, the used count, the reached nodes as a sorted list,
-// the traffic and cycle counters and the instants. Every accessor below
+// NRA, the unmerged lists and the used and active-node sets. When it
+// settles (settle) all of that is released and only a compact record
+// stays: the results, the used count, the reached nodes, the traffic and
+// cycle counters and the instants. Every accessor below
 // keeps answering after that — Done, Stalled, State, Results, Cycles,
 // UsersReached, Reached, ProfilesUsed, ProfilesNeeded,
 // PartialResultMessages, Bytes, IssuedAt, InFlight, TimeToFirstResult and
@@ -118,14 +118,12 @@ type QueryRun struct {
 	nra    *topk.NRA
 	needed int // personal network size at issue time
 
-	// The working sets of an active query; nil once it settles.
-	used        map[tagging.UserID]struct{} // profiles used so far
-	reached     map[tagging.UserID]struct{} // nodes that processed the query
-	activeNodes map[tagging.UserID]struct{} // nodes holding non-empty branches
-
-	// The compact form of used and reached a settled query keeps.
-	usedCount  int              // len(used) at settle
-	reachedIDs []tagging.UserID // reached at settle, ascending
+	// The user sets, each ascending. used and activeNodes are the working
+	// sets of an active query, nil once it settles; reached is kept.
+	used        []tagging.UserID // profiles used so far
+	activeNodes []tagging.UserID // nodes holding non-empty branches
+	reached     []tagging.UserID // nodes that processed the query
+	usedCount   int              // len(used) at settle
 
 	pending     [][]topk.Entry // partial lists arrived since the last merge (mergePending)
 	results     []topk.Entry
@@ -187,21 +185,11 @@ func (qr *QueryRun) Cycles() int { return qr.cycles }
 
 // UsersReached returns the number of distinct nodes that processed the
 // query, the querier included (Figure 8).
-func (qr *QueryRun) UsersReached() int {
-	if qr.done {
-		return len(qr.reachedIDs)
-	}
-	return len(qr.reached)
-}
+func (qr *QueryRun) UsersReached() int { return len(qr.reached) }
 
 // Reached returns the distinct nodes that processed the query, in
 // ascending ID order.
-func (qr *QueryRun) Reached() []tagging.UserID {
-	if qr.done {
-		return slices.Clone(qr.reachedIDs)
-	}
-	return sortedIDs(qr.reached)
-}
+func (qr *QueryRun) Reached() []tagging.UserID { return slices.Clone(qr.reached) }
 
 // ProfilesUsed returns the number of distinct profiles used so far.
 func (qr *QueryRun) ProfilesUsed() int {
@@ -268,31 +256,28 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 	}
 	u := e.nodes[q.Querier]
 	qr := &QueryRun{
-		ID:          e.nextQueryID,
-		Query:       q,
-		e:           e,
-		qset:        topk.NewTagSet(q.Tags),
-		nra:         topk.NewNRA(e.cfg.K),
-		needed:      u.pnet.Len() + 1,
-		used:        make(map[tagging.UserID]struct{}),
-		reached:     map[tagging.UserID]struct{}{u.id: {}},
-		activeNodes: make(map[tagging.UserID]struct{}),
-		issuedAt:    e.now,
-		settledSeq:  noCycleSeq,
+		ID:         uint64(len(e.queries)),
+		Query:      q,
+		e:          e,
+		qset:       topk.NewTagSet(q.Tags),
+		nra:        topk.NewNRA(e.cfg.K),
+		needed:     u.pnet.Len() + 1,
+		reached:    []tagging.UserID{u.id},
+		issuedAt:   e.now,
+		settledSeq: noCycleSeq,
 	}
-	e.nextQueryID++
-	e.queries[qr.ID] = qr
-	e.queryOrder = append(e.queryOrder, qr.ID)
+	e.queries = append(e.queries, qr)
 	e.obs.Inc(obs.CQueriesIssued)
 	e.emitQueryEvent(obs.EvIssued, qr.ID, qr.issuedAt, u.id, 0, 0)
 
 	// Local processing over GoodProfiles(querier): own profile + stored
 	// snapshots.
 	snaps := u.storedSnapshots()
-	qr.used[u.id] = struct{}{}
+	qr.used = append(make([]tagging.UserID, 0, qr.needed), u.id)
 	for _, entry := range u.pnet.StoredEntries() {
-		qr.used[entry.ID] = struct{}{}
+		qr.used = append(qr.used, entry.ID)
 	}
+	slices.Sort(qr.used)
 	local := topk.PartialList(snaps, qr.qset)
 	qr.nra.Run([][]topk.Entry{local})
 
@@ -302,7 +287,7 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 		return qr
 	}
 	u.setBranch(qr.ID, remaining)
-	qr.activeNodes[u.id] = struct{}{}
+	qr.activeNodes = []tagging.UserID{u.id}
 	qr.results = qr.nra.TopK()
 	e.active = append(e.active, qr)
 	return qr
@@ -322,22 +307,15 @@ type eagerPair struct {
 func (e *Engine) eagerPairs() []eagerPair {
 	pairs := e.scratch.pairs[:0]
 	e.scratch.perm = e.rng.PermInto(e.scratch.perm, len(e.nodes))
-	var qids []uint64
 	for _, i := range e.scratch.perm {
 		n := e.nodes[i]
-		if !e.net.Online(n.id) || len(n.branches) == 0 {
+		if !e.net.Online(n.id) {
 			continue
 		}
-		qids = qids[:0]
-		//p3q:orderinvariant collects matching keys into qids, which is sorted before use
-		for qid, branch := range n.branches {
-			if len(branch) > 0 && !e.queries[qid].Stalled() {
-				qids = append(qids, qid)
+		for _, b := range n.branches {
+			if len(b.members) > 0 && !e.queries[b.qid].Stalled() {
+				pairs = append(pairs, eagerPair{u: n.id, qid: b.qid})
 			}
-		}
-		slices.Sort(qids)
-		for _, qid := range qids {
-			pairs = append(pairs, eagerPair{u: n.id, qid: qid})
 		}
 	}
 	e.scratch.pairs = pairs
@@ -490,7 +468,7 @@ func (e *Engine) planEagerGossip(w *planWorker, pr eagerPair, seq uint64, p *eag
 	qr := e.queries[pr.qid]
 	p.u, p.qid = pr.u, pr.qid
 	p.ok = false
-	p.branch = u.branches[pr.qid]
+	p.branch = u.branch(pr.qid)
 	p.foundOwners, p.plist = nil, nil
 	p.delivered = false
 	p.keep, p.returned = nil, nil
@@ -584,7 +562,7 @@ func (e *Engine) commitEagerGossipShard(p *eagerPlan, sh *commitShard) {
 	u, dest := e.nodes[p.u], e.nodes[p.dest]
 	peerBytes, selfBytes := e.commitTopExchangeShard(u, dest, &p.exch, sh)
 	if sh.owns(u.id) {
-		delete(u.branches, p.qid)
+		u.dropBranch(p.qid)
 		p.selfBytes = selfBytes
 		u.pnet.Touch(dest.id)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +56,10 @@ type Engine struct {
 	// Kill calls with no intervening cycle still draw independent sets.
 	killSeq uint64
 
-	queries     map[uint64]*QueryRun
-	queryOrder  []uint64
-	nextQueryID uint64
+	// queries holds every issued query, indexed by its ID: IssueQuery
+	// assigns the next position, and only on success, so the IDs are
+	// dense from zero and the slice is also the issue order.
+	queries []*QueryRun
 	// active lists the queries not yet settled, in issue order: the only
 	// ones a cycle, a liveness change or Stats has to visit. A query that
 	// settles leaves it at the end of the cycle it settled in.
@@ -74,11 +76,6 @@ type Engine struct {
 	// message events, popped in deterministic (time, scheduling order) by
 	// the cycle whose virtual-time window they fall in (see async.go).
 	events *sim.EventQueue
-	// frozen parks events that fired while their target node was departed,
-	// per target, in freeze order; they are redelivered (re-scheduled at
-	// the current clock) once the node is back online — the simulation's
-	// store-and-forward assumption for churn during delivery.
-	frozen map[tagging.UserID][]*eagerEvent
 	// latRng seeds the per-event latency streams: split per (cycle, pair,
 	// message) in the canonical scheduling order, so delay draws are
 	// independent of Workers.
@@ -134,11 +131,9 @@ func New(ds *trace.Dataset, cfg Config) *Engine {
 		nodes: make([]*Node, ds.Users()),
 		// The engine label lives above 32 bits so it can never collide
 		// with the per-node labels (u+1) in very large populations.
-		rng:     root.Split(0xE16 << 32),
-		latRng:  root.Split(0x1A7E << 32),
-		queries: make(map[uint64]*QueryRun),
-		events:  sim.NewEventQueue(),
-		frozen:  make(map[tagging.UserID][]*eagerEvent),
+		rng:    root.Split(0xE16 << 32),
+		latRng: root.Split(0x1A7E << 32),
+		events: sim.NewEventQueue(),
 	}
 	for u := 0; u < ds.Users(); u++ {
 		id := tagging.UserID(u)
@@ -191,9 +186,8 @@ func (e *Engine) PendingEvents() int { return e.events.Len() }
 // leaves behind when messages take time to arrive.
 func (e *Engine) FrozenEvents() int {
 	n := 0
-	//p3q:orderinvariant sums per-node queue lengths, a commutative reduction
-	for _, evs := range e.frozen {
-		n += len(evs)
+	for _, node := range e.nodes {
+		n += len(node.frozen)
 	}
 	return n
 }
@@ -230,16 +224,17 @@ func (e *Engine) emitQueryEvent(kind obs.EventKind, qid uint64, at time.Duration
 }
 
 // Query returns the query with the given ID, nil when none was issued.
-func (e *Engine) Query(id uint64) *QueryRun { return e.queries[id] }
+// The ID may come from outside the process (a daemon's status request),
+// so any value is legal.
+func (e *Engine) Query(id uint64) *QueryRun {
+	if id >= uint64(len(e.queries)) {
+		return nil
+	}
+	return e.queries[id]
+}
 
 // Queries returns every issued query in issue order.
-func (e *Engine) Queries() []*QueryRun {
-	out := make([]*QueryRun, 0, len(e.queryOrder))
-	for _, id := range e.queryOrder {
-		out = append(out, e.queries[id])
-	}
-	return out
-}
+func (e *Engine) Queries() []*QueryRun { return slices.Clone(e.queries) }
 
 // NaiveExchangeBytes returns the hypothetical cost of every top-layer
 // exchange so far had full profiles been shipped instead of the 3-step
@@ -437,27 +432,24 @@ func (e *Engine) commitSharded(apply func(sh *commitShard)) {
 		e.net.InitLedger(&shards[i].ledger)
 	}
 	timed := e.obs != nil
-	if workers == 1 {
-		if timed {
-			sw := hostclock.Start()
-			apply(&shards[0])
-			shards[0].dur = sw.Elapsed()
-		} else {
-			apply(&shards[0])
+	run := func(sh *commitShard) {
+		if !timed {
+			apply(sh)
+			return
 		}
+		sw := hostclock.Start()
+		apply(sh)
+		sh.dur = sw.Elapsed()
+	}
+	if workers == 1 {
+		run(&shards[0])
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for i := range shards {
 			go func(sh *commitShard) {
 				defer wg.Done()
-				if timed {
-					sw := hostclock.Start()
-					apply(sh)
-					sh.dur = sw.Elapsed()
-				} else {
-					apply(sh)
-				}
+				run(sh)
 			}(&shards[i])
 		}
 		wg.Wait()
@@ -619,29 +611,14 @@ func (e *Engine) SeedExplicitNetworks(contacts [][]tagging.UserID) {
 	if len(contacts) != len(e.nodes) {
 		panic("core: SeedExplicitNetworks needs one contact list per user")
 	}
-	digests := make([]*tagging.Digest, len(e.nodes))
-	for u, node := range e.nodes {
-		digests[u] = node.digest()
-	}
-	for u, node := range e.nodes {
-		node.pnet = NewPersonalNetwork(node.id, e.cfg.S, e.cfg.capacityOf(node.id))
-		node.checkEvalCache()
+	e.seedNetworks(func(u int) []similarity.Neighbour {
+		nbs := make([]similarity.Neighbour, 0, len(contacts[u]))
 		for _, friend := range contacts[u] {
-			if friend == node.id || node.pnet.Contains(friend) {
-				continue
-			}
-			score := node.profile.CommonScore(e.nodes[friend].profile.Snapshot())
-			if score < 1 {
-				score = 1
-			}
-			node.pnet.Upsert(friend, score, digests[friend])
-			node.evaluated.Put(uint32(friend), int32(digests[friend].Version))
+			score := e.nodes[u].profile.CommonScore(e.nodes[friend].profile.Snapshot())
+			nbs = append(nbs, similarity.Neighbour{ID: friend, Score: max(score, 1)})
 		}
-		for _, entry := range node.pnet.Rebalance() {
-			entry.Stored = e.nodes[entry.ID].profile.Snapshot()
-		}
-	}
-	e.Bootstrap()
+		return nbs
+	})
 }
 
 // SeedIdealNetworks installs the given (offline-computed) ideal personal
@@ -651,8 +628,18 @@ func (e *Engine) SeedExplicitNetworks(contacts [][]tagging.UserID) {
 // that assume converged networks (Figures 3-6, 8, 11) start without paying
 // hundreds of lazy cycles.
 func (e *Engine) SeedIdealNetworks(nets [][]similarity.Neighbour) {
-	// One digest per user, shared by every holder (digests of the same
-	// profile version are identical).
+	e.seedNetworks(func(u int) []similarity.Neighbour {
+		return nets[u][:min(len(nets[u]), e.cfg.S)]
+	})
+}
+
+// seedNetworks gives every node u a fresh personal network of the scored
+// candidates cands(u) returns, in their order — the node itself and a
+// candidate already held are skipped — with one digest per user shared by
+// every holder (digests of the same profile version are identical),
+// warmed evaluation caches and fresh stored snapshots for the top-c. Then
+// the random views are bootstrapped.
+func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 	digests := make([]*tagging.Digest, len(e.nodes))
 	for u, node := range e.nodes {
 		digests[u] = node.digest()
@@ -660,11 +647,10 @@ func (e *Engine) SeedIdealNetworks(nets [][]similarity.Neighbour) {
 	for u, node := range e.nodes {
 		node.pnet = NewPersonalNetwork(node.id, e.cfg.S, e.cfg.capacityOf(node.id))
 		node.checkEvalCache()
-		limit := len(nets[u])
-		if limit > e.cfg.S {
-			limit = e.cfg.S
-		}
-		for _, nb := range nets[u][:limit] {
+		for _, nb := range cands(u) {
+			if nb.ID == node.id || node.pnet.Contains(nb.ID) {
+				continue
+			}
 			node.pnet.Upsert(nb.ID, nb.Score, digests[nb.ID])
 			node.evaluated.Put(uint32(nb.ID), int32(digests[nb.ID].Version))
 		}

@@ -95,7 +95,14 @@ func TestEagerQueryReachesExactResults(t *testing.T) {
 	if !e.AllQueriesDone() {
 		t.Fatalf("queries not done after %d cycles", cycles)
 	}
-	for _, qr := range e.Queries() {
+	all := e.Queries()
+	if qr := e.Query(uint64(len(all))); qr != nil {
+		t.Fatalf("Query(%d) = query %d; no query with that ID was issued", len(all), qr.ID)
+	}
+	for id, qr := range all {
+		if e.Query(uint64(id)) != qr {
+			t.Fatalf("Query(%d) is not the query issued %d-th", id, id)
+		}
 		want := exactReference(e, qr.Query, w.cfg.K)
 		got := qr.Results()
 		if len(got) != len(want) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,19 +175,14 @@ func TestQueryPartitionInvariantDuringProcessing(t *testing.T) {
 		holders := make(map[tagging.UserID]tagging.UserID) // member -> branch holder
 		for u := 0; u < e.Users(); u++ {
 			node := e.nodes[u]
-			for qid, branch := range node.branches {
-				if qid != qr.ID {
-					continue
+			for _, member := range node.branch(qr.ID) {
+				if prev, dup := holders[member]; dup {
+					t.Fatalf("cycle %d: member %d in two remaining lists (%d and %d)",
+						cycle, member, prev, u)
 				}
-				for _, member := range branch {
-					if prev, dup := holders[member]; dup {
-						t.Fatalf("cycle %d: member %d in two remaining lists (%d and %d)",
-							cycle, member, prev, u)
-					}
-					holders[member] = tagging.UserID(u)
-					if _, used := qr.used[member]; used {
-						t.Fatalf("cycle %d: member %d still pending after being used", cycle, member)
-					}
+				holders[member] = tagging.UserID(u)
+				if _, used := slices.BinarySearch(qr.used, member); used {
+					t.Fatalf("cycle %d: member %d still pending after being used", cycle, member)
 				}
 			}
 		}

@@ -43,7 +43,7 @@ func TestOfflineQuerierRetainsResolvedProfiles(t *testing.T) {
 		var pairs []eagerPair
 		for u := range e.nodes {
 			n := e.nodes[u]
-			if e.net.Online(n.id) && len(n.branches[qr.ID]) > 0 {
+			if e.net.Online(n.id) && len(n.branch(qr.ID)) > 0 {
 				pairs = append(pairs, eagerPair{u: n.id, qid: qr.ID})
 			}
 		}

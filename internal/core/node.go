@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"p3q/internal/gossip"
 	"p3q/internal/idtab"
@@ -11,7 +13,8 @@ import (
 
 // Node is one P3Q participant: a user, her profile, her personal network
 // and random view, plus the per-query branches of remaining lists she is
-// responsible for in eager mode.
+// responsible for in eager mode and the deliveries parked for her while
+// she is away.
 type Node struct {
 	id      tagging.UserID   //p3q:transient implicit: nodes serialize in index order, the id is the position
 	e       *Engine          //p3q:transient engine back-pointer, re-attached on restore
@@ -34,21 +37,56 @@ type Node struct {
 	evaluated   idtab.Table
 	evalVersion int
 
-	// branches holds this node's remaining list per active query. The map
-	// is lazily allocated by setBranch: at any moment only the nodes along
-	// active query paths hold branches, so most of a large population never
-	// pays for the map.
-	branches map[uint64][]tagging.UserID
+	// branches holds this node's remaining list per active query, in
+	// ascending query ID: the order eagerPairs gossips them in and Snapshot
+	// writes them in. Only the nodes along active query paths hold any.
+	branches []queryBranch
+
+	// frozen parks the delivery events that fired while this node was
+	// departed, in freeze order; replayFrozen re-schedules them at the
+	// current clock once the node is back online — the simulation's
+	// store-and-forward assumption for churn during delivery.
+	frozen []*eagerEvent
 }
 
-// setBranch stores a branch list, allocating the branches map on first use.
-// Reads, deletes and len on a nil map are legal, so only the write path
-// needs the helper.
-func (n *Node) setBranch(qid uint64, members []tagging.UserID) {
-	if n.branches == nil {
-		n.branches = make(map[uint64][]tagging.UserID)
+// queryBranch is one remaining list a node holds: the members of query
+// qid whose profiles are still to be collected through her.
+type queryBranch struct {
+	qid     uint64
+	members []tagging.UserID
+}
+
+// branchPos returns where query qid's branch is, or would be inserted.
+func (n *Node) branchPos(qid uint64) (int, bool) {
+	return slices.BinarySearchFunc(n.branches, qid, func(b queryBranch, qid uint64) int {
+		return cmp.Compare(b.qid, qid)
+	})
+}
+
+// branch returns the node's remaining list of query qid, nil if she holds
+// none.
+func (n *Node) branch(qid uint64) []tagging.UserID {
+	if i, ok := n.branchPos(qid); ok {
+		return n.branches[i].members
 	}
-	n.branches[qid] = members
+	return nil
+}
+
+// setBranch stores the node's remaining list of query qid.
+func (n *Node) setBranch(qid uint64, members []tagging.UserID) {
+	i, ok := n.branchPos(qid)
+	if ok {
+		n.branches[i].members = members
+		return
+	}
+	n.branches = slices.Insert(n.branches, i, queryBranch{qid: qid, members: members})
+}
+
+// dropBranch removes the node's remaining list of query qid, if any.
+func (n *Node) dropBranch(qid uint64) {
+	if i, ok := n.branchPos(qid); ok {
+		n.branches = slices.Delete(n.branches, i, i+1)
+	}
 }
 
 // ID returns the node's user ID.

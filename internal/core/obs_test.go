@@ -6,7 +6,6 @@ import (
 
 	"p3q/internal/obs"
 	"p3q/internal/sim"
-	"p3q/internal/tagging"
 	"p3q/internal/trace"
 )
 
@@ -158,7 +157,7 @@ func TestFrozenEventsAccessor(t *testing.T) {
 	}
 	want := 0
 	for u := 0; u < e.Users(); u++ {
-		want += len(e.frozen[tagging.UserID(u)])
+		want += len(e.nodes[u].frozen)
 	}
 	if got := e.FrozenEvents(); got != want {
 		t.Fatalf("FrozenEvents = %d, want %d", got, want)

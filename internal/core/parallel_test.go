@@ -50,7 +50,7 @@ func engineFingerprint(e *Engine) string {
 		out += fmt.Sprintf("total %v msgs=%d bytes=%d\n", sim.Kind(k), total.Msgs[k], total.Bytes[k])
 	}
 	for u := 0; u < e.Users(); u++ {
-		if n := len(e.frozen[tagging.UserID(u)]); n > 0 {
+		if n := len(e.nodes[u].frozen); n > 0 {
 			out += fmt.Sprintf("frozen %d n=%d\n", u, n)
 		}
 	}

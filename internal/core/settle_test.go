@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"strings"
@@ -47,7 +48,7 @@ func TestSettledQueriesReleaseState(t *testing.T) {
 		if !qr.Done() {
 			t.Fatalf("query %d did not settle within 100 eager cycles", qr.ID)
 		}
-		if qr.nra != nil || qr.pending != nil || qr.used != nil || qr.reached != nil || qr.activeNodes != nil {
+		if qr.nra != nil || qr.pending != nil || qr.used != nil || qr.activeNodes != nil {
 			t.Errorf("settled query %d still holds its working state", qr.ID)
 		}
 		reached := qr.Reached()
@@ -72,8 +73,7 @@ func TestSettledQueriesReleaseState(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	h1 := liveHeap()
-	clear(e.queries)
-	e.queryOrder = nil
+	e.queries = nil
 	h0 := liveHeap()
 	runtime.KeepAlive(e)
 	runtime.KeepAlive(queries)
@@ -91,7 +91,9 @@ func TestSettledQueriesReleaseState(t *testing.T) {
 // TestRestoreRejectsSettledQueryInUse: a settled record carries no
 // working state, so a snapshot in which a node still holds a branch of the
 // query, or a delivery event still names it, is incoherent and must not
-// restore.
+// restore. Nor may one whose query section skips an ID, or whose query
+// counter disagrees with the queries it holds: the engine indexes its
+// queries by ID.
 func TestRestoreRejectsSettledQueryInUse(t *testing.T) {
 	e, _, cfg := smallSnapshotOf(t)
 	var settled *QueryRun
@@ -102,28 +104,50 @@ func TestRestoreRejectsSettledQueryInUse(t *testing.T) {
 		}
 	}
 	n := e.nodes[0]
+	last := e.queries[len(e.queries)-1]
+	// The query count is the fifth counter, behind the header (magic,
+	// version) and the parameter block.
+	const countAt = 4 + 2 + 11*4 + 8 + 2*8 + 8 + 2 + 4*8
 	for _, c := range []struct {
 		name, want string
-		corrupt    func()
+		corrupt    func() // alters the engine before the snapshot
 		undo       func()
+		patch      func(raw []byte) // alters the snapshot's bytes
 	}{
-		{"branch", "branch of settled query",
+		{"branch of a settled query", "branch of settled query",
 			func() { n.setBranch(settled.ID, []tagging.UserID{1}) },
-			func() { delete(n.branches, settled.ID) }},
-		{"event", "deliveries in flight",
+			func() { n.dropBranch(settled.ID) }, nil},
+		{"event naming a settled query", "deliveries in flight",
 			func() {
-				e.frozen[0] = []*eagerEvent{{kind: evBranchKeep, qid: settled.ID, members: []tagging.UserID{1}}}
+				n.frozen = []*eagerEvent{{kind: evBranchKeep, qid: settled.ID, members: []tagging.UserID{1}}}
 			},
-			func() { delete(e.frozen, 0) }},
+			func() { n.frozen = nil }, nil},
+		{"skipped query ID", "query IDs not dense",
+			func() { last.ID++ },
+			func() { last.ID-- }, nil},
+		{"query counter off by one", "query counter", nil, nil,
+			func(raw []byte) {
+				if got := binary.LittleEndian.Uint64(raw[countAt:]); got != uint64(len(e.queries)) {
+					t.Fatalf("offset %d holds %d, the engine %d queries (did the layout change?)", countAt, got, len(e.queries))
+				}
+				binary.LittleEndian.PutUint64(raw[countAt:], uint64(len(e.queries))+1)
+			}},
 	} {
-		c.corrupt()
+		if c.corrupt != nil {
+			c.corrupt()
+		}
 		var buf bytes.Buffer
 		if err := e.Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		c.undo()
+		if c.undo != nil {
+			c.undo()
+		}
+		if c.patch != nil {
+			c.patch(buf.Bytes())
+		}
 		if _, err := Restore(&buf, nil, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s naming a settled query surfaced as %v, want an error saying %q", c.name, err, c.want)
+			t.Errorf("%s surfaced as %v, want an error saying %q", c.name, err, c.want)
 		}
 	}
 	var buf bytes.Buffer

@@ -40,7 +40,7 @@ func (e *Engine) Stats() EngineStats {
 		Online:        e.net.OnlineCount(),
 		LazyCycles:    e.lazyCycles,
 		EagerCycles:   e.eagerCycles,
-		QueriesIssued: len(e.queryOrder),
+		QueriesIssued: len(e.queries),
 		Traffic:       e.net.Total(),
 	}
 	var neighbours, stored int

@@ -96,7 +96,9 @@ func TestSmokeThreeDaemonQuery(t *testing.T) {
 
 // TestSmokeSubmitOutsidePopulation pins the gateway's answer to a querier
 // no daemon hosts: a rejection naming the population, not an index panic in
-// the lead's serving goroutine — and a cluster that still serves afterwards.
+// the lead's serving goroutine — and likewise Known=false, not a panic, for
+// the status of a query ID no replica issued. The cluster still serves
+// afterwards.
 func TestSmokeSubmitOutsidePopulation(t *testing.T) {
 	c := StartCluster(t, 3, 60, 11)
 	if err := c.Lead().RunLazyCycles(8); err != nil {
@@ -115,6 +117,14 @@ func TestSmokeSubmitOutsidePopulation(t *testing.T) {
 	qid, err := cl.Submit(q.Querier, q.Tags)
 	if err != nil {
 		t.Fatalf("valid submit after the rejected ones: %v", err)
+	}
+	// A status request names its query by an ID off the wire; one that no
+	// replica issued is unknown, not a fault.
+	for _, unknown := range []uint64{qid + 1, 1 << 40} {
+		st, err := cl.Status(unknown)
+		if err != nil || st.Known {
+			t.Fatalf("status of query %d, never issued: %+v, %v; want Known=false", unknown, st, err)
+		}
 	}
 	runToDone(t, c, cl, qid)
 	c.RequireNoDivergence(t)

@@ -179,34 +179,36 @@ func Fig10(cfg Config) []*metrics.Table {
 		trace.ApplyChanges(pw.DS, trace.GenerateChanges(pw.DS, scaledChangeParams(cfg)))
 		newIdeal := similarity.IdealNetworks(pw.DS, cfg.S)
 
-		// Users whose ideal personal network changed, and their new
-		// neighbours.
-		newNeighbours := make(map[tagging.UserID][]tagging.UserID)
+		// Per user, the neighbours her new ideal personal network gained;
+		// changed counts the users who gained any.
+		newNeighbours := make([][]tagging.UserID, cfg.Users)
+		changed := 0
 		for u := 0; u < cfg.Users; u++ {
 			old := make(map[tagging.UserID]bool, len(oldIdeal[u]))
 			for _, nb := range oldIdeal[u] {
 				old[nb.ID] = true
 			}
-			var added []tagging.UserID
 			for _, nb := range newIdeal[u] {
 				if !old[nb.ID] {
-					added = append(added, nb.ID)
+					newNeighbours[u] = append(newNeighbours[u], nb.ID)
 				}
 			}
-			if len(added) > 0 {
-				newNeighbours[tagging.UserID(u)] = added
+			if len(newNeighbours[u]) > 0 {
+				changed++
 			}
 		}
 		measure := func() float64 {
-			if len(newNeighbours) == 0 {
+			if changed == 0 {
 				return 100
 			}
 			done := 0
-			//p3q:orderinvariant counts satisfied entries; a sum is commutative
 			for u, added := range newNeighbours {
+				if len(added) == 0 {
+					continue
+				}
 				all := true
 				for _, nb := range added {
-					if !e.Node(u).PersonalNetwork().Contains(nb) {
+					if !e.Node(tagging.UserID(u)).PersonalNetwork().Contains(nb) {
 						all = false
 						break
 					}
@@ -215,7 +217,7 @@ func Fig10(cfg Config) []*metrics.Table {
 					done++
 				}
 			}
-			return 100 * float64(done) / float64(len(newNeighbours))
+			return 100 * float64(done) / float64(changed)
 		}
 		curves[li] = lazyCurve(e, cycles, step, measure)
 	}
