@@ -110,7 +110,7 @@ func (e *Engine) scheduleEagerGossips(plans []eagerPlan, seq uint64) {
 		e.emitEagerHops(p, &t)
 		qr.reached = insertID(qr.reached, p.dest)
 		qr.bytes.Maintenance += uint64(p.exch.sizeA+p.exch.sizeB) + p.peerBytes + p.selfBytes
-		qr.activeNodes = removeID(qr.activeNodes, p.u)
+		qr.work.activeNodes = removeID(qr.work.activeNodes, p.u)
 
 		prng := lrng.Derive(uint64(i))
 		tA := e.now + e.delay(&prng, 0, p.u, p.dest, sim.MsgQueryForward)
@@ -149,7 +149,7 @@ func (e *Engine) delay(prng *randx.Source, label uint64, from, to tagging.UserID
 // scheduleEagerEvent enqueues one delivery event and accounts it against
 // its query's in-flight counter.
 func (e *Engine) scheduleEagerEvent(at time.Duration, ev *eagerEvent) {
-	e.queries[ev.qid].inflight++
+	e.queries[ev.qid].work.inflight++
 	e.events.Schedule(at, ev)
 	e.obs.Inc(obs.CEventsScheduled)
 }
@@ -201,13 +201,13 @@ func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
 		return
 	}
 	qr := e.queries[ev.qid]
-	qr.inflight--
+	qr.work.inflight--
 	switch ev.kind {
 	case evDeliverPartial:
 		qr.deliver(ev.plist, ev.owners, at)
 	case evBranchKeep, evBranchReturn:
 		n.setBranch(ev.qid, mergeUnique(n.branch(ev.qid), ev.members))
-		qr.activeNodes = insertID(qr.activeNodes, n.id)
+		qr.work.activeNodes = insertID(qr.work.activeNodes, n.id)
 	}
 	qr.maybeSettle(at, e.cycleSeq-1)
 }
@@ -216,9 +216,10 @@ func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
 // profiles it covers count as used and the first-result stamp is taken now,
 // the list itself waits in pending for the next merge.
 func (qr *QueryRun) deliver(list []topk.Entry, owners []tagging.UserID, at time.Duration) {
-	qr.pending = append(qr.pending, list)
+	w := qr.work
+	w.pending = append(w.pending, list)
 	for _, o := range owners {
-		qr.used = insertID(qr.used, o)
+		w.used = insertID(w.used, o)
 	}
 	qr.partialMsgs++
 	qr.e.obs.Inc(obs.CPartialsDelivered)
@@ -234,12 +235,13 @@ func (qr *QueryRun) deliver(list []topk.Entry, owners []tagging.UserID, at time.
 // displayed estimate. NRA.Run keeps the lists but not the batch slice, so
 // its backing array is reused.
 func (qr *QueryRun) mergePending() {
-	if len(qr.pending) == 0 {
-		return
+	w := qr.work
+	if w == nil || len(w.pending) == 0 {
+		return // settled, or nothing arrived
 	}
-	qr.results = qr.nra.Run(qr.pending)
-	clear(qr.pending)
-	qr.pending = qr.pending[:0]
+	qr.results = w.nra.Run(w.pending)
+	clear(w.pending)
+	w.pending = w.pending[:0]
 }
 
 // maybeSettle completes the query if no node holds a remaining list and no
@@ -247,7 +249,7 @@ func (qr *QueryRun) mergePending() {
 // arrival that sealed it. seq is the cycle during which it happened, so
 // endEagerCycle still counts that cycle as processed.
 func (qr *QueryRun) maybeSettle(at time.Duration, seq uint64) {
-	if qr.done || qr.inflight > 0 || len(qr.activeNodes) > 0 {
+	if w := qr.work; w == nil || w.inflight > 0 || len(w.activeNodes) > 0 {
 		return
 	}
 	qr.settle(at, seq)
@@ -261,16 +263,13 @@ func (qr *QueryRun) maybeSettle(at time.Duration, seq uint64) {
 // compact record: the used count and the reached nodes, an ascending list
 // of at most s+1 IDs, copied to its exact size.
 func (qr *QueryRun) settle(at time.Duration, seq uint64) {
-	qr.done = true
 	qr.doneAt = at
 	qr.settledSeq = seq
 	qr.mergePending()
-	qr.results = qr.nra.Drain()
-	qr.usedCount = len(qr.used)
+	qr.results = qr.work.nra.Drain()
+	qr.usedCount = len(qr.work.used)
 	qr.reached = slices.Clone(qr.reached)
-	qr.qset = topk.TagSet{}
-	qr.nra, qr.pending = nil, nil
-	qr.used, qr.activeNodes = nil, nil
+	qr.work = nil
 	qr.e.obs.Inc(obs.CQueriesSettled)
 	qr.e.emitQueryEvent(obs.EvSettled, qr.ID, at, qr.Query.Querier, 0, 0)
 }
@@ -297,7 +296,7 @@ func removeID(ids []tagging.UserID, id tagging.UserID) []tagging.UserID {
 // the active list.
 func (e *Engine) endEagerCycle(seq uint64) {
 	for _, qr := range e.active {
-		if qr.done {
+		if qr.Done() {
 			if qr.settledSeq == seq {
 				qr.cycles++
 			}

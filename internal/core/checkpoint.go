@@ -465,16 +465,16 @@ func (e *Engine) writeNode(cw *ckpt.Writer, n *Node) {
 	pn := n.pnet
 	cw.U32(uint32(pn.s))
 	cw.U32(uint32(pn.c))
-	cw.U64(pn.clock)
+	cw.U64(uint64(pn.clock))
 	cw.Count(len(pn.ranking))
 	for _, en := range pn.ranking {
 		cw.U32(uint32(en.ID))
 		cw.I64(int64(en.Score))
-		cw.U64(en.last)
+		cw.U64(uint64(en.last))
 		cw.U32(uint32(en.Digest.Version))
-		cw.Bool(en.Stored.Valid())
-		if en.Stored.Valid() {
-			cw.U32(uint32(en.Stored.Version()))
+		cw.Bool(en.Stored != noReplica)
+		if en.Stored != noReplica {
+			cw.U32(uint32(en.Stored))
 		}
 	}
 
@@ -542,20 +542,23 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 		rs.r.Fail("config mismatch: node %d stored capacity is %d in the snapshot but %d in the restoring config (CAssign differs?)", id, c, want)
 	}
 	n.pnet = NewPersonalNetwork(id, s, c)
-	n.pnet.clock = rs.r.U64()
+	clock := rs.r.U64()
+	if rs.r.Err() == nil && clock > math.MaxUint32 {
+		rs.r.Fail("node %d: personal network clock %d exceeds MaxUint32", id, clock)
+	}
+	n.pnet.clock = uint32(clock)
 	nPnet := rs.r.Count(s)
 	if nPnet > 0 {
 		n.pnet.reserve(ckpt.CapHint(nPnet))
 	}
 	for i := 0; i < nPnet && rs.r.Err() == nil; i++ {
 		owner := rs.readUserID()
-		score := int(rs.r.I64())
+		score := rs.r.I64()
 		last := rs.r.U64()
 		version := int(rs.r.U32())
-		stored := tagging.Snapshot{}
+		stored := int64(noReplica)
 		if rs.r.Bool() {
-			sv := int(rs.r.U32())
-			stored = rs.snapshotFor(owner, sv)
+			stored = int64(rs.r.U32())
 		}
 		if rs.r.Err() != nil {
 			break
@@ -563,17 +566,19 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 		switch {
 		case owner == id:
 			rs.r.Fail("node %d: personal network contains self", id)
-		case score <= 0:
-			rs.r.Fail("node %d: non-positive score %d for neighbour %d", id, score, owner)
-		case last > n.pnet.clock:
-			rs.r.Fail("node %d: neighbour %d gossip stamp %d exceeds clock %d", id, owner, last, n.pnet.clock)
+		case score < 1 || score > math.MaxInt32:
+			rs.r.Fail("node %d: score %d of neighbour %d outside [1, MaxInt32]", id, score, owner)
+		case last > clock:
+			rs.r.Fail("node %d: neighbour %d gossip stamp %d exceeds clock %d", id, owner, last, clock)
 		case n.pnet.Contains(owner):
 			rs.r.Fail("node %d: duplicate neighbour %d", id, owner)
+		case stored > int64(rs.ds.Profiles[owner].Len()):
+			rs.r.Fail("replica of user %d at version %d, but the profile has %d actions", owner, stored, rs.ds.Profiles[owner].Len())
 		}
 		if rs.r.Err() != nil {
 			break
 		}
-		en := Entry{ID: owner, Score: score, Digest: rs.digestFor(owner, version), Stored: stored, last: last}
+		en := Entry{ID: owner, Score: int32(score), Stored: int32(stored), last: uint32(last), Digest: rs.digestFor(owner, version)}
 		if ln := len(n.pnet.ranking); ln > 0 {
 			p := &n.pnet.ranking[ln-1]
 			if !rankBefore(p.Score, p.ID, en.Score, en.ID) {
@@ -582,8 +587,8 @@ func (rs *restorer) readNode(id tagging.UserID) *Node {
 			}
 		}
 		// The entries arrive in rank order (just validated), so the dense
-		// layout is rebuilt by plain appends; appendEntry re-attaches the
-		// owning-network pointer and feeds the by-owner index.
+		// layout is rebuilt by plain appends into the ranking reserved
+		// above; appendEntry feeds the by-owner index.
 		n.pnet.appendEntry(en)
 	}
 
@@ -613,7 +618,7 @@ func (e *Engine) writeQueries(cw *ckpt.Writer) {
 		cw.U32(uint32(qr.Query.Item))
 		cw.U32(uint32(qr.needed))
 		cw.U32(uint32(qr.cycles))
-		cw.Bool(qr.done)
+		cw.Bool(qr.Done())
 		cw.U32(uint32(qr.partialMsgs))
 		cw.U64(qr.bytes.Forwarded)
 		cw.U64(qr.bytes.Returned)
@@ -623,24 +628,25 @@ func (e *Engine) writeQueries(cw *ckpt.Writer) {
 		cw.Bool(qr.hasFirst)
 		cw.I64(int64(qr.firstAt))
 		cw.I64(int64(qr.doneAt))
-		if qr.done {
+		w := qr.work
+		if w == nil {
 			cw.U64(qr.settledSeq)
 			cw.U32(uint32(qr.usedCount))
 			writeUserList(cw, qr.reached)
 			writeEntryList(cw, qr.results)
 			continue
 		}
-		cw.U32(uint32(qr.inflight))
+		cw.U32(uint32(w.inflight))
 		cw.U64(qr.settledSeq)
-		writeUserList(cw, qr.used)
+		writeUserList(cw, w.used)
 		writeUserList(cw, qr.reached)
-		writeUserList(cw, qr.activeNodes)
+		writeUserList(cw, w.activeNodes)
 		writeEntryList(cw, qr.results)
-		cw.Count(len(qr.pending))
-		for _, l := range qr.pending {
+		cw.Count(len(w.pending))
+		for _, l := range w.pending {
 			writeEntryList(cw, l)
 		}
-		writeNRA(cw, qr.nra)
+		writeNRA(cw, w.nra)
 	}
 }
 
@@ -668,7 +674,7 @@ func (rs *restorer) readQueries() {
 		qr.Query.Item = tagging.ItemID(rs.r.U32())
 		qr.needed = int(rs.r.U32())
 		qr.cycles = int(rs.r.U32())
-		qr.done = rs.r.Bool()
+		done := rs.r.Bool()
 		qr.partialMsgs = int(rs.r.U32())
 		qr.bytes.Forwarded = rs.r.U64()
 		qr.bytes.Returned = rs.r.U64()
@@ -678,7 +684,7 @@ func (rs *restorer) readQueries() {
 		qr.hasFirst = rs.r.Bool()
 		qr.firstAt = time.Duration(rs.r.I64())
 		qr.doneAt = time.Duration(rs.r.I64())
-		if qr.done {
+		if done {
 			qr.settledSeq = rs.r.U64()
 			qr.usedCount = int(rs.r.U32())
 			if rs.r.Err() == nil && qr.usedCount > rs.users {
@@ -687,24 +693,25 @@ func (rs *restorer) readQueries() {
 			qr.reached = rs.readAscending()
 			qr.results = rs.readEntryList()
 		} else {
-			qr.inflight = int(rs.r.U32())
+			w := &queryWork{qset: topk.NewTagSet(qr.Query.Tags)}
+			w.inflight = int(rs.r.U32())
 			qr.settledSeq = rs.r.U64()
-			qr.qset = topk.NewTagSet(qr.Query.Tags)
-			qr.used = rs.readAscending()
+			w.used = rs.readAscending()
 			qr.reached = rs.readAscending()
-			qr.activeNodes = rs.readAscending()
+			w.activeNodes = rs.readAscending()
 			qr.results = rs.readEntryList()
 			nPend := rs.r.Count(maxEvents)
 			for j := 0; j < nPend && rs.r.Err() == nil; j++ {
-				qr.pending = append(qr.pending, rs.readEntryList())
+				w.pending = append(w.pending, rs.readEntryList())
 			}
-			qr.nra = rs.readNRA()
+			w.nra = rs.readNRA()
+			qr.work = w
 		}
 		if rs.r.Err() != nil {
 			return
 		}
 		e.queries = append(e.queries, qr)
-		if !qr.done {
+		if !done {
 			e.active = append(e.active, qr)
 		}
 	}
@@ -873,14 +880,14 @@ func (rs *restorer) crossCheck() error {
 			if b.qid >= uint64(len(e.queries)) {
 				return fmt.Errorf("checkpoint: node %d holds a branch of unknown query %d", n.id, b.qid)
 			}
-			if e.queries[b.qid].done {
+			if e.queries[b.qid].Done() {
 				return fmt.Errorf("checkpoint: node %d holds a branch of settled query %d", n.id, b.qid)
 			}
 		}
 	}
 	for qid, qr := range e.queries {
-		if got, want := qr.inflight, rs.inflight[qid]; got != want {
-			if qr.done {
+		if got, want := qr.InFlight(), rs.inflight[qid]; got != want {
+			if qr.Done() {
 				return fmt.Errorf("checkpoint: settled query %d has %d deliveries in flight", qid, want)
 			}
 			return fmt.Errorf("checkpoint: query %d counts %d deliveries in flight, the snapshot holds %d", qid, got, want)
@@ -908,19 +915,6 @@ func (rs *restorer) digestFor(owner tagging.UserID, version int) *tagging.Digest
 	d := tagging.NewDigest(rs.ds.Profiles[owner].SnapshotAt(version), rs.cfg.BloomBits, rs.cfg.BloomHashes)
 	rs.digests[owner] = append(rs.digests[owner], d)
 	return d
-}
-
-// snapshotFor reconstructs a stored replica: the owner's profile truncated
-// to the replicated version.
-func (rs *restorer) snapshotFor(owner tagging.UserID, version int) tagging.Snapshot {
-	if rs.r.Err() != nil {
-		return tagging.Snapshot{}
-	}
-	if version < 0 || version > rs.ds.Profiles[owner].Len() {
-		rs.r.Fail("replica of user %d at version %d, but the profile has %d actions", owner, version, rs.ds.Profiles[owner].Len())
-		return tagging.Snapshot{}
-	}
-	return rs.ds.Profiles[owner].SnapshotAt(version)
 }
 
 // readUserID reads and bounds-checks one user ID.

@@ -292,12 +292,12 @@ func TestRestoreRejectsInflightMismatch(t *testing.T) {
 		t.Fatal("no query with deliveries in flight; scenario too weak")
 	}
 	for _, delta := range []int{0, 1, -1} {
-		qr.inflight += delta
+		qr.work.inflight += delta
 		var buf bytes.Buffer
 		if err := e.Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		qr.inflight -= delta
+		qr.work.inflight -= delta
 		_, err := Restore(&buf, nil, cfg)
 		switch {
 		case delta == 0 && err != nil:
@@ -360,28 +360,36 @@ type hostileCount struct {
 	raw  []byte
 }
 
-// hostileCounts cuts the small snapshot right behind the first profile's
-// action count and behind node 0's evaluated-memo, view and personal-network
-// counts, each raised to its maximum. The offsets follow the layout Snapshot
-// writes; the test checks them against the counts actually found there.
-func hostileCounts(t testing.TB) ([]hostileCount, Config) {
-	t.Helper()
-	e, raw, cfg := smallSnapshotOf(t)
+// snapshotOffsets returns where a snapshot of e holds the first profile's
+// action count and node 0's evaluated-memo, view and personal-network
+// counts, following the layout Snapshot writes, and how many entries node
+// 0's memo holds. Callers check the offsets against the values found there.
+func snapshotOffsets(e *Engine) (profile0, memo, view, pnet, evaluated int) {
 	const header = 4 + 2                  // magic, version
 	const params = 11*4 + 8 + 2*8 + 8 + 2 // writeParams
 	const counters = 9 * 8                // writeCounters
-	users, n0 := len(e.nodes), e.nodes[0]
-	profile0 := header + params + counters
+	n0 := e.nodes[0]
+	profile0 = header + params + counters
 	node0 := profile0
 	for _, p := range e.ds.Profiles {
 		node0 += 4 + 8*p.Len()
 	}
-	node0 += users + 16*len(sim.Traffic{}.Msgs) // writeNetwork
-	memo := node0 + 8 + 4                       // rng, evalVersion
-	evaluated := 0
+	node0 += len(e.nodes) + 16*len(sim.Traffic{}.Msgs) // writeNetwork
+	memo = node0 + 8 + 4                               // rng, evalVersion
 	n0.evaluated.Range(func(uint32, int32) { evaluated++ })
-	view := memo + 4 + 8*evaluated
-	pnet := view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
+	view = memo + 4 + 8*evaluated
+	pnet = view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
+	return profile0, memo, view, pnet, evaluated
+}
+
+// hostileCounts cuts the small snapshot right behind the first profile's
+// action count and behind node 0's evaluated-memo, view and personal-network
+// counts, each raised to its maximum.
+func hostileCounts(t testing.TB) ([]hostileCount, Config) {
+	t.Helper()
+	e, raw, cfg := smallSnapshotOf(t)
+	users, n0 := len(e.nodes), e.nodes[0]
+	profile0, memo, view, pnet, evaluated := snapshotOffsets(e)
 
 	var out []hostileCount
 	for _, c := range []struct {
@@ -420,6 +428,59 @@ func TestRestoreHostileCountsStayBounded(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Errorf("%s count at its maximum: Restore allocated %d KB on a %d-byte input", c.name, got>>10, len(c.raw))
+		}
+	}
+}
+
+// outOfRange is the small snapshot with one value of node 0's personal
+// network patched past what the network stores, and the error Restore must
+// name it by.
+type outOfRange struct {
+	name, want string
+	raw        []byte
+}
+
+// outOfRangeNetworks patches node 0's first score to 2^32+5 and to 2^31 —
+// the by-owner index keeps a score as an int32, so either would index the
+// entry under another key — and its clock to 2^32, past the 32-bit gossip
+// stamps.
+func outOfRangeNetworks(t testing.TB) ([]outOfRange, Config) {
+	t.Helper()
+	e, raw, cfg := smallSnapshotOf(t)
+	_, _, _, pnet, _ := snapshotOffsets(e)
+	clockAt, scoreAt := pnet-8, pnet+4+4 // clock; the count, then the first ID
+	pn := e.nodes[0].pnet
+	if got := binary.LittleEndian.Uint64(raw[clockAt:]); got != uint64(pn.clock) {
+		t.Fatalf("clock: offset %d holds %d, the engine %d (did the layout change?)", clockAt, got, pn.clock)
+	}
+	if got := binary.LittleEndian.Uint64(raw[scoreAt:]); got != uint64(pn.ranking[0].Score) {
+		t.Fatalf("score: offset %d holds %d, the engine %d (did the layout change?)", scoreAt, got, pn.ranking[0].Score)
+	}
+	var out []outOfRange
+	for _, c := range []struct {
+		name, want string
+		off        int
+		v          uint64
+	}{
+		{"score 2^32+5", "outside [1, MaxInt32]", scoreAt, 1<<32 + 5},
+		{"score 2^31", "outside [1, MaxInt32]", scoreAt, 1 << 31},
+		{"clock 2^32", "clock 4294967296 exceeds MaxUint32", clockAt, 1 << 32},
+	} {
+		patched := bytes.Clone(raw)
+		binary.LittleEndian.PutUint64(patched[c.off:], c.v)
+		out = append(out, outOfRange{c.name, c.want, patched})
+	}
+	return out, cfg
+}
+
+// TestRestoreRejectsOutOfRangePersonalNetwork: a score or a clock the
+// personal network cannot hold must fail the restore by name, not restore
+// into an index that points at the wrong entry.
+func TestRestoreRejectsOutOfRangePersonalNetwork(t *testing.T) {
+	cases, cfg := outOfRangeNetworks(t)
+	for _, c := range cases {
+		if _, err := Restore(bytes.NewReader(c.raw), nil, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s surfaced as %v, want an error saying %q", c.name, err, c.want)
 		}
 	}
 }
@@ -597,6 +658,8 @@ func FuzzRestore(f *testing.F) {
 	hostile, _ := hostileCounts(f)
 	f.Add(hostile[0].raw) // a profile claiming 2^26 actions
 	f.Add(hostile[3].raw) // a personal network claiming S neighbours
+	outOfRange, _ := outOfRangeNetworks(f)
+	f.Add(outOfRange[1].raw) // a score of 2^31
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Restore(bytes.NewReader(data), nil, cfg)

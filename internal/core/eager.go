@@ -98,37 +98,28 @@ func (s QueryState) String() string {
 // QueryRun is the querier-side state and public handle of one query
 // processed by the eager mode.
 //
-// While the query is active it carries its working state: the incremental
-// NRA, the unmerged lists and the used and active-node sets. When it
-// settles (settle) all of that is released and only a compact record
-// stays: the results, the used count, the reached nodes, the traffic and
-// cycle counters and the instants. Every accessor below
-// keeps answering after that — Done, Stalled, State, Results, Cycles,
-// UsersReached, Reached, ProfilesUsed, ProfilesNeeded,
-// PartialResultMessages, Bytes, IssuedAt, InFlight, TimeToFirstResult and
-// TimeToFullRecall — so a settled query costs its record and nothing else.
+// While the query is active it carries its working state behind one
+// pointer (queryWork). When it settles (settle) that pointer is dropped and
+// only a compact record stays: the results, the used count, the reached
+// nodes, the traffic and cycle counters and the instants. Every accessor
+// below keeps answering after that, so a settled query costs its record
+// and nothing else.
 type QueryRun struct {
 	// ID uniquely identifies the query within the engine.
 	ID uint64
 	// Query is the gossiped query (querier + tags).
 	Query trace.Query
 
-	e      *Engine
-	qset   topk.TagSet //p3q:transient derived: rebuilt from Query.Tags by the restore path
-	nra    *topk.NRA
+	e *Engine
+	// work is the working state; nil exactly when the query is done.
+	work   *queryWork
 	needed int // personal network size at issue time
 
-	// The user sets, each ascending. used and activeNodes are the working
-	// sets of an active query, nil once it settles; reached is kept.
-	used        []tagging.UserID // profiles used so far
-	activeNodes []tagging.UserID // nodes holding non-empty branches
-	reached     []tagging.UserID // nodes that processed the query
-	usedCount   int              // len(used) at settle
+	reached   []tagging.UserID // nodes that processed the query, ascending
+	usedCount int              // len(work.used) at settle
 
-	pending     [][]topk.Entry // partial lists arrived since the last merge (mergePending)
 	results     []topk.Entry
 	cycles      int
-	done        bool
 	partialMsgs int
 	bytes       QueryBytes
 
@@ -142,14 +133,24 @@ type QueryRun struct {
 	hasFirst bool
 	doneAt   time.Duration
 
-	// inflight counts this query's scheduled delivery events (including
-	// ones frozen at departed nodes): the query cannot settle while any
-	// remain.
-	inflight int
 	// settledSeq records the cycleSeq during which the query settled, so
 	// the cycle in whose window a query completes still counts in Cycles.
 	// noCycleSeq when settled outside any eager cycle (at issue time).
 	settledSeq uint64
+}
+
+// queryWork is the working state of an active query, which settle
+// releases in one assignment.
+type queryWork struct {
+	qset topk.TagSet //p3q:transient derived: rebuilt from Query.Tags by the restore path
+	nra  *topk.NRA
+	// The working user sets, each ascending.
+	used        []tagging.UserID // profiles used so far
+	activeNodes []tagging.UserID // nodes holding non-empty branches
+	pending     [][]topk.Entry   // partial lists arrived since the last merge (mergePending)
+	// inflight counts the query's scheduled deliveries, frozen ones
+	// included: the query cannot settle while any remain.
+	inflight int
 }
 
 // noCycleSeq marks a query settled outside any cycle (e.g. at issue time).
@@ -157,17 +158,17 @@ const noCycleSeq = ^uint64(0)
 
 // Done reports whether the query has collected every profile of the
 // querier's personal network (recall 1 territory, §2.2.2).
-func (qr *QueryRun) Done() bool { return qr.done }
+func (qr *QueryRun) Done() bool { return qr.work == nil }
 
 // Stalled reports whether the query is suspended because its querier
 // departed mid-query. A stalled query resumes when the querier revives.
-func (qr *QueryRun) Stalled() bool { return !qr.done && !qr.e.net.Online(qr.Query.Querier) }
+func (qr *QueryRun) Stalled() bool { return !qr.Done() && !qr.e.net.Online(qr.Query.Querier) }
 
 // State returns the query's lifecycle state, derived from completion and
 // the querier's liveness.
 func (qr *QueryRun) State() QueryState {
 	switch {
-	case qr.done:
+	case qr.Done():
 		return QueryDone
 	case qr.Stalled():
 		return QueryStalled
@@ -193,10 +194,10 @@ func (qr *QueryRun) Reached() []tagging.UserID { return slices.Clone(qr.reached)
 
 // ProfilesUsed returns the number of distinct profiles used so far.
 func (qr *QueryRun) ProfilesUsed() int {
-	if qr.done {
+	if qr.Done() {
 		return qr.usedCount
 	}
-	return len(qr.used)
+	return len(qr.work.used)
 }
 
 // ProfilesNeeded returns the personal network size at issue time plus one
@@ -217,14 +218,19 @@ func (qr *QueryRun) IssuedAt() time.Duration { return qr.issuedAt }
 // messages sent but not yet arrived (frozen ones included). With no delay
 // every message arrives inside the cycle that sent it, so between cycles
 // it reads 0.
-func (qr *QueryRun) InFlight() int { return qr.inflight }
+func (qr *QueryRun) InFlight() int {
+	if qr.Done() {
+		return 0
+	}
+	return qr.work.inflight
+}
 
 // TimeToFirstResult returns the virtual time from issue to the arrival of
 // the first gossip-delivered partial result. For a query answered entirely
 // from local state it is 0; ok is false while no partial result has
 // arrived yet.
 func (qr *QueryRun) TimeToFirstResult() (time.Duration, bool) {
-	if qr.done && !qr.hasFirst {
+	if qr.Done() && !qr.hasFirst {
 		return 0, true // answered locally at issue time
 	}
 	if !qr.hasFirst {
@@ -239,7 +245,7 @@ func (qr *QueryRun) TimeToFirstResult() (time.Duration, bool) {
 // arrives: on a cycle boundary with no delay, possibly mid-cycle under a
 // latency model.
 func (qr *QueryRun) TimeToFullRecall() (time.Duration, bool) {
-	if !qr.done {
+	if !qr.Done() {
 		return 0, false
 	}
 	return qr.doneAt - qr.issuedAt, true
@@ -259,8 +265,7 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 		ID:         uint64(len(e.queries)),
 		Query:      q,
 		e:          e,
-		qset:       topk.NewTagSet(q.Tags),
-		nra:        topk.NewNRA(e.cfg.K),
+		work:       &queryWork{qset: topk.NewTagSet(q.Tags), nra: topk.NewNRA(e.cfg.K)},
 		needed:     u.pnet.Len() + 1,
 		reached:    []tagging.UserID{u.id},
 		issuedAt:   e.now,
@@ -272,14 +277,14 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 
 	// Local processing over GoodProfiles(querier): own profile + stored
 	// snapshots.
-	snaps := u.storedSnapshots()
-	qr.used = append(make([]tagging.UserID, 0, qr.needed), u.id)
+	snaps := u.KnownProfiles()
+	w := qr.work
+	w.used = append(make([]tagging.UserID, 0, qr.needed), u.id)
 	for _, entry := range u.pnet.StoredEntries() {
-		qr.used = append(qr.used, entry.ID)
+		w.used = append(w.used, entry.ID)
 	}
-	slices.Sort(qr.used)
-	local := topk.PartialList(snaps, qr.qset)
-	qr.nra.Run([][]topk.Entry{local})
+	slices.Sort(w.used)
+	w.nra.Run([][]topk.Entry{topk.PartialList(snaps, w.qset)})
 
 	remaining := u.pnet.Unstored()
 	if len(remaining) == 0 {
@@ -287,8 +292,8 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 		return qr
 	}
 	u.setBranch(qr.ID, remaining)
-	qr.activeNodes = []tagging.UserID{u.id}
-	qr.results = qr.nra.TopK()
+	w.activeNodes = []tagging.UserID{u.id}
+	qr.results = w.nra.TopK()
 	e.active = append(e.active, qr)
 	return qr
 }
@@ -507,7 +512,7 @@ func (e *Engine) planEagerGossip(w *planWorker, pr eagerPair, seq uint64, p *eag
 
 	if len(found) > 0 {
 		if e.net.Online(qr.Query.Querier) {
-			p.plist = topk.PartialList(found, qr.qset)
+			p.plist = topk.PartialList(found, qr.work.qset)
 			sz := tagging.ResultListWireSize(len(p.plist), len(p.foundOwners))
 			p.ledger.Send(dest.id, qr.Query.Querier, sim.MsgPartialResult, sz)
 			p.delivered = true
@@ -620,7 +625,7 @@ func (e *Engine) selectEagerDest(w *planWorker, u *Node, p *eagerPlan, rng *rand
 	// Oldest timestamps first; equal timestamps in random order so repeated
 	// queries do not always walk the same destination sequence.
 	rng.Shuffle(len(inPnet), func(i, j int) { inPnet[i], inPnet[j] = inPnet[j], inPnet[i] })
-	slices.SortStableFunc(inPnet, func(a, b *Entry) int { return cmp.Compare(b.Age(), a.Age()) })
+	slices.SortStableFunc(inPnet, func(a, b *Entry) int { return cmp.Compare(u.pnet.age(b), u.pnet.age(a)) })
 	w.inPnet = inPnet
 	// Assemble the canonical order — personal-network members first, then
 	// the shuffled others, which were collected at the head of the buffer —
@@ -691,25 +696,15 @@ func splitRemaining(rest []tagging.UserID, alpha float64, rng *randx.Source) (ke
 	return keep, returned
 }
 
-// containsID reports whether ids contains ul. Branch lists are capped by
-// the remaining-list size (a few hundred at most, usually a handful), so
-// a linear scan beats allocating a membership map per call.
-func containsID(ids []tagging.UserID, ul tagging.UserID) bool {
-	for _, v := range ids {
-		if v == ul {
-			return true
-		}
-	}
-	return false
-}
-
 // mergeUnique appends the new members to the branch, skipping duplicates.
+// Branch lists are capped by the remaining-list size (a few hundred at
+// most, usually a handful), so a linear scan beats a membership map.
 //
 //p3q:phase commit
 //p3q:hotpath
 func mergeUnique(branch, add []tagging.UserID) []tagging.UserID {
 	for _, ul := range add {
-		if !containsID(branch, ul) {
+		if !slices.Contains(branch, ul) {
 			branch = append(branch, ul)
 		}
 	}

@@ -255,7 +255,7 @@ func (e *Engine) NaiveExchangeBytes() uint64 { return e.naiveExchangeBytes }
 // the last delivery lands.
 func (e *Engine) AllQueriesDone() bool {
 	for _, qr := range e.active {
-		if !qr.done && !qr.Stalled() {
+		if !qr.Done() && !qr.Stalled() {
 			return false
 		}
 	}
@@ -568,16 +568,22 @@ func (e *Engine) RunEager(maxCycles int) int {
 func (e *Engine) Kill(frac float64) []tagging.UserID {
 	e.killSeq++
 	ids := e.net.Kill(frac, e.rng.Split(0xDEAD<<32|e.killSeq))
-	if e.obs != nil {
-		// Queries whose querier just departed are now stalled (the state is
-		// derived from liveness, so this is the transition moment).
-		for _, qr := range e.active {
-			if !qr.done && containsID(ids, qr.Query.Querier) {
-				e.emitQueryEvent(obs.EvStalled, qr.ID, e.now, qr.Query.Querier, 0, 0)
-			}
+	// Queries whose querier just departed are now stalled (the state is
+	// derived from liveness, so this is the transition moment).
+	e.emitQuerierEvents(obs.EvStalled, ids)
+	return ids
+}
+
+// emitQuerierEvents emits kind for every open query whose querier is in ids.
+func (e *Engine) emitQuerierEvents(kind obs.EventKind, ids []tagging.UserID) {
+	if e.obs == nil {
+		return
+	}
+	for _, qr := range e.active {
+		if !qr.Done() && slices.Contains(ids, qr.Query.Querier) {
+			e.emitQueryEvent(kind, qr.ID, e.now, qr.Query.Querier, 0, 0)
 		}
 	}
-	return ids
 }
 
 // Revive brings departed nodes back online. A revived node keeps her
@@ -590,13 +596,7 @@ func (e *Engine) Revive(ids []tagging.UserID) {
 	for _, id := range ids {
 		e.net.SetOnline(id, true)
 	}
-	if e.obs != nil {
-		for _, qr := range e.active {
-			if !qr.done && containsID(ids, qr.Query.Querier) {
-				e.emitQueryEvent(obs.EvResumed, qr.ID, e.now, qr.Query.Querier, 0, 0)
-			}
-		}
-	}
+	e.emitQuerierEvents(obs.EvResumed, ids)
 }
 
 // SeedExplicitNetworks installs pre-declared social networks (e.g. Facebook
@@ -637,8 +637,10 @@ func (e *Engine) SeedIdealNetworks(nets [][]similarity.Neighbour) {
 // candidates cands(u) returns, in their order — the node itself and a
 // candidate already held are skipped — with one digest per user shared by
 // every holder (digests of the same profile version are identical),
-// warmed evaluation caches and fresh stored snapshots for the top-c. Then
-// the random views are bootstrapped.
+// warmed evaluation caches and fresh stored replicas for the top-c. The
+// ranking is reserved to the candidate count, so a network of distinct
+// candidates (every ideal one) keeps no append slack. Then the random
+// views are bootstrapped.
 func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 	digests := make([]*tagging.Digest, len(e.nodes))
 	for u, node := range e.nodes {
@@ -647,7 +649,9 @@ func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 	for u, node := range e.nodes {
 		node.pnet = NewPersonalNetwork(node.id, e.cfg.S, e.cfg.capacityOf(node.id))
 		node.checkEvalCache()
-		for _, nb := range cands(u) {
+		nbs := cands(u)
+		node.pnet.ranking = make([]Entry, 0, len(nbs))
+		for _, nb := range nbs {
 			if nb.ID == node.id || node.pnet.Contains(nb.ID) {
 				continue
 			}
@@ -655,7 +659,7 @@ func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 			node.evaluated.Put(uint32(nb.ID), int32(digests[nb.ID].Version))
 		}
 		for _, entry := range node.pnet.Rebalance() {
-			entry.Stored = e.nodes[entry.ID].profile.Snapshot()
+			entry.Stored = int32(e.nodes[entry.ID].profile.Version())
 		}
 	}
 	e.Bootstrap()

@@ -296,7 +296,7 @@ func TestLazyConvergenceImprovesSuccessRatio(t *testing.T) {
 		for u := 0; u < e.Users(); u++ {
 			scores := make(map[tagging.UserID]int)
 			for _, entry := range e.Node(tagging.UserID(u)).PersonalNetwork().Ranking() {
-				scores[entry.ID] = entry.Score
+				scores[entry.ID] = int(entry.Score)
 			}
 			vals = append(vals, metrics.SuccessRatio(scores, w.ideal[u]))
 		}
@@ -326,7 +326,7 @@ func TestLazyScoresAreExact(t *testing.T) {
 		p := w.ds.Profiles[u]
 		for _, entry := range e.Node(tagging.UserID(u)).PersonalNetwork().Ranking() {
 			truth := p.CommonScore(w.ds.Profiles[entry.ID].Snapshot())
-			if entry.Score != truth {
+			if int(entry.Score) != truth {
 				t.Fatalf("user %d neighbour %d: score %d, true similarity %d",
 					u, entry.ID, entry.Score, truth)
 			}
@@ -374,7 +374,7 @@ func TestProfileChangePropagatesThroughLazyGossip(t *testing.T) {
 		for u := 0; u < e.Users(); u++ {
 			var stored []metrics.Replica
 			for _, entry := range e.Node(tagging.UserID(u)).PersonalNetwork().StoredEntries() {
-				stored = append(stored, metrics.Replica{Owner: entry.ID, Version: entry.Stored.Version()})
+				stored = append(stored, metrics.Replica{Owner: entry.ID, Version: int(entry.Stored)})
 			}
 			if r, ok := metrics.UpdateRate(stored, changedVersion); ok {
 				vals = append(vals, r)
@@ -443,7 +443,7 @@ func TestEagerGossipRefreshesReachedUsers(t *testing.T) {
 	for u := range reached {
 		var stored []metrics.Replica
 		for _, entry := range e.Node(u).PersonalNetwork().StoredEntries() {
-			stored = append(stored, metrics.Replica{Owner: entry.ID, Version: entry.Stored.Version()})
+			stored = append(stored, metrics.Replica{Owner: entry.ID, Version: int(entry.Stored)})
 		}
 		if r, ok := metrics.UpdateRate(stored, participantChanged); ok {
 			vals = append(vals, r)

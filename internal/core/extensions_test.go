@@ -240,7 +240,7 @@ func TestStaticNetworksStillRefreshReplicas(t *testing.T) {
 				continue
 			}
 			subject++
-			if entry.Stored.Version() >= target {
+			if int(entry.Stored) >= target {
 				refreshed++
 			}
 		}

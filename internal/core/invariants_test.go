@@ -129,7 +129,7 @@ func TestPnetInvariantsUnderRandomUpserts(t *testing.T) {
 			d := tagging.NewDigest(p.Snapshot(), 256, 3)
 			e := pn.Upsert(id, score, d)
 			for _, need := range pn.Rebalance() {
-				need.Stored = profiles[need.ID].Snapshot()
+				need.Stored = int32(profiles[need.ID].Version())
 			}
 			_ = e
 		}
@@ -181,7 +181,7 @@ func TestQueryPartitionInvariantDuringProcessing(t *testing.T) {
 						cycle, member, prev, u)
 				}
 				holders[member] = tagging.UserID(u)
-				if _, used := slices.BinarySearch(qr.used, member); used {
+				if _, used := slices.BinarySearch(qr.work.used, member); used {
 					t.Fatalf("cycle %d: member %d still pending after being used", cycle, member)
 				}
 			}
@@ -202,7 +202,7 @@ func TestScoresNeverDecreaseUnderGossip(t *testing.T) {
 	before := make(map[[2]uint32]int)
 	for u := 0; u < e.Users(); u++ {
 		for _, entry := range e.nodes[u].pnet.Ranking() {
-			before[[2]uint32{uint32(u), uint32(entry.ID)}] = entry.Score
+			before[[2]uint32{uint32(u), uint32(entry.ID)}] = int(entry.Score)
 		}
 	}
 	trace.ApplyChanges(w.ds, trace.GenerateChanges(w.ds, trace.ChangeParams{
@@ -211,7 +211,7 @@ func TestScoresNeverDecreaseUnderGossip(t *testing.T) {
 	e.RunLazy(15)
 	for u := 0; u < e.Users(); u++ {
 		for _, entry := range e.nodes[u].pnet.Ranking() {
-			if old, ok := before[[2]uint32{uint32(u), uint32(entry.ID)}]; ok && entry.Score < old {
+			if old, ok := before[[2]uint32{uint32(u), uint32(entry.ID)}]; ok && int(entry.Score) < old {
 				t.Fatalf("user %d neighbour %d: score fell %d -> %d", u, entry.ID, old, entry.Score)
 			}
 		}
@@ -232,9 +232,9 @@ func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {
 		for u := 0; u < e.Users(); u++ {
 			for _, entry := range e.nodes[u].pnet.StoredEntries() {
 				owner := w.ds.Profiles[entry.ID]
-				if entry.Stored.Version() > owner.Version() {
+				if int(entry.Stored) > owner.Version() {
 					t.Fatalf("user %d stores version %d of %d, owner only has %d",
-						u, entry.Stored.Version(), entry.ID, owner.Version())
+						u, entry.Stored, entry.ID, owner.Version())
 				}
 				if entry.Digest.Version > owner.Version() {
 					t.Fatalf("user %d knows digest version %d of %d, owner only has %d",

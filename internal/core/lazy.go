@@ -617,7 +617,7 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 			}
 		}
 		if r != nil {
-			entry.Stored = r.o.snap
+			entry.Stored = int32(r.o.snap.Version())
 			rest := r.o.snap.Len() - r.received
 			if rest < 0 {
 				rest = 0
@@ -651,9 +651,9 @@ func (n *Node) fetchFromOwner(entry *Entry, l *sim.Ledger) {
 		return
 	}
 	owner := n.e.nodes[entry.ID]
-	snap := owner.profile.Snapshot()
+	version := owner.profile.Version()
 	l.Send(n.id, entry.ID, sim.MsgCommonItems, requestBytes)
-	l.Send(entry.ID, n.id, sim.MsgProfile, tagging.ActionsWireSize(snap.Len()))
-	entry.Stored = snap
+	l.Send(entry.ID, n.id, sim.MsgProfile, tagging.ActionsWireSize(version))
+	entry.Stored = int32(version)
 	entry.Digest = owner.digest()
 }

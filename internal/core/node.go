@@ -180,9 +180,9 @@ func (o *memoOrder) appendSorted(dst []evalSlot, m *idtab.Table) []evalSlot {
 
 // offer is a profile advertisement inside a gossip message: the digest that
 // is actually transmitted in step 1, plus the snapshot the advertiser would
-// serve in steps 2-3. Holding the snapshot is simulation convenience only —
-// its bytes are charged exactly when the corresponding protocol step
-// transfers them.
+// serve in steps 2-3 (her own profile or a stored replica). Holding the
+// snapshot is simulation convenience only — its bytes are charged exactly
+// when the corresponding protocol step transfers them.
 type offer struct {
 	digest *tagging.Digest
 	snap   tagging.Snapshot
@@ -211,12 +211,12 @@ func (n *Node) advertise(rng *randx.Source, w *planWorker) []offer {
 	dst := append(w.offers[:0], offer{digest: n.digest(), snap: n.profile.Snapshot()})
 	if len(stored) <= max {
 		for _, e := range stored {
-			dst = append(dst, offer{digest: e.Digest, snap: e.Stored})
+			dst = append(dst, offer{digest: e.Digest, snap: n.replica(e)})
 		}
 	} else {
 		for _, i := range w.smp.Sample(rng, len(stored), max) {
 			e := stored[i]
-			dst = append(dst, offer{digest: e.Digest, snap: e.Stored})
+			dst = append(dst, offer{digest: e.Digest, snap: n.replica(e)})
 		}
 	}
 	w.offers = dst
@@ -233,22 +233,26 @@ func offersWireSize(offers []offer) int {
 }
 
 // KnownProfiles returns the profiles this node can read locally: her own
-// plus the stored snapshots of her personal network. Extensions (such as
-// personalized query expansion, §4) build their per-user statistics from
-// exactly this set — the information P3Q already maintains.
-func (n *Node) KnownProfiles() []tagging.Snapshot { return n.storedSnapshots() }
-
-// storedSnapshots returns the profiles this node can evaluate a query
-// against: her own plus the stored neighbour snapshots (the paper's
-// GoodProfiles before restriction to a remaining list).
-func (n *Node) storedSnapshots() []tagging.Snapshot {
+// plus the stored replicas of her personal network. A query is evaluated
+// against them (the paper's GoodProfiles before restriction to a remaining
+// list), and extensions (such as personalized query expansion, §4) build
+// their per-user statistics from exactly this set — the information P3Q
+// already maintains.
+func (n *Node) KnownProfiles() []tagging.Snapshot {
 	stored := n.pnet.StoredEntries()
 	out := make([]tagging.Snapshot, 0, 1+len(stored))
 	out = append(out, n.profile.Snapshot())
 	for _, e := range stored {
-		out = append(out, e.Stored)
+		out = append(out, n.replica(e))
 	}
 	return out
+}
+
+// replica returns the snapshot this node stores for neighbour entry e: the
+// owner's profile truncated to the stored version. Profiles are
+// append-only, so the prefix is exactly what was replicated.
+func (n *Node) replica(e *Entry) tagging.Snapshot {
+	return n.e.nodes[e.ID].profile.SnapshotAt(int(e.Stored))
 }
 
 // lookup returns the snapshot this node stores for user ul, if any: her own
@@ -258,8 +262,8 @@ func (n *Node) lookup(ul tagging.UserID) (tagging.Snapshot, bool) {
 	if ul == n.id {
 		return n.profile.Snapshot(), true
 	}
-	if e := n.pnet.Entry(ul); e != nil && e.Stored.Valid() {
-		return e.Stored, true
+	if e := n.pnet.Entry(ul); e != nil && e.Stored != noReplica {
+		return n.replica(e), true
 	}
 	return tagging.Snapshot{}, false
 }

@@ -20,9 +20,10 @@ func engineFingerprint(e *Engine) string {
 	for u := 0; u < e.Users(); u++ {
 		n := e.Node(tagging.UserID(u))
 		out += fmt.Sprintf("node %d online=%v\n", u, e.Network().Online(n.ID()))
-		for _, entry := range n.PersonalNetwork().Ranking() {
+		pn := n.PersonalNetwork()
+		for i, entry := range pn.Ranking() {
 			out += fmt.Sprintf("  pnet %d score=%d ts=%d dv=%d sv=%d\n",
-				entry.ID, entry.Score, entry.Age(), entry.Digest.Version, entry.Stored.Version())
+				entry.ID, entry.Score, pn.age(&pn.ranking[i]), entry.Digest.Version, max(entry.Stored, 0))
 		}
 		for _, d := range n.View().Entries() {
 			out += fmt.Sprintf("  view %d v=%d\n", d.Node, d.Digest.Version)

@@ -38,7 +38,7 @@ func oraclePartnerProbe(pn *PersonalNetwork, self tagging.UserID, nw *sim.Networ
 	rng *randx.Source, ledger *sim.Ledger) (partner tagging.UserID, ok bool, resets []tagging.UserID) {
 	partners, ranking := partnersByAge(pn), pn.ranking
 	rng.Shuffle(len(partners), func(i, j int) { partners[i], partners[j] = partners[j], partners[i] })
-	slices.SortStableFunc(partners, func(i, j uint32) int { return cmp.Compare(ranking[j].Age(), ranking[i].Age()) })
+	slices.SortStableFunc(partners, func(i, j uint32) int { return cmp.Compare(pn.age(&ranking[j]), pn.age(&ranking[i])) })
 	probes := 0
 	for _, pi := range partners {
 		pe := &ranking[pi]

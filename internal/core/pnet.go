@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -10,48 +11,41 @@ import (
 )
 
 // Entry is one neighbour of a personal network (§2.1): a similar user, her
-// similarity score, the latest known digest of her profile, a gossip-age
-// timestamp, and — for the c most similar neighbours — a stored snapshot of
-// her profile.
+// similarity score, the latest known digest of her profile, a gossip
+// stamp, and — for the c most similar neighbours — the version of the
+// replica of her profile stored locally. The replica itself is the owner's
+// profile truncated to that version (profiles are append-only), so only the
+// version is kept; Node.replica builds the snapshot where it is read.
 //
-// Entries live by value inside the network's flat ranking slice. Pointers
-// obtained from Entry, Rebalance or StoredEntries point into that slice and
-// stay valid only until the next mutation of the network (Upsert, Rebalance,
-// Touch, ResetTimestamp); re-fetch after mutating.
+// Entries live by value inside the network's flat ranking slice, 24 bytes
+// each. Pointers obtained from Entry, Rebalance or StoredEntries point into
+// that slice and stay valid only until the next mutation of the network
+// (Upsert, Rebalance, Touch, ResetTimestamp); re-fetch after mutating.
 type Entry struct {
 	ID    tagging.UserID
-	Score int
-	// Digest is the latest known digest of the neighbour's profile.
-	Digest *tagging.Digest
-	// Stored is the locally stored snapshot of the neighbour's profile; the
-	// zero Snapshot (invalid) when the neighbour is outside the top-c.
-	Stored tagging.Snapshot
-
-	// pn is the owning network; Age derives the gossip timestamp from its
-	// logical clock.
-	//
-	//p3q:transient back-pointer to the owning network, re-attached on restore
-	pn *PersonalNetwork
+	Score int32
+	// Stored is the version of the locally stored replica of the
+	// neighbour's profile; noReplica when the neighbour is outside the top-c.
+	Stored int32
 	// last is the owning network's clock value when the neighbour was last
 	// gossiped with (or added).
-	last uint64
+	last uint32
+	// Digest is the latest known digest of the neighbour's profile.
+	Digest *tagging.Digest
 }
 
-// Age returns for how many gossips the neighbour has not been gossiped with
-// (0 = just gossiped or just added): the §2.2.1 timestamp, derived as
-// clock - last from the owning network's logical clock so that Touch never
-// has to walk every neighbour.
-func (e *Entry) Age() int { return int(e.pn.clock - e.last) }
+// noReplica is Entry.Stored of a neighbour whose profile is not stored.
+const noReplica = -1
 
-// StoredFresh reports whether the stored snapshot is at least as recent as
+// StoredFresh reports whether the stored replica is at least as recent as
 // the latest known digest.
 func (e *Entry) StoredFresh() bool {
-	return e.Stored.Valid() && e.Stored.Version() >= e.Digest.Version
+	return e.Stored != noReplica && int(e.Stored) >= e.Digest.Version
 }
 
 // rankBefore is the ranking order of §2.1: descending score, ties broken by
 // ascending ID.
-func rankBefore(aScore int, aID tagging.UserID, bScore int, bID tagging.UserID) bool {
+func rankBefore(aScore int32, aID tagging.UserID, bScore int32, bID tagging.UserID) bool {
 	if aScore != bScore {
 		return aScore > bScore
 	}
@@ -70,8 +64,11 @@ func rankBefore(aScore int, aID tagging.UserID, bScore int, bID tagging.UserID) 
 //
 // Gossip ages run off a per-network logical clock (clock advances once per
 // Touch; an entry's age is clock - last), so Touch is O(1) instead of an
-// increment-every-neighbour walk. No age ordering is kept: the lazy planner
-// needs only the oldest neighbours, which appendAgeGroup finds in one scan.
+// increment-every-neighbour walk. Touch runs at most once per lazy cycle
+// and once per eager gossip the node starts, so the 32-bit clock wraps
+// only after four billion gossips of one node; Restore refuses a larger
+// clock. No age ordering is kept: the lazy planner needs only the oldest
+// neighbours, which appendAgeGroup finds in one scan.
 type PersonalNetwork struct {
 	self tagging.UserID //p3q:transient implicit: the owning node's id, re-derived by the restoring node
 	s, c int
@@ -80,7 +77,7 @@ type PersonalNetwork struct {
 	//p3q:transient mirror: by-owner index over ranking (neighbour ID -> score), rebuilt on restore
 	idx idtab.Table
 	// clock counts Touch calls; entries age implicitly as it advances.
-	clock uint64
+	clock uint32
 }
 
 // NewPersonalNetwork returns an empty personal network with the given
@@ -107,7 +104,7 @@ func panicUpsert(msg string) { panic(msg) }
 // point otherwise.
 //
 //p3q:hotpath
-func (pn *PersonalNetwork) rankPos(score int, id tagging.UserID) int {
+func (pn *PersonalNetwork) rankPos(score int32, id tagging.UserID) int {
 	return sort.Search(len(pn.ranking), func(i int) bool {
 		e := &pn.ranking[i]
 		return !rankBefore(e.Score, e.ID, score, id)
@@ -123,7 +120,7 @@ func (pn *PersonalNetwork) Entry(id tagging.UserID) *Entry {
 	if !ok {
 		return nil
 	}
-	return &pn.ranking[pn.rankPos(int(score), id)]
+	return &pn.ranking[pn.rankPos(score, id)]
 }
 
 // Contains reports whether id is a neighbour.
@@ -145,37 +142,39 @@ func (pn *PersonalNetwork) insertAt(i int, e Entry) {
 
 // Upsert adds the neighbour or updates its score and digest, and returns
 // the entry (a pointer into the ranking, valid until the next mutation).
-// New entries start with timestamp 0, per §2.2.1. Scores must be positive;
-// Upsert panics otherwise (callers filter).
+// New entries start with timestamp 0, per §2.2.1, and without a replica.
+// Scores must be positive and fit an int32; Upsert panics otherwise
+// (callers filter).
 //
 //p3q:hotpath
 func (pn *PersonalNetwork) Upsert(id tagging.UserID, score int, digest *tagging.Digest) *Entry {
-	if score <= 0 {
-		panicUpsert("core: Upsert with non-positive score")
+	if score <= 0 || score > math.MaxInt32 {
+		panicUpsert("core: Upsert with a score outside [1, MaxInt32]")
 	}
 	if id == pn.self {
 		panicUpsert("core: Upsert of self")
 	}
 	// One probe sequence both finds the old score and records the new one.
-	if old, had := pn.idx.Put(uint32(id), int32(score)); had {
-		i := pn.rankPos(int(old), id)
+	s32 := int32(score)
+	if old, had := pn.idx.Put(uint32(id), s32); had {
+		i := pn.rankPos(old, id)
 		e := &pn.ranking[i]
 		e.Digest = digest
-		if e.Score == score {
+		if e.Score == s32 {
 			return e
 		}
 		// Reposition: lift the entry out, shift the gap closed, re-insert
 		// under the new key.
 		ev := *e
-		ev.Score = score
+		ev.Score = s32
 		copy(pn.ranking[i:], pn.ranking[i+1:])
 		pn.ranking = pn.ranking[:len(pn.ranking)-1]
-		j := pn.rankPos(score, id)
+		j := pn.rankPos(s32, id)
 		pn.insertAt(j, ev)
 		return &pn.ranking[j]
 	}
-	j := pn.rankPos(score, id)
-	pn.insertAt(j, Entry{ID: id, Score: score, Digest: digest, pn: pn, last: pn.clock})
+	j := pn.rankPos(s32, id)
+	pn.insertAt(j, Entry{ID: id, Score: s32, Stored: noReplica, last: pn.clock, Digest: digest})
 	return &pn.ranking[j]
 }
 
@@ -190,9 +189,8 @@ func (pn *PersonalNetwork) reserve(n int) {
 // indexes it. The checkpoint reader calls it with entries already validated
 // to arrive in rank order; it must not be used elsewhere.
 func (pn *PersonalNetwork) appendEntry(e Entry) {
-	e.pn = pn
 	pn.ranking = append(pn.ranking, e)
-	pn.idx.Put(uint32(e.ID), int32(e.Score))
+	pn.idx.Put(uint32(e.ID), e.Score)
 }
 
 // Ranking returns the neighbours ordered by descending score (ties:
@@ -201,10 +199,11 @@ func (pn *PersonalNetwork) Ranking() []Entry { return pn.ranking }
 
 // Rebalance enforces the capacity rules after a batch of Upserts: only the
 // s best neighbours are kept, and only the c best keep stored profiles. It
-// returns the entries now inside the top-c whose stored snapshot is missing
+// returns the entries now inside the top-c whose stored replica is missing
 // or stale — the caller must fetch those (step 3 of Algorithm 1). The
 // returned pointers alias the ranking and stay valid until the next
-// mutation of the network; callers write Stored through them immediately.
+// mutation of the network; callers write the fetched version to Stored
+// through them immediately.
 // The ranking is already sorted, so eviction is a truncation of the tail.
 //
 //p3q:hotpath
@@ -221,10 +220,10 @@ func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
 			if !e.StoredFresh() {
 				needStore = append(needStore, e)
 			}
-		} else if e.Stored.Valid() {
+		} else if e.Stored != noReplica {
 			// Pushed out of the top-c: the replica is dropped to keep the
 			// local storage within bounds (§2.1).
-			e.Stored = tagging.Snapshot{}
+			e.Stored = noReplica
 		}
 	}
 	return needStore
@@ -239,7 +238,7 @@ func (pn *PersonalNetwork) Members() []tagging.UserID {
 	return out
 }
 
-// StoredEntries returns the entries currently holding a profile snapshot,
+// StoredEntries returns the entries currently holding a profile replica,
 // in rank order. The pointers alias the ranking; valid until the next
 // mutation of the network.
 func (pn *PersonalNetwork) StoredEntries() []*Entry {
@@ -254,7 +253,7 @@ func (pn *PersonalNetwork) StoredEntries() []*Entry {
 func (pn *PersonalNetwork) AppendStored(dst []*Entry) []*Entry {
 	dst = dst[:0]
 	for i := range pn.ranking {
-		if pn.ranking[i].Stored.Valid() {
+		if pn.ranking[i].Stored != noReplica {
 			dst = append(dst, &pn.ranking[i])
 		}
 	}
@@ -266,7 +265,7 @@ func (pn *PersonalNetwork) AppendStored(dst []*Entry) []*Entry {
 func (pn *PersonalNetwork) Unstored() []tagging.UserID {
 	var out []tagging.UserID
 	for i := range pn.ranking {
-		if !pn.ranking[i].Stored.Valid() {
+		if pn.ranking[i].Stored == noReplica {
 			out = append(out, pn.ranking[i].ID)
 		}
 	}
@@ -278,7 +277,8 @@ func (pn *PersonalNetwork) Unstored() []tagging.UserID {
 // neighbours sharing the smallest last-gossip stamp that is at least lo, in
 // ascending ID order — and returns the extended slice with that stamp. It
 // appends nothing when no stamp reaches lo. Calling it again with lo one
-// past the returned stamp yields the next younger group.
+// past the returned stamp yields the next younger group; both are uint64,
+// so one past the largest 32-bit stamp does not wrap to the oldest.
 //
 //p3q:phase plan
 //p3q:hotpath
@@ -286,7 +286,7 @@ func (pn *PersonalNetwork) appendAgeGroup(dst []uint32, lo uint64) ([]uint32, ui
 	base := len(dst)
 	var oldest uint64
 	for i := range pn.ranking {
-		last := pn.ranking[i].last
+		last := uint64(pn.ranking[i].last)
 		switch {
 		case last < lo, len(dst) > base && last > oldest:
 			continue
@@ -300,6 +300,10 @@ func (pn *PersonalNetwork) appendAgeGroup(dst []uint32, lo uint64) ([]uint32, ui
 	slices.SortFunc(dst[base:], func(i, j uint32) int { return cmp.Compare(ranking[i].ID, ranking[j].ID) })
 	return dst, oldest
 }
+
+// age returns the §2.2.1 timestamp of e: the gossips since it was last
+// gossiped with or added, clock - last, so Touch never walks the network.
+func (pn *PersonalNetwork) age(e *Entry) int { return int(pn.clock - e.last) }
 
 // Touch records a gossip with the given partner: its age resets to 0 and
 // every other neighbour ages by 1 (§2.2.1). The aging is implicit — the

@@ -27,10 +27,10 @@ func newResortPnet(s, c int) *resortPnet {
 func (pn *resortPnet) upsert(id tagging.UserID, score int, digest *tagging.Digest) {
 	e := pn.entries[id]
 	if e == nil {
-		e = &Entry{ID: id, Score: score, Digest: digest}
+		e = &Entry{ID: id, Score: int32(score), Stored: noReplica, Digest: digest}
 		pn.entries[id] = e
 	} else {
-		e.Score = score
+		e.Score = int32(score)
 		e.Digest = digest
 	}
 	pn.dirty = true
@@ -66,8 +66,8 @@ func (pn *resortPnet) rebalance() (needStore []*Entry) {
 			if !e.StoredFresh() {
 				needStore = append(needStore, e)
 			}
-		} else if e.Stored.Valid() {
-			e.Stored = tagging.Snapshot{}
+		} else if e.Stored != noReplica {
+			e.Stored = noReplica
 		}
 	}
 	return needStore

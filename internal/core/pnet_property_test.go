@@ -117,17 +117,17 @@ func comparePnets(t *testing.T, step int, pn *PersonalNetwork, ref *refPnet) {
 	got := pn.Ranking()
 	for i, re := range ranked {
 		ge := got[i]
-		if ge.ID != re.id || ge.Score != re.score {
+		if ge.ID != re.id || int(ge.Score) != re.score {
 			t.Fatalf("step %d: ranking[%d] = %d/%d, ref %d/%d",
 				step, i, ge.ID, ge.Score, re.id, re.score)
 		}
-		if ge.Age() != re.ts {
+		if pn.age(&got[i]) != re.ts {
 			t.Fatalf("step %d: entry %d age %d, ref timestamp %d",
-				step, ge.ID, ge.Age(), re.ts)
+				step, ge.ID, pn.age(&got[i]), re.ts)
 		}
-		if ge.Stored.Valid() != re.stored.Valid() {
+		if (ge.Stored != noReplica) != re.stored.Valid() {
 			t.Fatalf("step %d: entry %d stored=%v, ref %v",
-				step, ge.ID, ge.Stored.Valid(), re.stored.Valid())
+				step, ge.ID, ge.Stored != noReplica, re.stored.Valid())
 		}
 	}
 	refAge := ref.byAge()
@@ -145,9 +145,9 @@ func comparePnets(t *testing.T, step int, pn *PersonalNetwork, ref *refPnet) {
 			t.Fatalf("step %d: age group at byAge[%d] has %d members, ref %d", step, i, len(group), end-i)
 		}
 		for k, pos := range group {
-			if ge, re := &got[pos], refAge[i+k]; ge.ID != re.id || ge.Age() != re.ts {
+			if ge, re := &got[pos], refAge[i+k]; ge.ID != re.id || pn.age(ge) != re.ts {
 				t.Fatalf("step %d: byAge[%d] = %d (age %d), ref %d (age %d)",
-					step, i+k, ge.ID, ge.Age(), re.id, re.ts)
+					step, i+k, ge.ID, pn.age(ge), re.id, re.ts)
 			}
 		}
 	}
@@ -207,7 +207,7 @@ func TestPnetMatchesNaiveModel(t *testing.T) {
 							t.Fatalf("step %d: needStore %v, ref %v", step, memberIDs(need), refNeed)
 						}
 						if rng.Intn(2) == 0 {
-							e.Stored = profiles[e.ID].Snapshot()
+							e.Stored = int32(profiles[e.ID].Version())
 							ref.entries[e.ID].stored = profiles[e.ID].Snapshot()
 						}
 					}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"p3q/internal/bloom"
+	"p3q/internal/idtab"
 	"p3q/internal/tagging"
 )
 
@@ -98,15 +102,15 @@ func TestPnetRebalanceDropsStorageOutsideTopC(t *testing.T) {
 	p1 := tagging.NewProfile(1)
 	p1.Add(1, 1)
 	e1 := pn.Upsert(1, 5, mkDigest(1, 1))
-	e1.Stored = p1.Snapshot()
+	e1.Stored = int32(p1.Version())
 	pn.Rebalance()
-	if !pn.Entry(1).Stored.Valid() {
+	if pn.Entry(1).Stored == noReplica {
 		t.Fatal("top-c entry lost its snapshot")
 	}
 	// A better neighbour pushes 1 out of the top-1.
 	pn.Upsert(2, 9, mkDigest(2, 1))
 	pn.Rebalance()
-	if pn.Entry(1).Stored.Valid() {
+	if pn.Entry(1).Stored != noReplica {
 		t.Fatal("entry pushed out of top-c kept its stored profile")
 	}
 }
@@ -116,7 +120,7 @@ func TestPnetStoredFreshDetectsStale(t *testing.T) {
 	p1 := tagging.NewProfile(1)
 	p1.Add(1, 1)
 	e := pn.Upsert(1, 5, mkDigest(1, 1))
-	e.Stored = p1.Snapshot()
+	e.Stored = int32(p1.Version())
 	if !e.StoredFresh() {
 		t.Fatal("fresh snapshot reported stale")
 	}
@@ -137,7 +141,7 @@ func TestPnetUnstored(t *testing.T) {
 	pn := NewPersonalNetwork(0, 5, 1)
 	p1 := tagging.NewProfile(1)
 	p1.Add(1, 1)
-	pn.Upsert(1, 9, mkDigest(1, 1)).Stored = p1.Snapshot()
+	pn.Upsert(1, 9, mkDigest(1, 1)).Stored = int32(p1.Version())
 	pn.Upsert(2, 5, mkDigest(2, 1))
 	pn.Upsert(3, 3, mkDigest(3, 1))
 	un := pn.Unstored()
@@ -152,15 +156,15 @@ func TestPnetTouchAging(t *testing.T) {
 	pn.Upsert(2, 5, mkDigest(2, 1))
 	pn.Upsert(3, 5, mkDigest(3, 1))
 	pn.Touch(1)
-	if pn.Entry(1).Age() != 0 {
+	if pn.age(pn.Entry(1)) != 0 {
 		t.Fatal("touched partner age != 0")
 	}
-	if pn.Entry(2).Age() != 1 || pn.Entry(3).Age() != 1 {
+	if pn.age(pn.Entry(2)) != 1 || pn.age(pn.Entry(3)) != 1 {
 		t.Fatal("other entries did not age by 1")
 	}
 	pn.Touch(2)
 	oldest, last := pn.appendAgeGroup(nil, 0)
-	if len(oldest) != 1 || pn.ranking[oldest[0]].ID != 3 || pn.ranking[oldest[0]].Age() != 2 {
+	if len(oldest) != 1 || pn.ranking[oldest[0]].ID != 3 || pn.age(&pn.ranking[oldest[0]]) != 2 {
 		t.Fatalf("oldest group = %v, want only neighbour 3 (age 2)", oldest)
 	}
 	if next, _ := pn.appendAgeGroup(nil, last+1); len(next) != 1 || pn.ranking[next[0]].ID != 1 {
@@ -174,10 +178,10 @@ func TestPnetResetTimestamp(t *testing.T) {
 	pn.Upsert(2, 5, mkDigest(2, 1))
 	pn.Touch(1) // ages 2
 	pn.ResetTimestamp(2)
-	if pn.Entry(2).Age() != 0 {
+	if pn.age(pn.Entry(2)) != 0 {
 		t.Fatal("ResetTimestamp did not zero the entry")
 	}
-	if pn.Entry(1).Age() != 0 {
+	if pn.age(pn.Entry(1)) != 0 {
 		t.Fatal("ResetTimestamp aged another entry")
 	}
 	pn.ResetTimestamp(99) // absent: no-op
@@ -246,5 +250,54 @@ func TestBloomDefaultGeometryInConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.BloomBits != bloom.DefaultBits || cfg.BloomHashes != bloom.DefaultHashes {
 		t.Fatalf("default Bloom geometry = %d/%d", cfg.BloomBits, cfg.BloomHashes)
+	}
+}
+
+// TestEntryLayout pins the personal network's memory layout. A neighbour
+// entry is 24 bytes; the ranking keeps no append slack once seeded or
+// restored; and at s = 1000 SeedIdealNetworks retains at most 64 B of heap
+// per neighbour: the entry, plus the by-owner index and the evaluated memo
+// (~42 B; ~79 B while an entry was 56 B and the ranking grew by append).
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("Entry is %d bytes, want 24", got)
+	}
+	requireNoSlack := func(when string, e *Engine) {
+		t.Helper()
+		for u, n := range e.nodes {
+			if r := n.pnet.ranking; cap(r) != len(r) {
+				t.Errorf("%s: node %d holds %d neighbours in a ranking of capacity %d", when, u, len(r), cap(r))
+				return
+			}
+		}
+	}
+	raw, cfg := smallSnapshot(t)
+	restored, err := Restore(bytes.NewReader(raw), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNoSlack("after Restore", restored)
+
+	const users, perNeighbour = 2000, 64
+	cfg = smallCfg()
+	cfg.S = 1000
+	w := newWorld(t, users, cfg, 5)
+	e := New(w.ds, cfg)
+	h0 := liveHeap()
+	e.SeedIdealNetworks(w.ideal)
+	h1 := liveHeap()
+	requireNoSlack("after SeedIdealNetworks", e)
+	neighbours := 0
+	for _, n := range e.nodes {
+		neighbours += n.pnet.Len()
+		n.evaluated = idtab.Table{}
+	}
+	h2 := liveHeap()
+	runtime.KeepAlive(e)
+	got := float64(h1-h0) / float64(neighbours)
+	t.Logf("s = %d: %.1f neighbours per node, %.1f B of heap per neighbour, evaluated memo %.0f B per node",
+		cfg.S, float64(neighbours)/users, got, float64(h1-h2)/users)
+	if got > perNeighbour {
+		t.Errorf("SeedIdealNetworks retains %.1f B of heap per neighbour, want at most %d", got, perNeighbour)
 	}
 }

@@ -48,7 +48,7 @@ func (e *Engine) Stats() EngineStats {
 		neighbours += n.pnet.Len()
 		for _, entry := range n.pnet.StoredEntries() {
 			stored++
-			st.StoredActions += entry.Stored.Len()
+			st.StoredActions += int(entry.Stored) // a replica's version is its length
 		}
 	}
 	if st.Users > 0 {
@@ -59,7 +59,7 @@ func (e *Engine) Stats() EngineStats {
 	// the issued ones are done.
 	open := 0
 	for _, qr := range e.active {
-		if !qr.done {
+		if !qr.Done() {
 			open++
 			if qr.Stalled() {
 				st.QueriesStalled++

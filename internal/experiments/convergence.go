@@ -34,7 +34,7 @@ func avgSuccessRatio(e *core.Engine, w *World) float64 {
 	for u := 0; u < e.Users(); u++ {
 		scores := make(map[tagging.UserID]int)
 		for _, entry := range e.Node(tagging.UserID(u)).PersonalNetwork().Ranking() {
-			scores[entry.ID] = entry.Score
+			scores[entry.ID] = int(entry.Score)
 		}
 		vals = append(vals, metrics.SuccessRatio(scores, w.Ideal[u]))
 	}

@@ -374,7 +374,7 @@ func engineAUR(e *core.Engine, ids []tagging.UserID, target map[tagging.UserID]i
 	for _, u := range ids {
 		var stored []metrics.Replica
 		for _, entry := range e.Node(u).PersonalNetwork().StoredEntries() {
-			stored = append(stored, metrics.Replica{Owner: entry.ID, Version: entry.Stored.Version()})
+			stored = append(stored, metrics.Replica{Owner: entry.ID, Version: int(entry.Stored)})
 		}
 		if r, ok := metrics.UpdateRate(stored, target); ok {
 			vals = append(vals, r)

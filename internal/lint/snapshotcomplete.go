@@ -14,7 +14,7 @@ import (
 // sim's Pending/NextSeq/Traffic.Snapshot and Restore*, randx's State and
 // Restore.
 var checkpointedTypes = map[string][]string{
-	"p3q/internal/core":  {"Engine", "Node", "PersonalNetwork", "Entry", "QueryRun", "eagerEvent"},
+	"p3q/internal/core":  {"Engine", "Node", "PersonalNetwork", "Entry", "QueryRun", "queryWork", "eagerEvent"},
 	"p3q/internal/sim":   {"EventQueue", "Traffic"},
 	"p3q/internal/randx": {"Source"},
 }
