@@ -390,6 +390,8 @@ type commitShard struct {
 	naive  uint64
 	merge  gossip.MergeScratch // the working memory of the shard's view merges
 
+	needStore []*Entry // commitIntegration's step-3 entries to fetch, reused per commit
+
 	// dur is the committer's host wall time for the current phase,
 	// measured only while a telemetry registry is attached; it feeds the
 	// registry's per-shard histograms and the commit-skew samples.
@@ -646,6 +648,7 @@ func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 	for u, node := range e.nodes {
 		digests[u] = node.digest()
 	}
+	var needStore []*Entry
 	for u, node := range e.nodes {
 		node.pnet = NewPersonalNetwork(node.id, e.cfg.S, e.cfg.capacityOf(node.id))
 		node.checkEvalCache()
@@ -658,7 +661,8 @@ func (e *Engine) seedNetworks(cands func(u int) []similarity.Neighbour) {
 			node.pnet.Upsert(nb.ID, nb.Score, digests[nb.ID])
 			node.evaluated.Put(uint32(nb.ID), int32(digests[nb.ID].Version))
 		}
-		for _, entry := range node.pnet.Rebalance() {
+		needStore = node.pnet.AppendRebalance(needStore)
+		for _, entry := range needStore {
 			entry.Stored = int32(e.nodes[entry.ID].profile.Version())
 		}
 	}

@@ -218,8 +218,9 @@ func TestScoresNeverDecreaseUnderGossip(t *testing.T) {
 	}
 }
 
-func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {
-	// A replica can lag its owner but can never be ahead of her.
+// newChangingWorld is an 80-user engine on ideal networks whose profiles
+// then grow: half the users tag a few new items each.
+func newChangingWorld(t *testing.T) (*Engine, *testWorld) {
 	cfg := smallCfg()
 	w := newWorld(t, 80, cfg, 42)
 	e := New(w.ds, cfg)
@@ -227,6 +228,12 @@ func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {
 	trace.ApplyChanges(w.ds, trace.GenerateChanges(w.ds, trace.ChangeParams{
 		FracUsers: 0.5, MeanNew: 8, SigmaNew: 0.6, MaxNew: 30, Seed: 13,
 	}))
+	return e, w
+}
+
+func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {
+	// A replica can lag its owner but can never be ahead of her.
+	e, w := newChangingWorld(t)
 	for cycle := 0; cycle < 10; cycle++ {
 		e.LazyCycle()
 		for u := 0; u < e.Users(); u++ {
@@ -242,5 +249,102 @@ func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvaluatedMemoHoldsOnlyScoredVersions runs lazy cycles on the
+// changing world, with a second batch of profile changes halfway, and
+// checks every node's evaluated memo after each cycle:
+//
+//   - no entry lowered its version, unless the own profile changed and the
+//     memo was cleared;
+//   - every entry (u, v) names a current neighbour or a user whose digest at
+//     version v shares an item with the own profile — a stranger screened
+//     out by the Bloom test is not remembered.
+func TestEvaluatedMemoHoldsOnlyScoredVersions(t *testing.T) {
+	e, w := newChangingWorld(t)
+	type memo struct {
+		evalVersion int
+		versions    map[uint32]int32
+	}
+	read := func(n *Node) memo {
+		m := memo{evalVersion: n.evalVersion, versions: make(map[uint32]int32)}
+		n.evaluated.Range(func(owner uint32, v int32) { m.versions[owner] = v })
+		return m
+	}
+	prev := make([]memo, e.Users())
+	for u, n := range e.nodes {
+		prev[u] = read(n)
+	}
+	var common []tagging.ItemID
+	outside := 0 // entries naming a non-neighbour: the ones the Bloom check covers
+	for cycle := 0; cycle < 10; cycle++ {
+		if cycle == 5 {
+			trace.ApplyChanges(w.ds, trace.GenerateChanges(w.ds, trace.ChangeParams{
+				FracUsers: 0.3, MeanNew: 5, SigmaNew: 0.5, MaxNew: 20, Seed: 14,
+			}))
+		}
+		e.LazyCycle()
+		for u, n := range e.nodes {
+			cur := read(n)
+			for owner, v := range cur.versions {
+				if n.pnet.Contains(tagging.UserID(owner)) {
+					continue
+				}
+				outside++
+				d := tagging.NewDigest(w.ds.Profiles[owner].SnapshotAt(int(v)), e.cfg.BloomBits, e.cfg.BloomHashes)
+				if common = d.AppendCommonItems(common, n.profile); len(common) == 0 {
+					t.Fatalf("cycle %d: user %d remembers stranger %d at version %d, which shares no item", cycle, u, owner, v)
+				}
+			}
+			if cur.evalVersion == prev[u].evalVersion {
+				for owner, v := range prev[u].versions {
+					if now, ok := cur.versions[owner]; !ok || now < v {
+						t.Fatalf("cycle %d: user %d's memo of %d went from version %d to %d (held: %v)", cycle, u, owner, v, now, ok)
+					}
+				}
+			}
+			prev[u] = cur
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no memo entry outside the personal networks: the stranger check never ran")
+	}
+}
+
+// TestEvaluatedMemoNeverGoesDown replays a commit order the planners
+// produce: a partner-side integration commits a neighbour's profile at v2,
+// then the node's own random-view contact, planned against the cycle-start
+// memo, commits the same neighbour's digest at v1 < v2 as sharing no item.
+// The memo must keep v2.
+func TestEvaluatedMemoNeverGoesDown(t *testing.T) {
+	cfg := smallCfg()
+	w := newWorld(t, 40, cfg, 7)
+	e := New(w.ds, cfg)
+	e.SeedIdealNetworks(w.ideal)
+	a := e.nodes[0]
+	u := a.pnet.Ranking()[0].ID
+	prof := w.ds.Profiles[u]
+	for it := tagging.ItemID(0); prof.Version() < a.pnet.Entry(u).Digest.Version+2; it++ {
+		prof.Add(it, 0)
+	}
+	v2 := prof.Version()
+	v1 := v2 - 1
+
+	sh := &commitShard{lo: 0, hi: tagging.UserID(e.Users())}
+	e.net.InitLedger(&sh.ledger)
+	snap := prof.SnapshotAt(v2)
+	o := offer{digest: tagging.NewDigest(snap, cfg.BloomBits, cfg.BloomHashes), snap: snap}
+	it := integration{provider: e.nodes[1].id, results: []intResult{{o: o, score: max(a.profile.CommonScore(snap), 1)}}}
+	a.commitIntegration(&it, sh)
+	if v, _ := a.evaluated.Get(uint32(u)); int(v) != v2 {
+		t.Fatalf("after the integration the memo holds version %d of %d, want %d", v, u, v2)
+	}
+
+	p := &topPlan{used: true, rv: []rvContact{{owner: u, evalOnly: true, version: v1}}}
+	e.net.InitLedger(&p.ledger)
+	e.commitTopShard(a, p, sh)
+	if v, _ := a.evaluated.Get(uint32(u)); int(v) != v2 {
+		t.Fatalf("the random-view contact at version %d lowered the memo of %d to %d, want %d", v1, u, v, v2)
 	}
 }

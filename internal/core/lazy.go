@@ -154,12 +154,12 @@ func descriptorsWireSize(ds []gossip.Descriptor) int {
 }
 
 // rvContact is one planned random-view evaluation: either a pure
-// evaluated-cache update (the view's digest shares no item) or a direct
+// evaluated-cache update (a neighbour's digest shares no item) or a direct
 // contact, holding the owner's scored fresh offer inline — a single offer
 // has at most one result.
 type rvContact struct {
 	owner     tagging.UserID
-	evalOnly  bool // the digest shares no item: memoize its version only
+	evalOnly  bool // a neighbour's digest shares no item: memoize its version only
 	scored    bool // direct contact: the offer passed step 1 into res
 	version   int  // evalOnly: the version memoized
 	res       [1]intResult
@@ -306,6 +306,16 @@ func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 		}
 		w.common = d.Digest.AppendCommonItems(w.common, a.profile)
 		if len(w.common) == 0 {
+			// A stranger sharing no item does not qualify (Algorithm 1,
+			// line 10) and is not remembered: digests only grow and the
+			// memo clears when the own profile grows, so any version of
+			// hers up to this one fails the same Bloom test again. A
+			// neighbour sharing no item — an explicit friend, whose score
+			// is floored at 1 — is memoized, since planOffer's line-10
+			// test drops strangers only.
+			if entry == nil {
+				continue
+			}
 			seen.Put(uint32(d.Node), int32(d.Digest.Version))
 			rv = append(rv, rvContact{owner: d.Node, evalOnly: true, version: d.Digest.Version})
 			continue
@@ -367,11 +377,11 @@ func (e *Engine) commitTopShard(a *Node, p *topPlan, sh *commitShard) {
 			c := &p.rv[i]
 			if c.evalOnly {
 				a.checkEvalCache()
-				a.evaluated.Put(uint32(c.owner), int32(c.version))
+				a.markEvaluated(c.owner, c.version)
 				continue
 			}
 			it := c.integration()
-			a.commitIntegration(&it, &sh.ledger)
+			a.commitIntegration(&it, sh)
 		}
 	}
 }
@@ -430,12 +440,12 @@ func (e *Engine) commitTopExchangeShard(a, b *Node, p *exchangePlan, sh *commitS
 	}
 	if sh.owns(b.id) {
 		before := sh.ledger.Total().TotalBytes()
-		b.commitIntegration(&p.intPeer, &sh.ledger)
+		b.commitIntegration(&p.intPeer, sh)
 		peerBytes = sh.ledger.Total().TotalBytes() - before
 	}
 	if sh.owns(a.id) {
 		before := sh.ledger.Total().TotalBytes()
-		a.commitIntegration(&p.intSelf, &sh.ledger)
+		a.commitIntegration(&p.intSelf, sh)
 		selfBytes = sh.ledger.Total().TotalBytes() - before
 	}
 	return peerBytes, selfBytes
@@ -562,28 +572,22 @@ func (w *planWorker) planOffer(n *Node, o offer, seen *idtab.Table, common []tag
 // commitIntegration applies a planned integration: the evaluated-cache
 // updates and step-2 traffic, the personal-network upserts (top-s, positive
 // scores), and step 3 (lines 27-31) — fetch and store the full profiles of
-// neighbours entering the top-c. Messages are counted in l (the committing
-// shard's ledger) rather than sent on the network directly, so shard
+// neighbours entering the top-c. Messages are counted in the committing
+// shard's ledger rather than sent on the network directly, so shard
 // committers stay free of shared counters; only n's own state is mutated,
 // and the cross-node reads (owner profiles and digests) are frozen during
 // the commit phase.
 //
 //p3q:phase commit
 //p3q:hotpath
-func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
+func (n *Node) commitIntegration(it *integration, sh *commitShard) {
 	if len(it.results) == 0 {
 		return
 	}
+	l := &sh.ledger
 	n.checkEvalCache()
-	// Two integrations planned against the same cycle-start state may
-	// score the same owner at different versions (two initiators gossiped
-	// with n); the commits must never downgrade state a newer-version
-	// integration already applied, or the evaluated memo's "highest
-	// version scored" contract (and score monotonicity) breaks.
 	for _, r := range it.results {
-		if v, ok := n.evaluated.Get(uint32(r.o.digest.Owner)); !ok || r.o.digest.Version > int(v) {
-			n.evaluated.Put(uint32(r.o.digest.Owner), int32(r.o.digest.Version))
-		}
+		n.markEvaluated(r.o.digest.Owner, r.o.digest.Version)
 	}
 	l.Send(n.id, it.provider, sim.MsgCommonItems, it.reqBytes)
 	l.Send(it.provider, n.id, sim.MsgCommonItems, it.respBytes)
@@ -605,10 +609,13 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 		r.applied = true
 	}
 
-	// Step 3: store the profiles of neighbours entering the top-c.
+	// Step 3: store the profiles of neighbours entering the top-c. The
+	// entries this batch did not advertise are kept, in order, at the front
+	// of the shard's buffer and fetched after the batch's profile message.
 	profBytes := 0
-	var directFetch []*Entry
-	for _, entry := range n.pnet.Rebalance() {
+	sh.needStore = n.pnet.AppendRebalance(sh.needStore)
+	directFetch := sh.needStore[:0]
+	for _, entry := range sh.needStore {
 		var r *intResult
 		for i := range it.results {
 			if it.results[i].applied && it.results[i].o.digest.Owner == entry.ID {
@@ -635,6 +642,20 @@ func (n *Node) commitIntegration(it *integration, l *sim.Ledger) {
 	}
 	for _, entry := range directFetch {
 		n.fetchFromOwner(entry, l)
+	}
+}
+
+// markEvaluated records that owner's profile was scored at version. The
+// memo keeps the highest version scored and never goes down: two
+// integrations planned against the same cycle-start state may score the
+// same owner at different versions (two initiators gossiped with n), and a
+// commit must not undo what a newer-version commit of the cycle applied,
+// or the memo's contract (and score monotonicity) breaks.
+//
+//p3q:phase commit
+func (n *Node) markEvaluated(owner tagging.UserID, version int) {
+	if v, ok := n.evaluated.Get(uint32(owner)); !ok || version > int(v) {
+		n.evaluated.Put(uint32(owner), int32(version))
 	}
 }
 

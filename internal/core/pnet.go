@@ -204,10 +204,18 @@ func (pn *PersonalNetwork) Ranking() []Entry { return pn.ranking }
 // returned pointers alias the ranking and stay valid until the next
 // mutation of the network; callers write the fetched version to Stored
 // through them immediately.
-// The ranking is already sorted, so eviction is a truncation of the tail.
+func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
+	return pn.AppendRebalance(nil)
+}
+
+// AppendRebalance is Rebalance appending the entries to fetch into a
+// caller-owned buffer (reusing its capacity) and returning it, as
+// AppendStored does. The ranking is already sorted, so eviction is a
+// truncation of the tail.
 //
 //p3q:hotpath
-func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
+func (pn *PersonalNetwork) AppendRebalance(dst []*Entry) []*Entry {
+	dst = dst[:0]
 	for len(pn.ranking) > pn.s {
 		last := &pn.ranking[len(pn.ranking)-1]
 		pn.idx.Delete(uint32(last.ID))
@@ -218,7 +226,7 @@ func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
 		e := &pn.ranking[i]
 		if i < pn.c {
 			if !e.StoredFresh() {
-				needStore = append(needStore, e)
+				dst = append(dst, e)
 			}
 		} else if e.Stored != noReplica {
 			// Pushed out of the top-c: the replica is dropped to keep the
@@ -226,7 +234,7 @@ func (pn *PersonalNetwork) Rebalance() (needStore []*Entry) {
 			e.Stored = noReplica
 		}
 	}
-	return needStore
+	return dst
 }
 
 // Members returns the neighbour IDs in rank order.
