@@ -116,10 +116,8 @@ func main() {
 		fmt.Printf("wire_plane ctrl msgs %d bytes %d\n", st.Ctrl.Msgs, st.Ctrl.Bytes)
 		fmt.Printf("wire_plane gateway msgs %d bytes %d\n", st.Gateway.Msgs, st.Gateway.Bytes)
 		fmt.Printf("wire_plane served msgs %d bytes %d\n", st.Served.Msgs, st.Served.Bytes)
-		for _, q := range st.Queries {
-			fmt.Printf("query %d done %v bytes_forwarded %d bytes_returned %d bytes_partial %d bytes_maintenance %d\n",
-				q.Qid, q.Done, q.Forwarded, q.Returned, q.PartialResults, q.Maintenance)
-		}
+		fmt.Printf("queries_issued %d\n", st.QueriesIssued)
+		fmt.Printf("queries_settled %d\n", st.QueriesSettled)
 
 	case "shutdown":
 		if err := cl.Shutdown(); err != nil {

@@ -26,21 +26,14 @@ import (
 // cycle also arrives inside it, so the captured entry points require
 // Config.Latency == nil.
 
-// ViewExchangeCap is one bottom-layer peer-sampling exchange of a lazy
-// cycle: the initiator's buffer travels to the partner and the partner's
-// buffer comes back (§2.2.1).
+// ViewExchangeCap is one initiator's bottom-layer peer-sampling exchange
+// of a lazy cycle: the initiator's buffer travels to the partner and the
+// partner's buffer comes back (§2.2.1).
 type ViewExchangeCap struct {
-	Initiator tagging.UserID
-	Partner   tagging.UserID
-	BufA      []tagging.DigestRef // initiator -> partner
-	BufB      []tagging.DigestRef // partner -> initiator
-}
-
-// DirectFetchCap is one random-view direct contact (§2.2.1): the
-// initiator requests the owner's fresh profile offer.
-type DirectFetchCap struct {
-	Owner tagging.UserID
-	Offer tagging.DigestRef
+	HasPartner bool // the initiator exchanged with an online partner
+	Partner    tagging.UserID
+	BufA       []tagging.DigestRef // initiator -> partner
+	BufB       []tagging.DigestRef // partner -> initiator
 }
 
 // TopExchangeCap is one initiator's top-layer round of a lazy cycle: the
@@ -48,16 +41,19 @@ type DirectFetchCap struct {
 // batches in both directions; steps 2-3 resolve against the receiver's
 // committed state) plus the initiator's random-view direct contacts.
 type TopExchangeCap struct {
-	Initiator  tagging.UserID
 	HasPartner bool
 	Partner    tagging.UserID
 	OffersA    []tagging.DigestRef // initiator -> partner (step 1)
 	OffersB    []tagging.DigestRef // partner -> initiator (step 1)
-	Fetches    []DirectFetchCap
+	// Fetches are the direct contacts' fresh offers, one per owner: each
+	// reference's Owner is the contacted user.
+	Fetches []tagging.DigestRef
 }
 
-// LazyCapture describes every exchange of one lazy cycle, in the cycle's
-// canonical permutation order — the order the commit phase applies them.
+// LazyCapture describes every exchange of one lazy cycle, indexed by
+// initiator: a node starts at most one view exchange and one top round
+// per lazy cycle, so Views[u] and Tops[u] are user u's (zero when u
+// started none).
 type LazyCapture struct {
 	Seq   uint64
 	Views []ViewExchangeCap
@@ -141,47 +137,34 @@ func descriptorRefs(buf []gossip.Descriptor) []tagging.DigestRef {
 	return out
 }
 
-// captureLazy fills cap from the cycle's committed plan slots, walking
-// the canonical permutation order.
-func (e *Engine) captureLazy(cp *LazyCapture, seq uint64, order []int) {
+// captureLazy fills cap from the cycle's committed plan slots, one slot
+// per initiator.
+func (e *Engine) captureLazy(cp *LazyCapture, seq uint64) {
 	cp.Seq = seq
-	for _, i := range order {
-		p := &e.scratch.vplans[i]
-		if !p.used || p.dead {
-			continue
+	cp.Views = make([]ViewExchangeCap, len(e.nodes))
+	cp.Tops = make([]TopExchangeCap, len(e.nodes))
+	for i := range e.nodes {
+		if p := &e.scratch.vplans[i]; p.used && !p.dead {
+			cp.Views[i] = ViewExchangeCap{
+				HasPartner: true,
+				Partner:    p.partner,
+				BufA:       descriptorRefs(p.bufA),
+				BufB:       descriptorRefs(p.bufB),
+			}
 		}
-		cp.Views = append(cp.Views, ViewExchangeCap{
-			Initiator: e.nodes[i].id,
-			Partner:   p.partner,
-			BufA:      descriptorRefs(p.bufA),
-			BufB:      descriptorRefs(p.bufB),
-		})
-	}
-	for _, i := range order {
 		p := &e.scratch.tplans[i]
 		if !p.used {
 			continue
 		}
-		tc := TopExchangeCap{Initiator: e.nodes[i].id, HasPartner: p.ok}
+		tc := &cp.Tops[i]
 		if p.ok {
-			tc.Partner = p.partner
-			tc.OffersA = p.exch.refsA
-			tc.OffersB = p.exch.refsB
+			*tc = TopExchangeCap{HasPartner: true, Partner: p.partner, OffersA: p.exch.refsA, OffersB: p.exch.refsB}
 		}
 		for ri := range p.rv {
-			c := &p.rv[ri]
-			if c.evalOnly {
-				continue
+			if c := &p.rv[ri]; !c.evalOnly {
+				tc.Fetches = append(tc.Fetches, e.nodes[c.owner].digest().Ref())
 			}
-			tc.Fetches = append(tc.Fetches, DirectFetchCap{
-				Owner: c.owner,
-				Offer: e.nodes[c.owner].digest().Ref(),
-			})
 		}
-		if !tc.HasPartner && len(tc.Fetches) == 0 {
-			continue
-		}
-		cp.Tops = append(cp.Tops, tc)
 	}
 }
 

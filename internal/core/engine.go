@@ -366,7 +366,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	})
 	e.obs.SamplePhase(obs.PhaseCommit, sw.Elapsed())
 	if cp != nil {
-		e.captureLazy(cp, seq, order)
+		e.captureLazy(cp, seq)
 	}
 	// The lazy cycle occupies one LazyPeriod of virtual time; in-flight
 	// eager deliveries falling inside the window arrive during it.

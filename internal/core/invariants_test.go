@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -225,10 +226,80 @@ func newChangingWorld(t *testing.T) (*Engine, *testWorld) {
 	w := newWorld(t, 80, cfg, 42)
 	e := New(w.ds, cfg)
 	e.SeedIdealNetworks(w.ideal)
-	trace.ApplyChanges(w.ds, trace.GenerateChanges(w.ds, trace.ChangeParams{
+	applyFirstChanges(w.ds)
+	return e, w
+}
+
+// applyFirstChanges grows half the profiles: the change batch of
+// newChangingWorld.
+func applyFirstChanges(ds *trace.Dataset) {
+	trace.ApplyChanges(ds, trace.GenerateChanges(ds, trace.ChangeParams{
 		FracUsers: 0.5, MeanNew: 8, SigmaNew: 0.6, MaxNew: 30, Seed: 13,
 	}))
-	return e, w
+}
+
+// TestNeighbourMemoTracksItsDigest pins what a neighbour's evaluated-memo
+// entry says, and where. On ideal networks (newChangingWorld) it is absent
+// or equal to the version of the digest its entry holds, after every lazy
+// cycle. On explicit networks — random friends, with and without
+// StaticNetworks — it is only never lower: a friend rescored at 0 is
+// memoized at her new version while her entry keeps the old digest (a
+// declared friend stays in the network whatever her score), so the memo
+// can be ahead of the entry.
+func TestNeighbourMemoTracksItsDigest(t *testing.T) {
+	const cycles = 30
+	check := func(t *testing.T, e *Engine, exact bool) (held, ahead int) {
+		t.Helper()
+		for cycle := 0; cycle < cycles; cycle++ {
+			e.LazyCycle()
+			held, ahead = 0, 0
+			for u, n := range e.nodes {
+				for _, entry := range n.pnet.Ranking() {
+					v, ok := n.evaluated.Get(uint32(entry.ID))
+					if !ok {
+						continue
+					}
+					held++
+					if int(v) < entry.Digest.Version || exact && int(v) != entry.Digest.Version {
+						t.Fatalf("cycle %d: user %d's memo of neighbour %d is version %d, her entry's digest %d",
+							cycle, u, entry.ID, v, entry.Digest.Version)
+					}
+					if int(v) > entry.Digest.Version {
+						ahead++
+					}
+				}
+			}
+		}
+		return held, ahead
+	}
+	t.Run("ideal", func(t *testing.T) {
+		e, _ := newChangingWorld(t)
+		held, _ := check(t, e, true)
+		if held == 0 {
+			t.Fatal("no neighbour has a memo entry; the check never ran")
+		}
+	})
+	for _, static := range []bool{false, true} {
+		t.Run(fmt.Sprintf("explicit/static=%v", static), func(t *testing.T) {
+			cfg := smallCfg()
+			cfg.StaticNetworks = static
+			w := newWorld(t, 80, cfg, 42)
+			rng := rand.New(rand.NewSource(5))
+			contacts := make([][]tagging.UserID, 80)
+			for u := range contacts {
+				for _, f := range rng.Perm(80)[:cfg.S+1] {
+					if f != u && len(contacts[u]) < cfg.S {
+						contacts[u] = append(contacts[u], tagging.UserID(f))
+					}
+				}
+			}
+			e := New(w.ds, cfg)
+			e.SeedExplicitNetworks(contacts)
+			applyFirstChanges(w.ds)
+			held, ahead := check(t, e, false)
+			t.Logf("after %d lazy cycles %d of %d memoized neighbours are ahead of their entry's digest", cycles, ahead, held)
+		})
+	}
 }
 
 func TestStoredReplicasNeverNewerThanOwner(t *testing.T) {

@@ -77,8 +77,7 @@ func TestCrossCheckClusterMatchesEngine(t *testing.T) {
 	c.RequireNoDivergence(t)
 
 	// Every daemon answers from its own replica, so every gateway must
-	// give the engine's answer, and every daemon the same per-query rows.
-	var rows []wire.QueryStat
+	// give the engine's answer, and every daemon the same query totals.
 	for di := range c.Daemons {
 		cl := c.Client(t, di)
 		for i, run := range runs {
@@ -92,14 +91,10 @@ func TestCrossCheckClusterMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("daemon %d: stats: %v", di, err)
 		}
-		if di == 0 {
-			rows = stats.Queries
-		} else if !slices.Equal(stats.Queries, rows) {
-			t.Errorf("daemon %d per-query rows %+v, daemon 0 %+v", di, stats.Queries, rows)
+		if n := uint64(len(runs)); stats.QueriesIssued != n || stats.QueriesSettled != n {
+			t.Errorf("daemon %d reports %d queries issued and %d settled, %d were run",
+				di, stats.QueriesIssued, stats.QueriesSettled, n)
 		}
-	}
-	if len(rows) != len(runs) {
-		t.Errorf("stats report %d queries, %d were issued", len(rows), len(runs))
 	}
 }
 

@@ -42,8 +42,8 @@ func hostedRange(users, n, i int) (lo, hi tagging.UserID) {
 	return tagging.UserID(i * users / n), tagging.UserID((i + 1) * users / n)
 }
 
-// pairKey identifies a lazy exchange by its two endpoints.
-type pairKey struct{ a, b tagging.UserID }
+// fetchKey identifies a direct fetch by its requester and owner.
+type fetchKey struct{ requester, owner tagging.UserID }
 
 // eagerKey identifies an eager gossip within a cycle.
 type eagerKey struct {
@@ -55,10 +55,10 @@ type eagerKey struct {
 type partialKey = eagerKey
 
 // cycleState is everything a daemon knows about the cycle it stepped
-// last: the capture (immutable once built) and the responder-side indexes
-// into it. It is replaced wholesale at each step; the lead steps cycle N+1
-// only after every daemon acked cycle N, so no exchange for cycle N runs
-// after cycle N+1 steps.
+// last: the capture (immutable once built, the lazy one indexed by
+// initiator) and the responder-side state kept beside it. It is replaced
+// wholesale at each step; the lead steps cycle N+1 only after every daemon
+// acked cycle N, so no exchange for cycle N runs after cycle N+1 steps.
 type cycleState struct {
 	seq  uint64
 	kind uint8
@@ -66,10 +66,13 @@ type cycleState struct {
 	lazy  *core.LazyCapture
 	eager *core.EagerCapture
 
-	views   map[pairKey]*core.ViewExchangeCap
-	tops    map[pairKey]*core.TopExchangeCap
-	fetches map[pairKey][]tagging.DigestRef // expected offer queue, send order
-	pairs   map[eagerKey]*core.EagerPairCap
+	// fetches holds the offer each direct fetch of a hosted owner expects,
+	// deleted when served: a random view holds distinct owners, so a
+	// requester fetches an owner at most once per cycle.
+	fetches map[fetchKey]tagging.DigestRef
+	// pairs indexes the eager gossips: a gossip is keyed by (query,
+	// initiator), and the canonical pair order is not by initiator.
+	pairs map[eagerKey]*core.EagerPairCap
 
 	// Partial-result collection for hosted queriers: the exchange phase
 	// ends only after every delivery the capture owes this daemon has
@@ -474,21 +477,12 @@ func (d *Daemon) stepLocal(kind uint8) *cycleState {
 		cp := d.eng.LazyCycleCaptured()
 		cs.seq = cp.Seq
 		cs.lazy = cp
-		cs.views = make(map[pairKey]*core.ViewExchangeCap, len(cp.Views))
-		for i := range cp.Views {
-			v := &cp.Views[i]
-			cs.views[pairKey{v.Initiator, v.Partner}] = v
-		}
-		cs.tops = make(map[pairKey]*core.TopExchangeCap, len(cp.Tops))
-		cs.fetches = make(map[pairKey][]tagging.DigestRef)
-		for i := range cp.Tops {
-			t := &cp.Tops[i]
-			if t.HasPartner {
-				cs.tops[pairKey{t.Initiator, t.Partner}] = t
-			}
-			for _, f := range t.Fetches {
-				k := pairKey{t.Initiator, f.Owner}
-				cs.fetches[k] = append(cs.fetches[k], f.Offer)
+		cs.fetches = make(map[fetchKey]tagging.DigestRef)
+		for u := range cp.Tops {
+			for _, f := range cp.Tops[u].Fetches {
+				if d.hosts(f.Owner) {
+					cs.fetches[fetchKey{tagging.UserID(u), f.Owner}] = f
+				}
 			}
 		}
 	} else {
@@ -589,35 +583,28 @@ func (d *Daemon) exchangePhase(cs *cycleState) error {
 	return err
 }
 
-// runLazyExchanges walks the capture in canonical order and speaks every
-// cross-daemon exchange whose initiator this daemon hosts. Responses are
+// runLazyExchanges walks this daemon's hosted initiators and speaks every
+// cross-daemon exchange of theirs that the capture holds. Responses are
 // verified against the local capture — the replica already knows what the
 // partner must answer.
 func (d *Daemon) runLazyExchanges(cs *cycleState) error {
-	for i := range cs.lazy.Views {
-		v := &cs.lazy.Views[i]
-		if !d.hosts(v.Initiator) || d.hosts(v.Partner) {
-			continue
+	for u := d.lo; u < d.hi; u++ {
+		if v := &cs.lazy.Views[u]; v.HasPartner && !d.hosts(v.Partner) {
+			resp, err := d.call(d.daemonOf(v.Partner), planeData, &wire.ViewExchangeReq{
+				Seq: cs.seq, Initiator: u, Partner: v.Partner, Buf: v.BufA,
+			})
+			if err != nil {
+				return err
+			}
+			vr, ok := resp.(*wire.ViewExchangeResp)
+			if !ok || !slices.Equal(vr.Buf, v.BufB) {
+				d.divergence.Add(1)
+			}
 		}
-		resp, err := d.call(d.daemonOf(v.Partner), planeData, &wire.ViewExchangeReq{
-			Seq: cs.seq, Initiator: v.Initiator, Partner: v.Partner, Buf: v.BufA,
-		})
-		if err != nil {
-			return err
-		}
-		vr, ok := resp.(*wire.ViewExchangeResp)
-		if !ok || !slices.Equal(vr.Buf, v.BufB) {
-			d.divergence.Add(1)
-		}
-	}
-	for i := range cs.lazy.Tops {
-		t := &cs.lazy.Tops[i]
-		if !d.hosts(t.Initiator) {
-			continue
-		}
+		t := &cs.lazy.Tops[u]
 		if t.HasPartner && !d.hosts(t.Partner) {
 			resp, err := d.call(d.daemonOf(t.Partner), planeData, &wire.TopExchangeReq{
-				Seq: cs.seq, Initiator: t.Initiator, Partner: t.Partner, Offers: t.OffersA,
+				Seq: cs.seq, Initiator: u, Partner: t.Partner, Offers: t.OffersA,
 			})
 			if err != nil {
 				return err
@@ -632,13 +619,13 @@ func (d *Daemon) runLazyExchanges(cs *cycleState) error {
 				continue
 			}
 			resp, err := d.call(d.daemonOf(f.Owner), planeData, &wire.DirectFetchReq{
-				Seq: cs.seq, Requester: t.Initiator, Owner: f.Owner,
+				Seq: cs.seq, Requester: u, Owner: f.Owner,
 			})
 			if err != nil {
 				return err
 			}
 			fr, ok := resp.(*wire.DirectFetchResp)
-			if !ok || fr.Offer != f.Offer {
+			if !ok || fr.Offer != f {
 				d.divergence.Add(1)
 			}
 		}
@@ -695,7 +682,6 @@ func (d *Daemon) deliverPartial(cs *cycleState, pc *core.EagerPairCap) error {
 		Qid:         pc.Qid,
 		Initiator:   pc.Initiator,
 		From:        pc.Dest,
-		Querier:     pc.Querier,
 		FoundOwners: pc.FoundOwners,
 		Entries:     pc.Plist,
 	}
@@ -737,8 +723,7 @@ func (d *Daemon) acceptPartial(msg *wire.PartialResult) {
 		d.divergence.Add(1)
 		return
 	}
-	if pc.Dest != msg.From || pc.Querier != msg.Querier ||
-		!slices.Equal(msg.FoundOwners, pc.FoundOwners) || !slices.Equal(msg.Entries, pc.Plist) {
+	if pc.Dest != msg.From || !slices.Equal(msg.FoundOwners, pc.FoundOwners) || !slices.Equal(msg.Entries, pc.Plist) {
 		d.divergence.Add(1)
 	}
 	if _, dup := cs.received[key]; dup {

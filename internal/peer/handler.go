@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"p3q/internal/core"
 	"p3q/internal/obs"
 	"p3q/internal/tagging"
 	"p3q/internal/trace"
@@ -97,10 +96,22 @@ func (d *Daemon) serveHello(m *wire.Hello) wire.Msg {
 
 // currentCycle fetches the cycle state once this daemon has stepped the
 // request's cycle, and only if it matches the request's coordinates; a
-// mismatch means the peers disagree about where the lockstep stands.
+// mismatch means the peers disagree about where the lockstep stands, which
+// the caller charges as its request's one divergence.
 func (d *Daemon) currentCycle(kind uint8, seq uint64) *cycleState {
 	cs := d.awaitCycle(seq)
 	if cs == nil || cs.kind != kind || cs.seq != seq {
+		return nil
+	}
+	return cs
+}
+
+// lazyCycle is currentCycle for a lazy exchange request whose partner must
+// be hosted here; its initiator comes off the wire, so it is checked
+// against the population before the capture is indexed by it.
+func (d *Daemon) lazyCycle(seq uint64, initiator, partner tagging.UserID) *cycleState {
+	cs := d.currentCycle(wire.StepLazy, seq)
+	if cs == nil || !d.hosts(partner) || int(initiator) >= len(cs.lazy.Views) {
 		d.divergence.Add(1)
 		return nil
 	}
@@ -108,13 +119,12 @@ func (d *Daemon) currentCycle(kind uint8, seq uint64) *cycleState {
 }
 
 func (d *Daemon) serveView(m *wire.ViewExchangeReq) wire.Msg {
-	cs := d.currentCycle(wire.StepLazy, m.Seq)
-	if cs == nil || !d.hosts(m.Partner) {
-		d.divergence.Add(1)
+	cs := d.lazyCycle(m.Seq, m.Initiator, m.Partner)
+	if cs == nil {
 		return &wire.ViewExchangeResp{}
 	}
-	v := cs.views[pairKey{m.Initiator, m.Partner}]
-	if v == nil || !slices.Equal(m.Buf, v.BufA) {
+	v := &cs.lazy.Views[m.Initiator]
+	if !v.HasPartner || v.Partner != m.Partner || !slices.Equal(m.Buf, v.BufA) {
 		d.divergence.Add(1)
 		return &wire.ViewExchangeResp{}
 	}
@@ -122,13 +132,12 @@ func (d *Daemon) serveView(m *wire.ViewExchangeReq) wire.Msg {
 }
 
 func (d *Daemon) serveTop(m *wire.TopExchangeReq) wire.Msg {
-	cs := d.currentCycle(wire.StepLazy, m.Seq)
-	if cs == nil || !d.hosts(m.Partner) {
-		d.divergence.Add(1)
+	cs := d.lazyCycle(m.Seq, m.Initiator, m.Partner)
+	if cs == nil {
 		return &wire.TopExchangeResp{}
 	}
-	t := cs.tops[pairKey{m.Initiator, m.Partner}]
-	if t == nil || !slices.Equal(m.Offers, t.OffersA) {
+	t := &cs.lazy.Tops[m.Initiator]
+	if !t.HasPartner || t.Partner != m.Partner || !slices.Equal(m.Offers, t.OffersA) {
 		d.divergence.Add(1)
 		return &wire.TopExchangeResp{}
 	}
@@ -137,22 +146,14 @@ func (d *Daemon) serveTop(m *wire.TopExchangeReq) wire.Msg {
 
 func (d *Daemon) serveFetch(m *wire.DirectFetchReq) wire.Msg {
 	cs := d.currentCycle(wire.StepLazy, m.Seq)
-	if cs == nil || !d.hosts(m.Owner) {
+	if cs == nil {
 		d.divergence.Add(1)
 		return &wire.DirectFetchResp{}
 	}
-	// Fetches from one requester arrive in capture order — its daemon's
-	// one exchange loop issues them one after the other, each answered
-	// before the next is sent — so popping the queue front matches them up.
 	d.mu.Lock()
-	key := pairKey{m.Requester, m.Owner}
-	queue := cs.fetches[key]
-	var offer tagging.DigestRef
-	found := len(queue) > 0
-	if found {
-		offer = queue[0]
-		cs.fetches[key] = queue[1:]
-	}
+	key := fetchKey{m.Requester, m.Owner}
+	offer, found := cs.fetches[key]
+	delete(cs.fetches, key)
 	d.mu.Unlock()
 	if !found {
 		d.divergence.Add(1)
@@ -222,36 +223,22 @@ func (d *Daemon) serveStatus(m *wire.QueryStatus) wire.Msg {
 	if qr == nil {
 		return &wire.QueryStatusResp{}
 	}
-	row := queryStat(qr)
+	b := qr.Bytes()
 	resp := &wire.QueryStatusResp{
 		Known:          true,
-		Done:           row.Done,
+		Done:           qr.Done(),
 		Cycles:         uint32(qr.Cycles()),
 		Used:           uint32(qr.ProfilesUsed()),
 		Needed:         uint32(qr.ProfilesNeeded()),
-		Forwarded:      row.Forwarded,
-		Returned:       row.Returned,
-		PartialResults: row.PartialResults,
-		Maintenance:    row.Maintenance,
-	}
-	if row.Done {
-		resp.Results = slices.Clone(qr.Results())
-	}
-	return resp
-}
-
-// queryStat is the replica's per-query row: completion and the traffic
-// split of core.QueryBytes.
-func queryStat(qr *core.QueryRun) wire.QueryStat {
-	b := qr.Bytes()
-	return wire.QueryStat{
-		Qid:            qr.ID,
-		Done:           qr.Done(),
 		Forwarded:      b.Forwarded,
 		Returned:       b.Returned,
 		PartialResults: b.PartialResults,
 		Maintenance:    b.Maintenance,
 	}
+	if resp.Done {
+		resp.Results = slices.Clone(qr.Results())
+	}
+	return resp
 }
 
 func (d *Daemon) serveStats() wire.Msg {
@@ -268,6 +255,9 @@ func (d *Daemon) serveStats() wire.Msg {
 		PlanNanos:     uint64(d.obs.PhaseTotal(obs.PhasePlan).Nanoseconds()),
 		CommitNanos:   uint64(d.obs.PhaseTotal(obs.PhaseCommit).Nanoseconds()),
 		SkewMaxNanos:  uint64(skewMax.Nanoseconds()),
+
+		QueriesIssued:  d.obs.Counter(obs.CQueriesIssued),
+		QueriesSettled: d.obs.Counter(obs.CQueriesSettled),
 	}
 	planes := []*wire.PlaneStat{&resp.Data, &resp.Ctrl, &resp.Gateway, &resp.Served}
 	for i := range d.counters {
@@ -275,9 +265,6 @@ func (d *Daemon) serveStats() wire.Msg {
 		planes[i].Bytes = d.counters[i].bytes.Load()
 		resp.WireMsgs += planes[i].Msgs
 		resp.WireBytes += planes[i].Bytes
-	}
-	for _, qr := range d.eng.Queries() {
-		resp.Queries = append(resp.Queries, queryStat(qr))
 	}
 	return resp
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"p3q/internal/core"
+	"p3q/internal/tagging"
 	"p3q/internal/trace"
 	"p3q/internal/wire"
 )
@@ -97,9 +99,9 @@ func TestHandlerBadFrameClosesOnlyItsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: stats on a fresh connection: %v", tc.name, err)
 		}
-		if st.Divergence != tc.divergence || st.LazyCycles != 0 || st.EagerCycles != 0 || len(st.Queries) != 0 {
+		if st.Divergence != tc.divergence || st.LazyCycles != 0 || st.EagerCycles != 0 || st.QueriesIssued != 0 {
 			t.Errorf("%s: daemon state moved: divergence %d (want %d), %d lazy and %d eager cycles, %d queries",
-				tc.name, st.Divergence, tc.divergence, st.LazyCycles, st.EagerCycles, len(st.Queries))
+				tc.name, st.Divergence, tc.divergence, st.LazyCycles, st.EagerCycles, st.QueriesIssued)
 		}
 	}
 }
@@ -200,7 +202,7 @@ func TestHandlerStrayPartialKeepsTheWaitOpen(t *testing.T) {
 		t.Fatalf("before the stray: divergence %d, wait open %v", n, isOpen())
 	}
 
-	d.acceptPartial(&wire.PartialResult{Seq: cs.seq, Qid: 1 << 40, Initiator: last.Initiator, From: last.Dest, Querier: last.Querier})
+	d.acceptPartial(&wire.PartialResult{Seq: cs.seq, Qid: 1 << 40, Initiator: last.Initiator, From: last.Dest})
 	if n := d.Divergence(); n != 1 {
 		t.Errorf("a stray partial cost %d divergences, want 1", n)
 	}
@@ -311,5 +313,68 @@ func TestHandlerCloseReleasesAHeldRequest(t *testing.T) {
 	}
 	if n := d.Divergence(); n != 1 {
 		t.Errorf("the released request cost %d divergences, want 1", n)
+	}
+}
+
+// TestHandlerLazyRespondersRefuseForgedRequests: the lazy responders answer
+// only what the capture holds. On a stepped one-daemon replica a valid view
+// or top request and a first fetch cost nothing; each forged request — a
+// past cycle, an initiator past the population (it comes off the wire),
+// another partner, another buffer, a fetch already served — answers empty
+// and costs exactly one divergence, without a panic.
+func TestHandlerLazyRespondersRefuseForgedRequests(t *testing.T) {
+	_, daemons := startDaemons(t, 1)
+	d := daemons[0]
+	if err := d.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunLazyCycles(4); err != nil {
+		t.Fatal(err)
+	}
+	cs := d.stepLocal(wire.StepLazy)
+	users := tagging.UserID(len(cs.lazy.Views))
+	first := func(what string, ok func(u tagging.UserID) bool) tagging.UserID {
+		t.Helper()
+		for u := tagging.UserID(0); u < users; u++ {
+			if ok(u) {
+				return u
+			}
+		}
+		t.Fatalf("the stepped cycle has no %s; the fixture cannot test the responders", what)
+		return 0
+	}
+	view := first("view exchange", func(u tagging.UserID) bool { return len(cs.lazy.Views[u].BufA) > 0 })
+	top := first("top exchange", func(u tagging.UserID) bool { return cs.lazy.Tops[u].HasPartner })
+	fetch := first("direct fetch", func(u tagging.UserID) bool { return len(cs.lazy.Tops[u].Fetches) > 0 })
+	v, tp, f := &cs.lazy.Views[view], &cs.lazy.Tops[top], cs.lazy.Tops[fetch].Fetches[0]
+	other := (v.Partner + 1) % users
+	if other == view {
+		other = (other + 1) % users
+	}
+	seq := cs.seq
+	for _, tc := range []struct {
+		name string
+		req  wire.Msg
+		want wire.Msg
+		cost uint64
+	}{
+		{"valid view", &wire.ViewExchangeReq{Seq: seq, Initiator: view, Partner: v.Partner, Buf: v.BufA}, &wire.ViewExchangeResp{Buf: v.BufB}, 0},
+		{"valid top", &wire.TopExchangeReq{Seq: seq, Initiator: top, Partner: tp.Partner, Offers: tp.OffersA}, &wire.TopExchangeResp{Offers: tp.OffersB}, 0},
+		{"first fetch", &wire.DirectFetchReq{Seq: seq, Requester: fetch, Owner: f.Owner}, &wire.DirectFetchResp{Offer: f}, 0},
+		{"view for a past cycle", &wire.ViewExchangeReq{Seq: seq - 1, Initiator: view, Partner: v.Partner, Buf: v.BufA}, &wire.ViewExchangeResp{}, 1},
+		{"view initiator past the population", &wire.ViewExchangeReq{Seq: seq, Initiator: users, Partner: v.Partner, Buf: v.BufA}, &wire.ViewExchangeResp{}, 1},
+		{"view initiator far past the population", &wire.ViewExchangeReq{Seq: seq, Initiator: 1 << 31, Partner: v.Partner}, &wire.ViewExchangeResp{}, 1},
+		{"view naming another partner", &wire.ViewExchangeReq{Seq: seq, Initiator: view, Partner: other, Buf: v.BufA}, &wire.ViewExchangeResp{}, 1},
+		{"view with another buffer", &wire.ViewExchangeReq{Seq: seq, Initiator: view, Partner: v.Partner, Buf: v.BufA[1:]}, &wire.ViewExchangeResp{}, 1},
+		{"top initiator past the population", &wire.TopExchangeReq{Seq: seq, Initiator: users, Partner: tp.Partner, Offers: tp.OffersA}, &wire.TopExchangeResp{}, 1},
+		{"fetch asked twice", &wire.DirectFetchReq{Seq: seq, Requester: fetch, Owner: f.Owner}, &wire.DirectFetchResp{}, 1},
+	} {
+		before := d.Divergence()
+		if got := d.handle(tc.req); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: answered %+v, want %+v", tc.name, got, tc.want)
+		}
+		if n := d.Divergence() - before; n != tc.cost {
+			t.Errorf("%s: cost %d divergences, want %d", tc.name, n, tc.cost)
+		}
 	}
 }

@@ -35,8 +35,8 @@
 // delivers against its capture and charges a divergence for every owed
 // delivery that never arrives, but the answer is the replica's QueryRun.
 // Every replica issues every query, so any daemon answers a status request
-// from its own replica, and the per-query rows of its stats are the
-// replica's totals, identical on every daemon.
+// from its own replica, and the query totals of its stats (issued,
+// settled) are identical on every daemon.
 //
 // # Connections
 //

@@ -98,16 +98,15 @@ func (d *Digest) SizeBytes() int {
 // the profile version it was built from. Profiles are append-only, so
 // (owner, version) reconstructs the digest bit-exactly wherever the
 // dataset is held — the collapse the checkpoint uses for stored snapshots
-// and the wire protocol for every digest it exchanges. Bytes is the §3.3
-// wire cost of the digest the reference stands for, which is what the
-// traffic accounting charges. The field widths are the wire's.
+// and the wire protocol for every digest it exchanges. The §3.3 wire cost
+// of the digest is not carried: it is fixed by the Bloom geometry, which
+// every holder of the dataset shares. The field widths are the wire's.
 type DigestRef struct {
 	Owner   UserID
 	Version uint32
-	Bytes   uint32
 }
 
 // Ref returns the digest's reference.
 func (d *Digest) Ref() DigestRef {
-	return DigestRef{Owner: d.Owner, Version: uint32(d.Version), Bytes: uint32(d.SizeBytes())}
+	return DigestRef{Owner: d.Owner, Version: uint32(d.Version)}
 }

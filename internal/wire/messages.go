@@ -58,7 +58,6 @@ type Msg interface {
 func walkRef(c *binio.Codec, d *tagging.DigestRef) {
 	binio.ID(c, &d.Owner)
 	c.U32(&d.Version)
-	c.U32(&d.Bytes)
 }
 
 func walkRefs(c *binio.Codec, refs *[]tagging.DigestRef) {
@@ -297,13 +296,13 @@ func (m *EagerForwardResp) walk(c *binio.Codec) {
 }
 
 // PartialResult delivers a destination's partial result list to the
-// daemon hosting the querier (Algorithm 3 step 3).
+// daemon hosting the querier (Algorithm 3 step 3); that daemon reads the
+// querier off the query.
 type PartialResult struct {
 	Seq         uint64
 	Qid         uint64
-	Initiator   tagging.UserID // the gossip initiator (with Qid: which gossip this resolves)
-	From        tagging.UserID // the gossip destination that resolved the profiles
-	Querier     tagging.UserID
+	Initiator   tagging.UserID   // the gossip initiator (with Qid: which gossip this resolves)
+	From        tagging.UserID   // the gossip destination that resolved the profiles
 	FoundOwners []tagging.UserID // profiles resolved from the destination's storage
 	Entries     []topk.Entry
 }
@@ -315,7 +314,6 @@ func (m *PartialResult) walk(c *binio.Codec) {
 	c.U64(&m.Qid)
 	binio.ID(c, &m.Initiator)
 	binio.ID(c, &m.From)
-	binio.ID(c, &m.Querier)
 	walkIDs(c, &m.FoundOwners)
 	walkEntries(c, &m.Entries)
 }
@@ -436,27 +434,6 @@ type Stats struct{}
 func (*Stats) WireType() Type    { return TypeStats }
 func (*Stats) walk(*binio.Codec) {}
 
-// QueryStat is one query's row in a StatsResp: completion and the
-// replica's core.QueryBytes totals.
-type QueryStat struct {
-	Qid  uint64
-	Done bool
-
-	Forwarded      uint64
-	Returned       uint64
-	PartialResults uint64
-	Maintenance    uint64
-}
-
-func walkQueryStat(c *binio.Codec, q *QueryStat) {
-	c.U64(&q.Qid)
-	c.Bool(&q.Done)
-	c.U64(&q.Forwarded)
-	c.U64(&q.Returned)
-	c.U64(&q.PartialResults)
-	c.U64(&q.Maintenance)
-}
-
 // PlaneStat is one connection plane's raw wire tally.
 type PlaneStat struct {
 	Msgs  uint64
@@ -471,9 +448,10 @@ func walkPlane(c *binio.Codec, p *PlaneStat) {
 // StatsResp reports a daemon's counters: cycles stepped, divergence
 // detections (peer responses contradicting the local replica), raw wire
 // volume — total and split by connection plane — the replica's
-// event-machine depths, cumulative hostclock phase windows, and one row
-// per issued query, in issue order — the replica's per-query totals,
-// identical on every daemon.
+// event-machine depths, cumulative hostclock phase windows, and the
+// replica's query totals, identical on every daemon. Every field is
+// fixed-width, so the reply does not grow with the queries answered; one
+// query's numbers are QueryStatus's.
 type StatsResp struct {
 	Index       uint32
 	LazyCycles  uint64
@@ -499,7 +477,9 @@ type StatsResp struct {
 	Gateway PlaneStat
 	Served  PlaneStat
 
-	Queries []QueryStat
+	// Queries the replica issued and settled (recall 1) since start-up.
+	QueriesIssued  uint64
+	QueriesSettled uint64
 }
 
 func (*StatsResp) WireType() Type { return TypeStatsResp }
@@ -520,7 +500,8 @@ func (m *StatsResp) walk(c *binio.Codec) {
 	walkPlane(c, &m.Ctrl)
 	walkPlane(c, &m.Gateway)
 	walkPlane(c, &m.Served)
-	binio.List(c, &m.Queries, MaxQueryEntries, listCapHint, walkQueryStat)
+	c.U64(&m.QueriesIssued)
+	c.U64(&m.QueriesSettled)
 }
 
 // newMsg returns a zero message of the given type, or false for an

@@ -28,9 +28,9 @@
 // Digests and profile snapshots never travel as bits: profiles are
 // append-only (tagging.Profile), so a (owner, version) reference
 // reconstructs them bit-exactly on any daemon holding the dataset — the
-// same collapse internal/checkpoint uses. Every reference still carries
-// the §3.3 wire cost of the object it stands for, which is what the
-// traffic accounting charges on both sides.
+// same collapse internal/checkpoint uses. A reference carries nothing
+// else: the §3.3 wire cost of the digest it stands for is charged by the
+// engine's traffic ledger on each replica, not read off the frame.
 package wire
 
 import (
@@ -47,7 +47,7 @@ const Magic uint32 = 0x50335157
 // it, and every frame repeats it: daemons reject any frame from a
 // different version instead of misparsing it — the format references
 // engine state whose derivation may change between versions.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // endMarker terminates a frame ("#END"), shared with the checkpoint
 // format: reading it proves the payload was consumed in full agreement
@@ -65,9 +65,6 @@ const MaxListLen = 1 << 16
 
 // MaxStringLen bounds the free-text fields (handshake reject reasons).
 const MaxStringLen = 1 << 10
-
-// MaxQueryEntries bounds the per-query stats table of a StatsResp.
-const MaxQueryEntries = 1 << 20
 
 // listCapHint caps the preallocation for a validated list count (see
 // binio.CapHint): a frame may legitimately announce a large list, but

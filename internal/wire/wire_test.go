@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -18,10 +20,10 @@ import (
 // step needed to cover it everywhere.
 func sampleMessages() []Msg {
 	refs := []tagging.DigestRef{
-		{Owner: 3, Version: 2, Bytes: 96},
-		{Owner: 17, Version: 0, Bytes: 40},
+		{Owner: 3, Version: 2},
+		{Owner: 17, Version: 0},
 	}
-	refs2 := []tagging.DigestRef{{Owner: 8, Version: 5, Bytes: 128}}
+	refs2 := []tagging.DigestRef{{Owner: 8, Version: 5}}
 	users := []tagging.UserID{4, 9, 21}
 	tags := []tagging.TagID{2, 7}
 	entries := []topk.Entry{{Item: 11, Score: 5}, {Item: 3, Score: 2}}
@@ -38,10 +40,10 @@ func sampleMessages() []Msg {
 		&TopExchangeReq{Seq: 4, Initiator: 5, Partner: 31, Offers: refs},
 		&TopExchangeResp{Offers: refs2},
 		&DirectFetchReq{Seq: 4, Requester: 5, Owner: 31},
-		&DirectFetchResp{Offer: tagging.DigestRef{Owner: 31, Version: 3, Bytes: 88}},
+		&DirectFetchResp{Offer: tagging.DigestRef{Owner: 31, Version: 3}},
 		&EagerForwardReq{Seq: 6, Qid: 2, Initiator: 5, Dest: 31, Querier: 4, Tags: tags, Branch: users, Offers: refs},
 		&EagerForwardResp{Returned: users, Offers: refs2},
-		&PartialResult{Seq: 6, Qid: 2, Initiator: 5, From: 31, Querier: 4, FoundOwners: users, Entries: entries},
+		&PartialResult{Seq: 6, Qid: 2, Initiator: 5, From: 31, FoundOwners: users, Entries: entries},
 		&PartialResultAck{},
 		&QuerySubmit{Querier: 4, Tags: tags},
 		&QuerySubmitAck{OK: true, Qid: 2},
@@ -59,14 +61,11 @@ func sampleMessages() []Msg {
 			WireMsgs: 210, WireBytes: 68000,
 			FrozenEvents: 3, PendingEvents: 8,
 			PlanNanos: 1_200_000, CommitNanos: 950_000, SkewMaxNanos: 40_000,
-			Data:    PlaneStat{Msgs: 150, Bytes: 50000},
-			Ctrl:    PlaneStat{Msgs: 40, Bytes: 12000},
-			Gateway: PlaneStat{Msgs: 20, Bytes: 6000},
-			Served:  PlaneStat{Msgs: 180, Bytes: 61000},
-			Queries: []QueryStat{
-				{Qid: 1, Done: true, Forwarded: 640, Returned: 320, PartialResults: 480, Maintenance: 4096},
-				{Qid: 2, Done: false, Forwarded: 120},
-			},
+			Data:          PlaneStat{Msgs: 150, Bytes: 50000},
+			Ctrl:          PlaneStat{Msgs: 40, Bytes: 12000},
+			Gateway:       PlaneStat{Msgs: 20, Bytes: 6000},
+			Served:        PlaneStat{Msgs: 180, Bytes: 61000},
+			QueriesIssued: 7, QueriesSettled: 5,
 		},
 	}
 }
@@ -222,12 +221,34 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestVersionMismatch: a frame of the previous protocol version is refused
+// by name, as is any other version this build does not speak.
 func TestVersionMismatch(t *testing.T) {
-	frame := encodeFrame(t, &StepAck{Seq: 1})
-	frame[4] ^= 0xFF // low byte of the version field
-	_, err := ReadMsg(NewReader(bytes.NewReader(frame)))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("got %v, want a version mismatch error", err)
+	for _, v := range []uint16{Version - 1, Version + 1, 0xFFFF} {
+		frame := encodeFrame(t, &StepAck{Seq: 1})
+		binary.LittleEndian.PutUint16(frame[4:], v)
+		_, err := ReadMsg(NewReader(bytes.NewReader(frame)))
+		if want := fmt.Sprintf("unsupported protocol version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: got %v, want an error saying %q", v, err, want)
+		}
+	}
+}
+
+// TestStatsRespHasOneLength: a StatsResp carries no list or string, so its
+// frame is as long whatever its values — the reply does not grow with the
+// queries a daemon has answered.
+func TestStatsRespHasOneLength(t *testing.T) {
+	ty := reflect.TypeOf(StatsResp{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); f.Type.Kind() != reflect.Uint32 && f.Type.Kind() != reflect.Uint64 && f.Type != reflect.TypeOf(PlaneStat{}) {
+			t.Errorf("StatsResp.%s is a %s, not a fixed-width field", f.Name, f.Type)
+		}
+	}
+	zero := len(encodeFrame(t, &StatsResp{}))
+	for _, m := range sampleMessages() {
+		if n := len(encodeFrame(t, m)); m.WireType() == TypeStatsResp && n != zero {
+			t.Errorf("the sample StatsResp encodes to %d bytes, the zero one to %d", n, zero)
+		}
 	}
 }
 
