@@ -2,10 +2,8 @@ package p3q_test
 
 import (
 	"fmt"
-	"time"
 
 	"p3q"
-	"p3q/internal/core"
 )
 
 // ExampleEngine_IssueQuery demonstrates the full protocol flow: generate a
@@ -55,27 +53,4 @@ func ExampleExpander() {
 		fmt.Println(v.TagName(c.Tag))
 	}
 	// Output: linearalgebra
-}
-
-// ExampleClock drives the bimodal protocol in simulated wall-clock time:
-// lazy maintenance every minute, eager query gossip every five seconds.
-func ExampleClock() {
-	params := p3q.DefaultTraceParams(100)
-	params.MeanItems = 20
-	params.Seed = 4
-	ds := p3q.GenerateTrace(params)
-
-	cfg := p3q.DefaultConfig()
-	cfg.S, cfg.C = 20, 5
-	engine := p3q.NewEngine(ds, cfg)
-	engine.SeedIdealNetworks(p3q.IdealNetworks(ds, cfg.S))
-
-	clock := core.NewClock(engine)
-	q, _ := p3q.QueryFor(ds, 3, 2)
-	run := engine.IssueQuery(q)
-	for clock.Now() < 2*time.Minute && !run.Done() {
-		clock.Advance(5 * time.Second) // the default eager period
-	}
-	fmt.Printf("done=%v within %v\n", run.Done(), clock.Now() <= 2*time.Minute)
-	// Output: done=true within true
 }

@@ -200,7 +200,7 @@ func TestAsyncQueriesSettleMidCycle(t *testing.T) {
 	if !ok {
 		t.Fatal("completed query reports no time-to-full-recall")
 	}
-	if tfull%e.Config().EagerPeriod == 0 {
+	if tfull%EagerPeriod == 0 {
 		t.Fatalf("time-to-full-recall %v lies on a cycle boundary; expected a mid-cycle settle", tfull)
 	}
 	t1st, ok := qr.TimeToFirstResult()
@@ -388,12 +388,11 @@ func TestAsyncClockAdvances(t *testing.T) {
 		t.Fatalf("fresh engine clock = %v, want 0", e.Now())
 	}
 	e.EagerCycle()
-	if e.Now() != e.Config().EagerPeriod {
-		t.Fatalf("clock after one eager cycle = %v, want %v", e.Now(), e.Config().EagerPeriod)
+	if e.Now() != EagerPeriod {
+		t.Fatalf("clock after one eager cycle = %v, want %v", e.Now(), EagerPeriod)
 	}
 	e.LazyCycle()
-	want := e.Config().EagerPeriod + e.Config().LazyPeriod
-	if e.Now() != want {
+	if want := EagerPeriod + LazyPeriod; e.Now() != want {
 		t.Fatalf("clock after eager+lazy = %v, want %v", e.Now(), want)
 	}
 }

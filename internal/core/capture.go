@@ -161,9 +161,7 @@ func (e *Engine) captureLazy(cp *LazyCapture, seq uint64) {
 			*tc = TopExchangeCap{HasPartner: true, Partner: p.partner, OffersA: p.exch.refsA, OffersB: p.exch.refsB}
 		}
 		for ri := range p.rv {
-			if c := &p.rv[ri]; !c.evalOnly {
-				tc.Fetches = append(tc.Fetches, e.nodes[c.owner].digest().Ref())
-			}
+			tc.Fetches = append(tc.Fetches, e.nodes[p.rv[ri].owner].digest().Ref())
 		}
 	}
 }

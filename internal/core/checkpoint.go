@@ -218,10 +218,10 @@ func (e *Engine) writeParams(cw *ckpt.Writer) {
 	cw.U32(uint32(e.cfg.MaxDigestsPerGossip))
 	cw.U32(uint32(e.cfg.BloomBits))
 	cw.U32(uint32(e.cfg.BloomHashes))
-	cw.U32(uint32(e.cfg.MaxProbes))
+	cw.U32(maxProbes)
 	cw.U64(math.Float64bits(e.cfg.Alpha))
-	cw.I64(int64(e.cfg.EagerPeriod))
-	cw.I64(int64(e.cfg.LazyPeriod))
+	cw.I64(int64(EagerPeriod))
+	cw.I64(int64(LazyPeriod))
 	cw.U64(e.cfg.Seed)
 	cw.Bool(e.cfg.DisableEagerBias)
 	cw.Bool(e.cfg.StaticNetworks)
@@ -283,14 +283,14 @@ func (rs *restorer) validateParams() {
 		mismatch("BloomBits", p.bloomBits, c.BloomBits)
 	case p.bloomHashes != c.BloomHashes:
 		mismatch("BloomHashes", p.bloomHashes, c.BloomHashes)
-	case p.maxProbes != c.MaxProbes:
-		mismatch("MaxProbes", p.maxProbes, c.MaxProbes)
+	case p.maxProbes != maxProbes:
+		mismatch("MaxProbes", p.maxProbes, maxProbes)
 	case p.alphaBits != math.Float64bits(c.Alpha):
 		mismatch("Alpha", math.Float64frombits(p.alphaBits), c.Alpha)
-	case p.eagerPeriod != c.EagerPeriod:
-		mismatch("EagerPeriod", p.eagerPeriod, c.EagerPeriod)
-	case p.lazyPeriod != c.LazyPeriod:
-		mismatch("LazyPeriod", p.lazyPeriod, c.LazyPeriod)
+	case p.eagerPeriod != EagerPeriod:
+		mismatch("EagerPeriod", p.eagerPeriod, EagerPeriod)
+	case p.lazyPeriod != LazyPeriod:
+		mismatch("LazyPeriod", p.lazyPeriod, LazyPeriod)
 	case p.seed != c.Seed:
 		mismatch("Seed", p.seed, c.Seed)
 	case p.disableEagerBias != c.DisableEagerBias:

@@ -32,6 +32,17 @@ import (
 	"p3q/internal/tagging"
 )
 
+// One eager cycle occupies EagerPeriod and one lazy cycle LazyPeriod of the
+// engine's virtual clock (Engine.Now), the paper's deployment pacing (§3.5).
+// maxProbes bounds the failed contact attempts a node makes per cycle
+// before giving up (departed destinations, §3.4.2); the paper specifies no
+// retry policy, and 3 keeps stalls short without flooding.
+const (
+	EagerPeriod = 5 * time.Second
+	LazyPeriod  = time.Minute
+	maxProbes   = 3
+)
+
 // Config holds the protocol and simulation parameters. The defaults follow
 // §3.1.2 of the paper scaled down (s=1000 in the paper; experiments here
 // default to smaller populations, and every parameter can be raised back to
@@ -59,10 +70,6 @@ type Config struct {
 	// BloomBits and BloomHashes set the digest geometry. Paper: 20 Kbit.
 	BloomBits   int
 	BloomHashes int
-	// MaxProbes bounds the failed contact attempts a node makes per cycle
-	// before giving up (departed destinations, §3.4.2). The paper does not
-	// specify a retry policy; 3 keeps stalls short without flooding.
-	MaxProbes int
 	// DisableEagerBias turns off the eager mode's preference for
 	// remaining-list members that are also personal-network neighbours
 	// (Algorithm 3 lines 4-6), selecting destinations uniformly from the
@@ -104,15 +111,6 @@ type Config struct {
 	// byte-for-byte identical for every Workers value. See
 	// sim.ParseLatency for the CLI spec syntax.
 	Latency sim.LatencyModel
-	// EagerPeriod is the virtual time one eager cycle occupies (the
-	// paper's deployment assumption in §3.5: 5 seconds). It paces the
-	// engine clock that latency-modelled deliveries are scheduled against
-	// and that the per-query time-to-first-result / time-to-full-recall
-	// metrics are measured on. 0 defaults to 5s.
-	EagerPeriod time.Duration
-	// LazyPeriod is the virtual time one lazy cycle occupies (§3.5: one
-	// minute). 0 defaults to 60s.
-	LazyPeriod time.Duration
 	// StaticNetworks freezes personal-network membership: gossip still
 	// refreshes the digests, scores and stored replicas of existing
 	// neighbours, but never admits new ones. This is the §4 explicit
@@ -139,7 +137,6 @@ func DefaultConfig() Config {
 		MaxDigestsPerGossip: 50,
 		BloomBits:           bloom.DefaultBits,
 		BloomHashes:         bloom.DefaultHashes,
-		MaxProbes:           3,
 		Seed:                1,
 	}
 }
@@ -176,17 +173,8 @@ func (c Config) sanitize(users int) Config {
 	if c.BloomHashes < 1 {
 		c.BloomHashes = bloom.DefaultHashes
 	}
-	if c.MaxProbes < 1 {
-		c.MaxProbes = 1
-	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.EagerPeriod <= 0 {
-		c.EagerPeriod = 5 * time.Second
-	}
-	if c.LazyPeriod <= 0 {
-		c.LazyPeriod = time.Minute
 	}
 	if c.CAssign != nil && len(c.CAssign) != users {
 		panic("core: CAssign length does not match the number of users")

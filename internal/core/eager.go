@@ -338,7 +338,7 @@ func (e *Engine) eagerPairs() []eagerPair {
 // own contiguous range of nodes, in the canonical pair order — and a short
 // sequential pass schedules what each gossip delivers to other nodes as
 // events, Config.Latency after they were sent. The cycle then occupies one
-// Config.EagerPeriod of virtual time: every event due inside that window —
+// EagerPeriod of virtual time: every event due inside that window —
 // this cycle's and earlier cycles' stragglers — is applied in deterministic
 // (time, scheduling order), so with no delay the whole cycle lands at its
 // start. The output is byte-for-byte identical for every worker count.
@@ -347,7 +347,7 @@ func (e *Engine) EagerCycle() { e.eagerCycle(nil) }
 // eagerCycle is EagerCycle with an optional capture of the cycle's gossips
 // (see capture.go), which has no effect on the cycle itself.
 func (e *Engine) eagerCycle(cp *EagerCapture) {
-	t1 := e.now + e.cfg.EagerPeriod
+	t1 := e.now + EagerPeriod
 	e.replayFrozen()
 	seq := e.cycleSeq
 	e.cycleSeq++
@@ -601,7 +601,7 @@ func (e *Engine) emitEagerHops(p *eagerPlan, t *sim.Traffic) {
 // prefer remaining-list members that are also personal-network neighbours,
 // oldest timestamp first; otherwise random remaining-list members. Departed
 // candidates cost a probe each (recorded in the plan's ledger), up to
-// MaxProbes. The candidate orderings build in the worker's scratch buffers.
+// maxProbes. The candidate orderings build in the worker's scratch buffers.
 func (e *Engine) selectEagerDest(w *planWorker, u *Node, p *eagerPlan, rng *randx.Source) *Node {
 	branch := p.branch
 	if e.cfg.DisableEagerBias {
@@ -643,11 +643,11 @@ func (e *Engine) selectEagerDest(w *planWorker, u *Node, p *eagerPlan, rng *rand
 }
 
 // firstOnline returns the first online candidate, recording a probe in the
-// ledger for each departed one, up to MaxProbes.
+// ledger for each departed one, up to maxProbes.
 func (e *Engine) firstOnline(u *Node, candidates []tagging.UserID, l *sim.Ledger) *Node {
 	probes := 0
 	for _, id := range candidates {
-		if probes >= e.cfg.MaxProbes {
+		if probes >= maxProbes {
 			return nil
 		}
 		if !e.net.Online(id) {

@@ -171,9 +171,9 @@ func (e *Engine) LazyCycles() int { return e.lazyCycles }
 func (e *Engine) EagerCycles() int { return e.eagerCycles }
 
 // Now returns the engine's virtual clock: time zero at construction,
-// advanced by Config.EagerPeriod per eager cycle and Config.LazyPeriod per
-// lazy cycle. Deliveries are scheduled against it and the per-query time
-// metrics are measured on it.
+// advanced by EagerPeriod per eager cycle and LazyPeriod per lazy cycle.
+// Deliveries are scheduled against it and the per-query time metrics are
+// measured on it.
 func (e *Engine) Now() time.Duration { return e.now }
 
 // PendingEvents returns the number of in-flight delivery events (0 between
@@ -370,7 +370,7 @@ func (e *Engine) lazyCycle(cp *LazyCapture) {
 	}
 	// The lazy cycle occupies one LazyPeriod of virtual time; in-flight
 	// eager deliveries falling inside the window arrive during it.
-	t1 := e.now + e.cfg.LazyPeriod
+	t1 := e.now + LazyPeriod
 	e.pumpEvents(t1)
 	e.dropSettled()
 	e.now = t1

@@ -238,21 +238,41 @@ func applyFirstChanges(ds *trace.Dataset) {
 	}))
 }
 
-// TestNeighbourMemoTracksItsDigest pins what a neighbour's evaluated-memo
-// entry says, and where. On ideal networks (newChangingWorld) it is absent
-// or equal to the version of the digest its entry holds, after every lazy
-// cycle. On explicit networks — random friends, with and without
-// StaticNetworks — it is only never lower: a friend rescored at 0 is
-// memoized at her new version while her entry keeps the old digest (a
-// declared friend stays in the network whatever her score), so the memo
-// can be ahead of the entry.
+// newExplicitWorld is newWorld's 80 users on explicit networks of s random
+// declared friends each (SeedExplicitNetworks), with membership frozen or
+// not, whose profiles then grow by newChangingWorld's change batch.
+func newExplicitWorld(t *testing.T, static bool) *Engine {
+	cfg := smallCfg()
+	cfg.StaticNetworks = static
+	w := newWorld(t, 80, cfg, 42)
+	rng := rand.New(rand.NewSource(5))
+	contacts := make([][]tagging.UserID, 80)
+	for u := range contacts {
+		for _, f := range rng.Perm(80)[:cfg.S+1] {
+			if f != u && len(contacts[u]) < cfg.S {
+				contacts[u] = append(contacts[u], tagging.UserID(f))
+			}
+		}
+	}
+	e := New(w.ds, cfg)
+	e.SeedExplicitNetworks(contacts)
+	applyFirstChanges(w.ds)
+	return e
+}
+
+// TestNeighbourMemoTracksItsDigest pins that a neighbour's evaluated-memo
+// entry is absent or equal to the version of the digest her entry holds,
+// after every lazy cycle, on ideal networks (newChangingWorld) and on
+// explicit ones with and without StaticNetworks. A declared friend whose
+// new version shares no item is upserted at her floor score of 1, so her
+// entry moves to the version the memo records.
 func TestNeighbourMemoTracksItsDigest(t *testing.T) {
 	const cycles = 30
-	check := func(t *testing.T, e *Engine, exact bool) (held, ahead int) {
+	check := func(t *testing.T, e *Engine) {
 		t.Helper()
+		held := 0
 		for cycle := 0; cycle < cycles; cycle++ {
 			e.LazyCycle()
-			held, ahead = 0, 0
 			for u, n := range e.nodes {
 				for _, entry := range n.pnet.Ranking() {
 					v, ok := n.evaluated.Get(uint32(entry.ID))
@@ -260,45 +280,51 @@ func TestNeighbourMemoTracksItsDigest(t *testing.T) {
 						continue
 					}
 					held++
-					if int(v) < entry.Digest.Version || exact && int(v) != entry.Digest.Version {
+					if int(v) != entry.Digest.Version {
 						t.Fatalf("cycle %d: user %d's memo of neighbour %d is version %d, her entry's digest %d",
 							cycle, u, entry.ID, v, entry.Digest.Version)
 					}
-					if int(v) > entry.Digest.Version {
-						ahead++
-					}
 				}
 			}
 		}
-		return held, ahead
-	}
-	t.Run("ideal", func(t *testing.T) {
-		e, _ := newChangingWorld(t)
-		held, _ := check(t, e, true)
 		if held == 0 {
 			t.Fatal("no neighbour has a memo entry; the check never ran")
 		}
+	}
+	t.Run("ideal", func(t *testing.T) {
+		e, _ := newChangingWorld(t)
+		check(t, e)
 	})
 	for _, static := range []bool{false, true} {
 		t.Run(fmt.Sprintf("explicit/static=%v", static), func(t *testing.T) {
-			cfg := smallCfg()
-			cfg.StaticNetworks = static
-			w := newWorld(t, 80, cfg, 42)
-			rng := rand.New(rand.NewSource(5))
-			contacts := make([][]tagging.UserID, 80)
-			for u := range contacts {
-				for _, f := range rng.Perm(80)[:cfg.S+1] {
-					if f != u && len(contacts[u]) < cfg.S {
-						contacts[u] = append(contacts[u], tagging.UserID(f))
-					}
+			check(t, newExplicitWorld(t, static))
+		})
+	}
+}
+
+// TestDeclaredFriendsStayFresh: on explicit networks every stored replica
+// has caught up with its owner after 60 lazy cycles. It holds only if a
+// friend whose grown profile still shares no item is upserted at her new
+// version: once memoized there, no later offer of that version is scored,
+// so an entry left at the old digest would keep its old replica.
+func TestDeclaredFriendsStayFresh(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		e := newExplicitWorld(t, static)
+		for cycle := 0; cycle < 60; cycle++ {
+			e.LazyCycle()
+		}
+		stored, stale := 0, 0
+		for _, n := range e.nodes {
+			for _, entry := range n.pnet.StoredEntries() {
+				stored++
+				if int(entry.Stored) != e.ds.Profiles[entry.ID].Version() {
+					stale++
 				}
 			}
-			e := New(w.ds, cfg)
-			e.SeedExplicitNetworks(contacts)
-			applyFirstChanges(w.ds)
-			held, ahead := check(t, e, false)
-			t.Logf("after %d lazy cycles %d of %d memoized neighbours are ahead of their entry's digest", cycles, ahead, held)
-		})
+		}
+		if stored == 0 || stale != 0 {
+			t.Errorf("static=%v: %d of %d stored replicas are stale after 60 lazy cycles", static, stale, stored)
+		}
 	}
 }
 
@@ -386,8 +412,8 @@ func TestEvaluatedMemoHoldsOnlyScoredVersions(t *testing.T) {
 // TestEvaluatedMemoNeverGoesDown replays a commit order the planners
 // produce: a partner-side integration commits a neighbour's profile at v2,
 // then the node's own random-view contact, planned against the cycle-start
-// memo, commits the same neighbour's digest at v1 < v2 as sharing no item.
-// The memo must keep v2.
+// memo, commits the same neighbour's offer scored at v1 < v2. The memo
+// must keep v2, and the entry its v2 digest.
 func TestEvaluatedMemoNeverGoesDown(t *testing.T) {
 	cfg := smallCfg()
 	w := newWorld(t, 40, cfg, 7)
@@ -401,21 +427,27 @@ func TestEvaluatedMemoNeverGoesDown(t *testing.T) {
 	}
 	v2 := prof.Version()
 	v1 := v2 - 1
+	result := func(v int) intResult {
+		snap := prof.SnapshotAt(v)
+		o := offer{digest: tagging.NewDigest(snap, cfg.BloomBits, cfg.BloomHashes), snap: snap}
+		return intResult{o: o, score: max(a.profile.CommonScore(snap), 1)}
+	}
 
 	sh := &commitShard{lo: 0, hi: tagging.UserID(e.Users())}
 	e.net.InitLedger(&sh.ledger)
-	snap := prof.SnapshotAt(v2)
-	o := offer{digest: tagging.NewDigest(snap, cfg.BloomBits, cfg.BloomHashes), snap: snap}
-	it := integration{provider: e.nodes[1].id, results: []intResult{{o: o, score: max(a.profile.CommonScore(snap), 1)}}}
+	it := integration{provider: e.nodes[1].id, results: []intResult{result(v2)}}
 	a.commitIntegration(&it, sh)
 	if v, _ := a.evaluated.Get(uint32(u)); int(v) != v2 {
 		t.Fatalf("after the integration the memo holds version %d of %d, want %d", v, u, v2)
 	}
 
-	p := &topPlan{used: true, rv: []rvContact{{owner: u, evalOnly: true, version: v1}}}
+	p := &topPlan{used: true, rv: []rvContact{{owner: u, scored: true, res: [1]intResult{result(v1)}}}}
 	e.net.InitLedger(&p.ledger)
 	e.commitTopShard(a, p, sh)
 	if v, _ := a.evaluated.Get(uint32(u)); int(v) != v2 {
 		t.Fatalf("the random-view contact at version %d lowered the memo of %d to %d, want %d", v1, u, v, v2)
+	}
+	if got := a.pnet.Entry(u).Digest.Version; got != v2 {
+		t.Fatalf("the random-view contact at version %d moved the entry of %d to version %d, want %d", v1, u, got, v2)
 	}
 }

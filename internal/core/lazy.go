@@ -153,15 +153,11 @@ func descriptorsWireSize(ds []gossip.Descriptor) int {
 	return b
 }
 
-// rvContact is one planned random-view evaluation: either a pure
-// evaluated-cache update (a neighbour's digest shares no item) or a direct
-// contact, holding the owner's scored fresh offer inline — a single offer
-// has at most one result.
+// rvContact is one planned random-view direct contact, holding the owner's
+// scored fresh offer inline — a single offer has at most one result.
 type rvContact struct {
 	owner     tagging.UserID
-	evalOnly  bool // a neighbour's digest shares no item: memoize its version only
-	scored    bool // direct contact: the offer passed step 1 into res
-	version   int  // evalOnly: the version memoized
+	scored    bool // the offer passed step 1 into res
 	res       [1]intResult
 	reqBytes  int
 	respBytes int
@@ -196,7 +192,7 @@ type topPlan struct {
 
 // selectTopPartner picks a's gossip partner of the cycle — the personal
 // network neighbour with the oldest timestamp, retrying past departed ones
-// up to MaxProbes (§2.2.1; nil when none answers) — and records the failed
+// up to maxProbes (§2.2.1; nil when none answers) — and records the failed
 // probes in the plan's ledger and resets. Equal timestamps (common right
 // after bootstrap) are tried in random order so the first cycles do not all
 // hit the lowest IDs.
@@ -221,7 +217,7 @@ func (e *Engine) selectTopPartner(w *planWorker, a *Node, rng *randx.Source, p *
 	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	w.partners = perm
 	probes, offset, lo := 0, 0, uint64(0)
-	for offset < n && probes < e.cfg.MaxProbes {
+	for offset < n && probes < maxProbes {
 		var last uint64
 		w.partners, last = a.pnet.appendAgeGroup(w.partners[:n], lo)
 		group := w.partners[n:]
@@ -241,7 +237,7 @@ func (e *Engine) selectTopPartner(w *planWorker, a *Node, rng *randx.Source, p *
 			// reset the timestamp so other neighbours are tried first in
 			// the following cycles.
 			p.resets = append(p.resets, pe.ID)
-			if left--; left == 0 || probes >= e.cfg.MaxProbes {
+			if left--; left == 0 || probes >= maxProbes {
 				break
 			}
 		}
@@ -253,7 +249,7 @@ func (e *Engine) selectTopPartner(w *planWorker, a *Node, rng *randx.Source, p *
 
 // planTopInto plans one top-layer gossip for node a into the pooled plan
 // slot p — select the personal network neighbour with the oldest timestamp
-// (retrying past departed ones up to MaxProbes) and the symmetric 3-step
+// (retrying past departed ones up to maxProbes) and the symmetric 3-step
 // profile exchange with her — and the scoring of a's random-view candidates
 // (§2.2.1).
 //
@@ -262,7 +258,7 @@ func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 	p.used = true
 	p.ok = false
 	entries := a.view.Entries()
-	probes := min(a.pnet.Len(), e.cfg.MaxProbes)
+	probes := min(a.pnet.Len(), maxProbes)
 	e.net.InitLedger(&p.ledger)
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
@@ -305,19 +301,11 @@ func (e *Engine) planTopInto(w *planWorker, a *Node, seq uint64, p *topPlan) {
 			continue // membership frozen: no point contacting non-members
 		}
 		w.common = d.Digest.AppendCommonItems(w.common, a.profile)
-		if len(w.common) == 0 {
+		if len(w.common) == 0 && entry == nil {
 			// A stranger sharing no item does not qualify (Algorithm 1,
 			// line 10) and is not remembered: digests only grow and the
 			// memo clears when the own profile grows, so any version of
-			// hers up to this one fails the same Bloom test again. A
-			// neighbour sharing no item — an explicit friend, whose score
-			// is floored at 1 — is memoized, since planOffer's line-10
-			// test drops strangers only.
-			if entry == nil {
-				continue
-			}
-			seen.Put(uint32(d.Node), int32(d.Digest.Version))
-			rv = append(rv, rvContact{owner: d.Node, evalOnly: true, version: d.Digest.Version})
+			// hers up to this one fails the same Bloom test again.
 			continue
 		}
 		if !e.net.Online(d.Node) {
@@ -374,13 +362,7 @@ func (e *Engine) commitTopShard(a *Node, p *topPlan, sh *commitShard) {
 	}
 	if ownA {
 		for i := range p.rv {
-			c := &p.rv[i]
-			if c.evalOnly {
-				a.checkEvalCache()
-				a.markEvaluated(c.owner, c.version)
-				continue
-			}
-			it := c.integration()
+			it := p.rv[i].integration()
 			a.commitIntegration(&it, sh)
 		}
 	}
@@ -599,13 +581,17 @@ func (n *Node) commitIntegration(it *integration, sh *commitShard) {
 	for i := range it.results {
 		r := &it.results[i]
 		r.applied = false
-		if r.score <= 0 {
-			continue
-		}
-		if entry := n.pnet.Entry(r.o.digest.Owner); entry != nil && entry.Digest.Version > r.o.digest.Version {
+		entry := n.pnet.Entry(r.o.digest.Owner)
+		if entry != nil && entry.Digest.Version > r.o.digest.Version {
 			continue // a fresher same-cycle commit already landed
 		}
-		n.pnet.Upsert(r.o.digest.Owner, r.score, r.o.digest)
+		if r.score <= 0 && entry == nil {
+			continue
+		}
+		// Implicit scores never fall, so only a declared friend can score 0
+		// and stay a neighbour: she keeps the floor SeedExplicitNetworks
+		// gives her, at her new version.
+		n.pnet.Upsert(r.o.digest.Owner, max(r.score, 1), r.o.digest)
 		r.applied = true
 	}
 

@@ -57,10 +57,10 @@ func oraclePartnerProbe(pn *PersonalNetwork, self tagging.UserID, nw *sim.Networ
 }
 
 // selectionEngine returns the slice of an engine that selectTopPartner
-// reads — liveness, MaxProbes and the node table — over neighbour IDs
-// 1..pool, with node 0 owning pn.
-func selectionEngine(pn *PersonalNetwork, pool, maxProbes int) (*Engine, *Node) {
-	e := &Engine{cfg: Config{MaxProbes: maxProbes}, net: sim.NewNetwork(pool + 1), nodes: make([]*Node, pool+1)}
+// reads — liveness and the node table — over neighbour IDs 1..pool, with
+// node 0 owning pn.
+func selectionEngine(pn *PersonalNetwork, pool int) (*Engine, *Node) {
+	e := &Engine{net: sim.NewNetwork(pool + 1), nodes: make([]*Node, pool+1)}
 	for id := range e.nodes {
 		e.nodes[id] = &Node{id: tagging.UserID(id)}
 	}
@@ -79,7 +79,7 @@ var partnerOracleSizes = [...]int{50, 1, 2, 7, 100, 1000}
 // few big batches each upserted at one clock value, a long run of small
 // exchanges with receiver-side resets joining the youngest group — and
 // then, over rounds of further mutation, picks a partner both ways under a
-// random offline set (none, some, most, all) with MaxProbes 1-4, through
+// random offline set (none, some, most, all), through
 // one reused plan slot. Both must name the same partner (or none), count the
 // same probes in the ledger, reset the same departed neighbours in the same
 // order, and hand on an rng whose next draw is equal.
@@ -87,7 +87,7 @@ var partnerOracleSizes = [...]int{50, 1, 2, 7, 100, 1000}
 // Five hand mutations of selectTopPartner/appendAgeGroup each fail it at
 // seed 1: skipping the ID ordering inside a group, walking the permutation
 // backwards, forgetting to advance offset, starting the next group at
-// last instead of last+1 (>= for >), and probing one past MaxProbes.
+// last instead of last+1 (>= for >), and probing one past maxProbes.
 func TestPartnerSelectionMatchesOracle(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -146,14 +146,13 @@ func checkPartnerSelection(t *testing.T, w *planWorker, p *topPlan, seed, histor
 		}
 	}
 
-	e, a := selectionEngine(pn, pool, 0)
+	e, a := selectionEngine(pn, pool)
 	nw := e.net
 	for round := 0; round < 16; round++ {
 		pOff := [...]float64{0, 0.2, 0.9, 1}[r.Intn(4)]
 		for id := 1; id <= pool; id++ {
 			nw.SetOnline(tagging.UserID(id), r.Float64() >= pOff)
 		}
-		e.cfg.MaxProbes = 1 + r.Intn(4)
 		rngGot := randx.NewSource(r.Uint64())
 		rngWant := *rngGot
 
@@ -161,10 +160,10 @@ func checkPartnerSelection(t *testing.T, w *planWorker, p *topPlan, seed, histor
 		nw.InitLedger(&p.ledger)
 		b := e.selectTopPartner(w, a, rngGot, p)
 		ledger := nw.NewLedger()
-		want, wantOK, resets := oraclePartnerProbe(pn, a.id, nw, e.cfg.MaxProbes, &rngWant, ledger)
+		want, wantOK, resets := oraclePartnerProbe(pn, a.id, nw, maxProbes, &rngWant, ledger)
 
-		at := fmt.Sprintf("seed %d history %d round %d (s=%d, len=%d, MaxProbes=%d, offline %.1f)",
-			seed, history, round, s, pn.Len(), e.cfg.MaxProbes, pOff)
+		at := fmt.Sprintf("seed %d history %d round %d (s=%d, len=%d, offline %.1f)",
+			seed, history, round, s, pn.Len(), pOff)
 		if (b != nil) != wantOK || (wantOK && b.id != want) {
 			t.Fatalf("%s: partner found %v, oracle %d/%v", at, b != nil, want, wantOK)
 		}

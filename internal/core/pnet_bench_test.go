@@ -150,7 +150,7 @@ func BenchmarkTopPartnerSelect(b *testing.B) {
 						pn.Touch(tagging.UserID(1 + i))
 					}
 				}
-				e, a := selectionEngine(pn, s, 3)
+				e, a := selectionEngine(pn, s)
 				rng := randx.NewSource(1)
 				var p topPlan
 				var w planWorker

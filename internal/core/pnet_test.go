@@ -206,7 +206,7 @@ func TestPnetCapsCAtS(t *testing.T) {
 
 func TestConfigSanitize(t *testing.T) {
 	cfg := Config{}.sanitize(10)
-	if cfg.S < 1 || cfg.R < 1 || cfg.K < 1 || cfg.MaxProbes < 1 {
+	if cfg.S < 1 || cfg.R < 1 || cfg.K < 1 {
 		t.Fatalf("sanitize left invalid values: %+v", cfg)
 	}
 	if cfg.BloomBits < 64 || cfg.BloomHashes < 1 {

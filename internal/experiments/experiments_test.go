@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -531,5 +532,91 @@ func TestTimelineShape(t *testing.T) {
 	}
 	if cell(t, last[2]) < 95 {
 		t.Fatalf("only %s%% of queries done within two simulated minutes", last[2])
+	}
+}
+
+// TestTimelineAnswersQueryWithinPaperBudget: §3.5, "the query can be
+// accurately answered within 50 seconds".
+func TestTimelineAnswersQueryWithinPaperBudget(t *testing.T) {
+	tb := Timeline(tinyCfg())[0]
+	last := tb.Rows[len(tb.Rows)-1]
+	if cell(t, last[2]) != 100 || cell(t, last[0]) > 50 {
+		t.Fatalf("%s%% of queries done after %ss, want all within 50s", last[2], last[0])
+	}
+}
+
+// scheduleLog is a cycler that records the cycles it is asked to run; its
+// queries are done after inFlight eager cycles (never when negative).
+type scheduleLog struct {
+	cycles   []string
+	inFlight int
+}
+
+func (s *scheduleLog) LazyCycle()           { s.cycles = append(s.cycles, "lazy") }
+func (s *scheduleLog) EagerCycle()          { s.cycles = append(s.cycles, "eager"); s.inFlight-- }
+func (s *scheduleLog) AllQueriesDone() bool { return s.inFlight == 0 }
+
+// checkSchedule runs the timeline's steps on a scheduleLog whose queries
+// are done after inFlight eager cycles, and wants one lazy cycle at every
+// 12th 5s step, before that step's eager cycle, and eager cycles only while
+// queries are in flight.
+func checkSchedule(t *testing.T, inFlight int) {
+	t.Helper()
+	s := &scheduleLog{inFlight: inFlight}
+	var want []string
+	eager := inFlight
+	for step := 1; step <= timelineSteps; step++ {
+		timelineStep(s, step)
+		if step%12 == 0 {
+			want = append(want, "lazy")
+		}
+		if eager != 0 {
+			want = append(want, "eager")
+			eager--
+		}
+	}
+	if !slices.Equal(s.cycles, want) {
+		t.Fatalf("in flight for %d eager cycles: ran %v, want %v", inFlight, s.cycles, want)
+	}
+}
+
+// TestTimelineFiresCyclesAtPeriods pins the §3.5 periods the timeline
+// drives with a query always in flight: an eager cycle at every 5s step and
+// a lazy cycle at every 12th, before that step's eager cycle.
+func TestTimelineFiresCyclesAtPeriods(t *testing.T) {
+	if lazyEvery != 12 {
+		t.Fatalf("lazyEvery = %d, want 12 eager periods per lazy period", lazyEvery)
+	}
+	checkSchedule(t, -1)
+}
+
+// TestTimelineEagerOnlyWithActiveQueries: the timeline runs eager cycles
+// only while queries are in flight, and lazy cycles regardless.
+func TestTimelineEagerOnlyWithActiveQueries(t *testing.T) {
+	for _, inFlight := range []int{3, 0} {
+		checkSchedule(t, inFlight)
+	}
+}
+
+// TestTimelineScheduleOnTheEngine runs two simulated minutes of the
+// schedule on an engine with a new query issued at every step: 2 lazy
+// cycles, and one eager cycle per step that had a query in flight, so at
+// most 24.
+func TestTimelineScheduleOnTheEngine(t *testing.T) {
+	cfg := tinyCfg()
+	w := NewWorld(cfg)
+	e := w.SeededEngine(cfg.HeteroConfig(1))
+	inFlight := 0
+	for step := 1; step <= timelineSteps; step++ {
+		e.IssueQuery(w.Queries[step-1])
+		if !e.AllQueriesDone() {
+			inFlight++
+		}
+		timelineStep(e, step)
+	}
+	t.Logf("%d of %d steps had a query in flight", inFlight, timelineSteps)
+	if e.LazyCycles() != 2 || e.EagerCycles() != inFlight || inFlight > timelineSteps {
+		t.Fatalf("two minutes ran %d lazy and %d eager cycles, want 2 and %d (at most %d)",
+			e.LazyCycles(), e.EagerCycles(), inFlight, timelineSteps)
 	}
 }

@@ -24,6 +24,11 @@
 //     makes tag queries answerable at all);
 //   - profile sizes are log-normal, matching the paper's skew (mean 249
 //     items/user, >99% of users under 2,000 items).
+//
+// The generator takes three parameters, the user count, the mean profile
+// size and the seed: the spaces scale with the user count, and the shape
+// (spread, tags per item, community mix, popularity skew) is a set of
+// constants calibrated once against the crawl's marginals.
 package trace
 
 import (
@@ -62,78 +67,58 @@ func (d *Dataset) TotalActions() int {
 	return n
 }
 
-// GenParams configures the synthetic trace generator.
+// GenParams configures the synthetic trace generator. Everything else about
+// the trace's shape is fixed by the calibration constants below and by the
+// user count: the item and tag spaces and the community count scale with
+// Users at the paper's ratios (10.1 items and 3.2 tags per user).
 type GenParams struct {
-	Users       int // number of users
-	Items       int // size of the item space
-	Tags        int // size of the tag space
-	Communities int // number of interest communities
-
-	// MeanItems and SigmaItems parameterize the log-normal distribution of
-	// the number of distinct items per user; MaxItems caps it (the paper:
-	// mean 249, >99% of users < 2000).
-	MeanItems  float64
-	SigmaItems float64
-	MaxItems   int
-
-	// MeanExtraTags is the mean number of additional tags per (user, item)
-	// beyond the first: tags per item-user = 1 + Poisson(MeanExtraTags).
-	// The paper's trace has ~3.8 actions per (user, item).
-	MeanExtraTags float64
-
-	// CommunityMix is the probability that a user picks an item from one of
-	// her own communities rather than from the global pool.
-	CommunityMix float64
-
-	// ItemZipf is the Zipf exponent of item popularity within a pool.
-	ItemZipf float64
-
-	// CanonicalTags is the number of canonical tags attached to each item;
-	// taggers draw from this set with Zipf weights.
-	CanonicalTags int
-
-	Seed uint64
+	Users int // number of users
+	// MeanItems is the mean of the log-normal number of distinct items per
+	// user (the paper: 249).
+	MeanItems float64
+	Seed      uint64
 }
+
+// The generator's shape, calibrated once to the crawl (calibration_test.go).
+const (
+	// sigmaItems is the log-normal spread of the items per user; a user's
+	// item count is also capped at the user count (the paper: >99% of
+	// users under 2000 items).
+	sigmaItems = 0.9
+	// meanExtraTags is the mean number of additional tags per (user, item)
+	// beyond the first: tags per item-user = 1 + Poisson(meanExtraTags).
+	// The paper's trace has ~3.8 actions per (user, item).
+	meanExtraTags = 2.8
+	// communityMix is the probability that a user picks an item from one
+	// of her own communities rather than from the global pool.
+	communityMix = 0.85
+	// itemZipf is the Zipf exponent of item popularity within a pool.
+	itemZipf = 1.15
+	// canonicalTags is the number of canonical tags attached to each item;
+	// taggers draw from this set with Zipf weights.
+	canonicalTags = 6
+)
 
 // DefaultGenParams returns parameters producing a trace whose normalized
 // shape matches the paper's delicious crawl, scaled to the given number of
-// users. Item and tag space sizes scale with the user count at the paper's
-// ratios (10.1 items and 3.2 tags per user).
+// users (10 at least).
 func DefaultGenParams(users int) GenParams {
-	if users < 10 {
-		users = 10
-	}
-	items := users * 10
-	tags := users * 3
-	if tags < 64 {
-		tags = 64
-	}
-	comms := users / 100
-	if comms < 4 {
-		comms = 4
-	}
 	return GenParams{
-		Users:       users,
-		Items:       items,
-		Tags:        tags,
-		Communities: comms,
+		Users: max(users, 10),
 		// Scaled: the full crawl averages 249 items/user; the scaled
 		// default uses 60 to keep laptop experiments fast. Experiments can
 		// raise it back via -mean-items.
-		MeanItems:     60,
-		SigmaItems:    0.9,
-		MaxItems:      users, // generous cap; clamped to item space below
-		MeanExtraTags: 2.8,
-		CommunityMix:  0.85,
-		ItemZipf:      1.15,
-		CanonicalTags: 6,
-		Seed:          1,
+		MeanItems: 60,
+		Seed:      1,
 	}
 }
 
 // generator holds the community structure computed during generation.
 type generator struct {
-	params GenParams
+	// users, items and tags size the population and the item and tag
+	// spaces; a profile holds 3 to users items, meanItems on average.
+	users, items, tags int
+	meanItems          float64
 	// itemPool[c] lists the items of community c, in popularity order.
 	itemPool [][]tagging.ItemID
 	// tagPool[c] lists the tag vocabulary of community c, in popularity order.
@@ -147,20 +132,23 @@ type generator struct {
 // Generate builds a synthetic dataset from the parameters. Identical
 // parameters (including Seed) produce identical datasets.
 func Generate(p GenParams) *Dataset {
-	p = sanitize(p)
+	p.Users = max(p.Users, 1)
+	if p.MeanItems <= 1 {
+		p.MeanItems = 10
+	}
 	root := randx.NewSource(p.Seed)
-	g := &generator{params: p}
-	g.buildCommunities(root.Split(1))
+	g := &generator{users: p.Users, items: p.Users * 10, tags: max(p.Users*3, 64), meanItems: p.MeanItems}
+	g.buildCommunities(root.Split(1), min(max(p.Users/100, 4), p.Users))
 	g.buildCanonicalTags(root.Split(2))
 
 	d := &Dataset{
 		Profiles: make([]*tagging.Profile, p.Users),
-		NumItems: p.Items,
-		NumTags:  p.Tags,
+		NumItems: g.items,
+		NumTags:  g.tags,
 		gen:      g,
 	}
 	g.membership = make([][]int, p.Users)
-	commZipf := randx.NewZipf(root.Split(3), 1.1, p.Communities)
+	commZipf := randx.NewZipf(root.Split(3), 1.1, len(g.itemPool))
 	for u := 0; u < p.Users; u++ {
 		rng := root.Split(1000 + uint64(u))
 		g.membership[u] = g.pickCommunities(rng, commZipf)
@@ -171,73 +159,32 @@ func Generate(p GenParams) *Dataset {
 	return d
 }
 
-func sanitize(p GenParams) GenParams {
-	if p.Users < 1 {
-		p.Users = 1
-	}
-	if p.Items < 10 {
-		p.Items = 10
-	}
-	if p.Tags < 4 {
-		p.Tags = 4
-	}
-	if p.Communities < 1 {
-		p.Communities = 1
-	}
-	if p.Communities > p.Users {
-		p.Communities = p.Users
-	}
-	if p.MeanItems <= 1 {
-		p.MeanItems = 10
-	}
-	if p.SigmaItems <= 0 {
-		p.SigmaItems = 0.5
-	}
-	if p.MaxItems <= 0 || p.MaxItems > p.Items {
-		p.MaxItems = p.Items
-	}
-	if p.MeanExtraTags < 0 {
-		p.MeanExtraTags = 0
-	}
-	if p.CommunityMix < 0 || p.CommunityMix > 1 {
-		p.CommunityMix = 0.85
-	}
-	if p.ItemZipf <= 0 {
-		p.ItemZipf = 1.15
-	}
-	if p.CanonicalTags < 1 {
-		p.CanonicalTags = 4
-	}
-	return p
-}
-
 // buildCommunities assigns every item and tag to a community. Community
 // sizes follow a mild power law so that a few broad interests dominate, as
 // in real tagging systems.
-func (g *generator) buildCommunities(rng *randx.Source) {
-	p := g.params
-	weights := make([]float64, p.Communities)
+func (g *generator) buildCommunities(rng *randx.Source, communities int) {
+	weights := make([]float64, communities)
 	for c := range weights {
 		weights[c] = 1 / float64(c+1)
 	}
-	g.itemPool = make([][]tagging.ItemID, p.Communities)
-	for i := 0; i < p.Items; i++ {
+	g.itemPool = make([][]tagging.ItemID, communities)
+	for i := 0; i < g.items; i++ {
 		c := rng.WeightedChoice(weights)
 		g.itemPool[c] = append(g.itemPool[c], tagging.ItemID(i))
 	}
-	g.tagPool = make([][]tagging.TagID, p.Communities)
-	for t := 0; t < p.Tags; t++ {
+	g.tagPool = make([][]tagging.TagID, communities)
+	for t := 0; t < g.tags; t++ {
 		c := rng.WeightedChoice(weights)
 		g.tagPool[c] = append(g.tagPool[c], tagging.TagID(t))
 	}
 	// Guarantee non-empty pools: communities that drew nothing borrow the
 	// global head element so samplers never face an empty pool.
-	for c := 0; c < p.Communities; c++ {
+	for c := 0; c < communities; c++ {
 		if len(g.itemPool[c]) == 0 {
-			g.itemPool[c] = append(g.itemPool[c], tagging.ItemID(c%p.Items))
+			g.itemPool[c] = append(g.itemPool[c], tagging.ItemID(c%g.items))
 		}
 		if len(g.tagPool[c]) == 0 {
-			g.tagPool[c] = append(g.tagPool[c], tagging.TagID(c%p.Tags))
+			g.tagPool[c] = append(g.tagPool[c], tagging.TagID(c%g.tags))
 		}
 	}
 }
@@ -245,17 +192,13 @@ func (g *generator) buildCommunities(rng *randx.Source) {
 // buildCanonicalTags gives each item its canonical tag list, drawn from the
 // vocabulary of the item's community with Zipf weights.
 func (g *generator) buildCanonicalTags(rng *randx.Source) {
-	p := g.params
-	g.canonical = make([][]tagging.TagID, p.Items)
+	g.canonical = make([][]tagging.TagID, g.items)
 	// Precompute a Zipf sampler per community vocabulary size on demand.
 	for c, pool := range g.itemPool {
 		vocab := g.tagPool[c]
 		z := randx.NewZipf(rng.Split(uint64(c)), 1.2, len(vocab))
 		for _, it := range pool {
-			n := p.CanonicalTags
-			if n > len(vocab) {
-				n = len(vocab)
-			}
+			n := min(canonicalTags, len(vocab))
 			seen := make(map[tagging.TagID]struct{}, n)
 			tags := make([]tagging.TagID, 0, n)
 			for tries := 0; len(tags) < n && tries < 20*n; tries++ {
@@ -279,7 +222,7 @@ func (g *generator) buildCanonicalTags(rng *randx.Source) {
 func (g *generator) pickCommunities(rng *randx.Source, commZipf *randx.Zipf) []int {
 	comms := []int{commZipf.Draw()}
 	for len(comms) < 3 && rng.Bool(0.4) {
-		c := rng.Intn(g.params.Communities)
+		c := rng.Intn(len(g.itemPool))
 		dup := false
 		for _, x := range comms {
 			if x == c {
@@ -296,18 +239,11 @@ func (g *generator) pickCommunities(rng *randx.Source, commZipf *randx.Zipf) []i
 
 // profileSize draws the number of distinct items for one user.
 func (g *generator) profileSize(rng *randx.Source) int {
-	p := g.params
-	// Parameterize the log-normal so its mean is MeanItems:
+	// Parameterize the log-normal so its mean is meanItems:
 	// E[X] = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2.
-	mu := lnMean(p.MeanItems, p.SigmaItems)
-	n := int(rng.LogNormal(mu, p.SigmaItems))
-	if n < 3 {
-		n = 3
-	}
-	if n > p.MaxItems {
-		n = p.MaxItems
-	}
-	return n
+	mu := lnMean(g.meanItems, sigmaItems)
+	n := int(rng.LogNormal(mu, sigmaItems))
+	return min(max(n, 3), g.users)
 }
 
 func lnMean(mean, sigma float64) float64 {
@@ -316,7 +252,6 @@ func lnMean(mean, sigma float64) float64 {
 
 // fillProfile adds nItems distinct items (with their tags) to the profile.
 func (g *generator) fillProfile(rng *randx.Source, prof *tagging.Profile, comms []int, nItems int) {
-	p := g.params
 	// Per-community item samplers; the first community is the primary and
 	// receives most of the weight.
 	commWeights := make([]float64, len(comms))
@@ -325,14 +260,14 @@ func (g *generator) fillProfile(rng *randx.Source, prof *tagging.Profile, comms 
 	}
 	samplers := make([]*randx.Zipf, len(comms))
 	for i, c := range comms {
-		samplers[i] = randx.NewZipf(rng.Split(uint64(100+i)), p.ItemZipf, len(g.itemPool[c]))
+		samplers[i] = randx.NewZipf(rng.Split(uint64(100+i)), itemZipf, len(g.itemPool[c]))
 	}
-	globalZipf := randx.NewZipf(rng.Split(999), p.ItemZipf, p.Items)
+	globalZipf := randx.NewZipf(rng.Split(999), itemZipf, g.items)
 
 	tagZipf := randx.NewZipf(rng.Split(777), 1.3, 64)
 	for added, tries := 0, 0; added < nItems && tries < 50*nItems; tries++ {
 		var it tagging.ItemID
-		if rng.Bool(p.CommunityMix) {
+		if rng.Bool(communityMix) {
 			ci := rng.WeightedChoice(commWeights)
 			pool := g.itemPool[comms[ci]]
 			it = pool[samplers[ci].Draw()]
@@ -347,11 +282,11 @@ func (g *generator) fillProfile(rng *randx.Source, prof *tagging.Profile, comms 
 	}
 }
 
-// tagItem adds 1 + Poisson(MeanExtraTags) tags on the item, drawn from its
+// tagItem adds 1 + Poisson(meanExtraTags) tags on the item, drawn from its
 // canonical list with Zipf weights (most typical tags first).
 func (g *generator) tagItem(rng *randx.Source, tagZipf *randx.Zipf, prof *tagging.Profile, it tagging.ItemID) {
 	canon := g.canonical[it]
-	n := 1 + rng.Poisson(g.params.MeanExtraTags)
+	n := 1 + rng.Poisson(meanExtraTags)
 	if n > len(canon) {
 		n = len(canon)
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"p3q/internal/tagging"
@@ -151,9 +153,9 @@ func TestStats(t *testing.T) {
 }
 
 func TestDefaultGenParamsScales(t *testing.T) {
-	p := DefaultGenParams(1000)
-	if p.Items != 10000 || p.Tags != 3000 {
-		t.Fatalf("scaled spaces = (%d items, %d tags), want (10000, 3000)", p.Items, p.Tags)
+	d := Generate(DefaultGenParams(1000))
+	if d.NumItems != 10000 || d.NumTags != 3000 {
+		t.Fatalf("scaled spaces = (%d items, %d tags), want (10000, 3000)", d.NumItems, d.NumTags)
 	}
 	tiny := DefaultGenParams(1)
 	if tiny.Users < 10 {
@@ -162,9 +164,9 @@ func TestDefaultGenParamsScales(t *testing.T) {
 }
 
 func TestSanitizeDegenerateParams(t *testing.T) {
-	d := Generate(GenParams{Users: 5, Items: 1, Tags: 1, Communities: 99, Seed: 1})
-	if d.Users() != 5 {
-		t.Fatalf("users = %d, want 5", d.Users())
+	d := Generate(GenParams{Users: 3, Seed: 1})
+	if d.Users() != 3 || d.NumItems != 30 || d.NumTags != 64 {
+		t.Fatalf("dataset %v, want 3 users, 30 items, 64 tags", d)
 	}
 	for _, p := range d.Profiles {
 		if p.Len() == 0 {
@@ -356,5 +358,33 @@ func TestLoadedDatasetSupportsChanges(t *testing.T) {
 	}
 	if ApplyChanges(loaded, changes) == 0 {
 		t.Fatal("changes on loaded dataset added nothing")
+	}
+}
+
+// TestGeneratorOutputPinned pins the generator byte for byte: the SHA-256
+// of the saved trace at 10 users (the floor of DefaultGenParams, where the
+// tag space and community counts are clamped), 60 and 1 000 users, and 400
+// users at the paper's 249 items per user. A change that moves one of
+// these moves every figure, example and checkpoint built on the trace.
+func TestGeneratorOutputPinned(t *testing.T) {
+	for _, c := range []struct {
+		users     int
+		meanItems float64
+		sum       string
+	}{
+		{10, 60, "6108598e11ee3a7bcb783c3d9e4e5e7b7d916b90d8306bf359eef4fe5bc5a0a8"},
+		{60, 60, "d8f5a3ed9d9bfbfa6dcca66021f51b776aaf1d4fe86f5d02e09542ddd89ffd0a"},
+		{1000, 60, "7fdd05afcdd1c1ef274a02b32dbb5cfff258e48f333b4d917d0a091cb3867103"},
+		{400, 249, "1aedff1c74331057a93fdd0edbe7709e6624d5195175d9379f622d79df300900"},
+	} {
+		p := DefaultGenParams(c.users)
+		p.MeanItems = c.meanItems
+		var buf bytes.Buffer
+		if err := Save(&buf, Generate(p)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.sum {
+			t.Errorf("%d users, %v mean items: sha256 %s, want %s", c.users, c.meanItems, got, c.sum)
+		}
 	}
 }
