@@ -7,7 +7,7 @@
 // Every daemon of a cluster must be launched with the same -addrs,
 // -users and -seed: the replicas are only interchangeable when the
 // whole deterministic universe matches, and the handshake rejects any
-// peer whose configuration differs.
+// peer whose checkpoint params block or profile section sums differ.
 //
 // A three-daemon cluster on loopback:
 //

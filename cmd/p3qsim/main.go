@@ -195,7 +195,7 @@ func runConverge(cfg experiments.Config, every int, dir, resume, obsOut string) 
 		lastProgress = time.Now()
 		fmt.Fprintf(os.Stderr, "[%s lazy=%d eager=%d issued=%d settled=%d frozen=%d commit_bytes=%d plan=%s commit=%s]\n",
 			mode, e.LazyCycles(), e.EagerCycles(),
-			reg.Counter(obs.CQueriesIssued), reg.Counter(obs.CQueriesSettled),
+			reg.EventCount(obs.EvIssued), reg.EventCount(obs.EvSettled),
 			reg.EventCount(obs.EvFrozen), reg.Counter(obs.CCommitBytes),
 			reg.PhaseTotal(obs.PhasePlan).Round(time.Millisecond),
 			reg.PhaseTotal(obs.PhaseCommit).Round(time.Millisecond))

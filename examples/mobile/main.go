@@ -26,7 +26,7 @@ func main() {
 	cfg := p3q.DefaultConfig()
 	cfg.S = 30
 	rng := randx.NewSource(11)
-	classes := rng.AssignStorage(users, 1, randx.TailModeFor(1))
+	classes := rng.AssignStorage(users, 1)
 	cfg.CAssign = make([]int, users)
 	hist := map[int]int{}
 	for i, class := range classes {

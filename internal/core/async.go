@@ -182,7 +182,6 @@ func (e *Engine) replayFrozen() {
 		}
 		for _, ev := range n.frozen {
 			e.events.Schedule(e.now, ev)
-			e.obs.Inc(obs.CEventsReplayed)
 			e.emitQueryEvent(obs.EvReplayed, ev.qid, e.now, n.id, 0, 0)
 		}
 		n.frozen = nil
@@ -196,7 +195,6 @@ func (e *Engine) applyEagerEvent(ev *eagerEvent, at time.Duration) {
 	n := e.nodes[ev.node]
 	if !e.net.Online(n.id) {
 		n.frozen = append(n.frozen, ev)
-		e.obs.Inc(obs.CEventsFrozen)
 		e.emitQueryEvent(obs.EvFrozen, ev.qid, at, ev.node, 0, 0)
 		return
 	}
@@ -270,7 +268,6 @@ func (qr *QueryRun) settle(at time.Duration, seq uint64) {
 	qr.usedCount = len(qr.work.used)
 	qr.reached = slices.Clone(qr.reached)
 	qr.work = nil
-	qr.e.obs.Inc(obs.CQueriesSettled)
 	qr.e.emitQueryEvent(obs.EvSettled, qr.ID, at, qr.Query.Querier, 0, 0)
 }
 

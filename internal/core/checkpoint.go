@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"slices"
 	"time"
 
+	"p3q/internal/binio"
 	ckpt "p3q/internal/checkpoint"
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
@@ -93,9 +95,9 @@ const maxEvents = 1 << 26
 // byte-for-byte identical to this engine's, for any worker count.
 func (e *Engine) Snapshot(w io.Writer) error {
 	cw := ckpt.NewWriter(w)
-	e.writeParams(cw)
+	e.writeParams(&cw.Writer)
 	e.writeCounters(cw)
-	e.writeProfiles(cw)
+	e.writeProfiles(&cw.Writer)
 	e.writeNetwork(cw)
 	for _, n := range e.nodes {
 		e.writeNode(cw, n)
@@ -137,12 +139,6 @@ func Restore(r io.Reader, ds *trace.Dataset, cfg Config) (*Engine, error) {
 	if cr.Err() != nil {
 		return nil, cr.Err()
 	}
-	if cfg.CAssign != nil && len(cfg.CAssign) != users {
-		return nil, fmt.Errorf("checkpoint: CAssign has %d entries for %d users", len(cfg.CAssign), users)
-	}
-	rs.cfg = cfg.sanitize(users)
-	rs.validateParams()
-
 	e := &Engine{
 		cfg:    rs.cfg,
 		events: sim.NewEventQueue(),
@@ -191,113 +187,104 @@ type restorer struct {
 	// frozen, for crossCheck to hold against QueryRun.inflight.
 	inflight []int
 
-	// snapshot-side parameters read from the stream, validated against cfg.
-	params snapParams
+	items, tags int // the dataset's spaces, as the params block holds them
 }
 
-// snapParams is the protocol-parameter block a snapshot opens with.
-type snapParams struct {
-	users, items, tags                 int
-	s, c, r, k                         int
-	maxDigests, bloomBits, bloomHashes int
-	maxProbes                          int
-	alphaBits                          uint64
-	eagerPeriod, lazyPeriod            time.Duration
-	seed                               uint64
-	disableEagerBias, staticNetworks   bool
+// param is one row of the protocol's identity: a name, a value and the
+// value's width in the checkpoint's params block (1, 4 or 8 bytes,
+// little-endian).
+type param struct {
+	name  string
+	value uint64
+	width int
 }
 
-func (e *Engine) writeParams(cw *ckpt.Writer) {
-	cw.U32(uint32(len(e.nodes)))
-	cw.U32(uint32(e.ds.NumItems))
-	cw.U32(uint32(e.ds.NumTags))
-	cw.U32(uint32(e.cfg.S))
-	cw.U32(uint32(e.cfg.C))
-	cw.U32(uint32(e.cfg.R))
-	cw.U32(uint32(e.cfg.K))
-	cw.U32(uint32(e.cfg.MaxDigestsPerGossip))
-	cw.U32(uint32(e.cfg.BloomBits))
-	cw.U32(uint32(e.cfg.BloomHashes))
-	cw.U32(maxProbes)
-	cw.U64(math.Float64bits(e.cfg.Alpha))
-	cw.I64(int64(EagerPeriod))
-	cw.I64(int64(LazyPeriod))
-	cw.U64(e.cfg.Seed)
-	cw.Bool(e.cfg.DisableEagerBias)
-	cw.Bool(e.cfg.StaticNetworks)
+// protocolParams is the protocol's identity, row by row in the order the
+// params block holds it: the population and the item and tag spaces, every
+// Config field that changes what the protocol computes, and the pacing
+// constants. Workers and Latency have no row: both are execution choices
+// the determinism contract already spans. CAssign has none either; the
+// node section checks each node's capacity.
+func protocolParams(users, items, tags int, cfg Config) []param {
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	return []param{
+		{"users", uint64(users), 4},
+		{"items", uint64(items), 4},
+		{"tags", uint64(tags), 4},
+		{"S", uint64(cfg.S), 4},
+		{"C", uint64(cfg.C), 4},
+		{"R", uint64(cfg.R), 4},
+		{"K", uint64(cfg.K), 4},
+		{"MaxDigestsPerGossip", uint64(cfg.MaxDigestsPerGossip), 4},
+		{"BloomBits", uint64(cfg.BloomBits), 4},
+		{"BloomHashes", uint64(cfg.BloomHashes), 4},
+		{"MaxProbes", maxProbes, 4},
+		{"Alpha", math.Float64bits(cfg.Alpha), 8},
+		{"EagerPeriod", uint64(EagerPeriod), 8},
+		{"LazyPeriod", uint64(LazyPeriod), 8},
+		{"Seed", cfg.Seed, 8},
+		{"DisableEagerBias", flag(cfg.DisableEagerBias), 1},
+		{"StaticNetworks", flag(cfg.StaticNetworks), 1},
+	}
 }
 
-// readParams reads the parameter block and returns the population size. cfg
-// is the caller's (unsanitized) configuration; validation happens after
-// sanitization in validateParams.
+func (e *Engine) writeParams(w *binio.Writer) {
+	for _, p := range protocolParams(len(e.nodes), e.ds.NumItems, e.ds.NumTags, e.cfg) {
+		for i := 0; i < p.width; i++ {
+			w.U8(uint8(p.value >> (8 * i)))
+		}
+	}
+}
+
+// readParams reads the params block and returns the population size. The
+// population and the item and tag spaces are the snapshot's; cfg, the
+// caller's configuration, is sanitized for that population into rs.cfg,
+// and every later row must hold what rs.cfg gives it.
 func (rs *restorer) readParams(cfg Config) int {
-	p := &rs.params
-	p.users = int(rs.r.U32())
-	if rs.r.Err() == nil && (p.users < 1 || p.users > ckpt.MaxUsers) {
-		rs.r.Fail("user count %d outside [1, %d]", p.users, ckpt.MaxUsers)
+	r := rs.r
+	users, items, tags := int(r.U32()), int(r.U32()), int(r.U32())
+	switch {
+	case r.Err() != nil:
+	case users < 1 || users > ckpt.MaxUsers:
+		r.Fail("user count %d outside [1, %d]", users, ckpt.MaxUsers)
+	case cfg.CAssign != nil && len(cfg.CAssign) != users:
+		r.Fail("CAssign has %d entries for %d users", len(cfg.CAssign), users)
 	}
-	p.items = int(rs.r.U32())
-	p.tags = int(rs.r.U32())
-	p.s = int(rs.r.U32())
-	p.c = int(rs.r.U32())
-	p.r = int(rs.r.U32())
-	p.k = int(rs.r.U32())
-	p.maxDigests = int(rs.r.U32())
-	p.bloomBits = int(rs.r.U32())
-	p.bloomHashes = int(rs.r.U32())
-	p.maxProbes = int(rs.r.U32())
-	p.alphaBits = rs.r.U64()
-	p.eagerPeriod = time.Duration(rs.r.I64())
-	p.lazyPeriod = time.Duration(rs.r.I64())
-	p.seed = rs.r.U64()
-	p.disableEagerBias = rs.r.Bool()
-	p.staticNetworks = rs.r.Bool()
-	rs.users = p.users
-	return p.users
+	if r.Err() != nil {
+		return 0
+	}
+	rs.users, rs.items, rs.tags = users, items, tags
+	rs.cfg = cfg.sanitize(users)
+	for _, p := range protocolParams(users, items, tags, rs.cfg)[3:] { // past the three just read
+		var got uint64
+		for i := 0; i < p.width; i++ {
+			got |= uint64(r.U8()) << (8 * i)
+		}
+		if got != p.value && r.Err() == nil {
+			r.Fail("config mismatch: %s is %d in the snapshot but %d in the restoring config", p.name, got, p.value)
+		}
+	}
+	return users
 }
 
-// validateParams rejects a restore whose configuration disagrees with the
-// snapshot on any protocol parameter. Workers and Latency are deliberately
-// exempt: both are execution choices the determinism contract already
-// spans.
-func (rs *restorer) validateParams() {
-	if rs.r.Err() != nil {
-		return
+// HandshakeSums returns the FNV-1a sums of the params block and of the
+// profile section, each exactly as Snapshot writes it: engines whose sums
+// agree run the same protocol over the same profiles, whatever their
+// Workers and Latency.
+func (e *Engine) HandshakeSums() (params, profiles uint64) {
+	sum := func(write func(*binio.Writer)) uint64 {
+		h := fnv.New64a()
+		w := binio.MakeWriter(h, "handshake")
+		write(&w)
+		_ = w.Flush() // a hash never fails a write
+		return h.Sum64()
 	}
-	p, c := rs.params, rs.cfg
-	mismatch := func(field string, snap, now any) {
-		rs.r.Fail("config mismatch: %s is %v in the snapshot but %v in the restoring config", field, snap, now)
-	}
-	switch {
-	case p.s != c.S:
-		mismatch("S", p.s, c.S)
-	case p.c != c.C:
-		mismatch("C", p.c, c.C)
-	case p.r != c.R:
-		mismatch("R", p.r, c.R)
-	case p.k != c.K:
-		mismatch("K", p.k, c.K)
-	case p.maxDigests != c.MaxDigestsPerGossip:
-		mismatch("MaxDigestsPerGossip", p.maxDigests, c.MaxDigestsPerGossip)
-	case p.bloomBits != c.BloomBits:
-		mismatch("BloomBits", p.bloomBits, c.BloomBits)
-	case p.bloomHashes != c.BloomHashes:
-		mismatch("BloomHashes", p.bloomHashes, c.BloomHashes)
-	case p.maxProbes != maxProbes:
-		mismatch("MaxProbes", p.maxProbes, maxProbes)
-	case p.alphaBits != math.Float64bits(c.Alpha):
-		mismatch("Alpha", math.Float64frombits(p.alphaBits), c.Alpha)
-	case p.eagerPeriod != EagerPeriod:
-		mismatch("EagerPeriod", p.eagerPeriod, EagerPeriod)
-	case p.lazyPeriod != LazyPeriod:
-		mismatch("LazyPeriod", p.lazyPeriod, LazyPeriod)
-	case p.seed != c.Seed:
-		mismatch("Seed", p.seed, c.Seed)
-	case p.disableEagerBias != c.DisableEagerBias:
-		mismatch("DisableEagerBias", p.disableEagerBias, c.DisableEagerBias)
-	case p.staticNetworks != c.StaticNetworks:
-		mismatch("StaticNetworks", p.staticNetworks, c.StaticNetworks)
-	}
+	return sum(e.writeParams), sum(e.writeProfiles)
 }
 
 func (e *Engine) writeCounters(cw *ckpt.Writer) {
@@ -325,15 +312,15 @@ func (rs *restorer) readCounters() {
 	e.latRng = randx.Restore(rs.r.U64())
 }
 
-func (e *Engine) writeProfiles(cw *ckpt.Writer) {
+func (e *Engine) writeProfiles(w *binio.Writer) {
 	var keys []uint64
 	for _, p := range e.ds.Profiles {
-		cw.Count(p.Len())
+		w.Count(p.Len())
 		keys = keys[:0]
 		for _, a := range p.Actions() {
 			keys = append(keys, a.Key())
 		}
-		cw.U64s(keys)
+		w.U64s(keys)
 	}
 }
 
@@ -346,9 +333,9 @@ func (rs *restorer) readProfiles(ds *trace.Dataset, users int) {
 			rs.r.Fail("dataset has %d users, snapshot has %d", ds.Users(), users)
 			return
 		}
-		if ds.NumItems != rs.params.items || ds.NumTags != rs.params.tags {
+		if ds.NumItems != rs.items || ds.NumTags != rs.tags {
 			rs.r.Fail("dataset spaces (%d items, %d tags) do not match the snapshot (%d, %d)",
-				ds.NumItems, ds.NumTags, rs.params.items, rs.params.tags)
+				ds.NumItems, ds.NumTags, rs.items, rs.tags)
 			return
 		}
 	}
@@ -403,7 +390,7 @@ func (rs *restorer) readProfiles(ds *trace.Dataset, users int) {
 		}
 	}
 	if ds == nil {
-		rs.ds = &trace.Dataset{Profiles: profiles, NumItems: rs.params.items, NumTags: rs.params.tags}
+		rs.ds = &trace.Dataset{Profiles: profiles, NumItems: rs.items, NumTags: rs.tags}
 	} else {
 		rs.ds = ds
 	}

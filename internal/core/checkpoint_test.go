@@ -5,10 +5,12 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -360,26 +362,32 @@ type hostileCount struct {
 	raw  []byte
 }
 
+// A snapshot opens with the header (magic, version), the params block
+// (writeParams) and the counters section (writeCounters).
+const (
+	snapshotHeader   = 4 + 2
+	paramsBlockBytes = 11*4 + 8 + 2*8 + 8 + 2
+	countersBytes    = 9 * 8
+)
+
 // snapshotOffsets returns where a snapshot of e holds the first profile's
-// action count and node 0's evaluated-memo, view and personal-network
-// counts, following the layout Snapshot writes, and how many entries node
-// 0's memo holds. Callers check the offsets against the values found there.
-func snapshotOffsets(e *Engine) (profile0, memo, view, pnet, evaluated int) {
-	const header = 4 + 2                  // magic, version
-	const params = 11*4 + 8 + 2*8 + 8 + 2 // writeParams
-	const counters = 9 * 8                // writeCounters
+// action count, where the profile section ends (the network section
+// begins) and node 0's evaluated-memo, view and personal-network counts,
+// following the layout Snapshot writes, and how many entries node 0's memo
+// holds. Callers check the offsets against the values found there.
+func snapshotOffsets(e *Engine) (profile0, network, memo, view, pnet, evaluated int) {
 	n0 := e.nodes[0]
-	profile0 = header + params + counters
-	node0 := profile0
+	profile0 = snapshotHeader + paramsBlockBytes + countersBytes
+	network = profile0
 	for _, p := range e.ds.Profiles {
-		node0 += 4 + 8*p.Len()
+		network += 4 + 8*p.Len()
 	}
-	node0 += len(e.nodes) + 16*len(sim.Traffic{}.Msgs) // writeNetwork
-	memo = node0 + 8 + 4                               // rng, evalVersion
+	node0 := network + len(e.nodes) + 16*len(sim.Traffic{}.Msgs) // writeNetwork
+	memo = node0 + 8 + 4                                         // rng, evalVersion
 	n0.evaluated.Range(func(uint32, int32) { evaluated++ })
 	view = memo + 4 + 8*evaluated
 	pnet = view + 4 + 8*n0.view.Size() + 4 + 4 + 8 // s, c, clock
-	return profile0, memo, view, pnet, evaluated
+	return profile0, network, memo, view, pnet, evaluated
 }
 
 // hostileCounts cuts the small snapshot right behind the first profile's
@@ -389,7 +397,7 @@ func hostileCounts(t testing.TB) ([]hostileCount, Config) {
 	t.Helper()
 	e, raw, cfg := smallSnapshotOf(t)
 	users, n0 := len(e.nodes), e.nodes[0]
-	profile0, memo, view, pnet, evaluated := snapshotOffsets(e)
+	profile0, _, memo, view, pnet, evaluated := snapshotOffsets(e)
 
 	var out []hostileCount
 	for _, c := range []struct {
@@ -447,7 +455,7 @@ type outOfRange struct {
 func outOfRangeNetworks(t testing.TB) ([]outOfRange, Config) {
 	t.Helper()
 	e, raw, cfg := smallSnapshotOf(t)
-	_, _, _, pnet, _ := snapshotOffsets(e)
+	_, _, _, _, pnet, _ := snapshotOffsets(e)
 	clockAt, scoreAt := pnet-8, pnet+4+4 // clock; the count, then the first ID
 	pn := e.nodes[0].pnet
 	if got := binary.LittleEndian.Uint64(raw[clockAt:]); got != uint64(pn.clock) {
@@ -527,6 +535,93 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	bad.Seed = cfg.Seed + 99
 	if _, err := Restore(bytes.NewReader(raw), nil, bad); err == nil || !strings.Contains(err.Error(), "config mismatch") {
 		t.Fatalf("restore with a different Seed surfaced as %v, want a config mismatch", err)
+	}
+}
+
+// TestHandshakeSumsAreCheckpointSections: the handshake sums are FNV-1a
+// over the params block and over the profile section of a real snapshot,
+// and an engine restored at another worker count has the same sums.
+func TestHandshakeSumsAreCheckpointSections(t *testing.T) {
+	e, raw, cfg := smallSnapshotOf(t)
+	profile0, network, _, _, _, _ := snapshotOffsets(e)
+	fnv1a := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	params, profiles := e.HandshakeSums()
+	if want := fnv1a(raw[snapshotHeader : snapshotHeader+paramsBlockBytes]); params != want {
+		t.Errorf("params sum %x, the snapshot's params block sums to %x", params, want)
+	}
+	if want := fnv1a(raw[profile0:network]); profiles != want {
+		t.Errorf("profiles sum %x, the snapshot's profile section sums to %x", profiles, want)
+	}
+	cfg.Workers = 3
+	r, err := Restore(bytes.NewReader(raw), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, q := r.HandshakeSums(); p != params || q != profiles {
+		t.Errorf("restored at 3 workers: sums %x, %x, want %x, %x", p, q, params, profiles)
+	}
+}
+
+// TestProtocolParamsCoverConfig: every Config field is a row of
+// protocolParams, and changing it changes that row alone, or it is exempt
+// for a stated reason. A new protocol option that misses the table fails
+// here instead of escaping the checkpoint's mismatch check and the daemon
+// handshake.
+func TestProtocolParamsCoverConfig(t *testing.T) {
+	exempt := map[string]string{
+		"Workers": "an execution choice: every value gives byte-identical output",
+		"Latency": "an execution choice: a restored fork may run under another model",
+		"CAssign": "per-node capacities: the node section checks each node's",
+	}
+	base := DefaultConfig()
+	rows := protocolParams(1, 1, 1, base)
+	cfgType := reflect.TypeOf(base)
+	for i := 0; i < cfgType.NumField(); i++ {
+		name := cfgType.Field(i).Name
+		row := slices.IndexFunc(rows, func(p param) bool { return p.name == name })
+		if reason, ok := exempt[name]; ok {
+			if row >= 0 {
+				t.Errorf("Config.%s is a row of protocolParams and exempt (%s)", name, reason)
+			}
+			continue
+		}
+		if row < 0 {
+			t.Errorf("Config.%s is neither a row of protocolParams nor exempt with a reason", name)
+			continue
+		}
+		changed := base
+		switch f := reflect.ValueOf(&changed).Elem().Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() / 2)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("Config.%s: no way to change a %s", name, f.Kind())
+		}
+		for j, p := range protocolParams(1, 1, 1, changed) {
+			if moved := p.value != rows[j].value; moved != (j == row) {
+				t.Errorf("changing Config.%s: row %s moved %v", name, p.name, moved)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsAFlagByteAsAMismatch: a flag row holds 0 or 1; any
+// other byte differs from both settings of the flag.
+func TestRestoreRejectsAFlagByteAsAMismatch(t *testing.T) {
+	raw, cfg := smallSnapshot(t)
+	bad := bytes.Clone(raw)
+	bad[snapshotHeader+paramsBlockBytes-1] = 2 // StaticNetworks, the last row
+	if _, err := Restore(bytes.NewReader(bad), nil, cfg); err == nil || !strings.Contains(err.Error(), "config mismatch: StaticNetworks is 2") {
+		t.Fatalf("a flag byte of 2 surfaced as %v, want a config mismatch", err)
 	}
 }
 

@@ -272,7 +272,6 @@ func (e *Engine) IssueQuery(q trace.Query) *QueryRun {
 		settledSeq: noCycleSeq,
 	}
 	e.queries = append(e.queries, qr)
-	e.obs.Inc(obs.CQueriesIssued)
 	e.emitQueryEvent(obs.EvIssued, qr.ID, qr.issuedAt, u.id, 0, 0)
 
 	// Local processing over GoodProfiles(querier): own profile + stored
@@ -586,7 +585,6 @@ func (e *Engine) emitEagerHops(p *eagerPlan, t *sim.Traffic) {
 	if e.obs == nil {
 		return
 	}
-	e.obs.Inc(obs.CGossipsCommitted)
 	qr := e.queries[p.qid]
 	e.emitQueryEvent(obs.EvForward, p.qid, e.now, p.u, p.dest, t.Bytes[sim.MsgQueryForward])
 	if p.delivered {

@@ -191,7 +191,7 @@ func (c Config) CoreConfig(storageC int) core.Config {
 func (c Config) HeteroConfig(lambda float64) core.Config {
 	cc := c.CoreConfig(core.DefaultConfig().C)
 	rng := randx.NewSource(c.Seed).Split(uint64(lambda * 1000))
-	raw := rng.AssignStorage(c.Users, lambda, randx.TailModeFor(lambda))
+	raw := rng.AssignStorage(c.Users, lambda)
 	cc.CAssign = make([]int, len(raw))
 	for i, v := range raw {
 		cc.CAssign[i] = c.ScaledClass(v)

@@ -28,7 +28,7 @@ func Table1(cfg Config) []*metrics.Table {
 			n = 10000 // sample enough to resolve the 0.06% tail
 		}
 		for i := 0; i < n; i++ {
-			counts[rng.DrawStorageClass(lambda, randx.TailModeFor(lambda))]++
+			counts[rng.DrawStorageClass(lambda)]++
 		}
 		out := make([]float64, len(randx.StorageClasses))
 		for i, c := range randx.StorageClasses {
@@ -37,8 +37,8 @@ func Table1(cfg Config) []*metrics.Table {
 		return out
 	}
 
-	pmf1 := randx.StorageClassPMF(1, randx.TailModeFor(1))
-	pmf4 := randx.StorageClassPMF(4, randx.TailModeFor(4))
+	pmf1 := randx.StorageClassPMF(1)
+	pmf4 := randx.StorageClassPMF(4)
 	s1 := sample(1)
 	s4 := sample(4)
 	for i, c := range randx.StorageClasses {

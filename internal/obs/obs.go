@@ -11,7 +11,7 @@
 //     same dataset, configuration and seed, a run produces the same
 //     sim-plane values, so tests may fingerprint them (SimFingerprint).
 //   - The host plane (per-phase and per-shard hostclock histograms,
-//     commit-skew samples, runtime.MemStats deltas) measures the machine
+//     commit-skew samples, runtime.MemStats readings) measures the machine
 //     the run happens to execute on. Host-plane values are
 //     observability-only by contract: they must never flow back into
 //     engine state, scheduling decisions, or sim-plane events. The
@@ -47,24 +47,13 @@ const (
 	CLazyCycles CounterID = iota
 	// CEagerCycles counts completed eager cycles.
 	CEagerCycles
-	// CQueriesIssued counts queries accepted by IssueQuery.
-	CQueriesIssued
-	// CQueriesSettled counts queries that reached recall 1.
-	CQueriesSettled
 	// CGossipsPlanned counts planned (initiator, query) eager gossips.
 	CGossipsPlanned
-	// CGossipsCommitted counts planned gossips that found an online
-	// destination (the rest stalled on probes for a cycle).
-	CGossipsCommitted
 	// CPartialsDelivered counts partial result lists that reached their
 	// querier.
 	CPartialsDelivered
 	// CEventsScheduled counts asynchronous delivery events enqueued.
 	CEventsScheduled
-	// CEventsFrozen counts events that fired at a departed node and froze.
-	CEventsFrozen
-	// CEventsReplayed counts frozen events re-scheduled after a revival.
-	CEventsReplayed
 	// CCommitBytes accumulates the ledger bytes folded by commit phases.
 	CCommitBytes
 
@@ -76,14 +65,9 @@ const (
 var counterNames = [numCounters]string{
 	"lazy_cycles",
 	"eager_cycles",
-	"queries_issued",
-	"queries_settled",
 	"gossips_planned",
-	"gossips_committed",
 	"partials_delivered",
 	"events_scheduled",
-	"events_frozen",
-	"events_replayed",
 	"commit_bytes",
 }
 
@@ -252,14 +236,12 @@ type Registry struct {
 	sink         func(QueryEvent)
 
 	// Host plane.
-	phases    [numPhases]Histogram
-	shardDur  Histogram
-	skew      Histogram
-	skewLast  time.Duration
-	mem       runtime.MemStats
-	memValid  bool
-	allocRate uint64 // TotalAlloc delta between the last two samples
-	gcRate    uint64 // NumGC delta between the last two samples
+	phases   [numPhases]Histogram
+	shardDur Histogram
+	skew     Histogram
+	skewLast time.Duration
+	mem      runtime.MemStats
+	memValid bool
 }
 
 // New returns an empty registry.
@@ -404,23 +386,15 @@ func (r *Registry) CommitSkew() (last, max, mean time.Duration, samples uint64) 
 	return r.skewLast, r.skew.Max(), r.skew.Mean(), r.skew.Count()
 }
 
-// SampleMemStats reads runtime.MemStats and returns the heap-allocation
-// and GC-cycle deltas since the previous sample (both 0 on the first
-// call). Host plane: the read lives here so the deterministic engine
-// packages never touch the runtime directly.
-func (r *Registry) SampleMemStats() (allocDelta, gcDelta uint64) {
+// SampleMemStats reads runtime.MemStats for the next WritePrometheus.
+// Host plane: the read lives here so the deterministic engine packages
+// never touch the runtime directly.
+func (r *Registry) SampleMemStats() {
 	if r == nil {
-		return 0, 0
+		return
 	}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if r.memValid {
-		r.allocRate = m.TotalAlloc - r.mem.TotalAlloc
-		r.gcRate = uint64(m.NumGC - r.mem.NumGC)
-	}
-	r.mem = m
+	runtime.ReadMemStats(&r.mem)
 	r.memValid = true
-	return r.allocRate, r.gcRate
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
@@ -455,8 +429,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE p3q_host_heap_alloc_bytes gauge\np3q_host_heap_alloc_bytes %d\n", r.mem.HeapAlloc)
 		fmt.Fprintf(w, "# TYPE p3q_host_total_alloc_bytes counter\np3q_host_total_alloc_bytes %d\n", r.mem.TotalAlloc)
 		fmt.Fprintf(w, "# TYPE p3q_host_gc_cycles_total counter\np3q_host_gc_cycles_total %d\n", r.mem.NumGC)
-		fmt.Fprintf(w, "# TYPE p3q_host_alloc_delta_bytes gauge\np3q_host_alloc_delta_bytes %d\n", r.allocRate)
-		fmt.Fprintf(w, "# TYPE p3q_host_gc_delta_cycles gauge\np3q_host_gc_delta_cycles %d\n", r.gcRate)
 	}
 }
 

@@ -2,7 +2,6 @@ package peer
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"slices"
 	"sync"
@@ -17,10 +16,10 @@ import (
 )
 
 // Config describes one daemon's place in a cluster. Every daemon of a
-// cluster must be constructed from the same Addrs, Gen and Engine values:
-// the replicas are only interchangeable when the whole deterministic
-// universe matches, and the Hello handshake rejects any peer whose sums
-// differ.
+// cluster must be constructed from the same Addrs and Gen values and the
+// same Engine protocol parameters: the replicas are only interchangeable
+// when the whole deterministic universe matches, and the Hello handshake
+// rejects any peer whose sums differ. Engine.Workers is free.
 type Config struct {
 	// Index is this daemon's position in Addrs; daemon 0 is the lead.
 	Index int
@@ -30,7 +29,8 @@ type Config struct {
 	// profile bits, they agree on the generator.
 	Gen trace.GenParams
 	// Engine configures the replica. Latency must be nil: the wire
-	// protocol is cycle-aligned (every message lands in its own cycle).
+	// protocol is cycle-aligned (every message lands in its own cycle);
+	// so must CAssign, as the handshake does not pin per-node capacities.
 	Engine core.Config
 	// ConnectTimeout bounds how long Connect waits for peers to come up.
 	// Zero means 10 seconds.
@@ -89,8 +89,8 @@ type Daemon struct {
 	cfg    Config
 	lo, hi tagging.UserID
 
-	ds  *trace.Dataset
-	eng *core.Engine
+	eng                    *core.Engine
+	paramsSum, profilesSum uint64 // eng.HandshakeSums, which Hello compares
 
 	tr Transport
 	ln net.Listener
@@ -147,6 +147,9 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 	if cfg.Engine.Latency != nil {
 		return nil, fmt.Errorf("peer: the wire protocol is cycle-aligned; Engine.Latency must be nil")
 	}
+	if cfg.Engine.CAssign != nil {
+		return nil, fmt.Errorf("peer: the Hello handshake does not pin per-node capacities; Engine.CAssign must be nil")
+	}
 	lo, hi := hostedRange(cfg.Gen.Users, len(cfg.Addrs), cfg.Index)
 	d := &Daemon{
 		cfg:     cfg,
@@ -170,8 +173,8 @@ func New(cfg Config, tr Transport) (*Daemon, error) {
 // Start regenerates the dataset, bootstraps the replica, and begins
 // serving the wire protocol on this daemon's address.
 func (d *Daemon) Start() error {
-	d.ds = trace.Generate(d.cfg.Gen)
-	d.eng = core.New(d.ds, d.cfg.Engine)
+	d.eng = core.New(trace.Generate(d.cfg.Gen), d.cfg.Engine)
+	d.paramsSum, d.profilesSum = d.eng.HandshakeSums()
 	// Always-on telemetry: attaching the registry is fingerprint-neutral
 	// (pinned by core's invariance tests), and the stats/metrics surfaces
 	// read from it.
@@ -201,8 +204,8 @@ func (d *Daemon) Connect() error {
 		Hi:         uint32(d.hi),
 		Users:      uint32(d.cfg.Gen.Users),
 		Seed:       d.cfg.Engine.Seed,
-		ConfigSum:  hashSum(fmt.Sprintf("%+v", d.cfg.Engine)),
-		DatasetSum: hashSum(fmt.Sprintf("%+v", d.cfg.Gen)),
+		ConfigSum:  d.paramsSum,
+		DatasetSum: d.profilesSum,
 	}
 	for i, l := range d.links {
 		if l == nil {
@@ -271,14 +274,6 @@ func (d *Daemon) connected() error {
 // (see link) and tallies the request on plane, the reason it was sent.
 func (d *Daemon) call(i, plane int, req wire.Msg) (wire.Msg, error) {
 	return d.links[i].call(&d.counters[plane], req)
-}
-
-// hashSum is FNV-1a over a canonical rendering — enough to catch two
-// daemons launched with different flags.
-func hashSum(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s)) // documented to never fail
-	return h.Sum64()
 }
 
 // Close tears the daemon down: listener, peer links, serving goroutines.

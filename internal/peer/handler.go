@@ -85,11 +85,11 @@ func (d *Daemon) serveHello(m *wire.Hello) wire.Msg {
 	if m.Seed != d.cfg.Engine.Seed {
 		return reject("seed %d, ours is %d", m.Seed, d.cfg.Engine.Seed)
 	}
-	if sum := hashSum(fmt.Sprintf("%+v", d.cfg.Engine)); m.ConfigSum != sum {
-		return reject("engine config sum %x, ours is %x", m.ConfigSum, sum)
+	if m.ConfigSum != d.paramsSum {
+		return reject("engine config sum %x, ours is %x", m.ConfigSum, d.paramsSum)
 	}
-	if sum := hashSum(fmt.Sprintf("%+v", d.cfg.Gen)); m.DatasetSum != sum {
-		return reject("dataset sum %x, ours is %x", m.DatasetSum, sum)
+	if m.DatasetSum != d.profilesSum {
+		return reject("dataset sum %x, ours is %x", m.DatasetSum, d.profilesSum)
 	}
 	return &wire.HelloAck{OK: true, Index: uint32(d.cfg.Index)}
 }
@@ -256,8 +256,8 @@ func (d *Daemon) serveStats() wire.Msg {
 		CommitNanos:   uint64(d.obs.PhaseTotal(obs.PhaseCommit).Nanoseconds()),
 		SkewMaxNanos:  uint64(skewMax.Nanoseconds()),
 
-		QueriesIssued:  d.obs.Counter(obs.CQueriesIssued),
-		QueriesSettled: d.obs.Counter(obs.CQueriesSettled),
+		QueriesIssued:  d.obs.EventCount(obs.EvIssued),
+		QueriesSettled: d.obs.EventCount(obs.EvSettled),
 	}
 	planes := []*wire.PlaneStat{&resp.Data, &resp.Ctrl, &resp.Gateway, &resp.Served}
 	for i := range d.counters {

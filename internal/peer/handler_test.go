@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -376,5 +377,82 @@ func TestHandlerLazyRespondersRefuseForgedRequests(t *testing.T) {
 		if n := d.Divergence() - before; n != tc.cost {
 			t.Errorf("%s: cost %d divergences, want %d", tc.name, n, tc.cost)
 		}
+	}
+}
+
+// helloPair builds and starts two daemons on one fabric, the second from
+// the first's config (one worker) with tweak applied, and connects both.
+func helloPair(t *testing.T, tweak func(*Config)) (daemons [2]*Daemon, errs [2]error) {
+	t.Helper()
+	fabric := NewFabric()
+	for i := range daemons {
+		cfg := Config{Index: i, Addrs: []string{"a", "b"}, Gen: trace.DefaultGenParams(30), Engine: core.DefaultConfig()}
+		cfg.Engine.Workers = 1
+		if i == 1 {
+			tweak(&cfg)
+		}
+		d, err := New(cfg, fabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		daemons[i] = d
+	}
+	for i, d := range daemons {
+		errs[i] = d.Connect()
+	}
+	return daemons, errs
+}
+
+// TestHandlerHelloMeshesAcrossWorkers: Workers is an execution choice with
+// byte-identical output, so daemons that differ only there mesh and step a
+// cycle without divergence.
+func TestHandlerHelloMeshesAcrossWorkers(t *testing.T) {
+	daemons, errs := helloPair(t, func(c *Config) { c.Engine.Workers = 2 })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("daemon %d: %v", i, err)
+		}
+	}
+	if err := daemons[0].RunLazyCycle(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range daemons {
+		if n := d.Divergence(); n != 0 {
+			t.Errorf("daemon %d: %d divergences", i, n)
+		}
+	}
+}
+
+// TestHandlerHelloRejectsAForeignUniverse: a protocol parameter that
+// differs fails the params sum, a generator parameter the profile sum.
+func TestHandlerHelloRejectsAForeignUniverse(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tweak  func(*Config)
+		reason string
+	}{
+		{"S", func(c *Config) { c.Engine.S++ }, "engine config sum"},
+		{"MeanItems", func(c *Config) { c.Gen.MeanItems++ }, "dataset sum"},
+	} {
+		_, errs := helloPair(t, tc.tweak)
+		for i, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("%s differs: daemon %d connected with %v, want a %q rejection", tc.name, i, err, tc.reason)
+			}
+		}
+	}
+}
+
+// TestHandlerHelloNewRefusesCAssign: the handshake does not pin per-node
+// capacities, so a daemon cannot be built with them.
+func TestHandlerHelloNewRefusesCAssign(t *testing.T) {
+	cfg := Config{Addrs: []string{"a"}, Gen: trace.DefaultGenParams(30), Engine: core.DefaultConfig()}
+	cfg.Engine.CAssign = make([]int, 30)
+	if _, err := New(cfg, NewFabric()); err == nil || !strings.Contains(err.Error(), "CAssign") {
+		t.Fatalf("New with a CAssign returned %v, want a refusal", err)
 	}
 }

@@ -6,37 +6,19 @@ import "math"
 // the paper's evaluation (Table 1 and the seven uniform scenarios of §3.1.2).
 var StorageClasses = []int{10, 20, 50, 100, 200, 500, 1000}
 
-// StorageTailMode selects how a Poisson draw larger than the last storage
-// class index is handled when assigning heterogeneous capacities.
-type StorageTailMode int
-
-const (
-	// StorageTailLump maps every draw k >= 6 onto the last class. This
-	// reproduces the paper's lambda=1 row of Table 1 exactly
-	// (36.79, 36.79, 18.39, 6.13, 1.53, 0.31, 0.06 %).
-	StorageTailLump StorageTailMode = iota
-	// StorageTailTruncate redraws until k <= 6, i.e. renormalizes the
-	// Poisson pmf over the seven classes. This reproduces the paper's
-	// lambda=4 row exactly (2.06, 8.25, 16.49, 21.99, 21.99, 17.59,
-	// 11.73 %).
-	StorageTailTruncate
-)
-
-// TailModeFor returns the Table 1 convention matching the given lambda: the
-// paper lumps the tail for lambda=1 and truncates for lambda=4 (the two
-// conventions are numerically indistinguishable at lambda=1). Any other
-// lambda defaults to truncation.
-func TailModeFor(lambda float64) StorageTailMode {
-	if lambda <= 1 {
-		return StorageTailLump
-	}
-	return StorageTailTruncate
-}
+// lumpsTail reports Table 1's handling of a Poisson draw past the last
+// storage class index under lambda. Lambda <= 1 lumps every draw k >= 6
+// onto the last class, reproducing the paper's lambda=1 row exactly (36.79,
+// 36.79, 18.39, 6.13, 1.53, 0.31, 0.06 %); a larger lambda truncates,
+// redrawing until k <= 6 (the Poisson pmf renormalized over the seven
+// classes), reproducing its lambda=4 row exactly (2.06, 8.25, 16.49, 21.99,
+// 21.99, 17.59, 11.73 %). The two agree to those digits at lambda=1.
+func lumpsTail(lambda float64) bool { return lambda <= 1 }
 
 // StorageClassPMF returns the analytic probability of each storage class
-// under Poisson(lambda) with the given tail handling. The slice is parallel
-// to StorageClasses.
-func StorageClassPMF(lambda float64, mode StorageTailMode) []float64 {
+// under Poisson(lambda) with Table 1's tail handling (see lumpsTail). The
+// slice is parallel to StorageClasses.
+func StorageClassPMF(lambda float64) []float64 {
 	n := len(StorageClasses)
 	pmf := make([]float64, n)
 	// Poisson pmf by recurrence: p(0)=e^-l, p(k)=p(k-1)*l/k.
@@ -49,38 +31,33 @@ func StorageClassPMF(lambda float64, mode StorageTailMode) []float64 {
 		pmf[k] = p
 		total += p
 	}
-	switch mode {
-	case StorageTailLump:
+	if lumpsTail(lambda) {
 		pmf[n-1] += 1 - total // fold P(k >= n) into the last class
-	case StorageTailTruncate:
-		for k := range pmf {
-			pmf[k] /= total
-		}
+		return pmf
+	}
+	for k := range pmf {
+		pmf[k] /= total
 	}
 	return pmf
 }
 
 // DrawStorageClass samples a capacity c from StorageClasses under
-// Poisson(lambda) with the given tail handling.
-func (s *Source) DrawStorageClass(lambda float64, mode StorageTailMode) int {
+// Poisson(lambda) with Table 1's tail handling (see lumpsTail).
+func (s *Source) DrawStorageClass(lambda float64) int {
 	last := len(StorageClasses) - 1
 	for {
-		k := s.Poisson(lambda)
-		if k <= last {
-			return StorageClasses[k]
-		}
-		if mode == StorageTailLump {
-			return StorageClasses[last]
+		if k := s.Poisson(lambda); k <= last || lumpsTail(lambda) {
+			return StorageClasses[min(k, last)]
 		}
 		// truncate: redraw
 	}
 }
 
 // AssignStorage draws a capacity for each of n users.
-func (s *Source) AssignStorage(n int, lambda float64, mode StorageTailMode) []int {
+func (s *Source) AssignStorage(n int, lambda float64) []int {
 	out := make([]int, n)
 	for i := range out {
-		out[i] = s.DrawStorageClass(lambda, mode)
+		out[i] = s.DrawStorageClass(lambda)
 	}
 	return out
 }

@@ -12,7 +12,7 @@ var (
 )
 
 func TestStorageClassPMFMatchesTable1Lambda1(t *testing.T) {
-	pmf := StorageClassPMF(1, StorageTailLump)
+	pmf := StorageClassPMF(1)
 	for i, want := range table1Lambda1 {
 		got := pmf[i] * 100
 		if math.Abs(got-want) > 0.01 {
@@ -23,7 +23,7 @@ func TestStorageClassPMFMatchesTable1Lambda1(t *testing.T) {
 }
 
 func TestStorageClassPMFMatchesTable1Lambda4(t *testing.T) {
-	pmf := StorageClassPMF(4, StorageTailTruncate)
+	pmf := StorageClassPMF(4)
 	for i, want := range table1Lambda4 {
 		got := pmf[i] * 100
 		// The paper's row carries ~0.02pp of rounding drift relative to
@@ -35,26 +35,25 @@ func TestStorageClassPMFMatchesTable1Lambda4(t *testing.T) {
 	}
 }
 
+// TestStorageClassPMFSumsToOne covers both tail conventions: 0.5 and 1
+// lump, 2 and 4 truncate.
 func TestStorageClassPMFSumsToOne(t *testing.T) {
 	for _, lambda := range []float64{0.5, 1, 2, 4} {
-		for _, mode := range []StorageTailMode{StorageTailLump, StorageTailTruncate} {
-			pmf := StorageClassPMF(lambda, mode)
-			sum := 0.0
-			for _, p := range pmf {
-				sum += p
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Fatalf("pmf(lambda=%g, mode=%d) sums to %f", lambda, mode, sum)
-			}
+		sum := 0.0
+		for _, p := range StorageClassPMF(lambda) {
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("pmf(lambda=%g) sums to %f", lambda, sum)
 		}
 	}
 }
 
-func TestTailModeFor(t *testing.T) {
-	if TailModeFor(1) != StorageTailLump {
+func TestLumpsTail(t *testing.T) {
+	if !lumpsTail(1) {
 		t.Fatal("lambda=1 should lump the tail (Table 1 convention)")
 	}
-	if TailModeFor(4) != StorageTailTruncate {
+	if lumpsTail(4) {
 		t.Fatal("lambda=4 should truncate (Table 1 convention)")
 	}
 }
@@ -64,9 +63,9 @@ func TestDrawStorageClassEmpirical(t *testing.T) {
 	const n = 200000
 	counts := make(map[int]int)
 	for i := 0; i < n; i++ {
-		counts[s.DrawStorageClass(4, StorageTailTruncate)]++
+		counts[s.DrawStorageClass(4)]++
 	}
-	pmf := StorageClassPMF(4, StorageTailTruncate)
+	pmf := StorageClassPMF(4)
 	for i, c := range StorageClasses {
 		got := float64(counts[c]) / n
 		if math.Abs(got-pmf[i]) > 0.005 {
@@ -82,7 +81,7 @@ func TestDrawStorageClassOnlyValidClasses(t *testing.T) {
 		valid[c] = true
 	}
 	for i := 0; i < 10000; i++ {
-		if c := s.DrawStorageClass(1, StorageTailLump); !valid[c] {
+		if c := s.DrawStorageClass(1); !valid[c] {
 			t.Fatalf("drew invalid class %d", c)
 		}
 	}
@@ -90,7 +89,7 @@ func TestDrawStorageClassOnlyValidClasses(t *testing.T) {
 
 func TestAssignStorageLength(t *testing.T) {
 	s := NewSource(22)
-	cs := s.AssignStorage(500, 1, StorageTailLump)
+	cs := s.AssignStorage(500, 1)
 	if len(cs) != 500 {
 		t.Fatalf("AssignStorage returned %d values, want 500", len(cs))
 	}
@@ -100,7 +99,7 @@ func TestLambda1MostlySmallStorage(t *testing.T) {
 	// §3.1.2: "In the lambda = 1 scenario, more than 73% users only store
 	// 10 or 20 profiles."
 	s := NewSource(23)
-	cs := s.AssignStorage(100000, 1, StorageTailLump)
+	cs := s.AssignStorage(100000, 1)
 	small := 0
 	for _, c := range cs {
 		if c == 10 || c == 20 {

@@ -81,15 +81,15 @@ func walkEntries(c *binio.Codec, entries *[]topk.Entry) {
 
 // Hello opens a daemon-to-daemon connection: the dialer identifies itself
 // and proves it runs the same deterministic universe. Replicas are only
-// interchangeable when dataset, configuration and seed all match, so the
+// interchangeable when protocol parameters and profiles all match, so the
 // receiver rejects on any sum mismatch rather than silently diverging.
 type Hello struct {
 	Index      uint32 // dialer's daemon index (0 is the lead)
 	Lo, Hi     uint32 // hosted node range [Lo, Hi)
 	Users      uint32 // total users in the universe
 	Seed       uint64
-	ConfigSum  uint64 // FNV-1a over the engine configuration
-	DatasetSum uint64 // FNV-1a over the generator parameters
+	ConfigSum  uint64 // FNV-1a over the replica's checkpoint params block
+	DatasetSum uint64 // FNV-1a over the replica's checkpoint profile section
 }
 
 func (*Hello) WireType() Type { return TypeHello }
